@@ -116,20 +116,6 @@ makeSystem(const BenchOptions& opt)
     return sys;
 }
 
-/** Build a system with workloads registered (legacy signature). */
-inline std::unique_ptr<system::System>
-makeSystem(bool cloaked, std::uint64_t frames = 4096,
-           std::uint64_t seed = 42,
-           std::uint64_t preempt_ops = 2'000'000)
-{
-    BenchOptions opt;
-    opt.cloaked = cloaked;
-    opt.frames = frames;
-    opt.seed = seed;
-    opt.preemptOps = preempt_ops;
-    return makeSystem(opt);
-}
-
 /**
  * Dump tracing artifacts for one bench phase: a plain-text metrics
  * report on stdout and a Chrome trace JSON (`<phase>.trace.json`,
@@ -158,7 +144,8 @@ runCycles(bool cloaked, const std::string& program,
           const std::vector<std::string>& argv,
           std::uint64_t frames = 4096, std::uint64_t seed = 42)
 {
-    auto sys = makeSystem(cloaked, frames, seed);
+    auto sys = makeSystem(
+        BenchOptions{.cloaked = cloaked, .frames = frames, .seed = seed});
     auto r = sys->runProgram(program, argv);
     if (r.status != 0) {
         osh_fatal("bench workload %s failed: status=%d %s",

@@ -92,7 +92,7 @@ readerMain(Env& env)
 double
 bandwidth(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
 {
-    auto sys = bench::makeSystem(cloaked);
+    auto sys = bench::makeSystem(bench::BenchOptions{.cloaked = cloaked});
     sys->addProgram("reader", os::Program{readerMain, true, 64});
     auto r = sys->runProgram(
         "reader",

@@ -9,25 +9,20 @@
  * the shadow-resolution fast paths added on top of the paper's design
  * (suspended-shadow revalidation and the re-encryption victim cache).
  *
- * Each primitive is defined once and measured two ways:
- *   - via google-benchmark for host-side throughput, reporting
- *     *simulated cycles per operation* as the "sim_cycles" counter
- *     (the numbers corresponding to the paper's table);
- *   - via a fixed warmup+measure loop whose result is bit-reproducible
- *     across hosts, written to BENCH_t1_primitives.json for the
- *     perf-regression harness (bench/compare.py).
+ * Each primitive is defined once and measured in simulated cycles per
+ * operation by a fixed warmup+measure loop, so the result is
+ * bit-reproducible across hosts. The table is printed and written to
+ * BENCH_t1_primitives.json for the perf-regression harness
+ * (bench/compare.py). Host-side AES-CTR/SHA-256 page throughput lives
+ * in bench_crypto.
  */
 
 #include "bench_common.hh"
 
 #include "cloak/engine.hh"
-#include "crypto/ctr.hh"
-#include "crypto/sha256.hh"
 #include "sim/machine.hh"
 #include "vmm/vcpu.hh"
 #include "vmm/vmm.hh"
-
-#include <benchmark/benchmark.h>
 
 #include <functional>
 #include <map>
@@ -125,9 +120,6 @@ struct Ctx
 /**
  * One measured primitive. `prep` runs before every measured `op` and
  * is excluded from the timing; `init` runs once after construction.
- * `fixedOnly` keeps a primitive out of the open-ended google-benchmark
- * loop (used when the op consumes a bounded resource, like the async
- * staging region, that only the fixed iteration count respects).
  */
 struct Primitive
 {
@@ -136,7 +128,6 @@ struct Primitive
     std::function<void(Ctx&)> init;
     std::function<void(Ctx&)> prep;
     std::function<void(Ctx&)> op;
-    bool fixedOnly = false;
 };
 
 /** Pages backing the async-eviction primitive: enough that the fixed
@@ -250,8 +241,7 @@ primitives()
                  [](std::span<const std::uint8_t>) {});
              osh_assert(queued, "async enqueue refused in bench");
              ++c.scratch;
-         },
-         /*fixedOnly=*/true},
+         }},
 
         // Incremental integrity: an 8-byte store dirties one 256-byte
         // chunk, so the kernel-side re-seal re-MACs that chunk plus
@@ -356,77 +346,20 @@ fixedCyclesPerOp(const Primitive& p)
     return total / iters;
 }
 
-void
-runPrimitive(benchmark::State& state, const Primitive& p)
-{
-    Ctx ctx(p.fastPath);
-    if (p.init)
-        p.init(ctx);
-    Cycles total = 0;
-    for (auto _ : state) {
-        if (p.prep)
-            p.prep(ctx);
-        Cycles before = ctx.h.machine.cost().cycles();
-        p.op(ctx);
-        total += ctx.h.machine.cost().cycles() - before;
-    }
-    state.counters["sim_cycles"] = benchmark::Counter(
-        static_cast<double>(total) /
-        static_cast<double>(state.iterations()));
-}
-
-void
-BM_AesCtrPageHost(benchmark::State& state)
-{
-    crypto::AesKey key{};
-    key[0] = 1;
-    crypto::Aes128 aes(key);
-    crypto::Iv iv{};
-    std::vector<std::uint8_t> page(pageSize, 0xab);
-    for (auto _ : state) {
-        crypto::aesCtrXcryptInPlace(aes, iv, page);
-        benchmark::DoNotOptimize(page.data());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * pageSize));
-}
-BENCHMARK(BM_AesCtrPageHost);
-
-void
-BM_Sha256PageHost(benchmark::State& state)
-{
-    std::vector<std::uint8_t> page(pageSize, 0xcd);
-    for (auto _ : state) {
-        auto d = crypto::Sha256::hash(page);
-        benchmark::DoNotOptimize(d.data());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * pageSize));
-}
-BENCHMARK(BM_Sha256PageHost);
-
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
-    for (const Primitive& p : primitives()) {
-        if (p.fixedOnly)
-            continue;
-        benchmark::RegisterBenchmark(
-            ("BM_" + std::string(p.name)).c_str(),
-            [&p](benchmark::State& state) { runPrimitive(state, p); });
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
+    osh::bench::header("Table T1: cloaking primitive costs "
+                       "(simulated cycles/op)");
     osh::bench::BenchReport report("t1_primitives");
-    for (const Primitive& p : primitives())
-        report.set(std::string(p.name) + ".sim_cycles",
-                   fixedCyclesPerOp(p));
+    for (const Primitive& p : primitives()) {
+        std::uint64_t cycles = fixedCyclesPerOp(p);
+        std::printf("%-30s %10llu\n", p.name,
+                    static_cast<unsigned long long>(cycles));
+        report.set(std::string(p.name) + ".sim_cycles", cycles);
+    }
     report.write();
     return 0;
 }

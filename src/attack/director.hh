@@ -2,8 +2,8 @@
  * @file
  * AttackDirector: the seeded hostile kernel.
  *
- * The director generalizes the ad-hoc MaliceConfig knobs into one
- * object implementing both hostile-kernel interfaces:
+ * The director is the campaign's seeded attacker: one object
+ * implementing both hostile-kernel interfaces:
  *
  *   - os::AttackHooks — called from inside the guest kernel at every
  *     OS touchpoint (syscall entry, read return, swap out/in/release,

@@ -2,18 +2,20 @@
  * @file
  * Injection points for a hostile guest kernel.
  *
- * MaliceConfig grew as a handful of one-shot toggles; AttackHooks is
- * its generalization: an interface the attack campaign's director
- * implements to interpose on every kernel touchpoint of cloaked state —
- * syscall entry (snoop/scribble/trap-frame probes), read() returns,
- * swap-out/-in (tamper, replay, resurrection), slot release (a hostile
- * disk keeps copies the device itself scrubs), and the fsync/exec
- * boundaries where sealed metadata bundles are exposed.
+ * AttackHooks is the kernel's one hostile seam: every attack a
+ * compromised OS mounts in this simulator — the attack campaign's
+ * director as well as hand-written attackers in tests and demos —
+ * interposes through it on the kernel touchpoints of application
+ * state: syscall entry (snoop/scribble/trap-frame probes), read()
+ * returns, the SubmitBatch ring, swap-out/-in (tamper, replay,
+ * resurrection), slot release (a hostile disk keeps copies the device
+ * itself scrubs), and the fsync/exec boundaries where sealed metadata
+ * bundles are exposed.
  *
  * Every hook runs *inside* the kernel, in kernel mode, with the full
  * kernel view — exactly the vantage point of a compromised commodity
- * OS. Hooks default to no-ops so a kernel without a director installed
- * behaves identically to one built before this interface existed.
+ * OS. Hooks default to no-ops; a kernel with no attacker installed
+ * holds a plain AttackHooks instance and behaves honestly.
  */
 
 #ifndef OSH_OS_ATTACK_HOOKS_HH

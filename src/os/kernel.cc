@@ -7,7 +7,6 @@
 
 #include "os/kernel.hh"
 
-#include "os/attack_hooks.hh"
 #include "os/exceptions.hh"
 
 #include "base/logging.hh"
@@ -315,8 +314,7 @@ Kernel::releasePte(Process& proc, GuestVA va_page, Pte& pte)
         // A pending async eviction may still owe this slot its
         // ciphertext; commit before the slot is scrubbed and reused.
         vmm_.drainAsyncEvictions();
-        if (attackHooks_ != nullptr)
-            attackHooks_->onSwapRelease(*this, pte.slot);
+        attackHooks_->onSwapRelease(*this, pte.slot);
         swap_.release(pte.slot);
     }
     pte = Pte{};
@@ -604,17 +602,7 @@ Kernel::swapOutAnon(Gpa gpa)
         [this, slot = *slot, replay_key](
             std::span<const std::uint8_t> sealed) {
             swap_.writeSlotPrepaid(slot, sealed);
-            if (malice_.tamperSwap) {
-                swap_.rawSlot(slot)[0] ^= 0xff;
-            }
-            if (malice_.replaySwap) {
-                auto fit = malice_.firstVersions.find(replay_key);
-                if (fit == malice_.firstVersions.end())
-                    malice_.firstVersions[replay_key] =
-                        swap_.rawSlot(slot);
-            }
-            if (attackHooks_ != nullptr)
-                attackHooks_->onSwapOut(*this, slot, replay_key);
+            attackHooks_->onSwapOut(*this, slot, replay_key);
         });
     if (async_queued) {
         stats_.counter("async_swap_outs").inc();
@@ -628,17 +616,7 @@ Kernel::swapOutAnon(Gpa gpa)
         std::array<std::uint8_t, pageSize> buf;
         readFrameAsKernel(currentThread(), gpa, buf);
         swap_.writeSlot(*slot, buf);
-
-        if (malice_.tamperSwap) {
-            swap_.rawSlot(*slot)[0] ^= 0xff;
-        }
-        if (malice_.replaySwap) {
-            auto fit = malice_.firstVersions.find(replay_key);
-            if (fit == malice_.firstVersions.end())
-                malice_.firstVersions[replay_key] = swap_.rawSlot(*slot);
-        }
-        if (attackHooks_ != nullptr)
-            attackHooks_->onSwapOut(*this, *slot, replay_key);
+        attackHooks_->onSwapOut(*this, *slot, replay_key);
     }
 
     pte->present = false;
@@ -667,13 +645,7 @@ Kernel::swapIn(Process& proc, GuestVA va_page, Pte& pte, const Vma& vma)
 
     std::uint64_t replay_key =
         (std::uint64_t{proc.as.asid()} << 40) | pageNumber(va_page);
-    if (malice_.replaySwap) {
-        auto fit = malice_.firstVersions.find(replay_key);
-        if (fit != malice_.firstVersions.end())
-            buf = fit->second;
-    }
-    if (attackHooks_ != nullptr)
-        attackHooks_->onSwapIn(*this, slot, replay_key, buf);
+    attackHooks_->onSwapIn(*this, slot, replay_key, buf);
 
     Gpa gpa = allocFrameOrEvict(FrameUse::Anon);
     writeFrameAsKernel(currentThread(), gpa, buf);
@@ -688,8 +660,7 @@ Kernel::swapIn(Process& proc, GuestVA va_page, Pte& pte, const Vma& vma)
     pte.present = true;
     pte.swapped = false;
     pte.writable = (vma.prot & protWrite) != 0 && !pte.cow;
-    if (attackHooks_ != nullptr)
-        attackHooks_->onSwapRelease(*this, slot);
+    attackHooks_->onSwapRelease(*this, slot);
     swap_.release(slot);
     stats_.counter("swap_ins").inc();
 }

@@ -10,9 +10,9 @@
  *
  * The kernel is *untrusted* in Overshadow's threat model: it manages
  * cloaked applications' resources but must never see their plaintext.
- * A MaliceConfig lets tests turn it actively hostile (snooping buffers,
- * tampering with swapped pages, replaying stale page contents) to
- * verify the cloak engine detects every attack.
+ * Installed AttackHooks (os/attack_hooks.hh) turn it actively hostile
+ * (snooping buffers, tampering with swapped pages, replaying stale page
+ * contents) to verify the cloak engine detects every attack.
  */
 
 #ifndef OSH_OS_KERNEL_HH
@@ -20,6 +20,7 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "os/attack_hooks.hh"
 #include "os/frames.hh"
 #include "os/process.hh"
 #include "os/program.hh"
@@ -37,8 +38,6 @@
 
 namespace osh::os
 {
-
-class AttackHooks;
 
 /**
  * Interface the system layer implements to create guest threads for
@@ -64,36 +63,6 @@ class ProcessHost
     virtual void onProcessExit(Process& proc) = 0;
 };
 
-/** Knobs that make the kernel actively malicious (attack tests). */
-struct MaliceConfig
-{
-    /** Record every page the kernel reads while snooping user memory at
-     *  each syscall entry (privacy probes). */
-    bool snoopUserMemory = false;
-    GuestVA snoopVa = 0;
-    std::vector<std::vector<std::uint8_t>> snoopedData;
-
-    /** Scribble over user memory at snoopVa on each syscall entry
-     *  (direct kernel tampering with application state). */
-    bool scribbleUserMemory = false;
-
-    /** Flip a byte of every page written to swap. */
-    bool tamperSwap = false;
-
-    /** Replay: on swap-in, return the *first* version ever swapped out
-     *  for that slot owner instead of the latest. */
-    bool replaySwap = false;
-    std::map<std::uint64_t, std::array<std::uint8_t, pageSize>> firstVersions;
-
-    /** Scribble over the user buffer after read() completes. */
-    bool corruptReadBuffers = false;
-
-    /** Record register files observed at syscall entry (to prove
-     *  scrubbing hides cloaked registers). */
-    bool recordTrapFrames = false;
-    std::vector<vmm::RegisterFile> trapFrames;
-};
-
 /** The guest kernel. */
 class Kernel : public vmm::GuestOsHooks
 {
@@ -105,6 +74,9 @@ class Kernel : public vmm::GuestOsHooks
      */
     Kernel(vmm::Vmm& vmm, Scheduler& sched, ProgramRegistry& programs);
     ~Kernel() override;
+
+    Kernel(const Kernel&) = delete;
+    Kernel& operator=(const Kernel&) = delete;
 
     void setProcessHost(ProcessHost* host) { host_ = host; }
 
@@ -200,15 +172,17 @@ class Kernel : public vmm::GuestOsHooks
     FrameAllocator& frames() { return frames_; }
     SwapDevice& swap() { return swap_; }
     ProgramRegistry& programs() { return programs_; }
-    MaliceConfig& malice() { return malice_; }
 
     /**
-     * Install (or clear, with nullptr) the hostile-kernel hooks. The
-     * attack campaign's director uses this; the legacy MaliceConfig
-     * knobs keep working independently.
+     * Install the hostile-kernel hooks, the kernel's only hostile seam
+     * (the attack campaign's director, or a test's own attacker).
+     * nullptr restores the built-in no-op hooks: an honest kernel.
      */
-    void setAttackHooks(AttackHooks* hooks) { attackHooks_ = hooks; }
-    AttackHooks* attackHooks() { return attackHooks_; }
+    void
+    setAttackHooks(AttackHooks* hooks)
+    {
+        attackHooks_ = hooks != nullptr ? hooks : &noAttackHooks_;
+    }
 
     StatGroup& stats() { return stats_; }
 
@@ -268,6 +242,14 @@ class Kernel : public vmm::GuestOsHooks
                            std::span<std::uint8_t> out);
     void writeFrameAsKernel(Thread& t, Gpa gpa,
                             std::span<const std::uint8_t> data);
+
+    /**
+     * read()/pread() data path: copy @p n bytes of @p ino starting at
+     * file offset @p off through the page cache to user @p buf, then
+     * give the attack hooks their read-return shot at the buffer.
+     */
+    void copyCachedToUser(Thread& t, Inode& ino, std::uint64_t off,
+                          GuestVA buf, std::uint64_t n);
 
     // Syscall implementations ----------------------------------------------
 
@@ -361,8 +343,8 @@ class Kernel : public vmm::GuestOsHooks
     std::map<Pid, std::uint64_t> freezeRequests_;
 
     bool cloakingAvailable_ = true;
-    MaliceConfig malice_;
-    AttackHooks* attackHooks_ = nullptr;
+    AttackHooks noAttackHooks_;
+    AttackHooks* attackHooks_ = &noAttackHooks_;
     StatGroup stats_;
 };
 

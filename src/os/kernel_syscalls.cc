@@ -5,7 +5,6 @@
 
 #include "base/bytes.hh"
 #include "base/logging.hh"
-#include "os/attack_hooks.hh"
 #include "os/kernel.hh"
 #include "os/layout.hh"
 #include "vmm/vcpu.hh"
@@ -34,28 +33,7 @@ Kernel::syscallEntry(Thread& t)
                     sysName(static_cast<Sys>(regs.gpr[0])),
                     t.vcpu.context().view, t.pid, regs.gpr[0],
                     regs.gpr[1]);
-    if (malice_.recordTrapFrames)
-        malice_.trapFrames.push_back(regs);
-    if (malice_.snoopUserMemory && malice_.snoopVa != 0) {
-        // A hostile kernel peeks at application memory on every trap.
-        Process& p = currentProcess();
-        if (validUserRange(p, malice_.snoopVa, 64, false)) {
-            std::vector<std::uint8_t> peek(64);
-            t.vcpu.readBytes(malice_.snoopVa, peek);
-            malice_.snoopedData.push_back(std::move(peek));
-        }
-    }
-    if (malice_.scribbleUserMemory && malice_.snoopVa != 0) {
-        // A hostile kernel overwrites application memory on every trap.
-        Process& p = currentProcess();
-        if (validUserRange(p, malice_.snoopVa, 16, true)) {
-            std::array<std::uint8_t, 16> junk;
-            junk.fill(0x66);
-            t.vcpu.writeBytes(malice_.snoopVa, junk);
-        }
-    }
-    if (attackHooks_ != nullptr)
-        attackHooks_->onSyscallEntry(*this, t);
+    attackHooks_->onSyscallEntry(*this, t);
 
     Sys num = static_cast<Sys>(regs.gpr[0]);
     std::uint64_t a1 = regs.gpr[1], a2 = regs.gpr[2], a3 = regs.gpr[3],
@@ -469,6 +447,30 @@ Kernel::pipeWrite(Thread& t, OpenFile& f, GuestVA buf, std::uint64_t len)
     return static_cast<std::int64_t>(written);
 }
 
+void
+Kernel::copyCachedToUser(Thread& t, Inode& ino, std::uint64_t off,
+                         GuestVA buf, std::uint64_t n)
+{
+    std::uint64_t done = 0;
+    std::array<std::uint8_t, pageSize> tmp;
+    while (done < n) {
+        std::uint64_t pos = off + done;
+        std::uint64_t page_index = pageNumber(pos);
+        std::uint64_t in_page =
+            std::min<std::uint64_t>(n - done, pageSize - pageOffset(pos));
+        PageCacheEntry& e = ensureCached(ino.id, page_index);
+        {
+            KernelModeGuard guard(t.vcpu);
+            t.vcpu.readBytes(kernelVa(e.gpa) + pageOffset(pos),
+                             std::span<std::uint8_t>(tmp.data(), in_page));
+        }
+        copyToUser(t, buf + done,
+                   std::span<const std::uint8_t>(tmp.data(), in_page));
+        done += in_page;
+    }
+    attackHooks_->onReadReturn(*this, t, buf, n);
+}
+
 std::int64_t
 Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
 {
@@ -490,34 +492,8 @@ Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
         return 0;
     std::uint64_t n = std::min<std::uint64_t>(len, ino.size - f->offset);
 
-    std::uint64_t done = 0;
-    std::array<std::uint8_t, pageSize> tmp;
-    while (done < n) {
-        std::uint64_t off = f->offset + done;
-        std::uint64_t page_index = pageNumber(off);
-        std::uint64_t in_page =
-            std::min<std::uint64_t>(n - done, pageSize - pageOffset(off));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
-        Gpa gpa = e.gpa;
-        {
-            KernelModeGuard guard(t.vcpu);
-            t.vcpu.readBytes(kernelVa(gpa) + pageOffset(off),
-                             std::span<std::uint8_t>(tmp.data(), in_page));
-        }
-        copyToUser(t, buf + done,
-                   std::span<const std::uint8_t>(tmp.data(), in_page));
-        done += in_page;
-    }
+    copyCachedToUser(t, ino, f->offset, buf, n);
     f->offset += n;
-
-    if (malice_.corruptReadBuffers && n > 0) {
-        std::array<std::uint8_t, 16> junk;
-        junk.fill(0xcc);
-        std::size_t m = std::min<std::size_t>(junk.size(), n);
-        copyToUser(t, buf, std::span<const std::uint8_t>(junk.data(), m));
-    }
-    if (attackHooks_ != nullptr && n > 0)
-        attackHooks_->onReadReturn(*this, t, buf, n);
     stats_.counter("file_reads").inc();
     return static_cast<std::int64_t>(n);
 }
@@ -594,33 +570,7 @@ Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
         return 0;
     std::uint64_t n = std::min<std::uint64_t>(len, ino.size - off);
 
-    std::uint64_t done = 0;
-    std::array<std::uint8_t, pageSize> tmp;
-    while (done < n) {
-        std::uint64_t pos = off + done;
-        std::uint64_t page_index = pageNumber(pos);
-        std::uint64_t in_page =
-            std::min<std::uint64_t>(n - done, pageSize - pageOffset(pos));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
-        Gpa gpa = e.gpa;
-        {
-            KernelModeGuard guard(t.vcpu);
-            t.vcpu.readBytes(kernelVa(gpa) + pageOffset(pos),
-                             std::span<std::uint8_t>(tmp.data(), in_page));
-        }
-        copyToUser(t, buf + done,
-                   std::span<const std::uint8_t>(tmp.data(), in_page));
-        done += in_page;
-    }
-
-    if (malice_.corruptReadBuffers && n > 0) {
-        std::array<std::uint8_t, 16> junk;
-        junk.fill(0xcc);
-        std::size_t m = std::min<std::size_t>(junk.size(), n);
-        copyToUser(t, buf, std::span<const std::uint8_t>(junk.data(), m));
-    }
-    if (attackHooks_ != nullptr && n > 0)
-        attackHooks_->onReadReturn(*this, t, buf, n);
+    copyCachedToUser(t, ino, off, buf, n);
     stats_.counter("file_preads").inc();
     return static_cast<std::int64_t>(n);
 }
@@ -792,8 +742,7 @@ Kernel::sysFsync(Thread& t, std::uint64_t fd)
         writebackPage(ino, idx, first);
         first = false;
     }
-    if (attackHooks_ != nullptr)
-        attackHooks_->onFsync(*this, t, ino.id);
+    attackHooks_->onFsync(*this, t, ino.id);
     stats_.counter("fsyncs").inc();
     return 0;
 }
@@ -870,8 +819,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
 
     // The hostile-kernel window on the submission side: the ring still
     // lives in user (for cloaked callers: uncloaked arena) memory.
-    if (attackHooks_ != nullptr)
-        attackHooks_->onBatchSubmit(*this, t, sub_va, count);
+    attackHooks_->onBatchSubmit(*this, t, sub_va, count);
 
     // Single copy: every descriptor leaves the ring exactly once,
     // before anything is validated or dispatched. Nothing below ever
@@ -933,8 +881,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
 
     // The hostile-kernel window on the completion side: results are in
     // user memory now, the caller has not read them yet.
-    if (attackHooks_ != nullptr)
-        attackHooks_->onBatchComplete(*this, t, comp_va, count);
+    attackHooks_->onBatchComplete(*this, t, comp_va, count);
     stats_.counter("batches").inc();
     return static_cast<std::int64_t>(count);
 }
@@ -1139,8 +1086,7 @@ Kernel::sysExec(Thread& t, GuestVA name_va, GuestVA argv_va,
     t.hasPendingExec = true;
     t.pendingExecProgram = name;
     t.pendingExecArgv = std::move(argv);
-    if (attackHooks_ != nullptr)
-        attackHooks_->onExec(*this, t, name);
+    attackHooks_->onExec(*this, t, name);
     stats_.counter("execs").inc();
     return 0;
 }

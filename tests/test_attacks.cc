@@ -3,9 +3,10 @@
  * Attack-campaign matrix tests: the hostile-OS campaign (src/attack)
  * must classify every attack-point × victim-workload × seed cell as
  * Detected or Harmless — never Leak (sentinel oracle hit) and never
- * Crash (silent corruption, non-cloak kill, or osh_panic). Also folds
- * in the legacy MaliceConfig knob matrix, proves the leak oracle
- * actually finds planted plaintext, and pins campaign determinism.
+ * Crash (silent corruption, non-cloak kill, or osh_panic). Also proves
+ * the leak oracle actually finds planted plaintext, pins campaign
+ * determinism, and checks that a destroyed director leaves an honest
+ * kernel behind.
  */
 
 #include "attack/campaign.hh"
@@ -13,13 +14,12 @@
 #include "attack/points.hh"
 #include "os/env.hh"
 #include "os/kernel.hh"
-#include "os/layout.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <map>
 #include <stdexcept>
 
 namespace osh::attack
@@ -274,101 +274,66 @@ TEST(LeakOracle, FindsPlantedSentinel)
         << leak;
 }
 
-/**
- * Legacy MaliceConfig knob matrix: every knob × every victim workload
- * must end in a clean exit, a refused protected-file open, or a
- * graceful cloak-violation kill — never silent corruption
- * (victimStatusCorrupt), never a non-cloak kill, never a panic.
- */
-class LegacyMalice
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, std::string>>
+/** What one victim run did to a System: the exit plus every cycle and
+ *  Kernel counter it added. */
+struct VictimRun
 {
+    Cycles cycles = 0;
+    int status = -1;
+    bool killed = false;
+    std::map<std::string, std::uint64_t> kernelStats;
 };
 
-TEST_P(LegacyMalice, KnobNeverSilentlyCorrupts)
+VictimRun
+runVictim(System& sys, const std::string& victim)
 {
-    const auto& [knob, workload] = GetParam();
+    std::map<std::string, std::uint64_t> before;
+    for (const auto& [name, v] : sys.kernel().stats().snapshot())
+        before[name] = v;
+    Cycles c0 = sys.cycles();
+    system::ExitResult r = sys.runProgram(victim);
 
-    bool paging = workload == "wl.victim.paging";
-    SystemConfig cfg = SystemConfig::Builder{}
-                           .seed(3)
-                           .guestFrames(paging ? 96 : 512)
-                           .cloaking(true)
-                           .build();
-    System sys(cfg);
-    workloads::registerAll(sys);
-
-    os::MaliceConfig& m = sys.kernel().malice();
-    if (knob == "snoop") {
-        m.snoopUserMemory = true;
-        m.snoopVa = os::mmapBase;
-    } else if (knob == "scribble") {
-        m.scribbleUserMemory = true;
-        m.snoopVa = os::mmapBase;
-    } else if (knob == "tamper_swap") {
-        m.tamperSwap = true;
-    } else if (knob == "replay_swap") {
-        m.replaySwap = true;
-    } else if (knob == "corrupt_read") {
-        m.corruptReadBuffers = true;
-    } else if (knob == "trap_frames") {
-        m.recordTrapFrames = true;
-    } else {
-        FAIL() << "unknown knob " << knob;
-    }
-
-    system::ExitResult init = sys.runProgram(workload);
-
-    bool violation_kill = false;
-    for (const auto& [pid, res] : sys.results()) {
-        if (!res.killed)
-            continue;
-        EXPECT_EQ(res.killReason.rfind("cloak violation", 0), 0u)
-            << "non-cloak kill under " << knob << " x " << workload
-            << ": " << res.killReason;
-        violation_kill = true;
-    }
-
-    bool acceptable = violation_kill || init.status == 0 ||
-                      init.status == workloads::victimStatusRefused;
-    EXPECT_TRUE(acceptable)
-        << knob << " x " << workload << " exited " << init.status
-        << " (killed=" << init.killed << " reason=" << init.killReason
-        << ")";
-    EXPECT_NE(init.status, workloads::victimStatusCorrupt)
-        << knob << " x " << workload
-        << ": victim observed silent corruption";
-
-    // Whatever the hostile kernel recorded, it holds no plaintext.
-    const std::uint64_t sentinel = workloads::attackSentinel(3);
-    for (const auto& bytes : m.snoopedData) {
-        std::uint64_t v = 0;
-        for (std::size_t off = 0; off + 8 <= bytes.size(); off += 8) {
-            std::memcpy(&v, bytes.data() + off, 8);
-            EXPECT_NE(v, sentinel);
-        }
-    }
-    for (const vmm::RegisterFile& regs : m.trapFrames) {
-        for (std::uint64_t g : regs.gpr)
-            EXPECT_NE(g, sentinel);
-    }
+    VictimRun out{sys.cycles() - c0, r.status, r.killed, {}};
+    for (const auto& [name, v] : sys.kernel().stats().snapshot())
+        out.kernelStats[name] = v - before[name];
+    return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KnobMatrix, LegacyMalice,
-    ::testing::Combine(
-        ::testing::Values("snoop", "scribble", "tamper_swap",
-                          "replay_swap", "corrupt_read", "trap_frames"),
-        ::testing::ValuesIn(workloads::victimNames())),
-    [](const auto& info) {
-        std::string name = std::get<0>(info.param) + "_" +
-                           std::get<1>(info.param);
-        for (char& c : name)
-            if (c == '.')
-                c = '_';
-        return name;
-    });
+/**
+ * Destroying a director must reinstall the kernel's built-in no-op
+ * hooks: a victim run afterwards on the same System behaves exactly
+ * like a run on a System that never had a director. The snoop point
+ * charges a page seal per peek, so a director left installed (or a
+ * dangling hook) would show up in the cycle delta.
+ */
+TEST(AttackDirectorLifetime, DestroyedDirectorRestoresHonestKernel)
+{
+    const std::string victim = "wl.victim.compute";
+    SystemConfig cfg = SystemConfig::Builder{}.seed(3).cloaking(true).build();
+
+    System fresh(cfg);
+    workloads::registerAll(fresh);
+    VictimRun reference = runVictim(fresh, victim);
+    ASSERT_EQ(reference.status, 0);
+    ASSERT_FALSE(reference.killed);
+
+    System sys(cfg);
+    workloads::registerAll(sys);
+    {
+        DirectorConfig dcfg;
+        dcfg.point = AttackPoint::SyscallSnoop;
+        dcfg.seed = cfg.effectiveAttackSeed();
+        AttackDirector director(sys, dcfg);
+        VictimRun attacked = runVictim(sys, victim);
+        ASSERT_GT(director.firings(), 0u);
+        ASSERT_NE(attacked.cycles, reference.cycles);
+    }
+    VictimRun after = runVictim(sys, victim);
+    EXPECT_EQ(after.cycles, reference.cycles);
+    EXPECT_EQ(after.status, reference.status);
+    EXPECT_EQ(after.killed, reference.killed);
+    EXPECT_EQ(after.kernelStats, reference.kernelStats);
+}
 
 } // namespace
 } // namespace osh::attack

@@ -8,13 +8,17 @@
  */
 
 #include "cloak/engine.hh"
+#include "os/attack_hooks.hh"
 #include "os/env.hh"
 #include "system/system.hh"
+#include "vmm/vcpu.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <map>
 
 namespace osh
 {
@@ -45,8 +49,101 @@ nativeConfig(std::uint64_t frames = 1024)
 
 constexpr std::uint64_t secretValue = 0x5ec23e7'0dadbeefull;
 
-/** Secret at a fixed stack address so malice knobs can target it. */
+/** Secret at a fixed stack address so the hostile kernel can target it. */
 constexpr GuestVA secretVa = os::stackTop - 256;
+
+/**
+ * A hand-written hostile kernel: the same blunt attack against every
+ * process, cloaked or not. (The campaign's director skips uncloaked
+ * state by design, so it cannot show the native contrast cases.)
+ * Installs itself on construction and restores the honest kernel on
+ * destruction, so declare it after its System.
+ */
+class HostileKernel : public os::AttackHooks
+{
+  public:
+    explicit HostileKernel(System& sys) : kernel_(sys.kernel())
+    {
+        kernel_.setAttackHooks(this);
+    }
+
+    ~HostileKernel() override { kernel_.setAttackHooks(nullptr); }
+
+    HostileKernel(const HostileKernel&) = delete;
+    HostileKernel& operator=(const HostileKernel&) = delete;
+
+    /** Peek at 64 bytes here on every syscall entry (0 = off). */
+    GuestVA snoopVa = 0;
+    /** Overwrite 16 bytes here on every syscall entry (0 = off). */
+    GuestVA scribbleVa = 0;
+    /** Record the register file seen at every syscall entry. */
+    bool recordTrapFrames = false;
+    /** Flip a byte of every page written to swap. */
+    bool tamperSwap = false;
+    /** On swap-in, serve the first version ever swapped out instead. */
+    bool replaySwap = false;
+    /** Scribble over the user buffer after read() completes. */
+    bool corruptReadBuffers = false;
+
+    std::vector<std::vector<std::uint8_t>> snoopedData;
+    std::vector<vmm::RegisterFile> trapFrames;
+
+    void
+    onSyscallEntry(os::Kernel& kernel, os::Thread& t) override
+    {
+        if (recordTrapFrames)
+            trapFrames.push_back(t.vcpu.regs());
+        os::Process& p = kernel.currentProcess();
+        if (snoopVa != 0 && kernel.validUserRange(p, snoopVa, 64, false)) {
+            std::vector<std::uint8_t> peek(64);
+            t.vcpu.readBytes(snoopVa, peek);
+            snoopedData.push_back(std::move(peek));
+        }
+        if (scribbleVa != 0 &&
+            kernel.validUserRange(p, scribbleVa, 16, true)) {
+            std::array<std::uint8_t, 16> junk;
+            junk.fill(0x66);
+            t.vcpu.writeBytes(scribbleVa, junk);
+        }
+    }
+
+    void
+    onReadReturn(os::Kernel& kernel, os::Thread& t, GuestVA buf,
+                 std::uint64_t len) override
+    {
+        if (!corruptReadBuffers)
+            return;
+        std::array<std::uint8_t, 16> junk;
+        junk.fill(0xcc);
+        std::size_t m = std::min<std::size_t>(junk.size(), len);
+        kernel.copyToUser(t, buf,
+                          std::span<const std::uint8_t>(junk.data(), m));
+    }
+
+    void
+    onSwapOut(os::Kernel& kernel, os::SwapSlot slot,
+              std::uint64_t replay_key) override
+    {
+        if (tamperSwap)
+            kernel.swap().rawSlot(slot)[0] ^= 0xff;
+        if (replaySwap)
+            firstVersions_.emplace(replay_key, kernel.swap().rawSlot(slot));
+    }
+
+    void
+    onSwapIn(os::Kernel&, os::SwapSlot, std::uint64_t replay_key,
+             std::span<std::uint8_t> page) override
+    {
+        auto it = firstVersions_.find(replay_key);
+        if (replaySwap && it != firstVersions_.end())
+            std::memcpy(page.data(), it->second.data(), page.size());
+    }
+
+  private:
+    os::Kernel& kernel_;
+    std::map<std::uint64_t, std::array<std::uint8_t, pageSize>>
+        firstVersions_;
+};
 
 system::ExitResult
 runCloaked(System& sys, std::function<int(Env&)> body,
@@ -59,8 +156,8 @@ runCloaked(System& sys, std::function<int(Env&)> body,
 TEST(CloakPrivacy, KernelSnoopSeesOnlyCiphertext)
 {
     System sys(cloakedConfig());
-    sys.kernel().malice().snoopUserMemory = true;
-    sys.kernel().malice().snoopVa = secretVa;
+    HostileKernel evil(sys);
+    evil.snoopVa = secretVa;
 
     auto r = runCloaked(sys, [](Env& env) {
         env.store64(secretVa, secretValue);
@@ -73,7 +170,7 @@ TEST(CloakPrivacy, KernelSnoopSeesOnlyCiphertext)
     EXPECT_EQ(r.status, 0);
     EXPECT_FALSE(r.killed);
 
-    const auto& snoops = sys.kernel().malice().snoopedData;
+    const auto& snoops = evil.snoopedData;
     ASSERT_FALSE(snoops.empty());
     for (const auto& bytes : snoops) {
         std::uint64_t v0 = 0;
@@ -87,8 +184,8 @@ TEST(CloakPrivacy, NativeBaselineLeaks)
     // Sanity check of the attack itself: without Overshadow the same
     // snoop reads the secret in plaintext.
     System sys(nativeConfig());
-    sys.kernel().malice().snoopUserMemory = true;
-    sys.kernel().malice().snoopVa = secretVa;
+    HostileKernel evil(sys);
+    evil.snoopVa = secretVa;
 
     runCloaked(sys, [](Env& env) {
         env.store64(secretVa, secretValue);
@@ -96,7 +193,7 @@ TEST(CloakPrivacy, NativeBaselineLeaks)
             env.getpid();
         return 0;
     });
-    const auto& snoops = sys.kernel().malice().snoopedData;
+    const auto& snoops = evil.snoopedData;
     ASSERT_FALSE(snoops.empty());
     bool leaked = false;
     for (const auto& bytes : snoops) {
@@ -110,8 +207,8 @@ TEST(CloakPrivacy, NativeBaselineLeaks)
 TEST(CloakIntegrity, KernelScribbleDetected)
 {
     System sys(cloakedConfig());
-    sys.kernel().malice().scribbleUserMemory = true;
-    sys.kernel().malice().snoopVa = secretVa;
+    HostileKernel evil(sys);
+    evil.scribbleVa = secretVa;
 
     auto r = runCloaked(sys, [](Env& env) {
         env.store64(secretVa, secretValue);
@@ -129,7 +226,8 @@ TEST(CloakIntegrity, SwapTamperDetectedCloaked)
     SystemConfig cfg = cloakedConfig(96);
     System sys(cfg);
     workloads::registerAll(sys);
-    sys.kernel().malice().tamperSwap = true;
+    HostileKernel evil(sys);
+    evil.tamperSwap = true;
     auto r = sys.runProgram("wl.memstress", {"200", "2"});
     EXPECT_TRUE(r.killed);
     EXPECT_NE(r.killReason.find("cloak violation"), std::string::npos);
@@ -143,7 +241,8 @@ TEST(CloakIntegrity, SwapTamperSilentlyCorruptsNative)
         SystemConfig cfg = nativeConfig(96);
         System sys(cfg);
         workloads::registerAll(sys);
-        sys.kernel().malice().tamperSwap = tamper;
+        HostileKernel evil(sys);
+        evil.tamperSwap = tamper;
         auto r = sys.runProgram("wl.memstress", {"200", "2"});
         EXPECT_FALSE(r.killed);
         EXPECT_EQ(r.status, 0);
@@ -160,7 +259,8 @@ TEST(CloakIntegrity, SwapReplayDetected)
     SystemConfig cfg = cloakedConfig(96);
     System sys(cfg);
     workloads::registerAll(sys);
-    sys.kernel().malice().replaySwap = true;
+    HostileKernel evil(sys);
+    evil.replaySwap = true;
     // Multiple passes modify pages between swap cycles, so the replayed
     // first version no longer matches the metadata.
     auto r = sys.runProgram("wl.memstress", {"200", "3"});
@@ -175,7 +275,8 @@ TEST(CloakIntegrity, EmulatedFileIoImmuneToReadBufferCorruption)
     // of protected files never enter the kernel and stay intact.
     auto run_case = [](bool protected_file) {
         System sys(cloakedConfig());
-        sys.kernel().malice().corruptReadBuffers = true;
+        HostileKernel evil(sys);
+        evil.corruptReadBuffers = true;
         return runCloaked(sys, [protected_file](Env& env) {
             std::string path;
             if (protected_file) {
@@ -203,7 +304,8 @@ TEST(CloakIntegrity, EmulatedFileIoImmuneToReadBufferCorruption)
 TEST(CloakRegisters, ScrubHidesAndRestores)
 {
     System sys(cloakedConfig());
-    sys.kernel().malice().recordTrapFrames = true;
+    HostileKernel evil(sys);
+    evil.recordTrapFrames = true;
 
     auto r = runCloaked(sys, [](Env& env) {
         env.regs().gpr[8] = secretValue;
@@ -218,7 +320,7 @@ TEST(CloakRegisters, ScrubHidesAndRestores)
     });
     EXPECT_EQ(r.status, 0);
 
-    const auto& frames = sys.kernel().malice().trapFrames;
+    const auto& frames = evil.trapFrames;
     ASSERT_FALSE(frames.empty());
     for (const auto& f : frames) {
         for (std::size_t i = 0; i < vmm::numGprs; ++i) {
@@ -231,14 +333,15 @@ TEST(CloakRegisters, ScrubHidesAndRestores)
 TEST(CloakRegisters, NativeTrapFramesLeakRegisters)
 {
     System sys(nativeConfig());
-    sys.kernel().malice().recordTrapFrames = true;
+    HostileKernel evil(sys);
+    evil.recordTrapFrames = true;
     runCloaked(sys, [](Env& env) {
         env.regs().gpr[8] = secretValue;
         env.getpid();
         return 0;
     });
     bool leaked = false;
-    for (const auto& f : sys.kernel().malice().trapFrames)
+    for (const auto& f : evil.trapFrames)
         leaked |= f.gpr[8] == secretValue;
     EXPECT_TRUE(leaked);
 }
