@@ -5,11 +5,13 @@
  * Three independent sections:
  *
  *  1. Host wall-time: the real cost of page crypto on this machine,
- *     measured for the optimized pipeline (T-table AES, multi-block
- *     CTR, HMAC key midstates) and for the pre-optimization reference
- *     path (byte-wise FIPS-197 AES via setReferenceMode, per-call HMAC
- *     pad hashing). These numbers vary by host and are recorded under
- *     `host_` keys, which bench/compare.py reports but never gates.
+ *     for each AES-CTR and SHA-256 kernel in crypto/kernels.hh
+ *     (reference, portable and, where the CPU has AES-NI/SHA-NI,
+ *     hardware) called directly, and for the public pipeline, which
+ *     runs the kernels the host selected (printed) with HMAC key
+ *     midstates. The reference pipeline also keys HMAC per call.
+ *     These numbers vary by host and are recorded under `host_` keys,
+ *     which bench/compare.py reports but never gates.
  *
  *  2. Worker sweep: wall-time of a 64-page encryptPages/decryptPages
  *     batch at each crypto worker count in `--threads=<list>` (default
@@ -32,10 +34,12 @@
 
 #include "bench_common.hh"
 
+#include "base/bytes.hh"
 #include "base/pool.hh"
 #include "cloak/engine.hh"
 #include "crypto/ctr.hh"
 #include "crypto/hmac.hh"
+#include "crypto/kernels.hh"
 #include "crypto/sha256.hh"
 #include "sim/machine.hh"
 #include "vmm/vcpu.hh"
@@ -54,8 +58,10 @@ namespace
 using namespace osh;
 
 // ---------------------------------------------------------------------------
-// Section 1: host wall-time, reference vs optimized crypto pipeline
+// Section 1: host wall-time, by crypto kernel
 // ---------------------------------------------------------------------------
+
+namespace kernels = crypto::kernels;
 
 /** One measured host-side operation over `bytes` bytes per call. */
 struct HostResult
@@ -81,45 +87,136 @@ measureHost(std::size_t bytes_per_op, int iters, F&& op)
     return r;
 }
 
+using Page = std::array<std::uint8_t, pageSize>;
+using PageHeader = std::array<std::uint8_t, 40>;
+
 /**
- * Page encrypt + MAC exactly as the cloak engine does it: AES-CTR over
- * the 4 KiB page under a fresh-ish IV, then SHA-256 over the 40-byte
- * identity header plus the ciphertext.
+ * One column of the host table: an AES-CTR and a SHA-256 compression
+ * kernel called directly. Either is null where the host cannot run it.
+ */
+struct KernelSet
+{
+    const char* name;
+    kernels::AesCtrFn aesCtr;
+    kernels::Sha256CompressFn sha256;
+};
+
+/**
+ * SHA-256 of header || page through one compression kernel, blocked as
+ * the engine's streaming hash blocks it: the 40-byte identity header
+ * and the page's first 24 bytes, then 63 blocks straight out of the
+ * page, then the padded last 40 bytes.
+ */
+crypto::Digest
+pageDigest(kernels::Sha256CompressFn compress, const PageHeader& header,
+           const Page& page)
+{
+    constexpr std::size_t head = crypto::sha256BlockSize - 40;
+    constexpr std::size_t whole =
+        (pageSize - head) / crypto::sha256BlockSize;
+    constexpr std::size_t tail =
+        pageSize - head - whole * crypto::sha256BlockSize;
+    static_assert(tail < 56, "the length fits in the last block");
+    std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                              0xa54ff53a, 0x510e527f, 0x9b05688c,
+                              0x1f83d9ab, 0x5be0cd19};
+    std::uint8_t block[crypto::sha256BlockSize] = {};
+    std::memcpy(block, header.data(), header.size());
+    std::memcpy(block + header.size(), page.data(), head);
+    compress(state, block, 1);
+    compress(state, page.data() + head, whole);
+    std::memset(block, 0, sizeof(block));
+    std::memcpy(block, page.data() + pageSize - tail, tail);
+    block[tail] = 0x80;
+    storeBe64(block + 56, (header.size() + pageSize) * 8);
+    compress(state, block, 1);
+    crypto::Digest d;
+    for (int i = 0; i < 8; ++i)
+        storeBe32(d.data() + i * 4, state[i]);
+    return d;
+}
+
+/**
+ * Page encrypt + MAC as the cloak engine does it: AES-CTR over the
+ * 4 KiB page under a fresh-ish IV, then SHA-256 over the identity
+ * header plus the ciphertext. A null `set` runs the public API.
  */
 HostResult
-measurePageEncryptMac(const crypto::Aes128& aes, int iters)
+measurePageEncryptMac(const crypto::Aes128& aes, const KernelSet* set,
+                      int iters)
 {
-    std::array<std::uint8_t, pageSize> page{};
-    std::array<std::uint8_t, 40> header{};
+    Page page{};
+    PageHeader header{};
     crypto::Iv iv{};
     return measureHost(pageSize, iters, [&](int i) {
         iv[0] = static_cast<std::uint8_t>(i);
         page[0] = static_cast<std::uint8_t>(i);
-        crypto::aesCtrXcryptInPlace(aes, iv, page);
         header[0] = static_cast<std::uint8_t>(i);
-        crypto::Sha256 h;
-        h.update(header);
-        h.update(page);
-        auto d = h.final();
+        crypto::Digest d;
+        if (set != nullptr) {
+            set->aesCtr(aes.roundKeys(), iv, page.data(), page.data(),
+                        pageSize);
+            d = pageDigest(set->sha256, header, page);
+        } else {
+            crypto::aesCtrXcryptInPlace(aes, iv, page);
+            crypto::Sha256 h;
+            h.update(header);
+            h.update(page);
+            d = h.final();
+        }
         page[1] = d[0]; // keep the digest live
     });
 }
 
 /** Page decrypt + verify: hash the ciphertext, then CTR-decrypt. */
 HostResult
-measurePageDecryptVerify(const crypto::Aes128& aes, int iters)
+measurePageDecryptVerify(const crypto::Aes128& aes, const KernelSet* set,
+                         int iters)
 {
-    std::array<std::uint8_t, pageSize> page{};
-    std::array<std::uint8_t, 40> header{};
+    Page page{};
+    PageHeader header{};
     crypto::Iv iv{};
     return measureHost(pageSize, iters, [&](int i) {
         iv[0] = static_cast<std::uint8_t>(i);
-        crypto::Sha256 h;
-        h.update(header);
-        h.update(page);
-        auto d = h.final();
-        page[1] = d[0];
-        crypto::aesCtrXcryptInPlace(aes, iv, page);
+        crypto::Digest d;
+        if (set != nullptr) {
+            d = pageDigest(set->sha256, header, page);
+            page[1] = d[0];
+            set->aesCtr(aes.roundKeys(), iv, page.data(), page.data(),
+                        pageSize);
+        } else {
+            crypto::Sha256 h;
+            h.update(header);
+            h.update(page);
+            d = h.final();
+            page[1] = d[0];
+            crypto::aesCtrXcryptInPlace(aes, iv, page);
+        }
+    });
+}
+
+/** AES-CTR alone over one page. */
+HostResult
+measureCtrPage(const crypto::Aes128& aes, kernels::AesCtrFn ctr, int iters)
+{
+    Page page{};
+    crypto::Iv iv{};
+    return measureHost(pageSize, iters, [&](int i) {
+        iv[0] = static_cast<std::uint8_t>(i);
+        ctr(aes.roundKeys(), iv, page.data(), page.data(), pageSize);
+    });
+}
+
+/** SHA-256 compression alone over the 64 blocks of one page. */
+HostResult
+measureShaPage(kernels::Sha256CompressFn compress, int iters)
+{
+    Page page{};
+    std::uint32_t state[8] = {};
+    return measureHost(pageSize, iters, [&](int i) {
+        page[0] = static_cast<std::uint8_t>(i + state[0]);
+        compress(state, page.data(),
+                 pageSize / crypto::sha256BlockSize);
     });
 }
 
@@ -144,25 +241,40 @@ measureHmacSeal(std::span<const std::uint8_t> bundle, bool midstate,
 }
 
 void
+printHost(const HostResult& r)
+{
+    std::printf(" %8llu ns %6llu MB/s",
+                static_cast<unsigned long long>(r.nsPerOp),
+                static_cast<unsigned long long>(r.mbPerSec));
+}
+
+void
+recordHost(bench::BenchReport& report, const std::string& key,
+           const HostResult& r)
+{
+    report.setHost(key + ".ns", r.nsPerOp);
+    report.setHost(key + ".mb_s", r.mbPerSec);
+}
+
+/**
+ * `ref` vs `opt` (the public pipeline), with the speedup; records
+ * `opt` and the speedup, the caller records `ref`.
+ */
+void
 reportHostPair(bench::BenchReport& report, const char* name,
                const HostResult& ref, const HostResult& opt)
 {
     std::uint64_t speedup_x100 =
         opt.nsPerOp == 0 ? 0 : ref.nsPerOp * 100 / opt.nsPerOp;
-    std::printf("  %-24s %8llu ns  %6llu MB/s   -> %8llu ns  %6llu "
-                "MB/s   (%llu.%02llux)\n",
-                name,
-                static_cast<unsigned long long>(ref.nsPerOp),
-                static_cast<unsigned long long>(ref.mbPerSec),
-                static_cast<unsigned long long>(opt.nsPerOp),
-                static_cast<unsigned long long>(opt.mbPerSec),
+    std::printf("  %-20s", name);
+    printHost(ref);
+    std::printf("   ->");
+    printHost(opt);
+    std::printf("   (%llu.%02llux)\n",
                 static_cast<unsigned long long>(speedup_x100 / 100),
                 static_cast<unsigned long long>(speedup_x100 % 100));
     std::string key(name);
-    report.setHost("ref." + key + ".ns", ref.nsPerOp);
-    report.setHost("ref." + key + ".mb_s", ref.mbPerSec);
-    report.setHost("opt." + key + ".ns", opt.nsPerOp);
-    report.setHost("opt." + key + ".mb_s", opt.mbPerSec);
+    recordHost(report, "opt." + key, opt);
     report.setHost("speedup." + key + "_x100", speedup_x100);
 }
 
@@ -174,26 +286,69 @@ runHostSection(bench::BenchReport& report, bool quick)
 
     crypto::AesKey key{};
     key[0] = 1;
-    crypto::Aes128 opt_aes(key);
-    crypto::Aes128 ref_aes(key);
-    ref_aes.setReferenceMode(true);
+    crypto::Aes128 aes(key);
+
+    const KernelSet sets[] = {
+        {"ref", kernels::aesCtrReference, kernels::sha256CompressReference},
+        {"portable", kernels::aesCtrPortable,
+         kernels::sha256CompressPortable},
+        {"hw", kernels::aesCtrHardware(), kernels::sha256CompressHardware()},
+    };
+    const kernels::Selection& selected = kernels::selected();
+
+    bench::header("Host wall-time per 4 KiB page, by crypto kernel");
+    std::printf("  selected: AES-CTR %s, SHA-256 %s\n",
+                selected.aesCtrName, selected.sha256CompressName);
+    std::printf("  %-20s", "operation");
+    for (const KernelSet& set : sets)
+        std::printf(" %-23s", set.name);
+    std::printf("\n");
+
+    std::map<std::string, HostResult> ref;
+    auto row = [&](const char* name, auto&& measure) {
+        std::printf("  %-20s", name);
+        for (const KernelSet& set : sets) {
+            if (set.aesCtr == nullptr || set.sha256 == nullptr) {
+                std::printf(" %-23s", "(not on this host)");
+                continue;
+            }
+            HostResult r = measure(set);
+            printHost(r);
+            recordHost(report, std::string(set.name) + "." + name, r);
+            if (set.aesCtr == kernels::aesCtrReference)
+                ref[name] = r;
+        }
+        std::printf("\n");
+    };
+    row("aes_ctr_4k", [&](const KernelSet& set) {
+        return measureCtrPage(aes, set.aesCtr, page_iters);
+    });
+    row("sha256_4k", [&](const KernelSet& set) {
+        return measureShaPage(set.sha256, page_iters);
+    });
+    row("page_encrypt_mac", [&](const KernelSet& set) {
+        return measurePageEncryptMac(aes, &set, page_iters);
+    });
+    row("page_decrypt_verify", [&](const KernelSet& set) {
+        return measurePageDecryptVerify(aes, &set, page_iters);
+    });
 
     // A metadata bundle the size sealFileResource produces for a
     // 16-page file resource (16 + 32 + 16 * 65 bytes).
     std::vector<std::uint8_t> bundle(16 + 32 + 16 * 65, 0x3c);
 
-    bench::header("Host wall-time: reference vs optimized pipeline");
-    std::printf("  %-24s %-25s -> %-25s\n", "operation",
-                "reference (pre-opt)", "optimized");
-
-    reportHostPair(report, "page_encrypt_mac",
-                   measurePageEncryptMac(ref_aes, page_iters),
-                   measurePageEncryptMac(opt_aes, page_iters));
+    bench::header("Host wall-time: reference kernels vs the public "
+                  "pipeline");
+    std::printf("  %-20s %-24s    %-24s\n", "operation",
+                "reference", "optimized");
+    reportHostPair(report, "page_encrypt_mac", ref["page_encrypt_mac"],
+                   measurePageEncryptMac(aes, nullptr, page_iters));
     reportHostPair(report, "page_decrypt_verify",
-                   measurePageDecryptVerify(ref_aes, page_iters),
-                   measurePageDecryptVerify(opt_aes, page_iters));
-    reportHostPair(report, "hmac_seal_1k",
-                   measureHmacSeal(bundle, false, mac_iters),
+                   ref["page_decrypt_verify"],
+                   measurePageDecryptVerify(aes, nullptr, page_iters));
+    HostResult hmac_ref = measureHmacSeal(bundle, false, mac_iters);
+    recordHost(report, "ref.hmac_seal_1k", hmac_ref);
+    reportHostPair(report, "hmac_seal_1k", hmac_ref,
                    measureHmacSeal(bundle, true, mac_iters));
 }
 

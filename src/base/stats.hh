@@ -66,6 +66,40 @@ class StatGroup
     std::map<std::string, Counter> counters_;
 };
 
+/**
+ * A counter of some StatGroup, looked up by name on first use and by
+ * pointer after that: for counters bumped on every simulated access,
+ * where building the name and searching the map would dominate. The
+ * counter is created on first use, as a plain counter() call would, so
+ * dump() output does not change. A copied slot starts unresolved, so
+ * the copy of an owner never points into the original's group.
+ */
+class CounterSlot
+{
+  public:
+    CounterSlot() = default;
+    CounterSlot(const CounterSlot&) {}
+    CounterSlot&
+    operator=(const CounterSlot&)
+    {
+        counter_ = nullptr;
+        return *this;
+    }
+
+    /** The counter @p name of @p group, which must be the same group
+     *  on every call. */
+    Counter&
+    get(StatGroup& group, const char* name)
+    {
+        if (counter_ == nullptr)
+            counter_ = &group.counter(name);
+        return *counter_;
+    }
+
+  private:
+    Counter* counter_ = nullptr;
+};
+
 } // namespace osh
 
 #endif // OSH_BASE_STATS_HH

@@ -1,6 +1,7 @@
 #include "crypto/aes.hh"
 
 #include "base/bytes.hh"
+#include "crypto/kernels.hh"
 
 #include <bit>
 #include <cstring>
@@ -47,42 +48,6 @@ constexpr std::uint8_t sbox[256] = {
     0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 };
 
-// Inverse S-box.
-constexpr std::uint8_t invSbox[256] = {
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38,
-    0xbf, 0x40, 0xa3, 0x9e, 0x81, 0xf3, 0xd7, 0xfb,
-    0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87,
-    0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb,
-    0x54, 0x7b, 0x94, 0x32, 0xa6, 0xc2, 0x23, 0x3d,
-    0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2,
-    0x76, 0x5b, 0xa2, 0x49, 0x6d, 0x8b, 0xd1, 0x25,
-    0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16,
-    0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92,
-    0x6c, 0x70, 0x48, 0x50, 0xfd, 0xed, 0xb9, 0xda,
-    0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a,
-    0xf7, 0xe4, 0x58, 0x05, 0xb8, 0xb3, 0x45, 0x06,
-    0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02,
-    0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b,
-    0x3a, 0x91, 0x11, 0x41, 0x4f, 0x67, 0xdc, 0xea,
-    0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85,
-    0xe2, 0xf9, 0x37, 0xe8, 0x1c, 0x75, 0xdf, 0x6e,
-    0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89,
-    0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b,
-    0xfc, 0x56, 0x3e, 0x4b, 0xc6, 0xd2, 0x79, 0x20,
-    0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31,
-    0xb1, 0x12, 0x10, 0x59, 0x27, 0x80, 0xec, 0x5f,
-    0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d,
-    0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef,
-    0xa0, 0xe0, 0x3b, 0x4d, 0xae, 0x2a, 0xf5, 0xb0,
-    0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26,
-    0xe1, 0x69, 0x14, 0x63, 0x55, 0x21, 0x0c, 0x7d,
-};
-
 constexpr std::uint8_t rcon[10] = {
     0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 };
@@ -92,20 +57,6 @@ constexpr std::uint8_t
 xtime(std::uint8_t a)
 {
     return static_cast<std::uint8_t>((a << 1) ^ ((a >> 7) * 0x1b));
-}
-
-// General GF(2^8) multiply (used by InvMixColumns).
-inline std::uint8_t
-gmul(std::uint8_t a, std::uint8_t b)
-{
-    std::uint8_t p = 0;
-    for (int i = 0; i < 8; ++i) {
-        if (b & 1)
-            p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
 }
 
 // Encryption T-tables: Te0[x] packs the MixColumns column produced by
@@ -148,10 +99,11 @@ constexpr TeTables Te = makeTeTables();
 Aes128::Aes128(const AesKey& key)
 {
     // Key expansion (FIPS-197 section 5.2), Nk = 4, Nr = 10.
-    std::memcpy(roundKeys_.data(), key.data(), aesKeySize);
-    for (int i = 4; i < 4 * (numRounds + 1); ++i) {
+    auto& rk = roundKeys_.bytes;
+    std::memcpy(rk.data(), key.data(), aesKeySize);
+    for (int i = 4; i < 4 * (aesRounds + 1); ++i) {
         std::uint8_t t[4];
-        std::memcpy(t, &roundKeys_[(i - 1) * 4], 4);
+        std::memcpy(t, &rk[(i - 1) * 4], 4);
         if (i % 4 == 0) {
             // RotWord + SubWord + Rcon.
             std::uint8_t tmp = t[0];
@@ -160,49 +112,25 @@ Aes128::Aes128(const AesKey& key)
             t[2] = sbox[t[3]];
             t[3] = sbox[tmp];
         }
-        for (int b = 0; b < 4; ++b) {
-            roundKeys_[i * 4 + b] =
-                roundKeys_[(i - 4) * 4 + b] ^ t[b];
-        }
+        for (int b = 0; b < 4; ++b)
+            rk[i * 4 + b] = rk[(i - 4) * 4 + b] ^ t[b];
     }
-    for (std::size_t w = 0; w < roundKeyWords_.size(); ++w)
-        roundKeyWords_[w] = loadBe32(&roundKeys_[w * 4]);
+    for (std::size_t w = 0; w < roundKeys_.words.size(); ++w)
+        roundKeys_.words[w] = loadBe32(&rk[w * 4]);
 }
 
-void
-Aes128::encryptBlock(const std::uint8_t* in, std::uint8_t* out) const
+namespace kernels
 {
-    if (referenceMode_)
-        encryptBlockReference(in, out);
-    else
-        encryptBlockFast(in, out);
-}
 
-void
-Aes128::encryptBlocks(const std::uint8_t* in, std::uint8_t* out,
-                      std::size_t nblocks) const
+namespace
 {
-    if (referenceMode_) {
-        for (std::size_t b = 0; b < nblocks; ++b)
-            encryptBlockReference(in + b * aesBlockSize,
-                                  out + b * aesBlockSize);
-        return;
-    }
-    std::size_t b = 0;
-    if (bulkMode_) {
-        for (; b + 4 <= nblocks; b += 4)
-            encryptBlocks4Fast(in + b * aesBlockSize,
-                               out + b * aesBlockSize);
-    }
-    for (; b < nblocks; ++b)
-        encryptBlockFast(in + b * aesBlockSize, out + b * aesBlockSize);
-}
 
+/** Four blocks, lockstep-interleaved through every round. */
 void
-Aes128::encryptBlocks4Fast(const std::uint8_t* in,
-                           std::uint8_t* out) const
+aesBlocks4Portable(const AesRoundKeys& keys, const std::uint8_t* in,
+                   std::uint8_t* out)
 {
-    const std::uint32_t* rk = roundKeyWords_.data();
+    const std::uint32_t* rk = keys.words.data();
 
     // Four blocks as four lanes of column words. Every round touches
     // each lane with the same table/key pattern, so the loads of all
@@ -218,7 +146,7 @@ Aes128::encryptBlocks4Fast(const std::uint8_t* in,
         s3[l] = loadBe32(p + 12) ^ rk[3];
     }
 
-    for (int round = 1; round < numRounds; ++round) {
+    for (int round = 1; round < aesRounds; ++round) {
         rk += 4;
         for (int l = 0; l < 4; ++l) {
             std::uint32_t t0 = Te.t0[s0[l] >> 24] ^
@@ -283,10 +211,13 @@ Aes128::encryptBlocks4Fast(const std::uint8_t* in,
     }
 }
 
+} // namespace
+
 void
-Aes128::encryptBlockFast(const std::uint8_t* in, std::uint8_t* out) const
+aesBlockPortable(const AesRoundKeys& keys, const std::uint8_t* in,
+                 std::uint8_t* out)
 {
-    const std::uint32_t* rk = roundKeyWords_.data();
+    const std::uint32_t* rk = keys.words.data();
 
     // State as four big-endian column words; row 0 is the MSB.
     std::uint32_t s0 = loadBe32(in) ^ rk[0];
@@ -294,7 +225,7 @@ Aes128::encryptBlockFast(const std::uint8_t* in, std::uint8_t* out) const
     std::uint32_t s2 = loadBe32(in + 8) ^ rk[2];
     std::uint32_t s3 = loadBe32(in + 12) ^ rk[3];
 
-    for (int round = 1; round < numRounds; ++round) {
+    for (int round = 1; round < aesRounds; ++round) {
         rk += 4;
         std::uint32_t t0 = Te.t0[s0 >> 24] ^ Te.t1[(s1 >> 16) & 0xff] ^
                            Te.t2[(s2 >> 8) & 0xff] ^ Te.t3[s3 & 0xff] ^
@@ -344,15 +275,15 @@ Aes128::encryptBlockFast(const std::uint8_t* in, std::uint8_t* out) const
 }
 
 void
-Aes128::encryptBlockReference(const std::uint8_t* in,
-                              std::uint8_t* out) const
+aesBlockReference(const AesRoundKeys& keys, const std::uint8_t* in,
+                  std::uint8_t* out)
 {
     std::uint8_t s[16];
     std::memcpy(s, in, 16);
 
     auto addRoundKey = [&](int round) {
         for (int i = 0; i < 16; ++i)
-            s[i] ^= roundKeys_[round * 16 + i];
+            s[i] ^= keys.bytes[round * 16 + i];
     };
     auto subBytes = [&] {
         for (auto& b : s)
@@ -379,7 +310,7 @@ Aes128::encryptBlockReference(const std::uint8_t* in,
     };
 
     addRoundKey(0);
-    for (int round = 1; round < numRounds; ++round) {
+    for (int round = 1; round < aesRounds; ++round) {
         subBytes();
         shiftRows();
         mixColumns();
@@ -387,63 +318,24 @@ Aes128::encryptBlockReference(const std::uint8_t* in,
     }
     subBytes();
     shiftRows();
-    addRoundKey(numRounds);
+    addRoundKey(aesRounds);
 
     std::memcpy(out, s, 16);
 }
 
 void
-Aes128::decryptBlock(const std::uint8_t* in, std::uint8_t* out) const
+aesBlocksPortable(const AesRoundKeys& keys, const std::uint8_t* in,
+                  std::uint8_t* out, std::size_t nblocks)
 {
-    std::uint8_t s[16];
-    std::memcpy(s, in, 16);
-
-    auto addRoundKey = [&](int round) {
-        for (int i = 0; i < 16; ++i)
-            s[i] ^= roundKeys_[round * 16 + i];
-    };
-    auto invSubBytes = [&] {
-        for (auto& b : s)
-            b = invSbox[b];
-    };
-    auto invShiftRows = [&] {
-        std::uint8_t t[16];
-        for (int col = 0; col < 4; ++col)
-            for (int row = 0; row < 4; ++row)
-                t[((col + row) % 4) * 4 + row] = s[col * 4 + row];
-        std::memcpy(s, t, 16);
-    };
-    auto invMixColumns = [&] {
-        for (int col = 0; col < 4; ++col) {
-            std::uint8_t* c = &s[col * 4];
-            std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-            c[0] = static_cast<std::uint8_t>(
-                gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^
-                gmul(a3, 0x09));
-            c[1] = static_cast<std::uint8_t>(
-                gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^
-                gmul(a3, 0x0d));
-            c[2] = static_cast<std::uint8_t>(
-                gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^
-                gmul(a3, 0x0b));
-            c[3] = static_cast<std::uint8_t>(
-                gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^
-                gmul(a3, 0x0e));
-        }
-    };
-
-    addRoundKey(numRounds);
-    for (int round = numRounds - 1; round > 0; --round) {
-        invShiftRows();
-        invSubBytes();
-        addRoundKey(round);
-        invMixColumns();
-    }
-    invShiftRows();
-    invSubBytes();
-    addRoundKey(0);
-
-    std::memcpy(out, s, 16);
+    std::size_t b = 0;
+    for (; b + 4 <= nblocks; b += 4)
+        aesBlocks4Portable(keys, in + b * aesBlockSize,
+                           out + b * aesBlockSize);
+    for (; b < nblocks; ++b)
+        aesBlockPortable(keys, in + b * aesBlockSize,
+                         out + b * aesBlockSize);
 }
+
+} // namespace kernels
 
 } // namespace osh::crypto

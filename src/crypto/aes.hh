@@ -4,27 +4,14 @@
  *
  * Overshadow's VMM encrypts cloaked pages with AES-128; this is the
  * simulator's real implementation (pages really are ciphertext in the
- * kernel's view). Two encrypt paths exist:
+ * kernel's view). Aes128 holds the expanded key; the kernels that
+ * consume it — a byte-wise FIPS-197 reference, a portable T-table
+ * kernel and, on x86-64 hosts with AES-NI, a hardware CTR kernel — are
+ * declared in crypto/kernels.hh. CTR (crypto/ctr.hh) runs whichever
+ * kernel the host supports; only the forward cipher is needed.
  *
- *  - the default T-table path: four precomputed 256x32-bit lookup
- *    tables fold SubBytes + ShiftRows + MixColumns into four loads and
- *    XORs per column per round, which is what makes real host time on
- *    page crypto tolerable at scale;
- *  - a byte-wise reference path (S-box + xtime per FIPS-197 pseudocode)
- *    kept selectable per instance so known-answer and differential
- *    tests can pin the optimized kernel against the straightforward
- *    transcription of the spec.
- *
- * On top of the T-tables, encryptBlocks() has a bulk path that runs
- * four blocks interleaved through each round: the per-block dependency
- * chain no longer serializes the table loads, so the host pipelines
- * them. CTR keystream generation (a page is 256 independent blocks) is
- * exactly this shape. The path is portable C++ — no intrinsics — and
- * selectable per instance (setBulkMode) the same way the reference
- * kernel is, so differential tests pin all three paths to each other.
- *
- * Simulated crypto *cost* is still charged by the cycle model; host
- * speed only affects how long the simulation itself takes to run.
+ * Simulated crypto *cost* is charged by the cycle model; host speed
+ * only affects how long the simulation itself takes to run.
  */
 
 #ifndef OSH_CRYPTO_AES_HH
@@ -32,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 namespace osh::crypto
 {
@@ -40,74 +26,31 @@ namespace osh::crypto
 /** AES-128 key and block sizes in bytes. */
 constexpr std::size_t aesKeySize = 16;
 constexpr std::size_t aesBlockSize = 16;
+constexpr int aesRounds = 10;
 
 using AesKey = std::array<std::uint8_t, aesKeySize>;
 using AesBlock = std::array<std::uint8_t, aesBlockSize>;
 
-/**
- * An expanded AES-128 key. Construct once per key; encryptBlock() may
- * then be called any number of times.
- */
+/** An expanded AES-128 key, in the two layouts the kernels read. */
+struct AesRoundKeys
+{
+    /** FIPS-197 byte order: (aesRounds + 1) x 16 bytes. */
+    std::array<std::uint8_t, (aesRounds + 1) * aesBlockSize> bytes;
+    /** The same keys as big-endian column words (T-table kernel). */
+    std::array<std::uint32_t, (aesRounds + 1) * 4> words;
+};
+
+/** An expanded AES-128 key. Construct once per key. */
 class Aes128
 {
   public:
     /** Expand the given 128-bit key. */
     explicit Aes128(const AesKey& key);
 
-    /** Encrypt one 16-byte block: out = E_k(in). in may alias out. */
-    void encryptBlock(const std::uint8_t* in, std::uint8_t* out) const;
-
-    /**
-     * Encrypt `nblocks` consecutive 16-byte blocks. The bulk entry
-     * point for CTR keystream generation; in may alias out.
-     */
-    void encryptBlocks(const std::uint8_t* in, std::uint8_t* out,
-                       std::size_t nblocks) const;
-
-    /** Decrypt one 16-byte block: out = D_k(in). in may alias out. */
-    void decryptBlock(const std::uint8_t* in, std::uint8_t* out) const;
-
-    /**
-     * The byte-wise FIPS-197 reference encryption, always available
-     * regardless of referenceMode(). Differential tests compare the
-     * T-table path against this.
-     */
-    void encryptBlockReference(const std::uint8_t* in,
-                               std::uint8_t* out) const;
-
-    /**
-     * When set, encryptBlock()/encryptBlocks() use the byte-wise
-     * reference path instead of T-tables. Lets higher layers (CTR,
-     * benches) run end-to-end on the un-optimized kernel.
-     */
-    void setReferenceMode(bool on) { referenceMode_ = on; }
-    bool referenceMode() const { return referenceMode_; }
-
-    /**
-     * When set (the default), encryptBlocks() runs groups of four
-     * blocks interleaved through the T-table rounds. Off falls back to
-     * one block at a time; referenceMode() overrides both.
-     */
-    void setBulkMode(bool on) { bulkMode_ = on; }
-    bool bulkMode() const { return bulkMode_; }
+    const AesRoundKeys& roundKeys() const { return roundKeys_; }
 
   private:
-    static constexpr int numRounds = 10;
-
-    void encryptBlockFast(const std::uint8_t* in, std::uint8_t* out) const;
-
-    /** Four blocks, lockstep-interleaved through every round. */
-    void encryptBlocks4Fast(const std::uint8_t* in,
-                            std::uint8_t* out) const;
-
-    /** Round keys: (numRounds + 1) x 16 bytes. */
-    std::array<std::uint8_t, (numRounds + 1) * aesBlockSize> roundKeys_;
-
-    /** Same round keys as big-endian column words for the T-table path. */
-    std::array<std::uint32_t, (numRounds + 1) * 4> roundKeyWords_;
-
-    bool referenceMode_ = false;
-    bool bulkMode_ = true;
+    AesRoundKeys roundKeys_;
 };
 
 } // namespace osh::crypto

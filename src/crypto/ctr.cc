@@ -1,8 +1,14 @@
 #include "crypto/ctr.hh"
 
 #include "base/logging.hh"
+#include "crypto/kernels.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace osh::crypto
 {
@@ -44,20 +50,102 @@ xorWords(const std::uint8_t* in, const std::uint8_t* ks,
         out[i] = in[i] ^ ks[i];
 }
 
+#if defined(__x86_64__)
+
+/**
+ * AES-NI CTR. Counter blocks are built in registers: the IV's high half
+ * is fixed and its low half is a big-endian 64-bit count, kept here as
+ * a native integer that wraps modulo 2^64 and is byte-swapped into each
+ * block. Eight blocks are in flight through the rounds, and the
+ * keystream is XORed into the payload in the same loop. The round keys
+ * load straight from their FIPS-197 byte order.
+ */
+__attribute__((target("aes"))) void
+aesCtrAesni(const AesRoundKeys& keys, const Iv& iv, const std::uint8_t* in,
+            std::uint8_t* out, std::size_t len)
+{
+    __m128i rk[aesRounds + 1];
+    for (int r = 0; r <= aesRounds; ++r)
+        rk[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+            keys.bytes.data() + r * aesBlockSize));
+    std::uint64_t high, low;
+    std::memcpy(&high, iv.data(), 8);
+    std::memcpy(&low, iv.data() + 8, 8);
+    std::uint64_t count = __builtin_bswap64(low);
+    auto hi = static_cast<long long>(high);
+
+    std::size_t pos = 0;
+    for (; pos + ctrBatchBytes <= len; pos += ctrBatchBytes) {
+        __m128i b[ctrBatchBlocks];
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < ctrBatchBlocks; ++j) {
+            auto lo = static_cast<long long>(__builtin_bswap64(count + j));
+            b[j] = _mm_xor_si128(_mm_set_epi64x(lo, hi), rk[0]);
+        }
+        count += ctrBatchBlocks;
+        for (int r = 1; r < aesRounds; ++r) {
+#pragma GCC unroll 8
+            for (std::size_t j = 0; j < ctrBatchBlocks; ++j)
+                b[j] = _mm_aesenc_si128(b[j], rk[r]);
+        }
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < ctrBatchBlocks; ++j) {
+            auto* src = reinterpret_cast<const __m128i*>(
+                in + pos + j * aesBlockSize);
+            auto* dst = reinterpret_cast<__m128i*>(
+                out + pos + j * aesBlockSize);
+            __m128i ks = _mm_aesenclast_si128(b[j], rk[aesRounds]);
+            _mm_storeu_si128(dst, _mm_xor_si128(_mm_loadu_si128(src), ks));
+        }
+    }
+
+    // Fewer than eight blocks left: one at a time, the last possibly
+    // partial.
+    for (; pos < len; pos += aesBlockSize, ++count) {
+        auto lo = static_cast<long long>(__builtin_bswap64(count));
+        __m128i b = _mm_xor_si128(_mm_set_epi64x(lo, hi), rk[0]);
+        for (int r = 1; r < aesRounds; ++r)
+            b = _mm_aesenc_si128(b, rk[r]);
+        b = _mm_aesenclast_si128(b, rk[aesRounds]);
+        std::uint8_t ks[aesBlockSize];
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(ks), b);
+        xorWords(in + pos, ks, out + pos,
+                 std::min(aesBlockSize, len - pos));
+    }
+}
+
+#endif // __x86_64__
+
 } // namespace
 
-void
-aesCtrXcrypt(const Aes128& cipher, const Iv& iv,
-             std::span<const std::uint8_t> in, std::span<std::uint8_t> out)
+namespace kernels
 {
-    osh_assert(in.size() == out.size(),
-               "CTR input/output length mismatch");
+
+void
+aesCtrReference(const AesRoundKeys& keys, const Iv& iv,
+                const std::uint8_t* in, std::uint8_t* out, std::size_t len)
+{
+    AesBlock ctr = iv;
+    AesBlock ks;
+    for (std::size_t pos = 0; pos < len; pos += aesBlockSize) {
+        aesBlockReference(keys, ctr.data(), ks.data());
+        incrementCounter(ctr);
+        std::size_t n = std::min(aesBlockSize, len - pos);
+        for (std::size_t i = 0; i < n; ++i)
+            out[pos + i] = in[pos + i] ^ ks[i];
+    }
+}
+
+void
+aesCtrPortable(const AesRoundKeys& keys, const Iv& iv,
+               const std::uint8_t* in, std::uint8_t* out, std::size_t len)
+{
     AesBlock ctr = iv;
     std::uint8_t counters[ctrBatchBytes];
     std::uint8_t keystream[ctrBatchBytes];
     std::size_t pos = 0;
-    while (pos < in.size()) {
-        std::size_t remaining = in.size() - pos;
+    while (pos < len) {
+        std::size_t remaining = len - pos;
         std::size_t nblocks =
             std::min(ctrBatchBlocks,
                      (remaining + aesBlockSize - 1) / aesBlockSize);
@@ -66,11 +154,34 @@ aesCtrXcrypt(const Aes128& cipher, const Iv& iv,
                         aesBlockSize);
             incrementCounter(ctr);
         }
-        cipher.encryptBlocks(counters, keystream, nblocks);
+        aesBlocksPortable(keys, counters, keystream, nblocks);
         std::size_t n = std::min(nblocks * aesBlockSize, remaining);
-        xorWords(in.data() + pos, keystream, out.data() + pos, n);
+        xorWords(in + pos, keystream, out + pos, n);
         pos += n;
     }
+}
+
+AesCtrFn
+aesCtrHardware()
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("aes"))
+        return aesCtrAesni;
+#endif
+    return nullptr;
+}
+
+} // namespace kernels
+
+void
+aesCtrXcrypt(const Aes128& cipher, const Iv& iv,
+             std::span<const std::uint8_t> in, std::span<std::uint8_t> out)
+{
+    osh_assert(in.size() == out.size(),
+               "CTR input/output length mismatch");
+    kernels::selected().aesCtr(cipher.roundKeys(), iv, in.data(),
+                               out.data(), in.size());
 }
 
 void

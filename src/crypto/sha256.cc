@@ -1,8 +1,13 @@
 #include "crypto/sha256.hh"
 
 #include "base/bytes.hh"
+#include "crypto/kernels.hh"
 
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace osh::crypto
 {
@@ -62,26 +67,9 @@ extendWord(std::uint32_t w16, std::uint32_t w15, std::uint32_t w7,
     return w16 + s0 + w7 + s1;
 }
 
-} // namespace
-
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      bufferLen_(0), totalLen_(0)
-{
-}
-
+/** One block through the rolling-schedule kernel. */
 void
-Sha256::processBlock(const std::uint8_t* block)
-{
-    if (referenceCompression_.load(std::memory_order_relaxed))
-        processBlockReference(block);
-    else
-        processBlockFast(block);
-}
-
-void
-Sha256::processBlockFast(const std::uint8_t* block)
+compressPortable(std::uint32_t* state, const std::uint8_t* block)
 {
     // Rolling 16-word schedule; rounds unrolled in groups of eight
     // with rotated register roles, so the working state never moves.
@@ -89,9 +77,9 @@ Sha256::processBlockFast(const std::uint8_t* block)
     for (int i = 0; i < 16; ++i)
         w[i] = loadBe32(block + i * 4);
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2],
-                  d = state_[3], e = state_[4], f = state_[5],
-                  g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2],
+                  d = state[3], e = state[4], f = state[5],
+                  g = state[6], h = state[7];
 
     auto rounds8 = [&](const std::uint32_t* kw,
                        const std::uint32_t* ws) {
@@ -116,18 +104,19 @@ Sha256::processBlockFast(const std::uint8_t* block)
         rounds8(k + i + 8, w + 8);
     }
 
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
 }
 
+/** One block through the FIPS 180-4 loop. */
 void
-Sha256::processBlockReference(const std::uint8_t* block)
+compressReference(std::uint32_t* state, const std::uint8_t* block)
 {
     std::uint32_t w[64];
     for (int i = 0; i < 16; ++i)
@@ -140,9 +129,9 @@ Sha256::processBlockReference(const std::uint8_t* block)
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2],
-                  d = state_[3], e = state_[4], f = state_[5],
-                  g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2],
+                  d = state[3], e = state[4], f = state[5],
+                  g = state[6], h = state[7];
 
     for (int i = 0; i < 64; ++i) {
         std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -161,14 +150,129 @@ Sha256::processBlockReference(const std::uint8_t* block)
         a = temp1 + temp2;
     }
 
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+/**
+ * SHA-NI compression over whole blocks. The state lives in two
+ * registers in the instructions' ABEF/CDGH layout for the whole call;
+ * each group of four rounds adds four K words to four schedule words
+ * and runs two sha256rnds2, and sha256msg1/msg2 extend the schedule
+ * four words at a time in a rolling four-register ring.
+ */
+__attribute__((target("sha,sse4.1"))) void
+compressShani(std::uint32_t* state, const std::uint8_t* blocks,
+              std::size_t nblocks)
+{
+    // Byte swap of each 32-bit word: the message is big-endian.
+    const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bll,
+                                         0x0405060700010203ll);
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+    __m128i hgfe =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+    __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for (std::size_t n = 0; n < nblocks; ++n) {
+        const std::uint8_t* block = blocks + n * sha256BlockSize;
+        const __m128i abefStart = abef;
+        const __m128i cdghStart = cdgh;
+        __m128i w[4];
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            __m128i& cur = w[g % 4];
+            if (g < 4) {
+                cur = _mm_shuffle_epi8(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        block + g * 16)),
+                    bswap);
+            } else {
+                // W[t..t+3] from W[t-16..t-13] (cur), W[t-12..t-9],
+                // W[t-8..t-5] and W[t-4..t-1].
+                const __m128i& w12 = w[(g + 1) % 4];
+                const __m128i& w8 = w[(g + 2) % 4];
+                const __m128i& w4 = w[(g + 3) % 4];
+                __m128i t = _mm_sha256msg1_epu32(cur, w12);
+                t = _mm_add_epi32(t, _mm_alignr_epi8(w4, w8, 4));
+                cur = _mm_sha256msg2_epu32(t, w4);
+            }
+            __m128i msg = _mm_add_epi32(
+                cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                         k + g * 4)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh,
+                                         _mm_shuffle_epi32(msg, 0x0e));
+        }
+        abef = _mm_add_epi32(abef, abefStart);
+        cdgh = _mm_add_epi32(cdgh, cdghStart);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+#endif // __x86_64__
+
+} // namespace
+
+namespace kernels
+{
+
+void
+sha256CompressReference(std::uint32_t* state, const std::uint8_t* blocks,
+                        std::size_t nblocks)
+{
+    for (std::size_t i = 0; i < nblocks; ++i)
+        compressReference(state, blocks + i * sha256BlockSize);
+}
+
+void
+sha256CompressPortable(std::uint32_t* state, const std::uint8_t* blocks,
+                       std::size_t nblocks)
+{
+    for (std::size_t i = 0; i < nblocks; ++i)
+        compressPortable(state, blocks + i * sha256BlockSize);
+}
+
+Sha256CompressFn
+sha256CompressHardware()
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1"))
+        return compressShani;
+#endif
+    return nullptr;
+}
+
+} // namespace kernels
+
+Sha256::Sha256()
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
+      bufferLen_(0), totalLen_(0)
+{
+}
+
+void
+Sha256::compress(const std::uint8_t* blocks, std::size_t nblocks)
+{
+    kernels::selected().sha256Compress(state_.data(), blocks, nblocks);
 }
 
 void
@@ -183,13 +287,14 @@ Sha256::update(std::span<const std::uint8_t> data)
         bufferLen_ += take;
         pos = take;
         if (bufferLen_ == sha256BlockSize) {
-            processBlock(buffer_.data());
+            compress(buffer_.data(), 1);
             bufferLen_ = 0;
         }
     }
-    while (pos + sha256BlockSize <= data.size()) {
-        processBlock(data.data() + pos);
-        pos += sha256BlockSize;
+    std::size_t whole = (data.size() - pos) / sha256BlockSize;
+    if (whole > 0) {
+        compress(data.data() + pos, whole);
+        pos += whole * sha256BlockSize;
     }
     if (pos < data.size()) {
         std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
@@ -215,12 +320,12 @@ Sha256::final()
     if (bufferLen_ > 56) {
         std::memset(buffer_.data() + bufferLen_, 0,
                     sha256BlockSize - bufferLen_);
-        processBlock(buffer_.data());
+        compress(buffer_.data(), 1);
         bufferLen_ = 0;
     }
     std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
     storeBe64(buffer_.data() + 56, bit_len);
-    processBlock(buffer_.data());
+    compress(buffer_.data(), 1);
     bufferLen_ = 0;
 
     Digest out;

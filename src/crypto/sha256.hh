@@ -6,21 +6,16 @@
  * application identity. The streaming interface (update/final) supports
  * hashing pages directly out of simulated machine memory.
  *
- * Two compression kernels exist: the straightforward FIPS 180-4
- * transcription (the reference), and an accelerated one that keeps the
- * message schedule in a rolling 16-word ring and unrolls the rounds in
- * register-rotated groups of eight, so no state shuffle or 64-word
- * spill survives into the hot loop. setReferenceCompression() selects
- * process-wide; known-answer and differential tests pin the two
- * kernels against each other. Host-speed only — simulated SHA cycles
- * are charged by the cost model either way.
+ * Compression runs the kernel crypto/kernels.hh selected for the host
+ * (SHA-NI where the CPU has it, else the portable rolling-schedule
+ * kernel); update() hands it every whole block of a call at once, so
+ * the hardware kernel keeps the state in registers across a page.
  */
 
 #ifndef OSH_CRYPTO_SHA256_HH
 #define OSH_CRYPTO_SHA256_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -51,27 +46,8 @@ class Sha256
     /** One-shot convenience. */
     static Digest hash(std::span<const std::uint8_t> data);
 
-    /**
-     * Select the plain FIPS 180-4 compression loop process-wide
-     * (differential tests, host-speed ablation). Off (the default)
-     * uses the unrolled rolling-schedule kernel. Atomic: crypto pool
-     * workers hash concurrently.
-     */
-    static void setReferenceCompression(bool on)
-    {
-        referenceCompression_.store(on, std::memory_order_relaxed);
-    }
-    static bool referenceCompression()
-    {
-        return referenceCompression_.load(std::memory_order_relaxed);
-    }
-
   private:
-    void processBlock(const std::uint8_t* block);
-    void processBlockReference(const std::uint8_t* block);
-    void processBlockFast(const std::uint8_t* block);
-
-    inline static std::atomic<bool> referenceCompression_{false};
+    void compress(const std::uint8_t* blocks, std::size_t nblocks);
 
     std::array<std::uint32_t, 8> state_;
     std::array<std::uint8_t, sha256BlockSize> buffer_;

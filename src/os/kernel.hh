@@ -346,6 +346,7 @@ class Kernel : public vmm::GuestOsHooks
     AttackHooks noAttackHooks_;
     AttackHooks* attackHooks_ = &noAttackHooks_;
     StatGroup stats_;
+    CounterSlot batchedSyscalls_; ///< stats_ "batched_syscalls".
 };
 
 /** RAII: switch a thread's vcpu into kernel mode (system view). */

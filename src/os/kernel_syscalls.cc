@@ -871,7 +871,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
             cost.charge(cost.params().batchDispatch, "batch_dispatch");
             r = dispatchSyscall(t, d.num, d.args[0], d.args[1],
                                 d.args[2], d.args[3], d.args[4]);
-            stats_.counter("batched_syscalls").inc();
+            batchedSyscalls_.get(stats_, "batched_syscalls").inc();
         }
         storeLe64(craw.data() + i * batchCompBytes,
                   static_cast<std::uint64_t>(r));

@@ -9,10 +9,10 @@ CostModel::CostModel(const CostParams& params)
 }
 
 void
-CostModel::charge(Cycles c, const std::string& event)
+CostModel::charge(Cycles c, const char* event)
 {
     cycles_ += c;
-    stats_.counter(event).inc();
+    events_[event].get(stats_, event).inc();
 }
 
 } // namespace osh::sim

@@ -18,6 +18,8 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 
+#include <unordered_map>
+
 namespace osh::sim
 {
 
@@ -68,8 +70,12 @@ class CostModel
     /** Charge raw cycles. */
     void charge(Cycles c) { cycles_ += c; }
 
-    /** Charge cycles and count the named event once. */
-    void charge(Cycles c, const std::string& event);
+    /**
+     * Charge cycles and count the named event once. @p event must be a
+     * string literal: its counter is cached by address after the first
+     * charge.
+     */
+    void charge(Cycles c, const char* event);
 
     /** Simulated time so far. */
     Cycles cycles() const { return cycles_; }
@@ -93,6 +99,8 @@ class CostModel
     CostParams params_;
     Cycles cycles_ = 0;
     StatGroup stats_;
+    /** Event literal -> its counter in stats_. */
+    std::unordered_map<const char*, CounterSlot> events_;
 };
 
 } // namespace osh::sim

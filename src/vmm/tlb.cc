@@ -14,10 +14,10 @@ Tlb::lookup(const Context& ctx, GuestVA va_page)
 {
     auto it = entries_.find(Key{ctx, va_page});
     if (it == entries_.end()) {
-        stats_.counter("misses").inc();
+        misses_.get(stats_, "misses").inc();
         return std::nullopt;
     }
-    stats_.counter("hits").inc();
+    hits_.get(stats_, "hits").inc();
     return it->second;
 }
 

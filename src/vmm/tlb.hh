@@ -93,6 +93,8 @@ class Tlb
      */
     std::unordered_map<Key, std::uint32_t, KeyHash> queued_;
     StatGroup stats_;
+    CounterSlot hits_;   ///< stats_ "hits", bumped on every lookup hit.
+    CounterSlot misses_; ///< stats_ "misses".
 };
 
 } // namespace osh::vmm

@@ -330,7 +330,7 @@ Vmm::chargeWorldSwitch(const char* reason)
 {
     const auto& costs = machine_.cost().params();
     machine_.cost().charge(costs.vmExit + costs.vmResume, reason);
-    stats_.counter("world_switches").inc();
+    worldSwitches_.get(stats_, "world_switches").inc();
     OSH_TRACE_COUNT(&machine_.tracer(), trace::Category::Vmm,
                     "world_switches");
 }

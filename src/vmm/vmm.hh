@@ -204,6 +204,7 @@ class Vmm
     std::mutex vclockLock_;
 
     StatGroup stats_;
+    CounterSlot worldSwitches_; ///< stats_ "world_switches".
 };
 
 } // namespace osh::vmm

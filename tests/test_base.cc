@@ -163,6 +163,28 @@ TEST(Stats, SnapshotSorted)
     EXPECT_EQ(snap[1].first, "b");
 }
 
+TEST(Stats, CounterSlotCreatesOnFirstUseAndCopiesUnresolved)
+{
+    StatGroup g("tlb");
+    CounterSlot slot;
+    EXPECT_EQ(g.dump(), "");
+    slot.get(g, "hits").inc();
+    slot.get(g, "hits").inc(2);
+    EXPECT_EQ(g.dump(), "tlb.hits 3\n");
+
+    // A copy resolves against whatever group it is handed next, never
+    // against the group the original resolved in.
+    StatGroup other("tlb1");
+    CounterSlot copy(slot);
+    copy.get(other, "hits").inc();
+    EXPECT_EQ(other.value("hits"), 1u);
+    EXPECT_EQ(g.value("hits"), 3u);
+    slot = copy;
+    slot.get(other, "hits").inc();
+    EXPECT_EQ(other.value("hits"), 2u);
+    EXPECT_EQ(g.value("hits"), 3u);
+}
+
 TEST(Logging, FormatString)
 {
     EXPECT_EQ(formatString("x=%d s=%s", 3, "hi"), "x=3 s=hi");

@@ -1,10 +1,13 @@
 /**
  * @file
  * Crypto validation against published test vectors:
- *   - AES-128: FIPS-197 appendix B/C and NIST SP 800-38A.
+ *   - AES-128: FIPS-197 appendix C and NIST SP 800-38A.
  *   - AES-CTR: NIST SP 800-38A F.5.1.
  *   - SHA-256: FIPS 180-4 / NIST CAVP short messages.
  *   - HMAC-SHA256: RFC 4231.
+ * Every AES-CTR and SHA-256 kernel (reference, portable and, where the
+ * host has the instructions, hardware) is run on the vectors, on the
+ * exact counter semantics, and differentially against the reference.
  * Plus property tests (round trips, incrementality) and KeyManager
  * behaviour.
  */
@@ -14,6 +17,7 @@
 #include "crypto/aes.hh"
 #include "crypto/ctr.hh"
 #include "crypto/hmac.hh"
+#include "crypto/kernels.hh"
 #include "crypto/keys.hh"
 #include "crypto/sha256.hh"
 
@@ -33,30 +37,132 @@ keyFromHex(const std::string& hex)
     return k;
 }
 
-TEST(Aes, Fips197VectorEncrypt)
+Iv
+ivFromHex(const std::string& hex)
+{
+    auto v = fromHex(hex);
+    Iv iv{};
+    std::copy(v.begin(), v.end(), iv.begin());
+    return iv;
+}
+
+/** The kernels a parameterized test runs. */
+enum class Kernel
+{
+    Reference,
+    Portable,
+    Hardware,
+};
+
+const char*
+nameOf(Kernel k)
+{
+    switch (k) {
+      case Kernel::Reference:
+        return "Reference";
+      case Kernel::Portable:
+        return "Portable";
+      case Kernel::Hardware:
+        return "Hardware";
+    }
+    return "Unknown";
+}
+
+void
+PrintTo(Kernel k, std::ostream* os)
+{
+    *os << nameOf(k);
+}
+
+std::string
+kernelName(const ::testing::TestParamInfo<Kernel>& info)
+{
+    return nameOf(info.param);
+}
+
+/** The CTR kernel for @p k; nullptr when this host cannot run it. */
+kernels::AesCtrFn
+ctrKernel(Kernel k)
+{
+    switch (k) {
+      case Kernel::Reference:
+        return kernels::aesCtrReference;
+      case Kernel::Portable:
+        return kernels::aesCtrPortable;
+      case Kernel::Hardware:
+        return kernels::aesCtrHardware();
+    }
+    return nullptr;
+}
+
+/** The SHA-256 compression kernel for @p k; nullptr as above. */
+kernels::Sha256CompressFn
+shaKernel(Kernel k)
+{
+    switch (k) {
+      case Kernel::Reference:
+        return kernels::sha256CompressReference;
+      case Kernel::Portable:
+        return kernels::sha256CompressPortable;
+      case Kernel::Hardware:
+        return kernels::sha256CompressHardware();
+    }
+    return nullptr;
+}
+
+/**
+ * SHA-256 of @p data through one compression kernel, padded here (not
+ * by Sha256) and with every block passed in a single call.
+ */
+Digest
+hashWith(kernels::Sha256CompressFn compress,
+         std::span<const std::uint8_t> data)
+{
+    std::vector<std::uint8_t> msg(data.begin(), data.end());
+    msg.push_back(0x80);
+    while (msg.size() % sha256BlockSize != 56)
+        msg.push_back(0);
+    std::uint8_t len[8];
+    storeBe64(len, static_cast<std::uint64_t>(data.size()) * 8);
+    msg.insert(msg.end(), len, len + 8);
+    std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                              0xa54ff53a, 0x510e527f, 0x9b05688c,
+                              0x1f83d9ab, 0x5be0cd19};
+    compress(state, msg.data(), msg.size() / sha256BlockSize);
+    Digest out;
+    for (int i = 0; i < 8; ++i)
+        storeBe32(out.data() + i * 4, state[i]);
+    return out;
+}
+
+std::vector<std::uint8_t>
+bytesOf(const std::string& s)
+{
+    return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+/** The single-block kernels every host runs. */
+constexpr void (*blockKernels[])(const AesRoundKeys&, const std::uint8_t*,
+                                 std::uint8_t*) = {
+    kernels::aesBlockReference, kernels::aesBlockPortable};
+
+TEST(Aes, Fips197VectorEveryBlockKernel)
 {
     // FIPS-197 appendix C.1.
     Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
     auto pt = fromHex("00112233445566778899aabbccddeeff");
-    std::uint8_t ct[16];
-    aes.encryptBlock(pt.data(), ct);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
-              "69c4e0d86a7b0430d8cdb78070b4c55a");
+    for (auto block : blockKernels) {
+        std::uint8_t ct[16];
+        block(aes.roundKeys(), pt.data(), ct);
+        EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
+                  "69c4e0d86a7b0430d8cdb78070b4c55a");
+    }
 }
 
-TEST(Aes, Fips197VectorDecrypt)
+TEST(Aes, Sp80038aEcbVectorsEveryBlockKernel)
 {
-    Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
-    auto ct = fromHex("69c4e0d86a7b0430d8cdb78070b4c55a");
-    std::uint8_t pt[16];
-    aes.decryptBlock(ct.data(), pt);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(pt, 16)),
-              "00112233445566778899aabbccddeeff");
-}
-
-TEST(Aes, Sp80038aEcbVectors)
-{
-    // NIST SP 800-38A F.1.1 (ECB-AES128.Encrypt), first two blocks.
+    // NIST SP 800-38A F.1.1 (ECB-AES128.Encrypt), on the byte-wise
+    // reference and the T-table kernel.
     Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
     struct { const char* pt; const char* ct; } cases[] = {
         {"6bc1bee22e409f96e93d7e117393172a",
@@ -70,68 +176,22 @@ TEST(Aes, Sp80038aEcbVectors)
     };
     for (const auto& c : cases) {
         auto pt = fromHex(c.pt);
-        std::uint8_t ct[16];
-        aes.encryptBlock(pt.data(), ct);
-        EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)), c.ct);
-        std::uint8_t back[16];
-        aes.decryptBlock(ct, back);
-        EXPECT_EQ(toHex(std::span<const std::uint8_t>(back, 16)), c.pt);
-    }
-}
-
-TEST(Aes, EncryptDecryptRoundTripRandom)
-{
-    Rng rng(123);
-    for (int trial = 0; trial < 50; ++trial) {
-        AesKey key;
-        rng.fill(key);
-        Aes128 aes(key);
-        AesBlock pt, ct, back;
-        rng.fill(pt);
-        aes.encryptBlock(pt.data(), ct.data());
-        aes.decryptBlock(ct.data(), back.data());
-        EXPECT_EQ(pt, back);
-        EXPECT_NE(pt, ct);
+        for (auto block : blockKernels) {
+            std::uint8_t ct[16];
+            block(aes.roundKeys(), pt.data(), ct);
+            EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)), c.ct);
+        }
     }
 }
 
 TEST(Aes, InPlaceAliasedBuffers)
 {
     Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
-    auto buf = fromHex("00112233445566778899aabbccddeeff");
-    aes.encryptBlock(buf.data(), buf.data());
-    EXPECT_EQ(toHex(buf), "69c4e0d86a7b0430d8cdb78070b4c55a");
-    aes.decryptBlock(buf.data(), buf.data());
-    EXPECT_EQ(toHex(buf), "00112233445566778899aabbccddeeff");
-}
-
-TEST(Aes, ReferencePathMatchesFips197)
-{
-    // The byte-wise reference path is always callable, whatever the
-    // dispatch mode — the differential anchor for the T-table kernel.
-    Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
-    auto pt = fromHex("00112233445566778899aabbccddeeff");
-    std::uint8_t ct[16];
-    aes.encryptBlockReference(pt.data(), ct);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
-              "69c4e0d86a7b0430d8cdb78070b4c55a");
-}
-
-TEST(Aes, ReferenceModePassesSp80038aVectors)
-{
-    // The NIST ECB vectors must hold on both encrypt kernels.
-    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
-    aes.setReferenceMode(true);
-    EXPECT_TRUE(aes.referenceMode());
-    auto pt = fromHex("6bc1bee22e409f96e93d7e117393172a");
-    std::uint8_t ct[16];
-    aes.encryptBlock(pt.data(), ct);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
-              "3ad77bb40d7a3660a89ecaf32466ef97");
-    aes.setReferenceMode(false);
-    aes.encryptBlock(pt.data(), ct);
-    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ct, 16)),
-              "3ad77bb40d7a3660a89ecaf32466ef97");
+    for (auto block : blockKernels) {
+        auto buf = fromHex("00112233445566778899aabbccddeeff");
+        block(aes.roundKeys(), buf.data(), buf.data());
+        EXPECT_EQ(toHex(buf), "69c4e0d86a7b0430d8cdb78070b4c55a");
+    }
 }
 
 TEST(Aes, TtableMatchesReferenceRandom)
@@ -143,12 +203,10 @@ TEST(Aes, TtableMatchesReferenceRandom)
         Aes128 aes(key);
         AesBlock pt, fast, ref;
         rng.fill(pt);
-        aes.encryptBlock(pt.data(), fast.data());
-        aes.encryptBlockReference(pt.data(), ref.data());
+        kernels::aesBlockPortable(aes.roundKeys(), pt.data(), fast.data());
+        kernels::aesBlockReference(aes.roundKeys(), pt.data(), ref.data());
         ASSERT_EQ(fast, ref) << "trial " << trial;
-        AesBlock back;
-        aes.decryptBlock(fast.data(), back.data());
-        ASSERT_EQ(back, pt) << "trial " << trial;
+        ASSERT_NE(fast, pt) << "trial " << trial;
     }
 }
 
@@ -162,120 +220,195 @@ TEST(Aes, EncryptBlocksMatchesPerBlock)
         std::vector<std::uint8_t> in(nblocks * aesBlockSize);
         rng.fill(in);
         std::vector<std::uint8_t> bulk(in.size());
-        aes.encryptBlocks(in.data(), bulk.data(), nblocks);
+        kernels::aesBlocksPortable(aes.roundKeys(), in.data(), bulk.data(),
+                                   nblocks);
         std::vector<std::uint8_t> single(in.size());
         for (std::size_t b = 0; b < nblocks; ++b)
-            aes.encryptBlock(in.data() + b * aesBlockSize,
-                             single.data() + b * aesBlockSize);
+            kernels::aesBlockPortable(aes.roundKeys(),
+                                      in.data() + b * aesBlockSize,
+                                      single.data() + b * aesBlockSize);
         EXPECT_EQ(bulk, single) << nblocks << " blocks";
         // Aliased in/out must give the same result.
         std::vector<std::uint8_t> aliased(in);
-        aes.encryptBlocks(aliased.data(), aliased.data(), nblocks);
+        kernels::aesBlocksPortable(aes.roundKeys(), aliased.data(),
+                                   aliased.data(), nblocks);
         EXPECT_EQ(aliased, bulk) << nblocks << " blocks aliased";
     }
 }
 
-TEST(Aes, BulkInterleavedMatchesSingleBlockRandom)
+TEST(Aes, BulkInterleavedMatchesReferenceRandom)
 {
-    // 1000 random cases: the four-lane interleaved bulk kernel must be
-    // byte-identical to the per-block T-table and reference kernels at
-    // every block count, including the <4-block tail.
+    // 1000 random cases: the four-lane interleaved T-table kernel must
+    // be byte-identical to the reference at every block count,
+    // including the <4-block tail.
     Rng rng(0xb41c);
     for (int trial = 0; trial < 1000; ++trial) {
         AesKey key;
         rng.fill(key);
-        Aes128 bulk(key);
-        Aes128 single(key);
-        single.setBulkMode(false);
-        EXPECT_TRUE(bulk.bulkMode());
-        EXPECT_FALSE(single.bulkMode());
+        Aes128 aes(key);
         std::size_t nblocks = 1 + static_cast<std::size_t>(
                                       rng.nextBounded(13));
         std::vector<std::uint8_t> in(nblocks * aesBlockSize);
         rng.fill(in);
-        std::vector<std::uint8_t> a(in.size()), b(in.size()),
-            r(in.size());
-        bulk.encryptBlocks(in.data(), a.data(), nblocks);
-        single.encryptBlocks(in.data(), b.data(), nblocks);
+        std::vector<std::uint8_t> a(in.size()), r(in.size());
+        kernels::aesBlocksPortable(aes.roundKeys(), in.data(), a.data(),
+                                   nblocks);
         for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bulk.encryptBlockReference(in.data() + blk * aesBlockSize,
+            kernels::aesBlockReference(aes.roundKeys(),
+                                       in.data() + blk * aesBlockSize,
                                        r.data() + blk * aesBlockSize);
-        ASSERT_EQ(a, b) << "trial " << trial << " blocks " << nblocks;
         ASSERT_EQ(a, r) << "trial " << trial << " blocks " << nblocks;
     }
 }
 
-TEST(Ctr, Sp80038aF511)
+TEST(Kernels, SelectionPrefersHardware)
 {
-    // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt.
-    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
-    Iv iv;
-    auto ivv = fromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-    std::copy(ivv.begin(), ivv.end(), iv.begin());
+    const kernels::Selection& s = kernels::selected();
+    EXPECT_EQ(&s, &kernels::selected());
+    kernels::AesCtrFn aes_hw = kernels::aesCtrHardware();
+    EXPECT_EQ(s.aesCtr, aes_hw ? aes_hw : kernels::aesCtrPortable);
+    kernels::Sha256CompressFn sha_hw = kernels::sha256CompressHardware();
+    EXPECT_EQ(s.sha256Compress,
+              sha_hw ? sha_hw : kernels::sha256CompressPortable);
+    EXPECT_NE(s.aesCtrName, nullptr);
+    EXPECT_NE(s.sha256CompressName, nullptr);
+}
 
+class CtrKernel : public ::testing::TestWithParam<Kernel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        fn = ctrKernel(GetParam());
+        if (fn == nullptr)
+            GTEST_SKIP() << "this host has no AES hardware kernel "
+                            "(not x86-64, or CPUID lacks AES-NI)";
+    }
+
+    kernels::AesCtrFn fn = nullptr;
+};
+
+TEST_P(CtrKernel, Sp80038aF511)
+{
+    // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, in place and not.
+    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
+    Iv iv = ivFromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
     auto pt = fromHex(
         "6bc1bee22e409f96e93d7e117393172a"
         "ae2d8a571e03ac9c9eb76fac45af8e51"
         "30c81c46a35ce411e5fbc1191a0a52ef"
         "f69f2445df4f9b17ad2b417be66c3710");
+    const char* expect =
+        "874d6191b620e3261bef6864990db6ce"
+        "9806f66b7970fdff8617187bb9fffdff"
+        "5ae4df3edbd5d35e5b4f09020db03eab"
+        "1e031dda2fbe03d1792170a0f3009cee";
     std::vector<std::uint8_t> ct(pt.size());
-    aesCtrXcrypt(aes, iv, pt, ct);
-    EXPECT_EQ(toHex(ct),
-              "874d6191b620e3261bef6864990db6ce"
-              "9806f66b7970fdff8617187bb9fffdff"
-              "5ae4df3edbd5d35e5b4f09020db03eab"
-              "1e031dda2fbe03d1792170a0f3009cee");
+    fn(aes.roundKeys(), iv, pt.data(), ct.data(), pt.size());
+    EXPECT_EQ(toHex(ct), expect);
+    fn(aes.roundKeys(), iv, pt.data(), pt.data(), pt.size());
+    EXPECT_EQ(toHex(pt), expect);
 }
 
-TEST(Ctr, Sp80038aF511ReferenceMode)
+TEST_P(CtrKernel, CounterSemanticsPinned)
 {
-    // The same NIST CTR vector driven end-to-end through the byte-wise
-    // reference encrypt path.
-    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
-    aes.setReferenceMode(true);
-    Iv iv;
-    auto ivv = fromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-    std::copy(ivv.begin(), ivv.end(), iv.begin());
-    auto pt = fromHex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51"
-        "30c81c46a35ce411e5fbc1191a0a52ef"
-        "f69f2445df4f9b17ad2b417be66c3710");
-    std::vector<std::uint8_t> ct(pt.size());
-    aesCtrXcrypt(aes, iv, pt, ct);
-    EXPECT_EQ(toHex(ct),
-              "874d6191b620e3261bef6864990db6ce"
-              "9806f66b7970fdff8617187bb9fffdff"
-              "5ae4df3edbd5d35e5b4f09020db03eab"
-              "1e031dda2fbe03d1792170a0f3009cee");
+    // Block i's counter is the IV's fixed high 64 bits followed by its
+    // low 64 bits plus i, big-endian, wrapping modulo 2^64 with no
+    // carry into byte 7. The expected keystream is built one block at
+    // a time from the reference block cipher with each counter written
+    // out explicitly. Lengths cover a partial tail and wraps inside an
+    // 8-block batch (low ...fffc: blocks 4+ have wrapped).
+    Rng rng(0xc0de);
+    AesKey key;
+    rng.fill(key);
+    Aes128 aes(key);
+    const std::uint64_t lows[] = {
+        0xfeull, 0xffull, 0xffffffffffffffffull, 0xfffffffffffffffcull,
+        0x00000000ffffffffull, 0x00ffffffffffffffull};
+    const std::uint64_t highs[] = {0, 0x0123456789abcdefull,
+                                   0xffffffffffffffffull};
+    for (std::uint64_t high : highs) {
+        for (std::uint64_t low : lows) {
+            Iv iv;
+            storeBe64(iv.data(), high);
+            storeBe64(iv.data() + 8, low);
+            for (std::size_t len : {16u, 48u, 129u, 200u, 4096u}) {
+                std::vector<std::uint8_t> expect(len);
+                for (std::size_t b = 0; b * aesBlockSize < len; ++b) {
+                    AesBlock ctr, ks;
+                    storeBe64(ctr.data(), high);
+                    storeBe64(ctr.data() + 8, low + b);
+                    kernels::aesBlockReference(aes.roundKeys(),
+                                               ctr.data(), ks.data());
+                    for (std::size_t i = 0;
+                         i < aesBlockSize && b * aesBlockSize + i < len;
+                         ++i)
+                        expect[b * aesBlockSize + i] = ks[i];
+                }
+                std::vector<std::uint8_t> zeros(len, 0), got(len);
+                fn(aes.roundKeys(), iv, zeros.data(), got.data(), len);
+                ASSERT_EQ(got, expect)
+                    << std::hex << "high " << high << " low " << low
+                    << std::dec << " len " << len;
+            }
+        }
+    }
 }
 
-TEST(Ctr, DifferentialOptimizedVsReference)
+TEST_P(CtrKernel, DifferentialVsReference)
 {
-    // 1000 random (key, IV, length, offset) cases: the batched T-table
-    // CTR pipeline must produce byte-identical output to the byte-wise
-    // reference kernel, including unaligned buffers and lengths that
-    // are not multiples of the batch or block size.
+    // 1000 random (key, IV, length, offset) cases: the kernel must be
+    // byte-identical to the byte-wise reference, including unaligned
+    // buffers, in-place operation and lengths that are not multiples
+    // of the batch or block size.
     Rng rng(0xd1ff);
     std::vector<std::uint8_t> arena(4096 + 64);
     for (int trial = 0; trial < 1000; ++trial) {
         AesKey key;
         rng.fill(key);
-        Aes128 opt(key);
-        Aes128 ref(key);
-        ref.setReferenceMode(true);
+        Aes128 aes(key);
         Iv iv;
         rng.fill(iv);
         std::size_t offset = static_cast<std::size_t>(rng.nextBounded(64));
-        std::size_t len = static_cast<std::size_t>(rng.nextBounded(trial % 10 == 0 ? 4097 : 301));
+        std::size_t len = static_cast<std::size_t>(
+            rng.nextBounded(trial % 10 == 0 ? 4097 : 301));
         rng.fill(std::span<std::uint8_t>(arena.data() + offset, len));
-        std::span<const std::uint8_t> pt(arena.data() + offset, len);
-        std::vector<std::uint8_t> a(len), b(len);
-        aesCtrXcrypt(opt, iv, pt, a);
-        aesCtrXcrypt(ref, iv, pt, b);
+        const std::uint8_t* pt = arena.data() + offset;
+        std::vector<std::uint8_t> a(len), b(len), in_place(pt, pt + len);
+        fn(aes.roundKeys(), iv, pt, a.data(), len);
+        kernels::aesCtrReference(aes.roundKeys(), iv, pt, b.data(), len);
         ASSERT_EQ(a, b) << "trial " << trial << " len " << len
                         << " offset " << offset;
+        fn(aes.roundKeys(), iv, in_place.data(), in_place.data(), len);
+        ASSERT_EQ(in_place, b) << "trial " << trial << " in place";
     }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, CtrKernel,
+                         ::testing::Values(Kernel::Reference,
+                                           Kernel::Portable,
+                                           Kernel::Hardware),
+                         kernelName);
+
+TEST(Ctr, Sp80038aF511)
+{
+    // The same NIST vector through the public entry point, whichever
+    // kernel this host selected.
+    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"));
+    Iv iv = ivFromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+    auto pt = fromHex(
+        "6bc1bee22e409f96e93d7e117393172a"
+        "ae2d8a571e03ac9c9eb76fac45af8e51"
+        "30c81c46a35ce411e5fbc1191a0a52ef"
+        "f69f2445df4f9b17ad2b417be66c3710");
+    std::vector<std::uint8_t> ct(pt.size());
+    aesCtrXcrypt(aes, iv, pt, ct);
+    EXPECT_EQ(toHex(ct),
+              "874d6191b620e3261bef6864990db6ce"
+              "9806f66b7970fdff8617187bb9fffdff"
+              "5ae4df3edbd5d35e5b4f09020db03eab"
+              "1e031dda2fbe03d1792170a0f3009cee");
 }
 
 TEST(Ctr, RoundTripArbitraryLengths)
@@ -333,6 +466,63 @@ TEST(Ctr, CounterCarryPropagates)
               std::vector<std::uint8_t>(ks.begin() + 32, ks.end()));
 }
 
+class ShaKernel : public ::testing::TestWithParam<Kernel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        fn = shaKernel(GetParam());
+        if (fn == nullptr)
+            GTEST_SKIP() << "this host has no SHA-256 hardware kernel "
+                            "(not x86-64, or CPUID lacks SHA-NI)";
+    }
+
+    kernels::Sha256CompressFn fn = nullptr;
+};
+
+TEST_P(ShaKernel, Fips180Vectors)
+{
+    struct { std::string msg; const char* digest; } cases[] = {
+        {"",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        {"abc",
+         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+        {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+        {std::string(1000000, 'a'),
+         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+    };
+    for (const auto& c : cases)
+        EXPECT_EQ(toHex(hashWith(fn, bytesOf(c.msg))), c.digest);
+}
+
+TEST_P(ShaKernel, DifferentialVsReference)
+{
+    // 1000 random (length, content) cases through the kernel, all
+    // blocks in one call, against the plain FIPS 180-4 loop — across
+    // block boundaries and the padding tail. The public Sha256 (the
+    // host's selected kernel) must agree too.
+    Rng rng(0x5a25);
+    for (int trial = 0; trial < 1000; ++trial) {
+        std::size_t len = static_cast<std::size_t>(
+            rng.nextBounded(trial % 10 == 0 ? 4097 : 300));
+        std::vector<std::uint8_t> data(len);
+        rng.fill(data);
+        Digest ref = hashWith(kernels::sha256CompressReference, data);
+        ASSERT_EQ(hashWith(fn, data), ref)
+            << "trial " << trial << " len " << len;
+        ASSERT_EQ(Sha256::hash(data), ref)
+            << "trial " << trial << " len " << len;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ShaKernel,
+                         ::testing::Values(Kernel::Reference,
+                                           Kernel::Portable,
+                                           Kernel::Hardware),
+                         kernelName);
+
 TEST(Sha256, Fips180Vectors)
 {
     struct { const char* msg; const char* digest; } cases[] = {
@@ -359,38 +549,6 @@ TEST(Sha256, MillionAs)
         ctx.update(chunk);
     EXPECT_EQ(toHex(ctx.final()),
               "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256, FastCompressionMatchesReferenceRandom)
-{
-    // 1000 random (length, content) cases: the unrolled rolling-
-    // schedule compression must match the plain FIPS 180-4 loop,
-    // across block boundaries and the padding tail.
-    Rng rng(0x5a25);
-    ASSERT_FALSE(Sha256::referenceCompression());
-    for (int trial = 0; trial < 1000; ++trial) {
-        std::size_t len = static_cast<std::size_t>(
-            rng.nextBounded(trial % 10 == 0 ? 4097 : 300));
-        std::vector<std::uint8_t> data(len);
-        rng.fill(data);
-        Digest fast = Sha256::hash(data);
-        Sha256::setReferenceCompression(true);
-        Digest ref = Sha256::hash(data);
-        Sha256::setReferenceCompression(false);
-        ASSERT_EQ(fast, ref) << "trial " << trial << " len " << len;
-    }
-}
-
-TEST(Sha256, ReferenceCompressionPassesFipsVectors)
-{
-    Sha256::setReferenceCompression(true);
-    Sha256 ctx;
-    ctx.update(std::string("abc"));
-    Digest d = ctx.final();
-    Sha256::setReferenceCompression(false);
-    EXPECT_EQ(toHex(d),
-              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f2"
-              "0015ad");
 }
 
 TEST(Sha256, IncrementalMatchesOneShot)
@@ -509,21 +667,15 @@ TEST(Keys, StableDerivation)
 TEST(Keys, DistinctResourcesGetDistinctKeys)
 {
     KeyManager km(1234);
-    AesBlock zero{};
-    AesBlock c1, c2;
-    km.pageCipher(1).encryptBlock(zero.data(), c1.data());
-    km.pageCipher(2).encryptBlock(zero.data(), c2.data());
-    EXPECT_NE(c1, c2);
+    EXPECT_NE(km.pageCipher(1).roundKeys().bytes,
+              km.pageCipher(2).roundKeys().bytes);
 }
 
 TEST(Keys, DifferentMasterSeedsDiffer)
 {
     KeyManager a(1), b(2);
-    AesBlock zero{};
-    AesBlock ca, cb;
-    a.pageCipher(1).encryptBlock(zero.data(), ca.data());
-    b.pageCipher(1).encryptBlock(zero.data(), cb.data());
-    EXPECT_NE(ca, cb);
+    EXPECT_NE(a.pageCipher(1).roundKeys().bytes,
+              b.pageCipher(1).roundKeys().bytes);
     EXPECT_NE(a.sealingKey(1), b.sealingKey(1));
 }
 

@@ -87,6 +87,17 @@ TEST(CostModel, ChargesAccumulate)
     EXPECT_EQ(cm.stats().value("vm_exit"), 1u);
 }
 
+TEST(CostModel, CopyCountsEventsIntoItsOwnStats)
+{
+    CostModel cm;
+    cm.charge(10, "vm_exit");
+    CostModel copy(cm);
+    copy.charge(10, "vm_exit");
+    EXPECT_EQ(copy.stats().value("vm_exit"), 2u);
+    EXPECT_EQ(cm.stats().value("vm_exit"), 1u);
+    EXPECT_EQ(copy.cycles(), 20u);
+}
+
 TEST(CostModel, ParamsOverridable)
 {
     CostParams p;

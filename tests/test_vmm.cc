@@ -145,6 +145,33 @@ TEST(Tlb, HitAndMissCounting)
     EXPECT_EQ(tlb.stats().value("misses"), 1u);
 }
 
+TEST(Tlb, CopiesAndMovesCountIntoTheirOwnStats)
+{
+    Tlb tlb(8);
+    Context ctx{1, 0, false};
+    tlb.insert(ctx, 0x1000, {0x5000, true, true});
+    ASSERT_TRUE(tlb.lookup(ctx, 0x1000).has_value());
+    EXPECT_FALSE(tlb.lookup(ctx, 0x2000).has_value());
+
+    Tlb copy(tlb);
+    ASSERT_TRUE(copy.lookup(ctx, 0x1000).has_value());
+    EXPECT_FALSE(copy.lookup(ctx, 0x3000).has_value());
+    EXPECT_EQ(copy.stats().value("hits"), 2u);
+    EXPECT_EQ(copy.stats().value("misses"), 2u);
+    EXPECT_EQ(tlb.stats().value("hits"), 1u);
+    EXPECT_EQ(tlb.stats().value("misses"), 1u);
+
+    Tlb moved(std::move(copy));
+    ASSERT_TRUE(moved.lookup(ctx, 0x1000).has_value());
+    EXPECT_EQ(moved.stats().value("hits"), 3u);
+
+    Tlb assigned(4, "tlb1");
+    assigned = tlb;
+    ASSERT_TRUE(assigned.lookup(ctx, 0x1000).has_value());
+    EXPECT_EQ(assigned.stats().value("hits"), 2u);
+    EXPECT_EQ(tlb.stats().value("hits"), 1u);
+}
+
 TEST(Tlb, CapacityEviction)
 {
     Tlb tlb(4);
