@@ -11,18 +11,19 @@
  * all N tenants computed correctly under cloaking.
  *
  * Charted per point:
- *   - total and per-tenant simulated cycles (gated by compare.py:
- *     per-tenant cost must stay flat as N grows);
+ *   - total and per-tenant simulated cycles (per-tenant cost must stay
+ *     flat as N grows);
  *   - peak shadow-page-table slots and peak metadata footprint bytes
- *     (ungated; sub-linear per tenant — they track live tenants, not
- *     historical ones);
+ *     (sub-linear per tenant — they track live tenants, not historical
+ *     ones);
  *   - context switches, derived AES keys (linear in N: key identities
- *     persist for the store's lifetime), metadata shard count;
+ *     persist for the store's lifetime);
  *   - host wall time (host_ prefix, never gated).
  *
  * Writes BENCH_scale.json; CI runs `--quick` (10 and 100 only) against
  * the committed full-sweep baseline — compare.py warns on the missing
- * large points and gates the cycle metrics of the points that ran.
+ * large points and gates every simulated metric of the points that
+ * ran.
  */
 
 #include "bench_common.hh"
@@ -48,7 +49,6 @@ struct ScalePoint
     Cycles cycles = 0;
     std::uint64_t shadowPeakSlots = 0;
     std::uint64_t metaPeakBytes = 0;
-    std::uint64_t metaShards = 0;
     std::uint64_t contextSwitches = 0;
     std::uint64_t derivedKeys = 0;
     std::uint64_t hostNs = 0;
@@ -106,7 +106,6 @@ runScale(std::uint64_t n)
     p.cycles = sys.cycles();
     p.shadowPeakSlots = sys.vmm().shadows().peakSlotCount();
     p.metaPeakBytes = sys.cloak()->metadata().peakFootprintBytes();
-    p.metaShards = sys.cloak()->metadata().shardCount();
     p.contextSwitches =
         sys.machine().cost().stats().value("context_switch");
     p.derivedKeys = sys.cloak()->keys().derivedKeyCount();
@@ -153,7 +152,6 @@ main(int argc, char** argv)
         report.set(k + ".per_tenant_cycles", p.cycles / n);
         report.set(k + ".shadow_peak_slots", p.shadowPeakSlots);
         report.set(k + ".meta_peak_bytes", p.metaPeakBytes);
-        report.set(k + ".meta_shards", p.metaShards);
         report.set(k + ".context_switches", p.contextSwitches);
         report.set(k + ".derived_keys", p.derivedKeys);
         report.setHost(k + ".ns", p.hostNs);

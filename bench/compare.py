@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_<phase>.json files and fail on perf regressions.
+"""Compare two BENCH_<phase>.json files and fail on any simulated drift.
 
 Usage:
-    compare.py BASELINE.json CURRENT.json [--tolerance 0.10] [--all]
+    compare.py BASELINE.json CURRENT.json [--allow-missing]
 
 Both files are the `schema: 1` output of osh::bench::BenchReport: one
-flat "metrics" object of deterministic simulated integers. Cycle-like
-metrics (total cycles, per-op cycle costs, histogram percentiles) are
-*gated*: if the current value exceeds baseline * (1 + tolerance) the
-script prints the offending rows and exits 1. Non-cycle counters
-(faults, crypto ops, cache hits) are informational by default — they
-describe *why* cycles moved — unless --all gates them too.
+flat "metrics" object. Every key not starting with "host_" is a
+deterministic simulated value (cycles, counters, footprint bytes): the
+same source and seed reproduce it exactly. So any difference, in either
+direction, fails the comparison (exit 1). A change that moves a
+simulated value on purpose refreshes the baseline in the same commit.
 
 Keys starting with "host_" are host wall-time observations (ns, MB/s,
 speedup ratios): they depend on the machine the bench ran on, so they
-are shown side by side in their own informational table, never gated —
-even with --all — and never produce missing/new warnings or a nonzero
-exit (baselines may omit them entirely; a key present in only one run
-shows "—" in the other column).
+are shown side by side in their own informational table, never gated,
+and never produce missing/new warnings or a nonzero exit (baselines may
+omit them entirely; a key present in only one run shows "—" in the
+other column).
 
 Key-set drift is asymmetric. A key present only in the *current* run is
 a warning: adding a metric must not break CI. A baseline key *missing*
@@ -39,16 +38,6 @@ def is_host(key: str) -> bool:
     return key.startswith("host_")
 
 
-def is_gated(key: str) -> bool:
-    """Cycle-like metrics that constitute a perf regression."""
-    return not is_host(key) and (
-        key.endswith("cycles")
-        or ".op." in key
-        or key.endswith(".p50")
-        or key.endswith(".p95")
-    )
-
-
 def load_metrics(path: str) -> dict:
     with open(path) as f:
         doc = json.load(f)
@@ -62,19 +51,6 @@ def main() -> int:
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="allowed fractional increase on gated metrics "
-        "(default 0.10 = +10%%)",
-    )
-    ap.add_argument(
-        "--all",
-        action="store_true",
-        help="gate every metric, not just cycle-like ones",
-    )
-    ap.add_argument(
         "--allow-missing",
         action="store_true",
         help="downgrade baseline keys missing from the current run "
@@ -86,24 +62,13 @@ def main() -> int:
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
 
-    regressions = []
-    improvements = []
+    checked = sorted(k for k in base.keys() & cur.keys() if not is_host(k))
     drifts = []
-    for key in sorted(base.keys() & cur.keys()):
-        if is_host(key):
-            continue
+    for key in checked:
         b, c = base[key], cur[key]
-        if b == c:
-            continue
-        delta = (c - b) / b if b else float("inf")
-        row = (key, b, c, delta)
-        if args.all or is_gated(key):
-            if c > b * (1.0 + args.tolerance):
-                regressions.append(row)
-            elif c < b:
-                improvements.append(row)
-        else:
-            drifts.append(row)
+        if b != c:
+            delta = (c - b) / b if b else float("inf")
+            drifts.append((key, b, c, delta))
 
     # Host wall-time: union of both runs' host_ keys, side by side.
     host_rows = []
@@ -122,13 +87,6 @@ def main() -> int:
     missing = sorted(k for k in base.keys() - cur.keys() if not is_host(k))
     new = sorted(k for k in cur.keys() - base.keys() if not is_host(k))
 
-    def show(rows, label):
-        if not rows:
-            return
-        print(f"{label}:")
-        for key, b, c, delta in rows:
-            print(f"  {key}: {b} -> {c} ({delta:+.1%})")
-
     def show_host(rows):
         if not rows:
             return
@@ -143,9 +101,10 @@ def main() -> int:
         for key, b, c, delta in rows:
             print(f"  {key:<{key_w}}  {b:>{b_w}}  {c:>{c_w}}  {delta}")
 
-    show(regressions, "REGRESSIONS (beyond tolerance)")
-    show(improvements, "improvements")
-    show(drifts, "counter drift (informational)")
+    if drifts:
+        print("DRIFT (simulated metrics must equal the baseline):")
+        for key, b, c, delta in drifts:
+            print(f"  {key}: {b} -> {c} ({delta:+.1%})")
     show_host(host_rows)
     missing_label = "warning" if args.allow_missing else "error"
     for key in missing:
@@ -154,15 +113,10 @@ def main() -> int:
     for key in new:
         print(f"warning: new metric not in baseline: {key}")
 
-    n_checked = sum(
-        1
-        for k in base.keys() & cur.keys()
-        if not is_host(k) and (args.all or is_gated(k))
-    )
-    if regressions:
+    if drifts:
         print(
-            f"FAIL: {len(regressions)}/{n_checked} gated metrics "
-            f"regressed beyond {args.tolerance:.0%}"
+            f"FAIL: {len(drifts)}/{len(checked)} simulated metrics "
+            f"differ from the baseline"
         )
         return 1
     if missing and not args.allow_missing:
@@ -171,10 +125,7 @@ def main() -> int:
             f"current run (refresh the baseline if they were renamed)"
         )
         return 1
-    print(
-        f"OK: {n_checked} gated metrics within {args.tolerance:.0%} "
-        f"of baseline ({len(improvements)} improved)"
-    )
+    print(f"OK: {len(checked)} simulated metrics equal the baseline")
     return 0
 
 

@@ -47,9 +47,9 @@ programIdentity(const std::string& program_name)
 }
 
 CloakEngine::CloakEngine(vmm::Vmm& vmm, std::uint64_t master_seed,
-                         std::size_t metadata_cache, std::size_t shards)
-    : vmm_(vmm), keys_(master_seed, shards),
-      metadata_(vmm.machine().cost(), metadata_cache, shards),
+                         std::size_t metadata_cache)
+    : vmm_(vmm), keys_(master_seed),
+      metadata_(vmm.machine().cost(), metadata_cache),
       stats_("cloak")
 {
     vmm_.setCloakBackend(this);

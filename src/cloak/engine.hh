@@ -302,11 +302,9 @@ class CloakEngine : public vmm::CloakBackend
      * @param vmm The VMM to interpose on.
      * @param master_seed Seed of the VMM master secret.
      * @param metadata_cache Metadata-cache capacity (ablation knob).
-     * @param shards Lock stripes for the metadata store and key cache
-     *   (>= 1). Guest-visible behavior is shard-count invariant.
      */
     CloakEngine(vmm::Vmm& vmm, std::uint64_t master_seed = 0x05ead0,
-                std::size_t metadata_cache = 1024, std::size_t shards = 1);
+                std::size_t metadata_cache = 1024);
     ~CloakEngine() override;
 
     // vmm::CloakBackend ---------------------------------------------------

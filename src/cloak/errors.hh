@@ -27,14 +27,13 @@ enum class CloakError : std::uint8_t
     BadForkToken,           ///< Fork token unknown or for another domain.
     ForkAlreadySnapshotted, ///< snapshotFork called twice for one token.
     ForkNotSnapshotted,     ///< forkAttach before snapshotFork.
-    UnknownResource,        ///< Resource id absent from the shard directory.
+    UnknownResource,        ///< Resource id absent from the metadata store.
     ForeignResource,        ///< Resource belongs to another domain.
     NotAFileResource,       ///< File operation on a private memory resource.
     SealRejected,           ///< Sealed bundle failed MAC/identity/version.
     IntegrityViolation,     ///< Page hash mismatch (kernel tampering/replay).
 
-    // Metadata-store typed failures (shard-miss vs. integrity split).
-    ShardMiss,              ///< Directory names a shard that lost the id.
+    // Metadata-store typed failures of sealed-bundle import.
     SealBadMac,             ///< Sealed bundle MAC did not verify.
     SealBadIdentity,        ///< Bundle sealed under another identity.
     SealRollback,           ///< Bundle older than the witnessed floor.
@@ -58,7 +57,6 @@ cloakErrorName(CloakError e)
       case CloakError::NotAFileResource: return "not_a_file_resource";
       case CloakError::SealRejected: return "seal_rejected";
       case CloakError::IntegrityViolation: return "integrity_violation";
-      case CloakError::ShardMiss: return "shard_miss";
       case CloakError::SealBadMac: return "seal_bad_mac";
       case CloakError::SealBadIdentity: return "seal_bad_identity";
       case CloakError::SealRollback: return "seal_rollback";

@@ -18,15 +18,10 @@ constexpr std::uint64_t mapNodeOverhead = 48;
 } // namespace
 
 MetadataStore::MetadataStore(sim::CostModel& cost,
-                             std::size_t cache_capacity,
-                             std::size_t shard_count)
+                             std::size_t cache_capacity)
     : cost_(cost), cacheCapacity_(cache_capacity), stats_("metadata")
 {
     osh_assert(cache_capacity > 0, "metadata cache needs capacity");
-    osh_assert(shard_count > 0, "metadata store needs at least one shard");
-    shards_.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i)
-        shards_.push_back(std::make_unique<Shard>());
 }
 
 void
@@ -77,20 +72,14 @@ MetadataStore::emplaceResource(DomainId domain)
         std::lock_guard<std::mutex> lk(idLock_);
         id = nextId_++;
     }
-    std::uint32_t idx = shardOfDomain(domain);
-    Shard& sh = *shards_[idx];
     Resource* res;
     {
-        std::lock_guard<std::mutex> lk(sh.lock);
-        res = &sh.resources[id];
+        std::lock_guard<std::mutex> lk(resourcesLock_);
+        res = &resources_[id];
     }
     res->id = id;
     res->keyId = id;
     res->domain = domain;
-    {
-        std::lock_guard<std::mutex> lk(directoryLock_);
-        shardIndex_[id] = idx;
-    }
     return *res;
 }
 
@@ -141,23 +130,10 @@ MetadataStore::cloneResource(const Resource& src, DomainId new_domain)
 Expected<Resource*, CloakError>
 MetadataStore::lookup(ResourceId id)
 {
-    std::uint32_t idx;
-    {
-        std::lock_guard<std::mutex> lk(directoryLock_);
-        auto it = shardIndex_.find(id);
-        if (it == shardIndex_.end())
-            return Error(CloakError::UnknownResource);
-        idx = it->second;
-    }
-    Shard& sh = *shards_[idx];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    auto it = sh.resources.find(id);
-    if (it == sh.resources.end()) {
-        // The directory said the shard owns the id but the shard lost
-        // it — a store-consistency failure distinct from a stale id.
-        stats_.counter("shard_misses").inc();
-        return Error(CloakError::ShardMiss);
-    }
+    std::lock_guard<std::mutex> lk(resourcesLock_);
+    auto it = resources_.find(id);
+    if (it == resources_.end())
+        return Error(CloakError::UnknownResource);
     return &it->second;
 }
 
@@ -165,30 +141,17 @@ void
 MetadataStore::destroyResource(ResourceId id)
 {
     purgeCache(id);
-    std::uint32_t idx;
-    bool known = false;
+    std::optional<std::int64_t> pages;
     {
-        std::lock_guard<std::mutex> lk(directoryLock_);
-        auto it = shardIndex_.find(id);
-        if (it != shardIndex_.end()) {
-            idx = it->second;
-            known = true;
-            shardIndex_.erase(it);
+        std::lock_guard<std::mutex> lk(resourcesLock_);
+        auto it = resources_.find(id);
+        if (it != resources_.end()) {
+            pages = static_cast<std::int64_t>(it->second.pages.size());
+            resources_.erase(it);
         }
     }
-    if (known) {
-        Shard& sh = *shards_[idx];
-        std::int64_t pages = 0;
-        {
-            std::lock_guard<std::mutex> lk(sh.lock);
-            auto it = sh.resources.find(id);
-            if (it != sh.resources.end()) {
-                pages = static_cast<std::int64_t>(it->second.pages.size());
-                sh.resources.erase(it);
-            }
-        }
-        accountPages(-1, -pages);
-    }
+    if (pages)
+        accountPages(-1, -*pages);
     stats_.counter("resources_destroyed").inc();
 }
 
@@ -278,13 +241,6 @@ MetadataStore::setCacheCapacity(std::size_t capacity)
 }
 
 std::vector<std::uint8_t>
-MetadataStore::seal(const Resource& res, const crypto::Digest& seal_key,
-                    const crypto::Digest& owner_identity)
-{
-    return seal(res, crypto::HmacKey(seal_key), owner_identity);
-}
-
-std::vector<std::uint8_t>
 MetadataStore::seal(const Resource& res, const crypto::HmacKey& seal_key,
                     const crypto::Digest& owner_identity)
 {
@@ -317,14 +273,6 @@ MetadataStore::seal(const Resource& res, const crypto::HmacKey& seal_key,
     out.insert(out.end(), mac.begin(), mac.end());
     stats_.counter("seals").inc();
     return out;
-}
-
-Expected<void, CloakError>
-MetadataStore::unseal(std::span<const std::uint8_t> bundle,
-                      const crypto::Digest& seal_key,
-                      const crypto::Digest& owner_identity, Resource& dst)
-{
-    return unseal(bundle, crypto::HmacKey(seal_key), owner_identity, dst);
 }
 
 Expected<void, CloakError>

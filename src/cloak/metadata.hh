@@ -10,22 +10,18 @@
  * memory — the guest can never touch it — and can be *sealed*
  * (serialized + HMAC) for persistence alongside protected files.
  *
- * Resources are partitioned into lock-striped shards keyed by the
- * owning protection domain (per-ASID in this system: one domain per
- * cloaked address space), with a directory mapping resource ids to
- * their shard. Concurrent vCPUs resolving faults in different address
- * spaces therefore touch different stripes. Resource ids stay globally
- * monotonic from a single counter regardless of shard count — ids feed
- * AES key derivation, so they must be shard-count invariant.
+ * All resources live in one map keyed by resource id, like the
+ * paper's single VMM metadata table. Guest code never runs on two
+ * vCPUs at once (every guest body runs under the scheduler lock), so
+ * one mutex per table is all the synchronization the store needs.
+ * Resource ids come from one monotonic counter; they feed AES key
+ * derivation, so a given workload always mints the same ids.
  *
  * A capacity-bounded LRU models the paper's metadata cache: lookups
- * charge metadataHit or metadataMiss cycles accordingly. The cache
- * model deliberately stays a single global LRU (with its own lock):
- * splitting it per shard would change the eviction sequence — and the
- * charged cycles — with the shard count, breaking the determinism bar.
+ * charge metadataHit or metadataMiss cycles accordingly.
  *
  * Fallible entry points (lookup, unseal) return
- * Expected<T, CloakError> with typed codes, so a shard miss and an
+ * Expected<T, CloakError> with typed codes, so a stale id and an
  * integrity failure are distinguishable at every call site and the
  * engine's audit ring can record the precise cause.
  */
@@ -50,7 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace osh::cloak
@@ -135,14 +130,10 @@ class MetadataStore
     /**
      * @param cost Cost model charged on lookups.
      * @param cache_capacity Entries the hot metadata cache holds.
-     * @param shard_count Lock stripes for resource storage (>= 1).
-     *   Guest-visible behavior — ids, cycles, cache hit/miss order —
-     *   is identical for every shard count.
      */
-    MetadataStore(sim::CostModel& cost, std::size_t cache_capacity = 1024,
-                  std::size_t shard_count = 1);
+    MetadataStore(sim::CostModel& cost, std::size_t cache_capacity = 1024);
 
-    /** Create a fresh resource, homed in its domain's shard. */
+    /** Create a fresh resource owned by @p domain. */
     Resource& createResource(DomainId domain, bool is_file = false,
                              std::uint64_t file_key = 0);
 
@@ -150,10 +141,8 @@ class MetadataStore
     Resource& cloneResource(const Resource& src, DomainId new_domain);
 
     /**
-     * Resolve a resource id through the shard directory. Typed
-     * failures: UnknownResource when the directory has never seen the
-     * id (or it was destroyed), ShardMiss when the directory names a
-     * shard that no longer holds it (a store-consistency bug).
+     * Resolve a resource id. Fails with UnknownResource when the store
+     * has never seen the id or it was destroyed.
      */
     Expected<Resource*, CloakError> lookup(ResourceId id);
 
@@ -178,15 +167,10 @@ class MetadataStore
     /**
      * Serialize a resource's metadata and seal it with HMAC under
      * @p seal_key, binding @p owner_identity. The bundle version is one
-     * greater than any previous seal of the same file key. The HmacKey
-     * overload reuses a prepared key midstate; the Digest overload is
-     * kept for callers holding raw key bytes.
+     * greater than any previous seal of the same file key.
      */
     std::vector<std::uint8_t> seal(const Resource& res,
                                    const crypto::HmacKey& seal_key,
-                                   const crypto::Digest& owner_identity);
-    std::vector<std::uint8_t> seal(const Resource& res,
-                                   const crypto::Digest& seal_key,
                                    const crypto::Digest& owner_identity);
 
     /**
@@ -197,10 +181,6 @@ class MetadataStore
      */
     Expected<void, CloakError> unseal(std::span<const std::uint8_t> bundle,
                                       const crypto::HmacKey& seal_key,
-                                      const crypto::Digest& owner_identity,
-                                      Resource& dst);
-    Expected<void, CloakError> unseal(std::span<const std::uint8_t> bundle,
-                                      const crypto::Digest& seal_key,
                                       const crypto::Digest& owner_identity,
                                       Resource& dst);
 
@@ -236,14 +216,12 @@ class MetadataStore
      */
     void reserveIds(ResourceId min_next);
 
-    // Footprint / sharding introspection -----------------------------------
+    // Footprint introspection ---------------------------------------------
 
-    std::size_t shardCount() const { return shards_.size(); }
-
-    /** Live resources across every shard. */
+    /** Live resources. */
     std::size_t resourceCount() const;
 
-    /** Live PageMeta entries across every shard. */
+    /** Live PageMeta entries across every resource. */
     std::uint64_t pageMetaCount() const;
 
     /** Rough bytes of VMM-private memory the live metadata occupies. */
@@ -269,22 +247,7 @@ class MetadataStore
     StatGroup& stats() { return stats_; }
 
   private:
-    /** One lock stripe: the resources homed in it. std::map keeps
-     *  Resource references stable across inserts. */
-    struct Shard
-    {
-        mutable std::mutex lock;
-        std::map<ResourceId, Resource> resources;
-    };
-
-    /** Shard a domain's resources are homed in (stable, seed-free). */
-    std::uint32_t
-    shardOfDomain(DomainId domain) const
-    {
-        return static_cast<std::uint32_t>(domain % shards_.size());
-    }
-
-    /** Mint a resource in @p domain's shard and index it. */
+    /** Mint a resource owned by @p domain. */
     Resource& emplaceResource(DomainId domain);
 
     void touchCache(ResourceId res, std::uint64_t page_index);
@@ -305,21 +268,17 @@ class MetadataStore
     /** Hits charge the miss cost (see setConstantCostLookups). */
     bool constantCostLookups_ = false;
 
-    std::vector<std::unique_ptr<Shard>> shards_;
+    /** Every live resource. std::map keeps Resource references stable
+     *  across inserts. */
+    mutable std::mutex resourcesLock_;
+    std::map<ResourceId, Resource> resources_;
 
-    /** Resource id -> owning shard. The only global map on lookups;
-     *  reads take directoryLock_ briefly, never a shard lock. */
-    mutable std::mutex directoryLock_;
-    std::unordered_map<ResourceId, std::uint32_t> shardIndex_;
-
-    /** Globally monotonic id mint (ids derive AES keys, so they must
-     *  not depend on shard count). */
+    /** Monotonic id mint (ids derive AES keys). */
     mutable std::mutex idLock_;
     ResourceId nextId_ = 1;
 
     /**
-     * LRU cache model: key = (resource, page). Global across shards —
-     * see the file comment for why — and only touched from the
+     * LRU cache model: key = (resource, page). Only touched from the
      * serialized fault/seal paths, guarded for structure by cacheLock_.
      */
     using CacheKey = std::pair<ResourceId, std::uint64_t>;

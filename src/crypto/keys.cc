@@ -1,24 +1,19 @@
 #include "crypto/keys.hh"
 
 #include "base/bytes.hh"
-#include "base/logging.hh"
 
 #include <cstring>
 
 namespace osh::crypto
 {
 
-KeyManager::KeyManager(std::uint64_t master_seed, std::size_t shards)
+KeyManager::KeyManager(std::uint64_t master_seed)
 {
-    osh_assert(shards > 0, "KeyManager needs at least one shard");
     std::uint8_t seed_bytes[16] = {};
     storeLe64(seed_bytes, master_seed);
     std::memcpy(seed_bytes + 8, "OSHMSTR!", 8);
     master_ = Sha256::hash(seed_bytes);
     masterHmac_ = HmacKey(master_);
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
 }
 
 AesKey
@@ -42,69 +37,22 @@ KeyManager::deriveSealingKey(ResourceId resource) const
     return hmacSha256(masterHmac_, info);
 }
 
-const Aes128&
-KeyManager::cipherLocked(Shard& sh, ResourceId resource)
-{
-    auto it = sh.ciphers.find(resource);
-    if (it == sh.ciphers.end()) {
-        it = sh.ciphers
-                 .emplace(resource, std::make_unique<Aes128>(
-                                        deriveAesKey(resource)))
-                 .first;
-    }
-    return *it->second;
-}
-
-const HmacKey&
-KeyManager::sealingHmacLocked(const Shard& sh, ResourceId resource) const
-{
-    auto it = sh.sealingHmacs.find(resource);
-    if (it == sh.sealingHmacs.end()) {
-        auto kit = sh.sealingKeys.find(resource);
-        if (kit == sh.sealingKeys.end()) {
-            kit = sh.sealingKeys
-                      .emplace(resource, deriveSealingKey(resource))
-                      .first;
-        }
-        it = sh.sealingHmacs.emplace(resource, HmacKey(kit->second))
-                 .first;
-    }
-    return it->second;
-}
-
 KeyHandle
 KeyManager::acquire(ResourceId resource)
 {
-    std::uint32_t idx = shardOf(resource);
-    Shard& sh = *shards_[idx];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    KeyHandle h;
-    h.cipher_ = &cipherLocked(sh, resource);
-    h.sealingHmac_ = &sealingHmacLocked(sh, resource);
-    h.keyId_ = resource;
-    h.shard_ = idx;
-    return h;
-}
-
-const Aes128&
-KeyManager::pageCipher(ResourceId resource)
-{
-    Shard& sh = *shards_[shardOf(resource)];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    return cipherLocked(sh, resource);
-}
-
-Digest
-KeyManager::sealingKey(ResourceId resource) const
-{
-    const Shard& sh = *shards_[shardOf(resource)];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    auto it = sh.sealingKeys.find(resource);
-    if (it == sh.sealingKeys.end()) {
-        it = sh.sealingKeys.emplace(resource, deriveSealingKey(resource))
+    std::lock_guard<std::mutex> lk(lock_);
+    auto it = keys_.find(resource);
+    if (it == keys_.end()) {
+        it = keys_.emplace(resource,
+                           Keys{Aes128(deriveAesKey(resource)),
+                                HmacKey(deriveSealingKey(resource))})
                  .first;
     }
-    return it->second;
+    KeyHandle h;
+    h.cipher_ = &it->second.cipher;
+    h.sealingHmac_ = &it->second.sealingHmac;
+    h.keyId_ = resource;
+    return h;
 }
 
 Digest
@@ -116,23 +64,11 @@ KeyManager::migrationKey(std::uint64_t nonce) const
     return hmacSha256(masterHmac_, info);
 }
 
-const HmacKey&
-KeyManager::sealingHmacKey(ResourceId resource) const
-{
-    const Shard& sh = *shards_[shardOf(resource)];
-    std::lock_guard<std::mutex> lk(sh.lock);
-    return sealingHmacLocked(sh, resource);
-}
-
 std::size_t
 KeyManager::derivedKeyCount() const
 {
-    std::size_t n = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lk(sh->lock);
-        n += sh->ciphers.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lk(lock_);
+    return keys_.size();
 }
 
 } // namespace osh::crypto

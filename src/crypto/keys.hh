@@ -10,17 +10,13 @@
  * resource identity.
  *
  * Everything expensive is derived once and cached: the expanded AES key
- * schedule, the sealing key bytes, and the HMAC ipad/opad midstates for
- * both the master (key derivation) and each sealing key (metadata
- * MACs). Hot paths never re-run a key schedule or pad hash.
+ * schedule and the HMAC ipad/opad midstates for both the master (key
+ * derivation) and each sealing key (metadata MACs). Hot paths never
+ * re-run a key schedule or pad hash.
  *
- * The cache is lock-striped into shards keyed by resource id, so
- * concurrent vCPUs taking cloak faults on different address spaces
- * never contend on one global key map. Derivation itself is pure
- * (HMAC of the master secret), so the derived bytes are identical for
- * every shard count. The fault hot path does not even take the shard
- * lock: resources resolve a KeyHandle once at cloak-attach and use its
- * cached pointers from then on.
+ * One map holds each resource's cipher and sealing key. The fault hot
+ * path does not even take its lock: resources resolve a KeyHandle once
+ * at cloak-attach and use its cached pointers from then on.
  */
 
 #ifndef OSH_CRYPTO_KEYS_HH
@@ -32,11 +28,8 @@
 #include "crypto/sha256.hh"
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
-#include <vector>
 
 namespace osh::crypto
 {
@@ -49,10 +42,8 @@ class KeyManager;
  * Acquired once (at cloak-attach / resource creation) and carried in
  * the resource, it pins the expanded AES schedule and the prepared
  * sealing-HMAC midstate, so page faults and seal operations never
- * repeat a map lookup. The shard index makes key ownership explicit in
- * the type: two handles with different shard() values can never alias
- * a lock. Handles stay valid for the KeyManager's lifetime (both
- * caches are node-stable).
+ * repeat a map lookup. Handles stay valid for the KeyManager's
+ * lifetime (the key map is node-stable).
  */
 class KeyHandle
 {
@@ -61,8 +52,6 @@ class KeyHandle
 
     bool valid() const { return cipher_ != nullptr; }
     ResourceId keyId() const { return keyId_; }
-    /** Index of the key shard that owns this resource's material. */
-    std::uint32_t shard() const { return shard_; }
 
     const Aes128&
     cipher() const
@@ -82,20 +71,14 @@ class KeyHandle
     const Aes128* cipher_ = nullptr;
     const HmacKey* sealingHmac_ = nullptr;
     ResourceId keyId_ = 0;
-    std::uint32_t shard_ = 0;
 };
 
 /** Derives and caches per-resource keys from the VMM master secret. */
 class KeyManager
 {
   public:
-    /**
-     * @param master_seed Deterministic seed for the master secret.
-     * @param shards Lock stripes for the key cache (>= 1). Purely a
-     *   contention knob: derived key bytes are shard-count invariant.
-     */
-    explicit KeyManager(std::uint64_t master_seed,
-                        std::size_t shards = 1);
+    /** @param master_seed Deterministic seed for the master secret. */
+    explicit KeyManager(std::uint64_t master_seed);
 
     /**
      * Resolve (deriving and caching as needed) the full key material
@@ -103,22 +86,6 @@ class KeyManager
      * cloak-attach; everything downstream uses the handle.
      */
     KeyHandle acquire(ResourceId resource);
-
-    /**
-     * The AES-128 cipher for a resource's page encryption. The returned
-     * reference stays valid for the KeyManager's lifetime.
-     */
-    const Aes128& pageCipher(ResourceId resource);
-
-    /** The 256-bit key used to seal a resource's persisted metadata. */
-    Digest sealingKey(ResourceId resource) const;
-
-    /**
-     * The prepared HMAC midstate for a resource's sealing key. The
-     * returned reference stays valid for the KeyManager's lifetime;
-     * use it to MAC metadata without re-hashing the key pads.
-     */
-    const HmacKey& sealingHmacKey(ResourceId resource) const;
 
     /**
      * The 256-bit key that MACs a migration image or pre-copy stream
@@ -129,43 +96,27 @@ class KeyManager
      */
     Digest migrationKey(std::uint64_t nonce) const;
 
-    /** Number of distinct resource page keys derived so far. */
+    /** Number of distinct resources whose keys were derived so far. */
     std::size_t derivedKeyCount() const;
 
-    std::size_t shardCount() const { return shards_.size(); }
-
-    /** Shard owning a resource's key material (stable, seed-free). */
-    std::uint32_t
-    shardOf(ResourceId resource) const
-    {
-        return static_cast<std::uint32_t>(
-            (resource * 0x9e3779b97f4a7c15ull >> 32) % shards_.size());
-    }
-
   private:
-    /**
-     * One lock stripe of the key cache. Both maps are node-stable:
-     * rehashing never moves elements, so handle pointers survive.
-     */
-    struct Shard
+    /** One resource's derived key material. */
+    struct Keys
     {
-        mutable std::mutex lock;
-        std::unordered_map<ResourceId, std::unique_ptr<Aes128>> ciphers;
-        mutable std::unordered_map<ResourceId, Digest> sealingKeys;
-        mutable std::unordered_map<ResourceId, HmacKey> sealingHmacs;
+        Aes128 cipher;
+        HmacKey sealingHmac;
     };
 
     AesKey deriveAesKey(ResourceId resource) const;
     Digest deriveSealingKey(ResourceId resource) const;
 
-    /** Cipher entry of @p resource in @p sh; caller holds sh.lock. */
-    const Aes128& cipherLocked(Shard& sh, ResourceId resource);
-    const HmacKey& sealingHmacLocked(const Shard& sh,
-                                     ResourceId resource) const;
-
     Digest master_;
     HmacKey masterHmac_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+
+    /** Resource id -> key material. Node-stable: rehashing never moves
+     *  elements, so handle pointers survive. */
+    mutable std::mutex lock_;
+    std::unordered_map<ResourceId, Keys> keys_;
 };
 
 } // namespace osh::crypto

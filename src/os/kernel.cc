@@ -27,7 +27,6 @@ Kernel::Kernel(vmm::Vmm& vmm, Scheduler& sched, ProgramRegistry& programs)
 {
     vmm_.setGuestOs(this);
     swap_.setTracer(&vmm_.machine().tracer());
-    vfs_.setTracer(&vmm_.machine().tracer());
 }
 
 Kernel::~Kernel()

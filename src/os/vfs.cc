@@ -121,9 +121,6 @@ Vfs::create(const std::string& path, InodeType type)
     parent.entries[pp.leaf] = id;
     stats_.counter(type == InodeType::File ? "files_created"
                                            : "dirs_created").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Vfs,
-                    type == InodeType::File ? "files_created"
-                                            : "dirs_created");
     return static_cast<std::int64_t>(id);
 }
 
@@ -144,7 +141,6 @@ Vfs::unlink(const std::string& path)
     --victim.nlink;
     parent.entries.erase(it);
     stats_.counter("unlinks").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Vfs, "unlinks");
     return 0;
 }
 

@@ -24,7 +24,6 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "os/syscalls.hh"
-#include "trace/trace.hh"
 
 #include <cstdint>
 #include <map>
@@ -121,9 +120,6 @@ class Vfs
 
     StatGroup& stats() { return stats_; }
 
-    /** Attach the machine tracer (the owning kernel wires this). */
-    void setTracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
   private:
     struct PathParts
     {
@@ -138,7 +134,6 @@ class Vfs
     static std::vector<std::string> splitPath(const std::string& path);
 
     std::map<InodeId, std::unique_ptr<Inode>> inodes_;
-    trace::Tracer* tracer_ = nullptr;
     InodeId rootId_;
     InodeId nextId_ = 1;
     StatGroup stats_;

@@ -62,16 +62,6 @@ SystemConfig::Builder::build() const
             "SystemConfig: vcpus > 64 — the SMP model does not scale "
             "past commodity core counts (0 means single-core)");
     }
-    if (cfg_.metadataShards > 256) {
-        throw std::invalid_argument(
-            "SystemConfig: metadataShards > 256 — stripes beyond any "
-            "plausible core count only waste memory (0 follows vcpus)");
-    }
-    if (!cfg_.cloakingEnabled && cfg_.metadataShards > 1) {
-        throw std::invalid_argument(
-            "SystemConfig: metadataShards configured with cloaking "
-            "disabled — there is no protection metadata to shard");
-    }
     if (cfg_.asyncEvictDepth > 256) {
         throw std::invalid_argument(
             "SystemConfig: asyncEvictDepth > 256 — staging that many "
@@ -122,8 +112,7 @@ System::System(const SystemConfig& config)
     });
     if (config.cloakingEnabled) {
         engine_ = std::make_unique<cloak::CloakEngine>(
-            vmm_, config.seed ^ 0x05ead0u, config.metadataCacheEntries,
-            config.effectiveMetadataShards());
+            vmm_, config.seed ^ 0x05ead0u, config.metadataCacheEntries);
         engine_->setCleanOptimization(config.cleanOptimization);
         engine_->setVictimCacheCapacity(config.victimCacheEntries);
         engine_->setAuditLogCapacity(config.auditLogEntries);

@@ -93,14 +93,6 @@ struct SystemConfig
     std::size_t vcpus = 0;
 
     /**
-     * Lock stripes for the metadata store and key manager (per-ASID
-     * sharding). 0 = one stripe per vCPU; 1 = the exact legacy
-     * single-map layout. Purely a concurrency-structure knob: ids,
-     * cycles and cache behavior are identical for every value.
-     */
-    std::size_t metadataShards = 0;
-
-    /**
      * Seed for hostile-kernel attack injection (src/attack campaigns).
      * 0 derives a distinct stream from the system seed, so the attack
      * schedule never aliases workload randomness.
@@ -158,13 +150,6 @@ struct SystemConfig
     effectiveVcpus() const
     {
         return vcpus != 0 ? vcpus : 1;
-    }
-
-    /** Metadata/key shard count actually used (0 follows the vCPUs). */
-    std::size_t
-    effectiveMetadataShards() const
-    {
-        return metadataShards != 0 ? metadataShards : effectiveVcpus();
     }
 
     /** The attack-injection seed actually used (resolves the 0 case). */
@@ -235,11 +220,6 @@ class SystemConfig::Builder
     Builder& vcpus(std::size_t n)
     {
         cfg_.vcpus = n;
-        return *this;
-    }
-    Builder& metadataShards(std::size_t n)
-    {
-        cfg_.metadataShards = n;
         return *this;
     }
     Builder& attackSeed(std::uint64_t s)

@@ -10,7 +10,6 @@ categoryName(Category cat)
 {
     switch (cat) {
       case Category::Vmm: return "vmm";
-      case Category::Shadow: return "shadow";
       case Category::Cloak: return "cloak";
       case Category::Transfer: return "transfer";
       case Category::Shim: return "shim";
@@ -111,15 +110,6 @@ Tracer::instant(Category cat, const char* name, DomainId domain,
     std::lock_guard<std::mutex> lk(recordMu_);
     buffer_.record(ev);
     metrics_.counter(static_cast<std::uint8_t>(cat), name)++;
-}
-
-void
-Tracer::count(Category cat, const char* name, std::uint64_t delta)
-{
-    if (!enabled_)
-        return;
-    std::lock_guard<std::mutex> lk(recordMu_);
-    metrics_.counter(static_cast<std::uint8_t>(cat), name) += delta;
 }
 
 void

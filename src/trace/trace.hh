@@ -41,7 +41,6 @@ namespace osh::trace
 enum class Category : std::uint8_t
 {
     Vmm,       ///< World switches, shadow resolution, hypercalls.
-    Shadow,    ///< Shadow-page-table fills and invalidations.
     Cloak,     ///< Page encrypt/decrypt/clean-reencrypt.
     Transfer,  ///< Secure control transfer entries/exits.
     Shim,      ///< Shim syscall marshalling.
@@ -120,7 +119,7 @@ struct TraceConfig
  * check `enabled()` first.
  *
  * Thread safety: the recording entry points (complete / instant /
- * count / clear) serialize on an internal mutex, so concurrent
+ * clear) serialize on an internal mutex, so concurrent
  * emission is race-free. Deterministic event *order* is a stronger
  * property the callers provide: the parallel page-crypto paths emit
  * every event from their ordered merge on the calling thread (pool
@@ -162,9 +161,6 @@ class Tracer
     void instant(Category cat, const char* name,
                  DomainId domain = systemDomain, Pid pid = 0,
                  std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
-
-    /** Bump a counter without touching the ring. */
-    void count(Category cat, const char* name, std::uint64_t delta = 1);
 
     /** Drop all events and metrics (per-phase reports). */
     void clear();
@@ -257,14 +253,6 @@ class TraceScope
             osh_trace_t_->instant((cat), (name), ##__VA_ARGS__);            \
     } while (0)
 
-/** Bump a metrics counter. */
-#define OSH_TRACE_COUNT(tracer, cat, name, ...)                             \
-    do {                                                                    \
-        ::osh::trace::Tracer* osh_trace_t_ = (tracer);                      \
-        if (osh_trace_t_ != nullptr && osh_trace_t_->enabled())             \
-            osh_trace_t_->count((cat), (name), ##__VA_ARGS__);              \
-    } while (0)
-
 #else // !OSH_TRACE_ENABLED
 
 namespace osh::trace
@@ -280,7 +268,6 @@ struct NullTraceScope
 #define OSH_TRACE_SCOPE_NAMED(var, tracer, cat, name, ...)                  \
     [[maybe_unused]] ::osh::trace::NullTraceScope var
 #define OSH_TRACE_INSTANT(tracer, cat, name, ...) ((void)0)
-#define OSH_TRACE_COUNT(tracer, cat, name, ...) ((void)0)
 
 #endif // OSH_TRACE_ENABLED
 

@@ -37,7 +37,6 @@ ShadowManager::install(const Context& ctx, GuestVA va_page,
     pm[va_page] = Slot{entry, false};
     reverse_[entry.mpa].push_back({ctx, va_page});
     stats_.counter("installs").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Shadow, "fills");
 }
 
 bool
@@ -55,7 +54,6 @@ ShadowManager::reactivate(const Context& ctx, GuestVA va_page,
     eit->second.entry = entry;
     eit->second.suspended = false;
     stats_.counter("reactivations").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Shadow, "reactivations");
     return true;
 }
 
@@ -90,8 +88,6 @@ ShadowManager::invalidateVa(Asid asid, GuestVA va_page)
             pm.erase(eit);
             --liveSlots_;
             stats_.counter("va_invalidations").inc();
-            OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
-                            "va_invalidations");
         }
     }
 }
@@ -114,8 +110,6 @@ ShadowManager::invalidateAsid(Asid asid)
         it = shadows_.erase(it);
     }
     stats_.counter("asid_invalidations").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
-                    "asid_invalidations");
 }
 
 void
@@ -134,8 +128,6 @@ ShadowManager::invalidateMpa(Mpa frame_base)
         liveSlots_ -= sit->second.erase(m.vaPage);
     }
     stats_.counter("mpa_invalidations").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
-                    "mpa_invalidations");
 }
 
 void
@@ -153,7 +145,6 @@ ShadowManager::suspendMpa(Mpa frame_base)
             eit->second.suspended = true;
     }
     stats_.counter("mpa_suspends").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Shadow, "mpa_suspends");
 }
 
 void
@@ -163,8 +154,6 @@ ShadowManager::invalidateAll()
     reverse_.clear();
     liveSlots_ = 0;
     stats_.counter("full_invalidations").inc();
-    OSH_TRACE_COUNT(tracer_, trace::Category::Shadow,
-                    "full_invalidations");
 }
 
 std::size_t

@@ -28,7 +28,6 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
-#include "trace/trace.hh"
 #include "vmm/context.hh"
 
 #include <optional>
@@ -113,9 +112,6 @@ class ShadowManager
      */
     std::size_t peakSlotCount() const { return peakSlots_; }
 
-    /** Attach the machine tracer (the owning Vmm wires this). */
-    void setTracer(trace::Tracer* tracer) { tracer_ = tracer; }
-
     StatGroup& stats() { return stats_; }
 
   private:
@@ -145,7 +141,6 @@ class ShadowManager
     std::size_t liveSlots_ = 0;
     std::size_t peakSlots_ = 0;
     StatGroup stats_;
-    trace::Tracer* tracer_ = nullptr;
 };
 
 } // namespace osh::vmm

@@ -73,7 +73,6 @@ Vmm::Vmm(sim::Machine& machine, std::uint64_t guest_frames)
       passthrough_(std::make_unique<PassthroughBackend>(pmap_)),
       cloak_(passthrough_.get()), stats_("vmm")
 {
-    shadows_.setTracer(&machine_.tracer());
     tlbs_.push_back(std::make_unique<Tlb>());
 }
 
@@ -331,8 +330,6 @@ Vmm::chargeWorldSwitch(const char* reason)
     const auto& costs = machine_.cost().params();
     machine_.cost().charge(costs.vmExit + costs.vmResume, reason);
     worldSwitches_.get(stats_, "world_switches").inc();
-    OSH_TRACE_COUNT(&machine_.tracer(), trace::Category::Vmm,
-                    "world_switches");
 }
 
 } // namespace osh::vmm

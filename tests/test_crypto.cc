@@ -655,36 +655,46 @@ TEST(Hmac, MidstateReusableAcrossMessages)
     }
 }
 
+/** The MAC a handle's sealing key puts on one fixed message. */
+Digest
+sealingMac(const KeyHandle& handle)
+{
+    static constexpr std::uint8_t msg[] = {'o', 's', 'h', '-', 's', 'e',
+                                           'a', 'l'};
+    return hmacSha256(handle.sealingHmac(), msg);
+}
+
 TEST(Keys, StableDerivation)
 {
     KeyManager km(1234);
-    const Aes128& c1 = km.pageCipher(7);
-    const Aes128& c1_again = km.pageCipher(7);
-    EXPECT_EQ(&c1, &c1_again);
+    KeyHandle h = km.acquire(7);
+    KeyHandle again = km.acquire(7);
+    EXPECT_EQ(&h.cipher(), &again.cipher());
+    EXPECT_EQ(&h.sealingHmac(), &again.sealingHmac());
+    EXPECT_EQ(again.keyId(), 7u);
     EXPECT_EQ(km.derivedKeyCount(), 1u);
 }
 
 TEST(Keys, DistinctResourcesGetDistinctKeys)
 {
     KeyManager km(1234);
-    EXPECT_NE(km.pageCipher(1).roundKeys().bytes,
-              km.pageCipher(2).roundKeys().bytes);
+    EXPECT_NE(km.acquire(1).cipher().roundKeys().bytes,
+              km.acquire(2).cipher().roundKeys().bytes);
+    EXPECT_EQ(km.derivedKeyCount(), 2u);
 }
 
 TEST(Keys, DifferentMasterSeedsDiffer)
 {
     KeyManager a(1), b(2);
-    EXPECT_NE(a.pageCipher(1).roundKeys().bytes,
-              b.pageCipher(1).roundKeys().bytes);
-    EXPECT_NE(a.sealingKey(1), b.sealingKey(1));
+    EXPECT_NE(a.acquire(1).cipher().roundKeys().bytes,
+              b.acquire(1).cipher().roundKeys().bytes);
+    EXPECT_NE(sealingMac(a.acquire(1)), sealingMac(b.acquire(1)));
 }
 
-TEST(Keys, SealingKeyDiffersFromPageKey)
+TEST(Keys, DistinctResourcesGetDistinctSealingKeys)
 {
     KeyManager km(99);
-    // Sealing key and page key are derived with different labels; check
-    // the sealing keys for two resources differ too.
-    EXPECT_NE(km.sealingKey(1), km.sealingKey(2));
+    EXPECT_NE(sealingMac(km.acquire(1)), sealingMac(km.acquire(2)));
 }
 
 // Parameterized property sweep: CTR round-trips across sizes and seeds.

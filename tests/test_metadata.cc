@@ -6,6 +6,7 @@
  */
 
 #include "cloak/metadata.hh"
+#include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
 #include "sim/cost_model.hh"
 
@@ -142,10 +143,15 @@ TEST_F(MetadataTest, CapacityChangeShrinksCache)
 class SealTest : public MetadataTest
 {
   protected:
-    SealTest()
+    SealTest() : key_(keyBytes()), owner_(ident("prog-a")) {}
+
+    /** Raw bytes of the fixture's sealing key. */
+    static crypto::Digest
+    keyBytes()
     {
-        key_.fill(0x42);
-        owner_ = ident("prog-a");
+        crypto::Digest k;
+        k.fill(0x42);
+        return k;
     }
 
     Resource&
@@ -164,8 +170,8 @@ class SealTest : public MetadataTest
         return r;
     }
 
-    crypto::Digest key_;
-    crypto::Digest owner_;
+    const crypto::HmacKey key_;
+    const crypto::Digest owner_;
 };
 
 TEST_F(SealTest, SealUnsealRoundTrip)
@@ -211,10 +217,10 @@ TEST_F(SealTest, WrongKeyRejected)
 {
     Resource& src = makeFileResource();
     auto bundle = store_.seal(src, key_, owner_);
-    crypto::Digest other_key = key_;
+    crypto::Digest other_key = keyBytes();
     other_key[0] ^= 1;
     Resource& dst = store_.createResource(2, true, 77);
-    auto r = store_.unseal(bundle, other_key, owner_, dst);
+    auto r = store_.unseal(bundle, crypto::HmacKey(other_key), owner_, dst);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), CloakError::SealBadMac);
 }

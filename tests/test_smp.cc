@@ -10,12 +10,8 @@
  *     guest-visible results (statuses, checksums) are identical at
  *     1, 2 or 8 vCPUs — only cycle totals may differ, because each
  *     core warms a private TLB;
- *   - shard-count invariance is stronger: the metadata LRU cache stays
- *     global, resource ids stay globally monotonic and key derivation
- *     is pure, so sharding changes *nothing* — results AND cycles are
- *     bit-identical at any stripe count;
- *   - fork/exec/exit must hold up when parent and child land in
- *     different metadata shards;
+ *   - fork/exec/exit workloads must give the same status and checksum
+ *     when parent and children run on different vCPUs;
  *   - attack-campaign verdicts must not move with the vCPU count (the
  *     216-cell expectation table is pinned single-core);
  *   - single-core runs must not grow new stat keys (bench baselines
@@ -32,7 +28,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace osh::system
@@ -55,14 +51,13 @@ struct RunOutcome
  * order plus total simulated cycles.
  */
 RunOutcome
-runTenants(std::size_t vcpus, std::size_t shards, std::uint64_t n)
+runTenants(std::size_t vcpus, std::uint64_t n)
 {
     auto cfg = SystemConfig::Builder{}
                    .seed(smpSeed)
                    .guestFrames(1024)
                    .cloaking(true)
                    .vcpus(vcpus)
-                   .metadataShards(shards)
                    .preemptOpsPerTick(300)
                    .build();
     System sys(cfg);
@@ -87,9 +82,9 @@ runTenants(std::size_t vcpus, std::size_t shards, std::uint64_t n)
 
 TEST(Smp, TenantsComputeCorrectlyWhileInterleaved)
 {
-    // Concurrent cloaked faults on distinct ASIDs across 4 vCPUs and
-    // 4 shards: every tenant must still match the host-side mirror.
-    RunOutcome out = runTenants(4, 4, 12);
+    // Concurrent cloaked faults on distinct ASIDs across 4 vCPUs:
+    // every tenant must still match the host-side mirror.
+    RunOutcome out = runTenants(4, 12);
     for (std::uint64_t i = 0; i < out.statuses.size(); ++i) {
         EXPECT_EQ(out.statuses[i],
                   workloads::tenantStatus(smpSeed, i, tenantPages))
@@ -99,55 +94,40 @@ TEST(Smp, TenantsComputeCorrectlyWhileInterleaved)
 
 TEST(Smp, GuestResultsInvariantAcrossVcpuCounts)
 {
-    RunOutcome one = runTenants(1, 1, 12);
-    RunOutcome two = runTenants(2, 1, 12);
-    RunOutcome eight = runTenants(8, 1, 12);
+    RunOutcome one = runTenants(1, 12);
+    RunOutcome two = runTenants(2, 12);
+    RunOutcome eight = runTenants(8, 12);
     EXPECT_EQ(one.statuses, two.statuses);
     EXPECT_EQ(one.statuses, eight.statuses);
 }
 
-TEST(Smp, CyclesAndResultsInvariantAcrossShardCounts)
-{
-    // Sharding is pure concurrency structure: with the vCPU count
-    // fixed, every stripe count must produce bit-identical runs.
-    RunOutcome s1 = runTenants(2, 1, 12);
-    RunOutcome s2 = runTenants(2, 2, 12);
-    RunOutcome s8 = runTenants(2, 8, 12);
-    EXPECT_EQ(s1.statuses, s2.statuses);
-    EXPECT_EQ(s1.statuses, s8.statuses);
-    EXPECT_EQ(s1.cycles, s2.cycles);
-    EXPECT_EQ(s1.cycles, s8.cycles);
-}
-
-/** Run one workload to completion, returning status + checksum + cycles. */
-std::tuple<int, std::string, Cycles>
-runWorkload(const std::string& name, std::size_t vcpus,
-            std::size_t shards)
+/** Run one workload to completion, returning status + checksum. */
+std::pair<int, std::string>
+runWorkload(const std::string& name, std::size_t vcpus)
 {
     auto cfg = SystemConfig::Builder{}
                    .seed(smpSeed)
                    .guestFrames(1024)
                    .cloaking(true)
                    .vcpus(vcpus)
-                   .metadataShards(shards)
                    .build();
     System sys(cfg);
     workloads::registerAll(sys);
     ExitResult r = sys.runProgram(name);
-    return {r.status, workloads::resultOf(sys, name), sys.cycles()};
+    return {r.status, workloads::resultOf(sys, name)};
 }
 
-TEST(Smp, ForkExecExitAcrossShards)
+TEST(Smp, ForkExecExitAcrossVcpus)
 {
     // wl.build forks/spawns a pipe tree; wl.victim.fileio execs across
-    // a protected file. Parent and children land in different metadata
-    // shards at 4 stripes; everything must match the 1-stripe run.
+    // a protected file. At 4 vCPUs parent and children run on
+    // different cores; status and checksum must match the single-core
+    // run (cycles may differ: each core warms its own TLB).
     for (const char* wl : {"wl.build", "wl.victim.fileio"}) {
-        auto [st1, sum1, cyc1] = runWorkload(wl, 1, 1);
-        auto [st4, sum4, cyc4] = runWorkload(wl, 1, 4);
+        auto [st1, sum1] = runWorkload(wl, 1);
+        auto [st4, sum4] = runWorkload(wl, 4);
         EXPECT_EQ(st1, st4) << wl;
         EXPECT_EQ(sum1, sum4) << wl;
-        EXPECT_EQ(cyc1, cyc4) << wl;
         EXPECT_EQ(st1, 0) << wl;
     }
 }
@@ -221,20 +201,8 @@ TEST(Smp, BuilderValidatesSmpKnobs)
 {
     EXPECT_THROW(SystemConfig::Builder{}.vcpus(65).build(),
                  std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}.metadataShards(257).build(),
-                 std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}
-                     .cloaking(false)
-                     .metadataShards(4)
-                     .build(),
-                 std::invalid_argument);
-    // The legal edges build.
-    EXPECT_NO_THROW(SystemConfig::Builder{}
-                        .vcpus(64)
-                        .metadataShards(256)
-                        .build());
-    EXPECT_NO_THROW(
-        SystemConfig::Builder{}.cloaking(false).metadataShards(1).build());
+    // The legal edge builds.
+    EXPECT_NO_THROW(SystemConfig::Builder{}.vcpus(64).build());
 }
 
 } // namespace

@@ -277,7 +277,6 @@ TEST(Tracer, DisabledRecordsNothing)
         clock += 100;
     }
     OSH_TRACE_INSTANT(&tracer, Category::User, "point");
-    OSH_TRACE_COUNT(&tracer, Category::User, "counter");
 
     EXPECT_EQ(tracer.buffer().size(), 0u);
     EXPECT_TRUE(tracer.metrics().counters().empty());
@@ -286,12 +285,11 @@ TEST(Tracer, DisabledRecordsNothing)
 
 TEST(Tracer, NullTracerPointerIsSafe)
 {
-    Tracer* none = nullptr;
+    [[maybe_unused]] Tracer* none = nullptr; // unused when compiled out
     {
         OSH_TRACE_SCOPE(none, Category::User, "span");
     }
     OSH_TRACE_INSTANT(none, Category::User, "point");
-    OSH_TRACE_COUNT(none, Category::User, "counter");
     SUCCEED();
 }
 
@@ -374,18 +372,14 @@ TEST(Tracer, InstantBumpsCounter)
 
     tracer.instant(Category::Vmm, "guest_fault", 1, 2, 3);
     tracer.instant(Category::Vmm, "guest_fault", 1, 2, 4);
-    tracer.count(Category::Vmm, "world_switches");
-    tracer.count(Category::Vmm, "world_switches", 9);
 
-    EXPECT_EQ(tracer.buffer().size(), 2u); // counts don't hit the ring
+    EXPECT_EQ(tracer.buffer().size(), 2u);
     EXPECT_EQ(tracer.metrics().counterValue(
                   static_cast<std::uint8_t>(Category::Vmm),
                   "guest_fault"),
               2u);
-    EXPECT_EQ(tracer.metrics().counterValue(
-                  static_cast<std::uint8_t>(Category::Vmm),
-                  "world_switches"),
-              10u);
+    // Instants are points, not spans: no latency histogram.
+    EXPECT_TRUE(tracer.metrics().histograms().empty());
 
     auto events = tracer.buffer().snapshot();
     EXPECT_TRUE(events[0].isInstant());
@@ -408,12 +402,15 @@ TEST(Tracer, MacrosRecordWhenCompiledIn)
         inner.setArgs(1, 2);
     }
     OSH_TRACE_INSTANT(&tracer, Category::User, "point");
-    OSH_TRACE_COUNT(&tracer, Category::User, "ticks", 4);
 
     EXPECT_EQ(tracer.buffer().size(), 3u);
-    EXPECT_EQ(tracer.metrics().counterValue(
-                  static_cast<std::uint8_t>(Category::User), "ticks"),
-              4u);
+    constexpr auto user = static_cast<std::uint8_t>(Category::User);
+    EXPECT_EQ(tracer.metrics().counterValue(user, "point"), 1u);
+    const LatencyHistogram* span =
+        tracer.metrics().findHistogram(user, "span");
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->count(), 1u);
+    EXPECT_EQ(span->sum(), 10u);
 }
 #endif // OSH_TRACE_ENABLED
 
