@@ -13,19 +13,19 @@
  *     These numbers vary by host and are recorded under `host_` keys,
  *     which bench/compare.py reports but never gates.
  *
- *  2. Worker sweep: wall-time of a 64-page encryptPages/decryptPages
- *     batch at each crypto worker count in `--threads=<list>` (default
- *     1,2,4,8). Scaling depends entirely on host core count, so these
- *     are `host_` keys too; the sweep additionally asserts that frames,
+ *  2. Worker sweep: wall-time of a 64-page encryptPages batch at each
+ *     crypto worker count in `--threads=<list>` (default 1,2,4,8).
+ *     Scaling depends entirely on host core count, so these are
+ *     `host_` keys too; the sweep additionally asserts that frames,
  *     metadata and simulated cycles are bit-identical at every worker
  *     count (the pool's determinism contract).
  *
- *  3. Simulated cycles: the engine-level batched page-crypto API
- *     (encryptPages / decryptPages / sealPlaintextFrames) measured
- *     against the equivalent per-page sequence. The batch API is
- *     documented to charge byte-identical simulated cost; this bench
- *     asserts that and writes both totals to BENCH_crypto.json so the
- *     perf harness (bench/compare.py) pins them.
+ *  3. Simulated cycles: the kernel pre-seal hint (sealPlaintextFrames,
+ *     one encryptPages batch) measured against the equivalent
+ *     per-page fault-driven seals. The batch API is documented to
+ *     charge byte-identical simulated cost; this bench asserts that
+ *     and writes both totals to BENCH_crypto.json so the perf harness
+ *     (bench/compare.py) pins them.
  *
  * `--quick` shrinks the host-time iteration counts for sanitizer CI;
  * the simulated-cycle metrics are iteration-count-fixed and identical
@@ -511,60 +511,19 @@ runSimSection(bench::BenchReport& report)
                 c.kernel.load64(Harness::kernelVa + i * pageSize);
         });
 
-    // Decrypt 32 sealed pages back into the app's view: one
-    // decryptPages batch vs 32 single-item calls. Contract: identical.
-    auto seal_all = [](Ctx& c) {
-        c.dirtyAll();
-        auto gpas = c.gpas();
-        c.h.vmm.prepareFramesForKernel(gpas);
-    };
-    auto build_items = [](Ctx& c, cloak::Resource*& res) {
-        res = c.h.engine.metadata().lookup(c.h.resource).valueOr(nullptr);
-        osh_assert(res != nullptr, "bench resource exists");
-        std::array<cloak::PageCryptoItem, benchPages> items{};
-        for (std::uint64_t i = 0; i < benchPages; ++i) {
-            items[i].pageIndex = i;
-            items[i].meta = &c.h.engine.metadata().page(*res, i);
-            items[i].gpa = Harness::gpa0 + i * pageSize;
-        }
-        return items;
-    };
-    std::uint64_t decrypt_single = fixedCycles(seal_all, [&](Ctx& c) {
-        cloak::Resource* res = nullptr;
-        auto items = build_items(c, res);
-        for (std::uint64_t i = 0; i < benchPages; ++i)
-            c.h.engine.decryptPages(
-                *res, std::span<const cloak::PageCryptoItem>(
-                          &items[i], 1));
-    });
-    std::uint64_t decrypt_batch = fixedCycles(seal_all, [&](Ctx& c) {
-        cloak::Resource* res = nullptr;
-        auto items = build_items(c, res);
-        c.h.engine.decryptPages(*res, items);
-    });
-
-    std::printf("  seal %llu dirty pages:    per-page faults %llu "
+    std::printf("  seal %llu dirty pages: per-page faults %llu "
                 "cycles, batched hint %llu cycles\n",
                 static_cast<unsigned long long>(benchPages),
                 static_cast<unsigned long long>(seal_single),
                 static_cast<unsigned long long>(seal_batch));
-    std::printf("  decrypt %llu pages:       single-item calls %llu "
-                "cycles, one batch %llu cycles\n",
-                static_cast<unsigned long long>(benchPages),
-                static_cast<unsigned long long>(decrypt_single),
-                static_cast<unsigned long long>(decrypt_batch));
 
     // The batch API's documented contract. A divergence here is a bug,
     // not a tuning choice — fail loudly before the JSON is compared.
     osh_assert(seal_single == seal_batch,
                "batched seal must charge identical simulated cycles");
-    osh_assert(decrypt_single == decrypt_batch,
-               "batched decrypt must charge identical simulated cycles");
 
     report.set("seal_single_32.sim_cycles", seal_single);
     report.set("seal_batch_32.sim_cycles", seal_batch);
-    report.set("decrypt_single_32.sim_cycles", decrypt_single);
-    report.set("decrypt_batch_32.sim_cycles", decrypt_batch);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,15 +536,15 @@ constexpr std::uint64_t sweepPages = 64;
 struct SweepResult
 {
     std::uint64_t encNsPerBatch = 0;
-    std::uint64_t decNsPerBatch = 0;
     crypto::Digest digest{};  ///< Frames + metadata + cycles at the end.
     Cycles simCycles = 0;
 };
 
 /**
- * Run `iters` encrypt-batch/decrypt-batch round trips over a fresh
- * 64-page harness with `workers` crypto lanes, timing only the
- * engine batch calls (dirtying and item building are untimed prep).
+ * Run `iters` dirty/encrypt-batch rounds over a fresh 64-page harness
+ * with `workers` crypto lanes, timing only the engine batch call. The
+ * untimed prep stores through the app's view, which faults every
+ * sealed page back in (decrypt + verify) and dirties it.
  * Because every harness starts from the same seed and performs the
  * same operation sequence, the final frames, metadata and simulated
  * cycles must be identical for every worker count — the digest pins
@@ -608,33 +567,23 @@ runSweepOnce(unsigned workers, int iters)
         for (std::uint64_t i = 0; i < sweepPages; ++i) {
             items[i].pageIndex = i;
             items[i].meta = &h.engine.metadata().page(*res, i);
-            items[i].gpa = Harness::gpa0 + i * pageSize;
         }
     };
 
     SweepResult r;
     for (int it = 0; it < iters + 1; ++it) {
-        // Untimed prep: dirty every page through the app's view.
+        // Untimed prep: fault in and dirty every page through the
+        // app's view.
         for (std::uint64_t i = 0; i < sweepPages; ++i)
             app.store64(Harness::appVa + i * pageSize, ++scratch);
 
         build_items();
         std::uint64_t t0 = bench::hostNowNs();
         h.engine.encryptPages(*res, items);
-        std::uint64_t enc = bench::hostNowNs() - t0;
-
-        build_items();
-        t0 = bench::hostNowNs();
-        h.engine.decryptPages(*res, items);
-        std::uint64_t dec = bench::hostNowNs() - t0;
-
-        if (it > 0) {  // first round trip is warmup
-            r.encNsPerBatch += enc;
-            r.decNsPerBatch += dec;
-        }
+        if (it > 0)  // first round is warmup
+            r.encNsPerBatch += bench::hostNowNs() - t0;
     }
     r.encNsPerBatch /= static_cast<std::uint64_t>(iters);
-    r.decNsPerBatch /= static_cast<std::uint64_t>(iters);
 
     crypto::Sha256 seal;
     for (std::uint64_t i = 0; i < sweepPages; ++i) {
@@ -670,8 +619,7 @@ runSweepSection(bench::BenchReport& report,
     std::printf("  host reports %u hardware thread(s); results are "
                 "informational, never gated\n",
                 WorkerPool::hardwareWorkers());
-    std::printf("  %-8s %-26s %-26s\n", "workers",
-                "encrypt batch", "decrypt batch");
+    std::printf("  %-8s %-26s\n", "workers", "encrypt batch");
 
     SweepResult base{};
     for (std::size_t t = 0; t < threads.size(); ++t) {
@@ -683,7 +631,7 @@ runSweepSection(bench::BenchReport& report,
         // Same seed + same ops must mean bit-identical output and
         // simulated cost at every worker count. This is the bench-side
         // restatement of the determinism tests; a divergence here is a
-        // bug in the pool merge, not noise.
+        // bug in the batch seal, not noise.
         osh_assert(r.simCycles == base.simCycles,
                    "worker sweep: simulated cycles diverged at w=%u", w);
         osh_assert(r.digest == base.digest,
@@ -692,33 +640,19 @@ runSweepSection(bench::BenchReport& report,
 
         std::uint64_t enc_mb = bench::mbPerSec(batchBytes,
                                                r.encNsPerBatch);
-        std::uint64_t dec_mb = bench::mbPerSec(batchBytes,
-                                               r.decNsPerBatch);
         std::uint64_t enc_x100 =
             r.encNsPerBatch == 0
                 ? 0 : base.encNsPerBatch * 100 / r.encNsPerBatch;
-        std::uint64_t dec_x100 =
-            r.decNsPerBatch == 0
-                ? 0 : base.decNsPerBatch * 100 / r.decNsPerBatch;
-        std::printf("  %-8u %8llu ns %6llu MB/s   %8llu ns %6llu MB/s"
-                    "   (%llu.%02llux / %llu.%02llux)\n", w,
+        std::printf("  %-8u %8llu ns %6llu MB/s   (%llu.%02llux)\n", w,
                     static_cast<unsigned long long>(r.encNsPerBatch),
                     static_cast<unsigned long long>(enc_mb),
-                    static_cast<unsigned long long>(r.decNsPerBatch),
-                    static_cast<unsigned long long>(dec_mb),
                     static_cast<unsigned long long>(enc_x100 / 100),
-                    static_cast<unsigned long long>(enc_x100 % 100),
-                    static_cast<unsigned long long>(dec_x100 / 100),
-                    static_cast<unsigned long long>(dec_x100 % 100));
+                    static_cast<unsigned long long>(enc_x100 % 100));
 
         std::string k = "par.encrypt_64.w" + std::to_string(w);
         report.setHost(k + ".ns", r.encNsPerBatch);
         report.setHost(k + ".mb_s", enc_mb);
         report.setHost(k + ".speedup_x100", enc_x100);
-        k = "par.decrypt_64.w" + std::to_string(w);
-        report.setHost(k + ".ns", r.decNsPerBatch);
-        report.setHost(k + ".mb_s", dec_mb);
-        report.setHost(k + ".speedup_x100", dec_x100);
     }
 }
 

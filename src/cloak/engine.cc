@@ -99,6 +99,13 @@ CloakEngine::inCloakedRegion(Asid asid, GuestVA va_page)
     return false;
 }
 
+bool
+CloakEngine::needsFreshIv(const PageMeta& meta) const
+{
+    return meta.state == PageState::PlaintextDirty || !cleanOptimization_ ||
+           meta.version == 0;
+}
+
 Cycles
 CloakEngine::worstCaseSealCycles() const
 {
@@ -131,14 +138,14 @@ CloakEngine::findDomain(DomainId id)
 
 crypto::Digest
 CloakEngine::pageHash(const Resource& res, std::uint64_t page_index,
-                      const PageMeta& meta,
+                      std::uint64_t version, const crypto::Iv& iv,
                       std::span<const std::uint8_t> ciphertext)
 {
     std::uint8_t header[40];
     storeLe64(header, res.keyId);
     storeLe64(header + 8, page_index);
-    storeLe64(header + 16, meta.version);
-    std::memcpy(header + 24, meta.iv.data(), meta.iv.size());
+    storeLe64(header + 16, version);
+    std::memcpy(header + 24, iv.data(), iv.size());
     crypto::Sha256 ctx;
     ctx.update(std::span<const std::uint8_t>(header, sizeof(header)));
     ctx.update(ciphertext);
@@ -195,18 +202,26 @@ CloakEngine::sealingHmacFor(Resource& res)
     return res.key.sealingHmac();
 }
 
-void
-CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
-                         PageMeta& meta)
+/**
+ * The pure inputs of one page seal, precomputed by encryptPages'
+ * fan-out: the pre-pass resolves the frame and draws the fresh IV on
+ * the calling thread, then a worker fills in the AES-CTR output and,
+ * on the dirty path, the page hash.
+ */
+struct CloakEngine::StagedSeal
 {
-    encryptPageWith(res, page_index, meta, cipherFor(res));
-}
+    std::span<const std::uint8_t> plaintext; ///< The page's frame.
+    bool dirtyPath = false;         ///< Fresh-IV seal vs clean re-encrypt.
+    crypto::Iv iv{};                ///< Fresh IV (dirty path only).
+    crypto::Digest hash{};          ///< Page hash (dirty path only).
+    std::array<std::uint8_t, pageSize> ciphertext{};
+};
 
 void
-CloakEngine::encryptPageWith(Resource& res, std::uint64_t page_index,
-                             PageMeta& meta,
-                             const crypto::Aes128& cipher,
-                             std::uint64_t* defer_cycles)
+CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
+                         PageMeta& meta, const crypto::Aes128& cipher,
+                         std::uint64_t* defer_cycles,
+                         const StagedSeal* staged)
 {
     osh_assert(meta.state != PageState::Encrypted,
                "encryptPage on already-encrypted page");
@@ -214,8 +229,18 @@ CloakEngine::encryptPageWith(Resource& res, std::uint64_t page_index,
     Gpa gpa = meta.residentGpa;
     auto frame = frameBytes(gpa);
     auto& cost = vmm_.machine().cost();
+    // Ciphertext into the frame under meta.iv: the fan-out's staged
+    // bytes, or AES-CTR right here.
+    auto xcrypt = [&] {
+        if (staged != nullptr)
+            std::memcpy(frame.data(), staged->ciphertext.data(),
+                        frame.size());
+        else
+            crypto::aesCtrXcryptInPlace(cipher, meta.iv, frame);
+    };
 
     if (chunkedIntegrity_ && !res.isFile) {
+        osh_assert(staged == nullptr, "chunked seals are never staged");
         sealPageChunked(res, page_index, meta, cipher, defer_cycles);
         plaintextIndex_.erase(gpa);
         meta.state = PageState::Encrypted;
@@ -224,12 +249,14 @@ CloakEngine::encryptPageWith(Resource& res, std::uint64_t page_index,
         return;
     }
 
-    if (meta.state == PageState::PlaintextDirty || !cleanOptimization_ ||
-        meta.version == 0) {
+    if (staged != nullptr ? staged->dirtyPath : needsFreshIv(meta)) {
         OSH_TRACE_SCOPE(&vmm_.machine().tracer(),
                         trace::Category::Cloak, "page_encrypt",
                         res.domain, 0, res.id, page_index);
-        vmm_.machine().rng().fill(meta.iv);
+        if (staged != nullptr)
+            meta.iv = staged->iv;
+        else
+            vmm_.machine().rng().fill(meta.iv);
         meta.version++;
         // The bumped version orphans any cached result for the old
         // contents; remember the new one for the next ping-pong.
@@ -237,28 +264,29 @@ CloakEngine::encryptPageWith(Resource& res, std::uint64_t page_index,
             victims_.insert(res.id, page_index, meta.version);
         if (v != nullptr)
             std::memcpy(v->plaintext.data(), frame.data(), frame.size());
-        crypto::aesCtrXcryptInPlace(cipher, meta.iv, frame);
-        meta.hash = pageHash(res, page_index, meta, frame);
+        xcrypt();
+        meta.hash = staged != nullptr
+                        ? staged->hash
+                        : pageHash(res, page_index, meta.version, meta.iv,
+                                   frame);
         if (v != nullptr) {
             v->iv = meta.iv;
             v->hash = meta.hash;
             std::memcpy(v->ciphertext.data(), frame.data(),
                         frame.size());
         }
-        chargeOrDefer(cost,
-                      cost.params().aesPerByte * pageSize +
-                          cost.params().shaPerByte * (pageSize + 40) +
-                          cost.params().cloakFaultFixed,
-                      "page_encrypt", defer_cycles);
+        chargeOrDefer(cost, worstCaseSealCycles(), "page_encrypt",
+                      defer_cycles);
         stats_.counter("page_encrypts").inc();
     } else {
         // Clean page: the stored (IV, hash) still cover the contents,
         // so re-encryption is deterministic. If the victim cache holds
         // this exact (resource, page, version) the ciphertext is
-        // already known — copy it instead of running AES again. The
-        // plaintext compare is a cheap host-side consistency guard; a
-        // mismatch (which no legitimate path produces) falls back to
-        // real encryption.
+        // already known — copy it instead of running AES again (a
+        // staged AES result is then simply dropped). The plaintext
+        // compare is a cheap host-side consistency guard; a mismatch
+        // (which no legitimate path produces) falls back to real
+        // encryption.
         VictimCache::Entry* v =
             victims_.find(res.id, page_index, meta.version);
         if (v != nullptr && v->iv == meta.iv &&
@@ -290,7 +318,7 @@ CloakEngine::encryptPageWith(Resource& res, std::uint64_t page_index,
             if (v != nullptr)
                 std::memcpy(v->plaintext.data(), frame.data(),
                             frame.size());
-            crypto::aesCtrXcryptInPlace(cipher, meta.iv, frame);
+            xcrypt();
             if (v != nullptr) {
                 v->iv = meta.iv;
                 v->hash = meta.hash;
@@ -318,15 +346,8 @@ CloakEngine::encryptPageWith(Resource& res, std::uint64_t page_index,
 
 void
 CloakEngine::decryptAndVerify(Resource& res, std::uint64_t page_index,
-                              PageMeta& meta, Gpa gpa)
-{
-    decryptAndVerifyWith(res, page_index, meta, gpa, cipherFor(res));
-}
-
-void
-CloakEngine::decryptAndVerifyWith(Resource& res, std::uint64_t page_index,
-                                  PageMeta& meta, Gpa gpa,
-                                  const crypto::Aes128& cipher)
+                              PageMeta& meta, Gpa gpa,
+                              const crypto::Aes128& cipher)
 {
     if (chunkedIntegrity_ && !res.isFile) {
         unsealPageChunked(res, page_index, meta, gpa, cipher);
@@ -371,7 +392,8 @@ CloakEngine::decryptAndVerifyWith(Resource& res, std::uint64_t page_index,
                 cost.params().cloakFaultFixed,
                 "page_decrypt");
 
-    crypto::Digest h = pageHash(res, page_index, meta, frame);
+    crypto::Digest h =
+        pageHash(res, page_index, meta.version, meta.iv, frame);
     if (!constantTimeEqual(h, meta.hash)) {
         violation(res, page_index,
                   formatString("integrity check failed for resource "
@@ -399,25 +421,6 @@ CloakEngine::decryptAndVerifyWith(Resource& res, std::uint64_t page_index,
 // Batched page crypto
 // ---------------------------------------------------------------------------
 
-namespace
-{
-
-/**
- * Per-item staging for the parallel batch paths. The fan-out writes
- * only its own item's slot; the ordered merge on the calling thread
- * folds the slots back into engine state in submission order.
- */
-struct CryptoStage
-{
-    std::span<std::uint8_t> frame;  ///< Resolved on the calling thread.
-    Gpa gpa = badAddr;              ///< Frame address for bookkeeping.
-    bool dirtyPath = false;         ///< Fresh-IV encryption vs clean.
-    crypto::Digest hash{};          ///< Staged SHA-256 result.
-    std::array<std::uint8_t, pageSize> bytes; ///< Staged AES output.
-};
-
-} // namespace
-
 void
 CloakEngine::encryptPages(Resource& res,
                           std::span<const PageCryptoItem> items)
@@ -425,305 +428,49 @@ CloakEngine::encryptPages(Resource& res,
     if (items.empty())
         return;
     // Amortized across the batch: one cipher (key schedule) lookup and
-    // one enclosing trace/audit scope. The per-page work — metadata
-    // updates, victim-cache fills, cycle charges — is byte-for-byte
-    // the sequential loop, so batching never changes simulated cost.
-    // With more than one pool lane the AES/SHA compute fans out across
-    // host threads; everything observable still happens in submission
-    // order on this thread. Items must name distinct pages (the same
-    // contract under which the serial loop is well-defined).
+    // one enclosing trace scope. Items must name distinct pages.
     const crypto::Aes128& cipher = cipherFor(res);
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "encrypt_batch", res.domain, 0, res.id,
                     items.size());
-    // Chunked-integrity mode forces the serial loop: per-chunk dirty
-    // diffing and RNG draws are inherently ordered.
-    if (pool_.workers() <= 1 || items.size() == 1 || chunkedIntegrity_) {
-        for (const PageCryptoItem& item : items)
-            encryptPageWith(res, item.pageIndex, *item.meta, cipher);
-    } else {
-        encryptPagesParallel(res, items, cipher);
+
+    // With more than one pool lane, stage the pure part of each seal
+    // first. The pre-pass runs on this thread in submission order and
+    // draws every fresh IV the inline seals would draw, in the same
+    // order (nothing else in a seal touches the RNG). The fan-out then
+    // only reads frozen frames and metadata and writes its own item's
+    // slot, so worker scheduling is unobservable. Chunked-integrity
+    // seals diff and draw per chunk and always run inline.
+    std::vector<StagedSeal> staged;
+    if (pool_.workers() > 1 && items.size() > 1 && !chunkedIntegrity_) {
+        staged.resize(items.size());
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            const PageMeta& meta = *items[i].meta;
+            staged[i].plaintext = frameBytes(meta.residentGpa);
+            staged[i].dirtyPath = needsFreshIv(meta);
+            if (staged[i].dirtyPath)
+                vmm_.machine().rng().fill(staged[i].iv);
+        }
+        pool_.parallelFor(items.size(), [&](std::size_t i) {
+            const PageMeta& meta = *items[i].meta;
+            StagedSeal& s = staged[i];
+            const crypto::Iv& iv = s.dirtyPath ? s.iv : meta.iv;
+            std::memcpy(s.ciphertext.data(), s.plaintext.data(), pageSize);
+            crypto::aesCtrXcryptInPlace(cipher, iv, s.ciphertext);
+            if (s.dirtyPath)
+                s.hash = pageHash(res, items[i].pageIndex,
+                                  meta.version + 1, iv, s.ciphertext);
+        });
     }
+
+    // Every stateful effect — metadata, victim cache, cycle charges,
+    // counters, trace events — happens here, through the one seal
+    // body, in submission order.
+    for (std::size_t i = 0; i < items.size(); ++i)
+        encryptPage(res, items[i].pageIndex, *items[i].meta, cipher,
+                    nullptr, staged.empty() ? nullptr : &staged[i]);
     stats_.counter("batch_encrypt_calls").inc();
     stats_.counter("batch_encrypt_pages").inc(items.size());
-}
-
-/*
- * Determinism argument, shared by both *Parallel paths. The serial
- * loop's work divides into three classes:
- *
- *   1. Stateful inputs: RNG draws for fresh IVs, version bumps, frame
- *      lookups (pmap backing is allocated lazily). These run in a
- *      pre-pass on the calling thread, in submission order — the RNG
- *      stream and metadata transitions are exactly the serial ones.
- *   2. Pure compute: AES-CTR keystreams and SHA-256 hashes. These read
- *      frozen inputs (frames, per-item metadata fixed by the pre-pass,
- *      the shared read-only cipher schedule) and write only their own
- *      item's staging slot. This is the only part that fans out, so
- *      worker scheduling cannot be observed.
- *   3. Stateful outputs: frame writes, hash/state updates, victim-cache
- *      insertions and lookups, cycle charges, stats counters, trace
- *      events, plaintext-index and shadow bookkeeping. These replay in
- *      an ordered merge on the calling thread, item by item, in the
- *      exact statement order of the serial loop.
- *
- * The fan-out is a full barrier (parallelFor returns before the merge
- * starts), so staged reads of a frame never race the merge's write to
- * another frame. Victim-cache LRU traffic happens only in the merge,
- * in serial order, so hit/miss/eviction sequences — and therefore the
- * charged cycles — are identical to workers=1. A clean page whose
- * re-encryption is served by a victim hit wastes its staged AES work;
- * that trade (a little redundant host compute for exact determinism)
- * is deliberate.
- */
-void
-CloakEngine::encryptPagesParallel(Resource& res,
-                                  std::span<const PageCryptoItem> items,
-                                  const crypto::Aes128& cipher)
-{
-    auto& machine = vmm_.machine();
-
-    // Pre-pass: consume stateful inputs in submission order.
-    std::vector<CryptoStage> st(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        PageMeta& meta = *items[i].meta;
-        osh_assert(meta.state != PageState::Encrypted,
-                   "encryptPage on already-encrypted page");
-        osh_assert(meta.residentGpa != badAddr, "no resident plaintext");
-        st[i].gpa = meta.residentGpa;
-        st[i].frame = frameBytes(meta.residentGpa);
-        st[i].dirtyPath = meta.state == PageState::PlaintextDirty ||
-                          !cleanOptimization_ || meta.version == 0;
-        if (st[i].dirtyPath) {
-            machine.rng().fill(meta.iv);
-            meta.version++;
-        }
-    }
-
-    // Fan-out: pure compute into per-item staging.
-    pool_.parallelFor(items.size(), [&](std::size_t i) {
-        const PageMeta& meta = *items[i].meta;
-        std::memcpy(st[i].bytes.data(), st[i].frame.data(), pageSize);
-        crypto::aesCtrXcryptInPlace(
-            cipher, meta.iv,
-            std::span<std::uint8_t>(st[i].bytes.data(), pageSize));
-        if (st[i].dirtyPath) {
-            st[i].hash = pageHash(res, items[i].pageIndex, meta,
-                                  st[i].bytes);
-        }
-    });
-
-    // Ordered merge: replay the serial loop's stateful effects.
-    auto& cost = machine.cost();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const PageCryptoItem& item = items[i];
-        PageMeta& meta = *item.meta;
-        auto frame = st[i].frame;
-        if (st[i].dirtyPath) {
-            OSH_TRACE_SCOPE(&machine.tracer(), trace::Category::Cloak,
-                            "page_encrypt", res.domain, 0, res.id,
-                            item.pageIndex);
-            VictimCache::Entry* v =
-                victims_.insert(res.id, item.pageIndex, meta.version);
-            if (v != nullptr)
-                std::memcpy(v->plaintext.data(), frame.data(),
-                            frame.size());
-            std::memcpy(frame.data(), st[i].bytes.data(), frame.size());
-            meta.hash = st[i].hash;
-            if (v != nullptr) {
-                v->iv = meta.iv;
-                v->hash = meta.hash;
-                std::memcpy(v->ciphertext.data(), frame.data(),
-                            frame.size());
-            }
-            cost.charge(cost.params().aesPerByte * pageSize +
-                        cost.params().shaPerByte * (pageSize + 40) +
-                        cost.params().cloakFaultFixed,
-                        "page_encrypt");
-            stats_.counter("page_encrypts").inc();
-        } else {
-            VictimCache::Entry* v =
-                victims_.find(res.id, item.pageIndex, meta.version);
-            if (v != nullptr && v->iv == meta.iv &&
-                std::memcmp(v->plaintext.data(), frame.data(),
-                            frame.size()) == 0) {
-                OSH_TRACE_SCOPE(&machine.tracer(),
-                                trace::Category::Cloak,
-                                "victim_reencrypt", res.domain, 0,
-                                res.id, item.pageIndex);
-                std::memcpy(frame.data(), v->ciphertext.data(),
-                            frame.size());
-                cost.charge(cost.params().victimHitCopy +
-                            cost.params().cloakFaultFixed,
-                            "page_reencrypt_victim");
-                stats_.counter("victim_reencrypt_hits").inc();
-                stats_.counter("clean_reencrypts").inc();
-            } else {
-                if (v != nullptr)
-                    stats_.counter("victim_reencrypt_mismatches").inc();
-                OSH_TRACE_SCOPE(&machine.tracer(),
-                                trace::Category::Cloak,
-                                "clean_reencrypt", res.domain, 0,
-                                res.id, item.pageIndex);
-                v = victims_.insert(res.id, item.pageIndex,
-                                    meta.version);
-                if (v != nullptr)
-                    std::memcpy(v->plaintext.data(), frame.data(),
-                                frame.size());
-                std::memcpy(frame.data(), st[i].bytes.data(),
-                            frame.size());
-                if (v != nullptr) {
-                    v->iv = meta.iv;
-                    v->hash = meta.hash;
-                    std::memcpy(v->ciphertext.data(), frame.data(),
-                                frame.size());
-                }
-                cost.charge(cost.params().aesPerByte * pageSize +
-                            cost.params().cloakFaultFixed,
-                            "page_reencrypt_clean");
-                stats_.counter("clean_reencrypts").inc();
-            }
-        }
-        plaintextIndex_.erase(st[i].gpa);
-        meta.state = PageState::Encrypted;
-        meta.residentGpa = badAddr;
-        vmm_.suspendMpa(vmm_.pmap().translate(st[i].gpa));
-    }
-}
-
-void
-CloakEngine::decryptPages(Resource& res,
-                          std::span<const PageCryptoItem> items)
-{
-    if (items.empty())
-        return;
-    const crypto::Aes128& cipher = cipherFor(res);
-    OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
-                    "decrypt_batch", res.domain, 0, res.id,
-                    items.size());
-    if (pool_.workers() <= 1 || items.size() == 1 || chunkedIntegrity_) {
-        for (const PageCryptoItem& item : items) {
-            decryptAndVerifyWith(res, item.pageIndex, *item.meta,
-                                 item.gpa, cipher);
-            // Same post-decrypt bookkeeping as a read resolution: the
-            // page is plaintext-clean (dirty when the clean
-            // optimization is off, so the stored IV/hash are never
-            // reused) and resident, and its shadows are suspended so
-            // the next access revalidates.
-            item.meta->state = cleanOptimization_
-                                   ? PageState::PlaintextClean
-                                   : PageState::PlaintextDirty;
-            item.meta->residentGpa = item.gpa;
-            plaintextIndex_[item.gpa] = {res.id, item.pageIndex};
-            vmm_.suspendMpa(vmm_.pmap().translate(item.gpa));
-        }
-    } else {
-        decryptPagesParallel(res, items, cipher);
-    }
-    stats_.counter("batch_decrypt_calls").inc();
-    stats_.counter("batch_decrypt_pages").inc(items.size());
-}
-
-void
-CloakEngine::decryptPagesParallel(Resource& res,
-                                  std::span<const PageCryptoItem> items,
-                                  const crypto::Aes128& cipher)
-{
-    auto& machine = vmm_.machine();
-
-    // Pre-pass: resolve frames on the calling thread (pmap::translate
-    // may lazily back a frame and bump its counters).
-    std::vector<CryptoStage> st(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        st[i].gpa = items[i].gpa;
-        st[i].frame = frameBytes(items[i].gpa);
-    }
-
-    // Fan-out: hash every ciphertext image and stage its decryption.
-    // No frame is written here — the ordered merge decides, page by
-    // page, whether the staged plaintext lands or the process dies
-    // mid-batch with every later frame untouched, exactly like the
-    // serial loop.
-    pool_.parallelFor(items.size(), [&](std::size_t i) {
-        const PageMeta& meta = *items[i].meta;
-        st[i].hash = pageHash(res, items[i].pageIndex, meta,
-                              st[i].frame);
-        std::memcpy(st[i].bytes.data(), st[i].frame.data(), pageSize);
-        crypto::aesCtrXcryptInPlace(
-            cipher, meta.iv,
-            std::span<std::uint8_t>(st[i].bytes.data(), pageSize));
-    });
-
-    // Ordered merge: verify and commit in submission order.
-    auto& cost = machine.cost();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const PageCryptoItem& item = items[i];
-        PageMeta& meta = *item.meta;
-        auto frame = st[i].frame;
-        {
-            OSH_TRACE_SCOPE(&machine.tracer(), trace::Category::Cloak,
-                            "page_decrypt", res.domain, 0, res.id,
-                            item.pageIndex);
-            bool victim_hit = false;
-            if (VictimCache::Entry* v = victims_.find(
-                    res.id, item.pageIndex, meta.version)) {
-                if (v->iv == meta.iv &&
-                    constantTimeEqual(v->hash, meta.hash) &&
-                    std::memcmp(v->ciphertext.data(), frame.data(),
-                                frame.size()) == 0) {
-                    OSH_TRACE_INSTANT(&machine.tracer(),
-                                      trace::Category::Cloak,
-                                      "victim_decrypt", res.domain, 0,
-                                      res.id, item.pageIndex);
-                    std::memcpy(frame.data(), v->plaintext.data(),
-                                frame.size());
-                    cost.charge(cost.params().victimHitCopy +
-                                cost.params().cloakFaultFixed,
-                                "page_decrypt_victim");
-                    stats_.counter("victim_decrypt_hits").inc();
-                    stats_.counter("page_decrypts").inc();
-                    victim_hit = true;
-                } else {
-                    stats_.counter("victim_decrypt_mismatches").inc();
-                }
-            }
-            if (!victim_hit) {
-                cost.charge(cost.params().shaPerByte * (pageSize + 40) +
-                            cost.params().aesPerByte * pageSize +
-                            cost.params().cloakFaultFixed,
-                            "page_decrypt");
-                if (!constantTimeEqual(st[i].hash, meta.hash)) {
-                    violation(
-                        res, item.pageIndex,
-                        formatString(
-                            "integrity check failed for resource "
-                            "%llu page %llu",
-                            static_cast<unsigned long long>(res.id),
-                            static_cast<unsigned long long>(
-                                item.pageIndex)));
-                }
-                VictimCache::Entry* v = victims_.insert(
-                    res.id, item.pageIndex, meta.version);
-                if (v != nullptr) {
-                    v->iv = meta.iv;
-                    v->hash = meta.hash;
-                    std::memcpy(v->ciphertext.data(), frame.data(),
-                                frame.size());
-                }
-                std::memcpy(frame.data(), st[i].bytes.data(),
-                            frame.size());
-                if (v != nullptr)
-                    std::memcpy(v->plaintext.data(), frame.data(),
-                                frame.size());
-                stats_.counter("page_decrypts").inc();
-            }
-        }
-        meta.state = cleanOptimization_ ? PageState::PlaintextClean
-                                        : PageState::PlaintextDirty;
-        meta.residentGpa = item.gpa;
-        plaintextIndex_[item.gpa] = {res.id, item.pageIndex};
-        vmm_.suspendMpa(vmm_.pmap().translate(item.gpa));
-    }
 }
 
 std::size_t
@@ -745,8 +492,7 @@ CloakEngine::sealPlaintextFrames(std::span<const Gpa> gpas)
         PageMeta& meta = metadata_.page(*res, pit->second.pageIndex);
         if (meta.state == PageState::Encrypted)
             continue;
-        work[res->id].push_back(
-            {pit->second.pageIndex, &meta, pageBase(gpa)});
+        work[res->id].push_back({pit->second.pageIndex, &meta});
     }
     std::size_t sealed = 0;
     for (auto& [resource, items] : work) {
@@ -798,8 +544,7 @@ CloakEngine::evictPageAsync(
     // transitions and event counts — with its cycle charges routed
     // into the background lane instead of the guest timeline.
     std::uint64_t lane_cycles = 0;
-    encryptPageWith(*res, page_index, meta, cipherFor(*res),
-                    &lane_cycles);
+    encryptPage(*res, page_index, meta, cipherFor(*res), &lane_cycles);
 
     AsyncSealEntry entry;
     entry.gpa = gpa;
@@ -1039,7 +784,7 @@ CloakEngine::sealDomainPlaintext(DomainId id)
 
     // Regions can share a resource (explicit re-registration), so walk
     // each resource once. Within a resource every resident plaintext
-    // page goes through one encryptPages() batch; encryptPageWith does
+    // page goes through one encryptPages() batch; encryptPage does
     // the per-page bookkeeping (plaintext index, state, shadow
     // suspension) exactly as the eviction path would.
     std::set<ResourceId> seen;
@@ -1060,7 +805,7 @@ CloakEngine::sealDomainPlaintext(DomainId id)
                 pit->second.resource != res->id ||
                 pit->second.pageIndex != idx)
                 continue;
-            items.push_back({idx, &meta, meta.residentGpa});
+            items.push_back({idx, &meta});
         }
         if (items.empty())
             continue;
@@ -1119,7 +864,8 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
             if (owner != nullptr) {
                 PageMeta& ometa =
                     metadata_.page(*owner, pit->second.pageIndex);
-                encryptPage(*owner, pit->second.pageIndex, ometa);
+                encryptPage(*owner, pit->second.pageIndex, ometa,
+                            cipherFor(*owner));
             } else {
                 plaintextIndex_.erase(pit);
             }
@@ -1176,7 +922,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
             old != plaintextIndex_.end() &&
             old->second.resource == res->id &&
             old->second.pageIndex == page_index) {
-            encryptPage(*res, page_index, meta);
+            encryptPage(*res, page_index, meta, cipherFor(*res));
         } else {
             meta.state = PageState::Encrypted;
             meta.residentGpa = badAddr;
@@ -1186,7 +932,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
 
     switch (meta.state) {
       case PageState::Encrypted:
-        decryptAndVerify(*res, page_index, meta, gpa);
+        decryptAndVerify(*res, page_index, meta, gpa, cipherFor(*res));
         meta.residentGpa = gpa;
         plaintextIndex_[gpa] = {res->id, page_index};
         vmm_.suspendMpa(mpa);
@@ -1356,8 +1102,7 @@ CloakEngine::unregisterRegion(DomainId domain, GuestVA start)
                 for (auto& [idx, meta] : res->pages) {
                     if (meta.state != PageState::Encrypted &&
                         meta.residentGpa != badAddr) {
-                        to_seal.push_back({idx, &meta,
-                                           meta.residentGpa});
+                        to_seal.push_back({idx, &meta});
                     }
                 }
                 encryptPages(*res, to_seal);
@@ -1556,7 +1301,7 @@ CloakEngine::sealFileResource(DomainId domain, ResourceId resource)
     for (auto& [idx, meta] : res->pages) {
         if (meta.state != PageState::Encrypted &&
             meta.residentGpa != badAddr) {
-            to_seal.push_back({idx, &meta, meta.residentGpa});
+            to_seal.push_back({idx, &meta});
         }
     }
     encryptPages(*res, to_seal);

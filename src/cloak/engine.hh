@@ -266,14 +266,12 @@ class VictimCache
 
 /**
  * One unit of work for the batched page-crypto API: a page of a
- * resource plus its (already looked-up) metadata. For decryption the
- * gpa names the frame holding the ciphertext image.
+ * resource plus its (already looked-up) metadata.
  */
 struct PageCryptoItem
 {
     std::uint64_t pageIndex = 0;
     PageMeta* meta = nullptr;
-    Gpa gpa = badAddr;
 };
 
 /**
@@ -326,26 +324,16 @@ class CloakEngine : public vmm::CloakBackend
     // Batched page crypto -------------------------------------------------
 
     /**
-     * Encrypt every listed plaintext page of @p res in place, exactly
-     * as a sequential loop of per-page encryptions would — same bytes,
-     * same metadata updates, same simulated-cycle charges — but with
-     * the cipher looked up once and one enclosing trace scope for the
-     * whole batch. Pages already encrypted are the caller's bug (same
+     * Encrypt every listed resident plaintext page of @p res in place.
+     * Every page goes through the single-page seal in submission order
+     * — same bytes, metadata updates, simulated-cycle charges and
+     * trace events — with the cipher looked up once and one enclosing
+     * trace scope for the whole batch. With more than one crypto
+     * worker the AES/SHA compute is precomputed across host threads
+     * first. Pages already encrypted are the caller's bug (same
      * contract as the single-page path).
      */
     void encryptPages(Resource& res, std::span<const PageCryptoItem> items);
-
-    /**
-     * Decrypt + verify every listed ciphertext page of @p res in
-     * place. Each item's gpa names the frame holding its image; after
-     * the call the page is plaintext-clean and resident there, with
-     * the plaintext index updated and its shadows suspended — the same
-     * end state a per-page read resolution leaves. Items are processed
-     * in order; an integrity violation on any page kills the process
-     * mid-batch (pages before it are already plaintext, exactly as the
-     * sequential loop would leave them).
-     */
-    void decryptPages(Resource& res, std::span<const PageCryptoItem> items);
 
     // Trusted runtime services (modelling VMM<->shim cooperation) ---------
 
@@ -451,13 +439,14 @@ class CloakEngine : public vmm::CloakBackend
     }
 
     /**
-     * Host worker threads for the batched page-crypto paths
-     * (encryptPages / decryptPages and everything routed through them,
-     * including the prepareFramesForKernel pre-seal). 1 = the serial
-     * pre-pool behavior, 0 = one lane per hardware thread. Purely a
-     * host-speed knob: frames, metadata, victim-cache contents,
+     * Host worker threads for encryptPages and everything routed
+     * through it (the prepareFramesForKernel pre-seal, domain seals).
+     * 1 = every seal computes inline, 0 = one lane per hardware
+     * thread. Purely a host-speed knob: the lanes only precompute AES
+     * and SHA, and every stateful effect runs through the one
+     * single-page seal, so frames, metadata, victim-cache contents,
      * simulated cycles and trace event order are identical for every
-     * setting (see encryptPagesParallel for the determinism argument).
+     * setting.
      */
     void setCryptoWorkers(unsigned workers) { pool_.resize(workers); }
     unsigned cryptoWorkers() const { return pool_.workers(); }
@@ -518,27 +507,31 @@ class CloakEngine : public vmm::CloakBackend
     const crypto::Aes128& cipherFor(Resource& res);
     const crypto::HmacKey& sealingHmacFor(Resource& res);
 
-    /** Encrypt the plaintext page of (resource,page) in place. */
-    void encryptPage(Resource& res, std::uint64_t page_index,
-                     PageMeta& meta);
+    /** AES/SHA output of one seal, precomputed by encryptPages. */
+    struct StagedSeal;
 
-    /** encryptPage with the per-resource cipher already looked up
-     *  (the batch path hoists the lookup out of its loop). When
-     *  @p defer_cycles is non-null the page's cycle charges accumulate
-     *  there instead of the guest timeline (the asynchronous eviction
-     *  lane); event counts are still recorded. */
-    void encryptPageWith(Resource& res, std::uint64_t page_index,
-                         PageMeta& meta, const crypto::Aes128& cipher,
-                         std::uint64_t* defer_cycles = nullptr);
+    /** Is the next seal of this plaintext page a dirty one (fresh IV,
+     *  version bump) rather than a clean re-encryption? */
+    bool needsFreshIv(const PageMeta& meta) const;
+
+    /**
+     * The page seal: encrypt the resident plaintext of
+     * (resource,page) in place. When @p defer_cycles is non-null the
+     * page's cycle charges accumulate there instead of the guest
+     * timeline (the asynchronous eviction lane); event counts are
+     * still recorded. When @p staged is non-null its IV, ciphertext
+     * and hash replace the inline RNG draw, AES and SHA; everything
+     * else is the same code either way.
+     */
+    void encryptPage(Resource& res, std::uint64_t page_index,
+                     PageMeta& meta, const crypto::Aes128& cipher,
+                     std::uint64_t* defer_cycles = nullptr,
+                     const StagedSeal* staged = nullptr);
 
     /** Decrypt + verify the page image in @p gpa; throws on mismatch. */
     void decryptAndVerify(Resource& res, std::uint64_t page_index,
-                          PageMeta& meta, Gpa gpa);
-
-    /** decryptAndVerify with the cipher already looked up. */
-    void decryptAndVerifyWith(Resource& res, std::uint64_t page_index,
-                              PageMeta& meta, Gpa gpa,
-                              const crypto::Aes128& cipher);
+                          PageMeta& meta, Gpa gpa,
+                          const crypto::Aes128& cipher);
 
     /** Chunked-integrity seal / unseal bodies (chunkedIntegrity_ on,
      *  anonymous resources). Same in-place contract as the flat paths;
@@ -562,19 +555,10 @@ class CloakEngine : public vmm::CloakBackend
     /** Retire the oldest queued async eviction (stall + commit). */
     void drainOneAsyncEviction();
 
-    /** Parallel fan-out/ordered-merge bodies of the batch API, used
-     *  when the pool has more than one lane and the batch more than
-     *  one item. Output-identical to the serial loops. */
-    void encryptPagesParallel(Resource& res,
-                              std::span<const PageCryptoItem> items,
-                              const crypto::Aes128& cipher);
-    void decryptPagesParallel(Resource& res,
-                              std::span<const PageCryptoItem> items,
-                              const crypto::Aes128& cipher);
-
-    /** Integrity hash of a ciphertext page bound to its identity. */
+    /** Integrity hash of a ciphertext page bound to its identity
+     *  (key, page, version, IV). */
     crypto::Digest pageHash(const Resource& res, std::uint64_t page_index,
-                            const PageMeta& meta,
+                            std::uint64_t version, const crypto::Iv& iv,
                             std::span<const std::uint8_t> ciphertext);
 
     [[noreturn]] void violation(Resource& res, std::uint64_t page_index,
@@ -647,7 +631,7 @@ class CloakEngine : public vmm::CloakBackend
      *  (The equalized-passthrough check; O(domains), cold path.) */
     bool inCloakedRegion(Asid asid, GuestVA va_page);
 
-    /** Host lanes for the batch paths; one lane = no threads. */
+    /** Host lanes for encryptPages' AES/SHA; one lane = no threads. */
     WorkerPool pool_{1};
 };
 

@@ -74,11 +74,12 @@ struct SystemConfig
     std::size_t auditLogEntries = 256;
 
     /**
-     * Host worker threads for batched page crypto (encryptPages /
-     * decryptPages / the prepareFramesForKernel pre-seal). 0 = one
-     * lane per hardware thread (the default), 1 = the serial pre-pool
-     * behavior. Purely a host-speed knob: simulated cycles, frames,
-     * metadata and trace event order are identical for every setting.
+     * Host worker threads for batched page seals (encryptPages and
+     * the prepareFramesForKernel pre-seal). 0 = one lane per hardware
+     * thread (the default), 1 = every seal computes inline. Purely a
+     * host-speed knob: simulated cycles (constant-cost mode included),
+     * frames, metadata and trace event order are identical for every
+     * setting.
      */
     std::size_t cryptoWorkers = 0;
 

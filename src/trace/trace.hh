@@ -121,9 +121,9 @@ struct TraceConfig
  * Thread safety: the recording entry points (complete / instant /
  * clear) serialize on an internal mutex, so concurrent
  * emission is race-free. Deterministic event *order* is a stronger
- * property the callers provide: the parallel page-crypto paths emit
- * every event from their ordered merge on the calling thread (pool
- * workers never trace), which is an ordered flush — the ring contents
+ * property the callers provide: a parallel page-seal batch emits
+ * every event from the one seal body on the calling thread (pool
+ * workers never trace), in submission order — the ring contents
  * are identical for any worker count, and the mutex is only a backstop
  * for future cross-thread emitters. Readers (buffer(), metrics(),
  * snapshot()) must run with no recorder active, which every exporter

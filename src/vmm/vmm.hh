@@ -146,9 +146,10 @@ class Vmm
      * any listed frames still holding cloaked plaintext in one batch
      * instead of one fault at a time. Safe to call with frames in any
      * state; returns the number actually sealed. When the backend's
-     * crypto worker pool has more than one lane, the per-frame AES+SHA
-     * of the batch fans out across host threads with deterministic,
-     * cycle-identical results (see CloakEngine::setCryptoWorkers).
+     * crypto worker pool has more than one lane, the batch's AES and
+     * SHA are precomputed across host threads; every frame is still
+     * sealed by the one per-page seal, so results and cycles do not
+     * depend on the worker count (see CloakEngine::setCryptoWorkers).
      */
     std::size_t prepareFramesForKernel(std::span<const Gpa> gpas);
 

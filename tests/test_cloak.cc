@@ -383,24 +383,35 @@ TEST(CloakTransparency, WorkloadsProduceIdenticalResults)
 TEST(CloakTransparency, CryptoWorkerCountInvisible)
 {
     // The crypto worker pool is a host-speed knob only: a full cloaked
-    // workload that swaps (driving the bulk pre-seal and decrypt batch
-    // paths) must produce the same result and charge the same total
-    // simulated cycles at any worker count.
-    auto run = [](std::size_t workers) {
-        SystemConfig cfg = cloakedConfig(96);
-        cfg.cryptoWorkers = workers;
-        System sys(cfg);
-        workloads::registerAll(sys);
-        auto r = sys.runProgram("wl.memstress", {"200", "2"});
-        EXPECT_EQ(r.status, 0) << "workers=" << workers << ": "
-                               << r.killReason;
-        return std::pair{workloads::resultOf(sys, "wl.memstress"),
-                         sys.cycles()};
-    };
-    auto serial = run(1);
-    auto pooled = run(8);
-    EXPECT_EQ(pooled.first, serial.first);
-    EXPECT_EQ(pooled.second, serial.second);
+    // workload whose file writeback drives multi-page encryptPages
+    // batches through the fan-out must produce the same result and
+    // charge the same total simulated cycles at any worker count,
+    // with constant-cost mode off and on.
+    for (bool constant_cost : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "constant_cost=" << constant_cost);
+        auto run = [&](std::size_t workers) {
+            SystemConfig cfg = cloakedConfig();
+            cfg.cryptoWorkers = workers;
+            cfg.constantCostCloak = constant_cost;
+            System sys(cfg);
+            workloads::registerAll(sys);
+            auto r = sys.runProgram("wl.fileserver",
+                                    {"64", "20", "2048", "1"});
+            EXPECT_EQ(r.status, 0) << "workers=" << workers << ": "
+                                   << r.killReason;
+            // Guard against going vacuous: some batch held more than
+            // one page, so the fan-out actually ran.
+            EXPECT_GT(sys.cloak()->stats().value("batch_encrypt_pages"),
+                      sys.cloak()->stats().value("batch_encrypt_calls"));
+            return std::pair{workloads::resultOf(sys, "wl.fileserver"),
+                             sys.cycles()};
+        };
+        auto serial = run(1);
+        auto pooled = run(8);
+        EXPECT_EQ(pooled.first, serial.first);
+        EXPECT_EQ(pooled.second, serial.second);
+    }
 }
 
 TEST(CloakFork, ChildInheritsSecretsAndDiverges)
