@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +56,23 @@ hostNowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+}
+
+/**
+ * The process's peak resident set in KiB (VmHWM from
+ * /proc/self/status), or 0 where the host does not report it. Like
+ * wall time, a host observation, never a simulated quantity.
+ */
+inline std::uint64_t
+hostPeakRssKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+    return 0;
 }
 
 /** Whole MB/s (1 MB = 10^6 bytes) for `bytes` processed in `ns`. */
@@ -244,10 +262,16 @@ class BenchReport
         }
     }
 
-    /** Write `BENCH_<phase>.json`; returns the path ("" on failure). */
+    /**
+     * Write `BENCH_<phase>.json`; returns the path ("" on failure).
+     * Every file also carries `host_peak_rss_kib`, the process's peak
+     * resident set at the time of writing.
+     */
     std::string
     write() const
     {
+        auto metrics = metrics_;
+        metrics.emplace_back("host_peak_rss_kib", hostPeakRssKib());
         std::string path = "BENCH_" + phase_ + ".json";
         std::FILE* f = std::fopen(path.c_str(), "w");
         if (f == nullptr) {
@@ -258,17 +282,17 @@ class BenchReport
         std::fprintf(f, "{\n  \"schema\": 1,\n  \"phase\": \"%s\",\n"
                         "  \"metrics\": {\n",
                      phase_.c_str());
-        for (std::size_t i = 0; i < metrics_.size(); ++i) {
+        for (std::size_t i = 0; i < metrics.size(); ++i) {
             std::fprintf(f, "    \"%s\": %llu%s\n",
-                         metrics_[i].first.c_str(),
+                         metrics[i].first.c_str(),
                          static_cast<unsigned long long>(
-                             metrics_[i].second),
-                         i + 1 < metrics_.size() ? "," : "");
+                             metrics[i].second),
+                         i + 1 < metrics.size() ? "," : "");
         }
         std::fprintf(f, "  }\n}\n");
         std::fclose(f);
         std::printf("[bench] wrote %s (%zu metrics)\n", path.c_str(),
-                    metrics_.size());
+                    metrics.size());
         return path;
     }
 

@@ -2,8 +2,14 @@
  * @file
  * Machine physical memory.
  *
- * A flat array of 4 KiB frames addressed by machine physical address
- * (MPA). Only the VMM hands out frames; the guest OS sees guest physical
+ * 4 KiB frames addressed by machine physical address (MPA), held in
+ * one lazily committed anonymous host mapping: the host backs a frame
+ * when it is first written, so only frames the guest touches are
+ * resident, and untouched frames read as zero. Host memory scales with
+ * the guest's working set, not the configured frame count — the same
+ * demand backing the VMM's pmap models for guest physical memory.
+ *
+ * Only the VMM hands out frames; the guest OS sees guest physical
  * addresses which the VMM's pmap translates to MPAs. Accesses are bounds
  * checked — an out-of-range MPA is a simulator bug (panic), because all
  * guest-originated addresses are validated earlier in the walk.
@@ -16,17 +22,20 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace osh::sim
 {
 
-/** Flat simulated machine memory. */
+/** Simulated machine memory over a lazily committed host mapping. */
 class MachineMemory
 {
   public:
     /** @param num_frames Number of 4 KiB machine frames. */
     explicit MachineMemory(std::uint64_t num_frames);
+    ~MachineMemory();
+
+    MachineMemory(const MachineMemory&) = delete;
+    MachineMemory& operator=(const MachineMemory&) = delete;
 
     std::uint64_t numFrames() const { return numFrames_; }
     std::uint64_t sizeBytes() const { return numFrames_ * pageSize; }
@@ -62,7 +71,7 @@ class MachineMemory
     void check(Mpa addr, std::uint64_t len) const;
 
     std::uint64_t numFrames_;
-    std::vector<std::uint8_t> data_;
+    std::uint8_t* data_ = nullptr; ///< numFrames_ * pageSize bytes.
 };
 
 } // namespace osh::sim

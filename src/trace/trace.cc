@@ -23,25 +23,26 @@ categoryName(Category cat)
     return "?";
 }
 
-TraceBuffer::TraceBuffer(std::size_t capacity)
+TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity)
 {
     osh_assert(capacity > 0, "trace ring needs capacity");
-    ring_.resize(capacity);
 }
 
 void
 TraceBuffer::record(const TraceEvent& ev)
 {
+    if (ring_.empty())
+        ring_.resize(capacity_);
     ring_[head_] = ev;
-    head_ = (head_ + 1) % ring_.size();
+    head_ = (head_ + 1) % capacity_;
     total_++;
 }
 
 std::size_t
 TraceBuffer::size() const
 {
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                                 : ring_.size();
+    return total_ < capacity_ ? static_cast<std::size_t>(total_)
+                              : capacity_;
 }
 
 std::vector<TraceEvent>
@@ -53,7 +54,7 @@ TraceBuffer::snapshot() const
     // Oldest event: at index 0 until the ring wraps, then at head_.
     std::size_t start = wrapped() ? head_ : 0;
     for (std::size_t i = 0; i < n; ++i)
-        out.push_back(ring_[(start + i) % ring_.size()]);
+        out.push_back(ring_[(start + i) % capacity_]);
     return out;
 }
 

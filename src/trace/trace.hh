@@ -6,7 +6,9 @@
  *
  *   - TraceBuffer: a fixed-capacity ring of POD TraceEvents. Recording
  *     is a couple of stores; when the ring is full the oldest events
- *     are overwritten (the aggregate metrics keep counting).
+ *     are overwritten (the aggregate metrics keep counting). The ring
+ *     is allocated on the first record, so an untraced machine never
+ *     pays for it.
  *   - Tracer: the handle every component holds. It owns the ring and a
  *     MetricsRegistry, knows the simulated clock (a raw pointer to the
  *     cost model's cycle counter), and gates everything behind a
@@ -73,7 +75,11 @@ struct TraceEvent
     Cycles duration() const { return end - begin; }
 };
 
-/** Fixed-capacity ring buffer of trace events. */
+/**
+ * Fixed-capacity ring buffer of trace events. The ring's storage is
+ * allocated by the first record(); before that every accessor reports
+ * an empty buffer of the configured capacity.
+ */
 class TraceBuffer
 {
   public:
@@ -81,7 +87,7 @@ class TraceBuffer
 
     void record(const TraceEvent& ev);
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** Events currently held (<= capacity). */
     std::size_t size() const;
@@ -90,7 +96,7 @@ class TraceBuffer
     std::uint64_t totalRecorded() const { return total_; }
 
     /** Has the ring overwritten old events at least once? */
-    bool wrapped() const { return total_ > ring_.size(); }
+    bool wrapped() const { return total_ > capacity_; }
 
     /** Copy of the live events, oldest first. */
     std::vector<TraceEvent> snapshot() const;
@@ -98,7 +104,8 @@ class TraceBuffer
     void clear();
 
   private:
-    std::vector<TraceEvent> ring_;
+    std::size_t capacity_;
+    std::vector<TraceEvent> ring_; ///< Empty until the first record.
     std::size_t head_ = 0;     ///< Next write position.
     std::uint64_t total_ = 0;
 };
@@ -168,7 +175,8 @@ class Tracer
   private:
     bool enabled_;
     const Cycles* clock_ = nullptr;
-    /** Serializes ring + metrics mutation; taken only when enabled. */
+    /** Serializes ring + metrics mutation (the ring's first-record
+     *  allocation included); taken only when enabled. */
     std::mutex recordMu_;
     TraceBuffer buffer_;
     MetricsRegistry metrics_;

@@ -51,7 +51,7 @@ Tlb::evictOne()
             continue; // Stale occurrence; a newer one is queued behind.
         queued_.erase(qit);
         if (entries_.erase(victim) > 0) {
-            stats_.counter("evictions").inc();
+            evictions_.get(stats_, "evictions").inc();
             return;
         }
         // Last occurrence of an invalidated key: nothing to evict.
@@ -76,7 +76,7 @@ Tlb::compactFifo()
     }
     fifo_ = std::move(fresh);
     queued_ = std::move(seen);
-    stats_.counter("fifo_compactions").inc();
+    fifoCompactions_.get(stats_, "fifo_compactions").inc();
 }
 
 void
@@ -120,7 +120,7 @@ Tlb::flushAll()
     entries_.clear();
     fifo_.clear();
     queued_.clear();
-    stats_.counter("full_flushes").inc();
+    fullFlushes_.get(stats_, "full_flushes").inc();
 }
 
 } // namespace osh::vmm

@@ -4,9 +4,9 @@
  *
  * Caches (context, va page) -> shadow entry so the common case of a
  * repeated access charges only CostParams::memAccess. Capacity-bounded
- * with FIFO replacement. Invalidation is conservative: targeted drops
- * for VA/ASID events, full flush when a machine frame changes cloaking
- * state (modelling a TLB shootdown).
+ * with FIFO replacement. Invalidation is targeted: drops by VA or ASID
+ * for guest events, and by machine frame when a frame changes cloaking
+ * state (modelling a TLB shootdown of just that frame's mappings).
  */
 
 #ifndef OSH_VMM_TLB_HH
@@ -95,6 +95,9 @@ class Tlb
     StatGroup stats_;
     CounterSlot hits_;   ///< stats_ "hits", bumped on every lookup hit.
     CounterSlot misses_; ///< stats_ "misses".
+    CounterSlot evictions_;       ///< stats_ "evictions".
+    CounterSlot fifoCompactions_; ///< stats_ "fifo_compactions".
+    CounterSlot fullFlushes_;     ///< stats_ "full_flushes".
 };
 
 } // namespace osh::vmm

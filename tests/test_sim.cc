@@ -1,17 +1,51 @@
 /**
  * @file
  * Unit tests for the simulated machine: memory bounds/round trips,
- * cost-model accounting, machine configuration.
+ * lazily committed host memory, cost-model accounting, machine
+ * configuration.
  */
 
 #include "sim/machine.hh"
+#include "system/system.hh"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <vector>
+
+#include <unistd.h>
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define OSH_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define OSH_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef OSH_TEST_SANITIZED
+#define OSH_TEST_SANITIZED 0
+#endif
 
 namespace osh::sim
 {
 namespace
 {
+
+/** Resident set of this process in bytes (0 if unknown). */
+std::uint64_t
+residentBytes()
+{
+    std::FILE* f = std::fopen("/proc/self/statm", "r");
+    if (f == nullptr)
+        return 0;
+    unsigned long long size = 0;
+    unsigned long long resident = 0;
+    int n = std::fscanf(f, "%llu %llu", &size, &resident);
+    std::fclose(f);
+    if (n != 2)
+        return 0;
+    return resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
 
 TEST(MachineMemory, ReadWriteRoundTrip)
 {
@@ -71,6 +105,44 @@ TEST(MachineMemoryDeath, UnalignedFramePanics)
 {
     MachineMemory mem(2);
     EXPECT_DEATH(mem.framePlain(0x10), "page aligned");
+}
+
+TEST(MachineMemory, HugeMemoryCommitsOnlyTouchedFrames)
+{
+    // 1 GiB of machine memory: only the frame written below is ever
+    // backed by the host.
+    MachineMemory mem(262'144);
+    EXPECT_EQ(mem.sizeBytes(), 262'144 * pageSize);
+    Mpa last = mem.sizeBytes() - pageSize;
+    for (std::uint8_t b : mem.framePlain(last))
+        ASSERT_EQ(b, 0);
+    mem.write64(mem.sizeBytes() - 8, 0x0123456789abcdefull);
+    EXPECT_EQ(mem.read64(mem.sizeBytes() - 8), 0x0123456789abcdefull);
+    EXPECT_EQ(mem.read8(last), 0);
+}
+
+TEST(MachineMemory, UntracedSystemStaysSmall)
+{
+    if (OSH_TEST_SANITIZED)
+        GTEST_SKIP() << "sanitizer allocators distort the resident set";
+    // A first, tiny System pages in the code and one-time state, so
+    // the measured growth below is the default System's own data.
+    {
+        system::System warm(
+            system::SystemConfig::Builder{}.guestFrames(16).build());
+    }
+
+    std::uint64_t before = residentBytes();
+    if (before == 0)
+        GTEST_SKIP() << "needs /proc/self/statm (Linux only)";
+    system::System sys; // 4096 frames (16 MiB), tracing off.
+    std::uint64_t after = residentBytes();
+    std::uint64_t grown = after > before ? after - before : 0;
+    EXPECT_FALSE(sys.tracer().enabled());
+    // Machine frames and the trace ring are committed on first use; a
+    // freshly built, untraced System has touched almost none of them.
+    EXPECT_LT(grown, 2u << 20) << "System construction grew RSS by "
+                               << grown << " bytes";
 }
 
 TEST(CostModel, ChargesAccumulate)

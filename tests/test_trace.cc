@@ -37,6 +37,21 @@ instantAt(Cycles t, std::uint64_t arg0 = 0)
     return ev;
 }
 
+TEST(TraceBuffer, EmptyBeforeFirstRecord)
+{
+    // The ring is allocated on the first record; until then the buffer
+    // reports its configured capacity and holds nothing.
+    TraceBuffer buf(1 << 16);
+    EXPECT_EQ(buf.capacity(), std::size_t{1} << 16);
+    EXPECT_EQ(buf.size(), 0u);
+    EXPECT_EQ(buf.totalRecorded(), 0u);
+    EXPECT_FALSE(buf.wrapped());
+    EXPECT_TRUE(buf.snapshot().empty());
+    buf.clear();
+    EXPECT_EQ(buf.capacity(), std::size_t{1} << 16);
+    EXPECT_TRUE(buf.snapshot().empty());
+}
+
 TEST(TraceBuffer, FillsWithoutWrap)
 {
     TraceBuffer buf(8);
@@ -281,6 +296,49 @@ TEST(Tracer, DisabledRecordsNothing)
     EXPECT_EQ(tracer.buffer().size(), 0u);
     EXPECT_TRUE(tracer.metrics().counters().empty());
     EXPECT_TRUE(tracer.metrics().histograms().empty());
+}
+
+TEST(Tracer, EnabledLaterMatchesEnabledAtConstruction)
+{
+    TraceConfig on;
+    on.enabled = true;
+    on.ringCapacity = 4;
+    TraceConfig off = on;
+    off.enabled = false;
+    Tracer early(on);
+    Tracer late(off);
+    Cycles clock = 0;
+    early.bindClock(&clock);
+    late.bindClock(&clock);
+
+    // Nothing recorded while off: the late tracer's ring is untouched.
+    late.instant(Category::User, "ignored");
+    EXPECT_EQ(late.buffer().capacity(), 4u);
+    EXPECT_EQ(late.buffer().size(), 0u);
+    late.setEnabled(true);
+
+    for (std::uint64_t i = 0; i < 7; ++i) {
+        clock = 10 * i;
+        early.instant(Category::User, "point", systemDomain, 0, i);
+        late.instant(Category::User, "point", systemDomain, 0, i);
+    }
+    for (const Tracer* t : {&early, &late}) {
+        EXPECT_EQ(t->buffer().capacity(), 4u);
+        EXPECT_EQ(t->buffer().size(), 4u);
+        EXPECT_EQ(t->buffer().totalRecorded(), 7u);
+        EXPECT_TRUE(t->buffer().wrapped());
+    }
+    auto a = early.buffer().snapshot();
+    auto b = late.buffer().snapshot();
+    ASSERT_EQ(a.size(), 4u);
+    ASSERT_EQ(b.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(a[i].arg0, 3 + i);
+        EXPECT_EQ(b[i].arg0, a[i].arg0);
+        EXPECT_EQ(b[i].begin, a[i].begin);
+        EXPECT_STREQ(b[i].name, a[i].name);
+    }
+    EXPECT_EQ(late.metrics().counters(), early.metrics().counters());
 }
 
 TEST(Tracer, NullTracerPointerIsSafe)
