@@ -96,8 +96,8 @@ runScale(std::uint64_t n)
                           r != nullptr ? r->killReason.c_str() : "");
             }
         }
-        // Release finished host-thread stacks so 10k tenants fit in
-        // bounded host memory.
+        // Release finished threads' records and fiber stacks so 10k
+        // tenants fit in bounded host memory.
         sys.sched().reapFinished();
     }
 

@@ -12,7 +12,7 @@
  *
  * All resources live in one map keyed by resource id, like the
  * paper's single VMM metadata table. Guest code never runs on two
- * vCPUs at once (every guest body runs under the scheduler lock), so
+ * vCPUs at once (every guest body is a fiber on the driver's thread), so
  * one mutex per table is all the synchronization the store needs.
  * Resource ids come from one monotonic counter; they feed AES key
  * derivation, so a given workload always mints the same ids.
@@ -112,6 +112,8 @@ struct Resource
      * Pre-resolved key material for keyId (cipher + sealing HMAC),
      * acquired once at cloak-attach. The fault hot path encrypts and
      * decrypts through this handle — never through a key-map lookup.
+     * The handle co-owns the material: a fork clone copies it, and the
+     * material is freed when the last resource holding it is destroyed.
      */
     crypto::KeyHandle key;
     DomainId domain = systemDomain;

@@ -40,19 +40,42 @@ KeyManager::deriveSealingKey(ResourceId resource) const
 KeyHandle
 KeyManager::acquire(ResourceId resource)
 {
-    std::lock_guard<std::mutex> lk(lock_);
-    auto it = keys_.find(resource);
-    if (it == keys_.end()) {
-        it = keys_.emplace(resource,
-                           Keys{Aes128(deriveAesKey(resource)),
-                                HmacKey(deriveSealingKey(resource))})
-                 .first;
-    }
     KeyHandle h;
-    h.cipher_ = &it->second.cipher;
-    h.sealingHmac_ = &it->second.sealingHmac;
     h.keyId_ = resource;
-    return h;
+    {
+        std::lock_guard<std::mutex> lk(registry_->lock);
+        auto it = registry_->live.find(resource);
+        if (it != registry_->live.end())
+            h.material_ = it->second.lock();
+    }
+    if (h.material_ != nullptr)
+        return h;
+
+    // Derived outside the lock, which the deleter takes. The deleter
+    // runs when the last handle dies; by then the entry has expired
+    // unless a later acquire derived the material again.
+    auto drop = [registry = registry_, resource](const Material* m) {
+        {
+            std::lock_guard<std::mutex> lk(registry->lock);
+            auto it = registry->live.find(resource);
+            if (it != registry->live.end() && it->second.expired())
+                registry->live.erase(it);
+        }
+        delete m;
+    };
+    std::shared_ptr<const Material> fresh(
+        new Material{Aes128(deriveAesKey(resource)),
+                     HmacKey(deriveSealingKey(resource))},
+        std::move(drop));
+    std::lock_guard<std::mutex> lk(registry_->lock);
+    std::weak_ptr<const Material>& slot = registry_->live[resource];
+    h.material_ = slot.lock();
+    if (h.material_ == nullptr) {
+        slot = fresh;
+        h.material_ = std::move(fresh);
+        ++registry_->derived;
+    }
+    return h; // An unused `fresh` dies after the lock is released.
 }
 
 Digest
@@ -67,8 +90,15 @@ KeyManager::migrationKey(std::uint64_t nonce) const
 std::size_t
 KeyManager::derivedKeyCount() const
 {
-    std::lock_guard<std::mutex> lk(lock_);
-    return keys_.size();
+    std::lock_guard<std::mutex> lk(registry_->lock);
+    return registry_->derived;
+}
+
+std::size_t
+KeyManager::liveKeyCount() const
+{
+    std::lock_guard<std::mutex> lk(registry_->lock);
+    return registry_->live.size();
 }
 
 } // namespace osh::crypto

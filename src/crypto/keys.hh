@@ -14,9 +14,12 @@
  * derivation) and each sealing key (metadata MACs). Hot paths never
  * re-run a key schedule or pad hash.
  *
- * One map holds each resource's cipher and sealing key. The fault hot
- * path does not even take its lock: resources resolve a KeyHandle once
- * at cloak-attach and use its cached pointers from then on.
+ * Key material lives exactly as long as some resource uses it: every
+ * KeyHandle shares ownership of its resource's cipher and sealing key,
+ * and the KeyManager's map only watches them, dropping an entry when
+ * its last handle dies. The fault hot path never takes the map's lock:
+ * resources resolve a KeyHandle once at cloak-attach and use it from
+ * then on.
  */
 
 #ifndef OSH_CRYPTO_KEYS_HH
@@ -28,6 +31,7 @@
 #include "crypto/sha256.hh"
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -40,36 +44,44 @@ class KeyManager;
  * An opaque, pre-resolved reference to one resource's key material.
  *
  * Acquired once (at cloak-attach / resource creation) and carried in
- * the resource, it pins the expanded AES schedule and the prepared
+ * the resource, it holds the expanded AES schedule and the prepared
  * sealing-HMAC midstate, so page faults and seal operations never
- * repeat a map lookup. Handles stay valid for the KeyManager's
- * lifetime (the key map is node-stable).
+ * repeat a map lookup. A handle co-owns its material: the material
+ * lives until the last handle to it dies (a fork clone copies its
+ * parent's handle, so the child keeps the key after the parent exits),
+ * and a handle may outlive the KeyManager that issued it.
  */
 class KeyHandle
 {
   public:
     KeyHandle() = default;
 
-    bool valid() const { return cipher_ != nullptr; }
+    bool valid() const { return material_ != nullptr; }
     ResourceId keyId() const { return keyId_; }
 
     const Aes128&
     cipher() const
     {
-        return *cipher_;
+        return material_->cipher;
     }
 
     const HmacKey&
     sealingHmac() const
     {
-        return *sealingHmac_;
+        return material_->sealingHmac;
     }
 
   private:
     friend class KeyManager;
 
-    const Aes128* cipher_ = nullptr;
-    const HmacKey* sealingHmac_ = nullptr;
+    /** One resource's derived key material. */
+    struct Material
+    {
+        Aes128 cipher;
+        HmacKey sealingHmac;
+    };
+
+    std::shared_ptr<const Material> material_;
     ResourceId keyId_ = 0;
 };
 
@@ -79,6 +91,9 @@ class KeyManager
   public:
     /** @param master_seed Deterministic seed for the master secret. */
     explicit KeyManager(std::uint64_t master_seed);
+
+    KeyManager(const KeyManager&) = delete;
+    KeyManager& operator=(const KeyManager&) = delete;
 
     /**
      * Resolve (deriving and caching as needed) the full key material
@@ -96,15 +111,28 @@ class KeyManager
      */
     Digest migrationKey(std::uint64_t nonce) const;
 
-    /** Number of distinct resources whose keys were derived so far. */
+    /**
+     * Key derivations so far. Cumulative: material that was dropped
+     * and later derived again counts twice.
+     */
     std::size_t derivedKeyCount() const;
 
+    /** Resources whose key material some handle still holds. */
+    std::size_t liveKeyCount() const;
+
   private:
-    /** One resource's derived key material. */
-    struct Keys
+    using Material = KeyHandle::Material;
+
+    /**
+     * Resource id -> the material its handles share. Shared with every
+     * material's deleter, which drops the entry when the last handle
+     * dies — possibly after the KeyManager itself is gone.
+     */
+    struct Registry
     {
-        Aes128 cipher;
-        HmacKey sealingHmac;
+        std::mutex lock;
+        std::unordered_map<ResourceId, std::weak_ptr<const Material>> live;
+        std::size_t derived = 0;
     };
 
     AesKey deriveAesKey(ResourceId resource) const;
@@ -112,11 +140,7 @@ class KeyManager
 
     Digest master_;
     HmacKey masterHmac_;
-
-    /** Resource id -> key material. Node-stable: rehashing never moves
-     *  elements, so handle pointers survive. */
-    mutable std::mutex lock_;
-    std::unordered_map<ResourceId, Keys> keys_;
+    std::shared_ptr<Registry> registry_ = std::make_shared<Registry>();
 };
 
 } // namespace osh::crypto

@@ -2,14 +2,80 @@
 
 #include "base/logging.hh"
 
+#include <algorithm>
+#include <cstdint>
+
+#include <sys/mman.h>
+#include <unistd.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define OSH_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OSH_ASAN_FIBERS 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define OSH_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define OSH_TSAN_FIBERS 1
+#endif
+#endif
+
+#ifdef OSH_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef OSH_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace osh::os
 {
 
 namespace
 {
 
-/** The unique_lock of the running host thread, for scheduler calls. */
-thread_local std::unique_lock<std::mutex>* tlsHostLock = nullptr;
+/** A fiber stack mapping, the same size as a default pthread stack. */
+constexpr std::size_t stackBytes = 8ull << 20;
+
+/** The PROT_NONE guard at the low end of every stack mapping. */
+std::size_t
+guardBytes()
+{
+    static const auto bytes =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return bytes;
+}
+
+/** Lowest usable address of a stack mapping. */
+void*
+stackBottom(void* base)
+{
+    return static_cast<char*>(base) + guardBytes();
+}
+
+std::size_t
+stackUsable()
+{
+    return stackBytes - guardBytes();
+}
+
+/**
+ * Clear ASan's shadow over a stack. A finished fiber never unwinds its
+ * last frames, so their redzones stay poisoned; a reused stack, or a
+ * later mapping that lands on the same range, would otherwise report
+ * false stack-buffer-underflows.
+ */
+void
+unpoisonStack([[maybe_unused]] void* base)
+{
+#ifdef OSH_ASAN_FIBERS
+    __asan_unpoison_memory_region(stackBottom(base), stackUsable());
+#endif
+}
 
 } // namespace
 
@@ -36,25 +102,42 @@ Scheduler::assignCpu(Thread* t)
         return;
     auto slot = static_cast<std::uint32_t>(nextCpuSlot_);
     nextCpuSlot_ = (nextCpuSlot_ + 1) % cpuCount_;
-    stats_.counter("dispatches").inc();
+    dispatches_.get(stats_, "dispatches").inc();
     if (t->vcpu.cpu() != slot) {
-        stats_.counter("cpu_migrations").inc();
+        cpuMigrations_.get(stats_, "cpu_migrations").inc();
         t->vcpu.setCpu(slot);
     }
 }
 
 Scheduler::~Scheduler()
 {
-    {
-        std::unique_lock<std::mutex> lk(lock_);
-        osh_assert(liveCount_ == 0,
-                   "scheduler destroyed with %llu live threads",
-                   static_cast<unsigned long long>(liveCount_));
+    osh_assert(liveCount_ == 0,
+               "scheduler destroyed with %llu live threads",
+               static_cast<unsigned long long>(liveCount_));
+    reapFinished();
+    for (void* base : freeStacks_)
+        munmap(base, stackBytes);
+}
+
+void*
+Scheduler::takeStack()
+{
+    if (!freeStacks_.empty()) {
+        void* base = freeStacks_.back();
+        freeStacks_.pop_back();
+        return base;
     }
-    for (auto& t : threads_) {
-        if (t->host.joinable())
-            t->host.join();
-    }
+    void* base = mmap(nullptr, stackBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE |
+                          MAP_STACK,
+                      -1, 0);
+    if (base == MAP_FAILED)
+        osh_panic("cannot map a %zu-byte guest thread stack", stackBytes);
+    if (mprotect(base, guardBytes(), PROT_NONE) != 0)
+        osh_panic("cannot protect a guest thread stack guard page");
+    unpoisonStack(base);
+    ++mappedStacks_;
+    return base;
 }
 
 Thread&
@@ -65,54 +148,107 @@ Scheduler::createThread(Pid pid, vmm::Vmm& vmm, const vmm::Context& ctx,
     Thread* t = owned.get();
     t->body = std::move(body);
     t->state = Thread::State::Ready;
+
+    Fiber& f = t->fiber_;
+    f.stack = takeStack();
+    if (getcontext(&f.context) != 0)
+        osh_panic("getcontext failed");
+    f.context.uc_stack.ss_sp = stackBottom(f.stack);
+    f.context.uc_stack.ss_size = stackUsable();
+    f.context.uc_link = nullptr;
+    // makecontext passes int arguments: split the scheduler pointer.
+    auto self = reinterpret_cast<std::uintptr_t>(this);
+    makecontext(&f.context, reinterpret_cast<void (*)()>(&fiberEntry), 2,
+                static_cast<unsigned>(self >> 32),
+                static_cast<unsigned>(self & 0xffffffffu));
+#ifdef OSH_TSAN_FIBERS
+    f.tsanFiber = __tsan_create_fiber(0);
+#endif
+
     threads_.push_back(std::move(owned));
     active_.push_back(t);
     readyQueue_.push_back(t);
     ++liveCount_;
     ++started_;
-    stats_.counter("threads_created").inc();
-    t->host = std::thread([this, t] { threadMain(t); });
+    threadsCreated_.get(stats_, "threads_created").inc();
     return *t;
 }
 
 void
-Scheduler::threadMain(Thread* t)
+Scheduler::fiberEntry(unsigned hi, unsigned lo) noexcept
 {
-    std::unique_lock<std::mutex> lk(lock_);
-    tlsHostLock = &lk;
-    while (t->state != Thread::State::Running)
-        t->cv.wait(lk);
-    current_ = t;
-
-    t->body(*t);
-
-    t->state = Thread::State::Zombie;
-    --liveCount_;
-    switchFrom(t, lk, /*exiting=*/true);
-    tlsHostLock = nullptr;
+    auto* self = reinterpret_cast<Scheduler*>(
+        (static_cast<std::uintptr_t>(hi) << 32) | lo);
+    // Whoever switched here made this thread current first.
+    self->threadMain(self->current_);
 }
 
 void
-Scheduler::switchFrom(Thread* cur, std::unique_lock<std::mutex>& lk,
-                      bool exiting)
+Scheduler::threadMain(Thread* t) noexcept
+{
+    landed(t->fiber_);
+    t->body(*t);
+    t->body = nullptr;
+
+    t->state = Thread::State::Zombie;
+    --liveCount_;
+    switchFrom(t, /*exiting=*/true);
+    osh_panic("finished guest thread %u resumed", t->pid);
+}
+
+void
+Scheduler::jump(Fiber& from, Fiber& to, [[maybe_unused]] bool exiting)
+{
+#ifdef OSH_ASAN_FIBERS
+    // A null slot tells ASan the outgoing fiber is gone for good, so it
+    // frees that fiber's fake stack.
+    bool to_driver = to.stack == nullptr;
+    __sanitizer_start_switch_fiber(
+        exiting ? nullptr : &from.asanFakeStack,
+        to_driver ? driverStackBottom_ : stackBottom(to.stack),
+        to_driver ? driverStackSize_ : stackUsable());
+#endif
+#ifdef OSH_TSAN_FIBERS
+    __tsan_switch_to_fiber(to.tsanFiber, 0);
+#endif
+    if (swapcontext(&from.context, &to.context) != 0)
+        osh_panic("swapcontext failed");
+    landed(from);
+}
+
+void
+Scheduler::landed([[maybe_unused]] Fiber& self)
+{
+#ifdef OSH_ASAN_FIBERS
+    const void* bottom = nullptr;
+    std::size_t size = 0;
+    __sanitizer_finish_switch_fiber(self.asanFakeStack, &bottom, &size);
+    if (leavingDriver_) {
+        driverStackBottom_ = bottom;
+        driverStackSize_ = size;
+    }
+#endif
+    leavingDriver_ = false;
+}
+
+void
+Scheduler::switchFrom(Thread* cur, bool exiting)
 {
     if (!readyQueue_.empty()) {
         Thread* next = readyQueue_.front();
         readyQueue_.pop_front();
         next->state = Thread::State::Running;
         current_ = next;
-        if (next != cur) {
-            cost_.charge(cost_.params().contextSwitch, "context_switch");
-            assignCpu(next);
-            if (switchHook_)
-                switchHook_(*next);
-            next->cv.notify_all();
-        }
+        if (next == cur)
+            return;
+        cost_.charge(cost_.params().contextSwitch, "context_switch");
+        assignCpu(next);
+        if (switchHook_)
+            switchHook_(*next);
+        jump(cur->fiber_, next->fiber_, exiting);
     } else {
         current_ = nullptr;
-        if (liveCount_ == 0) {
-            driverCv_.notify_all();
-        } else {
+        if (liveCount_ != 0) {
             // No runnable thread, yet live threads remain: everything
             // else is blocked. If the caller is also going away (exit)
             // or blocking, the guest has deadlocked — unless threads
@@ -120,28 +256,21 @@ Scheduler::switchFrom(Thread* cur, std::unique_lock<std::mutex>& lk,
             // back to the driver (the quiesced state it asked for).
             bool caller_runnable =
                 !exiting && cur->state == Thread::State::Running;
-            if (!caller_runnable) {
-                if (frozenCount_ > 0) {
-                    paused_ = true;
-                    driverCv_.notify_all();
-                } else {
-                    osh_panic("guest deadlock: %llu live threads, "
-                              "none runnable",
-                              static_cast<unsigned long long>(
-                                  liveCount_));
-                }
-            } else {
+            if (caller_runnable) {
                 // Caller yielded with nobody else to run: keep going.
-                cur->state = Thread::State::Running;
                 current_ = cur;
                 return;
             }
+            if (frozenCount_ == 0) {
+                osh_panic("guest deadlock: %llu live threads, "
+                          "none runnable",
+                          static_cast<unsigned long long>(liveCount_));
+            }
+            paused_ = true;
         }
+        jump(cur->fiber_, driver_, exiting);
     }
-    if (exiting)
-        return;
-    while (cur->state != Thread::State::Running)
-        cur->cv.wait(lk);
+    // Resumed: whoever switched back made this thread Running.
     current_ = cur;
 }
 
@@ -149,41 +278,38 @@ void
 Scheduler::yield()
 {
     Thread* cur = current_;
-    osh_assert(cur != nullptr && tlsHostLock != nullptr,
-               "yield outside guest context");
+    osh_assert(cur != nullptr, "yield outside guest context");
     if (readyQueue_.empty())
         return;
     cur->state = Thread::State::Ready;
     readyQueue_.push_back(cur);
-    stats_.counter("yields").inc();
-    switchFrom(cur, *tlsHostLock, false);
+    yields_.get(stats_, "yields").inc();
+    switchFrom(cur, false);
 }
 
 void
 Scheduler::preempt()
 {
     Thread* cur = current_;
-    osh_assert(cur != nullptr && tlsHostLock != nullptr,
-               "preempt outside guest context");
+    osh_assert(cur != nullptr, "preempt outside guest context");
     if (readyQueue_.empty())
         return;
     cost_.charge(cost_.params().interruptDeliver, "timer_interrupt");
     cur->state = Thread::State::Ready;
     readyQueue_.push_back(cur);
-    stats_.counter("preemptions").inc();
-    switchFrom(cur, *tlsHostLock, false);
+    preemptions_.get(stats_, "preemptions").inc();
+    switchFrom(cur, false);
 }
 
 void
 Scheduler::block(const void* channel)
 {
     Thread* cur = current_;
-    osh_assert(cur != nullptr && tlsHostLock != nullptr,
-               "block outside guest context");
+    osh_assert(cur != nullptr, "block outside guest context");
     cur->state = Thread::State::Blocked;
     cur->waitChannel = channel;
-    stats_.counter("blocks").inc();
-    switchFrom(cur, *tlsHostLock, false);
+    blocks_.get(stats_, "blocks").inc();
+    switchFrom(cur, false);
     cur->waitChannel = nullptr;
 }
 
@@ -199,7 +325,7 @@ Scheduler::wakeAll(const void* channel)
             t->state = Thread::State::Ready;
             t->waitChannel = nullptr;
             readyQueue_.push_back(t);
-            stats_.counter("wakeups").inc();
+            wakeups_.get(stats_, "wakeups").inc();
         }
         active_[out++] = t;
     }
@@ -207,16 +333,26 @@ Scheduler::wakeAll(const void* channel)
 }
 
 void
+Scheduler::wakeThread(Thread& t)
+{
+    if (t.state == Thread::State::Blocked) {
+        t.state = Thread::State::Ready;
+        t.waitChannel = nullptr;
+        readyQueue_.push_back(&t);
+        wakeups_.get(stats_, "wakeups").inc();
+    }
+}
+
+void
 Scheduler::freezeCurrent()
 {
     Thread* cur = current_;
-    osh_assert(cur != nullptr && tlsHostLock != nullptr,
-               "freeze outside guest context");
+    osh_assert(cur != nullptr, "freeze outside guest context");
     cur->state = Thread::State::Blocked;
     cur->waitChannel = &frozenChannel_;
     ++frozenCount_;
-    stats_.counter("freezes").inc();
-    switchFrom(cur, *tlsHostLock, false);
+    freezes_.get(stats_, "freezes").inc();
+    switchFrom(cur, false);
     cur->waitChannel = nullptr;
 }
 
@@ -230,7 +366,6 @@ Scheduler::isFrozen(const Thread& t) const
 void
 Scheduler::resumeFrozen(Thread& t)
 {
-    std::unique_lock<std::mutex> lk(lock_);
     osh_assert(current_ == nullptr,
                "resumeFrozen while a guest thread is running");
     osh_assert(isFrozen(t), "resumeFrozen of a thread that is not frozen");
@@ -239,42 +374,49 @@ Scheduler::resumeFrozen(Thread& t)
     t.waitChannel = nullptr;
     --frozenCount_;
     readyQueue_.push_back(&t);
-    stats_.counter("thaws").inc();
+    thaws_.get(stats_, "thaws").inc();
 }
 
 std::size_t
 Scheduler::reapFinished()
 {
-    {
-        std::unique_lock<std::mutex> lk(lock_);
-        osh_assert(current_ == nullptr,
-                   "reapFinished while a guest thread is running");
-    }
-    std::size_t n = 0;
+    osh_assert(current_ == nullptr,
+               "reapFinished while a guest thread is running");
+    auto finished = [](const Thread* t) {
+        return t->state == Thread::State::Zombie;
+    };
+    // The scan set first: it points into the records released below.
+    std::erase_if(active_, finished);
+    std::size_t out = 0;
     for (auto& t : threads_) {
-        if (t->state == Thread::State::Zombie && t->host.joinable()) {
-            t->host.join();
-            ++n;
+        if (!finished(t.get())) {
+            threads_[out++] = std::move(t);
+            continue;
         }
+        unpoisonStack(t->fiber_.stack);
+        freeStacks_.push_back(t->fiber_.stack);
+#ifdef OSH_TSAN_FIBERS
+        __tsan_destroy_fiber(t->fiber_.tsanFiber);
+#endif
     }
-    return n;
+    std::size_t released = threads_.size() - out;
+    threads_.resize(out);
+    return released;
 }
 
 std::size_t
 Scheduler::joinableFinishedThreads() const
 {
-    std::size_t n = 0;
-    for (const auto& t : threads_) {
-        if (t->state == Thread::State::Zombie && t->host.joinable())
-            ++n;
-    }
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(threads_.begin(), threads_.end(),
+                      [](const std::unique_ptr<Thread>& t) {
+                          return t->state == Thread::State::Zombie;
+                      }));
 }
 
 std::uint64_t
 Scheduler::run()
 {
-    std::unique_lock<std::mutex> lk(lock_);
     if (liveCount_ == 0)
         return started_;
     osh_assert(current_ == nullptr, "run() while a thread is running");
@@ -290,28 +432,15 @@ Scheduler::run()
     next->state = Thread::State::Running;
     current_ = next;
     assignCpu(next);
-    next->cv.notify_all();
+#ifdef OSH_TSAN_FIBERS
+    driver_.tsanFiber = __tsan_get_current_fiber();
+#endif
+    leavingDriver_ = true;
+    jump(driver_, next->fiber_, false);
 
-    driverCv_.wait(lk, [this] { return liveCount_ == 0 || paused_; });
     paused_ = false;
     current_ = nullptr;
     return started_;
-}
-
-} // namespace osh::os
-
-namespace osh::os
-{
-
-void
-Scheduler::wakeThread(Thread& t)
-{
-    if (t.state == Thread::State::Blocked) {
-        t.state = Thread::State::Ready;
-        t.waitChannel = nullptr;
-        readyQueue_.push_back(&t);
-        stats_.counter("wakeups").inc();
-    }
 }
 
 } // namespace osh::os

@@ -2,16 +2,20 @@
  * @file
  * Guest threads and the scheduler.
  *
- * Each guest thread is hosted on its own std::thread, but execution is
- * strictly serialized: a single "big simulation lock" is held by
- * whichever guest thread is Running, and context switches are explicit
- * condition-variable handoffs driven by the scheduler. This gives the
- * simulator real blocking semantics (pipes, waitpid, page I/O) and real
- * preemption points while keeping runs fully deterministic — the
- * round-robin ready queue, not the host scheduler, decides who runs.
+ * Every guest thread is a stackful fiber (POSIX makecontext/swapcontext)
+ * on the host thread that calls Scheduler::run(). Only one guest body
+ * can execute at a time because there is only one host thread to run
+ * them: a context switch is a plain swapcontext from the outgoing
+ * fiber to the incoming one, chosen by the round-robin ready queue.
+ * This gives the simulator real blocking semantics (pipes, waitpid,
+ * page I/O) and real preemption points while keeping runs fully
+ * deterministic without any host lock or condition variable.
  *
- * Kernel code runs on the guest thread that trapped, exactly as in a
- * real monolithic kernel.
+ * Kernel code runs on the fiber of the guest thread that trapped,
+ * exactly as in a real monolithic kernel. A finished thread's record
+ * and stack are released by reapFinished(); stacks go to a free list
+ * that the next createThread() reuses, so host memory scales with the
+ * live threads, not with every thread ever created.
  */
 
 #ifndef OSH_OS_THREAD_HH
@@ -22,18 +26,30 @@
 #include "sim/cost_model.hh"
 #include "vmm/vcpu.hh"
 
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
+
+#include <ucontext.h>
 
 namespace osh::os
 {
 
 class Scheduler;
+
+/** A saved execution context: a guest thread's, or the driver's. */
+struct Fiber
+{
+    ucontext_t context{};
+    /** Base of the stack mapping, guard page first (nullptr for the
+     *  driver, which runs on its host thread's own stack). */
+    void* stack = nullptr;
+    /** ASan fake-stack slot saved across a switch away. */
+    void* asanFakeStack = nullptr;
+    /** TSan fiber handle (unused without TSan). */
+    void* tsanFiber = nullptr;
+};
 
 /** One guest thread (this simulator runs one thread per process). */
 class Thread
@@ -41,7 +57,7 @@ class Thread
   public:
     enum class State : std::uint8_t
     {
-        Embryo,   ///< Created, host thread not yet scheduled.
+        Embryo,   ///< Created, not yet scheduled.
         Ready,    ///< Runnable, waiting for the CPU.
         Running,  ///< Currently holds the simulation.
         Blocked,  ///< Waiting on a channel.
@@ -74,16 +90,18 @@ class Thread
     /** Body to run once first scheduled. */
     std::function<void(Thread&)> body;
 
-    std::condition_variable cv;
-    std::thread host;
+  private:
+    friend class Scheduler;
+
+    Fiber fiber_;
 };
 
 /**
- * Round-robin scheduler over host-thread-backed guest threads.
+ * Round-robin scheduler over fiber-backed guest threads.
  *
- * Locking protocol: every scheduler method that is documented as
- * "guest context" must be called by the currently Running guest thread,
- * which implicitly holds the simulation lock (taken in threadMain).
+ * Every scheduler method documented as "guest context" must be called
+ * from the currently Running guest thread's fiber; "driver context"
+ * methods must be called while no guest thread runs.
  */
 class Scheduler
 {
@@ -149,10 +167,10 @@ class Scheduler
     std::uint64_t run();
 
     /**
-     * Hook invoked (with the simulation lock held) whenever the CPU is
-     * handed to a *different* thread — the simulator's CR3-write point.
-     * The incoming thread is passed so the system layer can tell the
-     * VMM which vCPU slot took the switch (shadow/TLB retention).
+     * Hook invoked whenever the CPU is handed to a *different* thread —
+     * the simulator's CR3-write point. The incoming thread is passed so
+     * the system layer can tell the VMM which vCPU slot took the switch
+     * (shadow/TLB retention).
      */
     void setSwitchHook(std::function<void(Thread&)> hook)
     {
@@ -173,30 +191,57 @@ class Scheduler
     std::uint64_t liveThreads() const { return liveCount_; }
 
     /**
-     * Driver context (no thread running): join the host threads of
-     * guest threads that have exited, releasing their host stacks. The
-     * Thread objects stay (other layers may hold results keyed off
-     * them). Lets a many-thousand-process sweep run in bounded host
-     * memory; returns the number of host threads joined.
+     * Driver context (no thread running): release every guest thread
+     * that has exited — its Thread record is destroyed and its stack
+     * goes to the free list the next createThread() takes from. Results
+     * live in the layers above (keyed by pid), never in the record.
+     * Lets a many-thousand-process sweep run in bounded host memory;
+     * returns the number of threads released.
      */
     std::size_t reapFinished();
 
-    /** Finished guest threads whose host thread is still unjoined —
-     *  what the next reapFinished() would release. */
+    /** Finished guest threads not yet released — what the next
+     *  reapFinished() would release. */
     std::size_t joinableFinishedThreads() const;
+
+    /** Thread records currently held (live plus unreaped finished). */
+    std::size_t threadRecords() const { return threads_.size(); }
+
+    /** Fiber stacks mapped so far (in use plus on the free list). */
+    std::size_t mappedStacks() const { return mappedStacks_; }
 
     StatGroup& stats() { return stats_; }
 
   private:
-    void threadMain(Thread* t);
+    /** makecontext entry of every fiber; runs the current_ thread. */
+    static void fiberEntry(unsigned hi, unsigned lo) noexcept;
 
     /**
-     * Pick the next ready thread and hand the CPU to it; the caller
-     * then waits until it becomes Running again (or returns immediately
-     * if exiting). Must hold lock_.
+     * Run @p t's body on its fiber, then leave it for good. An
+     * exception escaping the body ends the program here (noexcept),
+     * rather than unwinding into the C frame makecontext built.
      */
-    void switchFrom(Thread* cur, std::unique_lock<std::mutex>& lk,
-                    bool exiting);
+    [[noreturn]] void threadMain(Thread* t) noexcept;
+
+    /**
+     * Pick the next ready thread and switch to its fiber (or back to
+     * the driver when nothing can run); returns once @p cur is Running
+     * again. An @p exiting caller never returns.
+     */
+    void switchFrom(Thread* cur, bool exiting);
+
+    /**
+     * Save the host context into @p from and resume @p to, telling the
+     * sanitizers about the stack change. Returns when something
+     * switches back to @p from; an @p exiting @p from never resumes.
+     */
+    void jump(Fiber& from, Fiber& to, bool exiting);
+
+    /** Finish a switch into @p self (sanitizer bookkeeping). */
+    void landed(Fiber& self);
+
+    /** A stack from the free list, or a freshly mapped one. */
+    void* takeStack();
 
     /**
      * Bind a freshly dispatched thread to a core slot (seeded
@@ -206,8 +251,6 @@ class Scheduler
     void assignCpu(Thread* t);
 
     sim::CostModel& cost_;
-    std::mutex lock_;
-    std::condition_variable driverCv_;
 
     std::function<void(Thread&)> switchHook_;
     std::vector<std::unique_ptr<Thread>> threads_;
@@ -223,14 +266,34 @@ class Scheduler
     std::size_t nextCpuSlot_ = 0;
     std::uint64_t liveCount_ = 0;
     std::uint64_t started_ = 0;
-    bool driverWaiting_ = false;
     /** Threads parked by freezeCurrent() wait on this channel. */
     char frozenChannel_ = 0;
     std::uint64_t frozenCount_ = 0;
     /** Set when the scheduler hands control back to a checkpointing
      *  driver because only frozen/blocked threads remain. */
     bool paused_ = false;
+
+    /** The context run() was called from; fibers return here. */
+    Fiber driver_;
+    /** The next fiber to land came from the driver, whose stack bounds
+     *  ASan learns from that switch. */
+    bool leavingDriver_ = false;
+    const void* driverStackBottom_ = nullptr;
+    std::size_t driverStackSize_ = 0;
+    /** Stacks of released threads, reused before mapping new ones. */
+    std::vector<void*> freeStacks_;
+    std::size_t mappedStacks_ = 0;
+
     StatGroup stats_;
+    CounterSlot threadsCreated_; ///< stats_ "threads_created".
+    CounterSlot yields_;         ///< stats_ "yields".
+    CounterSlot preemptions_;    ///< stats_ "preemptions".
+    CounterSlot blocks_;         ///< stats_ "blocks".
+    CounterSlot wakeups_;        ///< stats_ "wakeups".
+    CounterSlot freezes_;        ///< stats_ "freezes".
+    CounterSlot thaws_;          ///< stats_ "thaws".
+    CounterSlot dispatches_;     ///< stats_ "dispatches" (SMP only).
+    CounterSlot cpuMigrations_;  ///< stats_ "cpu_migrations" (SMP only).
 };
 
 } // namespace osh::os

@@ -152,8 +152,8 @@ void
 System::run()
 {
     sched_.run();
-    // Release the host stacks of threads that finished this run; the
-    // Thread objects (and their results) stay.
+    // Release the threads that finished this run (records and fiber
+    // stacks); their results stay in results_.
     sched_.reapFinished();
 }
 

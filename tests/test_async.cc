@@ -6,8 +6,8 @@
  * queue depths, the ≥5× eviction critical-path win, chunked tamper
  * detection and flat/chunked equivalence, checkpoint interaction
  * (drain-first; typed refusal under chunked integrity), the
- * leak-oracle staging scan, builder validation, and scheduler reaping
- * at System teardown.
+ * leak-oracle staging scan, builder validation, and the scheduler's
+ * release of finished threads and their fiber stacks.
  */
 
 #include "attack/campaign.hh"
@@ -537,7 +537,7 @@ TEST(AsyncCampaign, SwapAttackVerdictsDepthInvariant)
     }
 }
 
-// --- builder validation & teardown reaping ---------------------------
+// --- builder validation, thread release and fiber stacks -------------
 
 TEST(AsyncConfig, BuilderValidatesDepthAndChunking)
 {
@@ -565,26 +565,104 @@ TEST(AsyncConfig, BuilderValidatesDepthAndChunking)
     EXPECT_TRUE(cfg.chunkedIntegrity);
 }
 
-TEST(SchedulerReap, SystemRunReapsFinishedHostThreads)
+TEST(SchedulerReap, SystemRunReleasesFinishedThreads)
 {
     auto cfg = SystemConfig::Builder{}.seed(3).cloaking(true).build();
     System sys(cfg);
     workloads::registerAll(sys);
 
     // Drive the scheduler directly: finished guest threads keep their
-    // host threads until someone reaps.
+    // records and stacks until someone reaps.
     sys.launch("wl.victim.compute");
     sys.sched().run();
     std::size_t joinable = sys.sched().joinableFinishedThreads();
     EXPECT_GT(joinable, 0u);
+    EXPECT_EQ(sys.sched().threadRecords(), joinable);
     EXPECT_EQ(sys.sched().reapFinished(), joinable);
     EXPECT_EQ(sys.sched().joinableFinishedThreads(), 0u);
+    EXPECT_EQ(sys.sched().threadRecords(), 0u);
     EXPECT_EQ(sys.sched().reapFinished(), 0u);
 
-    // System::run() reaps on the way out: no joinable stragglers.
+    // System::run() reaps on the way out: no finished record survives.
     sys.launch("wl.victim.compute");
     sys.run();
     EXPECT_EQ(sys.sched().joinableFinishedThreads(), 0u);
+    EXPECT_EQ(sys.sched().threadRecords(), 0u);
+}
+
+TEST(SchedulerReap, TenantWavesReuseStacks)
+{
+    // The tenants benchmark shape: waves of 24 short cloaked processes
+    // on 4 vCPUs with a 500-op tick. Released stacks are reused, so
+    // three waves never map more stacks than one wave has threads.
+    constexpr std::uint64_t seed = 42;
+    constexpr std::uint64_t wave = 24;
+    auto cfg = SystemConfig::Builder{}
+                   .seed(seed)
+                   .cloaking(true)
+                   .vcpus(4)
+                   .preemptOpsPerTick(500)
+                   .build();
+    System sys(cfg);
+    workloads::registerAll(sys);
+    for (std::uint64_t w = 0; w < 3; ++w) {
+        std::vector<Pid> pids;
+        for (std::uint64_t i = 0; i < wave; ++i)
+            pids.push_back(sys.launch("wl.tenant", {std::to_string(i)}));
+        sys.run();
+        for (std::uint64_t i = 0; i < wave; ++i) {
+            const system::ExitResult* r = sys.resultOf(pids[i]);
+            ASSERT_NE(r, nullptr);
+            EXPECT_EQ(r->status, workloads::tenantStatus(seed, i))
+                << "wave " << w << " tenant " << i << ": "
+                << r->killReason;
+        }
+        EXPECT_EQ(sys.sched().threadRecords(), 0u) << "wave " << w;
+    }
+    EXPECT_EQ(sys.sched().stats().value("threads_created"), 3 * wave);
+    EXPECT_GT(sys.sched().mappedStacks(), 0u);
+    EXPECT_LE(sys.sched().mappedStacks(), wave);
+}
+
+/** Burn at least @p bytes of host stack, one 64 KiB frame at a time. */
+std::uint64_t
+deepRecurse(std::size_t bytes)
+{
+    volatile std::uint8_t frame[64 * 1024];
+    for (std::size_t i = 0; i < sizeof(frame); i += 4096)
+        frame[i] = static_cast<std::uint8_t>(bytes >> 16);
+    std::uint64_t below =
+        bytes > sizeof(frame) ? deepRecurse(bytes - sizeof(frame)) : 0;
+    return below + frame[0];
+}
+
+TEST(SchedulerFibers, DeepGuestStackExitsCleanly)
+{
+    // Guest bodies run on scheduler-owned stacks: a body that recurses
+    // through well over 2 MiB of host stack, and yields at the bottom,
+    // must neither hit the guard page nor disturb the thread it
+    // switches to.
+    auto cfg = SystemConfig::Builder{}.seed(5).cloaking(true).build();
+    System sys(cfg);
+    constexpr std::size_t depth = 3u << 20;
+    std::uint64_t expected = 0;
+    for (std::size_t b = depth; b > 0;
+         b = b > 64 * 1024 ? b - 64 * 1024 : 0)
+        expected += static_cast<std::uint8_t>(b >> 16);
+    sys.addProgram("deep", os::Program{[expected](os::Env& env) {
+        env.yield();
+        return deepRecurse(depth) == expected ? 7 : 1;
+    }, true, 16});
+    Pid a = sys.launch("deep");
+    Pid b = sys.launch("deep");
+    sys.run();
+    for (Pid pid : {a, b}) {
+        const system::ExitResult* r = sys.resultOf(pid);
+        ASSERT_NE(r, nullptr);
+        EXPECT_FALSE(r->killed) << r->killReason;
+        EXPECT_EQ(r->status, 7);
+    }
+    EXPECT_EQ(sys.sched().threadRecords(), 0u);
 }
 
 } // namespace

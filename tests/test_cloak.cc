@@ -535,6 +535,118 @@ TEST(CloakFiles, ProtectedFilePersistsAcrossProcesses)
     EXPECT_EQ(rd.status, 0) << rd.killReason;
 }
 
+// Key lifetime: a finished process's key material is released with its
+// resources, and nothing still using a key loses it.
+
+TEST(CloakKeyLifetime, LiveKeysMatchLiveResourcesAfterExit)
+{
+    auto cfg = SystemConfig::Builder{}
+                   .seed(42)
+                   .cloaking(true)
+                   .vcpus(4)
+                   .preemptOpsPerTick(500)
+                   .build();
+    System sys(cfg);
+    workloads::registerAll(sys);
+    const crypto::KeyManager& keys = sys.cloak()->keys();
+    std::size_t derived_per_wave = 0;
+    for (std::uint64_t wave = 1; wave <= 2; ++wave) {
+        for (std::uint64_t i = 0; i < 24; ++i)
+            sys.launch("wl.tenant", {std::to_string(i)});
+        sys.run();
+        EXPECT_EQ(keys.liveKeyCount(),
+                  sys.cloak()->metadata().resourceCount())
+            << "wave " << wave;
+        // Derivations stay cumulative while the live set drains.
+        if (wave == 1)
+            derived_per_wave = keys.derivedKeyCount();
+        EXPECT_EQ(keys.derivedKeyCount(), wave * derived_per_wave);
+    }
+    EXPECT_GE(derived_per_wave, 24u);
+}
+
+TEST(CloakKeyLifetime, ForkChildOutlivesParent)
+{
+    System sys(cloakedConfig());
+    Pid child_pid = 0;
+    std::uint64_t domains_gone = ~0ull; // Seen by the child at its fault.
+    sys.addProgram("parent", os::Program{[&](Env& env) {
+        GuestVA p = env.allocPages(3);
+        for (std::uint64_t i = 0; i < 3; ++i)
+            env.store64(p + i * pageSize, secretValue + i);
+        child_pid = env.fork([&sys, &domains_gone, p](Env& c) {
+            // The child has attached to its cloned domain; now let the
+            // parent run to its exit, so its domain (and its handles
+            // to the shared key) is gone before the child faults its
+            // cloned pages in.
+            c.yield();
+            domains_gone = sys.cloak()->stats().value("domains_destroyed");
+            for (std::uint64_t i = 0; i < 3; ++i) {
+                if (c.load64(p + i * pageSize) != secretValue + i)
+                    return 1;
+            }
+            return 0;
+        });
+        env.yield(); // Let the child attach while this domain lives.
+        return child_pid > 0 ? 0 : 2;
+    }, true, 64});
+    auto r = sys.runProgram("parent");
+    ASSERT_EQ(r.status, 0) << r.killReason;
+    const system::ExitResult* child = sys.resultOf(child_pid);
+    ASSERT_NE(child, nullptr);
+    EXPECT_FALSE(child->killed) << child->killReason;
+    EXPECT_EQ(child->status, 0);
+    EXPECT_EQ(domains_gone, 1u); // The parent's domain was destroyed.
+    EXPECT_EQ(sys.cloak()->keys().liveKeyCount(),
+              sys.cloak()->metadata().resourceCount());
+}
+
+TEST(CloakKeyLifetime, ProtectedFileOutlivesWriter)
+{
+    System sys(cloakedConfig());
+    std::string content;
+    for (int i = 0; content.size() < 3 * pageSize + 100; ++i)
+        content += "block " + std::to_string(i * 7919) + ";";
+    sys.addProgram("vault", os::Program{[content](Env& env) {
+        env.mkdir("/cloaked");
+        if (env.args().at(0) == "write") {
+            std::int64_t fd = env.open("/cloaked/blob",
+                                       os::openCreate | os::openWrite |
+                                           os::openTrunc);
+            if (fd < 0)
+                return 1;
+            env.writeAll(fd, content);
+            env.close(fd);
+            return 0;
+        }
+        std::int64_t fd = env.open("/cloaked/blob", os::openRead);
+        if (fd < 0)
+            return 2;
+        std::string back;
+        for (;;) {
+            std::string s = env.readSome(fd, 1000);
+            if (s.empty())
+                break;
+            back += s;
+        }
+        env.close(fd);
+        return back == content ? 0 : 3;
+    }, true, 64});
+
+    auto w = sys.runProgram("vault", {"write"});
+    ASSERT_EQ(w.status, 0) << w.killReason;
+    const crypto::KeyManager& keys = sys.cloak()->keys();
+    const cloak::MetadataStore& store = sys.cloak()->metadata();
+    EXPECT_EQ(keys.liveKeyCount(), store.resourceCount());
+
+    auto rd = sys.runProgram("vault", {"read"});
+    EXPECT_EQ(rd.status, 0) << rd.killReason;
+    // Every live key is some live resource's; resources of one file
+    // share its key.
+    EXPECT_GE(keys.liveKeyCount(), 1u);
+    EXPECT_LE(keys.liveKeyCount(), store.resourceCount());
+}
+
 TEST(CloakFiles, DifferentProgramCannotAttach)
 {
     System sys(cloakedConfig());

@@ -697,6 +697,41 @@ TEST(Keys, DistinctResourcesGetDistinctSealingKeys)
     EXPECT_NE(sealingMac(km.acquire(1)), sealingMac(km.acquire(2)));
 }
 
+TEST(Keys, MaterialLivesAsLongAsItsHandles)
+{
+    KeyManager km(1234);
+    KeyHandle h = km.acquire(7);
+    Digest mac = sealingMac(h);
+    {
+        KeyHandle alias = h; // A fork clone copies the handle.
+        h = KeyHandle();
+        EXPECT_EQ(km.liveKeyCount(), 1u);
+        EXPECT_EQ(sealingMac(alias), mac);
+    }
+    // The last handle died: the entry is gone, the count is not.
+    EXPECT_EQ(km.liveKeyCount(), 0u);
+    EXPECT_EQ(km.derivedKeyCount(), 1u);
+
+    // Re-deriving gives the same key and counts again.
+    KeyHandle again = km.acquire(7);
+    EXPECT_EQ(sealingMac(again), mac);
+    EXPECT_EQ(km.liveKeyCount(), 1u);
+    EXPECT_EQ(km.derivedKeyCount(), 2u);
+}
+
+TEST(Keys, HandleMayOutliveItsManager)
+{
+    KeyHandle h;
+    Digest mac{};
+    {
+        KeyManager km(5);
+        h = km.acquire(3);
+        mac = sealingMac(h);
+    }
+    EXPECT_TRUE(h.valid());
+    EXPECT_EQ(sealingMac(h), mac);
+}
+
 // Parameterized property sweep: CTR round-trips across sizes and seeds.
 class CtrRoundTrip : public ::testing::TestWithParam<std::tuple<int, int>>
 {
