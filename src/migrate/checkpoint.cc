@@ -119,9 +119,13 @@ parseRecord(ParsedImage& img, const Record& rec)
         vma.cloaked = pr.u8() != 0;
         vma.inode = pr.u64();
         vma.fileOffset = pr.u64();
+        // checkpoint() refuses file mappings, so an image never holds
+        // one; a file VMA here would map an inode it holds no
+        // reference on.
         if (!pr.done() || vma.start >= vma.end ||
             vma.start != pageBase(vma.start) ||
-            vma.end != pageBase(vma.end))
+            vma.end != pageBase(vma.end) ||
+            vma.type != os::VmaType::Anon)
             return Error(MigrateError::BadRecord);
         img.vmas.push_back(vma);
         return {};

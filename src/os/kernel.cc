@@ -332,6 +332,8 @@ Kernel::teardownAddressSpace(Process& proc)
         if (pte != nullptr)
             releasePte(proc, va, *pte);
     }
+    for (const auto& [start, vma] : proc.as.vmas())
+        unpinVmaInode(vma);
     proc.as = AddressSpace(proc.as.asid());
     vmm_.invalidateAsid(proc.as.asid());
 }
@@ -362,6 +364,26 @@ Kernel::finalizeExit(Process& proc, int status)
     // Wake a parent blocked in waitpid.
     if (Process* parent = findProcess(proc.ppid))
         sched_.wakeAll(&parent->exitChannel);
+}
+
+std::size_t
+Kernel::reapOrphanZombies()
+{
+    osh_assert(sched_.current() == nullptr,
+               "reapOrphanZombies while a guest thread is running");
+    std::vector<Pid> orphans;
+    for (const auto& [pid, p] : processes_) {
+        if (p->state != ProcState::Zombie)
+            continue;
+        const Process* parent = findProcess(p->ppid);
+        if (parent == nullptr || parent->state == ProcState::Zombie)
+            orphans.push_back(pid);
+    }
+    for (Pid pid : orphans)
+        processes_.erase(pid);
+    if (!orphans.empty())
+        stats_.counter("zombies_reaped").inc(orphans.size());
+    return orphans.size();
 }
 
 Process*
@@ -717,6 +739,31 @@ Kernel::dropPageCachePage(Inode& ino, std::uint64_t page_index)
     osh_assert(cit->second.mapCount == 0, "drop of mapped page");
     frames_.unref(cit->second.gpa);
     ino.cache.erase(cit);
+}
+
+void
+Kernel::reapInode(InodeId id)
+{
+    for (const PageCacheEntry& e : vfs_.reapIfUnreferenced(id))
+        frames_.unref(e.gpa);
+}
+
+void
+Kernel::pinVmaInode(const Vma& vma)
+{
+    if (vma.type == VmaType::File)
+        vfs_.inode(vma.inode).vmaCount++;
+}
+
+void
+Kernel::unpinVmaInode(const Vma& vma)
+{
+    if (vma.type != VmaType::File)
+        return;
+    Inode& ino = vfs_.inode(vma.inode);
+    osh_assert(ino.vmaCount > 0, "vmaCount underflow");
+    ino.vmaCount--;
+    reapInode(vma.inode);
 }
 
 PageCacheEntry&

@@ -129,6 +129,16 @@ class Kernel : public vmm::GuestOsHooks
      */
     void finalizeExit(Process& proc, int status);
 
+    /**
+     * Driver context, between runs: erase every zombie that no live
+     * parent can still waitpid for — its parent is absent (ppid 0 or
+     * already reaped) or is itself a zombie. There is no reparenting:
+     * such a zombie's status is unobservable in the guest. Counted in
+     * the "zombies_reaped" stat (waitpid reaps are not). Returns the
+     * number erased.
+     */
+    std::size_t reapOrphanZombies();
+
     // Syscalls -----------------------------------------------------------
 
     /**
@@ -223,6 +233,16 @@ class Kernel : public vmm::GuestOsHooks
     void swapOutAnon(Gpa gpa);
     void swapIn(Process& proc, GuestVA va_page, Pte& pte, const Vma& vma);
     void dropPageCachePage(Inode& ino, std::uint64_t page_index);
+
+    /**
+     * Free an inode and its page-cache frames if nothing references it
+     * any more: called wherever a link, descriptor or mapping drops.
+     */
+    void reapInode(InodeId id);
+
+    /** Take / drop the inode reference a file VMA holds. */
+    void pinVmaInode(const Vma& vma);
+    void unpinVmaInode(const Vma& vma);
 
     /**
      * Write one dirty cached page to the disk image. @p charge_seek

@@ -113,16 +113,14 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         break;
       case Sys::Unlink:
         {
+            // Files and empty directories alike: the inode goes now if
+            // this was its last reference, else at the last close or
+            // munmap.
             std::string path = readUserString(t, a1);
+            std::int64_t id = vfs_.lookup(path);
             result = vfs_.unlink(path);
-            if (result == 0) {
-                std::int64_t id = vfs_.lookup(path);
-                (void)id; // already unlinked; reap by scanning below
-            }
-            // Reap any fully unreferenced inode this unlink released.
-            // (unlink returns only 0/-err; rescan via path is moot, so
-            // the actual reap happens in closeFile and here for files
-            // with no open descriptors.)
+            if (result == 0)
+                reapInode(static_cast<InodeId>(id));
         }
         break;
       case Sys::Mkdir:
@@ -299,6 +297,7 @@ Kernel::sysMmap(Thread&, std::uint64_t len, std::uint64_t prot,
         vma.fileOffset = offset;
     }
     GuestVA va = p.as.allocVma(vma, pages);
+    pinVmaInode(vma);
     stats_.counter("mmaps").inc();
     return static_cast<std::int64_t>(va);
 }
@@ -317,6 +316,7 @@ Kernel::sysMunmap(Thread&, GuestVA va)
         releasePte(p, dropped_vas[i], pte);
         vmm_.invalidateVa(p.as.asid(), dropped_vas[i]);
     }
+    unpinVmaInode(*vma);
     stats_.counter("munmaps").inc();
     return 0;
 }
@@ -374,9 +374,7 @@ Kernel::closeFile(Process&, std::shared_ptr<OpenFile>& slot)
         Inode& ino = vfs_.inode(f->inode);
         osh_assert(ino.openCount > 0, "openCount underflow");
         ino.openCount--;
-        auto pages = vfs_.reapIfUnreferenced(f->inode);
-        for (const PageCacheEntry& e : pages)
-            frames_.unref(e.gpa);
+        reapInode(f->inode);
     } else if (f->pipe) {
         if (f->kind == OpenFile::Kind::PipeRead)
             f->pipe->readers--;
@@ -941,6 +939,7 @@ Kernel::sysFork(Thread& t, std::uint64_t token)
     for (const auto& [start, vma] : parent.as.vmas()) {
         bool ok = child.as.addVma(vma);
         osh_assert(ok, "fork VMA clone collision");
+        pinVmaInode(vma);
     }
     child.as.adoptCursors(parent.as);
 

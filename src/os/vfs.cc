@@ -186,7 +186,8 @@ Vfs::reapIfUnreferenced(InodeId id)
     if (it == inodes_.end())
         return {};
     Inode& node = *it->second;
-    if (node.nlink > 0 || node.openCount > 0 || node.id == rootId_)
+    if (node.nlink > 0 || node.openCount > 0 || node.vmaCount > 0 ||
+        node.id == rootId_)
         return {};
     std::vector<PageCacheEntry> pages;
     pages.reserve(node.cache.size());

@@ -53,6 +53,12 @@ struct Inode
     InodeId id = 0;
     InodeType type = InodeType::File;
 
+    // References: the inode lives while any of these is nonzero
+    // (Vfs::reapIfUnreferenced).
+    std::uint32_t nlink = 0;     ///< Directory references.
+    std::uint32_t openCount = 0; ///< Live file descriptors.
+    std::uint32_t vmaCount = 0;  ///< File VMAs mapping it (mmap).
+
     // Regular files.
     std::uint64_t size = 0;
     std::vector<std::uint8_t> diskData;       ///< Persistent contents.
@@ -60,9 +66,6 @@ struct Inode
 
     // Directories.
     std::map<std::string, InodeId> entries;
-
-    std::uint32_t nlink = 0;     ///< Directory references.
-    std::uint32_t openCount = 0; ///< Live file descriptors.
 
     bool isDir() const { return type == InodeType::Directory; }
 };
@@ -91,7 +94,8 @@ class Vfs
 
     /**
      * Unlink a file (directories must be empty). The inode survives
-     * while file descriptors reference it. Returns 0 or negative Err.
+     * while descriptors or mappings reference it; the caller reaps it
+     * with reapIfUnreferenced. Returns 0 or negative Err.
      */
     std::int64_t unlink(const std::string& path);
 
@@ -107,8 +111,9 @@ class Vfs
 
     /**
      * Drop an inode if it is fully unreferenced (no links, no open
-     * descriptors). Returns the page-cache entries that must be freed
-     * by the caller (the kernel owns frame accounting).
+     * descriptors, no file mappings). Returns the page-cache entries
+     * that must be freed by the caller (the kernel owns frame
+     * accounting).
      */
     std::vector<PageCacheEntry> reapIfUnreferenced(InodeId id);
 
@@ -117,6 +122,9 @@ class Vfs
      * oracle walks these to scan all kernel-visible file bytes.
      */
     std::vector<InodeId> inodeIds() const;
+
+    /** Number of live inodes, the root included. */
+    std::size_t inodeCount() const { return inodes_.size(); }
 
     StatGroup& stats() { return stats_; }
 

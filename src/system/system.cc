@@ -153,8 +153,10 @@ System::run()
 {
     sched_.run();
     // Release the threads that finished this run (records and fiber
-    // stacks); their results stay in results_.
+    // stacks), then the zombies no parent can wait for; their results
+    // stay in results_.
     sched_.reapFinished();
+    kernel_.reapOrphanZombies();
 }
 
 ExitResult

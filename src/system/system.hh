@@ -319,7 +319,11 @@ class System : public os::ProcessHost, public os::EnvRuntime
      */
     GuestVA pendingRestoredBounce(Pid pid) const;
 
-    /** Run until every guest thread has exited. */
+    /**
+     * Run until every guest thread has exited (or the scheduler pauses
+     * for a freeze), then free what finished: thread records, fiber
+     * stacks and the zombies no parent can still waitpid for.
+     */
     void run();
 
     /** Convenience: launch + run, returning the init process result. */

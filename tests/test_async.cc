@@ -594,7 +594,8 @@ TEST(SchedulerReap, TenantWavesReuseStacks)
 {
     // The tenants benchmark shape: waves of 24 short cloaked processes
     // on 4 vCPUs with a 500-op tick. Released stacks are reused, so
-    // three waves never map more stacks than one wave has threads.
+    // three waves never map more stacks than one wave has threads, and
+    // no driver-launched process outlives its wave as a zombie.
     constexpr std::uint64_t seed = 42;
     constexpr std::uint64_t wave = 24;
     auto cfg = SystemConfig::Builder{}
@@ -618,8 +619,10 @@ TEST(SchedulerReap, TenantWavesReuseStacks)
                 << r->killReason;
         }
         EXPECT_EQ(sys.sched().threadRecords(), 0u) << "wave " << w;
+        EXPECT_TRUE(sys.kernel().pids().empty()) << "wave " << w;
     }
     EXPECT_EQ(sys.sched().stats().value("threads_created"), 3 * wave);
+    EXPECT_EQ(sys.kernel().stats().value("zombies_reaped"), 3 * wave);
     EXPECT_GT(sys.sched().mappedStacks(), 0u);
     EXPECT_LE(sys.sched().mappedStacks(), wave);
 }

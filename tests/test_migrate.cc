@@ -338,6 +338,53 @@ TEST(MigrateCheckpoint, TamperedImageIsRefusedUntouched)
     EXPECT_EQ(r->status, 0);
 }
 
+TEST(MigrateCheckpoint, FileMappingRecordIsRefused)
+{
+    system::System src(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(src);
+    Pid pid = launchFrozen(src, "wl.victim.compute", 16);
+
+    migrate::CheckpointOptions copts;
+    copts.nonce = 5;
+    auto ckpt = migrate::checkpoint(src, pid, copts);
+    ASSERT_TRUE(ckpt.ok());
+
+    // Re-seal the image with its first VMA retyped as a file mapping:
+    // correctly MAC'd, but a record checkpoint() never writes. Such a
+    // VMA would hold no reference on the inode it names.
+    const crypto::Digest key = src.cloak()->migrationKey(copts.nonce);
+    migrate::ImageReader reader(key, (*ckpt).image);
+    migrate::ImageWriter writer(key);
+    bool retyped = false;
+    for (;;) {
+        auto rec = reader.next();
+        ASSERT_TRUE(rec.ok());
+        if ((*rec).type == RecordType::End)
+            break;
+        std::vector<std::uint8_t> payload = (*rec).payload;
+        if ((*rec).type == RecordType::Vma && !retyped) {
+            // Layout: start u64, end u64, type u8, ...
+            payload[16] = static_cast<std::uint8_t>(os::VmaType::File);
+            retyped = true;
+        }
+        writer.append((*rec).type, payload);
+    }
+    ASSERT_TRUE(retyped);
+    std::vector<std::uint8_t> forged = writer.finish();
+
+    system::System dst(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(dst);
+    auto r = migrate::restore(dst, forged, (*ckpt).ticket);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), MigrateError::BadRecord);
+    EXPECT_TRUE(dst.kernel().pids().empty());
+
+    // The untouched image still restores.
+    EXPECT_TRUE(migrate::restore(dst, (*ckpt).image, (*ckpt).ticket).ok());
+    dst.run();
+    abandonSource(src, pid);
+}
+
 /** Cold round trip: the migrated victim must finish with the same
  *  status and checksum as an unmigrated run, for every seed. */
 TEST(MigrateCheckpoint, ColdMigrationMatchesReference)

@@ -1,10 +1,12 @@
 /**
  * @file
- * Guest-OS integration tests (native, no cloaking): memory management,
- * demand paging, COW fork, files, pipes, signals, spawn/exec/wait,
+ * Guest-OS integration tests (native unless a test says otherwise):
+ * memory management, demand paging, COW fork, files and their
+ * lifetime, pipes, signals, spawn/exec/wait and zombie reaping,
  * swapping under memory pressure.
  */
 
+#include "cloak/engine.hh"
 #include "os/env.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
@@ -235,6 +237,151 @@ TEST(OsFiles, BadDescriptorErrors)
     EXPECT_EQ(r.status, 0);
 }
 
+/**
+ * Map a 4-page file, drop its name and descriptor in the given order,
+ * then fault an untouched page of the mapping: the mapping alone must
+ * keep the inode (and its data) alive, and munmap must free it.
+ */
+int
+mappingOutlivesNameAndFd(Env& env, bool unlink_first)
+{
+    os::Vfs& vfs = env.kernel().vfs();
+    const std::size_t inodes = vfs.inodeCount();
+    std::int64_t fd = env.open("/m", os::openCreate | os::openRead |
+                                         os::openWrite);
+    std::string data;
+    for (char c = 'a'; c < 'e'; ++c)
+        data += std::string(pageSize, c);
+    env.writeAll(fd, data);
+    std::int64_t va = env.mmap(4 * pageSize, os::protRead | os::protWrite,
+                               os::mapShared, fd, 0);
+    if (va < 0)
+        return 1;
+    if (unlink_first) {
+        env.unlink("/m");
+        env.close(fd);
+    } else {
+        env.close(fd);
+        env.unlink("/m");
+    }
+    // Page 2 was never faulted in through the mapping.
+    if (env.load8(static_cast<GuestVA>(va) + 2 * pageSize) != 'c')
+        return 2;
+    if (vfs.inodeCount() != inodes + 1)
+        return 3;
+    if (env.munmap(static_cast<GuestVA>(va)) != 0)
+        return 4;
+    return vfs.inodeCount() == inodes ? 0 : 5;
+}
+
+TEST(OsFiles, MappingPinsFileUnlinkedThenClosed)
+{
+    auto r = runBody(nativeConfig(), [](Env& env) {
+        return mappingOutlivesNameAndFd(env, true);
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+TEST(OsFiles, MappingPinsFileClosedThenUnlinked)
+{
+    auto r = runBody(nativeConfig(), [](Env& env) {
+        return mappingOutlivesNameAndFd(env, false);
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+TEST(OsFiles, UnlinkedFileCyclesKeepFramesAndInodesFlat)
+{
+    System sys(nativeConfig());
+    sys.addProgram("cycler", os::Program{[](Env& env) {
+        const std::uint64_t len = 64 * 1024;
+        GuestVA buf = env.allocPages(len / pageSize);
+        for (GuestVA off = 0; off < len; off += pageSize)
+            env.store64(buf + off, off + 1);
+        os::Kernel& k = env.kernel();
+        const std::size_t inodes0 = k.vfs().inodeCount();
+        std::uint64_t free0 = 0; // After the first cycle: Env's scratch.
+        for (int i = 0; i < 32; ++i) {
+            std::int64_t fd = env.open("/cycle", os::openCreate |
+                                                     os::openWrite);
+            if (env.write(fd, buf, len) != static_cast<std::int64_t>(len))
+                return 1;
+            env.close(fd);
+            if (env.unlink("/cycle") != 0)
+                return 2;
+            if (i == 0)
+                free0 = k.frames().freeFrames();
+            else if (k.frames().freeFrames() != free0)
+                return 100 + i;
+            if (k.vfs().inodeCount() != inodes0)
+                return 200 + i;
+        }
+        return 0;
+    }, false, 16});
+    auto r = sys.runProgram("cycler");
+    EXPECT_EQ(r.status, 0);
+    EXPECT_EQ(sys.kernel().vfs().stats().value("inodes_reaped"), 32u);
+}
+
+TEST(OsFiles, UnlinkReapsEmptyDirectory)
+{
+    auto r = runBody(nativeConfig(), [](Env& env) {
+        os::Vfs& vfs = env.kernel().vfs();
+        const std::size_t inodes = vfs.inodeCount();
+        env.mkdir("/d");
+        if (vfs.inodeCount() != inodes + 1)
+            return 1;
+        if (env.unlink("/d") != 0 || vfs.inodeCount() != inodes)
+            return 2;
+        if (env.open("/d", os::openRead) != -os::errNoEnt)
+            return 3;
+        // An open descriptor keeps an unlinked directory until close.
+        env.mkdir("/e");
+        std::int64_t dfd = env.open("/e", os::openRead);
+        if (env.unlink("/e") != 0 || vfs.inodeCount() != inodes + 1)
+            return 4;
+        env.close(dfd);
+        return vfs.inodeCount() == inodes ? 0 : 5;
+    });
+    EXPECT_EQ(r.status, 0);
+}
+
+TEST(OsFiles, ProtectedFileCyclesReleaseFramesAndBundle)
+{
+    // Through the shim: the protected file is a cloaked file mapping
+    // whose metadata is sealed on close and discarded on unlink.
+    SystemConfig cfg = nativeConfig();
+    cfg.cloakingEnabled = true;
+    System sys(cfg);
+    sys.addProgram("vault", os::Program{[](Env& env) {
+        os::Kernel& k = env.kernel();
+        env.mkdir("/cloaked");
+        const std::string secret(16 * 1024, 's');
+        std::uint64_t free0 = 0;
+        for (int i = 0; i < 8; ++i) {
+            std::int64_t fd = env.open("/cloaked/f", os::openCreate |
+                                                         os::openRead |
+                                                         os::openWrite);
+            if (fd < 0)
+                return 1;
+            env.writeAll(fd, secret);
+            env.close(fd);
+            if (env.unlink("/cloaked/f") != 0)
+                return 2;
+            if (i == 0)
+                free0 = k.frames().freeFrames();
+            else if (k.frames().freeFrames() != free0)
+                return 100 + i;
+        }
+        return 0;
+    }, true, 64});
+    auto r = sys.runProgram("vault");
+    EXPECT_EQ(r.status, 0) << r.killReason;
+    ASSERT_NE(sys.cloak(), nullptr);
+    EXPECT_TRUE(sys.cloak()->sealedStore().empty());
+    EXPECT_EQ(sys.cloak()->stats().value("file_discards"), 8u);
+}
+
 TEST(OsPipes, RoundTripAndEof)
 {
     auto r = runBody(nativeConfig(), [](Env& env) {
@@ -397,6 +544,89 @@ TEST(OsProcess, GetPidAndParent)
         return status == 11 ? 0 : 2;
     });
     EXPECT_EQ(r.status, 0);
+}
+
+TEST(OsProcess, DriverLaunchedProcessLeavesNoRecord)
+{
+    System sys(nativeConfig());
+    sys.addProgram("test", os::Program{[](Env&) { return 9; }, false, 16});
+    Pid pid = sys.launch("test");
+    sys.run();
+    EXPECT_TRUE(sys.kernel().pids().empty());
+    EXPECT_EQ(sys.kernel().findProcess(pid), nullptr);
+    const system::ExitResult* r = sys.resultOf(pid);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->status, 9);
+    EXPECT_EQ(sys.kernel().stats().value("zombies_reaped"), 1u);
+}
+
+TEST(OsProcess, WaitedChildIsReapedOnce)
+{
+    System sys(nativeConfig());
+    sys.addProgram("test", os::Program{[](Env& env) {
+        Pid child = env.fork([](Env&) { return 7; });
+        int status = -1;
+        if (env.waitpid(child, &status) != child || status != 7)
+            return 1;
+        return env.waitpid(child, &status) == -os::errChild ? 0 : 2;
+    }, false, 16});
+    auto r = sys.runProgram("test");
+    EXPECT_EQ(r.status, 0);
+    EXPECT_TRUE(sys.kernel().pids().empty());
+    // waitpid reaped the child; only the driver-launched parent was
+    // left for the orphan rule.
+    EXPECT_EQ(sys.kernel().stats().value("zombies_reaped"), 1u);
+}
+
+TEST(OsProcess, ChildOutlivingParentIsReapedAtItsExit)
+{
+    System sys(nativeConfig());
+    Pid child = 0;
+    sys.addProgram("test", os::Program{[&child](Env& env) {
+        Pid self = env.getpid();
+        child = env.fork([self](Env& c) {
+            for (int i = 0; i < 4; ++i)
+                c.yield();
+            const os::Process* parent = c.kernel().findProcess(self);
+            if (parent == nullptr || parent->state != os::ProcState::Zombie)
+                return 1;
+            // No reparenting.
+            return c.getppid() == self ? 12 : 2;
+        });
+        return 0; // Exits without waiting.
+    }, false, 16});
+    Pid parent = sys.launch("test");
+    sys.run();
+    ASSERT_NE(child, 0);
+    EXPECT_EQ(sys.resultOf(parent)->status, 0);
+    ASSERT_NE(sys.resultOf(child), nullptr);
+    EXPECT_EQ(sys.resultOf(child)->status, 12);
+    EXPECT_TRUE(sys.kernel().pids().empty());
+    EXPECT_EQ(sys.kernel().stats().value("zombies_reaped"), 2u);
+}
+
+TEST(OsProcess, OrphanRuleKeepsOnlyWaitableZombies)
+{
+    System sys(nativeConfig());
+    sys.addProgram("p", os::Program{[](Env&) { return 0; }, false, 16});
+    os::Kernel& k = sys.kernel();
+    auto make = [&k](Pid ppid, bool zombie) {
+        os::Process& p = k.createProcess("p", {}, ppid);
+        if (zombie)
+            p.state = os::ProcState::Zombie;
+        return p.pid;
+    };
+    Pid live = make(0, false);
+    Pid waitable = make(live, true);       // Live parent may waitpid.
+    Pid running = make(waitable, false);   // Not a zombie.
+    Pid of_zombie = make(waitable, true);  // Parent can never wait.
+    Pid orphan = make(0, true);            // Driver-launched.
+    Pid lost = make(orphan + 1000, true);  // Parent already reaped.
+    EXPECT_EQ(k.reapOrphanZombies(), 3u);
+    EXPECT_EQ(k.pids(), (std::vector<Pid>{live, waitable, running}));
+    EXPECT_EQ(k.findProcess(of_zombie), nullptr);
+    EXPECT_EQ(k.findProcess(lost), nullptr);
+    EXPECT_EQ(k.reapOrphanZombies(), 0u);
 }
 
 TEST(OsSignals, HandlerRunsAtSyscallBoundary)

@@ -337,6 +337,23 @@ TEST(VfsNaming, ReapOnlyWhenUnreferenced)
     EXPECT_FALSE(vfs.exists(static_cast<InodeId>(f)));
 }
 
+TEST(VfsNaming, FileMappingKeepsInodeAlive)
+{
+    Vfs vfs;
+    std::int64_t f = vfs.create("/f", InodeType::File);
+    Inode& ino = vfs.inode(static_cast<InodeId>(f));
+    ino.vmaCount = 1;
+    vfs.unlink("/f");
+    // No link, no descriptor, but still mapped: survives.
+    EXPECT_TRUE(vfs.reapIfUnreferenced(static_cast<InodeId>(f)).empty());
+    EXPECT_TRUE(vfs.exists(static_cast<InodeId>(f)));
+    ino.vmaCount = 0;
+    vfs.reapIfUnreferenced(static_cast<InodeId>(f));
+    EXPECT_FALSE(vfs.exists(static_cast<InodeId>(f)));
+    EXPECT_EQ(vfs.inodeCount(), 1u); // The root.
+    EXPECT_EQ(vfs.stats().value("inodes_reaped"), 1u);
+}
+
 TEST(VfsNaming, ReapReturnsCachedPages)
 {
     Vfs vfs;
