@@ -14,6 +14,10 @@
  *
  * Expected shape: marshalling hurts most at small buffers; emulation
  * tracks native closely once the mapping is warm.
+ *
+ * Writes BENCH_f4.json: per series, the cycles of one timed pass
+ * (`buf_<bytes>.<series>.pass_cycles`) plus the whole run's
+ * captureSystem counters under the same prefix.
  */
 
 #include "bench_common.hh"
@@ -90,7 +94,8 @@ readerMain(Env& env)
 }
 
 double
-bandwidth(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
+bandwidth(bench::BenchReport& report, const char* series, bool cloaked,
+          bool protected_file, std::uint64_t buf_bytes)
 {
     auto sys = bench::makeSystem(bench::BenchOptions{.cloaked = cloaked});
     sys->addProgram("reader", os::Program{readerMain, true, 64});
@@ -108,6 +113,10 @@ bandwidth(bool cloaked, bool protected_file, std::uint64_t buf_bytes)
     std::uint64_t cycles = std::strtoull(
         workloads::readGuestFile(*sys, "/results/fileio").c_str(),
         nullptr, 10);
+    std::string prefix =
+        "buf_" + std::to_string(buf_bytes) + "." + series;
+    report.set(prefix + ".pass_cycles", cycles);
+    report.captureSystem(prefix, *sys);
     // Bytes per kilocycle.
     return static_cast<double>(fileBytes) /
            (static_cast<double>(cycles) / 1000.0);
@@ -122,15 +131,17 @@ main()
                   "(bytes/kcycle)");
     std::printf("%-10s %12s %18s %18s\n", "buffer", "native",
                 "cloaked-marshal", "cloaked-emulated");
+    bench::BenchReport report("f4");
     for (std::uint64_t buf : {256u, 1024u, 4096u, 16384u, 65536u}) {
-        double native = bandwidth(false, false, buf);
-        double marshal = bandwidth(true, false, buf);
-        double emulated = bandwidth(true, true, buf);
+        double native = bandwidth(report, "native", false, false, buf);
+        double marshal = bandwidth(report, "marshal", true, false, buf);
+        double emulated = bandwidth(report, "emulated", true, true, buf);
         std::printf("%7lluB %12.1f %18.1f %18.1f\n",
                     static_cast<unsigned long long>(buf), native,
                     marshal, emulated);
     }
     std::printf("\n(paper shape: marshalling is worst at small "
                 "buffers; emulation approaches native)\n");
+    report.write();
     return 0;
 }

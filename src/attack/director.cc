@@ -1,6 +1,5 @@
 #include "attack/director.hh"
 
-#include "base/bytes.hh"
 #include "cloak/engine.hh"
 #include "os/kernel.hh"
 #include "os/layout.hh"
@@ -373,10 +372,10 @@ AttackDirector::onBatchComplete(os::Kernel& kernel, os::Thread& t,
     if (!kernel.currentProcess().cloaked)
         return;
     std::uint64_t slot = nextRand() % count;
-    std::array<std::uint8_t, os::batchCompBytes> forged;
-    storeLe64(forged.data(), nextRand() % 4096);
-    storeLe64(forged.data() + 8, nextRand());
-    kernel.copyToUser(t, comp_va + slot * os::batchCompBytes, forged);
+    // A braced initialiser draws in order: result, then echo token.
+    os::BatchComp forged{nextRand() % 4096, nextRand()};
+    kernel.copyToUser(t, comp_va + slot * os::batchCompBytes,
+                      os::encodeComps(std::span(&forged, 1)));
     fired();
 }
 

@@ -169,17 +169,26 @@ Shim::stageString(const std::string& s, std::uint64_t slot)
 // ---------------------------------------------------------------------------
 
 std::int64_t
-Shim::marshalledRead(Sys num, std::uint64_t fd, GuestVA user_buf,
-                     std::uint64_t len)
+Shim::marshalledIo(Sys num, std::uint64_t fd, GuestVA user_buf,
+                   std::uint64_t len, std::optional<std::uint64_t> at)
 {
+    // One chunk loop for all four transfers. Outbound data is staged
+    // into the bounce buffer before each trap, inbound data copied out
+    // after it. The trap carries {fd, bounce, chunk}, plus the chunk's
+    // offset for pread/pwrite: the registers an uncloaked caller would
+    // pass, with the fourth left 0 for read/write.
+    const bool in = os::transfersIn(num);
     std::uint64_t done = 0;
     while (done < len) {
         std::uint64_t chunk =
             std::min<std::uint64_t>(len - done, bounceDataBytes);
-        std::int64_t rv = trap(num, {fd, bounceVa_, chunk});
+        if (!in)
+            copyGuest(bounceVa_, user_buf + done, chunk);
+        std::int64_t rv =
+            trap(num, {fd, bounceVa_, chunk, at ? *at + done : 0});
         if (rv < 0)
             return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        if (rv > 0)
+        if (in && rv > 0)
             copyGuest(user_buf + done, bounceVa_,
                       static_cast<std::uint64_t>(rv));
         done += static_cast<std::uint64_t>(rv);
@@ -188,71 +197,9 @@ Shim::marshalledRead(Sys num, std::uint64_t fd, GuestVA user_buf,
         if (static_cast<std::uint64_t>(rv) < chunk)
             break;
     }
-    engine_.stats().counter("shim_marshalled_reads").inc();
-    return static_cast<std::int64_t>(done);
-}
-
-std::int64_t
-Shim::marshalledWrite(std::uint64_t fd, GuestVA user_buf,
-                      std::uint64_t len)
-{
-    std::uint64_t done = 0;
-    while (done < len) {
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
-        copyGuest(bounceVa_, user_buf + done, chunk);
-        std::int64_t rv = trap(Sys::Write, {fd, bounceVa_, chunk});
-        if (rv < 0)
-            return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        done += static_cast<std::uint64_t>(rv);
-        if (static_cast<std::uint64_t>(rv) < chunk)
-            break;
-    }
-    engine_.stats().counter("shim_marshalled_writes").inc();
-    return static_cast<std::int64_t>(done);
-}
-
-std::int64_t
-Shim::marshalledPread(std::uint64_t fd, GuestVA user_buf,
-                      std::uint64_t len, std::uint64_t off)
-{
-    std::uint64_t done = 0;
-    while (done < len) {
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
-        std::int64_t rv = trap(Sys::Pread,
-                               {fd, bounceVa_, chunk, off + done});
-        if (rv < 0)
-            return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        if (rv > 0)
-            copyGuest(user_buf + done, bounceVa_,
-                      static_cast<std::uint64_t>(rv));
-        done += static_cast<std::uint64_t>(rv);
-        if (static_cast<std::uint64_t>(rv) < chunk)
-            break;
-    }
-    engine_.stats().counter("shim_marshalled_reads").inc();
-    return static_cast<std::int64_t>(done);
-}
-
-std::int64_t
-Shim::marshalledPwrite(std::uint64_t fd, GuestVA user_buf,
-                       std::uint64_t len, std::uint64_t off)
-{
-    std::uint64_t done = 0;
-    while (done < len) {
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
-        copyGuest(bounceVa_, user_buf + done, chunk);
-        std::int64_t rv = trap(Sys::Pwrite,
-                               {fd, bounceVa_, chunk, off + done});
-        if (rv < 0)
-            return done > 0 ? static_cast<std::int64_t>(done) : rv;
-        done += static_cast<std::uint64_t>(rv);
-        if (static_cast<std::uint64_t>(rv) < chunk)
-            break;
-    }
-    engine_.stats().counter("shim_marshalled_writes").inc();
+    engine_.stats()
+        .counter(in ? "shim_marshalled_reads" : "shim_marshalled_writes")
+        .inc();
     return static_cast<std::int64_t>(done);
 }
 
@@ -327,13 +274,16 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
 }
 
 std::int64_t
-Shim::emulatedRead(CloakedFile& cf, GuestVA buf, std::uint64_t len)
+Shim::emulatedRead(CloakedFile& cf, GuestVA buf, std::uint64_t len,
+                   std::optional<std::uint64_t> at)
 {
-    if (cf.offset >= cf.size || len == 0)
+    std::uint64_t off = at.value_or(cf.offset);
+    if (off >= cf.size || len == 0)
         return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, cf.size - cf.offset);
-    copyGuest(buf, cf.mapVa + cf.offset, n);
-    cf.offset += n;
+    std::uint64_t n = std::min<std::uint64_t>(len, cf.size - off);
+    copyGuest(buf, cf.mapVa + off, n);
+    if (!at)
+        cf.offset += n;
     engine_.stats().counter("shim_emulated_reads").inc();
     return static_cast<std::int64_t>(n);
 }
@@ -368,47 +318,14 @@ Shim::growMapping(CloakedFile& cf, std::uint64_t new_size)
 }
 
 std::int64_t
-Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len)
+Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
+                    std::optional<std::uint64_t> at)
 {
     if (len == 0)
         return 0;
-    std::uint64_t new_end = cf.offset + len;
-    if (new_end > cf.mapPages * pageSize) {
-        std::int64_t r = growMapping(cf, new_end);
-        if (r < 0)
-            return r;
-    }
-    copyGuest(cf.mapVa + cf.offset, buf, len);
-    cf.offset = new_end;
-    if (new_end > cf.size) {
-        cf.size = new_end;
-        // Keep the kernel's idea of the size current so writeback and
-        // later opens see the full file.
-        trap(Sys::Ftruncate, {cf.fd, new_end});
-    }
-    engine_.stats().counter("shim_emulated_writes").inc();
-    return static_cast<std::int64_t>(len);
-}
-
-std::int64_t
-Shim::emulatedPread(CloakedFile& cf, GuestVA buf, std::uint64_t len,
-                    std::uint64_t off)
-{
-    // Positional read: the file offset is untouched.
-    if (off >= cf.size || len == 0)
-        return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, cf.size - off);
-    copyGuest(buf, cf.mapVa + off, n);
-    engine_.stats().counter("shim_emulated_reads").inc();
-    return static_cast<std::int64_t>(n);
-}
-
-std::int64_t
-Shim::emulatedPwrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
-                     std::uint64_t off)
-{
-    if (len == 0)
-        return 0;
+    std::uint64_t off = at.value_or(cf.offset);
+    if (!os::fileEndFits(off, len))
+        return -os::errFBig;
     std::uint64_t new_end = off + len;
     if (new_end > cf.mapPages * pageSize) {
         std::int64_t r = growMapping(cf, new_end);
@@ -416,8 +333,12 @@ Shim::emulatedPwrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
             return r;
     }
     copyGuest(cf.mapVa + off, buf, len);
+    if (!at)
+        cf.offset = new_end;
     if (new_end > cf.size) {
         cf.size = new_end;
+        // Keep the kernel's idea of the size current so writeback and
+        // later opens see the full file.
         trap(Sys::Ftruncate, {cf.fd, new_end});
     }
     engine_.stats().counter("shim_emulated_writes").inc();
@@ -440,6 +361,32 @@ Shim::emulatedLseek(CloakedFile& cf, std::int64_t off,
         return -os::errInval;
     cf.offset = static_cast<std::uint64_t>(target);
     return target;
+}
+
+Shim::CloakedFile*
+Shim::localFile(Sys num, const SyscallArgs& args)
+{
+    std::uint64_t fd;
+    switch (num) {
+      case Sys::Read:
+      case Sys::Write:
+      case Sys::Pread:
+      case Sys::Pwrite:
+      case Sys::Lseek:
+      case Sys::Close:
+      case Sys::Ftruncate:
+      case Sys::Fsync:
+      case Sys::Fstat:
+        fd = args[0];
+        break;
+      case Sys::Dup2:
+        fd = args[1];
+        break;
+      default:
+        return nullptr;
+    }
+    auto it = cloakedFiles_.find(fd);
+    return it == cloakedFiles_.end() ? nullptr : &it->second;
 }
 
 std::int64_t
@@ -520,49 +467,11 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     // everything below works on this private snapshot.
     std::vector<std::uint8_t> araw(count * os::batchDescBytes);
     env_.readBytes(app_sub, araw);
-    std::vector<os::BatchDesc> descs(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t* d = araw.data() + i * os::batchDescBytes;
-        descs[i].num = static_cast<Sys>(loadLe64(d));
-        for (std::size_t a = 0; a < 5; ++a)
-            descs[i].args[a] = loadLe64(d + 8 * (a + 1));
-        descs[i].echo = loadLe64(d + 48);
-        descs[i].reserved = loadLe64(d + 56);
-    }
-
-    auto writeAppCompletion = [&](std::uint64_t slot, std::int64_t rv) {
-        std::array<std::uint8_t, os::batchCompBytes> c{};
-        storeLe64(c.data(), static_cast<std::uint64_t>(rv));
-        storeLe64(c.data() + 8, descs[slot].echo);
-        env_.writeBytes(app_comp + slot * os::batchCompBytes, c);
-    };
+    std::vector<os::BatchDesc> descs = os::decodeDescs(araw);
 
     auto rejected = [](const os::BatchDesc& d) {
         return d.reserved != 0 || d.num == Sys::SubmitBatch ||
                !os::Kernel::batchable(d.num);
-    };
-
-    // Calls the shim must serve locally: protected-file emulation, and
-    // fd duplication that would alias a protected fd behind our back.
-    auto localOnly = [&](const os::BatchDesc& d) {
-        switch (d.num) {
-          case Sys::Read:
-          case Sys::Write:
-          case Sys::Pread:
-          case Sys::Pwrite:
-          case Sys::Lseek:
-          case Sys::Close:
-          case Sys::Ftruncate:
-          case Sys::Fsync:
-          case Sys::Fstat:
-            return cloakedFiles_.count(d.args[0]) != 0;
-          case Sys::Dup2:
-            // dup2 closing a protected fd underneath the shim's table
-            // is refused; dup/dup2 FROM a protected fd pass through.
-            return cloakedFiles_.count(d.args[1]) != 0;
-          default:
-            return false;
-        }
     };
 
     if (count == 1) {
@@ -570,15 +479,10 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         // arena, no kernel ring — route straight through the ordinary
         // dispatch so every committed baseline replays unchanged.
         const os::BatchDesc& d = descs[0];
-        std::int64_t rv;
-        if (rejected(d)) {
-            rv = -os::errInval;
-        } else {
-            rv = syscall(env_, d.num,
-                         {d.args[0], d.args[1], d.args[2], d.args[3],
-                          d.args[4]});
-        }
-        writeAppCompletion(0, rv);
+        std::int64_t rv =
+            rejected(d) ? -os::errInval : syscall(env_, d.num, d.args);
+        os::BatchComp comp{static_cast<std::uint64_t>(rv), d.echo};
+        env_.writeBytes(app_comp, os::encodeComps(std::span(&comp, 1)));
         engine_.stats().counter("shim_batches").inc();
         return 1;
     }
@@ -612,18 +516,11 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     auto flushKernelSlots = [&]() {
         if (slots.empty())
             return;
-        std::vector<std::uint8_t> kraw(slots.size() * os::batchDescBytes,
-                                       0);
-        for (std::size_t k = 0; k < slots.size(); ++k) {
-            std::uint8_t* d = kraw.data() + k * os::batchDescBytes;
-            const os::BatchDesc& kd = slots[k].desc;
-            storeLe64(d, static_cast<std::uint64_t>(kd.num));
-            for (std::size_t a = 0; a < 5; ++a)
-                storeLe64(d + 8 * (a + 1), kd.args[a]);
-            storeLe64(d + 48, kd.echo);
-            storeLe64(d + 56, 0);
-        }
-        env_.writeBytes(ksub, kraw);
+        std::vector<os::BatchDesc> kdescs;
+        kdescs.reserve(slots.size());
+        for (const KernelSlot& s : slots)
+            kdescs.push_back(s.desc);
+        env_.writeBytes(ksub, os::encodeDescs(kdescs));
 
         std::int64_t rv = trap(Sys::SubmitBatch,
                                {ksub, kcomp, slots.size()});
@@ -640,24 +537,16 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             std::vector<std::uint8_t> craw(slots.size() *
                                            os::batchCompBytes);
             env_.readBytes(kcomp, craw);
+            std::vector<os::BatchComp> comps = os::decodeComps(craw);
             for (std::size_t k = 0; k < slots.size(); ++k) {
                 const KernelSlot& s = slots[k];
-                const std::uint8_t* c =
-                    craw.data() + k * os::batchCompBytes;
-                std::int64_t res =
-                    static_cast<std::int64_t>(loadLe64(c));
-                std::uint64_t echo = loadLe64(c + 8);
-                if (echo != s.nonce)
+                auto res = static_cast<std::int64_t>(comps[k].result);
+                if (comps[k].echo != s.nonce)
                     ringViolation("echo token mismatch");
-                bool bounded = s.desc.num == Sys::Read ||
-                               s.desc.num == Sys::Pread ||
-                               s.desc.num == Sys::Write ||
-                               s.desc.num == Sys::Pwrite;
-                if (bounded && res > static_cast<std::int64_t>(s.len))
+                if (os::isTransfer(s.desc.num) &&
+                    res > static_cast<std::int64_t>(s.len))
                     ringViolation("result exceeds request");
-                if ((s.desc.num == Sys::Read ||
-                     s.desc.num == Sys::Pread) &&
-                    res > 0) {
+                if (os::transfersIn(s.desc.num) && res > 0) {
                     copyGuest(s.appBuf, s.stageVa,
                               static_cast<std::uint64_t>(res));
                 }
@@ -673,10 +562,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     };
 
     auto legacyServe = [&](std::uint64_t i) {
-        const os::BatchDesc& d = descs[i];
-        results[i] = syscall(env_, d.num,
-                             {d.args[0], d.args[1], d.args[2],
-                              d.args[3], d.args[4]});
+        results[i] = syscall(env_, descs[i].num, descs[i].args);
     };
 
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -685,7 +571,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             results[i] = -os::errInval;
             continue;
         }
-        if (localOnly(d)) {
+        if (localFile(d.num, d.args) != nullptr) {
             if (d.num == Sys::Dup2) {
                 results[i] = -os::errInval;
             } else {
@@ -700,20 +586,14 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         KernelSlot s;
         s.appIndex = i;
         s.desc = d;
+        // Staging space: the transfer, or fstat's result; everything
+        // else (getpid/yield/clock/lseek/dup/close/...) is
+        // register-only.
         std::uint64_t need = 0;
-        switch (d.num) {
-          case Sys::Read:
-          case Sys::Pread:
-          case Sys::Fstat:
-          case Sys::Write:
-          case Sys::Pwrite:
-            need = d.num == Sys::Fstat ? sizeof(os::StatBuf)
-                                       : d.args[2];
-            break;
-          default:
-            // Register-only: getpid/yield/clock/lseek/dup/close/...
-            break;
-        }
+        if (os::isTransfer(d.num))
+            need = d.args[2];
+        else if (d.num == Sys::Fstat)
+            need = sizeof(os::StatBuf);
         if (need > stageBytes) {
             // Larger than the whole staging area: serve through the
             // legacy chunked marshalling path, in order.
@@ -727,7 +607,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             s.stageVa = stage + stageUsed;
             stageUsed += need;
             s.len = need;
-            if (d.num == Sys::Write || d.num == Sys::Pwrite) {
+            if (os::isTransfer(d.num) && !os::transfersIn(d.num)) {
                 // Outbound data leaves cloaked memory here, once.
                 copyGuest(s.stageVa, d.args[1], need);
             } else {
@@ -743,13 +623,10 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     flushKernelSlots();
 
     // Publish all app completions in one bulk write to cloaked memory.
-    std::vector<std::uint8_t> acomp(count * os::batchCompBytes, 0);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint8_t* c = acomp.data() + i * os::batchCompBytes;
-        storeLe64(c, static_cast<std::uint64_t>(results[i]));
-        storeLe64(c + 8, descs[i].echo);
-    }
-    env_.writeBytes(app_comp, acomp);
+    std::vector<os::BatchComp> acomps(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        acomps[i] = {static_cast<std::uint64_t>(results[i]), descs[i].echo};
+    env_.writeBytes(app_comp, os::encodeComps(acomps));
     engine_.stats().counter("shim_batches").inc();
     return static_cast<std::int64_t>(count);
 }
@@ -856,43 +733,29 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
                     trace::Category::Shim, os::sysName(num), domain_,
                     env_.thread().pid,
                     static_cast<std::uint64_t>(num));
+    CloakedFile* cf = localFile(num, args);
     switch (num) {
       case Sys::Open:
         return shimOpen(args);
 
       case Sys::Read:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedRead(it->second, args[1], args[2]);
-        }
-        return marshalledRead(Sys::Read, args[0], args[1], args[2]);
-
       case Sys::Write:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedWrite(it->second, args[1], args[2]);
-        }
-        return marshalledWrite(args[0], args[1], args[2]);
-
       case Sys::Pread:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedPread(it->second, args[1], args[2], args[3]);
-        }
-        return marshalledPread(args[0], args[1], args[2], args[3]);
-
       case Sys::Pwrite:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedPwrite(it->second, args[1], args[2], args[3]);
+        {
+            std::optional<std::uint64_t> at;
+            if (os::isPositional(num))
+                at = args[3];
+            if (cf == nullptr)
+                return marshalledIo(num, args[0], args[1], args[2], at);
+            if (os::transfersIn(num))
+                return emulatedRead(*cf, args[1], args[2], at);
+            return emulatedWrite(*cf, args[1], args[2], at);
         }
-        return marshalledPwrite(args[0], args[1], args[2], args[3]);
 
       case Sys::Lseek:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            return emulatedLseek(it->second,
-                                 static_cast<std::int64_t>(args[1]),
+        if (cf != nullptr) {
+            return emulatedLseek(*cf, static_cast<std::int64_t>(args[1]),
                                  args[2]);
         }
         return trap(num, args);
@@ -901,37 +764,31 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         // dup/dup2 of a protected fd pass through (the duplicate is a
         // plain kernel descriptor), but dup2 must not CLOSE a protected
         // fd underneath the shim's table: refuse that.
-        if (cloakedFiles_.count(args[1]))
-            return -os::errInval;
-        return trap(num, args);
+        return cf != nullptr ? -os::errInval : trap(num, args);
 
       case Sys::SubmitBatch:
         return shimSubmitBatch(args);
 
       case Sys::Close:
-        if (cloakedFiles_.count(args[0]))
-            return closeProtected(args[0]);
-        return trap(num, args);
+        return cf != nullptr ? closeProtected(args[0]) : trap(num, args);
 
       case Sys::Ftruncate:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
-            CloakedFile& cf = it->second;
-            if (args[1] < cf.size)
+        if (cf != nullptr) {
+            if (args[1] < cf->size)
                 return -os::errInval; // Shrink unsupported (see docs).
-            std::int64_t r = growMapping(cf, args[1]);
+            if (!os::fileEndFits(args[1], 0))
+                return -os::errFBig;
+            std::int64_t r = growMapping(*cf, args[1]);
             if (r < 0)
                 return r;
-            cf.size = args[1];
-            return trap(num, args);
+            cf->size = args[1];
         }
         return trap(num, args);
 
       case Sys::Fsync:
-        if (auto it = cloakedFiles_.find(args[0]);
-            it != cloakedFiles_.end()) {
+        if (cf != nullptr) {
+            std::array<std::uint64_t, 1> seal{cf->resource};
             std::int64_t r = trap(num, args);
-            std::array<std::uint64_t, 1> seal{it->second.resource};
             env_.vcpu().hypercall(vmm::Hypercall::CloakSealMetadata,
                                   seal);
             return r;
@@ -943,12 +800,12 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
             GuestVA out = bounceVa_ + bounceDataBytes + 3 * 1024;
             std::int64_t r = trap(num, {args[0], out});
             if (r == 0) {
-                if (auto it = cloakedFiles_.find(args[0]);
-                    it != cloakedFiles_.end()) {
-                    // The kernel's size lags emulated writes that have
-                    // not been truncated in yet; report the shim's.
-                    env_.store64(out, it->second.size);
-                }
+                // The kernel's size lags emulated writes that have not
+                // been truncated in yet; report the shim's. Looked up
+                // after the trap: a signal handler run at its boundary
+                // may have closed the file.
+                if (CloakedFile* f = localFile(num, args))
+                    env_.store64(out, f->size);
                 copyGuest(args[1], out, sizeof(os::StatBuf));
             }
             return r;

@@ -110,14 +110,15 @@ class Shim : public os::SyscallInterposer
     /** Copy a string into the bounce area; returns its VA. */
     GuestVA stageString(const std::string& s, std::uint64_t slot);
 
-    std::int64_t marshalledRead(os::Sys num, std::uint64_t fd,
-                                GuestVA user_buf, std::uint64_t len);
-    std::int64_t marshalledWrite(std::uint64_t fd, GuestVA user_buf,
-                                 std::uint64_t len);
-    std::int64_t marshalledPread(std::uint64_t fd, GuestVA user_buf,
-                                 std::uint64_t len, std::uint64_t off);
-    std::int64_t marshalledPwrite(std::uint64_t fd, GuestVA user_buf,
-                                  std::uint64_t len, std::uint64_t off);
+    /**
+     * The one marshalled transfer: read, write, pread or pwrite (@p num
+     * gives the direction) of a non-protected fd, in bounce-buffer
+     * chunks. @p at is pread/pwrite's file offset; without it the
+     * kernel's cursor moves.
+     */
+    std::int64_t marshalledIo(os::Sys num, std::uint64_t fd,
+                              GuestVA user_buf, std::uint64_t len,
+                              std::optional<std::uint64_t> at);
     std::int64_t shimOpen(const os::SyscallArgs& args);
     std::int64_t shimMmap(const os::SyscallArgs& args);
     std::int64_t shimMunmap(const os::SyscallArgs& args);
@@ -126,18 +127,30 @@ class Shim : public os::SyscallInterposer
 
     std::int64_t openProtected(const std::string& path,
                                std::uint64_t flags);
+    /**
+     * The emulated transfers: copies against the cloaked mapping of a
+     * protected file. @p at is pread/pwrite's offset; without it the
+     * shim's cursor is used and advanced. A write refuses a range
+     * ending past os::maxFileBytes with -errFBig, as the kernel does.
+     */
     std::int64_t emulatedRead(CloakedFile& cf, GuestVA buf,
-                              std::uint64_t len);
+                              std::uint64_t len,
+                              std::optional<std::uint64_t> at);
     std::int64_t emulatedWrite(CloakedFile& cf, GuestVA buf,
-                               std::uint64_t len);
-    std::int64_t emulatedPread(CloakedFile& cf, GuestVA buf,
-                               std::uint64_t len, std::uint64_t off);
-    std::int64_t emulatedPwrite(CloakedFile& cf, GuestVA buf,
-                                std::uint64_t len, std::uint64_t off);
+                               std::uint64_t len,
+                               std::optional<std::uint64_t> at);
     std::int64_t emulatedLseek(CloakedFile& cf, std::int64_t off,
                                std::uint64_t whence);
     std::int64_t growMapping(CloakedFile& cf, std::uint64_t new_size);
     std::int64_t closeProtected(std::uint64_t fd);
+
+    /**
+     * Which calls the shim serves itself: the protected file an fd
+     * call names (dup2: the fd it would close), or nullptr when the
+     * kernel serves the call. syscall() and shimSubmitBatch() both
+     * route by this one predicate.
+     */
+    CloakedFile* localFile(os::Sys num, const os::SyscallArgs& args);
 
     /**
      * Batched submission (Sys::SubmitBatch from a cloaked process):

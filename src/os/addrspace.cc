@@ -32,9 +32,14 @@ GuestVA
 AddressSpace::allocVma(Vma vma, std::uint64_t pages)
 {
     osh_assert(pages > 0, "empty allocation");
-    GuestVA& cursor =
-        (vma.type == VmaType::File) ? fileMapCursor_ : mmapCursor_;
-    // Bump allocation with a one-page guard gap; address space is vast
+    bool file = vma.type == VmaType::File;
+    GuestVA& cursor = file ? fileMapCursor_ : mmapCursor_;
+    // Each arena ends where the next region begins: refuse, with the
+    // cursor untouched, anything that would cross into it.
+    GuestVA arena_end = file ? shimCloakedBase : fileMapBase;
+    if (cursor > arena_end || pages > (arena_end - cursor) / pageSize)
+        return 0;
+    // Bump allocation with a one-page guard gap; the arenas are vast
     // relative to simulated workloads, so no reuse is needed.
     GuestVA start = cursor;
     cursor += (pages + 1) * pageSize;

@@ -79,7 +79,9 @@ class AddressSpace
 
     /**
      * Allocate @p pages pages in an arena (mmapBase or fileMapBase
-     * depending on @p type) and insert the VMA. Returns the start VA.
+     * depending on @p type) and insert the VMA. Returns the start VA,
+     * or 0 if the allocation would run past the arena's end
+     * (fileMapBase for anonymous memory, shimCloakedBase for files).
      */
     GuestVA allocVma(Vma vma, std::uint64_t pages);
 

@@ -1,6 +1,5 @@
 #include "os/env.hh"
 
-#include "base/bytes.hh"
 #include "base/logging.hh"
 
 #include <cstring>
@@ -123,18 +122,15 @@ Env::submitBatch(const std::vector<BatchEntry>& entries,
     GuestVA sub = batchArea();
     GuestVA comp = sub + maxBatchDepth * batchDescBytes;
 
-    std::vector<std::uint8_t> raw(entries.size() * batchDescBytes, 0);
+    std::vector<BatchDesc> descs(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        std::uint8_t* d = raw.data() + i * batchDescBytes;
-        storeLe64(d, static_cast<std::uint64_t>(entries[i].num));
-        for (std::size_t a = 0; a < entries[i].args.size(); ++a)
-            storeLe64(d + 8 * (a + 1), entries[i].args[a]);
+        descs[i].num = entries[i].num;
+        descs[i].args = entries[i].args;
         // App-level echo is just the slot index; the shim substitutes
         // its own private tokens on the kernel-facing ring.
-        storeLe64(d + 48, i);
-        storeLe64(d + 56, 0);
+        descs[i].echo = i;
     }
-    writeBytes(sub, raw);
+    writeBytes(sub, encodeDescs(descs));
 
     std::int64_t r =
         syscall(Sys::SubmitBatch, {sub, comp, entries.size()});
@@ -143,10 +139,8 @@ Env::submitBatch(const std::vector<BatchEntry>& entries,
 
     std::vector<std::uint8_t> craw(entries.size() * batchCompBytes);
     readBytes(comp, craw);
-    results.resize(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        results[i] = static_cast<std::int64_t>(
-            loadLe64(craw.data() + i * batchCompBytes));
+    for (const BatchComp& c : decodeComps(craw))
+        results.push_back(static_cast<std::int64_t>(c.result));
     return r;
 }
 

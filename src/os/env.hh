@@ -35,9 +35,6 @@ namespace osh::os
 
 class Env;
 
-/** Syscall arguments (r1..r5). */
-using SyscallArgs = std::array<std::uint64_t, 5>;
-
 /** One call of a batched submission (Env::submitBatch). */
 struct BatchEntry
 {

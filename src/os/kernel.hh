@@ -264,12 +264,24 @@ class Kernel : public vmm::GuestOsHooks
                             std::span<const std::uint8_t> data);
 
     /**
-     * read()/pread() data path: copy @p n bytes of @p ino starting at
-     * file offset @p off through the page cache to user @p buf, then
-     * give the attack hooks their read-return shot at the buffer.
+     * The one file read body (read and pread): copy up to @p len bytes
+     * of @p ino from file offset @p off through the page cache to user
+     * @p buf, then give the attack hooks their read-return shot at the
+     * buffer. Returns the bytes copied (0 at or past EOF), or
+     * -errIsDir. Cursor handling stays with the caller.
      */
-    void copyCachedToUser(Thread& t, Inode& ino, std::uint64_t off,
-                          GuestVA buf, std::uint64_t n);
+    std::int64_t readAt(Thread& t, Inode& ino, std::uint64_t off,
+                        GuestVA buf, std::uint64_t len);
+
+    /**
+     * The one file write body (write and pwrite), readAt's mirror:
+     * copy @p len bytes from user @p buf into the page cache at file
+     * offset @p off and grow the size to cover them. A zero-length
+     * write returns 0 and leaves the size alone; a range ending past
+     * maxFileBytes (or overflowing) returns -errFBig.
+     */
+    std::int64_t writeAt(Thread& t, Inode& ino, std::uint64_t off,
+                         GuestVA buf, std::uint64_t len);
 
     // Syscall implementations ----------------------------------------------
 

@@ -274,7 +274,8 @@ Kernel::sysMmap(Thread&, std::uint64_t len, std::uint64_t prot,
     Process& p = currentProcess();
     if (len == 0)
         return -errInval;
-    std::uint64_t pages = roundUpToPage(len) / pageSize;
+    // Not roundUpToPage(len): that wraps to 0 for len near 2^64.
+    std::uint64_t pages = len / pageSize + (pageOffset(len) != 0 ? 1 : 0);
 
     Vma vma;
     vma.prot = prot;
@@ -297,6 +298,8 @@ Kernel::sysMmap(Thread&, std::uint64_t len, std::uint64_t prot,
         vma.fileOffset = offset;
     }
     GuestVA va = p.as.allocVma(vma, pages);
+    if (va == 0)
+        return -errNoMem;
     pinVmaInode(vma);
     stats_.counter("mmaps").inc();
     return static_cast<std::int64_t>(va);
@@ -445,18 +448,23 @@ Kernel::pipeWrite(Thread& t, OpenFile& f, GuestVA buf, std::uint64_t len)
     return static_cast<std::int64_t>(written);
 }
 
-void
-Kernel::copyCachedToUser(Thread& t, Inode& ino, std::uint64_t off,
-                         GuestVA buf, std::uint64_t n)
+std::int64_t
+Kernel::readAt(Thread& t, Inode& ino, std::uint64_t off, GuestVA buf,
+               std::uint64_t len)
 {
+    if (ino.isDir())
+        return -errIsDir;
+    if (off >= ino.size || len == 0)
+        return 0;
+    std::uint64_t n = std::min<std::uint64_t>(len, ino.size - off);
+
     std::uint64_t done = 0;
     std::array<std::uint8_t, pageSize> tmp;
     while (done < n) {
         std::uint64_t pos = off + done;
-        std::uint64_t page_index = pageNumber(pos);
         std::uint64_t in_page =
             std::min<std::uint64_t>(n - done, pageSize - pageOffset(pos));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
+        PageCacheEntry& e = ensureCached(ino.id, pageNumber(pos));
         {
             KernelModeGuard guard(t.vcpu);
             t.vcpu.readBytes(kernelVa(e.gpa) + pageOffset(pos),
@@ -467,6 +475,40 @@ Kernel::copyCachedToUser(Thread& t, Inode& ino, std::uint64_t off,
         done += in_page;
     }
     attackHooks_->onReadReturn(*this, t, buf, n);
+    return static_cast<std::int64_t>(n);
+}
+
+std::int64_t
+Kernel::writeAt(Thread& t, Inode& ino, std::uint64_t off, GuestVA buf,
+                std::uint64_t len)
+{
+    if (ino.isDir())
+        return -errIsDir;
+    if (len == 0)
+        return 0; // POSIX: nothing to write, and the size stays put.
+    if (!fileEndFits(off, len))
+        return -errFBig;
+
+    std::uint64_t done = 0;
+    std::array<std::uint8_t, pageSize> tmp;
+    while (done < len) {
+        std::uint64_t pos = off + done;
+        std::uint64_t in_page =
+            std::min<std::uint64_t>(len - done, pageSize - pageOffset(pos));
+        copyFromUser(t, buf + done,
+                     std::span<std::uint8_t>(tmp.data(), in_page));
+        PageCacheEntry& e = ensureCached(ino.id, pageNumber(pos));
+        {
+            KernelModeGuard guard(t.vcpu);
+            t.vcpu.writeBytes(
+                kernelVa(e.gpa) + pageOffset(pos),
+                std::span<const std::uint8_t>(tmp.data(), in_page));
+        }
+        e.dirty = true;
+        done += in_page;
+    }
+    ino.size = std::max(ino.size, off + len);
+    return static_cast<std::int64_t>(len);
 }
 
 std::int64_t
@@ -483,17 +525,12 @@ Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
     if (f->kind == OpenFile::Kind::PipeWrite)
         return -errBadF;
 
-    Inode& ino = vfs_.inode(f->inode);
-    if (ino.isDir())
-        return -errIsDir;
-    if (f->offset >= ino.size || len == 0)
-        return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, ino.size - f->offset);
-
-    copyCachedToUser(t, ino, f->offset, buf, n);
-    f->offset += n;
-    stats_.counter("file_reads").inc();
-    return static_cast<std::int64_t>(n);
+    std::int64_t n = readAt(t, vfs_.inode(f->inode), f->offset, buf, len);
+    if (n > 0) {
+        f->offset += static_cast<std::uint64_t>(n);
+        stats_.counter("file_reads").inc();
+    }
+    return n;
 }
 
 std::int64_t
@@ -513,45 +550,22 @@ Kernel::sysWrite(Thread& t, std::uint64_t fd, GuestVA buf,
     if (!(f->flags & openWrite))
         return -errPerm;
 
-    Inode& ino = vfs_.inode(f->inode);
-    if (ino.isDir())
-        return -errIsDir;
-
-    std::uint64_t done = 0;
-    std::array<std::uint8_t, pageSize> tmp;
-    while (done < len) {
-        std::uint64_t off = f->offset + done;
-        std::uint64_t page_index = pageNumber(off);
-        std::uint64_t in_page =
-            std::min<std::uint64_t>(len - done,
-                                    pageSize - pageOffset(off));
-        copyFromUser(t, buf + done,
-                     std::span<std::uint8_t>(tmp.data(), in_page));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
-        {
-            KernelModeGuard guard(t.vcpu);
-            t.vcpu.writeBytes(
-                kernelVa(e.gpa) + pageOffset(off),
-                std::span<const std::uint8_t>(tmp.data(), in_page));
-        }
-        e.dirty = true;
-        done += in_page;
+    std::int64_t n = writeAt(t, vfs_.inode(f->inode), f->offset, buf, len);
+    if (n >= 0) {
+        f->offset += static_cast<std::uint64_t>(n);
+        stats_.counter("file_writes").inc();
     }
-    f->offset += len;
-    if (f->offset > ino.size)
-        ino.size = f->offset;
-    stats_.counter("file_writes").inc();
-    return static_cast<std::int64_t>(len);
+    return n;
 }
 
 std::int64_t
 Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
                  std::uint64_t len, std::uint64_t off)
 {
-    // Positional read: same data path as sysRead, but the offset comes
-    // from the caller and the descriptor's own offset never moves —
-    // which is what lets a batched server serve ranges without
-    // interleaving lseek descriptors.
+    // Positional read: same body as sysRead, but the offset comes from
+    // the caller and the descriptor's own offset never moves — which
+    // is what lets a batched server serve ranges without interleaving
+    // lseek descriptors. Unlike read, a pipe is ESPIPE before EFAULT.
     Process& p = currentProcess();
     OpenFile* f = p.fd(fd);
     if (f == nullptr)
@@ -561,16 +575,10 @@ Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
     if (len > 0 && !validUserRange(p, buf, len, true))
         return -errFault;
 
-    Inode& ino = vfs_.inode(f->inode);
-    if (ino.isDir())
-        return -errIsDir;
-    if (off >= ino.size || len == 0)
-        return 0;
-    std::uint64_t n = std::min<std::uint64_t>(len, ino.size - off);
-
-    copyCachedToUser(t, ino, off, buf, n);
-    stats_.counter("file_preads").inc();
-    return static_cast<std::int64_t>(n);
+    std::int64_t n = readAt(t, vfs_.inode(f->inode), off, buf, len);
+    if (n > 0)
+        stats_.counter("file_preads").inc();
+    return n;
 }
 
 std::int64_t
@@ -588,34 +596,10 @@ Kernel::sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
     if (!(f->flags & openWrite))
         return -errPerm;
 
-    Inode& ino = vfs_.inode(f->inode);
-    if (ino.isDir())
-        return -errIsDir;
-
-    std::uint64_t done = 0;
-    std::array<std::uint8_t, pageSize> tmp;
-    while (done < len) {
-        std::uint64_t pos = off + done;
-        std::uint64_t page_index = pageNumber(pos);
-        std::uint64_t in_page =
-            std::min<std::uint64_t>(len - done,
-                                    pageSize - pageOffset(pos));
-        copyFromUser(t, buf + done,
-                     std::span<std::uint8_t>(tmp.data(), in_page));
-        PageCacheEntry& e = ensureCached(ino.id, page_index);
-        {
-            KernelModeGuard guard(t.vcpu);
-            t.vcpu.writeBytes(
-                kernelVa(e.gpa) + pageOffset(pos),
-                std::span<const std::uint8_t>(tmp.data(), in_page));
-        }
-        e.dirty = true;
-        done += in_page;
-    }
-    if (off + len > ino.size)
-        ino.size = off + len;
-    stats_.counter("file_pwrites").inc();
-    return static_cast<std::int64_t>(len);
+    std::int64_t n = writeAt(t, vfs_.inode(f->inode), off, buf, len);
+    if (n >= 0)
+        stats_.counter("file_pwrites").inc();
+    return n;
 }
 
 std::int64_t
@@ -698,6 +682,8 @@ Kernel::sysFtruncate(Thread&, std::uint64_t fd, std::uint64_t size)
     Inode& ino = vfs_.inode(f->inode);
     if (ino.isDir())
         return -errIsDir;
+    if (!fileEndFits(size, 0))
+        return -errFBig;
     ino.size = size;
     if (ino.diskData.size() > size)
         ino.diskData.resize(size);
@@ -825,15 +811,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     // cannot create a checked-vs-used mismatch.
     std::vector<std::uint8_t> raw(sub_bytes);
     copyFromUser(t, sub_va, raw);
-    std::vector<BatchDesc> descs(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint8_t* d = raw.data() + i * batchDescBytes;
-        descs[i].num = static_cast<Sys>(loadLe64(d));
-        for (std::size_t a = 0; a < 5; ++a)
-            descs[i].args[a] = loadLe64(d + 8 * (a + 1));
-        descs[i].echo = loadLe64(d + 48);
-        descs[i].reserved = loadLe64(d + 56);
-    }
+    std::vector<BatchDesc> descs = decodeDescs(raw);
 
     // Pre-seal hint, once per batch: every present page an I/O
     // descriptor's buffer spans is about to be touched through the
@@ -841,8 +819,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     // up front instead of sealing one fault at a time.
     std::vector<Gpa> preseal;
     for (const BatchDesc& d : descs) {
-        if (d.num != Sys::Read && d.num != Sys::Write &&
-            d.num != Sys::Pread && d.num != Sys::Pwrite)
+        if (!isTransfer(d.num))
             continue;
         GuestVA buf = d.args[1];
         std::uint64_t len = d.args[2];
@@ -857,7 +834,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     vmm_.prepareFramesForKernel(preseal);
 
     auto& cost = vmm_.machine().cost();
-    std::vector<std::uint8_t> craw(comp_bytes);
+    std::vector<BatchComp> comps(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         const BatchDesc& d = descs[i];
         std::int64_t r;
@@ -871,11 +848,9 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
                                 d.args[2], d.args[3], d.args[4]);
             batchedSyscalls_.get(stats_, "batched_syscalls").inc();
         }
-        storeLe64(craw.data() + i * batchCompBytes,
-                  static_cast<std::uint64_t>(r));
-        storeLe64(craw.data() + i * batchCompBytes + 8, d.echo);
+        comps[i] = {static_cast<std::uint64_t>(r), d.echo};
     }
-    copyToUser(t, comp_va, craw);
+    copyToUser(t, comp_va, encodeComps(comps));
 
     // The hostile-kernel window on the completion side: results are in
     // user memory now, the caller has not read them yet.

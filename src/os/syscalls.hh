@@ -12,7 +12,12 @@
 #ifndef OSH_OS_SYSCALLS_HH
 #define OSH_OS_SYSCALLS_HH
 
+#include "base/bytes.hh"
+
+#include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace osh::os
 {
@@ -119,6 +124,7 @@ enum Err : std::int64_t
     errIsDir = 21,
     errInval = 22,
     errNFile = 23,
+    errFBig = 27,
     errNoSpc = 28,
     errSPipe = 29,
     errPipe = 32,
@@ -133,6 +139,47 @@ enum Err : std::int64_t
  * Larger arguments return -errInval without charging anything.
  */
 constexpr std::uint64_t maxSleepCycles = 1ull << 32;
+
+/**
+ * Upper bound on a file's size: 64 MiB, 256x the largest file any
+ * workload or bench writes. Every path that can grow a file (the
+ * kernel's write, ftruncate, the shim's emulated write) refuses an end
+ * offset past it, or one that overflows, with -errFBig, so a guest
+ * cannot make the host allocate a disk image of its choosing.
+ */
+constexpr std::uint64_t maxFileBytes = 64ull << 20;
+
+/** True if the byte range [off, off + len) ends within maxFileBytes. */
+constexpr bool
+fileEndFits(std::uint64_t off, std::uint64_t len)
+{
+    return off <= maxFileBytes && len <= maxFileBytes - off;
+}
+
+/** The four data-moving calls: read, write, pread, pwrite. */
+constexpr bool
+isTransfer(Sys num)
+{
+    return num == Sys::Read || num == Sys::Write || num == Sys::Pread ||
+           num == Sys::Pwrite;
+}
+
+/** A transfer that moves file data into the caller's buffer. */
+constexpr bool
+transfersIn(Sys num)
+{
+    return num == Sys::Read || num == Sys::Pread;
+}
+
+/** A transfer at an explicit offset (args[3]) that leaves the cursor. */
+constexpr bool
+isPositional(Sys num)
+{
+    return num == Sys::Pread || num == Sys::Pwrite;
+}
+
+/** Syscall arguments (r1..r5). */
+using SyscallArgs = std::array<std::uint64_t, 5>;
 
 /** mmap protection bits. */
 constexpr std::uint64_t protRead = 1;
@@ -224,7 +271,7 @@ constexpr std::uint64_t maxBatchDepth = 32;
 struct BatchDesc
 {
     Sys num = Sys::GetPid;
-    std::uint64_t args[5] = {0, 0, 0, 0, 0};
+    SyscallArgs args{};
     std::uint64_t echo = 0;
     std::uint64_t reserved = 0;
 };
@@ -235,6 +282,71 @@ struct BatchComp
     std::uint64_t result = 0;
     std::uint64_t echo = 0;
 };
+
+/*
+ * Ring codec: the only code that packs or unpacks the layouts above.
+ * Kernel, shim, Env and the attack director all go through it, so a
+ * check on ring bytes has one place to live. Decoders take whole
+ * entries only and ignore a trailing partial one.
+ */
+
+inline std::vector<std::uint8_t>
+encodeDescs(std::span<const BatchDesc> descs)
+{
+    std::vector<std::uint8_t> raw(descs.size() * batchDescBytes);
+    std::uint8_t* p = raw.data();
+    for (const BatchDesc& d : descs) {
+        storeLe64(p, static_cast<std::uint64_t>(d.num));
+        for (std::size_t a = 0; a < d.args.size(); ++a)
+            storeLe64(p + 8 * (a + 1), d.args[a]);
+        storeLe64(p + 48, d.echo);
+        storeLe64(p + 56, d.reserved);
+        p += batchDescBytes;
+    }
+    return raw;
+}
+
+inline std::vector<BatchDesc>
+decodeDescs(std::span<const std::uint8_t> raw)
+{
+    std::vector<BatchDesc> descs(raw.size() / batchDescBytes);
+    const std::uint8_t* p = raw.data();
+    for (BatchDesc& d : descs) {
+        d.num = static_cast<Sys>(loadLe64(p));
+        for (std::size_t a = 0; a < d.args.size(); ++a)
+            d.args[a] = loadLe64(p + 8 * (a + 1));
+        d.echo = loadLe64(p + 48);
+        d.reserved = loadLe64(p + 56);
+        p += batchDescBytes;
+    }
+    return descs;
+}
+
+inline std::vector<std::uint8_t>
+encodeComps(std::span<const BatchComp> comps)
+{
+    std::vector<std::uint8_t> raw(comps.size() * batchCompBytes);
+    std::uint8_t* p = raw.data();
+    for (const BatchComp& c : comps) {
+        storeLe64(p, c.result);
+        storeLe64(p + 8, c.echo);
+        p += batchCompBytes;
+    }
+    return raw;
+}
+
+inline std::vector<BatchComp>
+decodeComps(std::span<const std::uint8_t> raw)
+{
+    std::vector<BatchComp> comps(raw.size() / batchCompBytes);
+    const std::uint8_t* p = raw.data();
+    for (BatchComp& c : comps) {
+        c.result = loadLe64(p);
+        c.echo = loadLe64(p + 8);
+        p += batchCompBytes;
+    }
+    return comps;
+}
 
 } // namespace osh::os
 

@@ -3,7 +3,8 @@
  * Batched syscall submission tests: batched-vs-serial equivalence
  * (identical guest results and VFS state, strictly fewer world
  * switches), depth-1 identity with the legacy per-trap path, ring
- * overflow/underflow rejection, and malformed-descriptor handling.
+ * overflow/underflow rejection, malformed-descriptor handling, and the
+ * ring codec's byte layout.
  */
 
 #include "base/bytes.hh"
@@ -324,6 +325,40 @@ runRingTests(bool cloaked)
 
 TEST(BatchRing, RejectionsCloaked) { runRingTests(true); }
 TEST(BatchRing, RejectionsNative) { runRingTests(false); }
+
+TEST(BatchRing, CodecMatchesTheHandPackedLayout)
+{
+    os::BatchDesc d;
+    d.num = os::Sys::Pwrite;
+    d.args = {3, 0x1000, 8, 1ull << 40, 5};
+    d.echo = 0xfeedface;
+    d.reserved = 9;
+    std::vector<std::uint8_t> raw = os::encodeDescs(std::span(&d, 1));
+    ASSERT_EQ(raw.size(), os::batchDescBytes);
+    const std::array<std::uint64_t, 8> words = {
+        static_cast<std::uint64_t>(os::Sys::Pwrite), 3, 0x1000, 8,
+        1ull << 40, 5, 0xfeedface, 9};
+    for (std::size_t w = 0; w < words.size(); ++w)
+        EXPECT_EQ(loadLe64(raw.data() + 8 * w), words[w]) << "word " << w;
+
+    // Decoders take whole entries only.
+    raw.resize(raw.size() + 10, 0xff);
+    std::vector<os::BatchDesc> back = os::decodeDescs(raw);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].num, d.num);
+    EXPECT_EQ(back[0].args, d.args);
+    EXPECT_EQ(back[0].echo, d.echo);
+    EXPECT_EQ(back[0].reserved, d.reserved);
+
+    os::BatchComp c{static_cast<std::uint64_t>(-os::errFBig), 77};
+    std::vector<std::uint8_t> craw = os::encodeComps(std::span(&c, 1));
+    ASSERT_EQ(craw.size(), os::batchCompBytes);
+    EXPECT_EQ(static_cast<std::int64_t>(loadLe64(craw.data())),
+              -os::errFBig);
+    EXPECT_EQ(loadLe64(craw.data() + 8), 77u);
+    craw.pop_back();
+    EXPECT_TRUE(os::decodeComps(craw).empty());
+}
 
 TEST(BatchRing, EnvWrapperRejectsBadDepths)
 {

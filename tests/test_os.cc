@@ -88,6 +88,33 @@ TEST(OsMemory, WriteToReadOnlyMappingKills)
     EXPECT_TRUE(r.killed);
 }
 
+TEST(OsMemory, MmapPastArenaEndIsRefused)
+{
+    // 2^36 bytes fits no arena; 1 GiB would run from the anonymous
+    // arena into the file arena.
+    auto r = runBody(nativeConfig(), [](Env& env) {
+        constexpr std::uint64_t rw = os::protRead | os::protWrite;
+        if (env.mmap(1ull << 36, rw, os::mapAnon) != -os::errNoMem)
+            return 1;
+        if (env.mmap(1ull << 30, rw, os::mapAnon) != -os::errNoMem)
+            return 2;
+        if (env.mmap(~0ull, rw, os::mapAnon) != -os::errNoMem)
+            return 3;
+        // The file arena ends at the shim's region.
+        auto f = static_cast<std::uint64_t>(env.open(
+            "/f", os::openCreate | os::openRead | os::openWrite));
+        if (env.mmap(1ull << 30, rw, os::mapShared, f, 0) != -os::errNoMem)
+            return 4;
+        // Refusals leave the cursors: small mappings still work.
+        GuestVA p = env.allocPages(2);
+        env.store64(p + pageSize, 42);
+        if (env.load64(p + pageSize) != 42)
+            return 5;
+        return env.mmap(pageSize, rw, os::mapShared, f, 0) > 0 ? 0 : 6;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
 TEST(OsMemory, StackIsUsable)
 {
     auto r = runBody(nativeConfig(), [](Env& env) {
@@ -235,6 +262,66 @@ TEST(OsFiles, BadDescriptorErrors)
         return 0;
     });
     EXPECT_EQ(r.status, 0);
+}
+
+TEST(OsFiles, WritesPastFileBoundAreRefused)
+{
+    // Accepted, each of these writes would make the fsync size the
+    // disk image to 2^40 bytes, or wrap the end offset and write
+    // outside it: the bound refuses them before anything is cached.
+    auto r = runBody(nativeConfig(), [](Env& env) {
+        auto f = static_cast<std::uint64_t>(env.open(
+            "/big", os::openCreate | os::openRead | os::openWrite));
+        GuestVA buf = env.allocPages(1);
+        if (env.pwrite(f, buf, 8, 1ull << 40) != -os::errFBig)
+            return 1;
+        if (env.fsync(f) != 0)
+            return 2;
+        if (env.pwrite(f, buf, 8, ~0ull - 3) != -os::errFBig)
+            return 3;
+        if (env.fsync(f) != 0)
+            return 4;
+        env.lseek(f, 1ll << 40, os::seekSet);
+        if (env.write(f, buf, 8) != -os::errFBig)
+            return 5;
+        if (env.fsync(f) != 0)
+            return 6;
+        if (env.lseek(f, 0, os::seekCur) != 1ll << 40)
+            return 7; // A refused write leaves the cursor.
+        if (env.ftruncate(f, os::maxFileBytes + 1) != -os::errFBig)
+            return 8;
+        os::StatBuf sb{};
+        if (env.fstat(f, sb) != 0 || sb.size != 0)
+            return 9;
+        // The bound is inclusive: a write ending exactly on it lands.
+        if (env.pwrite(f, buf, 8, os::maxFileBytes - 8) != 8)
+            return 10;
+        if (env.pwrite(f, buf, 8, os::maxFileBytes - 4) != -os::errFBig)
+            return 11;
+        return 0;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+TEST(OsFiles, ZeroLengthWritesLeaveSizeAlone)
+{
+    auto r = runBody(nativeConfig(), [](Env& env) {
+        auto f = static_cast<std::uint64_t>(env.open(
+            "/z", os::openCreate | os::openRead | os::openWrite));
+        GuestVA buf = env.allocPages(1);
+        os::StatBuf sb{};
+        env.lseek(f, 100, os::seekSet);
+        if (env.write(f, buf, 0) != 0)
+            return 1;
+        if (env.fstat(f, sb) != 0 || sb.size != 0)
+            return 2;
+        if (env.pwrite(f, buf, 0, 300) != 0)
+            return 3;
+        if (env.fstat(f, sb) != 0 || sb.size != 0)
+            return 4;
+        return env.lseek(f, 0, os::seekCur) == 100 ? 0 : 5;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
 }
 
 /**

@@ -359,6 +359,114 @@ TEST(ShimEmulated, DupOfProtectedFdSharesShimState)
     EXPECT_EQ(r.status, 0) << r.killReason;
 }
 
+/**
+ * The calls of OsFiles.WritesPastFileBoundAreRefused from a cloaked
+ * process on @p path: one at a time, then again in one depth-8 batch.
+ * Returns 0 when each is refused with EFBIG and the file stays empty.
+ */
+int
+fileBoundCalls(Env& env, const std::string& path)
+{
+    using os::Sys;
+    auto f = static_cast<std::uint64_t>(env.open(
+        path, os::openCreate | os::openRead | os::openWrite));
+    GuestVA buf = env.allocPages(1);
+    if (env.pwrite(f, buf, 8, ~0ull - 3) != -os::errFBig)
+        return 1;
+    if (env.fsync(f) != 0)
+        return 2;
+    if (env.pwrite(f, buf, 8, 1ull << 40) != -os::errFBig)
+        return 3;
+    if (env.fsync(f) != 0)
+        return 4;
+    env.lseek(f, 1ll << 40, os::seekSet);
+    if (env.write(f, buf, 8) != -os::errFBig)
+        return 5;
+    if (env.ftruncate(f, os::maxFileBytes + 1) != -os::errFBig)
+        return 6;
+    std::vector<os::BatchEntry> ring = {
+        {Sys::Pwrite, {f, buf, 8, 1ull << 40}},
+        {Sys::Fsync, {f}},
+        {Sys::Pwrite, {f, buf, 8, ~0ull - 3}},
+        {Sys::Fsync, {f}},
+        {Sys::Lseek, {f, 1ull << 40, os::seekSet}},
+        {Sys::Write, {f, buf, 8}},
+        {Sys::Fsync, {f}},
+        {Sys::GetPid, {}},
+    };
+    std::vector<std::int64_t> res;
+    if (env.submitBatch(ring, res) != 8)
+        return 7;
+    const std::vector<std::int64_t> want = {
+        -os::errFBig, 0, -os::errFBig, 0, 1ll << 40, -os::errFBig, 0,
+        env.getpid()};
+    if (res != want)
+        return 8;
+    os::StatBuf sb{};
+    if (env.fstat(f, sb) != 0 || sb.size != 0)
+        return 9;
+    return 0;
+}
+
+TEST(ShimMarshal, WritesPastFileBoundAreRefused)
+{
+    System sys(cloakedConfig());
+    auto r = runCloaked(sys, [](Env& env) {
+        return fileBoundCalls(env, "/big");
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+TEST(ShimEmulated, WritesPastFileBoundAreRefused)
+{
+    // Accepted, the wrapped pwrite would copy through a wrapped mapping
+    // address, and the 2^40 one would grow the mapping past the file
+    // arena.
+    System sys(cloakedConfig());
+    auto r = runCloaked(sys, [](Env& env) {
+        env.mkdir("/cloaked");
+        return fileBoundCalls(env, "/cloaked/big");
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+TEST(ShimBatch, ZeroLengthWritesLeaveSizeAlone)
+{
+    // Marshalled, emulated and batched: a zero-length write or pwrite
+    // past EOF returns 0 and the size stays 0.
+    System sys(cloakedConfig());
+    auto r = runCloaked(sys, [](Env& env) {
+        using os::Sys;
+        env.mkdir("/cloaked");
+        GuestVA buf = env.allocPages(1);
+        int step = 0;
+        for (const char* path : {"/z", "/cloaked/z"}) {
+            auto f = static_cast<std::uint64_t>(env.open(
+                path, os::openCreate | os::openRead | os::openWrite));
+            os::StatBuf sb{};
+            env.lseek(f, 100, os::seekSet);
+            if (env.write(f, buf, 0) != 0 || env.pwrite(f, buf, 0, 300))
+                return step + 1;
+            if (env.fstat(f, sb) != 0 || sb.size != 0)
+                return step + 2;
+            std::vector<os::BatchEntry> ring(8, {Sys::GetPid, {}});
+            ring[1] = {Sys::Write, {f, buf, 0}};
+            ring[5] = {Sys::Pwrite, {f, buf, 0, 300}};
+            std::vector<std::int64_t> res;
+            if (env.submitBatch(ring, res) != 8 || res[1] != 0 ||
+                res[5] != 0)
+                return step + 3;
+            if (env.fstat(f, sb) != 0 || sb.size != 0)
+                return step + 4;
+            if (env.lseek(f, 0, os::seekCur) != 100)
+                return step + 5;
+            step += 10;
+        }
+        return 0;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
 TEST(ShimPassthrough, ClockAndSleepAndYield)
 {
     System sys(cloakedConfig());
@@ -401,6 +509,307 @@ TEST(ShimStats, AdaptationClassesCounted)
     EXPECT_GT(stats.value("shim_protected_opens"), 0u);
     EXPECT_GT(stats.value("shim_protected_closes"), 0u);
 }
+
+
+// ---------------------------------------------------------------------------
+// I/O contract: read/pread/write/pwrite answer alike on every path
+// ---------------------------------------------------------------------------
+
+/** How a call reaches the file. */
+enum class IoPath
+{
+    Native,     ///< Uncloaked process: straight to the kernel.
+    Marshalled, ///< Cloaked process, plain file: bounce-buffer chunks.
+    Emulated,   ///< Cloaked process, protected file: the cloaked mapping.
+    Batch8,     ///< Cloaked process, plain file: slot 3 of a depth-8 ring.
+};
+
+/** What the call names instead of a good buffer on its open file. */
+enum class IoTarget
+{
+    File,     ///< The file, opened read-write.
+    ReadOnly, ///< The file, opened read-only.
+    BadFd,    ///< A descriptor number nothing is open on.
+    PipeBadBuf, ///< A pipe's read end, with an unmapped buffer.
+    FileBadBuf, ///< The file, with an unmapped buffer.
+};
+
+/** Outcome marker: the call segfault-kills the application. */
+constexpr std::int64_t ioKilled = INT64_MIN;
+
+/** Bytes of the smaller file most rows start from. */
+constexpr std::uint64_t ioSmall = 3000;
+/** Bytes of the larger file: more than the 64 KiB bounce area. */
+constexpr std::uint64_t ioLarge = 70000;
+/** A transfer larger than the bounce area, so it takes several chunks. */
+constexpr std::uint64_t ioChunky = 69000;
+/** Unmapped in every process of these tests. */
+constexpr GuestVA ioUnmapped = 0x7000'0000ull;
+
+struct IoCase
+{
+    const char* name;
+    os::Sys op;
+    std::uint64_t fileBytes; ///< Initial size (pattern content).
+    std::uint64_t seek;      ///< Cursor before the call.
+    std::uint64_t len;
+    std::uint64_t off;       ///< pread/pwrite only.
+    IoTarget target;
+    std::int64_t rv;         ///< Native result.
+    std::uint64_t offset;    ///< Cursor after the call.
+    std::uint64_t size;      ///< File size after the call.
+    /** Result on the three cloaked paths (ioKilled: the app dies). */
+    std::int64_t cloakedRv;
+};
+
+std::uint8_t
+filePattern(std::uint64_t i)
+{
+    return static_cast<std::uint8_t>(i * 7 + 3);
+}
+
+std::uint8_t
+writePattern(std::uint64_t i)
+{
+    return static_cast<std::uint8_t>(i * 13 + 101);
+}
+
+const std::vector<IoCase>&
+ioContract()
+{
+    using os::Sys;
+    constexpr auto F = IoTarget::File;
+    constexpr std::int64_t badF = -os::errBadF;
+    constexpr std::int64_t fault = -os::errFault;
+    // clang-format off
+    static const std::vector<IoCase> rows = {
+      // name                op           file     seek  len       off   target                rv             offset size     cloaked
+      {"read_mid",           Sys::Read,   ioSmall, 100,  500,      0,    F,                    500,           600,   ioSmall, 500},
+      {"read_short",         Sys::Read,   ioSmall, 2800, 500,      0,    F,                    200,           3000,  ioSmall, 200},
+      {"read_at_eof",        Sys::Read,   ioSmall, 3000, 100,      0,    F,                    0,             3000,  ioSmall, 0},
+      {"read_past_eof",      Sys::Read,   ioSmall, 3050, 100,      0,    F,                    0,             3050,  ioSmall, 0},
+      {"read_chunked",       Sys::Read,   ioLarge, 300,  ioChunky, 0,    F,                    69000,         69300, ioLarge, 69000},
+      {"pread_mid",          Sys::Pread,  ioSmall, 10,   400,      1000, F,                    400,           10,    ioSmall, 400},
+      {"pread_short",        Sys::Pread,  ioSmall, 10,   500,      2900, F,                    100,           10,    ioSmall, 100},
+      {"pread_at_eof",       Sys::Pread,  ioSmall, 10,   10,       3000, F,                    0,             10,    ioSmall, 0},
+      {"pread_chunked",      Sys::Pread,  ioLarge, 0,    ioChunky, 900,  F,                    69000,         0,     ioLarge, 69000},
+      {"write_mid",          Sys::Write,  ioSmall, 200,  300,      0,    F,                    300,           500,   ioSmall, 300},
+      {"write_extend",       Sys::Write,  ioSmall, 2900, 400,      0,    F,                    400,           3300,  3300,    400},
+      {"write_sparse",       Sys::Write,  ioSmall, 4000, 100,      0,    F,                    100,           4100,  4100,    100},
+      {"write_chunked",      Sys::Write,  ioSmall, 10,   ioChunky, 0,    F,                    69000,         69010, 69010,   69000},
+      {"pwrite_mid",         Sys::Pwrite, ioSmall, 7,    300,      50,   F,                    300,           7,     ioSmall, 300},
+      {"pwrite_extend",      Sys::Pwrite, ioSmall, 0,    500,      3010, F,                    500,           0,     3510,    500},
+      {"pwrite_chunked",     Sys::Pwrite, ioSmall, 5,    ioChunky, 2000, F,                    69000,         5,     71000,   69000},
+      // errno order: bad fd, bad buffer, ESPIPE before EFAULT, EPERM
+      {"read_bad_fd",        Sys::Read,   ioSmall, 0,    10,       0,    IoTarget::BadFd,      badF,          0,     ioSmall, badF},
+      {"pwrite_bad_fd",      Sys::Pwrite, ioSmall, 0,    10,       0,    IoTarget::BadFd,      badF,          0,     ioSmall, badF},
+      // The shim copies through the app's own pointer, as a libc memcpy
+      // would, so a cloaked app faults where the kernel says EFAULT.
+      {"read_bad_buf",       Sys::Read,   ioSmall, 0,    10,       0,    IoTarget::FileBadBuf, fault,         0,     ioSmall, ioKilled},
+      {"write_bad_buf",      Sys::Write,  ioSmall, 0,    10,       0,    IoTarget::FileBadBuf, fault,         0,     ioSmall, ioKilled},
+      {"pread_pipe_bad_buf", Sys::Pread,  ioSmall, 0,    10,       0,    IoTarget::PipeBadBuf, -os::errSPipe, 0,     ioSmall, -os::errSPipe},
+      {"write_read_only",    Sys::Write,  ioSmall, 0,    10,       0,    IoTarget::ReadOnly,   -os::errPerm,  0,     ioSmall, -os::errPerm},
+    };
+    // clang-format on
+    return rows;
+}
+
+/** What one row observed from inside the guest. */
+struct IoObserved
+{
+    bool done = false;
+    std::int64_t rv = 0;
+    std::int64_t offset = 0;
+    std::uint64_t size = 0;
+    std::vector<std::uint8_t> bytes; ///< Read data, or the whole file.
+};
+
+int
+ioCaseBody(Env& env, IoPath path, const IoCase& c, IoObserved& out)
+{
+    using os::Sys;
+    std::string name = "/io.dat";
+    if (path == IoPath::Emulated) {
+        env.mkdir("/cloaked");
+        name = "/cloaked/io.dat";
+    }
+    std::int64_t fd = env.open(name, os::openCreate | os::openRead |
+                                         os::openWrite);
+    if (fd < 0)
+        return 1;
+    std::uint64_t span = std::max<std::uint64_t>(
+        {c.fileBytes, c.len, c.off + c.len, c.seek + c.len, 1});
+    GuestVA buf = env.allocPages(roundUpToPage(span) / pageSize + 1);
+    std::vector<std::uint8_t> bytes(c.fileBytes);
+    for (std::uint64_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = filePattern(i);
+    env.writeBytes(buf, bytes);
+    if (env.write(static_cast<std::uint64_t>(fd), buf, c.fileBytes) !=
+        static_cast<std::int64_t>(c.fileBytes))
+        return 2;
+    if (c.target == IoTarget::ReadOnly) {
+        env.close(static_cast<std::uint64_t>(fd));
+        fd = env.open(name, os::openRead);
+        if (fd < 0)
+            return 3;
+    }
+    const auto file = static_cast<std::uint64_t>(fd);
+    env.lseek(file, static_cast<std::int64_t>(c.seek), os::seekSet);
+
+    // The operand buffer: the write pattern for writes, a sentinel for
+    // reads (so a short read's untouched tail shows).
+    bool writes = c.op == Sys::Write || c.op == Sys::Pwrite;
+    std::vector<std::uint8_t> data(c.len);
+    for (std::uint64_t i = 0; i < c.len; ++i)
+        data[i] = writes ? writePattern(i) : 0xee;
+    env.writeBytes(buf, data);
+
+    std::uint64_t target = file;
+    GuestVA operand = buf;
+    switch (c.target) {
+      case IoTarget::BadFd:
+        target = 77;
+        break;
+      case IoTarget::PipeBadBuf:
+        {
+            int rfd = -1, wfd = -1;
+            if (env.pipe(rfd, wfd) != 0)
+                return 4;
+            target = static_cast<std::uint64_t>(rfd);
+            operand = ioUnmapped;
+        }
+        break;
+      case IoTarget::FileBadBuf:
+        operand = ioUnmapped;
+        break;
+      default:
+        break;
+    }
+    os::SyscallArgs args{target, operand, c.len,
+                         c.op == Sys::Pread || c.op == Sys::Pwrite ? c.off
+                                                                   : 0,
+                         0};
+    if (path == IoPath::Batch8) {
+        std::vector<os::BatchEntry> ring(8, os::BatchEntry{Sys::GetPid, {}});
+        ring[3] = os::BatchEntry{c.op, args};
+        std::vector<std::int64_t> results;
+        if (env.submitBatch(ring, results) != 8)
+            return 5;
+        out.rv = results[3];
+    } else {
+        out.rv = env.syscall(c.op, args);
+    }
+
+    out.offset = env.lseek(file, 0, os::seekCur);
+    os::StatBuf sb{};
+    if (env.fstat(file, sb) != 0)
+        return 6;
+    out.size = sb.size;
+    if (!writes) {
+        out.bytes.resize(c.len);
+        env.readBytes(buf, out.bytes);
+    } else {
+        // Read the whole file back through the same path.
+        GuestVA back = env.allocPages(roundUpToPage(out.size + 1) /
+                                      pageSize);
+        out.bytes.resize(out.size);
+        if (env.pread(file, back, out.size, 0) !=
+            static_cast<std::int64_t>(out.size))
+            return 7;
+        env.readBytes(back, out.bytes);
+    }
+    out.done = true;
+    env.close(file);
+    return 0;
+}
+
+/** Replay the contract table on one path; every row gets its own System. */
+void
+checkIoContract(IoPath path)
+{
+    using os::Sys;
+    for (const IoCase& c : ioContract()) {
+        SCOPED_TRACE(c.name);
+        // Known divergence, pinned by ShimEmulated.ReadOnlyFdStillWrites.
+        if (path == IoPath::Emulated && c.target == IoTarget::ReadOnly)
+            continue;
+        SystemConfig cfg = cloakedConfig();
+        cfg.cloakingEnabled = path != IoPath::Native;
+        System sys(cfg);
+        IoObserved out;
+        sys.addProgram("io", os::Program{[&](Env& env) {
+                                             return ioCaseBody(env, path, c,
+                                                               out);
+                                         },
+                                         path != IoPath::Native, 64});
+        auto r = sys.runProgram("io");
+
+        std::int64_t want = path == IoPath::Native ? c.rv : c.cloakedRv;
+        if (want == ioKilled) {
+            EXPECT_TRUE(r.killed);
+            EXPECT_NE(r.killReason.find("segfault"), std::string::npos)
+                << r.killReason;
+            continue;
+        }
+        ASSERT_EQ(r.status, 0) << r.killReason;
+        ASSERT_TRUE(out.done);
+        EXPECT_EQ(out.rv, want);
+        EXPECT_EQ(out.offset, static_cast<std::int64_t>(c.offset));
+        EXPECT_EQ(out.size, c.size);
+
+        // The model: pattern file, then the call's effect.
+        std::vector<std::uint8_t> model(c.fileBytes);
+        for (std::uint64_t i = 0; i < model.size(); ++i)
+            model[i] = filePattern(i);
+        bool positional = c.op == Sys::Pread || c.op == Sys::Pwrite;
+        std::uint64_t pos = positional ? c.off : c.seek;
+        std::uint64_t n = want > 0 ? static_cast<std::uint64_t>(want) : 0;
+        std::vector<std::uint8_t> expect;
+        if (c.op == Sys::Read || c.op == Sys::Pread) {
+            expect.assign(c.len, 0xee);
+            for (std::uint64_t i = 0; i < n; ++i)
+                expect[i] = model[pos + i];
+        } else {
+            expect = model;
+            if (pos + n > expect.size())
+                expect.resize(pos + n, 0);
+            for (std::uint64_t i = 0; i < n; ++i)
+                expect[pos + i] = writePattern(i);
+        }
+        EXPECT_TRUE(out.bytes == expect) << "bytes differ";
+    }
+}
+
+TEST(ShimEmulated, ReadOnlyFdStillWrites)
+{
+    // The shim serves a protected file from a read-write mapping and
+    // does not record the open mode, so a write through a read-only
+    // descriptor lands where the kernel would say EPERM. Pinned here
+    // so that fixing it is a deliberate change of this test.
+    System sys(cloakedConfig());
+    auto r = runCloaked(sys, [](Env& env) {
+        env.mkdir("/cloaked");
+        std::int64_t w = env.open("/cloaked/ro", os::openCreate |
+                                                     os::openWrite);
+        env.writeAll(static_cast<std::uint64_t>(w), "0123456789");
+        env.close(static_cast<std::uint64_t>(w));
+        std::int64_t fd = env.open("/cloaked/ro", os::openRead);
+        GuestVA buf = env.allocPages(1);
+        env.store64(buf, 0x4141414141414141ull);
+        if (env.write(static_cast<std::uint64_t>(fd), buf, 8) != 8)
+            return 1;
+        if (env.lseek(static_cast<std::uint64_t>(fd), 0, os::seekCur) !=
+            8)
+            return 2;
+        return 0;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+TEST(IoContract, Native) { checkIoContract(IoPath::Native); }
+TEST(IoContract, Marshalled) { checkIoContract(IoPath::Marshalled); }
+TEST(IoContract, Emulated) { checkIoContract(IoPath::Emulated); }
+TEST(IoContract, Batch8) { checkIoContract(IoPath::Batch8); }
 
 } // namespace
 } // namespace osh
