@@ -232,8 +232,8 @@ class BenchReport
 
     /**
      * Capture a finished system run: total cycles, the fault/crypto
-     * counters of every major component, and (when tracing ran)
-     * p50/p95 of each latency histogram.
+     * counters of every major component (every vCPU's TLB), and
+     * (when tracing ran) p50/p95 of each latency histogram.
      */
     void
     captureSystem(const std::string& prefix, system::System& sys)
@@ -241,7 +241,8 @@ class BenchReport
         set(prefix + ".cycles", sys.cycles());
         setGroup(prefix, sys.vmm().stats());
         setGroup(prefix, sys.vmm().shadows().stats());
-        setGroup(prefix, sys.vmm().tlb().stats());
+        for (std::uint32_t cpu = 0; cpu < sys.vmm().vcpuCount(); ++cpu)
+            setGroup(prefix, sys.vmm().tlb(cpu).stats());
         setGroup(prefix, sys.sched().stats());
         if (sys.cloak() != nullptr) {
             setGroup(prefix, sys.cloak()->stats());

@@ -396,7 +396,7 @@ constexpr std::uint64_t benchPages = 32;
 struct Harness
 {
     explicit Harness(std::uint64_t pages_ = benchPages)
-        : pages(pages_), machine(sim::MachineConfig{512, 1, {}, {}}),
+        : pages(pages_), machine(sim::MachineConfig{512, 1, {}}),
           vmm(machine, 512), engine(vmm, 7, 4096)
     {
         vmm.setGuestOs(&os);

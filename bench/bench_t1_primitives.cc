@@ -65,7 +65,7 @@ class BenchOs : public vmm::GuestOsHooks
 struct Harness
 {
     explicit Harness(bool fast_path = true)
-        : machine(sim::MachineConfig{512, 1, {}, {}}), vmm(machine, 512),
+        : machine(sim::MachineConfig{512, 1, {}}), vmm(machine, 512),
           engine(vmm, 7, 4096)
     {
         vmm.setGuestOs(&os);
@@ -183,8 +183,8 @@ primitives()
          [](Ctx& c) {
              c.h.vmm.shadows().invalidateVa(Harness::appAsid,
                                             Harness::appVa);
-             c.h.vmm.tlb().invalidateVa(Harness::appAsid,
-                                        Harness::appVa);
+             c.h.vmm.tlb(0).invalidateVa(Harness::appAsid,
+                                         Harness::appVa);
          },
          [](Ctx& c) { c.app.load64(Harness::appVa); }},
 

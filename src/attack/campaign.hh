@@ -81,12 +81,12 @@ struct CampaignConfig
     std::vector<std::string> workloads;
 
     /**
-     * vCPUs per victim System (0 = single-core legacy path). Verdicts
-     * and the table() string are vCPU-count invariant — the SMP tests
-     * pin that down — so campaigns may run multi-core to exercise
-     * per-vCPU world switches without touching expectation files.
+     * vCPUs per victim System. Verdicts and the table() string are
+     * vCPU-count invariant — the SMP tests pin that down — so
+     * campaigns may run multi-core to exercise per-vCPU world
+     * switches without touching expectation files.
      */
-    std::size_t vcpus = 0;
+    std::size_t vcpus = 1;
 
     /**
      * asyncEvictDepth for every victim System (0 = synchronous legacy
@@ -142,7 +142,7 @@ struct CampaignReport
  *  @p timing_hardening as in CampaignConfig. */
 CampaignCell runCell(std::uint64_t seed, AttackPoint point,
                      const std::string& workload,
-                     std::size_t vcpus = 0,
+                     std::size_t vcpus = 1,
                      std::size_t async_depth = 0,
                      bool timing_hardening = true);
 

@@ -121,16 +121,6 @@ class AuditLog
     auto begin() const { return events_.begin(); }
     auto end() const { return events_.end(); }
 
-    void
-    setCapacity(std::size_t capacity)
-    {
-        capacity_ = capacity == 0 ? 1 : capacity;
-        while (events_.size() > capacity_) {
-            events_.pop_front();
-            ++dropped_;
-        }
-    }
-
   private:
     std::size_t capacity_;
     std::uint64_t dropped_ = 0;
@@ -431,12 +421,6 @@ class CloakEngine : public vmm::CloakBackend
         victims_.setCapacity(entries);
     }
     const VictimCache& victimCache() const { return victims_; }
-
-    /** Bound the audit ring (oldest events drop once full). */
-    void setAuditLogCapacity(std::size_t entries)
-    {
-        auditLog_.setCapacity(entries);
-    }
 
     /**
      * Host worker threads for encryptPages and everything routed

@@ -35,7 +35,6 @@ splitmix(std::uint64_t& state)
 Shim::Shim(CloakEngine& engine, DomainId domain, os::Env& env)
     : engine_(engine), domain_(domain), env_(env)
 {
-    protectedPrefixes_.push_back("/cloaked");
 }
 
 std::uint64_t
@@ -46,20 +45,10 @@ Shim::pathKey(const std::string& path)
     return loadLe64(d.data());
 }
 
-void
-Shim::addProtectedPrefix(const std::string& prefix)
-{
-    protectedPrefixes_.push_back(prefix);
-}
-
 bool
 Shim::isProtectedPath(const std::string& path) const
 {
-    for (const std::string& p : protectedPrefixes_) {
-        if (path.rfind(p, 0) == 0)
-            return true;
-    }
-    return false;
+    return path.rfind("/cloaked", 0) == 0;
 }
 
 std::uint64_t
@@ -268,6 +257,7 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
     cf.mapPages = map_pages;
     cf.size = size;
     cf.offset = 0;
+    cf.writable = (flags & os::openWrite) != 0;
     cloakedFiles_[cf.fd] = cf;
     engine_.stats().counter("shim_protected_opens").inc();
     return fd;
@@ -321,6 +311,10 @@ std::int64_t
 Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
                     std::optional<std::uint64_t> at)
 {
+    // The kernel's order: a read-only descriptor refuses even a
+    // zero-length write.
+    if (!cf.writable)
+        return -os::errPerm;
     if (len == 0)
         return 0;
     std::uint64_t off = at.value_or(cf.offset);

@@ -19,8 +19,8 @@
  *     never crosses the kernel in plaintext, and the page cache holds
  *     ciphertext from the kernel's point of view.
  *
- * Files under a protected prefix (default "/cloaked") are treated as
- * protected; everything else (pipes, ordinary files) is marshalled.
+ * Files under "/cloaked" are treated as protected; everything else
+ * (pipes, ordinary files) is marshalled.
  */
 
 #ifndef OSH_CLOAK_SHIM_HH
@@ -79,8 +79,7 @@ class Shim : public os::SyscallInterposer
      *  the system layer when starting the child). */
     std::uint64_t takePendingForkToken();
 
-    /** Add a protected-path prefix (default "/cloaked"). */
-    void addProtectedPrefix(const std::string& prefix);
+    /** Is @p path a protected file (under "/cloaked")? */
     bool isProtectedPath(const std::string& path) const;
 
     // os::SyscallInterposer ------------------------------------------------
@@ -99,6 +98,7 @@ class Shim : public os::SyscallInterposer
         std::uint64_t mapPages = 0;
         std::uint64_t size = 0;
         std::uint64_t offset = 0;
+        bool writable = false; ///< Opened with os::openWrite.
     };
 
     /** Trap with secure control transfer. */
@@ -199,7 +199,6 @@ class Shim : public os::SyscallInterposer
     std::uint64_t batchNonceState_ = 0x0b5e55ed0a7e4a11ull;
 
     std::map<std::uint64_t, CloakedFile> cloakedFiles_;
-    std::vector<std::string> protectedPrefixes_;
     std::vector<std::uint64_t> pendingForkTokens_;
 };
 

@@ -13,6 +13,18 @@ namespace osh::migrate
 namespace
 {
 
+/** Image version the final ticket pins. */
+constexpr std::uint64_t imageVersion = 1;
+
+/** Pre-copy rounds before forcing stop-and-copy. */
+constexpr std::uint64_t maxRounds = 8;
+
+/** Stop-and-copy once a round's dirty set is this small. Rounds also
+ *  stop early when the dirty set stops shrinking — a victim that
+ *  redirties pages as fast as rounds drain them gets no benefit from
+ *  further pre-copy. */
+constexpr std::uint64_t dirtyPageThreshold = 4;
+
 /** Dirty cloaked pages of a quiesced, sealed domain: every metadata
  *  version newer than what @p last_sent recorded, mapped back to the
  *  VA the domain's regions give it. Updates @p last_sent in place. */
@@ -135,9 +147,6 @@ migrateLive(system::System& src, Pid pid, system::System& dst,
         last_sent;
     std::set<GuestVA> final_dirty;
 
-    std::uint64_t max_rounds = options.maxRounds == 0
-                                   ? 1
-                                   : options.maxRounds;
     std::uint64_t prev_dirty = ~std::uint64_t{0};
     bool stopping = false;
     for (std::uint64_t round = 0; !stopping; ++round) {
@@ -174,9 +183,9 @@ migrateLive(system::System& src, Pid pid, system::System& dst,
         // set is the first honest rate.
         bool converged =
             round > 0 &&
-            (dirty.size() <= options.dirtyPageThreshold ||
+            (dirty.size() <= dirtyPageThreshold ||
              (round > 1 && dirty.size() * 4 >= prev_dirty * 3));
-        if (round + 1 >= max_rounds || converged) {
+        if (round + 1 >= maxRounds || converged) {
             // Keep the victim frozen and fold this round's dirty set
             // into the stop-and-copy image.
             final_dirty = std::move(dirty);
@@ -223,7 +232,7 @@ migrateLive(system::System& src, Pid pid, system::System& dst,
 
     CheckpointOptions copts;
     copts.nonce = options.nonce;
-    copts.imageVersion = options.imageVersion;
+    copts.imageVersion = imageVersion;
     copts.pageFilter = &filter;
     auto ckpt = checkpoint(src, pid, copts);
     if (!ckpt.ok()) {

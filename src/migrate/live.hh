@@ -35,18 +35,6 @@ struct LiveOptions
     /** Migration nonce (stream + image key derivation). */
     std::uint64_t nonce = 1;
 
-    /** Image version the final ticket pins. */
-    std::uint64_t imageVersion = 1;
-
-    /** Pre-copy rounds before forcing stop-and-copy. */
-    std::uint64_t maxRounds = 8;
-
-    /** Stop-and-copy once a round's dirty set is this small. Rounds
-     *  also stop early when the dirty set stops shrinking — a victim
-     *  that redirties pages as fast as rounds drain them gets no
-     *  benefit from further pre-copy. */
-    std::uint64_t dirtyPageThreshold = 4;
-
     /** Syscall entries the victim runs between rounds. */
     std::uint64_t entriesPerRound = 8;
 

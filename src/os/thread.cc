@@ -96,10 +96,6 @@ Scheduler::configureCpus(std::size_t count)
 void
 Scheduler::assignCpu(Thread* t)
 {
-    // Single-core runs take the exact legacy path: no slot bookkeeping,
-    // no extra stat keys, cpu stays 0.
-    if (cpuCount_ <= 1)
-        return;
     auto slot = static_cast<std::uint32_t>(nextCpuSlot_);
     nextCpuSlot_ = (nextCpuSlot_ + 1) % cpuCount_;
     dispatches_.get(stats_, "dispatches").inc();

@@ -243,11 +243,8 @@ class Scheduler
     /** A stack from the free list, or a freshly mapped one. */
     void* takeStack();
 
-    /**
-     * Bind a freshly dispatched thread to a core slot (seeded
-     * round-robin). A no-op on single-core runs, so the legacy stat
-     * set and slot-0 TLB behavior are untouched there.
-     */
+    /** Bind a freshly dispatched thread to a core slot (seeded
+     *  round-robin; at one core every thread stays on slot 0). */
     void assignCpu(Thread* t);
 
     sim::CostModel& cost_;
@@ -260,7 +257,7 @@ class Scheduler
     std::vector<Thread*> active_;
     std::deque<Thread*> readyQueue_;
     Thread* current_ = nullptr;
-    /** Simulated physical cores (1 = exact legacy single-core path). */
+    /** Simulated physical cores (vCPU slots). */
     std::size_t cpuCount_ = 1;
     /** Next round-robin core slot handed out at dispatch. */
     std::size_t nextCpuSlot_ = 0;

@@ -3,11 +3,6 @@
 namespace osh::sim
 {
 
-CostModel::CostModel(const CostParams& params)
-    : params_(params), stats_("cost")
-{
-}
-
 void
 CostModel::charge(Cycles c, const char* event)
 {

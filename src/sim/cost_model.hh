@@ -3,8 +3,8 @@
  * Deterministic cycle cost model.
  *
  * The simulator does not measure host time; every simulated operation
- * charges a fixed number of cycles here. The defaults are calibrated to
- * a 2008-era x86 with a software VMM (the paper's platform): ~1 cycle
+ * charges a fixed number of cycles here. The one table is calibrated
+ * to a 2008-era x86 with a software VMM (the paper's platform): ~1 cycle
  * per cached memory access, a few hundred cycles for a trap, ~800 for a
  * VMM world-switch round trip, and software AES/SHA at ~12/10 cycles per
  * byte. Benchmarks report simulated cycles, so runs are bit-reproducible
@@ -23,7 +23,7 @@
 namespace osh::sim
 {
 
-/** All tunable cycle costs. Benchmarks may override for ablations. */
+/** The calibrated cycle-cost table, one value per simulated operation. */
 struct CostParams
 {
     // Memory system.
@@ -65,8 +65,6 @@ struct CostParams
 class CostModel
 {
   public:
-    explicit CostModel(const CostParams& params = {});
-
     /** Charge raw cycles. */
     void charge(Cycles c) { cycles_ += c; }
 
@@ -84,7 +82,6 @@ class CostModel
     void resetCycles() { cycles_ = 0; }
 
     const CostParams& params() const { return params_; }
-    CostParams& params() { return params_; }
 
     /**
      * Stable pointer to the cycle accumulator, for the tracer's clock
@@ -96,9 +93,9 @@ class CostModel
     const StatGroup& stats() const { return stats_; }
 
   private:
-    CostParams params_;
+    static constexpr CostParams params_{};
     Cycles cycles_ = 0;
-    StatGroup stats_;
+    StatGroup stats_{"cost"};
     /** Event literal -> its counter in stats_. */
     std::unordered_map<const char*, CounterSlot> events_;
 };

@@ -4,8 +4,8 @@ namespace osh::sim
 {
 
 Machine::Machine(const MachineConfig& config)
-    : config_(config), memory_(config.numFrames), cost_(config.costs),
-      rng_(config.seed), tracer_(config.trace)
+    : config_(config), memory_(config.numFrames), rng_(config.seed),
+      tracer_(config.trace)
 {
     tracer_.bindClock(cost_.cycleCounter());
 }

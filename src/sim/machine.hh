@@ -30,9 +30,6 @@ struct MachineConfig
     /** Deterministic seed for all simulation randomness. */
     std::uint64_t seed = Rng::defaultSeed;
 
-    /** Cycle cost parameters. */
-    CostParams costs;
-
     /** Event tracing / metrics configuration. */
     trace::TraceConfig trace;
 };

@@ -19,7 +19,6 @@ machineConfig(const SystemConfig& cfg)
     sim::MachineConfig mc;
     mc.numFrames = cfg.guestFrames;
     mc.seed = cfg.seed;
-    mc.costs = cfg.costs;
     mc.trace = cfg.trace;
     return mc;
 }
@@ -36,10 +35,6 @@ SystemConfig::Builder::build() const
         throw std::invalid_argument(
             "SystemConfig: metadataCacheEntries must be > 0 "
             "(the metadata cache cannot hold nothing)");
-    if (cfg_.auditLogEntries == 0)
-        throw std::invalid_argument(
-            "SystemConfig: auditLogEntries must be > 0 "
-            "(violations must leave a trail)");
     if (!cfg_.cloakingEnabled && cfg_.victimCacheEntries != 0 &&
         cfg_.victimCacheEntries !=
             SystemConfig{}.victimCacheEntries) {
@@ -57,10 +52,11 @@ SystemConfig::Builder::build() const
             "SystemConfig: cryptoWorkers configured with cloaking "
             "disabled — there is no page crypto to parallelize");
     }
-    if (cfg_.vcpus > 64) {
+    if (cfg_.vcpus == 0 || cfg_.vcpus > 64) {
         throw std::invalid_argument(
-            "SystemConfig: vcpus > 64 — the SMP model does not scale "
-            "past commodity core counts (0 means single-core)");
+            "SystemConfig: vcpus must be 1..64 — a guest needs a core, "
+            "and the SMP model does not scale past commodity core "
+            "counts");
     }
     if (cfg_.asyncEvictDepth > 256) {
         throw std::invalid_argument(
@@ -73,22 +69,10 @@ SystemConfig::Builder::build() const
             "SystemConfig: asyncEvictDepth configured with cloaking "
             "disabled — only cloaked evictions have a seal to defer");
     }
-    if (!cfg_.cloakingEnabled && cfg_.chunkedIntegrity) {
-        throw std::invalid_argument(
-            "SystemConfig: chunkedIntegrity configured with cloaking "
-            "disabled — there are no page MACs to make incremental");
-    }
     if (!cfg_.cloakingEnabled && cfg_.constantCostCloak) {
         throw std::invalid_argument(
             "SystemConfig: constantCostCloak configured with cloaking "
             "disabled — there are no cloak responses to equalize");
-    }
-    if (cfg_.attackSeed != 0 && cfg_.attackSeed == cfg_.seed) {
-        throw std::invalid_argument(
-            "SystemConfig: attackSeed must differ from seed — an "
-            "attack schedule aliasing the workload stream correlates "
-            "the adversary with its victim (0 derives a distinct "
-            "stream)");
     }
     return cfg_;
 }
@@ -100,13 +84,13 @@ System::System(const SystemConfig& config)
       kernel_(vmm_, sched_, programs_)
 {
     vmm_.setShadowRetention(config.shadowRetention);
-    vmm_.setVcpuCount(config.effectiveVcpus());
+    vmm_.setVcpuCount(config.vcpus);
     // A distinct sub-seed keeps the spoofed-clock stream from aliasing
     // workload or attack randomness.
     vmm_.configureVirtualClock(config.clockFuzzCycles,
                                config.clockOffsetCycles,
                                config.seed ^ 0x7c10c5eedull);
-    sched_.configureCpus(config.effectiveVcpus());
+    sched_.configureCpus(config.vcpus);
     sched_.setSwitchHook([this](os::Thread& t) {
         vmm_.onContextSwitch(t.vcpu.cpu());
     });
@@ -115,11 +99,9 @@ System::System(const SystemConfig& config)
             vmm_, config.seed ^ 0x05ead0u, config.metadataCacheEntries);
         engine_->setCleanOptimization(config.cleanOptimization);
         engine_->setVictimCacheCapacity(config.victimCacheEntries);
-        engine_->setAuditLogCapacity(config.auditLogEntries);
         engine_->setCryptoWorkers(
             static_cast<unsigned>(config.cryptoWorkers));
         engine_->setAsyncEvictDepth(config.asyncEvictDepth);
-        engine_->setChunkedIntegrity(config.chunkedIntegrity);
         engine_->setConstantCostMode(config.constantCostCloak);
     }
     kernel_.setCloakingAvailable(engine_ != nullptr);

@@ -41,9 +41,6 @@ struct SystemConfig
     /** Deterministic seed (workloads, IVs, master key). */
     std::uint64_t seed = 42;
 
-    /** Cycle cost parameters. */
-    sim::CostParams costs;
-
     /** Run with Overshadow (true) or as the native baseline (false). */
     bool cloakingEnabled = true;
 
@@ -70,9 +67,6 @@ struct SystemConfig
     /** Re-encryption victim cache entries (0 disables; ablation). */
     std::size_t victimCacheEntries = 8;
 
-    /** Audit ring capacity; oldest events drop (counted) once full. */
-    std::size_t auditLogEntries = 256;
-
     /**
      * Host worker threads for batched page seals (encryptPages and
      * the prepareFramesForKernel pre-seal). 0 = one lane per hardware
@@ -84,21 +78,14 @@ struct SystemConfig
     std::size_t cryptoWorkers = 0;
 
     /**
-     * Simulated vCPUs the guest scheduler dispatches across (SMP).
-     * 0 and 1 both run the exact legacy single-core path. Dispatch
-     * order is vCPU-count invariant (one ready queue, op-count
+     * Simulated vCPUs the guest scheduler dispatches across (SMP),
+     * 1 to 64. Every count takes the same scheduler and VMM path.
+     * Dispatch order is vCPU-count invariant (one ready queue, op-count
      * preemption), so guest-visible results and attack-campaign
      * verdicts are identical at any count; cycle totals vary because
      * each core warms a private TLB.
      */
-    std::size_t vcpus = 0;
-
-    /**
-     * Seed for hostile-kernel attack injection (src/attack campaigns).
-     * 0 derives a distinct stream from the system seed, so the attack
-     * schedule never aliases workload randomness.
-     */
-    std::uint64_t attackSeed = 0;
+    std::size_t vcpus = 1;
 
     /**
      * Depth of the asynchronous re-encryption queue (in pages). 0 runs
@@ -110,14 +97,6 @@ struct SystemConfig
      * identical at every depth; only cycle accounting differs.
      */
     std::size_t asyncEvictDepth = 0;
-
-    /**
-     * Incremental per-chunk page integrity (ablation knob). When on,
-     * anonymous cloaked pages carry a 256-byte-chunk hash tree so a
-     * small dirty write re-MACs only the touched chunks plus the root,
-     * instead of re-hashing the whole page under the flat MAC.
-     */
-    bool chunkedIntegrity = false;
 
     /**
      * Virtualized-clock fuzz amplitude in cycles (timing-channel
@@ -146,18 +125,15 @@ struct SystemConfig
      */
     bool constantCostCloak = false;
 
-    /** vCPU count actually simulated (resolves the 0 default). */
-    std::size_t
-    effectiveVcpus() const
-    {
-        return vcpus != 0 ? vcpus : 1;
-    }
-
-    /** The attack-injection seed actually used (resolves the 0 case). */
+    /**
+     * Seed for hostile-kernel attack injection (src/attack campaigns):
+     * a stream derived from the system seed, so the attack schedule
+     * never aliases workload randomness.
+     */
     std::uint64_t
     effectiveAttackSeed() const
     {
-        return attackSeed != 0 ? attackSeed : seed ^ 0xa77acc5eedull;
+        return seed ^ 0xa77acc5eedull;
     }
 
     class Builder;
@@ -180,7 +156,6 @@ class SystemConfig::Builder
   public:
     Builder& guestFrames(std::uint64_t n) { cfg_.guestFrames = n; return *this; }
     Builder& seed(std::uint64_t s) { cfg_.seed = s; return *this; }
-    Builder& costs(const sim::CostParams& c) { cfg_.costs = c; return *this; }
     Builder& cloaking(bool on) { cfg_.cloakingEnabled = on; return *this; }
     Builder& metadataCacheEntries(std::size_t n)
     {
@@ -208,11 +183,6 @@ class SystemConfig::Builder
         cfg_.victimCacheEntries = n;
         return *this;
     }
-    Builder& auditLogEntries(std::size_t n)
-    {
-        cfg_.auditLogEntries = n;
-        return *this;
-    }
     Builder& cryptoWorkers(std::size_t n)
     {
         cfg_.cryptoWorkers = n;
@@ -223,19 +193,9 @@ class SystemConfig::Builder
         cfg_.vcpus = n;
         return *this;
     }
-    Builder& attackSeed(std::uint64_t s)
-    {
-        cfg_.attackSeed = s;
-        return *this;
-    }
     Builder& asyncEvictDepth(std::size_t n)
     {
         cfg_.asyncEvictDepth = n;
-        return *this;
-    }
-    Builder& chunkedIntegrity(bool on)
-    {
-        cfg_.chunkedIntegrity = on;
         return *this;
     }
     Builder& clockFuzzCycles(Cycles n)

@@ -66,7 +66,7 @@ TraceBuffer::clear()
 }
 
 Tracer::Tracer(const TraceConfig& config)
-    : enabled_(config.enabled), buffer_(config.ringCapacity)
+    : enabled_(config.enabled)
 {
 }
 

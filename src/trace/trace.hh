@@ -115,9 +115,6 @@ struct TraceConfig
 {
     /** Record events and metrics at runtime? */
     bool enabled = false;
-
-    /** Ring capacity in events. */
-    std::size_t ringCapacity = 1 << 16;
 };
 
 /**

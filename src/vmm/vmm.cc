@@ -83,7 +83,7 @@ Vmm::setVcpuCount(std::size_t count)
     if (count == tlbs_.size())
         return;
     tlbs_.clear();
-    tlbs_.push_back(std::make_unique<Tlb>()); // slot 0: legacy "tlb".
+    tlbs_.push_back(std::make_unique<Tlb>());
     for (std::size_t i = 1; i < count; ++i) {
         std::string name = "tlb" + std::to_string(i);
         tlbs_.push_back(std::make_unique<Tlb>(256, name.c_str()));
@@ -239,8 +239,9 @@ Vmm::suspendMpa(Mpa frame_base)
 }
 
 void
-Vmm::onContextSwitch()
+Vmm::onContextSwitch(std::uint32_t cpu)
 {
+    stats_.counter("switches_cpu" + std::to_string(cpu)).inc();
     if (shadowRetention_) {
         stats_.counter("switches_retained").inc();
         return;
@@ -253,16 +254,6 @@ Vmm::onContextSwitch()
     machine_.cost().charge(machine_.cost().params().tlbFlush,
                            "switch_flush");
     stats_.counter("switch_flushes").inc();
-}
-
-void
-Vmm::onContextSwitch(std::uint32_t cpu)
-{
-    onContextSwitch();
-    // Per-slot switch counts exist only in genuine SMP runs: adding
-    // them at one vCPU would grow the stat set the baselines pin down.
-    if (tlbs_.size() > 1)
-        stats_.counter("switches_cpu" + std::to_string(cpu)).inc();
 }
 
 std::int64_t

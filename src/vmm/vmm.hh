@@ -16,6 +16,7 @@
 #ifndef OSH_VMM_VMM_HH
 #define OSH_VMM_VMM_HH
 
+#include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "sim/machine.hh"
@@ -52,13 +53,13 @@ class Vmm
     sim::Machine& machine() { return machine_; }
     Pmap& pmap() { return pmap_; }
     ShadowManager& shadows() { return shadows_; }
-    /** vCPU 0's TLB (the legacy single-core accessor). */
-    Tlb& tlb() { return *tlbs_[0]; }
-    /** The TLB of one vCPU slot (out-of-range clamps to slot 0). */
+    /** The TLB of vCPU slot @p cpu (below vcpuCount()). */
     Tlb&
     tlb(std::uint32_t cpu)
     {
-        return *tlbs_[cpu < tlbs_.size() ? cpu : 0];
+        osh_assert(cpu < tlbs_.size(), "vCPU slot %u out of range",
+                   static_cast<unsigned>(cpu));
+        return *tlbs_[cpu];
     }
     CloakBackend& cloakBackend() { return *cloak_; }
 
@@ -125,11 +126,9 @@ class Vmm
      * ASID-tagged retention (the default) shadows and TLB entries stay
      * live — resuming a process costs nothing here. With retention
      * disabled, every cached translation is flushed, modelling a VMM
-     * whose shadow cache is not tagged by address space. The @p cpu
-     * overload records per-slot switch counts when more than one vCPU
-     * is configured (single-core runs keep the legacy stat set).
+     * whose shadow cache is not tagged by address space. Each switch
+     * is also counted against the vCPU slot @p cpu that took it.
      */
-    void onContextSwitch();
     void onContextSwitch(std::uint32_t cpu);
 
     /** Enable/disable ASID-tagged shadow retention (ablation knob). */
@@ -183,8 +182,8 @@ class Vmm
     sim::Machine& machine_;
     Pmap pmap_;
     ShadowManager shadows_;
-    /** One private TLB per vCPU slot; slot 0 keeps the legacy "tlb"
-     *  stat name so single-core baselines are unchanged. */
+    /** One private TLB per vCPU slot; slot 0's stat group is "tlb",
+     *  slot N's "tlbN". */
     std::vector<std::unique_ptr<Tlb>> tlbs_;
     std::unique_ptr<CloakBackend> passthrough_;
     CloakBackend* cloak_;

@@ -82,7 +82,7 @@ class FakeOs : public vmm::GuestOsHooks
 struct Rig
 {
     explicit Rig(std::size_t async_depth = 0, bool chunked = false)
-        : machine(sim::MachineConfig{256, 7, {}, {}}), vmm(machine, 256),
+        : machine(sim::MachineConfig{256, 7, {}}), vmm(machine, 256),
           engine(vmm, 99, 64)
     {
         vmm.setGuestOs(&os);
@@ -344,9 +344,9 @@ runPaging(std::size_t depth, bool chunked = false)
                    .guestFrames(240)
                    .cloaking(true)
                    .asyncEvictDepth(depth)
-                   .chunkedIntegrity(chunked)
                    .build();
     System sys(cfg);
+    sys.cloak()->setChunkedIntegrity(chunked);
     workloads::registerAll(sys);
     auto r = sys.runProgram("wl.memstress", {"256", "3", "1"});
     PagingObs obs;
@@ -460,12 +460,9 @@ TEST(AsyncCheckpoint, CheckpointDrainsPendingEvictionsFirst)
 
 TEST(AsyncCheckpoint, ChunkedIntegrityCheckpointRefusedTyped)
 {
-    auto cfg = SystemConfig::Builder{}
-                   .seed(5)
-                   .cloaking(true)
-                   .chunkedIntegrity(true)
-                   .build();
+    auto cfg = SystemConfig::Builder{}.seed(5).cloaking(true).build();
     System sys(cfg);
+    sys.cloak()->setChunkedIntegrity(true);
     workloads::registerAll(sys);
     Pid pid = launchFrozen(sys, "wl.victim.compute", 4);
 
@@ -526,9 +523,9 @@ TEST(AsyncCampaign, SwapAttackVerdictsDepthInvariant)
          {AttackPoint::Baseline, AttackPoint::SwapTamperByte,
           AttackPoint::SwapReplay, AttackPoint::SwapResurrect}) {
         CampaignCell d0 =
-            attack::runCell(1, p, "wl.victim.paging", 0, 0);
+            attack::runCell(1, p, "wl.victim.paging", 1, 0);
         CampaignCell d4 =
-            attack::runCell(1, p, "wl.victim.paging", 0, 4);
+            attack::runCell(1, p, "wl.victim.paging", 1, 4);
         EXPECT_EQ(d4.verdict, d0.verdict)
             << attack::attackPointName(p);
         EXPECT_EQ(d4.detail, d0.detail) << attack::attackPointName(p);
@@ -539,7 +536,7 @@ TEST(AsyncCampaign, SwapAttackVerdictsDepthInvariant)
 
 // --- builder validation, thread release and fiber stacks -------------
 
-TEST(AsyncConfig, BuilderValidatesDepthAndChunking)
+TEST(AsyncConfig, BuilderValidatesDepth)
 {
     EXPECT_THROW(SystemConfig::Builder{}
                      .cloaking(true)
@@ -551,18 +548,11 @@ TEST(AsyncConfig, BuilderValidatesDepthAndChunking)
                      .asyncEvictDepth(1)
                      .build(),
                  std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}
-                     .cloaking(false)
-                     .chunkedIntegrity(true)
-                     .build(),
-                 std::invalid_argument);
     auto cfg = SystemConfig::Builder{}
                    .cloaking(true)
                    .asyncEvictDepth(256)
-                   .chunkedIntegrity(true)
                    .build();
     EXPECT_EQ(cfg.asyncEvictDepth, 256u);
-    EXPECT_TRUE(cfg.chunkedIntegrity);
 }
 
 TEST(SchedulerReap, SystemRunReleasesFinishedThreads)

@@ -79,8 +79,7 @@ struct Harness
 {
     explicit Harness(std::size_t victim_entries = 0,
                      bool tracing = false)
-        : machine(sim::MachineConfig{
-              256, 7, {}, trace::TraceConfig{tracing, 1 << 12}}),
+        : machine(sim::MachineConfig{256, 7, trace::TraceConfig{tracing}}),
           vmm(machine, 256), engine(vmm, 99, 64)
     {
         vmm.setGuestOs(&os);

@@ -64,7 +64,7 @@ class EngineTest : public ::testing::Test
 {
   protected:
     EngineTest()
-        : machine_(sim::MachineConfig{256, 7, {}, {}}),
+        : machine_(sim::MachineConfig{256, 7, {}}),
           vmm_(machine_, 256),
           engine_(vmm_, 99, 64)
     {

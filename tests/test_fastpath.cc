@@ -70,7 +70,7 @@ inline GuestVA kernelVaOf(Gpa g) { return 0x800000000000ull + g; }
 struct Rig
 {
     explicit Rig(bool fast_path = true)
-        : machine_(sim::MachineConfig{256, 7, {}, {}}),
+        : machine_(sim::MachineConfig{256, 7, {}}),
           vmm_(machine_, 256),
           engine_(vmm_, 99, 64)
     {
@@ -206,7 +206,7 @@ TEST_F(FastPathOffTest, AblationFlushesOnContextSwitchAndFlip)
     EXPECT_EQ(vmm_.stats().value("retention_hits"), 0u);
 
     // A context switch throws every shadow away.
-    vmm_.onContextSwitch();
+    vmm_.onContextSwitch(0);
     EXPECT_EQ(vmm_.shadows().entryCount(), 0u);
     EXPECT_EQ(vmm_.stats().value("switch_flushes"), 1u);
 }
@@ -218,7 +218,7 @@ TEST_F(FastPathTest, RetentionKeepsShadowsAcrossContextSwitch)
     std::size_t live = vmm_.shadows().entryCount();
     ASSERT_GE(live, 1u);
 
-    vmm_.onContextSwitch();
+    vmm_.onContextSwitch(0);
     EXPECT_EQ(vmm_.shadows().entryCount(), live);
     EXPECT_EQ(vmm_.stats().value("switches_retained"), 1u);
     EXPECT_EQ(vmm_.stats().value("switch_flushes"), 0u);
@@ -321,8 +321,6 @@ TEST(BuilderTest, RejectsNonsenseConfigs)
                  std::invalid_argument);
     EXPECT_THROW(SystemConfig::Builder{}.metadataCacheEntries(0).build(),
                  std::invalid_argument);
-    EXPECT_THROW(SystemConfig::Builder{}.auditLogEntries(0).build(),
-                 std::invalid_argument);
     EXPECT_THROW(SystemConfig::Builder{}
                      .cloaking(false)
                      .victimCacheEntries(4)
@@ -355,13 +353,11 @@ TEST(BuilderTest, BuildsValidatedConfig)
                    .cloaking(true)
                    .shadowRetention(false)
                    .victimCacheEntries(0)
-                   .auditLogEntries(16)
                    .build();
     EXPECT_EQ(cfg.guestFrames, 128u);
     EXPECT_EQ(cfg.seed, 7u);
     EXPECT_FALSE(cfg.shadowRetention);
     EXPECT_EQ(cfg.victimCacheEntries, 0u);
-    EXPECT_EQ(cfg.auditLogEntries, 16u);
 
     // Native baseline with the victim cache left at its default is
     // fine — the default is not an explicit request.
@@ -389,17 +385,18 @@ TEST(AuditLogTest, RingDropsOldestAndCounts)
 
 TEST_F(FastPathTest, EngineErrorsLandInBoundedRing)
 {
-    engine_.setAuditLogCapacity(2);
+    // One error past the fixed ring's capacity drops the oldest.
+    const std::size_t cap = engine_.auditLog().capacity();
     crypto::Digest bogus{};
-    for (int i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i <= cap; ++i) {
         auto r = engine_.verifyCtcHash(domain_, bogus);
         ASSERT_FALSE(r.ok());
         EXPECT_EQ(r.error(), CloakError::NoCtcHash);
     }
-    EXPECT_EQ(engine_.auditLog().size(), 2u);
+    EXPECT_EQ(engine_.auditLog().size(), cap);
     EXPECT_EQ(engine_.auditLog().dropped(), 1u);
     EXPECT_EQ(engine_.auditLog().back().code, CloakError::NoCtcHash);
-    EXPECT_EQ(engine_.stats().value("audit_errors"), 3u);
+    EXPECT_EQ(engine_.stats().value("audit_errors"), cap + 1);
 }
 
 // ---------------------------------------------------------------------

@@ -71,7 +71,7 @@ TEST_P(StateMachineWalk, AppViewAlwaysConsistent)
     const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
     Rng rng(seed);
 
-    sim::Machine machine(sim::MachineConfig{512, seed, {}, {}});
+    sim::Machine machine(sim::MachineConfig{512, seed, {}});
     vmm::Vmm vmm(machine, 512);
     cloak::CloakEngine engine(vmm, seed, 256);
     PropOs os;
@@ -159,7 +159,7 @@ TEST_P(IsolationWalk, DomainsNeverSeeEachOther)
     const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
     Rng rng(seed ^ 0xD0D0);
 
-    sim::Machine machine(sim::MachineConfig{512, seed, {}, {}});
+    sim::Machine machine(sim::MachineConfig{512, seed, {}});
     vmm::Vmm vmm(machine, 512);
     cloak::CloakEngine engine(vmm, seed, 256);
     PropOs os;

@@ -730,9 +730,6 @@ checkIoContract(IoPath path)
     using os::Sys;
     for (const IoCase& c : ioContract()) {
         SCOPED_TRACE(c.name);
-        // Known divergence, pinned by ShimEmulated.ReadOnlyFdStillWrites.
-        if (path == IoPath::Emulated && c.target == IoTarget::ReadOnly)
-            continue;
         SystemConfig cfg = cloakedConfig();
         cfg.cloakingEnabled = path != IoPath::Native;
         System sys(cfg);
@@ -780,12 +777,13 @@ checkIoContract(IoPath path)
     }
 }
 
-TEST(ShimEmulated, ReadOnlyFdStillWrites)
+TEST(ShimEmulated, ReadOnlyFdRefusesWrites)
 {
-    // The shim serves a protected file from a read-write mapping and
-    // does not record the open mode, so a write through a read-only
-    // descriptor lands where the kernel would say EPERM. Pinned here
-    // so that fixing it is a deliberate change of this test.
+    // The shim serves a protected file from a read-write mapping, so
+    // it must enforce the open mode itself, as the kernel does: every
+    // write through a read-only descriptor is EPERM, zero-length ones
+    // included, per call and inside a batch, and nothing lands.
+    using os::Sys;
     System sys(cloakedConfig());
     auto r = runCloaked(sys, [](Env& env) {
         env.mkdir("/cloaked");
@@ -793,14 +791,29 @@ TEST(ShimEmulated, ReadOnlyFdStillWrites)
                                                      os::openWrite);
         env.writeAll(static_cast<std::uint64_t>(w), "0123456789");
         env.close(static_cast<std::uint64_t>(w));
-        std::int64_t fd = env.open("/cloaked/ro", os::openRead);
+        const auto fd = static_cast<std::uint64_t>(
+            env.open("/cloaked/ro", os::openRead));
         GuestVA buf = env.allocPages(1);
         env.store64(buf, 0x4141414141414141ull);
-        if (env.write(static_cast<std::uint64_t>(fd), buf, 8) != 8)
+        if (env.write(fd, buf, 8) != -os::errPerm)
             return 1;
-        if (env.lseek(static_cast<std::uint64_t>(fd), 0, os::seekCur) !=
-            8)
+        if (env.write(fd, buf, 0) != -os::errPerm)
             return 2;
+        if (env.pwrite(fd, buf, 8, 2) != -os::errPerm)
+            return 3;
+        std::vector<os::BatchEntry> ring(4, os::BatchEntry{Sys::GetPid, {}});
+        ring[1] = os::BatchEntry{Sys::Write, {fd, buf, 8, 0, 0}};
+        ring[2] = os::BatchEntry{Sys::Pwrite, {fd, buf, 8, 4, 0}};
+        std::vector<std::int64_t> results;
+        if (env.submitBatch(ring, results) != 4 ||
+            results[1] != -os::errPerm || results[2] != -os::errPerm)
+            return 4;
+        if (env.lseek(fd, 0, os::seekCur) != 0)
+            return 5;
+        GuestVA back = env.allocPages(1);
+        if (env.pread(fd, back, 10, 0) != 10 ||
+            env.readString(back, 10) != "0123456789")
+            return 6;
         return 0;
     });
     EXPECT_EQ(r.status, 0) << r.killReason;

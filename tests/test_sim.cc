@@ -170,26 +170,14 @@ TEST(CostModel, CopyCountsEventsIntoItsOwnStats)
     EXPECT_EQ(copy.cycles(), 20u);
 }
 
-TEST(CostModel, ParamsOverridable)
-{
-    CostParams p;
-    p.vmExit = 1000;
-    CostModel cm(p);
-    EXPECT_EQ(cm.params().vmExit, 1000u);
-    cm.params().vmExit = 5;
-    EXPECT_EQ(cm.params().vmExit, 5u);
-}
-
 TEST(Machine, ConfigApplied)
 {
     MachineConfig cfg;
     cfg.numFrames = 128;
     cfg.seed = 99;
-    cfg.costs.memAccess = 2;
     Machine m(cfg);
     EXPECT_EQ(m.memory().numFrames(), 128u);
     EXPECT_EQ(m.memory().sizeBytes(), 128 * pageSize);
-    EXPECT_EQ(m.cost().params().memAccess, 2u);
     // Same seed gives the same rng stream as a raw Rng.
     Rng ref(99);
     EXPECT_EQ(m.rng().next64(), ref.next64());

@@ -14,8 +14,8 @@
  *     when parent and children run on different vCPUs;
  *   - attack-campaign verdicts must not move with the vCPU count (the
  *     216-cell expectation table is pinned single-core);
- *   - single-core runs must not grow new stat keys (bench baselines
- *     enumerate them).
+ *   - one scheduler and VMM path runs at every core count, so sched
+ *     and vmm report the same counter names at 1 and 4 vCPUs.
  */
 
 #include "attack/campaign.hh"
@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -156,21 +157,25 @@ TEST(Smp, CampaignVerdictsInvariantAcrossVcpuCounts)
     }
 }
 
-/** Does the group's snapshot contain a counter with this name? */
-bool
-hasCounter(StatGroup& group, const std::string& name)
+/**
+ * Counter names of @p group, leaving out the ones whose existence
+ * depends on the core count: per-slot "switches_cpuN", and
+ * "cpu_migrations", created on the first migration (one slot never
+ * migrates).
+ */
+std::set<std::string>
+slotFreeCounterNames(const StatGroup& group)
 {
+    std::set<std::string> names;
     for (const auto& [n, v] : group.snapshot()) {
-        if (n == name)
-            return true;
+        if (n.rfind("switches_cpu", 0) != 0 && n != "cpu_migrations")
+            names.insert(n);
     }
-    return false;
+    return names;
 }
 
-TEST(Smp, SingleCoreRunsKeepTheLegacyStatSet)
+TEST(Smp, SchedAndVmmReportTheSameCountersAtAnyCoreCount)
 {
-    // The committed bench baselines enumerate every stat key of a
-    // single-core run; SMP bookkeeping must not leak into them.
     auto run = [](std::size_t vcpus) {
         auto cfg = SystemConfig::Builder{}
                        .seed(smpSeed)
@@ -186,15 +191,24 @@ TEST(Smp, SingleCoreRunsKeepTheLegacyStatSet)
         sys->run();
         return sys;
     };
-    auto legacy = run(1);
-    EXPECT_FALSE(hasCounter(legacy->sched().stats(), "dispatches"));
-    EXPECT_FALSE(hasCounter(legacy->sched().stats(), "cpu_migrations"));
-    EXPECT_FALSE(hasCounter(legacy->vmm().stats(), "switches_cpu0"));
+    auto one = run(1);
+    auto four = run(4);
+    EXPECT_EQ(slotFreeCounterNames(one->sched().stats()),
+              slotFreeCounterNames(four->sched().stats()));
+    EXPECT_EQ(slotFreeCounterNames(one->vmm().stats()),
+              slotFreeCounterNames(four->vmm().stats()));
+    EXPECT_GT(one->sched().stats().value("dispatches"), 0u);
+    EXPECT_GT(one->vmm().stats().value("switches_cpu0"), 0u);
+    // One core: every dispatch lands on slot 0, so nothing migrates.
+    EXPECT_EQ(one->sched().stats().value("cpu_migrations"), 0u);
+    EXPECT_GT(four->sched().stats().value("cpu_migrations"), 0u);
+}
 
-    auto smp = run(2);
-    EXPECT_TRUE(hasCounter(smp->sched().stats(), "dispatches"));
-    EXPECT_TRUE(hasCounter(smp->vmm().stats(), "switches_cpu0") ||
-                hasCounter(smp->vmm().stats(), "switches_cpu1"));
+TEST(Smp, BuilderRefusesZeroVcpus)
+{
+    EXPECT_THROW(SystemConfig::Builder{}.vcpus(0).build(),
+                 std::invalid_argument);
+    EXPECT_EQ(SystemConfig::Builder{}.build().vcpus, 1u);
 }
 
 TEST(Smp, BuilderValidatesSmpKnobs)

@@ -51,7 +51,7 @@ constexpr Cycles kFuzz = 1'000'000;
 constexpr Cycles kOffset = 1'000'000;
 
 SystemConfig
-hardenedConfig(std::uint64_t seed, std::size_t vcpus = 0,
+hardenedConfig(std::uint64_t seed, std::size_t vcpus = 1,
                std::size_t async_depth = 0)
 {
     return SystemConfig::Builder{}
@@ -114,10 +114,10 @@ TEST(VirtualClock, SameSeedSameSequenceAcrossRunsAndTopology)
             seq.push_back(sys.vmm().readTsc(5));
         return seq;
     };
-    auto base = sample(0, 0);
-    EXPECT_EQ(base, sample(0, 0)) << "not reproducible run to run";
+    auto base = sample(1, 0);
+    EXPECT_EQ(base, sample(1, 0)) << "not reproducible run to run";
     EXPECT_EQ(base, sample(4, 0)) << "vCPU count changed the sequence";
-    EXPECT_EQ(base, sample(0, 4)) << "async depth changed the sequence";
+    EXPECT_EQ(base, sample(1, 4)) << "async depth changed the sequence";
 }
 
 TEST(VirtualClock, DistinctAsidsGetDistinctViews)
@@ -167,7 +167,7 @@ TEST(SleepClamp, RejectsUnvalidatedGuestCycleCounts)
 
 TEST(Introspect, ReportsHardeningPosture)
 {
-    System sys(hardenedConfig(5, 0, 4));
+    System sys(hardenedConfig(5, 1, 4));
     sys.addProgram("introspect", os::Program{[](Env& env) {
         auto query = [&env](std::uint64_t sel) {
             std::uint64_t args[1] = {sel};
@@ -238,7 +238,7 @@ TEST(TimingCampaign, UnhardenedOraclesLeakTheSecret)
          {AttackPoint::TimingVictimProbe, AttackPoint::TimingCleanProbe,
           AttackPoint::TimingAsyncDrain,
           AttackPoint::TimingMetadataProbe}) {
-        auto cell = runCell(1, p, "wl.victim.timing", 0, 0,
+        auto cell = runCell(1, p, "wl.victim.timing", 1, 0,
                             /*timing_hardening=*/false);
         EXPECT_EQ(cell.verdict, Verdict::Leak)
             << attackPointName(p) << ": " << cell.detail;
@@ -254,7 +254,7 @@ TEST(TimingCampaign, HardenedOraclesRecoverNothing)
          {AttackPoint::TimingVictimProbe, AttackPoint::TimingCleanProbe,
           AttackPoint::TimingAsyncDrain,
           AttackPoint::TimingMetadataProbe}) {
-        auto cell = runCell(1, p, "wl.victim.timing", 0, 0,
+        auto cell = runCell(1, p, "wl.victim.timing", 1, 0,
                             /*timing_hardening=*/true);
         EXPECT_EQ(cell.verdict, Verdict::Harmless)
             << attackPointName(p) << ": " << cell.detail;
@@ -268,7 +268,7 @@ TEST(TimingCampaign, VerdictsAreTopologyInvariant)
     // CI replays the expectation table at --vcpus=4 and
     // --async-depth=4; the unhardened LEAK must be just as stable.
     for (auto [vcpus, depth] :
-         {std::pair<std::size_t, std::size_t>{4, 0}, {0, 4}}) {
+         {std::pair<std::size_t, std::size_t>{4, 0}, {1, 4}}) {
         auto cell =
             runCell(2, AttackPoint::TimingVictimProbe,
                     "wl.victim.timing", vcpus, depth, false);
@@ -289,7 +289,7 @@ TEST(TimingCampaign, ProbesStayQuietOnOtherVictims)
     // a different victim it must not fire at all (and must classify
     // Harmless), keeping the default full matrix clean.
     auto cell = runCell(1, AttackPoint::TimingVictimProbe,
-                        "wl.victim.compute", 0, 0, false);
+                        "wl.victim.compute", 1, 0, false);
     EXPECT_EQ(cell.verdict, Verdict::Harmless) << cell.detail;
     EXPECT_EQ(cell.firings, 0u);
 }

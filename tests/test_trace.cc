@@ -302,7 +302,6 @@ TEST(Tracer, EnabledLaterMatchesEnabledAtConstruction)
 {
     TraceConfig on;
     on.enabled = true;
-    on.ringCapacity = 4;
     TraceConfig off = on;
     off.enabled = false;
     Tracer early(on);
@@ -312,27 +311,28 @@ TEST(Tracer, EnabledLaterMatchesEnabledAtConstruction)
     late.bindClock(&clock);
 
     // Nothing recorded while off: the late tracer's ring is untouched.
+    const std::size_t cap = late.buffer().capacity();
     late.instant(Category::User, "ignored");
-    EXPECT_EQ(late.buffer().capacity(), 4u);
     EXPECT_EQ(late.buffer().size(), 0u);
     late.setEnabled(true);
 
-    for (std::uint64_t i = 0; i < 7; ++i) {
+    // Three events past the ring's capacity, so both rings wrap.
+    for (std::uint64_t i = 0; i < cap + 3; ++i) {
         clock = 10 * i;
         early.instant(Category::User, "point", systemDomain, 0, i);
         late.instant(Category::User, "point", systemDomain, 0, i);
     }
     for (const Tracer* t : {&early, &late}) {
-        EXPECT_EQ(t->buffer().capacity(), 4u);
-        EXPECT_EQ(t->buffer().size(), 4u);
-        EXPECT_EQ(t->buffer().totalRecorded(), 7u);
+        EXPECT_EQ(t->buffer().capacity(), cap);
+        EXPECT_EQ(t->buffer().size(), cap);
+        EXPECT_EQ(t->buffer().totalRecorded(), cap + 3);
         EXPECT_TRUE(t->buffer().wrapped());
     }
     auto a = early.buffer().snapshot();
     auto b = late.buffer().snapshot();
-    ASSERT_EQ(a.size(), 4u);
-    ASSERT_EQ(b.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(a.size(), cap);
+    ASSERT_EQ(b.size(), cap);
+    for (std::size_t i = 0; i < cap; ++i) {
         EXPECT_EQ(a[i].arg0, 3 + i);
         EXPECT_EQ(b[i].arg0, a[i].arg0);
         EXPECT_EQ(b[i].begin, a[i].begin);

@@ -244,6 +244,15 @@ TEST(Tlb, InvalidationScopes)
     EXPECT_EQ(tlb.size(), 0u);
 }
 
+TEST(VmmDeath, TlbSlotOutOfRangePanics)
+{
+    sim::Machine m(smallMachine());
+    Vmm vmm(m, 64);
+    vmm.setVcpuCount(2);
+    EXPECT_EQ(vmm.tlb(1).stats().name(), "tlb1");
+    EXPECT_DEATH(vmm.tlb(2), "out of range");
+}
+
 TEST(Registers, ScrubKeepsSyscallArgs)
 {
     RegisterFile regs;

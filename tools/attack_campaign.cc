@@ -116,6 +116,8 @@ main(int argc, char** argv)
             } catch (const std::exception&) {
                 return usage(arg);
             }
+            if (config.vcpus == 0)
+                return usage(arg);
         } else if (arg.rfind("--async-depth=", 0) == 0) {
             // Verdicts are depth-invariant (the pipeline defers only
             // cycle charges); this exercises the async eviction and
