@@ -8,7 +8,8 @@
  * handed back to the kernel with a cheap deterministic re-encryption;
  * without it, every transition pays a fresh IV, a full SHA-256 and a
  * metadata update. The figure shows total cycles and page-encryption
- * counts for both configurations.
+ * counts for both configurations; BENCH_a1.json records each run's
+ * cycles and component counters.
  */
 
 #include "bench_common.hh"
@@ -26,7 +27,7 @@ struct Point
 };
 
 Point
-run(bool clean_opt, std::uint64_t requests)
+run(bench::BenchReport& report, bool clean_opt, std::uint64_t requests)
 {
     trace::TraceConfig tc;
     tc.enabled = bench::tracingRequested();
@@ -47,6 +48,9 @@ run(bool clean_opt, std::uint64_t requests)
                        std::string(clean_opt ? "a1_cleanopt_"
                                              : "a1_nocleanopt_") +
                            std::to_string(requests));
+    report.captureSystem("req_" + std::to_string(requests) +
+                             (clean_opt ? ".opt_on" : ".opt_off"),
+                         sys);
     return {sys.cycles(), sys.cloak()->stats().value("page_encrypts"),
             sys.cloak()->stats().value("clean_reencrypts")};
 }
@@ -61,9 +65,10 @@ main()
     std::printf("%-10s | %14s %12s %10s | %14s %12s | %8s\n",
                 "requests", "opt-on(cyc)", "encrypts", "clean-re",
                 "opt-off(cyc)", "encrypts", "saving");
+    bench::BenchReport report("a1");
     for (std::uint64_t requests : {20u, 60u, 120u, 240u}) {
-        Point on = run(true, requests);
-        Point off = run(false, requests);
+        Point on = run(report, true, requests);
+        Point off = run(report, false, requests);
         std::printf("%-10llu | %14llu %12llu %10llu | %14llu %12llu "
                     "| %7.1f%%\n",
                     static_cast<unsigned long long>(requests),
@@ -77,5 +82,6 @@ main()
     }
     std::printf("\n(the optimization removes the hash+metadata cost "
                 "for pages the app only read)\n");
+    report.write();
     return 0;
 }

@@ -7,7 +7,8 @@
  * metadata entries and pays a verification cost on each miss. This
  * sweep runs a paging-heavy cloaked workload (working set larger than
  * RAM, random-ish reuse) across cache capacities and reports the hit
- * rate and the cycles attributable to metadata misses.
+ * rate and the cycles attributable to metadata misses;
+ * BENCH_a2.json records each capacity's row and component counters.
  */
 
 #include "bench_common.hh"
@@ -22,6 +23,7 @@ main()
     std::printf("%-10s %14s %12s %12s %10s %14s\n", "capacity",
                 "cycles", "md hits", "md misses", "hit rate",
                 "miss cycles");
+    bench::BenchReport report("a2");
     for (std::size_t capacity : {16u, 64u, 256u, 1024u, 4096u}) {
         trace::TraceConfig tc;
         tc.enabled = bench::tracingRequested();
@@ -48,6 +50,11 @@ main()
                           : 0.0;
         std::uint64_t miss_cycles =
             misses * sys.machine().cost().params().metadataMiss;
+        std::string prefix = "cap_" + std::to_string(capacity);
+        report.set(prefix + ".metadata_hits", hits);
+        report.set(prefix + ".metadata_misses", misses);
+        report.set(prefix + ".miss_cycles", miss_cycles);
+        report.captureSystem(prefix, sys);
         std::printf("%-10zu %14llu %12llu %12llu %9.1f%% %14llu\n",
                     capacity,
                     static_cast<unsigned long long>(sys.cycles()),
@@ -57,5 +64,6 @@ main()
     }
     std::printf("\n(larger caches turn repeat transitions into hits; "
                 "the paper keeps metadata hot in the VMM)\n");
+    report.write();
     return 0;
 }

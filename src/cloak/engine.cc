@@ -435,12 +435,12 @@ CloakEngine::encryptPages(Resource& res,
                     items.size());
 
     // With more than one pool lane, stage the pure part of each seal
-    // first. The pre-pass runs on this thread in submission order and
-    // draws every fresh IV the inline seals would draw, in the same
-    // order (nothing else in a seal touches the RNG). The fan-out then
-    // only reads frozen frames and metadata and writes its own item's
-    // slot, so worker scheduling is unobservable. Chunked-integrity
-    // seals diff and draw per chunk and always run inline.
+    // first (see the contract in engine.hh). The pre-pass runs on this
+    // thread in submission order and draws every fresh IV the inline
+    // seals would draw, in the same order (nothing else in a seal
+    // touches the RNG), so worker scheduling is unobservable.
+    // Chunked-integrity seals diff and draw per chunk and always run
+    // inline.
     std::vector<StagedSeal> staged;
     if (pool_.workers() > 1 && items.size() > 1 && !chunkedIntegrity_) {
         staged.resize(items.size());

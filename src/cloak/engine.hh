@@ -318,10 +318,17 @@ class CloakEngine : public vmm::CloakBackend
      * Every page goes through the single-page seal in submission order
      * — same bytes, metadata updates, simulated-cycle charges and
      * trace events — with the cipher looked up once and one enclosing
-     * trace scope for the whole batch. With more than one crypto
-     * worker the AES/SHA compute is precomputed across host threads
-     * first. Pages already encrypted are the caller's bug (same
-     * contract as the single-page path).
+     * trace scope for the whole batch. Pages already encrypted are the
+     * caller's bug (same contract as the single-page path).
+     *
+     * The crypto pool's contract, and the simulator's only host
+     * concurrency: with more than one crypto worker, each seal's
+     * AES/SHA is staged across the pool first. Workers read only state
+     * frozen for the batch (the plaintext frames, each item's IV and
+     * version, the key schedule) and write only their own StagedSeal.
+     * They touch no other engine, metadata, key or tracer state, so
+     * none of it is locked: everything else runs on the one host
+     * thread that drives the simulation.
      */
     void encryptPages(Resource& res, std::span<const PageCryptoItem> items);
 

@@ -4,6 +4,7 @@
 #include "base/logging.hh"
 #include "crypto/hmac.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace osh::cloak
@@ -25,62 +26,30 @@ MetadataStore::MetadataStore(sim::CostModel& cost,
 }
 
 void
-MetadataStore::accountPages(std::int64_t resources_delta,
-                            std::int64_t pages_delta)
+MetadataStore::accountPages(std::int64_t pages_delta)
 {
-    std::lock_guard<std::mutex> lk(footprintLock_);
-    liveResources_ =
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(liveResources_) +
-                                   resources_delta);
     livePageMetas_ =
         static_cast<std::uint64_t>(static_cast<std::int64_t>(livePageMetas_) +
                                    pages_delta);
-    std::uint64_t now =
-        liveResources_ * (sizeof(Resource) + mapNodeOverhead) +
-        livePageMetas_ * (sizeof(PageMeta) + mapNodeOverhead);
-    if (now > peakFootprint_)
-        peakFootprint_ = now;
-}
-
-std::size_t
-MetadataStore::resourceCount() const
-{
-    std::lock_guard<std::mutex> lk(footprintLock_);
-    return static_cast<std::size_t>(liveResources_);
-}
-
-std::uint64_t
-MetadataStore::pageMetaCount() const
-{
-    std::lock_guard<std::mutex> lk(footprintLock_);
-    return livePageMetas_;
+    peakFootprint_ = std::max(peakFootprint_, footprintBytes());
 }
 
 std::uint64_t
 MetadataStore::footprintBytes() const
 {
-    std::lock_guard<std::mutex> lk(footprintLock_);
-    return liveResources_ * (sizeof(Resource) + mapNodeOverhead) +
+    return resources_.size() * (sizeof(Resource) + mapNodeOverhead) +
            livePageMetas_ * (sizeof(PageMeta) + mapNodeOverhead);
 }
 
 Resource&
 MetadataStore::emplaceResource(DomainId domain)
 {
-    ResourceId id;
-    {
-        std::lock_guard<std::mutex> lk(idLock_);
-        id = nextId_++;
-    }
-    Resource* res;
-    {
-        std::lock_guard<std::mutex> lk(resourcesLock_);
-        res = &resources_[id];
-    }
-    res->id = id;
-    res->keyId = id;
-    res->domain = domain;
-    return *res;
+    ResourceId id = nextId_++;
+    Resource& res = resources_[id];
+    res.id = id;
+    res.keyId = id;
+    res.domain = domain;
+    return res;
 }
 
 Resource&
@@ -90,7 +59,7 @@ MetadataStore::createResource(DomainId domain, bool is_file,
     Resource& res = emplaceResource(domain);
     res.isFile = is_file;
     res.fileKey = file_key;
-    accountPages(+1, 0);
+    accountPages(0); // No pages yet, but the resource raises the peak.
     stats_.counter("resources_created").inc();
     return res;
 }
@@ -122,7 +91,7 @@ MetadataStore::cloneResource(const Resource& src, DomainId new_domain)
         if (meta.chunks)
             meta.chunks = std::make_shared<ChunkState>(*meta.chunks);
     }
-    accountPages(+1, static_cast<std::int64_t>(res.pages.size()));
+    accountPages(static_cast<std::int64_t>(res.pages.size()));
     stats_.counter("resources_cloned").inc();
     return res;
 }
@@ -130,7 +99,6 @@ MetadataStore::cloneResource(const Resource& src, DomainId new_domain)
 Expected<Resource*, CloakError>
 MetadataStore::lookup(ResourceId id)
 {
-    std::lock_guard<std::mutex> lk(resourcesLock_);
     auto it = resources_.find(id);
     if (it == resources_.end())
         return Error(CloakError::UnknownResource);
@@ -141,24 +109,18 @@ void
 MetadataStore::destroyResource(ResourceId id)
 {
     purgeCache(id);
-    std::optional<std::int64_t> pages;
-    {
-        std::lock_guard<std::mutex> lk(resourcesLock_);
-        auto it = resources_.find(id);
-        if (it != resources_.end()) {
-            pages = static_cast<std::int64_t>(it->second.pages.size());
-            resources_.erase(it);
-        }
+    auto it = resources_.find(id);
+    if (it != resources_.end()) {
+        auto pages = static_cast<std::int64_t>(it->second.pages.size());
+        resources_.erase(it);
+        accountPages(-pages);
     }
-    if (pages)
-        accountPages(-1, -*pages);
     stats_.counter("resources_destroyed").inc();
 }
 
 void
 MetadataStore::purgeCache(ResourceId res)
 {
-    std::lock_guard<std::mutex> lk(cacheLock_);
     // CacheKey ordering is (resource, page), so one range scan covers
     // every page of the resource.
     auto it = cacheIndex_.lower_bound(CacheKey{res, 0});
@@ -181,7 +143,6 @@ void
 MetadataStore::touchCache(ResourceId res, std::uint64_t page_index)
 {
     CacheKey key{res, page_index};
-    std::lock_guard<std::mutex> lk(cacheLock_);
     auto it = cacheIndex_.find(key);
     if (it != cacheIndex_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
@@ -209,22 +170,18 @@ MetadataStore::page(Resource& res, std::uint64_t page_index)
         // splice instead of inserting a duplicate node, which would
         // orphan the old one and later erase the live index entry.
         CacheKey key{res.id, page_index};
-        {
-            std::lock_guard<std::mutex> lk(cacheLock_);
-            cost_.charge(constantCostLookups_
-                             ? cost_.params().metadataMiss
-                             : cost_.params().metadataHit,
-                         "metadata_hit");
-            auto cit = cacheIndex_.find(key);
-            if (cit != cacheIndex_.end()) {
-                lru_.splice(lru_.begin(), lru_, cit->second);
-            } else {
-                lru_.push_front(key);
-                cacheIndex_[key] = lru_.begin();
-                evictToCapacity();
-            }
+        cost_.charge(constantCostLookups_ ? cost_.params().metadataMiss
+                                          : cost_.params().metadataHit,
+                     "metadata_hit");
+        auto cit = cacheIndex_.find(key);
+        if (cit != cacheIndex_.end()) {
+            lru_.splice(lru_.begin(), lru_, cit->second);
+        } else {
+            lru_.push_front(key);
+            cacheIndex_[key] = lru_.begin();
+            evictToCapacity();
         }
-        accountPages(0, +1);
+        accountPages(+1);
         return res.pages[page_index];
     }
     touchCache(res.id, page_index);
@@ -235,7 +192,6 @@ void
 MetadataStore::setCacheCapacity(std::size_t capacity)
 {
     osh_assert(capacity > 0, "metadata cache needs capacity");
-    std::lock_guard<std::mutex> lk(cacheLock_);
     cacheCapacity_ = capacity;
     evictToCapacity();
 }
@@ -244,11 +200,7 @@ std::vector<std::uint8_t>
 MetadataStore::seal(const Resource& res, const crypto::HmacKey& seal_key,
                     const crypto::Digest& owner_identity)
 {
-    std::uint64_t version;
-    {
-        std::lock_guard<std::mutex> lk(sealLock_);
-        version = ++sealVersions_[res.fileKey];
-    }
+    std::uint64_t version = ++sealVersions_[res.fileKey];
 
     std::vector<std::uint8_t> out;
     auto put64 = [&out](std::uint64_t v) {
@@ -312,13 +264,9 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
 
     // Rollback detection: refuse bundles older than the newest seal we
     // have witnessed for this file key.
-    {
-        std::lock_guard<std::mutex> lk(sealLock_);
-        auto vit = sealVersions_.find(file_key);
-        if (vit != sealVersions_.end() && version < vit->second) {
-            stats_.counter("unseal_rollback").inc();
-            return Error(CloakError::SealRollback);
-        }
+    if (version < lastSealedVersion(file_key)) {
+        stats_.counter("unseal_rollback").inc();
+        return Error(CloakError::SealRollback);
     }
 
     std::uint64_t count;
@@ -349,16 +297,11 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
         meta.residentGpa = badAddr;
         dst.pages[idx] = meta;
     }
-    accountPages(0, static_cast<std::int64_t>(count) - old_pages);
+    accountPages(static_cast<std::int64_t>(count) - old_pages);
     // Advance the rollback floor: once a bundle of this version has
     // been accepted, anything older is a replay — even in a store that
     // never sealed this file key itself (fresh boot).
-    {
-        std::lock_guard<std::mutex> lk(sealLock_);
-        std::uint64_t& floor_version = sealVersions_[file_key];
-        if (version > floor_version)
-            floor_version = version;
-    }
+    raiseSealFloor(file_key, version);
     stats_.counter("unseals").inc();
     return {};
 }
@@ -366,7 +309,6 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
 std::uint64_t
 MetadataStore::lastSealedVersion(std::uint64_t file_key) const
 {
-    std::lock_guard<std::mutex> lk(sealLock_);
     auto it = sealVersions_.find(file_key);
     return it == sealVersions_.end() ? 0 : it->second;
 }
@@ -375,20 +317,21 @@ void
 MetadataStore::importSealVersions(
     const std::map<std::uint64_t, std::uint64_t>& floors)
 {
-    std::lock_guard<std::mutex> lk(sealLock_);
-    for (const auto& [file_key, version] : floors) {
-        std::uint64_t& floor_version = sealVersions_[file_key];
-        if (version > floor_version)
-            floor_version = version;
-    }
+    for (const auto& [file_key, version] : floors)
+        raiseSealFloor(file_key, version);
+}
+
+void
+MetadataStore::raiseSealFloor(std::uint64_t file_key, std::uint64_t version)
+{
+    std::uint64_t& floor_version = sealVersions_[file_key];
+    floor_version = std::max(floor_version, version);
 }
 
 void
 MetadataStore::reserveIds(ResourceId min_next)
 {
-    std::lock_guard<std::mutex> lk(idLock_);
-    if (min_next > nextId_)
-        nextId_ = min_next;
+    nextId_ = std::max(nextId_, min_next);
 }
 
 } // namespace osh::cloak

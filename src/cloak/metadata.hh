@@ -11,11 +11,12 @@
  * (serialized + HMAC) for persistence alongside protected files.
  *
  * All resources live in one map keyed by resource id, like the
- * paper's single VMM metadata table. Guest code never runs on two
- * vCPUs at once (every guest body is a fiber on the driver's thread), so
- * one mutex per table is all the synchronization the store needs.
- * Resource ids come from one monotonic counter; they feed AES key
- * derivation, so a given workload always mints the same ids.
+ * paper's single VMM metadata table. The store is touched from one host
+ * thread only: every guest body is a fiber on the thread that drives
+ * System::run(), and the crypto pool's workers never reach it (see
+ * CloakEngine::encryptPages), so nothing here is locked. Resource ids
+ * come from one monotonic counter; they feed AES key derivation, so a
+ * given workload always mints the same ids.
  *
  * A capacity-bounded LRU models the paper's metadata cache: lookups
  * charge metadataHit or metadataMiss cycles accordingly.
@@ -44,8 +45,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 namespace osh::cloak
@@ -196,10 +195,9 @@ class MetadataStore
      * version witnessed). A checkpoint must carry it: a restored store
      * that forgot the floors would accept replayed older bundles.
      */
-    std::map<std::uint64_t, std::uint64_t>
+    const std::map<std::uint64_t, std::uint64_t>&
     sealVersions() const
     {
-        std::lock_guard<std::mutex> lk(sealLock_);
         return sealVersions_;
     }
 
@@ -221,10 +219,10 @@ class MetadataStore
     // Footprint introspection ---------------------------------------------
 
     /** Live resources. */
-    std::size_t resourceCount() const;
+    std::size_t resourceCount() const { return resources_.size(); }
 
     /** Live PageMeta entries across every resource. */
-    std::uint64_t pageMetaCount() const;
+    std::uint64_t pageMetaCount() const { return livePageMetas_; }
 
     /** Rough bytes of VMM-private memory the live metadata occupies. */
     std::uint64_t footprintBytes() const;
@@ -260,9 +258,12 @@ class MetadataStore
     /** Shrink the LRU to the configured capacity. */
     void evictToCapacity();
 
-    /** Fold page-count deltas into the footprint accounting. */
-    void accountPages(std::int64_t resources_delta,
-                      std::int64_t pages_delta);
+    /** Fold a page-count delta into the footprint accounting. */
+    void accountPages(std::int64_t pages_delta);
+
+    /** Raise @p file_key's rollback floor to @p version (floors only
+     *  ever advance). */
+    void raiseSealFloor(std::uint64_t file_key, std::uint64_t version);
 
     sim::CostModel& cost_;
     std::size_t cacheCapacity_;
@@ -272,29 +273,20 @@ class MetadataStore
 
     /** Every live resource. std::map keeps Resource references stable
      *  across inserts. */
-    mutable std::mutex resourcesLock_;
     std::map<ResourceId, Resource> resources_;
 
     /** Monotonic id mint (ids derive AES keys). */
-    mutable std::mutex idLock_;
     ResourceId nextId_ = 1;
 
-    /**
-     * LRU cache model: key = (resource, page). Only touched from the
-     * serialized fault/seal paths, guarded for structure by cacheLock_.
-     */
+    /** LRU cache model: key = (resource, page). */
     using CacheKey = std::pair<ResourceId, std::uint64_t>;
-    mutable std::mutex cacheLock_;
     std::list<CacheKey> lru_;
     std::map<CacheKey, std::list<CacheKey>::iterator> cacheIndex_;
 
     /** Monotonic bundle versions per file key (rollback detection). */
-    mutable std::mutex sealLock_;
     std::map<std::uint64_t, std::uint64_t> sealVersions_;
 
     /** Footprint accounting (tracks store-managed allocations). */
-    mutable std::mutex footprintLock_;
-    std::uint64_t liveResources_ = 0;
     std::uint64_t livePageMetas_ = 0;
     std::uint64_t peakFootprint_ = 0;
 

@@ -177,6 +177,11 @@ Shim::marshalledIo(Sys num, std::uint64_t fd, GuestVA user_buf,
             trap(num, {fd, bounceVa_, chunk, at ? *at + done : 0});
         if (rv < 0)
             return done > 0 ? static_cast<std::int64_t>(done) : rv;
+        // A kernel claiming more than the chunk would have the copy
+        // below overrun the app's buffer with bytes it chose.
+        if (static_cast<std::uint64_t>(rv) > chunk)
+            kernelViolation("result_violations",
+                            "syscall result exceeds request");
         if (in && rv > 0)
             copyGuest(user_buf + done, bounceVa_,
                       static_cast<std::uint64_t>(rv));
@@ -435,17 +440,15 @@ Shim::nextBatchNonce()
 }
 
 [[noreturn]] void
-Shim::ringViolation(const char* what)
+Shim::kernelViolation(const char* stat, const std::string& what)
 {
-    engine_.stats().counter("ring_violations").inc();
+    engine_.stats().counter(stat).inc();
     Pid pid = 0;
     if (Domain* d = engine_.findDomain(domain_))
         pid = d->pid;
-    osh_warn("domain %llu: syscall ring violation: %s",
-             static_cast<unsigned long long>(domain_), what);
-    throw vmm::ProcessKilled{
-        pid, std::string("cloak violation: syscall ring tampered (") +
-                 what + ")"};
+    osh_warn("domain %llu: %s", static_cast<unsigned long long>(domain_),
+             what.c_str());
+    throw vmm::ProcessKilled{pid, "cloak violation: " + what};
 }
 
 std::int64_t
@@ -524,7 +527,9 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             for (const KernelSlot& s : slots)
                 results[s.appIndex] = rv;
         } else if (static_cast<std::uint64_t>(rv) != slots.size()) {
-            ringViolation("completion count mismatch");
+            kernelViolation("ring_violations",
+                            "syscall ring tampered (completion count "
+                            "mismatch)");
         } else {
             // Copy completions out of the uncloaked ring exactly once,
             // then validate each before touching cloaked memory.
@@ -536,10 +541,14 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
                 const KernelSlot& s = slots[k];
                 auto res = static_cast<std::int64_t>(comps[k].result);
                 if (comps[k].echo != s.nonce)
-                    ringViolation("echo token mismatch");
+                    kernelViolation("ring_violations",
+                                    "syscall ring tampered (echo token "
+                                    "mismatch)");
                 if (os::isTransfer(s.desc.num) &&
                     res > static_cast<std::int64_t>(s.len))
-                    ringViolation("result exceeds request");
+                    kernelViolation("ring_violations",
+                                    "syscall ring tampered (result "
+                                    "exceeds request)");
                 if (os::transfersIn(s.desc.num) && res > 0) {
                     copyGuest(s.appBuf, s.stageVa,
                               static_cast<std::uint64_t>(res));

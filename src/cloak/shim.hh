@@ -169,8 +169,11 @@ class Shim : public os::SyscallInterposer
     /** Next echo token from the shim's private stream. */
     std::uint64_t nextBatchNonce();
 
-    /** Kill this process: the kernel molested the syscall ring. */
-    [[noreturn]] void ringViolation(const char* what);
+    /** Kill this process as a cloak violation: a kernel result broke
+     *  the contract of the call or the syscall ring (@p what), counted
+     *  under @p stat. */
+    [[noreturn]] void kernelViolation(const char* stat,
+                                      const std::string& what);
 
     static std::uint64_t pathKey(const std::string& path);
 

@@ -42,40 +42,26 @@ KeyManager::acquire(ResourceId resource)
 {
     KeyHandle h;
     h.keyId_ = resource;
-    {
-        std::lock_guard<std::mutex> lk(registry_->lock);
-        auto it = registry_->live.find(resource);
-        if (it != registry_->live.end())
-            h.material_ = it->second.lock();
-    }
+    std::weak_ptr<const Material>& slot = registry_->live[resource];
+    h.material_ = slot.lock();
     if (h.material_ != nullptr)
         return h;
 
-    // Derived outside the lock, which the deleter takes. The deleter
-    // runs when the last handle dies; by then the entry has expired
-    // unless a later acquire derived the material again.
+    // The deleter runs when the last handle dies; by then the entry has
+    // expired unless a later acquire derived the material again.
     auto drop = [registry = registry_, resource](const Material* m) {
-        {
-            std::lock_guard<std::mutex> lk(registry->lock);
-            auto it = registry->live.find(resource);
-            if (it != registry->live.end() && it->second.expired())
-                registry->live.erase(it);
-        }
+        auto it = registry->live.find(resource);
+        if (it != registry->live.end() && it->second.expired())
+            registry->live.erase(it);
         delete m;
     };
-    std::shared_ptr<const Material> fresh(
+    h.material_ = std::shared_ptr<const Material>(
         new Material{Aes128(deriveAesKey(resource)),
                      HmacKey(deriveSealingKey(resource))},
         std::move(drop));
-    std::lock_guard<std::mutex> lk(registry_->lock);
-    std::weak_ptr<const Material>& slot = registry_->live[resource];
-    h.material_ = slot.lock();
-    if (h.material_ == nullptr) {
-        slot = fresh;
-        h.material_ = std::move(fresh);
-        ++registry_->derived;
-    }
-    return h; // An unused `fresh` dies after the lock is released.
+    slot = h.material_;
+    ++registry_->derived;
+    return h;
 }
 
 Digest
@@ -85,20 +71,6 @@ KeyManager::migrationKey(std::uint64_t nonce) const
     storeLe64(info, nonce);
     std::memcpy(info + 8, "migrkey\0", 8);
     return hmacSha256(masterHmac_, info);
-}
-
-std::size_t
-KeyManager::derivedKeyCount() const
-{
-    std::lock_guard<std::mutex> lk(registry_->lock);
-    return registry_->derived;
-}
-
-std::size_t
-KeyManager::liveKeyCount() const
-{
-    std::lock_guard<std::mutex> lk(registry_->lock);
-    return registry_->live.size();
 }
 
 } // namespace osh::crypto

@@ -17,9 +17,10 @@
  * Key material lives exactly as long as some resource uses it: every
  * KeyHandle shares ownership of its resource's cipher and sealing key,
  * and the KeyManager's map only watches them, dropping an entry when
- * its last handle dies. The fault hot path never takes the map's lock:
+ * its last handle dies. The fault hot path never touches the map:
  * resources resolve a KeyHandle once at cloak-attach and use it from
- * then on.
+ * then on. Like the rest of the VMM's state, the map is only touched
+ * from the one host thread that runs the simulation.
  */
 
 #ifndef OSH_CRYPTO_KEYS_HH
@@ -32,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 namespace osh::crypto
@@ -115,10 +115,10 @@ class KeyManager
      * Key derivations so far. Cumulative: material that was dropped
      * and later derived again counts twice.
      */
-    std::size_t derivedKeyCount() const;
+    std::size_t derivedKeyCount() const { return registry_->derived; }
 
     /** Resources whose key material some handle still holds. */
-    std::size_t liveKeyCount() const;
+    std::size_t liveKeyCount() const { return registry_->live.size(); }
 
   private:
     using Material = KeyHandle::Material;
@@ -130,7 +130,6 @@ class KeyManager
      */
     struct Registry
     {
-        std::mutex lock;
         std::unordered_map<ResourceId, std::weak_ptr<const Material>> live;
         std::size_t derived = 0;
     };

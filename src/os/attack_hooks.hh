@@ -6,11 +6,11 @@
  * compromised OS mounts in this simulator — the attack campaign's
  * director as well as hand-written attackers in tests and demos —
  * interposes through it on the kernel touchpoints of application
- * state: syscall entry (snoop/scribble/trap-frame probes), read()
- * returns, the SubmitBatch ring, swap-out/-in (tamper, replay,
- * resurrection), slot release (a hostile disk keeps copies the device
- * itself scrubs), and the fsync/exec boundaries where sealed metadata
- * bundles are exposed.
+ * state: syscall entry (snoop/scribble/trap-frame probes), syscall
+ * results (Iago-style forged return values), read() returns, the
+ * SubmitBatch ring, swap-out/-in (tamper, replay, resurrection), slot
+ * release (a hostile disk keeps copies the device itself scrubs), and
+ * the fsync/exec boundaries where sealed metadata bundles are exposed.
  *
  * Every hook runs *inside* the kernel, in kernel mode, with the full
  * kernel view — exactly the vantage point of a compromised commodity
@@ -22,6 +22,7 @@
 #define OSH_OS_ATTACK_HOOKS_HH
 
 #include "base/types.hh"
+#include "os/syscalls.hh"
 
 #include <cstdint>
 #include <span>
@@ -52,6 +53,22 @@ class AttackHooks
     {
         (void)kernel;
         (void)thread;
+    }
+
+    /**
+     * Syscall @p num (arguments @p args) was dispatched and is about to
+     * return @p rv to the caller. A hostile kernel may forge the result
+     * here (an Iago attack): a length larger than the request, a bogus
+     * errno, an address the caller never asked for.
+     */
+    virtual void onSyscallReturn(Kernel& kernel, Thread& thread, Sys num,
+                                 const SyscallArgs& args, std::int64_t& rv)
+    {
+        (void)kernel;
+        (void)thread;
+        (void)num;
+        (void)args;
+        (void)rv;
     }
 
     /**

@@ -36,10 +36,12 @@ Kernel::syscallEntry(Thread& t)
     attackHooks_->onSyscallEntry(*this, t);
 
     Sys num = static_cast<Sys>(regs.gpr[0]);
-    std::uint64_t a1 = regs.gpr[1], a2 = regs.gpr[2], a3 = regs.gpr[3],
-                  a4 = regs.gpr[4], a5 = regs.gpr[5];
+    SyscallArgs args{regs.gpr[1], regs.gpr[2], regs.gpr[3], regs.gpr[4],
+                     regs.gpr[5]};
 
-    std::int64_t result = dispatchSyscall(t, num, a1, a2, a3, a4, a5);
+    std::int64_t result = dispatchSyscall(t, num, args[0], args[1],
+                                          args[2], args[3], args[4]);
+    attackHooks_->onSyscallReturn(*this, t, num, args, result);
 
     regs.gpr[0] = static_cast<std::uint64_t>(result);
     maybeDeliverSignal(t);

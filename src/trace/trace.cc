@@ -86,7 +86,6 @@ Tracer::complete(Category cat, const char* name, Cycles begin,
     ev.end = end >= begin ? end : begin;
     ev.arg0 = arg0;
     ev.arg1 = arg1;
-    std::lock_guard<std::mutex> lk(recordMu_);
     buffer_.record(ev);
     metrics_.histogram(static_cast<std::uint8_t>(cat), name)
         .record(ev.duration());
@@ -108,17 +107,8 @@ Tracer::instant(Category cat, const char* name, DomainId domain,
     ev.end = at;
     ev.arg0 = arg0;
     ev.arg1 = arg1;
-    std::lock_guard<std::mutex> lk(recordMu_);
     buffer_.record(ev);
     metrics_.counter(static_cast<std::uint8_t>(cat), name)++;
-}
-
-void
-Tracer::clear()
-{
-    std::lock_guard<std::mutex> lk(recordMu_);
-    buffer_.clear();
-    metrics_.reset();
 }
 
 } // namespace osh::trace

@@ -29,7 +29,6 @@
 #include "trace/metrics.hh"
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #ifndef OSH_TRACE_ENABLED
@@ -122,16 +121,12 @@ struct TraceConfig
  * registry directly; they go through the OSH_TRACE_* macros, which
  * check `enabled()` first.
  *
- * Thread safety: the recording entry points (complete / instant /
- * clear) serialize on an internal mutex, so concurrent
- * emission is race-free. Deterministic event *order* is a stronger
- * property the callers provide: a parallel page-seal batch emits
- * every event from the one seal body on the calling thread (pool
- * workers never trace), in submission order — the ring contents
- * are identical for any worker count, and the mutex is only a backstop
- * for future cross-thread emitters. Readers (buffer(), metrics(),
- * snapshot()) must run with no recorder active, which every exporter
- * already does (reports run after the measured phase).
+ * One host thread: every emitter runs on the thread that drives the
+ * simulation (guest bodies are fibers on it, and the crypto pool's
+ * workers never trace), so nothing here is locked. A parallel
+ * page-seal batch emits every event from the one seal body in
+ * submission order, so the ring contents are identical for any worker
+ * count.
  */
 class Tracer
 {
@@ -167,14 +162,16 @@ class Tracer
                  std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 
     /** Drop all events and metrics (per-phase reports). */
-    void clear();
+    void
+    clear()
+    {
+        buffer_.clear();
+        metrics_.reset();
+    }
 
   private:
     bool enabled_;
     const Cycles* clock_ = nullptr;
-    /** Serializes ring + metrics mutation (the ring's first-record
-     *  allocation included); taken only when enabled. */
-    std::mutex recordMu_;
     TraceBuffer buffer_;
     MetricsRegistry metrics_;
 };

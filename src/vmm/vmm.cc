@@ -282,7 +282,6 @@ void
 Vmm::configureVirtualClock(Cycles fuzz, Cycles offset,
                            std::uint64_t seed)
 {
-    std::lock_guard<std::mutex> lock(vclockLock_);
     clockFuzz_ = fuzz;
     clockOffset_ = offset;
     clockSeed_ = seed;
@@ -296,7 +295,6 @@ Vmm::readTsc(Asid asid)
     if (clockFuzz_ == 0 && clockOffset_ == 0)
         return raw; // Legacy exact path: baselines replay bit-identical.
 
-    std::lock_guard<std::mutex> lock(vclockLock_);
     auto [it, fresh] = vclocks_.try_emplace(asid);
     VClock& vc = it->second;
     if (fresh) {

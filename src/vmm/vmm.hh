@@ -28,7 +28,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace osh::vmm
@@ -201,7 +200,6 @@ class Vmm
     Cycles clockOffset_ = 0;
     std::uint64_t clockSeed_ = 0;
     std::map<Asid, VClock> vclocks_;
-    std::mutex vclockLock_;
 
     StatGroup stats_;
     CounterSlot worldSwitches_; ///< stats_ "world_switches".

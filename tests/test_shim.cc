@@ -6,6 +6,7 @@
  */
 
 #include "cloak/engine.hh"
+#include "os/attack_hooks.hh"
 #include "os/env.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
@@ -131,6 +132,62 @@ TEST(ShimMarshal, LargeReadsChunkThroughBounce)
         return 0;
     });
     EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+/** An Iago-style kernel: inflates every result of one transfer call. */
+class OverlongResults : public os::AttackHooks
+{
+  public:
+    OverlongResults(System& sys, os::Sys num)
+        : kernel_(sys.kernel()), num_(num)
+    {
+        kernel_.setAttackHooks(this);
+    }
+
+    ~OverlongResults() override { kernel_.setAttackHooks(nullptr); }
+
+    void
+    onSyscallReturn(os::Kernel&, os::Thread&, os::Sys num,
+                    const os::SyscallArgs&, std::int64_t& rv) override
+    {
+        if (num == num_ && rv >= 0)
+            rv += 64;
+    }
+
+  private:
+    os::Kernel& kernel_;
+    os::Sys num_;
+};
+
+TEST(ShimMarshal, OverlongTransferResultKills)
+{
+    // A kernel answering an 8-byte transfer with 72 would have the shim
+    // copy 64 bytes it chose past the app's cloaked buffer. The shim
+    // bounds every marshalled result by its request and kills instead.
+    for (os::Sys num :
+         {os::Sys::Read, os::Sys::Pread, os::Sys::Write, os::Sys::Pwrite}) {
+        SCOPED_TRACE(os::sysName(num));
+        System sys(cloakedConfig());
+        OverlongResults attacker(sys, num);
+        std::int64_t seen = 0;
+        auto r = runCloaked(sys, [&](Env& env) {
+            std::int64_t f = env.open("/plain", os::openCreate |
+                                                    os::openRead |
+                                                    os::openWrite);
+            GuestVA buf = env.allocPages(1);
+            if (os::transfersIn(num)) {
+                env.writeAll(f, "0123456789abcdef");
+                env.lseek(f, 0, os::seekSet);
+            }
+            // {fd, buf, len, offset}; read and write ignore the offset.
+            seen = env.syscall(num, {static_cast<std::uint64_t>(f), buf, 8});
+            return 0;
+        });
+        EXPECT_TRUE(r.killed) << "app saw " << seen;
+        EXPECT_NE(r.killReason.find("cloak violation"), std::string::npos)
+            << r.killReason;
+        EXPECT_LE(seen, 8);
+    }
 }
 
 TEST(ShimEmulated, SeekModesAndEof)
