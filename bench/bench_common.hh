@@ -156,11 +156,11 @@ reportPhase(system::System& sys, const std::string& phase)
                         tracer.buffer().size()));
 }
 
-/** Run one workload and return total simulated cycles (asserts ok). */
-inline Cycles
-runCycles(bool cloaked, const std::string& program,
-          const std::vector<std::string>& argv,
-          std::uint64_t frames = 4096, std::uint64_t seed = 42)
+/** Run one workload (asserts ok) and return the finished system. */
+inline std::unique_ptr<system::System>
+runWorkload(bool cloaked, const std::string& program,
+            const std::vector<std::string>& argv,
+            std::uint64_t frames = 4096, std::uint64_t seed = 42)
 {
     auto sys = makeSystem(
         BenchOptions{.cloaked = cloaked, .frames = frames, .seed = seed});
@@ -170,7 +170,16 @@ runCycles(bool cloaked, const std::string& program,
                   program.c_str(), r.status, r.killReason.c_str());
     }
     reportPhase(*sys, program + (cloaked ? ".cloaked" : ".native"));
-    return sys->cycles();
+    return sys;
+}
+
+/** Run one workload and return total simulated cycles (asserts ok). */
+inline Cycles
+runCycles(bool cloaked, const std::string& program,
+          const std::vector<std::string>& argv,
+          std::uint64_t frames = 4096, std::uint64_t seed = 42)
+{
+    return runWorkload(cloaked, program, argv, frames, seed)->cycles();
 }
 
 inline void

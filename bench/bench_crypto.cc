@@ -408,7 +408,7 @@ struct Harness
             os.map(appAsid, appVa + i * pageSize, gpa0 + i * pageSize);
             os.map(0, kernelVa + i * pageSize, gpa0 + i * pageSize);
         }
-        resource = engine.registerRegion(domain, appVa, pages);
+        resource = engine.registerRegion(domain, appVa, pages).value();
     }
 
     vmm::Vcpu

@@ -7,7 +7,8 @@
  * runtime. Compute-bound code interacts with the kernel rarely, so the
  * expected shape is overhead within a few percent to ~15% (small
  * workloads pay proportionally more fixed launch cost than the paper's
- * minutes-long runs).
+ * minutes-long runs). BENCH_f1.json records each run's cycles and
+ * component counters under `native.<kernel>` / `cloaked.<kernel>`.
  */
 
 #include "bench_common.hh"
@@ -19,7 +20,7 @@ using namespace osh;
 
 struct Case
 {
-    const char* name;
+    const char* name; ///< Workload, "wl.<kernel>".
     std::vector<std::string> argv;
 };
 
@@ -42,10 +43,16 @@ main()
 
     std::printf("%-14s %14s %14s %10s\n", "kernel", "native(cyc)",
                 "cloaked(cyc)", "overhead");
+    bench::BenchReport report("f1");
     double worst = 0;
     for (const Case& c : cases) {
-        Cycles n = bench::runCycles(false, c.name, c.argv);
-        Cycles k = bench::runCycles(true, c.name, c.argv);
+        std::string kernel = std::string(c.name).substr(3);
+        auto native = bench::runWorkload(false, c.name, c.argv);
+        report.captureSystem("native." + kernel, *native);
+        auto cloaked = bench::runWorkload(true, c.name, c.argv);
+        report.captureSystem("cloaked." + kernel, *cloaked);
+        Cycles n = native->cycles();
+        Cycles k = cloaked->cycles();
         double ratio = static_cast<double>(k) / static_cast<double>(n);
         worst = std::max(worst, ratio);
         std::printf("%-14s %14llu %14llu %9.1f%%\n", c.name,
@@ -56,5 +63,6 @@ main()
     std::printf("\nworst-case overhead: %.1f%% (paper: compute-bound "
                 "workloads stay in the single digits)\n",
                 (worst - 1.0) * 100.0);
+    report.write();
     return 0;
 }

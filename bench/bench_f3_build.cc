@@ -7,7 +7,8 @@
  * spawn pays domain setup, shim initialization and eager encryption of
  * the parent's cloaked pages, so the slowdown here is the largest of
  * any workload — a several-fold factor, matching the paper's
- * fork/exec-heavy results.
+ * fork/exec-heavy results. BENCH_f3.json records each run's cycles
+ * and component counters under `native.tasks_<n>` / `cloaked.tasks_<n>`.
  */
 
 #include "bench_common.hh"
@@ -20,10 +21,16 @@ main()
 
     std::printf("%-8s %14s %14s %10s\n", "tasks", "native(cyc)",
                 "cloaked(cyc)", "slowdown");
+    bench::BenchReport report("f3");
     for (std::uint64_t tasks : {1, 2, 4, 8, 16}) {
         std::vector<std::string> argv = {std::to_string(tasks), "16"};
-        Cycles n = bench::runCycles(false, "wl.build", argv, 8192);
-        Cycles c = bench::runCycles(true, "wl.build", argv, 8192);
+        std::string key = "tasks_" + std::to_string(tasks);
+        auto native = bench::runWorkload(false, "wl.build", argv, 8192);
+        report.captureSystem("native." + key, *native);
+        auto cloaked = bench::runWorkload(true, "wl.build", argv, 8192);
+        report.captureSystem("cloaked." + key, *cloaked);
+        Cycles n = native->cycles();
+        Cycles c = cloaked->cycles();
         std::printf("%-8llu %14llu %14llu %9.2fx\n",
                     static_cast<unsigned long long>(tasks),
                     static_cast<unsigned long long>(n),
@@ -32,5 +39,6 @@ main()
     }
     std::printf("\n(paper shape: the process-creation path is "
                 "Overshadow's most expensive)\n");
+    report.write();
     return 0;
 }

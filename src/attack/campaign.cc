@@ -1,6 +1,7 @@
 #include "attack/campaign.hh"
 
 #include "attack/director.hh"
+#include "base/rng.hh"
 #include "cloak/engine.hh"
 #include "migrate/checkpoint.hh"
 #include "migrate/live.hh"
@@ -12,7 +13,6 @@
 #include "workloads/workloads.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <iomanip>
 #include <set>
 #include <sstream>
@@ -48,10 +48,7 @@ containsSentinel(std::span<const std::uint8_t> bytes,
 std::uint64_t
 mix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    return splitmix64(x);
 }
 
 } // namespace

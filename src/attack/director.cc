@@ -1,5 +1,6 @@
 #include "attack/director.hh"
 
+#include "base/rng.hh"
 #include "cloak/engine.hh"
 #include "os/kernel.hh"
 #include "os/layout.hh"
@@ -86,11 +87,7 @@ AttackDirector::~AttackDirector()
 std::uint64_t
 AttackDirector::nextRand()
 {
-    rng_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = rng_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return splitmix64(rng_);
 }
 
 void
@@ -242,7 +239,6 @@ AttackDirector::recordProbe(Cycles delta, bool bit)
     if (std::getenv("OSH_TIMING_DEBUG") != nullptr)
         std::fprintf(stderr, "probe delta=%llu bit=%d\n",
                      (unsigned long long)delta, bit ? 1 : 0);
-    probeDeltas_.push_back(delta);
     recoveredBits_.push_back(bit ? 1 : 0);
     fired();
 }

@@ -61,8 +61,6 @@ class AttackDirector final : public os::AttackHooks,
     AttackDirector(const AttackDirector&) = delete;
     AttackDirector& operator=(const AttackDirector&) = delete;
 
-    AttackPoint point() const { return config_.point; }
-
     /** Times the configured attack actually mutated/observed state. */
     std::uint64_t firings() const { return firings_; }
 
@@ -93,8 +91,6 @@ class AttackDirector final : public os::AttackHooks,
     }
 
     // Timing-oracle recordings (timing points only) ---------------------
-    /** Raw probe-window cycle deltas, one per probe. */
-    const std::vector<Cycles>& probeDeltas() const { return probeDeltas_; }
     /** Bits the timing oracle recovered (thresholded deltas). */
     const std::vector<std::uint8_t>& recoveredBits() const
     {
@@ -179,7 +175,6 @@ class AttackDirector final : public os::AttackHooks,
     std::set<std::uint64_t> rolledBack_;
 
     // Timing-oracle recordings.
-    std::vector<Cycles> probeDeltas_;
     std::vector<std::uint8_t> recoveredBits_;
 
     /** Shadow-walk lie state (remap / double-map). */

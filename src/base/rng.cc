@@ -9,16 +9,6 @@ namespace
 {
 
 std::uint64_t
-splitmix64(std::uint64_t& state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));

@@ -17,6 +17,21 @@
 namespace osh
 {
 
+/**
+ * One SplitMix64 step: advances @p state and returns its next output.
+ * The one mixer behind every private stream (workload data, the
+ * virtual clock, the shim's nonces, the attack director).
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t& state)
+{
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 /** Deterministic xoshiro256** generator. */
 class Rng
 {
@@ -29,9 +44,6 @@ class Rng
 
     /** Next uniformly distributed 64-bit value. */
     std::uint64_t next64();
-
-    /** Next 32-bit value. */
-    std::uint32_t next32() { return static_cast<std::uint32_t>(next64()); }
 
     /** Uniform value in [0, bound); bound must be nonzero. */
     std::uint64_t nextBounded(std::uint64_t bound);

@@ -2,42 +2,43 @@
 
 #include "base/logging.hh"
 
-#include <utility>
+#include <algorithm>
 
 namespace osh
 {
 
-StatGroup::StatGroup(std::string name) : name_(std::move(name))
+StatGroup::StatGroup(std::string name, std::span<const char* const> names)
+    : name_(std::move(name))
 {
+    slots_.reserve(names.size());
+    for (const char* n : names)
+        slots_.push_back(Slot{n});
 }
 
-Counter&
-StatGroup::counter(const std::string& name)
+StatSlot
+StatGroup::add(std::string name)
 {
-    return counters_[name];
+    slots_.push_back(Slot{std::move(name)});
+    return StatSlot{static_cast<std::uint16_t>(slots_.size() - 1)};
 }
 
 std::uint64_t
-StatGroup::value(const std::string& name) const
+StatGroup::value(std::string_view name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto& [name, c] : counters_)
-        c.reset();
+    for (const Slot& s : slots_) {
+        if (s.name == name)
+            return s.value;
+    }
+    return 0;
 }
 
 std::string
 StatGroup::dump() const
 {
     std::string out;
-    for (const auto& [name, c] : counters_) {
+    for (const auto& [name, value] : snapshot()) {
         out += formatString("%s.%s %llu\n", name_.c_str(), name.c_str(),
-                            static_cast<unsigned long long>(c.value()));
+                            static_cast<unsigned long long>(value));
     }
     return out;
 }
@@ -46,9 +47,11 @@ std::vector<std::pair<std::string, std::uint64_t>>
 StatGroup::snapshot() const
 {
     std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto& [name, c] : counters_)
-        out.emplace_back(name, c.value());
+    for (const Slot& s : slots_) {
+        if (s.touched)
+            out.emplace_back(s.name, s.value);
+    }
+    std::sort(out.begin(), out.end());
     return out;
 }
 

@@ -2,56 +2,93 @@
  * @file
  * Lightweight named statistics counters.
  *
- * Each simulator component owns a StatGroup and registers named counters
- * in it. Benchmarks and tests read counters by name; examples dump whole
- * groups. This is a deliberately tiny sibling of gem5's stats package.
+ * Each simulator component owns a StatGroup: a fixed set of counter
+ * slots whose names the owner declares once, in one constexpr table.
+ * Call sites name a counter by its literal, resolved to a slot index at
+ * compile time (see StatNames), so incrementing never builds or searches
+ * a string. Benchmarks and tests read counters by name; examples dump
+ * whole groups. This is a deliberately tiny sibling of gem5's stats
+ * package.
  */
 
 #ifndef OSH_BASE_STATS_HH
 #define OSH_BASE_STATS_HH
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace osh
 {
 
-class StatGroup;
-
-/** A single monotonically increasing counter. */
-class Counter
+/** One counter of a StatGroup: its index in the group's name table. */
+struct StatSlot
 {
-  public:
-    Counter() = default;
-
-    void inc(std::uint64_t delta = 1) { value_ += delta; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
+    std::uint16_t index;
 };
 
-/** A named collection of counters belonging to one component. */
+/**
+ * One owner's counter-name table, declared once next to the owner:
+ *
+ *     inline constexpr StatNames kernelStat{"forks", "swap_ins", ...};
+ *     stats_.inc(kernelStat("swap_ins"));
+ *
+ * Calling the table with a name gives that counter's slot. The call
+ * only runs at compile time: a name missing from the table reaches the
+ * throw, which is not a constant expression, so a misspelt counter
+ * fails the build.
+ */
+template <std::size_t N>
+struct StatNames
+{
+    std::array<const char*, N> names;
+
+    consteval StatSlot
+    operator()(std::string_view name) const
+    {
+        for (std::size_t i = 0; i < N; ++i) {
+            if (names[i] == name)
+                return StatSlot{static_cast<std::uint16_t>(i)};
+        }
+        throw "unknown counter name";
+    }
+};
+
+template <typename... Names>
+StatNames(Names...) -> StatNames<sizeof...(Names)>;
+
+/**
+ * A named collection of counters belonging to one component. A counter
+ * appears in dump() and snapshot() only once it has been incremented,
+ * by any amount including 0; both list counters sorted by name.
+ */
 class StatGroup
 {
   public:
-    /** @param name Component name used as a prefix when dumping. */
-    explicit StatGroup(std::string name);
-
     /**
-     * Get or create the counter with the given name. References remain
-     * valid for the lifetime of the group.
+     * @param name Component name used as a prefix when dumping.
+     * @param names The owner's counter-name table; slot i is names[i].
      */
-    Counter& counter(const std::string& name);
+    StatGroup(std::string name, std::span<const char* const> names);
 
-    /** Value of a named counter (0 if it was never created). */
-    std::uint64_t value(const std::string& name) const;
+    /** Append a counter named at run time (a per-vCPU family). */
+    StatSlot add(std::string name);
 
-    /** Reset every counter in the group. */
-    void resetAll();
+    /** Add @p delta to @p slot; even a 0 makes the slot appear. */
+    void
+    inc(StatSlot slot, std::uint64_t delta = 1)
+    {
+        Slot& s = slots_[slot.index];
+        s.value += delta;
+        s.touched = true;
+    }
+
+    /** Value of a named counter (0 if it was never incremented). */
+    std::uint64_t value(std::string_view name) const;
 
     /** Render "group.counter value" lines, sorted by counter name. */
     std::string dump() const;
@@ -62,42 +99,15 @@ class StatGroup
     std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
 
   private:
+    struct Slot
+    {
+        std::string name;
+        std::uint64_t value = 0;
+        bool touched = false;
+    };
+
     std::string name_;
-    std::map<std::string, Counter> counters_;
-};
-
-/**
- * A counter of some StatGroup, looked up by name on first use and by
- * pointer after that: for counters bumped on every simulated access,
- * where building the name and searching the map would dominate. The
- * counter is created on first use, as a plain counter() call would, so
- * dump() output does not change. A copied slot starts unresolved, so
- * the copy of an owner never points into the original's group.
- */
-class CounterSlot
-{
-  public:
-    CounterSlot() = default;
-    CounterSlot(const CounterSlot&) {}
-    CounterSlot&
-    operator=(const CounterSlot&)
-    {
-        counter_ = nullptr;
-        return *this;
-    }
-
-    /** The counter @p name of @p group, which must be the same group
-     *  on every call. */
-    Counter&
-    get(StatGroup& group, const char* name)
-    {
-        if (counter_ == nullptr)
-            counter_ = &group.counter(name);
-        return *counter_;
-    }
-
-  private:
-    Counter* counter_ = nullptr;
+    std::vector<Slot> slots_;
 };
 
 } // namespace osh

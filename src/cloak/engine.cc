@@ -24,7 +24,7 @@ constexpr ResourceId fileKeyTag = ResourceId{1} << 63;
  * modes.
  */
 void
-chargeOrDefer(sim::CostModel& cost, Cycles c, const char* ev,
+chargeOrDefer(sim::CostModel& cost, Cycles c, sim::CostEvent ev,
               std::uint64_t* defer)
 {
     if (defer != nullptr) {
@@ -50,7 +50,7 @@ CloakEngine::CloakEngine(vmm::Vmm& vmm, std::uint64_t master_seed,
                          std::size_t metadata_cache)
     : vmm_(vmm), keys_(master_seed),
       metadata_(vmm.machine().cost(), metadata_cache),
-      stats_("cloak")
+      stats_("cloak", cloakStat.names)
 {
     vmm_.setCloakBackend(this);
 }
@@ -158,7 +158,7 @@ CloakEngine::auditError(CloakError code, DomainId domain,
 {
     auditLog_.push(
         {domain, resource, page_index, cloakErrorName(code), code});
-    stats_.counter("audit_errors").inc();
+    stats_.inc(cloakStat("audit_errors"));
     OSH_TRACE_INSTANT(&vmm_.machine().tracer(), trace::Category::Cloak,
                       "audit_error", domain, 0, resource, page_index);
     return Error<CloakError>(code);
@@ -170,7 +170,7 @@ CloakEngine::violation(Resource& res, std::uint64_t page_index,
 {
     auditLog_.push({res.domain, res.id, page_index, reason,
                     CloakError::IntegrityViolation});
-    stats_.counter("violations").inc();
+    stats_.inc(cloakStat("violations"));
     OSH_TRACE_INSTANT(&vmm_.machine().tracer(), trace::Category::Cloak,
                       "violation", res.domain, 0, res.id, page_index);
     Pid pid = 0;
@@ -277,7 +277,7 @@ CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
         }
         chargeOrDefer(cost, worstCaseSealCycles(), "page_encrypt",
                       defer_cycles);
-        stats_.counter("page_encrypts").inc();
+        stats_.inc(cloakStat("page_encrypts"));
     } else {
         // Clean page: the stored (IV, hash) still cover the contents,
         // so re-encryption is deterministic. If the victim cache holds
@@ -306,11 +306,11 @@ CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
                               : cost.params().victimHitCopy +
                                     cost.params().cloakFaultFixed,
                           "page_reencrypt_victim", defer_cycles);
-            stats_.counter("victim_reencrypt_hits").inc();
-            stats_.counter("clean_reencrypts").inc();
+            stats_.inc(cloakStat("victim_reencrypt_hits"));
+            stats_.inc(cloakStat("clean_reencrypts"));
         } else {
             if (v != nullptr)
-                stats_.counter("victim_reencrypt_mismatches").inc();
+                stats_.inc(cloakStat("victim_reencrypt_mismatches"));
             OSH_TRACE_SCOPE(&vmm_.machine().tracer(),
                             trace::Category::Cloak, "clean_reencrypt",
                             res.domain, 0, res.id, page_index);
@@ -331,7 +331,7 @@ CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
                               : cost.params().aesPerByte * pageSize +
                                     cost.params().cloakFaultFixed,
                           "page_reencrypt_clean", defer_cycles);
-            stats_.counter("clean_reencrypts").inc();
+            stats_.inc(cloakStat("clean_reencrypts"));
         }
     }
 
@@ -380,11 +380,11 @@ CloakEngine::decryptAndVerify(Resource& res, std::uint64_t page_index,
                             : cost.params().victimHitCopy +
                                   cost.params().cloakFaultFixed,
                         "page_decrypt_victim");
-            stats_.counter("victim_decrypt_hits").inc();
-            stats_.counter("page_decrypts").inc();
+            stats_.inc(cloakStat("victim_decrypt_hits"));
+            stats_.inc(cloakStat("page_decrypts"));
             return;
         }
-        stats_.counter("victim_decrypt_mismatches").inc();
+        stats_.inc(cloakStat("victim_decrypt_mismatches"));
     }
 
     cost.charge(cost.params().shaPerByte * (pageSize + 40) +
@@ -414,7 +414,7 @@ CloakEngine::decryptAndVerify(Resource& res, std::uint64_t page_index,
     crypto::aesCtrXcryptInPlace(cipher, meta.iv, frame);
     if (v != nullptr)
         std::memcpy(v->plaintext.data(), frame.data(), frame.size());
-    stats_.counter("page_decrypts").inc();
+    stats_.inc(cloakStat("page_decrypts"));
 }
 
 // ---------------------------------------------------------------------------
@@ -469,8 +469,8 @@ CloakEngine::encryptPages(Resource& res,
     for (std::size_t i = 0; i < items.size(); ++i)
         encryptPage(res, items[i].pageIndex, *items[i].meta, cipher,
                     nullptr, staged.empty() ? nullptr : &staged[i]);
-    stats_.counter("batch_encrypt_calls").inc();
-    stats_.counter("batch_encrypt_pages").inc(items.size());
+    stats_.inc(cloakStat("batch_encrypt_calls"));
+    stats_.inc(cloakStat("batch_encrypt_pages"), items.size());
 }
 
 std::size_t
@@ -503,7 +503,7 @@ CloakEngine::sealPlaintextFrames(std::span<const Gpa> gpas)
         sealed += items.size();
     }
     if (sealed > 0)
-        stats_.counter("preseal_frames").inc(sealed);
+        stats_.inc(cloakStat("preseal_frames"), sealed);
     return sealed;
 }
 
@@ -573,7 +573,7 @@ CloakEngine::evictPageAsync(
     cost.charge(cost.params().pageCopy + cost.params().pageZero +
                 cost.params().cloakFaultFixed,
                 "page_encrypt_async_enqueue");
-    stats_.counter("async_evictions").inc();
+    stats_.inc(cloakStat("async_evictions"));
     return true;
 }
 
@@ -590,7 +590,7 @@ CloakEngine::drainOneAsyncEviction()
         // The lane has not finished this seal yet: the guest stalls at
         // the drain barrier until it does.
         cost.charge(entry.readyAt - now, "async_evict_stall");
-        stats_.counter("async_evict_stalls").inc();
+        stats_.inc(cloakStat("async_evict_stalls"));
     }
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "async_evict_commit", systemDomain, 0,
@@ -599,7 +599,7 @@ CloakEngine::drainOneAsyncEviction()
         entry.commit(std::span<const std::uint8_t>(entry.sealed.data(),
                                                    pageSize));
     std::memset(entry.sealed.data(), 0, entry.sealed.size());
-    stats_.counter("async_evict_commits").inc();
+    stats_.inc(cloakStat("async_evict_commits"));
 }
 
 void
@@ -681,7 +681,7 @@ CloakEngine::sealPageChunked(Resource& res, std::uint64_t page_index,
                       cost.params().victimHitCopy +
                           cost.params().cloakFaultFixed,
                       "chunk_reencrypt_clean", defer_cycles);
-        stats_.counter("chunk_clean_reencrypts").inc();
+        stats_.inc(cloakStat("chunk_clean_reencrypts"));
         return;
     }
 
@@ -715,8 +715,8 @@ CloakEngine::sealPageChunked(Resource& res, std::uint64_t page_index,
                           (chunksPerPage * sizeof(crypto::Digest)) +
                       cost.params().cloakFaultFixed,
                   "chunk_encrypt", defer_cycles);
-    stats_.counter("chunk_encrypts").inc();
-    stats_.counter("chunk_dirty_chunks").inc(ndirty);
+    stats_.inc(cloakStat("chunk_encrypts"));
+    stats_.inc(cloakStat("chunk_dirty_chunks"), ndirty);
 }
 
 void
@@ -770,8 +770,8 @@ CloakEngine::unsealPageChunked(Resource& res, std::uint64_t page_index,
             cipher, cs.ivs[c], frame.subspan(c * chunkSize, chunkSize));
     }
     std::memcpy(cs.plaintext.data(), frame.data(), pageSize);
-    stats_.counter("chunk_decrypts").inc();
-    stats_.counter("page_decrypts").inc();
+    stats_.inc(cloakStat("chunk_decrypts"));
+    stats_.inc(cloakStat("page_decrypts"));
 }
 
 std::size_t
@@ -813,7 +813,7 @@ CloakEngine::sealDomainPlaintext(DomainId id)
         sealed += items.size();
     }
     if (sealed > 0)
-        stats_.counter("domain_seals_pages").inc(sealed);
+        stats_.inc(cloakStat("domain_seals_pages"), sealed);
     return sealed;
 }
 
@@ -827,7 +827,7 @@ CloakEngine::importResource(DomainId domain, ResourceId key_id,
     res.keyId = key_id;
     res.key = keys_.acquire(key_id);
     metadata_.reserveIds(key_id + 1);
-    stats_.counter("resources_imported").inc();
+    stats_.inc(cloakStat("resources_imported"));
     return res;
 }
 
@@ -869,7 +869,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
             } else {
                 plaintextIndex_.erase(pit);
             }
-            stats_.counter("foreign_plaintext_seals").inc();
+            stats_.inc(cloakStat("foreign_plaintext_seals"));
         }
     }
 
@@ -886,14 +886,14 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
             inCloakedRegion(ctx.asid, va_page)) {
             vmm_.machine().cost().charge(worstCaseSealCycles(),
                                          "page_seal_equalized");
-            stats_.counter("equalized_passthroughs").inc();
+            stats_.inc(cloakStat("equalized_passthroughs"));
         }
         return {mpa, true, pte.writable};
     }
 
     auto& cost = vmm_.machine().cost();
     PageMeta& meta = metadata_.page(*res, page_index);
-    stats_.counter("cloak_faults").inc();
+    stats_.inc(cloakStat("cloak_faults"));
 
     if (!meta.initialized) {
         // First touch: contents are VMM-defined (zero), regardless of
@@ -927,7 +927,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
             meta.state = PageState::Encrypted;
             meta.residentGpa = badAddr;
         }
-        stats_.counter("plaintext_relocations").inc();
+        stats_.inc(cloakStat("plaintext_relocations"));
     }
 
     switch (meta.state) {
@@ -948,7 +948,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
       case PageState::PlaintextClean:
         if (access == vmm::AccessType::Write) {
             meta.state = PageState::PlaintextDirty;
-            stats_.counter("clean_to_dirty").inc();
+            stats_.inc(cloakStat("clean_to_dirty"));
             return {mpa, true, pte.writable};
         }
         return {mpa, true, false};
@@ -973,7 +973,7 @@ CloakEngine::createDomain(Asid asid, Pid pid,
     d.asid = asid;
     d.pid = pid;
     d.identity = identity;
-    stats_.counter("domains_created").inc();
+    stats_.inc(cloakStat("domains_created"));
     return id;
 }
 
@@ -1016,15 +1016,20 @@ CloakEngine::teardownDomain(DomainId id)
         metadata_.destroyResource(r.resource);
     }
     domains_.erase(dit);
-    stats_.counter("domains_destroyed").inc();
+    stats_.inc(cloakStat("domains_destroyed"));
 }
 
-ResourceId
+Expected<ResourceId, CloakError>
 CloakEngine::registerRegion(DomainId domain, GuestVA start,
                             std::uint64_t pages, ResourceId resource,
                             std::uint64_t resource_page_offset)
 {
     Domain& d = domainOf(domain);
+    GuestVA first = pageBase(start);
+    for (const Region& r : d.regions) {
+        if (first < r.end && r.start < first + pages * pageSize)
+            return auditError(CloakError::RegionOverlap, domain, resource);
+    }
     Resource* res = nullptr;
     if (resource == 0) {
         res = &metadata_.createResource(domain);
@@ -1037,12 +1042,12 @@ CloakEngine::registerRegion(DomainId domain, GuestVA start,
     }
     Region r;
     r.asid = d.asid;
-    r.start = pageBase(start);
+    r.start = first;
     r.end = r.start + pages * pageSize;
     r.resource = res->id;
     r.resourcePageOffset = resource_page_offset;
     d.regions.push_back(r);
-    stats_.counter("regions_registered").inc();
+    stats_.inc(cloakStat("regions_registered"));
     // Existing (uncloaked) shadow and TLB mappings of this range are
     // now wrong. Invalidate at page granularity: translations outside
     // the region — including retained shadows of other processes —
@@ -1111,7 +1116,7 @@ CloakEngine::unregisterRegion(DomainId domain, GuestVA start)
                 metadata_.destroyResource(it->resource);
         }
         d.regions.erase(it);
-        stats_.counter("regions_unregistered").inc();
+        stats_.inc(cloakStat("regions_unregistered"));
         return;
     }
 }
@@ -1165,11 +1170,11 @@ CloakEngine::snapshotFork(DomainId parent, std::uint64_t token)
 {
     auto it = pendingForks_.find(token);
     if (it == pendingForks_.end() || it->second.parent != parent) {
-        stats_.counter("fork_snapshot_rejected").inc();
+        stats_.inc(cloakStat("fork_snapshot_rejected"));
         return auditError(CloakError::BadForkToken, parent);
     }
     if (it->second.snapshotted) {
-        stats_.counter("fork_snapshot_rejected").inc();
+        stats_.inc(cloakStat("fork_snapshot_rejected"));
         return auditError(CloakError::ForkAlreadySnapshotted, parent);
     }
     Domain* pd = findDomain(parent);
@@ -1203,7 +1208,7 @@ CloakEngine::snapshotFork(DomainId parent, std::uint64_t token)
     }
     pf.ctcVa = pd->ctcVa;
     pf.snapshotted = true;
-    stats_.counter("fork_snapshots").inc();
+    stats_.inc(cloakStat("fork_snapshots"));
     return {};
 }
 
@@ -1213,11 +1218,11 @@ CloakEngine::forkAttach(Asid child_asid, Pid child_pid,
 {
     auto it = pendingForks_.find(token);
     if (it == pendingForks_.end()) {
-        stats_.counter("fork_attach_rejected").inc();
+        stats_.inc(cloakStat("fork_attach_rejected"));
         return auditError(CloakError::BadForkToken, systemDomain);
     }
     if (!it->second.snapshotted) {
-        stats_.counter("fork_attach_rejected").inc();
+        stats_.inc(cloakStat("fork_attach_rejected"));
         return auditError(CloakError::ForkNotSnapshotted,
                           it->second.parent);
     }
@@ -1247,7 +1252,7 @@ CloakEngine::forkAttach(Asid child_asid, Pid child_pid,
         nr.resource = pr.clonedResource;
         child.regions.push_back(nr);
     }
-    stats_.counter("fork_attaches").inc();
+    stats_.inc(cloakStat("fork_attaches"));
     return child_id;
 }
 
@@ -1271,7 +1276,7 @@ CloakEngine::attachFileResource(DomainId domain, std::uint64_t file_key)
                                          res.key.sealingHmac(),
                                          d.identity, res);
         if (!unsealed.ok()) {
-            stats_.counter("file_attach_rejected").inc();
+            stats_.inc(cloakStat("file_attach_rejected"));
             ResourceId dead = res.id;
             metadata_.destroyResource(dead);
             // Propagate the store's typed cause (bad MAC vs identity vs
@@ -1279,7 +1284,7 @@ CloakEngine::attachFileResource(DomainId domain, std::uint64_t file_key)
             return auditError(unsealed.error(), domain, dead);
         }
     }
-    stats_.counter("file_attaches").inc();
+    stats_.inc(cloakStat("file_attaches"));
     return res.id;
 }
 
@@ -1307,7 +1312,7 @@ CloakEngine::sealFileResource(DomainId domain, ResourceId resource)
     encryptPages(*res, to_seal);
     sealedStore_[res->fileKey] = metadata_.seal(
         *res, sealingHmacFor(*res), d.identity);
-    stats_.counter("file_seals").inc();
+    stats_.inc(cloakStat("file_seals"));
     return {};
 }
 
@@ -1315,7 +1320,7 @@ void
 CloakEngine::discardFileMetadata(std::uint64_t file_key)
 {
     sealedStore_.erase(file_key);
-    stats_.counter("file_discards").inc();
+    stats_.inc(cloakStat("file_discards"));
 }
 
 // ---------------------------------------------------------------------------
@@ -1332,12 +1337,13 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
     };
 
     switch (num) {
-      case vmm::Hypercall::CloakRegisterRegion:
+      case vmm::Hypercall::CloakRegisterRegion: {
         if (ctx.view == systemDomain)
             return -1;
-        return static_cast<std::int64_t>(
-            registerRegion(ctx.view, arg(0), arg(1),
-                           static_cast<ResourceId>(arg(2)), arg(3)));
+        auto res = registerRegion(ctx.view, arg(0), arg(1),
+                                  static_cast<ResourceId>(arg(2)), arg(3));
+        return res.ok() ? static_cast<std::int64_t>(*res) : -1;
+      }
 
       case vmm::Hypercall::CloakUnregisterRegion:
         if (ctx.view == systemDomain)

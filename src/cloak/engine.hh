@@ -40,7 +40,6 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -103,28 +102,28 @@ class AuditLog
     void
     push(AuditEvent ev)
     {
-        events_.push_back(std::move(ev));
-        while (events_.size() > capacity_) {
-            events_.pop_front();
+        ring_.push_back(std::move(ev));
+        while (ring_.size() > capacity_) {
+            ring_.pop_front();
             ++dropped_;
         }
     }
 
-    bool empty() const { return events_.empty(); }
-    std::size_t size() const { return events_.size(); }
+    bool empty() const { return ring_.empty(); }
+    std::size_t size() const { return ring_.size(); }
     std::size_t capacity() const { return capacity_; }
     /** Events discarded because the ring was full. */
     std::uint64_t dropped() const { return dropped_; }
 
-    const AuditEvent& front() const { return events_.front(); }
-    const AuditEvent& back() const { return events_.back(); }
-    auto begin() const { return events_.begin(); }
-    auto end() const { return events_.end(); }
+    const AuditEvent& front() const { return ring_.front(); }
+    const AuditEvent& back() const { return ring_.back(); }
+    auto begin() const { return ring_.begin(); }
+    auto end() const { return ring_.end(); }
 
   private:
     std::size_t capacity_;
     std::uint64_t dropped_ = 0;
-    std::deque<AuditEvent> events_;
+    std::deque<AuditEvent> ring_;
 };
 
 /**
@@ -282,6 +281,27 @@ struct AsyncSealEntry
     std::function<void(std::span<const std::uint8_t>)> commit;
 };
 
+/** Counters of the "cloak" group (engine.cc, shim.cc, transfer.cc). */
+inline constexpr StatNames cloakStat{
+    "async_evict_commits", "async_evict_stalls", "async_evictions",
+    "audit_errors", "batch_encrypt_calls", "batch_encrypt_pages",
+    "chunk_clean_reencrypts", "chunk_decrypts", "chunk_dirty_chunks",
+    "chunk_encrypts", "clean_reencrypts", "clean_to_dirty", "cloak_faults",
+    "ctc_violations", "domain_seals_pages", "domains_created",
+    "domains_destroyed", "equalized_passthroughs", "file_attach_rejected",
+    "file_attaches", "file_discards", "file_seals", "foreign_plaintext_seals",
+    "fork_attach_rejected", "fork_attaches", "fork_snapshot_rejected",
+    "fork_snapshots", "page_decrypts", "page_encrypts",
+    "plaintext_relocations", "preseal_frames", "regions_registered",
+    "regions_unregistered", "resources_imported", "result_violations",
+    "ring_violations", "shim_batch_traps", "shim_batched_calls",
+    "shim_batches", "shim_emulated_reads", "shim_emulated_writes",
+    "shim_map_grows", "shim_marshalled_reads", "shim_marshalled_writes",
+    "shim_protected_closes", "shim_protected_opens", "victim_decrypt_hits",
+    "victim_decrypt_mismatches", "victim_reencrypt_hits",
+    "victim_reencrypt_mismatches", "violations",
+};
+
 /** The Overshadow cloak engine. */
 class CloakEngine : public vmm::CloakBackend
 {
@@ -343,11 +363,12 @@ class CloakEngine : public vmm::CloakBackend
 
     Domain* findDomain(DomainId id);
 
-    /** Register/unregister a cloaked VA range for a domain. */
-    ResourceId registerRegion(DomainId domain, GuestVA start,
-                              std::uint64_t pages,
-                              ResourceId resource = 0,
-                              std::uint64_t resource_page_offset = 0);
+    /** Register/unregister a cloaked VA range for a domain. A range
+     *  overlapping one of the domain's regions is refused. */
+    Expected<ResourceId, CloakError>
+    registerRegion(DomainId domain, GuestVA start, std::uint64_t pages,
+                   ResourceId resource = 0,
+                   std::uint64_t resource_page_offset = 0);
     void unregisterRegion(DomainId domain, GuestVA start);
 
     /** CTC handling used by the secure-control-transfer path. A failed
@@ -481,7 +502,6 @@ class CloakEngine : public vmm::CloakBackend
      * accounting. See docs/threat-model.md for the oracle inventory.
      */
     void setConstantCostMode(bool on);
-    bool constantCostMode() const { return constantCost_; }
 
   private:
     struct PlaintextRef

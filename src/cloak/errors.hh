@@ -32,6 +32,7 @@ enum class CloakError : std::uint8_t
     NotAFileResource,       ///< File operation on a private memory resource.
     SealRejected,           ///< Sealed bundle failed MAC/identity/version.
     IntegrityViolation,     ///< Page hash mismatch (kernel tampering/replay).
+    RegionOverlap,          ///< Region overlaps one the domain has.
 
     // Metadata-store typed failures of sealed-bundle import.
     SealBadMac,             ///< Sealed bundle MAC did not verify.
@@ -57,6 +58,7 @@ cloakErrorName(CloakError e)
       case CloakError::NotAFileResource: return "not_a_file_resource";
       case CloakError::SealRejected: return "seal_rejected";
       case CloakError::IntegrityViolation: return "integrity_violation";
+      case CloakError::RegionOverlap: return "region_overlap";
       case CloakError::SealBadMac: return "seal_bad_mac";
       case CloakError::SealBadIdentity: return "seal_bad_identity";
       case CloakError::SealRollback: return "seal_rollback";

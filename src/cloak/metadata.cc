@@ -10,6 +10,11 @@
 namespace osh::cloak
 {
 
+constexpr StatNames metadataStat{
+    "resources_cloned", "resources_created", "resources_destroyed", "seals",
+    "unseal_bad_identity", "unseal_bad_mac", "unseal_rollback", "unseals",
+};
+
 namespace
 {
 /// Rough per-entry std::map node overhead (parent/children/color + key)
@@ -20,7 +25,8 @@ constexpr std::uint64_t mapNodeOverhead = 48;
 
 MetadataStore::MetadataStore(sim::CostModel& cost,
                              std::size_t cache_capacity)
-    : cost_(cost), cacheCapacity_(cache_capacity), stats_("metadata")
+    : cost_(cost), cacheCapacity_(cache_capacity),
+      stats_("metadata", metadataStat.names)
 {
     osh_assert(cache_capacity > 0, "metadata cache needs capacity");
 }
@@ -60,7 +66,7 @@ MetadataStore::createResource(DomainId domain, bool is_file,
     res.isFile = is_file;
     res.fileKey = file_key;
     accountPages(0); // No pages yet, but the resource raises the peak.
-    stats_.counter("resources_created").inc();
+    stats_.inc(metadataStat("resources_created"));
     return res;
 }
 
@@ -92,7 +98,7 @@ MetadataStore::cloneResource(const Resource& src, DomainId new_domain)
             meta.chunks = std::make_shared<ChunkState>(*meta.chunks);
     }
     accountPages(static_cast<std::int64_t>(res.pages.size()));
-    stats_.counter("resources_cloned").inc();
+    stats_.inc(metadataStat("resources_cloned"));
     return res;
 }
 
@@ -115,7 +121,7 @@ MetadataStore::destroyResource(ResourceId id)
         resources_.erase(it);
         accountPages(-pages);
     }
-    stats_.counter("resources_destroyed").inc();
+    stats_.inc(metadataStat("resources_destroyed"));
 }
 
 void
@@ -223,7 +229,7 @@ MetadataStore::seal(const Resource& res, const crypto::HmacKey& seal_key,
 
     crypto::Digest mac = crypto::hmacSha256(seal_key, out);
     out.insert(out.end(), mac.begin(), mac.end());
-    stats_.counter("seals").inc();
+    stats_.inc(metadataStat("seals"));
     return out;
 }
 
@@ -241,7 +247,7 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
     std::span<const std::uint8_t> mac = bundle.last(mac_size);
     crypto::Digest expect = crypto::hmacSha256(seal_key, body);
     if (!constantTimeEqual(expect, mac)) {
-        stats_.counter("unseal_bad_mac").inc();
+        stats_.inc(metadataStat("unseal_bad_mac"));
         return Error(CloakError::SealBadMac);
     }
 
@@ -258,14 +264,14 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
     std::memcpy(identity.data(), body.data() + pos, identity.size());
     pos += identity.size();
     if (!constantTimeEqual(identity, owner_identity)) {
-        stats_.counter("unseal_bad_identity").inc();
+        stats_.inc(metadataStat("unseal_bad_identity"));
         return Error(CloakError::SealBadIdentity);
     }
 
     // Rollback detection: refuse bundles older than the newest seal we
     // have witnessed for this file key.
     if (version < lastSealedVersion(file_key)) {
-        stats_.counter("unseal_rollback").inc();
+        stats_.inc(metadataStat("unseal_rollback"));
         return Error(CloakError::SealRollback);
     }
 
@@ -302,7 +308,7 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
     // been accepted, anything older is a replay — even in a store that
     // never sealed this file key itself (fresh boot).
     raiseSealFloor(file_key, version);
-    stats_.counter("unseals").inc();
+    stats_.inc(metadataStat("unseals"));
     return {};
 }
 

@@ -221,9 +221,6 @@ class MetadataStore
     /** Live resources. */
     std::size_t resourceCount() const { return resources_.size(); }
 
-    /** Live PageMeta entries across every resource. */
-    std::uint64_t pageMetaCount() const { return livePageMetas_; }
-
     /** Rough bytes of VMM-private memory the live metadata occupies. */
     std::uint64_t footprintBytes() const;
 

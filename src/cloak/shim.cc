@@ -2,13 +2,13 @@
 
 #include "base/bytes.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "cloak/transfer.hh"
 #include "crypto/sha256.hh"
 #include "os/kernel.hh"
 #include "vmm/context.hh"
 
 #include <array>
-#include <cstring>
 #include <vector>
 
 namespace osh::cloak
@@ -16,21 +16,6 @@ namespace osh::cloak
 
 using os::Sys;
 using os::SyscallArgs;
-
-namespace
-{
-
-/** splitmix64: the shim's private echo-token stream. */
-std::uint64_t
-splitmix(std::uint64_t& state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 Shim::Shim(CloakEngine& engine, DomainId domain, os::Env& env)
     : engine_(engine), domain_(domain), env_(env)
@@ -96,7 +81,7 @@ Shim::initialize(const std::optional<InheritedLayout>& inherit)
                         os::mapAnon | os::mapCloaked, ~0ull, 0});
         osh_assert(ctc > 0, "CTC allocation failed");
         ctcVa_ = static_cast<GuestVA>(ctc);
-        hyper(vmm::Hypercall::CloakRegisterRegion, {ctcVa_, 1, 0, 0});
+        registerMapping(ctc, 1, 0);
 
         // Uncloaked bounce buffers for marshalling.
         std::int64_t bounce = env_.trapToKernel(
@@ -180,7 +165,7 @@ Shim::marshalledIo(Sys num, std::uint64_t fd, GuestVA user_buf,
         // A kernel claiming more than the chunk would have the copy
         // below overrun the app's buffer with bytes it chose.
         if (static_cast<std::uint64_t>(rv) > chunk)
-            kernelViolation("result_violations",
+            kernelViolation(cloakStat("result_violations"),
                             "syscall result exceeds request");
         if (in && rv > 0)
             copyGuest(user_buf + done, bounceVa_,
@@ -191,9 +176,8 @@ Shim::marshalledIo(Sys num, std::uint64_t fd, GuestVA user_buf,
         if (static_cast<std::uint64_t>(rv) < chunk)
             break;
     }
-    engine_.stats()
-        .counter(in ? "shim_marshalled_reads" : "shim_marshalled_writes")
-        .inc();
+    engine_.stats().inc(in ? cloakStat("shim_marshalled_reads")
+                           : cloakStat("shim_marshalled_writes"));
     return static_cast<std::int64_t>(done);
 }
 
@@ -248,10 +232,7 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
         trap(Sys::Close, {static_cast<std::uint64_t>(fd)});
         return mva;
     }
-    std::array<std::uint64_t, 4> reg{static_cast<std::uint64_t>(mva),
-                                     map_pages,
-                                     static_cast<std::uint64_t>(res), 0};
-    vcpu.hypercall(vmm::Hypercall::CloakRegisterRegion, reg);
+    registerMapping(mva, map_pages, static_cast<ResourceId>(res));
 
     CloakedFile cf;
     cf.fd = static_cast<std::uint64_t>(fd);
@@ -264,7 +245,7 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
     cf.offset = 0;
     cf.writable = (flags & os::openWrite) != 0;
     cloakedFiles_[cf.fd] = cf;
-    engine_.stats().counter("shim_protected_opens").inc();
+    engine_.stats().inc(cloakStat("shim_protected_opens"));
     return fd;
 }
 
@@ -279,7 +260,7 @@ Shim::emulatedRead(CloakedFile& cf, GuestVA buf, std::uint64_t len,
     copyGuest(buf, cf.mapVa + off, n);
     if (!at)
         cf.offset += n;
-    engine_.stats().counter("shim_emulated_reads").inc();
+    engine_.stats().inc(cloakStat("shim_emulated_reads"));
     return static_cast<std::int64_t>(n);
 }
 
@@ -303,12 +284,10 @@ Shim::growMapping(CloakedFile& cf, std::uint64_t new_size)
                              os::mapShared | os::mapCloaked, cf.fd, 0});
     if (mva < 0)
         return mva;
-    std::array<std::uint64_t, 4> reg{static_cast<std::uint64_t>(mva),
-                                     new_pages, cf.resource, 0};
-    vcpu.hypercall(vmm::Hypercall::CloakRegisterRegion, reg);
+    registerMapping(mva, new_pages, cf.resource);
     cf.mapVa = static_cast<GuestVA>(mva);
     cf.mapPages = new_pages;
-    engine_.stats().counter("shim_map_grows").inc();
+    engine_.stats().inc(cloakStat("shim_map_grows"));
     return 0;
 }
 
@@ -340,7 +319,7 @@ Shim::emulatedWrite(CloakedFile& cf, GuestVA buf, std::uint64_t len,
         // later opens see the full file.
         trap(Sys::Ftruncate, {cf.fd, new_end});
     }
-    engine_.stats().counter("shim_emulated_writes").inc();
+    engine_.stats().inc(cloakStat("shim_emulated_writes"));
     return static_cast<std::int64_t>(len);
 }
 
@@ -404,7 +383,7 @@ Shim::closeProtected(std::uint64_t fd)
     trap(Sys::Munmap, {cf.mapVa});
     std::int64_t r = trap(Sys::Close, {cf.fd});
     cloakedFiles_.erase(it);
-    engine_.stats().counter("shim_protected_closes").inc();
+    engine_.stats().inc(cloakStat("shim_protected_closes"));
     return r;
 }
 
@@ -436,19 +415,30 @@ Shim::marshalArena()
 std::uint64_t
 Shim::nextBatchNonce()
 {
-    return splitmix(batchNonceState_);
+    return splitmix64(batchNonceState_);
 }
 
 [[noreturn]] void
-Shim::kernelViolation(const char* stat, const std::string& what)
+Shim::kernelViolation(StatSlot stat, const std::string& what)
 {
-    engine_.stats().counter(stat).inc();
+    engine_.stats().inc(stat);
     Pid pid = 0;
     if (Domain* d = engine_.findDomain(domain_))
         pid = d->pid;
     osh_warn("domain %llu: %s", static_cast<unsigned long long>(domain_),
              what.c_str());
     throw vmm::ProcessKilled{pid, "cloak violation: " + what};
+}
+
+void
+Shim::registerMapping(std::int64_t va, std::uint64_t pages,
+                      ResourceId resource)
+{
+    std::array<std::uint64_t, 4> reg{static_cast<std::uint64_t>(va),
+                                     pages, resource, 0};
+    if (env_.vcpu().hypercall(vmm::Hypercall::CloakRegisterRegion, reg) < 0)
+        kernelViolation(cloakStat("result_violations"),
+                        "mmap result overlaps a protected region");
 }
 
 std::int64_t
@@ -480,7 +470,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             rejected(d) ? -os::errInval : syscall(env_, d.num, d.args);
         os::BatchComp comp{static_cast<std::uint64_t>(rv), d.echo};
         env_.writeBytes(app_comp, os::encodeComps(std::span(&comp, 1)));
-        engine_.stats().counter("shim_batches").inc();
+        engine_.stats().inc(cloakStat("shim_batches"));
         return 1;
     }
 
@@ -527,7 +517,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             for (const KernelSlot& s : slots)
                 results[s.appIndex] = rv;
         } else if (static_cast<std::uint64_t>(rv) != slots.size()) {
-            kernelViolation("ring_violations",
+            kernelViolation(cloakStat("ring_violations"),
                             "syscall ring tampered (completion count "
                             "mismatch)");
         } else {
@@ -541,12 +531,12 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
                 const KernelSlot& s = slots[k];
                 auto res = static_cast<std::int64_t>(comps[k].result);
                 if (comps[k].echo != s.nonce)
-                    kernelViolation("ring_violations",
+                    kernelViolation(cloakStat("ring_violations"),
                                     "syscall ring tampered (echo token "
                                     "mismatch)");
                 if (os::isTransfer(s.desc.num) &&
                     res > static_cast<std::int64_t>(s.len))
-                    kernelViolation("ring_violations",
+                    kernelViolation(cloakStat("ring_violations"),
                                     "syscall ring tampered (result "
                                     "exceeds request)");
                 if (os::transfersIn(s.desc.num) && res > 0) {
@@ -558,8 +548,8 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
                 results[s.appIndex] = res;
             }
         }
-        engine_.stats().counter("shim_batch_traps").inc();
-        engine_.stats().counter("shim_batched_calls").inc(slots.size());
+        engine_.stats().inc(cloakStat("shim_batch_traps"));
+        engine_.stats().inc(cloakStat("shim_batched_calls"), slots.size());
         slots.clear();
         stageUsed = 0;
     };
@@ -630,7 +620,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     for (std::uint64_t i = 0; i < count; ++i)
         acomps[i] = {static_cast<std::uint64_t>(results[i]), descs[i].echo};
     env_.writeBytes(app_comp, os::encodeComps(acomps));
-    engine_.stats().counter("shim_batches").inc();
+    engine_.stats().inc(cloakStat("shim_batches"));
     return static_cast<std::int64_t>(count);
 }
 
@@ -654,10 +644,7 @@ Shim::shimMmap(const SyscallArgs& args)
 {
     std::int64_t rv = trap(Sys::Mmap, args);
     if (rv > 0 && (args[2] & os::mapCloaked) && (args[2] & os::mapAnon)) {
-        std::uint64_t pages = roundUpToPage(args[0]) / pageSize;
-        std::array<std::uint64_t, 4> reg{static_cast<std::uint64_t>(rv),
-                                         pages, 0, 0};
-        env_.vcpu().hypercall(vmm::Hypercall::CloakRegisterRegion, reg);
+        registerMapping(rv, roundUpToPage(args[0]) / pageSize, 0);
     }
     return rv;
 }

@@ -69,11 +69,8 @@ class Shim : public os::SyscallInterposer
     /** Tear down hooks (before exec / exit). */
     void detach();
 
-    DomainId domain() const { return domain_; }
     GuestVA ctcVa() const { return ctcVa_; }
     GuestVA bounceVa() const { return bounceVa_; }
-    /** The persistent marshal arena (0 until the first real batch). */
-    GuestVA arenaVa() const { return arenaVa_; }
 
     /** Cloak fork token minted at the last Fork syscall (consumed by
      *  the system layer when starting the child). */
@@ -172,8 +169,14 @@ class Shim : public os::SyscallInterposer
     /** Kill this process as a cloak violation: a kernel result broke
      *  the contract of the call or the syscall ring (@p what), counted
      *  under @p stat. */
-    [[noreturn]] void kernelViolation(const char* stat,
+    [[noreturn]] void kernelViolation(StatSlot stat,
                                       const std::string& what);
+
+    /** Cloak @p pages at @p va, an address the kernel's mmap returned
+     *  (backed by @p resource, 0 for a fresh one). An address that
+     *  overlaps a protected region is a kernel violation. */
+    void registerMapping(std::int64_t va, std::uint64_t pages,
+                         ResourceId resource);
 
     static std::uint64_t pathKey(const std::string& path);
 

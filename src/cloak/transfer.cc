@@ -61,7 +61,7 @@ SecureTransfer::restoreFromCtc(CloakEngine& engine, DomainId domain,
         Pid pid = 0;
         if (Domain* d = engine.findDomain(domain))
             pid = d->pid;
-        engine.stats().counter("ctc_violations").inc();
+        engine.stats().inc(cloakStat("ctc_violations"));
         throw vmm::ProcessKilled{
             pid, "cloak violation: thread context tampered"};
     }

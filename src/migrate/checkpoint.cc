@@ -515,9 +515,11 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
         local.push_back(res.id);
     }
     for (const ParsedImage::RegionRec& r : img.regions) {
-        engine->registerRegion(domain, r.start, r.pages,
-                               local[r.resourceIndex],
-                               r.resourcePageOffset);
+        bool ok = engine->registerRegion(domain, r.start, r.pages,
+                                         local[r.resourceIndex],
+                                         r.resourcePageOffset)
+                      .ok();
+        osh_assert(ok, "restored region overlap");
     }
     engine->bindCtc(domain, img.ctcVa);
     if (img.ctcHashValid)

@@ -67,7 +67,6 @@ ImageWriter::append(RecordType type, std::span<const std::uint8_t> payload)
     out_.insert(out_.end(), payload.begin(), payload.end());
     out_.insert(out_.end(), mac.begin(), mac.end());
     prevMac_ = mac;
-    ++records_;
 }
 
 std::vector<std::uint8_t>

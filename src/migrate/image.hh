@@ -111,14 +111,10 @@ class ImageWriter
     /** Finish the stream with the End record and take the bytes. */
     std::vector<std::uint8_t> finish();
 
-    /** Records appended so far (End not included until finish()). */
-    std::uint64_t records() const { return records_; }
-
   private:
     crypto::HmacKey key_;
     crypto::Digest prevMac_{};
     std::vector<std::uint8_t> out_;
-    std::uint64_t records_ = 0;
     bool finished_ = false;
 };
 

@@ -107,12 +107,6 @@ AddressSpace::findPte(GuestVA va_page)
     return it == ptes_.end() ? nullptr : &it->second;
 }
 
-void
-AddressSpace::erasePte(GuestVA va_page)
-{
-    ptes_.erase(pageBase(va_page));
-}
-
 std::uint64_t
 AddressSpace::residentPages() const
 {

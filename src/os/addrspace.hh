@@ -104,9 +104,6 @@ class AddressSpace
     const Pte* findPte(GuestVA va_page) const;
     Pte* findPte(GuestVA va_page);
 
-    /** Drop a PTE entirely (after eviction bookkeeping). */
-    void erasePte(GuestVA va_page);
-
     const std::map<GuestVA, Vma>& vmas() const { return vmas_; }
     std::map<GuestVA, Vma>& vmas() { return vmas_; }
 

@@ -23,7 +23,6 @@
 #include "os/syscalls.hh"
 #include "os/thread.hh"
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -119,7 +118,6 @@ class Env
     std::int64_t trapToKernel(Sys num, const SyscallArgs& args);
 
     void setInterposer(SyscallInterposer* in) { interposer_ = in; }
-    SyscallInterposer* interposer() { return interposer_; }
 
     /** Hook wrapping the raw kernel entry (set by the cloak runtime). */
     using TrapHook =

@@ -5,8 +5,11 @@
 namespace osh::os
 {
 
+constexpr StatNames framesStat{"allocations", "frees"};
+
 FrameAllocator::FrameAllocator(std::uint64_t num_frames)
-    : frames_(num_frames), freeCount_(num_frames), stats_("frames")
+    : frames_(num_frames), freeCount_(num_frames),
+      stats_("frames", framesStat.names)
 {
     osh_assert(num_frames > 0, "need at least one guest frame");
     freeList_.reserve(num_frames);
@@ -36,7 +39,7 @@ FrameAllocator::allocate(FrameUse use)
     fi = FrameInfo{};
     fi.use = use;
     fi.refCount = 1;
-    stats_.counter("allocations").inc();
+    stats_.inc(framesStat("allocations"));
     return idx * pageSize;
 }
 
@@ -61,7 +64,7 @@ FrameAllocator::unref(Gpa gpa)
     fi = FrameInfo{};
     freeList_.push_back(idx);
     ++freeCount_;
-    stats_.counter("frees").inc();
+    stats_.inc(framesStat("frees"));
     return true;
 }
 

@@ -23,7 +23,7 @@ namespace osh::os
 Kernel::Kernel(vmm::Vmm& vmm, Scheduler& sched, ProgramRegistry& programs)
     : vmm_(vmm), sched_(sched), programs_(programs),
       frames_(vmm.pmap().guestFrames()),
-      swap_(vmm.machine().cost()), stats_("kernel")
+      swap_(vmm.machine().cost()), stats_("kernel", kernelStat.names)
 {
     vmm_.setGuestOs(this);
     swap_.setTracer(&vmm_.machine().tracer());
@@ -77,7 +77,7 @@ void
 Kernel::handleGuestPageFault(vmm::Vcpu& vcpu, GuestVA va,
                              vmm::AccessType access)
 {
-    stats_.counter("page_faults").inc();
+    stats_.inc(kernelStat("page_faults"));
     Asid asid = vcpu.context().asid;
     GuestVA va_page = pageBase(va);
 
@@ -150,7 +150,7 @@ Kernel::handleGuestPageFault(vmm::Vcpu& vcpu, GuestVA va,
         pte.present = true;
         pte.writable = (vma->prot & protWrite) != 0;
         pte.user = true;
-        stats_.counter("anon_faults").inc();
+        stats_.inc(kernelStat("anon_faults"));
         return;
     }
 
@@ -168,7 +168,7 @@ Kernel::handleGuestPageFault(vmm::Vcpu& vcpu, GuestVA va,
     pte.present = true;
     pte.writable = (vma->prot & protWrite) != 0 && vma->shared;
     pte.user = true;
-    stats_.counter("file_faults").inc();
+    stats_.inc(kernelStat("file_faults"));
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ Kernel::createProcess(const std::string& program,
     proc->cloaked = prog->cloaked && cloakingAvailable_;
     Process& ref = *proc;
     processes_[pid] = std::move(proc);
-    stats_.counter("processes_created").inc();
+    stats_.inc(kernelStat("processes_created"));
     return ref;
 }
 
@@ -229,7 +229,7 @@ Kernel::threadOf(Pid pid)
 void
 Kernel::killProcess(Process& proc, const std::string& reason)
 {
-    stats_.counter("kills").inc();
+    stats_.inc(kernelStat("kills"));
     Thread* cur = sched_.current();
     if (cur != nullptr && cur->pid == proc.pid) {
         throw vmm::ProcessKilled{proc.pid, reason};
@@ -283,7 +283,7 @@ Kernel::checkFreezeRequested(Thread& t)
     if (--it->second > 0)
         return;
     freezeRequests_.erase(it);
-    stats_.counter("freezes").inc();
+    stats_.inc(kernelStat("freezes"));
     // A checkpoint may walk swap slots while we are parked: every
     // queued eviction must be fully sealed and committed first.
     vmm_.drainAsyncEvictions();
@@ -356,7 +356,7 @@ Kernel::finalizeExit(Process& proc, int status)
     proc.state = ProcState::Zombie;
     proc.exitStatus = status;
     threads_.erase(proc.pid);
-    stats_.counter("processes_exited").inc();
+    stats_.inc(kernelStat("processes_exited"));
 
     if (host_ != nullptr)
         host_->onProcessExit(proc);
@@ -382,7 +382,7 @@ Kernel::reapOrphanZombies()
     for (Pid pid : orphans)
         processes_.erase(pid);
     if (!orphans.empty())
-        stats_.counter("zombies_reaped").inc(orphans.size());
+        stats_.inc(kernelStat("zombies_reaped"), orphans.size());
     return orphans.size();
 }
 
@@ -553,7 +553,7 @@ Kernel::evictOneFrame()
             if (mit == anonMappers_.end() || mit->second.size() != 1)
                 continue;
             swapOutAnon(gpa);
-            stats_.counter("evicted_anon").inc();
+            stats_.inc(kernelStat("evicted_anon"));
             return true;
         }
         if (fi.use == FrameUse::PageCache) {
@@ -566,7 +566,7 @@ Kernel::evictOneFrame()
             if (cit->second.dirty)
                 writebackPage(ino, fi.pageIndex);
             dropPageCachePage(ino, fi.pageIndex);
-            stats_.counter("evicted_pagecache").inc();
+            stats_.inc(kernelStat("evicted_pagecache"));
             return true;
         }
     }
@@ -590,7 +590,7 @@ Kernel::forceSwapOut(Pid pid, GuestVA va_page)
     if (mit == anonMappers_.end() || mit->second.size() != 1)
         return false;
     swapOutAnon(gpa);
-    stats_.counter("forced_swap_outs").inc();
+    stats_.inc(kernelStat("forced_swap_outs"));
     return true;
 }
 
@@ -626,7 +626,7 @@ Kernel::swapOutAnon(Gpa gpa)
             attackHooks_->onSwapOut(*this, slot, replay_key);
         });
     if (async_queued) {
-        stats_.counter("async_swap_outs").inc();
+        stats_.inc(kernelStat("async_swap_outs"));
     } else {
         // Synchronous path (async disabled, or an uncloaked frame).
         // Read the victim frame through the kernel view. If it holds a
@@ -683,7 +683,7 @@ Kernel::swapIn(Process& proc, GuestVA va_page, Pte& pte, const Vma& vma)
     pte.writable = (vma.prot & protWrite) != 0 && !pte.cow;
     attackHooks_->onSwapRelease(*this, slot);
     swap_.release(slot);
-    stats_.counter("swap_ins").inc();
+    stats_.inc(kernelStat("swap_ins"));
 }
 
 void
@@ -728,7 +728,7 @@ Kernel::writebackPage(Inode& ino, std::uint64_t page_index,
                 cost.params().diskPerByte * pageSize,
                 "file_writeback");
     cit->second.dirty = false;
-    stats_.counter("writebacks").inc();
+    stats_.inc(kernelStat("writebacks"));
 }
 
 void
@@ -808,7 +808,7 @@ Kernel::ensureCached(InodeId ino_id, std::uint64_t page_index)
     it->second.gpa = gpa;
     it->second.dirty = false;
     it->second.mapCount = 0;
-    stats_.counter("pagecache_fills").inc();
+    stats_.inc(kernelStat("pagecache_fills"));
     return it->second;
 }
 
@@ -818,7 +818,7 @@ Kernel::breakCow(Process& proc, GuestVA va_page, Pte& pte)
     osh_assert(pte.present && pte.cow, "breakCow on non-COW page");
     Gpa old_gpa = pageBase(pte.gpa);
     FrameInfo& fi = frames_.info(old_gpa);
-    stats_.counter("cow_breaks").inc();
+    stats_.inc(kernelStat("cow_breaks"));
 
     if (fi.refCount == 1) {
         // Last sharer: take exclusive ownership.

@@ -32,7 +32,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,17 @@ class ProcessHost
 
     /** Called after a process fully exited (cloak teardown etc.). */
     virtual void onProcessExit(Process& proc) = 0;
+};
+
+/** Counters of the "kernel" group (kernel.cc, kernel_syscalls.cc). */
+inline constexpr StatNames kernelStat{
+    "anon_faults", "async_swap_outs", "batched_syscalls", "batches",
+    "cow_breaks", "evicted_anon", "evicted_pagecache", "execs", "file_faults",
+    "file_preads", "file_pwrites", "file_reads", "file_writes",
+    "forced_swap_outs", "forks", "freezes", "fsyncs", "kills", "mmaps",
+    "munmaps", "opens", "page_faults", "pagecache_fills", "pipes_created",
+    "processes_created", "processes_exited", "signals_delivered", "spawns",
+    "swap_ins", "writebacks", "zombies_reaped",
 };
 
 /** The guest kernel. */
@@ -378,7 +388,6 @@ class Kernel : public vmm::GuestOsHooks
     AttackHooks noAttackHooks_;
     AttackHooks* attackHooks_ = &noAttackHooks_;
     StatGroup stats_;
-    CounterSlot batchedSyscalls_; ///< stats_ "batched_syscalls".
 };
 
 /** RAII: switch a thread's vcpu into kernel mode (system view). */

@@ -255,7 +255,7 @@ Kernel::maybeDeliverSignal(Thread& t)
             t.deliverSignal = sig;
             t.deliverSignalToken =
                 p.signals[static_cast<std::size_t>(sig)].token;
-            stats_.counter("signals_delivered").inc();
+            stats_.inc(kernelStat("signals_delivered"));
             return;
         }
         // Default action: terminate.
@@ -303,7 +303,7 @@ Kernel::sysMmap(Thread&, std::uint64_t len, std::uint64_t prot,
     if (va == 0)
         return -errNoMem;
     pinVmaInode(vma);
-    stats_.counter("mmaps").inc();
+    stats_.inc(kernelStat("mmaps"));
     return static_cast<std::int64_t>(va);
 }
 
@@ -322,7 +322,7 @@ Kernel::sysMunmap(Thread&, GuestVA va)
         vmm_.invalidateVa(p.as.asid(), dropped_vas[i]);
     }
     unpinVmaInode(*vma);
-    stats_.counter("munmaps").inc();
+    stats_.inc(kernelStat("munmaps"));
     return 0;
 }
 
@@ -362,7 +362,7 @@ Kernel::sysOpen(Thread& t, GuestVA path_va, std::uint64_t flags)
     file->inode = ino.id;
     file->flags = flags;
     ino.openCount++;
-    stats_.counter("opens").inc();
+    stats_.inc(kernelStat("opens"));
     return p.allocFd(std::move(file));
 }
 
@@ -530,7 +530,7 @@ Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
     std::int64_t n = readAt(t, vfs_.inode(f->inode), f->offset, buf, len);
     if (n > 0) {
         f->offset += static_cast<std::uint64_t>(n);
-        stats_.counter("file_reads").inc();
+        stats_.inc(kernelStat("file_reads"));
     }
     return n;
 }
@@ -555,7 +555,7 @@ Kernel::sysWrite(Thread& t, std::uint64_t fd, GuestVA buf,
     std::int64_t n = writeAt(t, vfs_.inode(f->inode), f->offset, buf, len);
     if (n >= 0) {
         f->offset += static_cast<std::uint64_t>(n);
-        stats_.counter("file_writes").inc();
+        stats_.inc(kernelStat("file_writes"));
     }
     return n;
 }
@@ -579,7 +579,7 @@ Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
 
     std::int64_t n = readAt(t, vfs_.inode(f->inode), off, buf, len);
     if (n > 0)
-        stats_.counter("file_preads").inc();
+        stats_.inc(kernelStat("file_preads"));
     return n;
 }
 
@@ -600,7 +600,7 @@ Kernel::sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
 
     std::int64_t n = writeAt(t, vfs_.inode(f->inode), off, buf, len);
     if (n >= 0)
-        stats_.counter("file_pwrites").inc();
+        stats_.inc(kernelStat("file_pwrites"));
     return n;
 }
 
@@ -729,7 +729,7 @@ Kernel::sysFsync(Thread& t, std::uint64_t fd)
         first = false;
     }
     attackHooks_->onFsync(*this, t, ino.id);
-    stats_.counter("fsyncs").inc();
+    stats_.inc(kernelStat("fsyncs"));
     return 0;
 }
 
@@ -757,7 +757,7 @@ Kernel::sysPipe(Thread& t, GuestVA fds_out)
     storeLe32(out.data(), static_cast<std::uint32_t>(rfd));
     storeLe32(out.data() + 4, static_cast<std::uint32_t>(wfd));
     copyToUser(t, fds_out, out);
-    stats_.counter("pipes_created").inc();
+    stats_.inc(kernelStat("pipes_created"));
     return 0;
 }
 
@@ -848,7 +848,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
             cost.charge(cost.params().batchDispatch, "batch_dispatch");
             r = dispatchSyscall(t, d.num, d.args[0], d.args[1],
                                 d.args[2], d.args[3], d.args[4]);
-            batchedSyscalls_.get(stats_, "batched_syscalls").inc();
+            stats_.inc(kernelStat("batched_syscalls"));
         }
         comps[i] = {static_cast<std::uint64_t>(r), d.echo};
     }
@@ -857,7 +857,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     // The hostile-kernel window on the completion side: results are in
     // user memory now, the caller has not read them yet.
     attackHooks_->onBatchComplete(*this, t, comp_va, count);
-    stats_.counter("batches").inc();
+    stats_.inc(kernelStat("batches"));
     return static_cast<std::int64_t>(count);
 }
 
@@ -896,7 +896,7 @@ Kernel::sysSpawn(Thread& t, GuestVA name_va, GuestVA argv_va,
     Process& child = createProcess(name, std::move(argv), p.pid);
     osh_assert(host_ != nullptr, "no process host attached");
     host_->startProgram(child);
-    stats_.counter("spawns").inc();
+    stats_.inc(kernelStat("spawns"));
     return child.pid;
 }
 
@@ -1038,7 +1038,7 @@ Kernel::sysFork(Thread& t, std::uint64_t token)
 
     osh_assert(host_ != nullptr, "no process host attached");
     host_->startForkChild(parent, child, token);
-    stats_.counter("forks").inc();
+    stats_.inc(kernelStat("forks"));
     return child.pid;
 }
 
@@ -1063,7 +1063,7 @@ Kernel::sysExec(Thread& t, GuestVA name_va, GuestVA argv_va,
     t.pendingExecProgram = name;
     t.pendingExecArgv = std::move(argv);
     attackHooks_->onExec(*this, t, name);
-    stats_.counter("execs").inc();
+    stats_.inc(kernelStat("execs"));
     return 0;
 }
 

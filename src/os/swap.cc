@@ -7,8 +7,10 @@
 namespace osh::os
 {
 
+constexpr StatNames swapStat{"slots_scrubbed"};
+
 SwapDevice::SwapDevice(sim::CostModel& cost, std::uint64_t max_slots)
-    : cost_(cost), maxSlots_(max_slots), stats_("swap")
+    : cost_(cost), maxSlots_(max_slots), stats_("swap", swapStat.names)
 {
 }
 
@@ -40,7 +42,7 @@ SwapDevice::release(SwapSlot slot)
     used_[slot] = false;
     freeList_.push_back(slot);
     --inUse_;
-    stats_.counter("slots_scrubbed").inc();
+    stats_.inc(swapStat("slots_scrubbed"));
 }
 
 void

@@ -74,10 +74,6 @@ class SwapDevice
 
     /** Slots ever backed, in use or free. */
     std::uint64_t slotsBacked() const { return slots_.size(); }
-    bool slotInUse(SwapSlot slot) const
-    {
-        return slot < used_.size() && used_[slot];
-    }
     /** Bytes of any backed slot, free ones included (oracle scans). */
     std::span<const std::uint8_t> slotBytes(SwapSlot slot) const;
 

@@ -35,6 +35,11 @@
 namespace osh::os
 {
 
+constexpr StatNames schedStat{
+    "blocks", "cpu_migrations", "dispatches", "freezes", "preemptions",
+    "thaws", "threads_created", "wakeups", "yields",
+};
+
 namespace
 {
 
@@ -79,7 +84,8 @@ unpoisonStack([[maybe_unused]] void* base)
 
 } // namespace
 
-Scheduler::Scheduler(sim::CostModel& cost) : cost_(cost), stats_("sched")
+Scheduler::Scheduler(sim::CostModel& cost)
+    : cost_(cost), stats_("sched", schedStat.names)
 {
 }
 
@@ -98,9 +104,9 @@ Scheduler::assignCpu(Thread* t)
 {
     auto slot = static_cast<std::uint32_t>(nextCpuSlot_);
     nextCpuSlot_ = (nextCpuSlot_ + 1) % cpuCount_;
-    dispatches_.get(stats_, "dispatches").inc();
+    stats_.inc(schedStat("dispatches"));
     if (t->vcpu.cpu() != slot) {
-        cpuMigrations_.get(stats_, "cpu_migrations").inc();
+        stats_.inc(schedStat("cpu_migrations"));
         t->vcpu.setCpu(slot);
     }
 }
@@ -166,7 +172,7 @@ Scheduler::createThread(Pid pid, vmm::Vmm& vmm, const vmm::Context& ctx,
     readyQueue_.push_back(t);
     ++liveCount_;
     ++started_;
-    threadsCreated_.get(stats_, "threads_created").inc();
+    stats_.inc(schedStat("threads_created"));
     return *t;
 }
 
@@ -279,7 +285,7 @@ Scheduler::yield()
         return;
     cur->state = Thread::State::Ready;
     readyQueue_.push_back(cur);
-    yields_.get(stats_, "yields").inc();
+    stats_.inc(schedStat("yields"));
     switchFrom(cur, false);
 }
 
@@ -293,7 +299,7 @@ Scheduler::preempt()
     cost_.charge(cost_.params().interruptDeliver, "timer_interrupt");
     cur->state = Thread::State::Ready;
     readyQueue_.push_back(cur);
-    preemptions_.get(stats_, "preemptions").inc();
+    stats_.inc(schedStat("preemptions"));
     switchFrom(cur, false);
 }
 
@@ -304,7 +310,7 @@ Scheduler::block(const void* channel)
     osh_assert(cur != nullptr, "block outside guest context");
     cur->state = Thread::State::Blocked;
     cur->waitChannel = channel;
-    blocks_.get(stats_, "blocks").inc();
+    stats_.inc(schedStat("blocks"));
     switchFrom(cur, false);
     cur->waitChannel = nullptr;
 }
@@ -321,7 +327,7 @@ Scheduler::wakeAll(const void* channel)
             t->state = Thread::State::Ready;
             t->waitChannel = nullptr;
             readyQueue_.push_back(t);
-            wakeups_.get(stats_, "wakeups").inc();
+            stats_.inc(schedStat("wakeups"));
         }
         active_[out++] = t;
     }
@@ -335,7 +341,7 @@ Scheduler::wakeThread(Thread& t)
         t.state = Thread::State::Ready;
         t.waitChannel = nullptr;
         readyQueue_.push_back(&t);
-        wakeups_.get(stats_, "wakeups").inc();
+        stats_.inc(schedStat("wakeups"));
     }
 }
 
@@ -347,7 +353,7 @@ Scheduler::freezeCurrent()
     cur->state = Thread::State::Blocked;
     cur->waitChannel = &frozenChannel_;
     ++frozenCount_;
-    freezes_.get(stats_, "freezes").inc();
+    stats_.inc(schedStat("freezes"));
     switchFrom(cur, false);
     cur->waitChannel = nullptr;
 }
@@ -370,7 +376,7 @@ Scheduler::resumeFrozen(Thread& t)
     t.waitChannel = nullptr;
     --frozenCount_;
     readyQueue_.push_back(&t);
-    thaws_.get(stats_, "thaws").inc();
+    stats_.inc(schedStat("thaws"));
 }
 
 std::size_t

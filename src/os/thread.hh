@@ -155,13 +155,10 @@ class Scheduler
     /** Is this thread parked on the freeze channel? */
     bool isFrozen(const Thread& t) const;
 
-    /** Number of threads currently parked on the freeze channel. */
-    std::uint64_t frozenThreads() const { return frozenCount_; }
-
     /**
      * Driver context: run the simulation until every guest thread has
      * exited — or, when threads are frozen, until no unfrozen thread is
-     * runnable (the paused state; check liveThreads() to distinguish).
+     * runnable (the paused state).
      * Returns the number of threads that ran.
      */
     std::uint64_t run();
@@ -185,10 +182,6 @@ class Scheduler
      * thread warms) varies. Must be set before run().
      */
     void configureCpus(std::size_t count);
-    std::size_t cpuCount() const { return cpuCount_; }
-
-    /** Number of live (non-zombie) threads. */
-    std::uint64_t liveThreads() const { return liveCount_; }
 
     /**
      * Driver context (no thread running): release every guest thread
@@ -282,15 +275,6 @@ class Scheduler
     std::size_t mappedStacks_ = 0;
 
     StatGroup stats_;
-    CounterSlot threadsCreated_; ///< stats_ "threads_created".
-    CounterSlot yields_;         ///< stats_ "yields".
-    CounterSlot preemptions_;    ///< stats_ "preemptions".
-    CounterSlot blocks_;         ///< stats_ "blocks".
-    CounterSlot wakeups_;        ///< stats_ "wakeups".
-    CounterSlot freezes_;        ///< stats_ "freezes".
-    CounterSlot thaws_;          ///< stats_ "thaws".
-    CounterSlot dispatches_;     ///< stats_ "dispatches" (SMP only).
-    CounterSlot cpuMigrations_;  ///< stats_ "cpu_migrations" (SMP only).
 };
 
 } // namespace osh::os

@@ -5,7 +5,11 @@
 namespace osh::os
 {
 
-Vfs::Vfs() : stats_("vfs")
+constexpr StatNames vfsStat{
+    "dirs_created", "files_created", "inodes_reaped", "unlinks",
+};
+
+Vfs::Vfs() : stats_("vfs", vfsStat.names)
 {
     auto root = std::make_unique<Inode>();
     root->id = nextId_++;
@@ -119,8 +123,8 @@ Vfs::create(const std::string& path, InodeType type)
     InodeId id = node->id;
     inodes_[id] = std::move(node);
     parent.entries[pp.leaf] = id;
-    stats_.counter(type == InodeType::File ? "files_created"
-                                           : "dirs_created").inc();
+    stats_.inc(type == InodeType::File ? vfsStat("files_created")
+                                       : vfsStat("dirs_created"));
     return static_cast<std::int64_t>(id);
 }
 
@@ -140,7 +144,7 @@ Vfs::unlink(const std::string& path)
     osh_assert(victim.nlink > 0, "unlink with zero nlink");
     --victim.nlink;
     parent.entries.erase(it);
-    stats_.counter("unlinks").inc();
+    stats_.inc(vfsStat("unlinks"));
     return 0;
 }
 
@@ -194,7 +198,7 @@ Vfs::reapIfUnreferenced(InodeId id)
     for (auto& [idx, entry] : node.cache)
         pages.push_back(entry);
     inodes_.erase(it);
-    stats_.counter("inodes_reaped").inc();
+    stats_.inc(vfsStat("inodes_reaped"));
     return pages;
 }
 

@@ -18,8 +18,6 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 
-#include <unordered_map>
-
 namespace osh::sim
 {
 
@@ -61,6 +59,38 @@ struct CostParams
     Cycles batchDispatch = 40;   ///< Decoding+routing one ring descriptor.
 };
 
+/**
+ * Every named cost event, one counter each in the "cost" group: the
+ * keys perfbench reports as sim.events.*.
+ */
+inline constexpr StatNames costEventNames{
+    "asid_flush", "async_evict_stall", "batch_dispatch", "chunk_decrypt",
+    "chunk_encrypt", "chunk_reencrypt_clean", "cloak_fork_launch",
+    "cloak_intr_enter", "cloak_intr_return", "cloak_launch",
+    "cloak_restore_launch", "cloak_scrub_zero", "cloak_trap_enter",
+    "cloak_trap_return", "cloak_zero_fill", "context_switch", "cow_copy",
+    "ctc_restore", "ctc_save", "file_readin", "file_writeback",
+    "fork_eager_copy", "hypercall", "invlpg", "metadata_hit", "metadata_miss",
+    "mpa_invalidate", "mpa_suspend", "page_decrypt", "page_decrypt_victim",
+    "page_encrypt", "page_encrypt_async_enqueue", "page_reencrypt_clean",
+    "page_reencrypt_victim", "page_seal_equalized", "page_zero",
+    "shadow_fill", "shadow_revalidate", "sleep", "swap_in", "swap_out",
+    "switch_flush", "syscall", "timer_interrupt", "tlb_fill", "vm_exit",
+};
+
+/**
+ * One cost event, named by its literal where it is charged:
+ * `cost.charge(c, "page_zero")`. The conversion only runs at compile
+ * time, so a name missing from costEventNames fails the build; adding
+ * an event is one entry there.
+ */
+struct CostEvent
+{
+    consteval CostEvent(const char* name) : slot(costEventNames(name)) {}
+
+    StatSlot slot;
+};
+
 /** Global cycle accumulator plus per-event statistics. */
 class CostModel
 {
@@ -68,12 +98,13 @@ class CostModel
     /** Charge raw cycles. */
     void charge(Cycles c) { cycles_ += c; }
 
-    /**
-     * Charge cycles and count the named event once. @p event must be a
-     * string literal: its counter is cached by address after the first
-     * charge.
-     */
-    void charge(Cycles c, const char* event);
+    /** Charge cycles and count @p event once. */
+    void
+    charge(Cycles c, CostEvent event)
+    {
+        cycles_ += c;
+        stats_.inc(event.slot);
+    }
 
     /** Simulated time so far. */
     Cycles cycles() const { return cycles_; }
@@ -95,9 +126,7 @@ class CostModel
   private:
     static constexpr CostParams params_{};
     Cycles cycles_ = 0;
-    StatGroup stats_{"cost"};
-    /** Event literal -> its counter in stats_. */
-    std::unordered_map<const char*, CounterSlot> events_;
+    StatGroup stats_{"cost", costEventNames.names};
 };
 
 } // namespace osh::sim

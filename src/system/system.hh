@@ -26,7 +26,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 namespace osh::system

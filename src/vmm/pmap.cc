@@ -5,8 +5,11 @@
 namespace osh::vmm
 {
 
+constexpr StatNames pmapStat{"frames_backed"};
+
 Pmap::Pmap(sim::Machine& machine, std::uint64_t guest_frames)
-    : machine_(machine), backing_(guest_frames, badAddr), stats_("pmap")
+    : machine_(machine), backing_(guest_frames, badAddr),
+      stats_("pmap", pmapStat.names)
 {
     if (guest_frames > machine.memory().numFrames()) {
         osh_fatal("guest physical memory (%llu frames) exceeds machine "
@@ -29,7 +32,7 @@ Pmap::translate(Gpa gpa)
                    "machine out of frames backing guest memory");
         backing_[frame] = nextFrame_ * pageSize;
         ++nextFrame_;
-        stats_.counter("frames_backed").inc();
+        stats_.inc(pmapStat("frames_backed"));
     }
     return backing_[frame] + pageOffset(gpa);
 }

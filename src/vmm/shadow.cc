@@ -5,7 +5,12 @@
 namespace osh::vmm
 {
 
-ShadowManager::ShadowManager() : stats_("shadow")
+constexpr StatNames shadowStat{
+    "asid_invalidations", "full_invalidations", "installs",
+    "mpa_invalidations", "mpa_suspends", "reactivations", "va_invalidations",
+};
+
+ShadowManager::ShadowManager() : stats_("shadow", shadowStat.names)
 {
 }
 
@@ -36,7 +41,7 @@ ShadowManager::install(const Context& ctx, GuestVA va_page,
     }
     pm[va_page] = Slot{entry, false};
     reverse_[entry.mpa].push_back({ctx, va_page});
-    stats_.counter("installs").inc();
+    stats_.inc(shadowStat("installs"));
 }
 
 bool
@@ -53,7 +58,7 @@ ShadowManager::reactivate(const Context& ctx, GuestVA va_page,
     }
     eit->second.entry = entry;
     eit->second.suspended = false;
-    stats_.counter("reactivations").inc();
+    stats_.inc(shadowStat("reactivations"));
     return true;
 }
 
@@ -87,7 +92,7 @@ ShadowManager::invalidateVa(Asid asid, GuestVA va_page)
             dropFromReverse(eit->second.entry.mpa, ctx, va_page);
             pm.erase(eit);
             --liveSlots_;
-            stats_.counter("va_invalidations").inc();
+            stats_.inc(shadowStat("va_invalidations"));
         }
     }
 }
@@ -109,7 +114,7 @@ ShadowManager::invalidateAsid(Asid asid)
         liveSlots_ -= it->second.size();
         it = shadows_.erase(it);
     }
-    stats_.counter("asid_invalidations").inc();
+    stats_.inc(shadowStat("asid_invalidations"));
 }
 
 void
@@ -127,7 +132,7 @@ ShadowManager::invalidateMpa(Mpa frame_base)
             continue;
         liveSlots_ -= sit->second.erase(m.vaPage);
     }
-    stats_.counter("mpa_invalidations").inc();
+    stats_.inc(shadowStat("mpa_invalidations"));
 }
 
 void
@@ -144,7 +149,7 @@ ShadowManager::suspendMpa(Mpa frame_base)
         if (eit != sit->second.end())
             eit->second.suspended = true;
     }
-    stats_.counter("mpa_suspends").inc();
+    stats_.inc(shadowStat("mpa_suspends"));
 }
 
 void
@@ -153,7 +158,7 @@ ShadowManager::invalidateAll()
     shadows_.clear();
     reverse_.clear();
     liveSlots_ = 0;
-    stats_.counter("full_invalidations").inc();
+    stats_.inc(shadowStat("full_invalidations"));
 }
 
 std::size_t

@@ -102,9 +102,6 @@ class ShadowManager
     /** Active entries belonging to one address space (tests). */
     std::size_t entryCount(Asid asid) const;
 
-    /** Resident slots right now, active + suspended (O(1)). */
-    std::size_t slotCount() const { return liveSlots_; }
-
     /**
      * High-water mark of resident slots over the manager's lifetime —
      * the shadow-page-table memory a real VMM would have had to hold.

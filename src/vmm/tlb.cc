@@ -3,8 +3,12 @@
 namespace osh::vmm
 {
 
+constexpr StatNames tlbStat{
+    "evictions", "fifo_compactions", "full_flushes", "hits", "misses",
+};
+
 Tlb::Tlb(std::size_t capacity, const char* name)
-    : capacity_(capacity), stats_(name)
+    : capacity_(capacity), stats_(name, tlbStat.names)
 {
     osh_assert(capacity > 0, "TLB needs capacity");
 }
@@ -14,10 +18,10 @@ Tlb::lookup(const Context& ctx, GuestVA va_page)
 {
     auto it = entries_.find(Key{ctx, va_page});
     if (it == entries_.end()) {
-        misses_.get(stats_, "misses").inc();
+        stats_.inc(tlbStat("misses"));
         return std::nullopt;
     }
-    hits_.get(stats_, "hits").inc();
+    stats_.inc(tlbStat("hits"));
     return it->second;
 }
 
@@ -51,7 +55,7 @@ Tlb::evictOne()
             continue; // Stale occurrence; a newer one is queued behind.
         queued_.erase(qit);
         if (entries_.erase(victim) > 0) {
-            evictions_.get(stats_, "evictions").inc();
+            stats_.inc(tlbStat("evictions"));
             return;
         }
         // Last occurrence of an invalidated key: nothing to evict.
@@ -76,7 +80,7 @@ Tlb::compactFifo()
     }
     fifo_ = std::move(fresh);
     queued_ = std::move(seen);
-    fifoCompactions_.get(stats_, "fifo_compactions").inc();
+    stats_.inc(tlbStat("fifo_compactions"));
 }
 
 void
@@ -120,7 +124,7 @@ Tlb::flushAll()
     entries_.clear();
     fifo_.clear();
     queued_.clear();
-    fullFlushes_.get(stats_, "full_flushes").inc();
+    stats_.inc(tlbStat("full_flushes"));
 }
 
 } // namespace osh::vmm

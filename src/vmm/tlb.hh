@@ -93,11 +93,6 @@ class Tlb
      */
     std::unordered_map<Key, std::uint32_t, KeyHash> queued_;
     StatGroup stats_;
-    CounterSlot hits_;   ///< stats_ "hits", bumped on every lookup hit.
-    CounterSlot misses_; ///< stats_ "misses".
-    CounterSlot evictions_;       ///< stats_ "evictions".
-    CounterSlot fifoCompactions_; ///< stats_ "fifo_compactions".
-    CounterSlot fullFlushes_;     ///< stats_ "full_flushes".
 };
 
 } // namespace osh::vmm

@@ -22,7 +22,6 @@ Vcpu::setPreemptHook(std::function<void()> hook, std::uint64_t ops_per_tick)
 void
 Vcpu::chargeOp(std::uint64_t cost_units)
 {
-    totalOps_ += cost_units;
     if (!preemptHook_ || opsPerTick_ == 0 || ctx_.kernelMode || inPreempt_)
         return;
     opsSinceTick_ += cost_units;
@@ -112,12 +111,6 @@ Vcpu::load8(GuestVA va)
     return loadScalar<std::uint8_t, &sim::MachineMemory::read8>(va);
 }
 
-std::uint16_t
-Vcpu::load16(GuestVA va)
-{
-    return loadScalar<std::uint16_t, &sim::MachineMemory::read16>(va);
-}
-
 std::uint32_t
 Vcpu::load32(GuestVA va)
 {
@@ -134,12 +127,6 @@ void
 Vcpu::store8(GuestVA va, std::uint8_t v)
 {
     storeScalar<std::uint8_t, &sim::MachineMemory::write8>(va, v);
-}
-
-void
-Vcpu::store16(GuestVA va, std::uint16_t v)
-{
-    storeScalar<std::uint16_t, &sim::MachineMemory::write16>(va, v);
 }
 
 void

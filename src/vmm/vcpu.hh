@@ -49,11 +49,9 @@ class Vcpu
 
     /** Fixed-width guest memory accesses (any alignment). */
     std::uint8_t load8(GuestVA va);
-    std::uint16_t load16(GuestVA va);
     std::uint32_t load32(GuestVA va);
     std::uint64_t load64(GuestVA va);
     void store8(GuestVA va, std::uint8_t v);
-    void store16(GuestVA va, std::uint16_t v);
     void store32(GuestVA va, std::uint32_t v);
     void store64(GuestVA va, std::uint64_t v);
 
@@ -76,9 +74,6 @@ class Vcpu
     void setPreemptHook(std::function<void()> hook,
                         std::uint64_t ops_per_tick);
 
-    /** Total user+kernel memory operations executed (for stats). */
-    std::uint64_t opCount() const { return totalOps_; }
-
   private:
     /** Translate one page for the given access, faulting as needed. */
     ShadowEntry translatePage(GuestVA va_page, AccessType access);
@@ -100,7 +95,6 @@ class Vcpu
     std::function<void()> preemptHook_;
     std::uint64_t opsPerTick_ = 0;
     std::uint64_t opsSinceTick_ = 0;
-    std::uint64_t totalOps_ = 0;
     bool inPreempt_ = false;
 };
 

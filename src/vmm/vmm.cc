@@ -1,12 +1,19 @@
 #include "vmm/vmm.hh"
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "vmm/vcpu.hh"
 
 #include <string>
 
 namespace osh::vmm
 {
+
+constexpr StatNames vmmStat{
+    "guest_faults", "hypercalls", "kernel_preseals", "retention_hits",
+    "switch_flushes", "switches_retained", "tsc_virtual_reads",
+    "world_switches",
+};
 
 const char*
 accessName(AccessType t)
@@ -21,17 +28,6 @@ accessName(AccessType t)
 
 namespace
 {
-
-/** splitmix64 step: the virtual clock's private randomness stream. */
-std::uint64_t
-splitmix64(std::uint64_t& state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** Baseline backend: no cloaking, straight pmap translation. */
 class PassthroughBackend : public CloakBackend
@@ -71,9 +67,9 @@ class PassthroughBackend : public CloakBackend
 Vmm::Vmm(sim::Machine& machine, std::uint64_t guest_frames)
     : machine_(machine), pmap_(machine, guest_frames),
       passthrough_(std::make_unique<PassthroughBackend>(pmap_)),
-      cloak_(passthrough_.get()), stats_("vmm")
+      cloak_(passthrough_.get()), stats_("vmm", vmmStat.names)
 {
-    tlbs_.push_back(std::make_unique<Tlb>());
+    setVcpuCount(1);
 }
 
 void
@@ -83,10 +79,12 @@ Vmm::setVcpuCount(std::size_t count)
     if (count == tlbs_.size())
         return;
     tlbs_.clear();
-    tlbs_.push_back(std::make_unique<Tlb>());
-    for (std::size_t i = 1; i < count; ++i) {
-        std::string name = "tlb" + std::to_string(i);
-        tlbs_.push_back(std::make_unique<Tlb>(256, name.c_str()));
+    for (std::size_t i = 0; i < count; ++i) {
+        std::string n = std::to_string(i);
+        std::string tlb_name = i == 0 ? "tlb" : "tlb" + n;
+        tlbs_.push_back(std::make_unique<Tlb>(256, tlb_name.c_str()));
+        if (i == switchSlots_.size())
+            switchSlots_.push_back(stats_.add("switches_cpu" + n));
     }
 }
 
@@ -136,7 +134,7 @@ Vmm::resolve(Vcpu& vcpu, const Context& ctx, GuestVA va_page,
             needs_guest_fault = true;
 
         if (needs_guest_fault) {
-            stats_.counter("guest_faults").inc();
+            stats_.inc(vmmStat("guest_faults"));
             OSH_TRACE_INSTANT(&machine_.tracer(), trace::Category::Vmm,
                               "guest_fault", ctx.view,
                               static_cast<Pid>(ctx.asid), va_page);
@@ -168,7 +166,7 @@ Vmm::resolve(Vcpu& vcpu, const Context& ctx, GuestVA va_page,
         // same frame is revalidated in place for a fraction of a full
         // shadow-page-table fill.
         if (shadows_.reactivate(ctx, va_page, entry)) {
-            stats_.counter("retention_hits").inc();
+            stats_.inc(vmmStat("retention_hits"));
             machine_.cost().charge(costs.shadowRevalidate,
                                    "shadow_revalidate");
         } else {
@@ -241,9 +239,9 @@ Vmm::suspendMpa(Mpa frame_base)
 void
 Vmm::onContextSwitch(std::uint32_t cpu)
 {
-    stats_.counter("switches_cpu" + std::to_string(cpu)).inc();
+    stats_.inc(switchSlots_[cpu]);
     if (shadowRetention_) {
-        stats_.counter("switches_retained").inc();
+        stats_.inc(vmmStat("switches_retained"));
         return;
     }
     // Untagged shadow cache: a CR3 write wipes everything, and every
@@ -253,7 +251,7 @@ Vmm::onContextSwitch(std::uint32_t cpu)
         t->flushAll();
     machine_.cost().charge(machine_.cost().params().tlbFlush,
                            "switch_flush");
-    stats_.counter("switch_flushes").inc();
+    stats_.inc(vmmStat("switch_flushes"));
 }
 
 std::int64_t
@@ -265,7 +263,7 @@ Vmm::hypercall(Vcpu& vcpu, Hypercall num,
                     static_cast<Pid>(vcpu.context().asid),
                     static_cast<std::uint64_t>(num));
     chargeWorldSwitch("hypercall");
-    stats_.counter("hypercalls").inc();
+    stats_.inc(vmmStat("hypercalls"));
     return cloak_->hypercall(vcpu, num, args);
 }
 
@@ -274,7 +272,7 @@ Vmm::prepareFramesForKernel(std::span<const Gpa> gpas)
 {
     std::size_t sealed = cloak_->sealPlaintextFrames(gpas);
     if (sealed > 0)
-        stats_.counter("kernel_preseals").inc(sealed);
+        stats_.inc(vmmStat("kernel_preseals"), sealed);
     return sealed;
 }
 
@@ -309,16 +307,16 @@ Vmm::readTsc(Asid asid)
     if (vt <= vc.last)
         vt = vc.last + 1;
     vc.last = vt;
-    stats_.counter("tsc_virtual_reads").inc();
+    stats_.inc(vmmStat("tsc_virtual_reads"));
     return vt;
 }
 
 void
-Vmm::chargeWorldSwitch(const char* reason)
+Vmm::chargeWorldSwitch(sim::CostEvent reason)
 {
     const auto& costs = machine_.cost().params();
     machine_.cost().charge(costs.vmExit + costs.vmResume, reason);
-    worldSwitches_.get(stats_, "world_switches").inc();
+    stats_.inc(vmmStat("world_switches"));
 }
 
 } // namespace osh::vmm

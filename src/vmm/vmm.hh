@@ -152,7 +152,7 @@ class Vmm
     std::size_t prepareFramesForKernel(std::span<const Gpa> gpas);
 
     /** Charge one guest->VMM->guest round trip. */
-    void chargeWorldSwitch(const char* reason);
+    void chargeWorldSwitch(sim::CostEvent reason);
 
     /**
      * Configure the virtualized guest clock (timing-channel hardening).
@@ -202,7 +202,8 @@ class Vmm
     std::map<Asid, VClock> vclocks_;
 
     StatGroup stats_;
-    CounterSlot worldSwitches_; ///< stats_ "world_switches".
+    /** stats_ slot "switches_cpu<N>" of each vCPU N. */
+    std::vector<StatSlot> switchSlots_;
 };
 
 } // namespace osh::vmm

@@ -1,6 +1,7 @@
 #include "workloads/workloads.hh"
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "os/env.hh"
 #include "os/layout.hh"
 
@@ -19,16 +20,6 @@ namespace
 // ---------------------------------------------------------------------------
 // Guest-side helpers
 // ---------------------------------------------------------------------------
-
-std::uint64_t
-splitmix(std::uint64_t& s)
-{
-    s += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
@@ -119,8 +110,8 @@ wlMatmul(Env& env)
 
     std::uint64_t s = workloadSeed(env);
     for (std::uint64_t i = 0; i < n * n; ++i) {
-        env.store64(a + i * 8, splitmix(s) & 0xffff);
-        env.store64(b + i * 8, splitmix(s) & 0xffff);
+        env.store64(a + i * 8, splitmix64(s) & 0xffff);
+        env.store64(b + i * 8, splitmix64(s) & 0xffff);
     }
     for (std::uint64_t i = 0; i < n; ++i) {
         for (std::uint64_t j = 0; j < n; ++j) {
@@ -145,7 +136,7 @@ wlSort(Env& env)
     GuestVA arr = env.allocPages(roundUpToPage(n * 8) / pageSize);
     std::uint64_t s = workloadSeed(env);
     for (std::uint64_t i = 0; i < n; ++i)
-        env.store64(arr + i * 8, splitmix(s));
+        env.store64(arr + i * 8, splitmix64(s));
 
     // In-place iterative bottom-up merge sort with a scratch buffer.
     GuestVA tmp = env.allocPages(roundUpToPage(n * 8) / pageSize);
@@ -197,7 +188,7 @@ wlStream(Env& env)
     std::uint64_t s = workloadSeed(env);
     // Fill in 64-bit strides, then stream-hash repeatedly.
     for (std::uint64_t i = 0; i < bytes; i += 8)
-        env.store64(buf + i, splitmix(s));
+        env.store64(buf + i, splitmix64(s));
     std::uint64_t h = fnvOffset;
     for (std::uint64_t p = 0; p < passes; ++p)
         fnvMix(h, hashGuestRange(env, buf, bytes));
@@ -216,7 +207,7 @@ wlChase(Env& env)
     for (std::uint64_t i = 0; i < n; ++i)
         env.store64(arr + i * 8, i);
     for (std::uint64_t i = n - 1; i > 0; --i) {
-        std::uint64_t j = splitmix(s) % i;
+        std::uint64_t j = splitmix64(s) % i;
         std::uint64_t vi = env.load64(arr + i * 8);
         std::uint64_t vj = env.load64(arr + j * 8);
         env.store64(arr + i * 8, vj);
@@ -239,7 +230,7 @@ wlHistogram(Env& env)
     GuestVA hist = env.allocPages(1);
     std::uint64_t s = workloadSeed(env);
     for (std::uint64_t i = 0; i < n; i += 8)
-        env.store64(data + i, splitmix(s));
+        env.store64(data + i, splitmix64(s));
     for (std::uint64_t i = 0; i < 256; ++i)
         env.store64(hist + i * 8, 0);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -263,7 +254,7 @@ wlStencil(Env& env)
     GuestVA nxt = env.allocPages(roundUpToPage(bytes) / pageSize);
     std::uint64_t s = workloadSeed(env);
     for (std::uint64_t i = 0; i < g * g; ++i)
-        env.store64(cur + i * 8, splitmix(s) & 0xffff);
+        env.store64(cur + i * 8, splitmix64(s) & 0xffff);
 
     for (std::uint64_t it = 0; it < iters; ++it) {
         for (std::uint64_t y = 1; y + 1 < g; ++y) {
@@ -318,7 +309,7 @@ wlFileserver(Env& env)
         std::uint64_t written = 0;
         while (written < file_bytes) {
             for (std::uint64_t i = 0; i < pageSize; i += 8)
-                env.store64(chunk + i, splitmix(s));
+                env.store64(chunk + i, splitmix64(s));
             std::uint64_t n =
                 std::min<std::uint64_t>(pageSize, file_bytes - written);
             if (env.write(static_cast<std::uint64_t>(fd), chunk, n) !=
@@ -369,7 +360,7 @@ wlFileserver(Env& env)
                 std::min<std::uint64_t>(k_max, requests - r);
             entries.clear();
             for (std::uint64_t c = 0; c < k; ++c) {
-                std::uint64_t off = splitmix(s) % span;
+                std::uint64_t off = splitmix64(s) % span;
                 entries.push_back(
                     {os::Sys::Pread,
                      {static_cast<std::uint64_t>(fd),
@@ -402,7 +393,7 @@ wlFileserver(Env& env)
         }
     } else {
         for (std::uint64_t r = 0; r < requests; ++r) {
-            std::uint64_t off = splitmix(s) % span;
+            std::uint64_t off = splitmix64(s) % span;
             env.lseek(static_cast<std::uint64_t>(fd),
                       static_cast<std::int64_t>(off), os::seekSet);
             std::int64_t got = env.read(static_cast<std::uint64_t>(fd),
@@ -491,7 +482,7 @@ wlBuild(Env& env)
         std::uint64_t remaining = work_kb * 1024;
         while (remaining > 0) {
             for (std::uint64_t b = 0; b < pageSize; b += 8)
-                env.store64(chunk + b, splitmix(s));
+                env.store64(chunk + b, splitmix64(s));
             std::uint64_t n = std::min<std::uint64_t>(pageSize,
                                                       remaining);
             env.write(static_cast<std::uint64_t>(fd), chunk, n);
@@ -558,7 +549,7 @@ wlMemstress(Env& env)
     std::uint64_t s = workloadSeed(env) ^ 0x3355;
     // Initialize every page.
     for (std::uint64_t p = 0; p < pages; ++p)
-        env.store64(buf + p * pageSize, splitmix(s) | 1);
+        env.store64(buf + p * pageSize, splitmix64(s) | 1);
     // Repeated passes of read-modify-write, one line per page touch,
     // forcing paging when the resident budget is under the buffer size.
     std::uint64_t h = fnvOffset;
@@ -566,7 +557,7 @@ wlMemstress(Env& env)
     for (std::uint64_t pass = 0; pass < passes; ++pass) {
         for (std::uint64_t i = 0; i < pages; ++i) {
             std::uint64_t p =
-                random_order ? splitmix(rs) % pages : i;
+                random_order ? splitmix64(rs) % pages : i;
             GuestVA va = buf + p * pageSize;
             std::uint64_t v = env.load64(va);
             v = v * fnvPrime + pass;
@@ -628,7 +619,7 @@ std::uint64_t
 arenaMagic(std::uint64_t seed)
 {
     std::uint64_t s = seed ^ 0x517a7e0ff5e7ull;
-    return splitmix(s) | 1;
+    return splitmix64(s) | 1;
 }
 
 /** The pure per-index word: what mutation @p pass leaves at @p index. */
@@ -637,7 +628,7 @@ victimWord(std::uint64_t seed, std::uint64_t salt, std::uint64_t index,
            std::uint64_t pass_done)
 {
     std::uint64_t s = seed ^ salt ^ (index * 0x9e3779b97f4a7c15ull);
-    std::uint64_t v = splitmix(s) | 1;
+    std::uint64_t v = splitmix64(s) | 1;
     for (std::uint64_t p = 0; p < pass_done; ++p)
         v = v * fnvPrime + p;
     return v;
@@ -1002,7 +993,7 @@ wlVictimServer(Env& env)
         std::uint64_t s = seed ^ 0x5e6e6;
         for (std::uint64_t p = 0; p < file_pages; ++p) {
             for (std::uint64_t i = 0; i < pageSize; i += 8)
-                env.store64(page + i, splitmix(s));
+                env.store64(page + i, splitmix64(s));
             if (env.write(static_cast<std::uint64_t>(fd), page,
                           pageSize) !=
                 static_cast<std::int64_t>(pageSize))
@@ -1026,7 +1017,7 @@ wlVictimServer(Env& env)
     for (std::uint64_t round = 0; round < rounds; ++round) {
         entries.clear();
         for (std::uint64_t c = 0; c < k; ++c) {
-            std::uint64_t off = splitmix(s) % (file_bytes - req_bytes);
+            std::uint64_t off = splitmix64(s) % (file_bytes - req_bytes);
             entries.push_back({os::Sys::Pread,
                                {static_cast<std::uint64_t>(fd),
                                 bufs + c * req_pages * pageSize,
@@ -1151,7 +1142,7 @@ tenantHash(std::uint64_t system_seed, std::uint64_t tenant_idx,
     // The strided hash reads every 7th stored word; replay the store
     // stream and fold in the same positions.
     for (std::uint64_t i = 0; i < words; ++i) {
-        std::uint64_t v = splitmix(stream);
+        std::uint64_t v = splitmix64(stream);
         if (i % 7 == 0)
             fnvMix(h, v);
     }
@@ -1168,7 +1159,7 @@ wlTenant(Env& env)
                       (idx * 0x9e3779b97f4a7c15ull) ^ 0x7e4a47ull;
     std::uint64_t words = pages * (pageSize / 8);
     for (std::uint64_t i = 0; i < words; ++i)
-        env.store64(buf + i * 8, splitmix(s));
+        env.store64(buf + i * 8, splitmix64(s));
     std::uint64_t h = fnvOffset;
     for (std::uint64_t i = 0; i < words; i += 7)
         fnvMix(h, env.load64(buf + i * 8));
@@ -1209,7 +1200,7 @@ timingSecretBits(std::uint64_t system_seed)
         bits[i] = 1;
     std::uint64_t s = system_seed ^ 0x0071b17e5ec2e7ull;
     for (std::size_t i = bits.size() - 1; i > 0; --i) {
-        std::size_t j = splitmix(s) % (i + 1);
+        std::size_t j = splitmix64(s) % (i + 1);
         std::swap(bits[i], bits[j]);
     }
     return bits;
@@ -1221,17 +1212,7 @@ attackSentinel(std::uint64_t system_seed)
     // High bit + low bit forced on so the sentinel can never collide
     // with zeroed frames or small loop counters in kernel memory.
     std::uint64_t s = system_seed ^ 0x0a77ac5e471e1ull;
-    return splitmix(s) | 0x8000000000000001ull;
-}
-
-const std::vector<std::string>&
-computeKernelNames()
-{
-    static const std::vector<std::string> names = {
-        "wl.matmul", "wl.sort", "wl.stream",
-        "wl.chase",  "wl.histogram", "wl.stencil",
-    };
-    return names;
+    return splitmix64(s) | 0x8000000000000001ull;
 }
 
 void

@@ -32,9 +32,6 @@
 namespace osh::workloads
 {
 
-/** Names of the compute-kernel programs (the F1 suite). */
-const std::vector<std::string>& computeKernelNames();
-
 /** Register every workload program on a system. */
 void registerAll(system::System& sys);
 

@@ -95,7 +95,7 @@ struct Rig
             os.map(kernelAsid, kernelVaOf(gpa + i * pageSize),
                    gpa + i * pageSize);
         }
-        resource = engine.registerRegion(domain, appVa, regionPages);
+        resource = engine.registerRegion(domain, appVa, regionPages).value();
     }
 
     static GuestVA kernelVaOf(Gpa g) { return 0x800000000000ull + g; }

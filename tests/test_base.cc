@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 namespace osh
 {
@@ -131,58 +133,81 @@ TEST(Rng, FillCoversOddLengths)
     EXPECT_GT(nonzero, 0);
 }
 
+/** A group's name table, declared out of order on purpose. */
+constexpr StatNames testStat{"exits", "b", "a"};
+static_assert(testStat("a").index == 2);
+
 TEST(Stats, CountersAccumulate)
 {
-    StatGroup g("vmm");
-    g.counter("exits").inc();
-    g.counter("exits").inc(4);
+    StatGroup g("vmm", testStat.names);
+    g.inc(testStat("exits"));
+    g.inc(testStat("exits"), 4);
     EXPECT_EQ(g.value("exits"), 5u);
     EXPECT_EQ(g.value("missing"), 0u);
-    g.resetAll();
-    EXPECT_EQ(g.value("exits"), 0u);
+}
+
+TEST(Stats, SlotAppearsOnFirstIncrementEvenOfZero)
+{
+    StatGroup g("x", testStat.names);
+    EXPECT_EQ(g.dump(), "");
+    EXPECT_TRUE(g.snapshot().empty());
+    EXPECT_EQ(g.value("a"), 0u);
+
+    g.inc(testStat("a"), 0);
+    EXPECT_EQ(g.dump(), "x.a 0\n");
+    ASSERT_EQ(g.snapshot().size(), 1u);
 }
 
 TEST(Stats, DumpFormat)
 {
-    StatGroup g("cloak");
-    g.counter("faults").inc(2);
-    g.counter("decrypts").inc(1);
-    std::string d = g.dump();
-    EXPECT_NE(d.find("cloak.faults 2"), std::string::npos);
-    EXPECT_NE(d.find("cloak.decrypts 1"), std::string::npos);
+    StatGroup g("cloak", testStat.names);
+    g.inc(testStat("exits"), 2);
+    g.inc(testStat("b"), 1);
+    EXPECT_EQ(g.dump(), "cloak.b 1\ncloak.exits 2\n");
 }
 
 TEST(Stats, SnapshotSorted)
 {
-    StatGroup g("x");
-    g.counter("b").inc(2);
-    g.counter("a").inc(1);
+    StatGroup g("x", testStat.names);
+    g.inc(testStat("b"), 2);
+    g.inc(testStat("a"), 1);
     auto snap = g.snapshot();
     ASSERT_EQ(snap.size(), 2u);
     EXPECT_EQ(snap[0].first, "a");
     EXPECT_EQ(snap[1].first, "b");
 }
 
-TEST(Stats, CounterSlotCreatesOnFirstUseAndCopiesUnresolved)
+TEST(Stats, RuntimeFamilySortsByName)
 {
-    StatGroup g("tlb");
-    CounterSlot slot;
-    EXPECT_EQ(g.dump(), "");
-    slot.get(g, "hits").inc();
-    slot.get(g, "hits").inc(2);
-    EXPECT_EQ(g.dump(), "tlb.hits 3\n");
+    StatGroup g("vmm", testStat.names);
+    std::vector<StatSlot> cpus;
+    for (int cpu = 0; cpu <= 10; ++cpu)
+        cpus.push_back(g.add("switches_cpu" + std::to_string(cpu)));
+    g.inc(cpus[2]);
+    g.inc(cpus[10], 3);
+    g.inc(testStat("exits"));
+    EXPECT_EQ(g.dump(), "vmm.exits 1\n"
+                        "vmm.switches_cpu10 3\n"
+                        "vmm.switches_cpu2 1\n");
+    EXPECT_EQ(g.value("switches_cpu10"), 3u);
+}
 
-    // A copy resolves against whatever group it is handed next, never
-    // against the group the original resolved in.
-    StatGroup other("tlb1");
-    CounterSlot copy(slot);
-    copy.get(other, "hits").inc();
-    EXPECT_EQ(other.value("hits"), 1u);
-    EXPECT_EQ(g.value("hits"), 3u);
-    slot = copy;
-    slot.get(other, "hits").inc();
-    EXPECT_EQ(other.value("hits"), 2u);
-    EXPECT_EQ(g.value("hits"), 3u);
+TEST(Stats, CopiedOwnerCarriesItsValues)
+{
+    struct Owner
+    {
+        StatGroup stats{"tlb", testStat.names};
+    };
+    Owner original;
+    original.stats.inc(testStat("a"), 3);
+    Owner copy = original;
+    EXPECT_EQ(copy.stats.dump(), "tlb.a 3\n");
+
+    // Each copy counts into its own slots from then on.
+    copy.stats.inc(testStat("a"));
+    original.stats.inc(testStat("b"));
+    EXPECT_EQ(copy.stats.dump(), "tlb.a 4\n");
+    EXPECT_EQ(original.stats.dump(), "tlb.a 3\ntlb.b 1\n");
 }
 
 TEST(Logging, FormatString)

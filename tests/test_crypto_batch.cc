@@ -91,7 +91,7 @@ struct Harness
             os.map(0, kernelVaOf(gpa0 + i * pageSize),
                    gpa0 + i * pageSize);
         }
-        resource = engine.registerRegion(domain, appVa, numPages);
+        resource = engine.registerRegion(domain, appVa, numPages).value();
     }
 
     static GuestVA kernelVaOf(Gpa g) { return 0x800000000000ull + g; }
@@ -219,7 +219,7 @@ TEST(CryptoBatch, EncryptMatchesSequential)
     }
     EXPECT_EQ(batched.machine.cost().cycles(),
               sequential.machine.cost().cycles());
-    EXPECT_EQ(batched.engine.stats().counter("batch_encrypt_pages").value(),
+    EXPECT_EQ(batched.engine.stats().value("batch_encrypt_pages"),
               numPages);
 }
 
@@ -255,7 +255,7 @@ TEST(CryptoBatch, VictimCacheServesBatchedRoundTrips)
     h.engine.encryptPages(h.res(), items); // fills the victim cache
 
     EXPECT_EQ(h.loadAll(), markerSum);
-    EXPECT_EQ(h.engine.stats().counter("victim_decrypt_hits").value(),
+    EXPECT_EQ(h.engine.stats().value("victim_decrypt_hits"),
               numPages);
     for (std::uint64_t i = 0; i < numPages; ++i)
         EXPECT_EQ(observe(h, i).state, PageState::PlaintextClean);
@@ -267,7 +267,7 @@ TEST(CryptoBatch, VictimCacheServesBatchedRoundTrips)
         sealed.push_back(observe(h, i));
     auto out = h.allItems();
     h.engine.encryptPages(h.res(), out);
-    EXPECT_EQ(h.engine.stats().counter("victim_reencrypt_hits").value(),
+    EXPECT_EQ(h.engine.stats().value("victim_reencrypt_hits"),
               numPages);
     for (std::uint64_t i = 0; i < numPages; ++i) {
         PageObservation o = observe(h, i);
@@ -302,10 +302,10 @@ TEST(CryptoBatch, SealPlaintextFramesMatchesFaultDrivenSeals)
             << "page " << i;
     EXPECT_EQ(hinted.machine.cost().cycles(),
               faulted.machine.cost().cycles());
-    EXPECT_EQ(hinted.engine.stats().counter("preseal_frames").value(),
+    EXPECT_EQ(hinted.engine.stats().value("preseal_frames"),
               numPages);
     EXPECT_EQ(
-        faulted.engine.stats().counter("foreign_plaintext_seals").value(),
+        faulted.engine.stats().value("foreign_plaintext_seals"),
         numPages);
 }
 
@@ -380,13 +380,13 @@ TEST(CryptoBatch, ParallelVictimCacheHitsMatchSerial)
         }
 
         EXPECT_EQ(
-            serial.engine.stats().counter("victim_reencrypt_hits").value(),
+            serial.engine.stats().value("victim_reencrypt_hits"),
             numPages);
         for (const char* counter :
              {"victim_decrypt_hits", "victim_reencrypt_hits",
               "clean_reencrypts", "page_encrypts", "page_decrypts"}) {
-            EXPECT_EQ(parallel.engine.stats().counter(counter).value(),
-                      serial.engine.stats().counter(counter).value())
+            EXPECT_EQ(parallel.engine.stats().value(counter),
+                      serial.engine.stats().value(counter))
                 << counter;
         }
         for (std::uint64_t i = 0; i < numPages; ++i)

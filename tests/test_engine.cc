@@ -74,7 +74,7 @@ class EngineTest : public ::testing::Test
         os_.map(appAsid, appVa, gpa);
         // The kernel reaches the same frame through its direct map.
         os_.map(kernelAsid, kernelVaOf(gpa), gpa);
-        resource_ = engine_.registerRegion(domain_, appVa, 4);
+        resource_ = engine_.registerRegion(domain_, appVa, 4).value();
     }
 
     static GuestVA kernelVaOf(Gpa gpa) { return 0x800000000000ull + gpa; }

@@ -81,7 +81,7 @@ struct Rig
                                        programIdentity("victim"));
         os_.map(appAsid, appVa, gpa);
         os_.map(kernelAsid, kernelVaOf(gpa), gpa);
-        resource_ = engine_.registerRegion(domain_, appVa, 4);
+        resource_ = engine_.registerRegion(domain_, appVa, 4).value();
     }
 
     vmm::Vcpu

@@ -190,6 +190,60 @@ TEST(ShimMarshal, OverlongTransferResultKills)
     }
 }
 
+/** An Iago-style kernel: answers one armed mmap with an address the
+ *  app already holds. */
+class RecycledMmap : public os::AttackHooks
+{
+  public:
+    explicit RecycledMmap(System& sys) : kernel_(sys.kernel())
+    {
+        kernel_.setAttackHooks(this);
+    }
+
+    ~RecycledMmap() override { kernel_.setAttackHooks(nullptr); }
+
+    void
+    onSyscallReturn(os::Kernel&, os::Thread&, os::Sys num,
+                    const os::SyscallArgs&, std::int64_t& rv) override
+    {
+        if (num == os::Sys::Mmap && target != 0 && rv > 0) {
+            rv = static_cast<std::int64_t>(target);
+            target = 0;
+        }
+    }
+
+    GuestVA target = 0; ///< Address the next mmap returns (0: honest).
+
+  private:
+    os::Kernel& kernel_;
+};
+
+TEST(ShimMarshal, MmapResultOverlappingARegionKills)
+{
+    // Handing the app its own cloaked buffer as "fresh" memory would
+    // let it read old secrets through the new one, or let the kernel
+    // alias two resources over one range. The VMM refuses the second
+    // registration and the shim kills.
+    System sys(cloakedConfig());
+    RecycledMmap attacker(sys);
+    std::uint64_t leaked = 0;
+    auto r = runCloaked(sys, [&](Env& env) {
+        GuestVA secret = env.allocPages(1);
+        env.store64(secret, 0x5ec7e7);
+        attacker.target = secret;
+        GuestVA fresh = env.allocPages(1);
+        leaked = env.load64(fresh);
+        return 0;
+    });
+    EXPECT_TRUE(r.killed) << "app read " << leaked;
+    EXPECT_NE(r.killReason.find("cloak violation: mmap result overlaps a "
+                                "protected region"),
+              std::string::npos)
+        << r.killReason;
+    EXPECT_EQ(sys.cloak()->stats().value("result_violations"), 1u);
+    EXPECT_EQ(leaked, 0u);
+}
+
 TEST(ShimEmulated, SeekModesAndEof)
 {
     System sys(cloakedConfig());
