@@ -5,6 +5,7 @@
 #include "crypto/ctr.hh"
 #include "vmm/vcpu.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
@@ -1126,26 +1127,45 @@ CloakEngine::bindCtc(DomainId domain, GuestVA ctc_va)
 {
     Domain& d = domainOf(domain);
     d.ctcVa = ctc_va;
-    d.ctcHashValid = false;
+    d.ctcExport = exportCtcDigest(domain);
+    d.ctcExport.valid = false;
+    d.ctcRecordValid = false;
 }
 
 void
-CloakEngine::recordCtcHash(DomainId domain, const crypto::Digest& hash)
+CloakEngine::recordCtc(DomainId domain,
+                       std::span<const std::uint8_t, ctcBytes> record)
 {
     Domain& d = domainOf(domain);
-    d.ctcHash = hash;
-    d.ctcHashValid = true;
+    std::copy(record.begin(), record.end(), d.ctcRecord.begin());
+    d.ctcRecordValid = true;
+}
+
+CtcDigest
+CloakEngine::exportCtcDigest(DomainId domain)
+{
+    Domain& d = domainOf(domain);
+    if (!d.ctcRecordValid)
+        return d.ctcExport;
+    return {true, crypto::Sha256::hash(d.ctcRecord)};
+}
+
+void
+CloakEngine::importCtcDigest(DomainId domain, const CtcDigest& digest)
+{
+    domainOf(domain).ctcExport = digest.valid ? digest : CtcDigest{};
 }
 
 Expected<void, CloakError>
-CloakEngine::verifyCtcHash(DomainId domain, const crypto::Digest& hash)
+CloakEngine::verifyCtc(DomainId domain,
+                       std::span<const std::uint8_t, ctcBytes> record)
 {
     auto it = domains_.find(domain);
     if (it == domains_.end())
         return auditError(CloakError::UnknownDomain, domain);
-    if (!it->second.ctcHashValid)
+    if (!it->second.ctcRecordValid)
         return auditError(CloakError::NoCtcHash, domain);
-    if (!constantTimeEqual(it->second.ctcHash, hash))
+    if (!constantTimeEqual(it->second.ctcRecord, record))
         return auditError(CloakError::CtcHashMismatch, domain);
     return {};
 }

@@ -32,16 +32,16 @@
 #include "crypto/keys.hh"
 #include "sim/machine.hh"
 #include "vmm/hooks.hh"
+#include "vmm/registers.hh"
 #include "vmm/vmm.hh"
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace osh::cloak
@@ -60,6 +60,17 @@ struct Region
     bool contains(GuestVA va) const { return va >= start && va < end; }
 };
 
+/** Serialized register-file size in the CTC (cloaked thread context). */
+constexpr std::size_t ctcBytes = (vmm::numGprs + 3) * 8;
+
+/** What a migration image records for a CTC: a valid flag and the
+ *  SHA-256 of the register record. */
+struct CtcDigest
+{
+    bool valid = false;
+    crypto::Digest hash{};
+};
+
 /** A protection domain: one cloaked application (+ forked children). */
 struct Domain
 {
@@ -69,10 +80,15 @@ struct Domain
     crypto::Digest identity{};   ///< Application identity (program hash).
     std::vector<Region> regions;
 
-    /** Cloaked thread context page + VMM-held integrity hash. */
+    /** Cloaked thread context page, plus the VMM-private copy of the
+     *  register record last saved into it. */
     GuestVA ctcVa = 0;
-    crypto::Digest ctcHash{};
-    bool ctcHashValid = false;
+    std::array<std::uint8_t, ctcBytes> ctcRecord{};
+    bool ctcRecordValid = false;
+    /** What a checkpoint writes while no record is live: the digest a
+     *  restored image carried, or that of the record bindCtc last
+     *  dropped. Migration metadata only; no check reads it. */
+    CtcDigest ctcExport;
 };
 
 // CloakError and cloakErrorName live in cloak/errors.hh (shared with
@@ -145,6 +161,10 @@ class AuditLog
  *
  * A dirty encryption bumps the version and takes a fresh IV, so stale
  * entries can never false-hit. Capacity 0 disables the cache.
+ *
+ * The entries sit in a flat array of at most N slots (N is a handful),
+ * found by a scan and replaced least recently used first, so a refill
+ * reuses a slot instead of allocating a fresh 8 KiB entry.
  */
 class VictimCache
 {
@@ -163,13 +183,19 @@ class VictimCache
     explicit VictimCache(std::size_t capacity = 8) : capacity_(capacity) {}
 
     std::size_t capacity() const { return capacity_; }
-    std::size_t size() const { return lru_.size(); }
+    std::size_t size() const { return slots_.size(); }
 
+    /** Resize, keeping the most recently used entries that fit. */
     void
     setCapacity(std::size_t capacity)
     {
         capacity_ = capacity;
-        evictToCapacity();
+        while (slots_.size() > capacity_) {
+            std::size_t lru = leastRecent();
+            if (lru + 1 != slots_.size())
+                slots_[lru] = slots_.back();
+            slots_.pop_back();
+        }
     }
 
     /** Find an entry and mark it most recently used. */
@@ -177,16 +203,21 @@ class VictimCache
     find(ResourceId resource, std::uint64_t page_index,
          std::uint64_t version)
     {
-        auto it = index_.find(Key{resource, page_index, version});
-        if (it == index_.end())
-            return nullptr;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return &*it->second;
+        for (Slot& s : slots_) {
+            if (s.entry.resource == resource &&
+                s.entry.pageIndex == page_index &&
+                s.entry.version == version) {
+                s.lastUse = ++clock_;
+                return &s.entry;
+            }
+        }
+        return nullptr;
     }
 
     /**
      * Insert (or replace) the entry for a key and return the slot for
-     * the caller to fill. Returns nullptr when the cache is disabled.
+     * the caller to fill; a full cache reuses its least recently used
+     * slot in place. Returns nullptr when the cache is disabled.
      */
     Entry*
     insert(ResourceId resource, std::uint64_t page_index,
@@ -194,63 +225,43 @@ class VictimCache
     {
         if (capacity_ == 0)
             return nullptr;
-        Key key{resource, page_index, version};
-        auto it = index_.find(key);
-        if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
+        if (Entry* e = find(resource, page_index, version))
+            return e;
+        Slot* s;
+        if (slots_.size() < capacity_) {
+            slots_.reserve(capacity_);
+            s = &slots_.emplace_back();
         } else {
-            lru_.push_front(Entry{});
-            index_[key] = lru_.begin();
-            evictToCapacity();
+            s = &slots_[leastRecent()];
         }
-        Entry& e = lru_.front();
-        e.resource = resource;
-        e.pageIndex = page_index;
-        e.version = version;
-        return &e;
+        s->lastUse = ++clock_;
+        s->entry.resource = resource;
+        s->entry.pageIndex = page_index;
+        s->entry.version = version;
+        return &s->entry;
     }
 
   private:
-    struct Key
+    struct Slot
     {
-        ResourceId resource;
-        std::uint64_t pageIndex;
-        std::uint64_t version;
-
-        bool
-        operator==(const Key& o) const
-        {
-            return resource == o.resource && pageIndex == o.pageIndex &&
-                   version == o.version;
-        }
+        Entry entry;
+        std::uint64_t lastUse = 0;
     };
 
-    struct KeyHash
+    std::size_t
+    leastRecent() const
     {
-        std::size_t
-        operator()(const Key& k) const
-        {
-            std::uint64_t h = k.resource * 0x9e3779b97f4a7c15ull;
-            h ^= k.pageIndex + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-            h ^= k.version + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-            return static_cast<std::size_t>(h);
-        }
-    };
-
-    void
-    evictToCapacity()
-    {
-        while (lru_.size() > capacity_) {
-            const Entry& victim = lru_.back();
-            index_.erase(
-                Key{victim.resource, victim.pageIndex, victim.version});
-            lru_.pop_back();
-        }
+        std::size_t lru = 0;
+        for (std::size_t i = 1; i < slots_.size(); ++i)
+            if (slots_[i].lastUse < slots_[lru].lastUse)
+                lru = i;
+        return lru;
     }
 
     std::size_t capacity_;
-    std::list<Entry> lru_; ///< Front = most recently used.
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+    /** At most capacity_ slots; each is zeroed once, when first used. */
+    std::vector<Slot> slots_;
+    std::uint64_t clock_ = 0; ///< Use counter; the smallest lastUse is evicted.
 };
 
 /**
@@ -371,12 +382,24 @@ class CloakEngine : public vmm::CloakBackend
                    std::uint64_t resource_page_offset = 0);
     void unregisterRegion(DomainId domain, GuestVA start);
 
-    /** CTC handling used by the secure-control-transfer path. A failed
-     *  verification names its cause and is recorded in the audit log. */
+    /** CTC handling used by the secure-control-transfer path: the VMM
+     *  keeps a private copy of each saved record and the restore side
+     *  compares the CTC page against it in constant time. Binding a
+     *  CTC clears the copy, so a verify before the next save fails. A
+     *  failed verification names its cause and is recorded in the
+     *  audit log. */
     void bindCtc(DomainId domain, GuestVA ctc_va);
-    void recordCtcHash(DomainId domain, const crypto::Digest& hash);
-    Expected<void, CloakError> verifyCtcHash(DomainId domain,
-                                             const crypto::Digest& hash);
+    void recordCtc(DomainId domain,
+                   std::span<const std::uint8_t, ctcBytes> record);
+    Expected<void, CloakError>
+    verifyCtc(DomainId domain, std::span<const std::uint8_t, ctcBytes> record);
+
+    /** Migration: the CTC digest a checkpoint writes (hashing the live
+     *  record, if any), and the restore side's import of it. An import
+     *  sets no record, so the domain's first verify before a save
+     *  fails closed. */
+    CtcDigest exportCtcDigest(DomainId domain);
+    void importCtcDigest(DomainId domain, const CtcDigest& digest);
 
     /** Fork support. The parent mints a token before the fork trap;
      *  immediately after the trap returns (when the kernel has eagerly

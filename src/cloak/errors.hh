@@ -22,8 +22,8 @@ namespace osh::cloak
 enum class CloakError : std::uint8_t
 {
     UnknownDomain,          ///< Operation on a domain id that does not exist.
-    NoCtcHash,              ///< CTC verified before any hash was recorded.
-    CtcHashMismatch,        ///< CTC contents differ from the recorded hash.
+    NoCtcHash,              ///< CTC verified before any record was saved.
+    CtcHashMismatch,        ///< CTC contents differ from the VMM-held copy.
     BadForkToken,           ///< Fork token unknown or for another domain.
     ForkAlreadySnapshotted, ///< snapshotFork called twice for one token.
     ForkNotSnapshotted,     ///< forkAttach before snapshotFork.

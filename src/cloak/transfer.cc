@@ -46,7 +46,7 @@ SecureTransfer::saveToCtc(CloakEngine& engine, DomainId domain,
 {
     auto bytes = serializeRegs(env.vcpu().regs());
     env.writeBytes(ctc_va, bytes);
-    engine.recordCtcHash(domain, crypto::Sha256::hash(bytes));
+    engine.recordCtc(domain, bytes);
     auto& cost = env.vcpu().vmm().machine().cost();
     cost.charge(cost.params().ctcSaveRestore, "ctc_save");
 }
@@ -57,7 +57,7 @@ SecureTransfer::restoreFromCtc(CloakEngine& engine, DomainId domain,
 {
     std::array<std::uint8_t, ctcBytes> bytes;
     env.readBytes(ctc_va, bytes);
-    if (!engine.verifyCtcHash(domain, crypto::Sha256::hash(bytes))) {
+    if (!engine.verifyCtc(domain, bytes)) {
         Pid pid = 0;
         if (Domain* d = engine.findDomain(domain))
             pid = d->pid;

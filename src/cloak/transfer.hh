@@ -7,18 +7,20 @@
  * Overshadow's VMM mediates them:
  *
  *   1. the full register file is saved into the thread's cloaked
- *      thread context (CTC) page, and the VMM records its hash;
+ *      thread context (CTC) page, and the VMM keeps a private copy of
+ *      the serialized record;
  *   2. the registers the kernel does not need are scrubbed (for a
  *      syscall, r0..r5 carry the number and marshalled arguments; for
  *      an interrupt, nothing survives), and pc/sp are pointed at the
  *      uncloaked trampoline;
  *   3. the kernel runs;
- *   4. on return, the CTC is re-read, its hash verified against the
- *      VMM-held copy, and the registers restored (with the syscall
+ *   4. on return, the CTC is re-read, compared in constant time with
+ *      the VMM-held copy, and the registers restored (with the syscall
  *      return value injected into r0).
  *
  * The CTC page is itself cloaked, so kernel tampering is caught both by
- * the page-integrity machinery and by the explicit hash check.
+ * the page-integrity machinery and by the exact comparison. No hash is
+ * needed on this path; a checkpoint records SHA-256 of the copy.
  */
 
 #ifndef OSH_CLOAK_TRANSFER_HH
@@ -32,9 +34,6 @@
 
 namespace osh::cloak
 {
-
-/** Serialized register-file size in the CTC. */
-constexpr std::size_t ctcBytes = (vmm::numGprs + 3) * 8;
 
 /** Secure control transfer around a kernel entry. */
 class SecureTransfer

@@ -25,8 +25,7 @@ struct ParsedImage
     GuestVA fileMapCursor = 0;
     GuestVA ctcVa = 0;
     GuestVA bounceVa = 0;
-    bool ctcHashValid = false;
-    crypto::Digest ctcHash{};
+    cloak::CtcDigest ctc;
     bool haveProcess = false;
 
     std::vector<os::Vma> vmas;
@@ -102,8 +101,8 @@ parseRecord(ParsedImage& img, const Record& rec)
         img.fileMapCursor = pr.u64();
         img.ctcVa = pr.u64();
         img.bounceVa = pr.u64();
-        img.ctcHashValid = pr.u8() != 0;
-        pr.bytes(img.ctcHash);
+        img.ctc.valid = pr.u8() != 0;
+        pr.bytes(img.ctc.hash);
         if (!pr.done())
             return Error(MigrateError::BadRecord);
         img.haveProcess = true;
@@ -319,8 +318,9 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         p.u64(domain->ctcVa);
         p.u64(shim != nullptr ? shim->bounceVa()
                               : sys.pendingRestoredBounce(pid));
-        p.u8(domain->ctcHashValid ? 1 : 0);
-        p.bytes(domain->ctcHash);
+        cloak::CtcDigest ctc = engine->exportCtcDigest(domain->id);
+        p.u8(ctc.valid ? 1 : 0);
+        p.bytes(ctc.hash);
         writer.append(RecordType::Process, p.view());
     }
     for (const auto& [start, vma] : proc->as.vmas()) {
@@ -522,8 +522,7 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
         osh_assert(ok, "restored region overlap");
     }
     engine->bindCtc(domain, img.ctcVa);
-    if (img.ctcHashValid)
-        engine->recordCtcHash(domain, img.ctcHash);
+    engine->importCtcDigest(domain, img.ctc);
     engine->metadata().importSealVersions(img.floors);
     for (auto& [file_key, bundle] : img.bundles)
         engine->sealedStore()[file_key] = std::move(bundle);

@@ -68,13 +68,15 @@ struct SystemConfig
 
     /**
      * Host worker threads for batched page seals (encryptPages and
-     * the prepareFramesForKernel pre-seal). 0 = one lane per hardware
-     * thread (the default), 1 = every seal computes inline. Purely a
-     * host-speed knob: simulated cycles (constant-cost mode included),
-     * frames, metadata and trace event order are identical for every
-     * setting.
+     * the prepareFramesForKernel pre-seal). 1 (the default) = every
+     * seal computes inline and no host thread starts; 0 = one lane per
+     * hardware thread. Purely a host-speed knob: simulated cycles
+     * (constant-cost mode included), frames, metadata and trace event
+     * order are identical for every setting. A page seal is a few
+     * microseconds, less than waking the pool costs, so lanes only pay
+     * for large batches.
      */
-    std::size_t cryptoWorkers = 0;
+    std::size_t cryptoWorkers = 1;
 
     /**
      * Simulated vCPUs the guest scheduler dispatches across (SMP),

@@ -7,6 +7,12 @@
  * with FIFO replacement. Invalidation is targeted: drops by VA or ASID
  * for guest events, and by machine frame when a frame changes cloaking
  * state (modelling a TLB shootdown of just that frame's mappings).
+ *
+ * Entries live in a fixed array of capacity slots. Each slot is on
+ * three intrusive lists: the FIFO (insertion order), the chain of
+ * entries sharing its (asid, va page), and the chain of entries mapping
+ * its frame. Two open-addressed tables find a chain's head, so lookup,
+ * invalidateVa and invalidateMpa touch only the entries they match.
  */
 
 #ifndef OSH_VMM_TLB_HH
@@ -17,9 +23,9 @@
 #include "vmm/context.hh"
 #include "vmm/shadow.hh"
 
-#include <deque>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 namespace osh::vmm
 {
@@ -48,50 +54,84 @@ class Tlb
 
     void flushAll();
 
-    std::size_t size() const { return entries_.size(); }
-
-    /**
-     * Length of the replacement queue, including stale occurrences left
-     * behind by targeted invalidations (bounded by compaction; exposed
-     * for the regression tests).
-     */
-    std::size_t queueLength() const { return fifo_.size(); }
+    std::size_t size() const { return size_; }
 
     StatGroup& stats() { return stats_; }
 
   private:
-    struct Key
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    /** Neighbours on one intrusive list. */
+    struct Link
+    {
+        std::uint32_t prev = none;
+        std::uint32_t next = none;
+    };
+
+    struct Slot
     {
         Context ctx;
-        GuestVA vaPage;
-
-        bool operator==(const Key&) const = default;
+        GuestVA vaPage = 0;
+        ShadowEntry entry;
+        Link fifo;  ///< Insertion order; the free list when unused.
+        Link va;    ///< Entries of the same (asid, va page).
+        Link frame; ///< Entries mapping the same machine frame.
     };
 
-    struct KeyHash
+    /** Which chain a head table indexes. */
+    enum class Chain { Va, Frame };
+
+    /**
+     * Open-addressed (linear probing) table of chain heads. A cell
+     * holds a slot index; the key is read from that slot, so a cell is
+     * four bytes and deletion shifts back rather than leaving
+     * tombstones.
+     */
+    struct HeadTable
     {
-        std::size_t
-        operator()(const Key& k) const noexcept
-        {
-            return std::hash<Context>{}(k.ctx) ^
-                   std::hash<GuestVA>{}(k.vaPage << 1);
-        }
+        std::vector<std::uint32_t> cells;
+        std::uint32_t mask = 0;
     };
 
-    void evictOne();
-    void compactFifo();
+    /** Chain key of a slot: its va page, or its frame base. */
+    std::uint64_t keyOf(Chain c, std::uint32_t slot) const;
+    bool matches(Chain c, std::uint32_t slot, Asid asid,
+                 std::uint64_t key) const;
+    Link& link(Chain c, std::uint32_t slot);
+    HeadTable&
+    table(Chain c)
+    {
+        return c == Chain::Va ? vaHeads_ : frameHeads_;
+    }
+    const HeadTable&
+    table(Chain c) const
+    {
+        return c == Chain::Va ? vaHeads_ : frameHeads_;
+    }
+
+    /** Home cell of a key (the asid is ignored for Chain::Frame). */
+    std::uint32_t home(Chain c, Asid asid, std::uint64_t key) const;
+    /** Cell holding the head of (asid, key)'s chain, or the empty cell
+     *  where it would go. */
+    std::uint32_t probe(Chain c, Asid asid, std::uint64_t key) const;
+    void pushChain(Chain c, std::uint32_t slot);
+    void unlinkChain(Chain c, std::uint32_t slot);
+
+    /** Slot of (ctx, va_page), or none. */
+    std::uint32_t find(const Context& ctx, GuestVA va_page) const;
+    /** Unlink a resident slot from every list and free it. */
+    void remove(std::uint32_t slot);
+    /** Empty every table and put every slot on the free list. */
+    void reset();
 
     std::size_t capacity_;
-    std::unordered_map<Key, ShadowEntry, KeyHash> entries_;
-    std::deque<Key> fifo_;
-    /**
-     * Occurrences of each key in fifo_. Invalidations only erase
-     * entries_; a later re-insert queues the key again, so the queue can
-     * briefly hold duplicates. Eviction skips any occurrence that is not
-     * the key's newest (count > 0 after the pop), which keeps stale
-     * duplicates from evicting a live entry.
-     */
-    std::unordered_map<Key, std::uint32_t, KeyHash> queued_;
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    std::uint32_t fifoHead_ = none; ///< Oldest resident entry.
+    std::uint32_t fifoTail_ = none; ///< Newest resident entry.
+    std::uint32_t freeHead_ = none;
+    HeadTable vaHeads_;
+    HeadTable frameHeads_;
     StatGroup stats_;
 };
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <map>
 
@@ -333,24 +334,85 @@ TEST_F(EngineTest, MultiPageRegionIndependentStates)
     EXPECT_EQ(app.load64(appVa), 100u);
 }
 
-TEST_F(EngineTest, CtcHashRoundTrip)
+std::array<std::uint8_t, cloak::ctcBytes>
+sampleCtcRecord()
 {
-    crypto::Digest h = crypto::Sha256::hash(
-        std::vector<std::uint8_t>{1, 2, 3});
+    std::array<std::uint8_t, cloak::ctcBytes> rec;
+    for (std::size_t i = 0; i < rec.size(); ++i)
+        rec[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    return rec;
+}
+
+TEST_F(EngineTest, CtcRecordRoundTrip)
+{
+    auto rec = sampleCtcRecord();
     engine_.bindCtc(domain_, 0x7000);
-    auto before = engine_.verifyCtcHash(domain_, h);
+    auto before = engine_.verifyCtc(domain_, rec);
     ASSERT_FALSE(before.ok());
     EXPECT_EQ(before.error(), cloak::CloakError::NoCtcHash);
-    engine_.recordCtcHash(domain_, h);
-    EXPECT_TRUE(engine_.verifyCtcHash(domain_, h).ok());
-    crypto::Digest wrong = crypto::Sha256::hash(
-        std::vector<std::uint8_t>{1, 2, 4});
-    auto mismatch = engine_.verifyCtcHash(domain_, wrong);
+    engine_.recordCtc(domain_, rec);
+    EXPECT_TRUE(engine_.verifyCtc(domain_, rec).ok());
+    auto wrong = rec;
+    wrong[0] ^= 1;
+    auto mismatch = engine_.verifyCtc(domain_, wrong);
     ASSERT_FALSE(mismatch.ok());
     EXPECT_EQ(mismatch.error(), cloak::CloakError::CtcHashMismatch);
     // Both rejections were audited with their typed reason.
     EXPECT_EQ(engine_.auditLog().back().code,
               cloak::CloakError::CtcHashMismatch);
+    EXPECT_EQ(engine_.stats().value("audit_errors"), 2u);
+    // The copy is the VMM's own: changing the caller's buffer after
+    // the save does not change what verifies.
+    rec[5] ^= 0x40;
+    EXPECT_FALSE(engine_.verifyCtc(domain_, rec).ok());
+    rec[5] ^= 0x40;
+    EXPECT_TRUE(engine_.verifyCtc(domain_, rec).ok());
+}
+
+TEST_F(EngineTest, CtcEverySingleByteFlipIsRefused)
+{
+    const auto rec = sampleCtcRecord();
+    engine_.bindCtc(domain_, 0x7000);
+    engine_.recordCtc(domain_, rec);
+    std::uint64_t audited = engine_.stats().value("audit_errors");
+    for (std::size_t pos = 0; pos < rec.size(); ++pos) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            auto flipped = rec;
+            flipped[pos] ^= static_cast<std::uint8_t>(1u << bit);
+            auto r = engine_.verifyCtc(domain_, flipped);
+            ASSERT_FALSE(r.ok()) << "byte " << pos << " bit " << bit;
+            EXPECT_EQ(r.error(), cloak::CloakError::CtcHashMismatch);
+            EXPECT_EQ(engine_.auditLog().back().code,
+                      cloak::CloakError::CtcHashMismatch);
+            EXPECT_EQ(engine_.stats().value("audit_errors"), ++audited);
+        }
+    }
+    // The refusals changed nothing: the saved record still verifies.
+    EXPECT_TRUE(engine_.verifyCtc(domain_, rec).ok());
+}
+
+TEST_F(EngineTest, CtcVerifyBeforeAnySaveIsRefused)
+{
+    // A record of all zeros is what an untouched copy holds; it must
+    // not verify before a save.
+    std::array<std::uint8_t, cloak::ctcBytes> zeros{};
+    engine_.bindCtc(domain_, 0x7000);
+    auto r = engine_.verifyCtc(domain_, zeros);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), cloak::CloakError::NoCtcHash);
+    EXPECT_EQ(engine_.auditLog().back().code,
+              cloak::CloakError::NoCtcHash);
+    EXPECT_EQ(engine_.stats().value("audit_errors"), 1u);
+
+    // Re-binding the CTC (a new thread registration) drops the copy,
+    // so the old record is refused until the next save.
+    auto rec = sampleCtcRecord();
+    engine_.recordCtc(domain_, rec);
+    ASSERT_TRUE(engine_.verifyCtc(domain_, rec).ok());
+    engine_.bindCtc(domain_, 0x8000);
+    auto rebound = engine_.verifyCtc(domain_, rec);
+    ASSERT_FALSE(rebound.ok());
+    EXPECT_EQ(rebound.error(), cloak::CloakError::NoCtcHash);
 }
 
 TEST_F(EngineTest, ForkAttachRequiresToken)

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <stdexcept>
 
@@ -310,6 +311,36 @@ TEST_F(FastPathTest, VictimCacheEvictsAtCapacity)
     }
 }
 
+TEST(VictimCacheTest, ReplacesLeastRecentlyUsed)
+{
+    VictimCache cache(3);
+    for (std::uint64_t page = 1; page <= 3; ++page)
+        ASSERT_NE(cache.insert(1, page, 0), nullptr);
+    // Keys differ by resource and version too.
+    EXPECT_EQ(cache.find(2, 1, 0), nullptr);
+    EXPECT_EQ(cache.find(1, 1, 1), nullptr);
+
+    ASSERT_NE(cache.find(1, 1, 0), nullptr); // page 2 is now the oldest
+    cache.insert(1, 4, 0);
+    EXPECT_EQ(cache.find(1, 2, 0), nullptr);
+    EXPECT_EQ(cache.size(), 3u);
+
+    // Re-inserting a resident key refreshes it in place: 1 is oldest.
+    VictimCache::Entry* three = cache.insert(1, 3, 0);
+    EXPECT_EQ(three, cache.find(1, 3, 0));
+
+    // Shrinking keeps the most recently used entries.
+    cache.setCapacity(2);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.find(1, 1, 0), nullptr);
+    EXPECT_NE(cache.find(1, 4, 0), nullptr);
+    EXPECT_NE(cache.find(1, 3, 0), nullptr);
+
+    cache.setCapacity(0);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.insert(1, 5, 0), nullptr);
+}
+
 // ---------------------------------------------------------------------
 // SystemConfig::Builder validation.
 // ---------------------------------------------------------------------
@@ -387,9 +418,9 @@ TEST_F(FastPathTest, EngineErrorsLandInBoundedRing)
 {
     // One error past the fixed ring's capacity drops the oldest.
     const std::size_t cap = engine_.auditLog().capacity();
-    crypto::Digest bogus{};
+    std::array<std::uint8_t, ctcBytes> bogus{};
     for (std::size_t i = 0; i <= cap; ++i) {
-        auto r = engine_.verifyCtcHash(domain_, bogus);
+        auto r = engine_.verifyCtc(domain_, bogus);
         ASSERT_FALSE(r.ok());
         EXPECT_EQ(r.error(), CloakError::NoCtcHash);
     }

@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <vector>
+
 namespace osh::vmm
 {
 namespace
@@ -207,10 +211,163 @@ TEST(Tlb, ReinsertAfterInvalidateDoesNotEvictLiveEntry)
     EXPECT_LE(tlb.size(), 4u);
 }
 
-TEST(Tlb, InvalidationChurnKeepsQueueBounded)
+/**
+ * Reference TLB for the differential test: one vector in FIFO order,
+ * every operation a full scan. Same counters as Tlb.
+ */
+class NaiveTlb
 {
-    // Regression: the replacement queue grew by one stale key per
-    // invalidate/re-insert cycle, unboundedly.
+  public:
+    explicit NaiveTlb(std::size_t capacity) : capacity_(capacity) {}
+
+    std::optional<ShadowEntry>
+    lookup(const Context& ctx, GuestVA va_page)
+    {
+        for (const Item& it : items_) {
+            if (it.ctx == ctx && it.vaPage == va_page) {
+                ++hits;
+                return it.entry;
+            }
+        }
+        ++misses;
+        return std::nullopt;
+    }
+
+    void
+    insert(const Context& ctx, GuestVA va_page, const ShadowEntry& entry)
+    {
+        for (Item& it : items_) {
+            if (it.ctx == ctx && it.vaPage == va_page) {
+                it.entry = entry;
+                return;
+            }
+        }
+        if (items_.size() == capacity_) {
+            items_.erase(items_.begin());
+            ++evictions;
+        }
+        items_.push_back({ctx, va_page, entry});
+    }
+
+    void
+    invalidateVa(Asid asid, GuestVA va_page)
+    {
+        std::erase_if(items_, [&](const Item& it) {
+            return it.ctx.asid == asid && it.vaPage == pageBase(va_page);
+        });
+    }
+
+    void
+    invalidateAsid(Asid asid)
+    {
+        std::erase_if(items_,
+                      [&](const Item& it) { return it.ctx.asid == asid; });
+    }
+
+    void
+    invalidateMpa(Mpa frame)
+    {
+        std::erase_if(items_, [&](const Item& it) {
+            return pageBase(it.entry.mpa) == pageBase(frame);
+        });
+    }
+
+    void flushAll() { items_.clear(); }
+    std::size_t size() const { return items_.size(); }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Item
+    {
+        Context ctx;
+        GuestVA vaPage;
+        ShadowEntry entry;
+    };
+
+    std::size_t capacity_;
+    std::vector<Item> items_; ///< Front = oldest.
+};
+
+TEST(Tlb, MatchesNaiveFifoModel)
+{
+    // Several views share each asid, so (asid, va) chains hold more
+    // than one entry, and few frames are shared by many entries. Small
+    // capacities make the head tables collide and wrap.
+    const std::vector<Context> contexts = {
+        {1, 0, false}, {1, 0, true}, {1, 7, false},
+        {2, 0, false}, {2, 9, false}, {3, 0, true},
+    };
+    constexpr std::uint64_t vaPages = 10;
+    constexpr std::uint64_t frames = 6;
+    for (std::size_t capacity : {1u, 2u, 3u, 5u, 8u, 16u, 64u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "capacity " << capacity << " seed " << seed);
+            std::mt19937_64 rng(seed * 1000 + capacity);
+            auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+            auto frame = [&] { return 0x100000 + pick(frames) * pageSize; };
+            Tlb tlb(capacity);
+            NaiveTlb model(capacity);
+
+            for (int step = 0; step < 1500; ++step) {
+                const Context& ctx = contexts[pick(contexts.size())];
+                GuestVA va = pick(vaPages) * pageSize;
+                std::uint64_t op = pick(100);
+                if (op < 40) {
+                    ShadowEntry e{frame(), pick(2) == 0, pick(2) == 0};
+                    tlb.insert(ctx, va, e);
+                    model.insert(ctx, va, e);
+                } else if (op < 60) {
+                    auto got = tlb.lookup(ctx, va);
+                    auto want = model.lookup(ctx, va);
+                    ASSERT_EQ(got.has_value(), want.has_value());
+                } else if (op < 75) {
+                    // Unaligned addresses are rounded down by both.
+                    GuestVA any = va + pick(pageSize);
+                    tlb.invalidateVa(ctx.asid, any);
+                    model.invalidateVa(ctx.asid, any);
+                } else if (op < 90) {
+                    Mpa any = frame() + pick(pageSize);
+                    tlb.invalidateMpa(any);
+                    model.invalidateMpa(any);
+                } else if (op < 98) {
+                    tlb.invalidateAsid(ctx.asid);
+                    model.invalidateAsid(ctx.asid);
+                } else {
+                    tlb.flushAll();
+                    model.flushAll();
+                }
+
+                ASSERT_EQ(tlb.size(), model.size()) << "step " << step;
+                ASSERT_EQ(tlb.stats().value("evictions"), model.evictions)
+                    << "step " << step;
+                // Probe every key: the resident sets and their entries
+                // agree (the probes count identically on both sides).
+                for (const Context& c : contexts) {
+                    for (std::uint64_t p = 0; p < vaPages; ++p) {
+                        auto got = tlb.lookup(c, p * pageSize);
+                        auto want = model.lookup(c, p * pageSize);
+                        ASSERT_EQ(got.has_value(), want.has_value())
+                            << "step " << step << " page " << p;
+                        if (got) {
+                            EXPECT_EQ(got->mpa, want->mpa);
+                            EXPECT_EQ(got->canRead, want->canRead);
+                            EXPECT_EQ(got->canWrite, want->canWrite);
+                        }
+                    }
+                }
+                ASSERT_EQ(tlb.stats().value("hits"), model.hits);
+                ASSERT_EQ(tlb.stats().value("misses"), model.misses);
+            }
+        }
+    }
+}
+
+TEST(Tlb, InvalidationChurnLeavesNothingResident)
+{
     Tlb tlb(4);
     Context ctx{1, 0, false};
     for (int i = 0; i < 1000; ++i) {
@@ -218,8 +375,8 @@ TEST(Tlb, InvalidationChurnKeepsQueueBounded)
         tlb.insert(ctx, va, {0x100000 + va, true, true});
         tlb.invalidateVa(1, va);
     }
-    EXPECT_LE(tlb.queueLength(), 8u); // 2 * capacity compaction bound.
     EXPECT_EQ(tlb.size(), 0u);
+    EXPECT_EQ(tlb.stats().value("evictions"), 0u);
 }
 
 TEST(Tlb, InvalidationScopes)
