@@ -80,18 +80,6 @@ checkMigrated(system::System& dst, Pid pid, const std::string& workload,
 }
 
 void
-abandonSource(system::System& src, Pid pid)
-{
-    os::Process* proc = src.kernel().findProcess(pid);
-    if (proc != nullptr) {
-        proc->killRequested = true;
-        proc->killReason = "migrated away";
-        src.kernel().thaw(pid);
-    }
-    src.run();
-}
-
-void
 benchCold(const std::string& workload, const RunRef& ref,
           bench::BenchReport& report, const std::string& key)
 {
@@ -123,7 +111,7 @@ benchCold(const std::string& workload, const RunRef& ref,
                   migrate::migrateErrorName(restored.error()));
     Cycles restore_cycles = dst.cycles() - restore_start;
 
-    abandonSource(src, pid);
+    src.killFrozen(pid, "migrated away");
     checkMigrated(dst, (*restored).pid, workload, ref);
 
     std::printf("  %-18s cold  image=%8zu B  pages=%4llu  "

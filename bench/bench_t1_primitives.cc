@@ -243,16 +243,6 @@ primitives()
              ++c.scratch;
          }},
 
-        // Incremental integrity: an 8-byte store dirties one 256-byte
-        // chunk, so the kernel-side re-seal re-MACs that chunk plus
-        // the root instead of the whole page (compare against
-        // page_encrypt_dirty, the flat-MAC cost of the same access
-        // pattern).
-        {"chunk_remac", false,
-         [](Ctx& c) { c.h.engine.setChunkedIntegrity(true); },
-         [](Ctx& c) { c.app.store64(Harness::appVa, ++c.scratch); },
-         [](Ctx& c) { c.kernel.load64(Harness::kernelVa); }},
-
         {"metadata_cache_miss", true,
          [](Ctx& c) {
              c.h.engine.metadata().setCacheCapacity(1);

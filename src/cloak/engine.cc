@@ -240,16 +240,6 @@ CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
             crypto::aesCtrXcryptInPlace(cipher, meta.iv, frame);
     };
 
-    if (chunkedIntegrity_ && !res.isFile) {
-        osh_assert(staged == nullptr, "chunked seals are never staged");
-        sealPageChunked(res, page_index, meta, cipher, defer_cycles);
-        plaintextIndex_.erase(gpa);
-        meta.state = PageState::Encrypted;
-        meta.residentGpa = badAddr;
-        vmm_.suspendMpa(vmm_.pmap().translate(gpa));
-        return;
-    }
-
     if (staged != nullptr ? staged->dirtyPath : needsFreshIv(meta)) {
         OSH_TRACE_SCOPE(&vmm_.machine().tracer(),
                         trace::Category::Cloak, "page_encrypt",
@@ -350,11 +340,6 @@ CloakEngine::decryptAndVerify(Resource& res, std::uint64_t page_index,
                               PageMeta& meta, Gpa gpa,
                               const crypto::Aes128& cipher)
 {
-    if (chunkedIntegrity_ && !res.isFile) {
-        unsealPageChunked(res, page_index, meta, gpa, cipher);
-        return;
-    }
-
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "page_decrypt", res.domain, 0, res.id, page_index);
     auto frame = frameBytes(gpa);
@@ -440,10 +425,8 @@ CloakEngine::encryptPages(Resource& res,
     // thread in submission order and draws every fresh IV the inline
     // seals would draw, in the same order (nothing else in a seal
     // touches the RNG), so worker scheduling is unobservable.
-    // Chunked-integrity seals diff and draw per chunk and always run
-    // inline.
     std::vector<StagedSeal> staged;
-    if (pool_.workers() > 1 && items.size() > 1 && !chunkedIntegrity_) {
+    if (pool_.workers() > 1 && items.size() > 1) {
         staged.resize(items.size());
         for (std::size_t i = 0; i < items.size(); ++i) {
             const PageMeta& meta = *items[i].meta;
@@ -612,167 +595,6 @@ CloakEngine::drainAsyncEvictions()
     while (!asyncQueue_.empty())
         drainOneAsyncEviction();
     asyncDraining_ = false;
-}
-
-// ---------------------------------------------------------------------------
-// Chunked (incremental) page integrity
-// ---------------------------------------------------------------------------
-
-crypto::Digest
-CloakEngine::chunkHash(const Resource& res, std::uint64_t page_index,
-                       std::size_t chunk, const ChunkState& cs,
-                       std::span<const std::uint8_t> ciphertext)
-{
-    std::uint8_t header[48];
-    storeLe64(header, res.keyId);
-    storeLe64(header + 8, page_index);
-    storeLe64(header + 16, chunk);
-    storeLe64(header + 24, cs.versions[chunk]);
-    std::memcpy(header + 32, cs.ivs[chunk].data(), cs.ivs[chunk].size());
-    crypto::Sha256 ctx;
-    ctx.update(std::span<const std::uint8_t>(header, sizeof(header)));
-    ctx.update(ciphertext);
-    return ctx.final();
-}
-
-crypto::Digest
-CloakEngine::chunkRoot(const ChunkState& cs)
-{
-    crypto::Sha256 ctx;
-    for (const crypto::Digest& h : cs.hashes)
-        ctx.update(std::span<const std::uint8_t>(h.data(), h.size()));
-    return ctx.final();
-}
-
-void
-CloakEngine::sealPageChunked(Resource& res, std::uint64_t page_index,
-                             PageMeta& meta,
-                             const crypto::Aes128& cipher,
-                             std::uint64_t* defer_cycles)
-{
-    auto frame = frameBytes(meta.residentGpa);
-    auto& cost = vmm_.machine().cost();
-
-    bool fresh = meta.chunks == nullptr;
-    if (fresh)
-        meta.chunks = std::make_shared<ChunkState>();
-    ChunkState& cs = *meta.chunks;
-
-    // Diff against the last-seal plaintext snapshot to find the dirty
-    // chunks; a first seal (no snapshot yet) dirties everything.
-    std::array<bool, chunksPerPage> dirty{};
-    std::size_t ndirty = 0;
-    for (std::size_t c = 0; c < chunksPerPage; ++c) {
-        dirty[c] = fresh ||
-                   std::memcmp(frame.data() + c * chunkSize,
-                               cs.plaintext.data() + c * chunkSize,
-                               chunkSize) != 0;
-        if (dirty[c])
-            ++ndirty;
-    }
-
-    if (ndirty == 0) {
-        // Unmodified page: every stored chunk hash still covers the
-        // contents, so re-sealing is a copy of the stored ciphertext.
-        OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
-                        "chunk_reencrypt_clean", res.domain, 0, res.id,
-                        page_index);
-        std::memcpy(frame.data(), cs.ciphertext.data(), pageSize);
-        chargeOrDefer(cost,
-                      cost.params().victimHitCopy +
-                          cost.params().cloakFaultFixed,
-                      "chunk_reencrypt_clean", defer_cycles);
-        stats_.inc(cloakStat("chunk_clean_reencrypts"));
-        return;
-    }
-
-    OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
-                    "chunk_encrypt", res.domain, 0, res.id, page_index);
-    meta.version++;
-    std::memcpy(cs.plaintext.data(), frame.data(), pageSize);
-    for (std::size_t c = 0; c < chunksPerPage; ++c) {
-        auto chunk = frame.subspan(c * chunkSize, chunkSize);
-        if (dirty[c]) {
-            vmm_.machine().rng().fill(cs.ivs[c]);
-            cs.versions[c]++;
-            crypto::aesCtrXcryptInPlace(cipher, cs.ivs[c], chunk);
-            cs.hashes[c] = chunkHash(res, page_index, c, cs, chunk);
-        } else {
-            std::memcpy(chunk.data(),
-                        cs.ciphertext.data() + c * chunkSize, chunkSize);
-        }
-    }
-    std::memcpy(cs.ciphertext.data(), frame.data(), pageSize);
-    meta.hash = chunkRoot(cs);
-
-    // Cost scales with the dirty chunks (AES + chunk MACs) plus the
-    // fixed root recompute — not with the page size.
-    std::uint64_t dirty_bytes = ndirty * chunkSize;
-    chargeOrDefer(cost,
-                  cost.params().aesPerByte * dirty_bytes +
-                      cost.params().shaPerByte *
-                          (dirty_bytes + 48 * ndirty) +
-                      cost.params().shaPerByte *
-                          (chunksPerPage * sizeof(crypto::Digest)) +
-                      cost.params().cloakFaultFixed,
-                  "chunk_encrypt", defer_cycles);
-    stats_.inc(cloakStat("chunk_encrypts"));
-    stats_.inc(cloakStat("chunk_dirty_chunks"), ndirty);
-}
-
-void
-CloakEngine::unsealPageChunked(Resource& res, std::uint64_t page_index,
-                               PageMeta& meta, Gpa gpa,
-                               const crypto::Aes128& cipher)
-{
-    OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
-                    "chunk_decrypt", res.domain, 0, res.id, page_index);
-    osh_assert(meta.chunks != nullptr,
-               "chunked decrypt of a page never chunk-sealed");
-    ChunkState& cs = *meta.chunks;
-    auto frame = frameBytes(gpa);
-    auto& cost = vmm_.machine().cost();
-
-    cost.charge(cost.params().shaPerByte *
-                    (pageSize + 48 * chunksPerPage +
-                     chunksPerPage * sizeof(crypto::Digest)) +
-                cost.params().aesPerByte * pageSize +
-                cost.params().cloakFaultFixed,
-                "chunk_decrypt");
-
-    // Verify every chunk hash over the presented ciphertext, then the
-    // root, before a single byte is decrypted.
-    for (std::size_t c = 0; c < chunksPerPage; ++c) {
-        crypto::Digest h =
-            chunkHash(res, page_index, c, cs,
-                      std::span<const std::uint8_t>(
-                          frame.data() + c * chunkSize, chunkSize));
-        if (!constantTimeEqual(h, cs.hashes[c])) {
-            violation(res, page_index,
-                      formatString(
-                          "chunk integrity check failed for resource "
-                          "%llu page %llu chunk %llu",
-                          static_cast<unsigned long long>(res.id),
-                          static_cast<unsigned long long>(page_index),
-                          static_cast<unsigned long long>(c)));
-        }
-    }
-    if (!constantTimeEqual(chunkRoot(cs), meta.hash)) {
-        violation(res, page_index,
-                  formatString("chunk root mismatch for resource "
-                               "%llu page %llu",
-                               static_cast<unsigned long long>(res.id),
-                               static_cast<unsigned long long>(
-                                   page_index)));
-    }
-    std::memcpy(cs.ciphertext.data(), frame.data(), pageSize);
-    for (std::size_t c = 0; c < chunksPerPage; ++c) {
-        crypto::aesCtrXcryptInPlace(
-            cipher, cs.ivs[c], frame.subspan(c * chunkSize, chunkSize));
-    }
-    std::memcpy(cs.plaintext.data(), frame.data(), pageSize);
-    stats_.inc(cloakStat("chunk_decrypts"));
-    stats_.inc(cloakStat("page_decrypts"));
 }
 
 std::size_t

@@ -296,8 +296,7 @@ struct AsyncSealEntry
 inline constexpr StatNames cloakStat{
     "async_evict_commits", "async_evict_stalls", "async_evictions",
     "audit_errors", "batch_encrypt_calls", "batch_encrypt_pages",
-    "chunk_clean_reencrypts", "chunk_decrypts", "chunk_dirty_chunks",
-    "chunk_encrypts", "clean_reencrypts", "clean_to_dirty", "cloak_faults",
+    "clean_reencrypts", "clean_to_dirty", "cloak_faults",
     "ctc_violations", "domain_seals_pages", "domains_created",
     "domains_destroyed", "equalized_passthroughs", "file_attach_rejected",
     "file_attaches", "file_discards", "file_seals", "foreign_plaintext_seals",
@@ -504,16 +503,6 @@ class CloakEngine : public vmm::CloakBackend
     }
 
     /**
-     * Incremental page integrity: per-chunk hash tree instead of the
-     * flat page MAC, so partial writes re-MAC only touched chunks plus
-     * the root. Opt-in (anonymous resources only; files keep the flat
-     * MAC, and checkpoint refuses — chunk state is not serialized).
-     * Must be flipped before any page of the run is sealed.
-     */
-    void setChunkedIntegrity(bool on) { chunkedIntegrity_ = on; }
-    bool chunkedIntegrity() const { return chunkedIntegrity_; }
-
-    /**
      * Constant-cost response mode (timing-channel hardening, ablation).
      * Every distinguishable cloak response charges its worst-case
      * sibling's cycles: victim-cache hits and clean re-encrypts charge
@@ -566,25 +555,6 @@ class CloakEngine : public vmm::CloakBackend
     void decryptAndVerify(Resource& res, std::uint64_t page_index,
                           PageMeta& meta, Gpa gpa,
                           const crypto::Aes128& cipher);
-
-    /** Chunked-integrity seal / unseal bodies (chunkedIntegrity_ on,
-     *  anonymous resources). Same in-place contract as the flat paths;
-     *  cost scales with the number of dirty chunks. */
-    void sealPageChunked(Resource& res, std::uint64_t page_index,
-                         PageMeta& meta, const crypto::Aes128& cipher,
-                         std::uint64_t* defer_cycles);
-    void unsealPageChunked(Resource& res, std::uint64_t page_index,
-                           PageMeta& meta, Gpa gpa,
-                           const crypto::Aes128& cipher);
-
-    /** Integrity hash of one chunk's ciphertext bound to its identity
-     *  (key, page, chunk index, chunk version, chunk IV). */
-    crypto::Digest chunkHash(const Resource& res, std::uint64_t page_index,
-                             std::size_t chunk, const ChunkState& cs,
-                             std::span<const std::uint8_t> ciphertext);
-
-    /** Root of the chunk hash tree: SHA-256 over the chunk hashes. */
-    crypto::Digest chunkRoot(const ChunkState& cs);
 
     /** Retire the oldest queued async eviction (stall + commit). */
     void drainOneAsyncEviction();
@@ -650,9 +620,6 @@ class CloakEngine : public vmm::CloakBackend
     Cycles laneBusyUntil_ = 0;
     /** Reentrancy guard: commits must not re-enter the drain. */
     bool asyncDraining_ = false;
-
-    /** Per-chunk hash-tree integrity instead of the flat page MAC. */
-    bool chunkedIntegrity_ = false;
 
     /** Constant-cost responses (see setConstantCostMode). */
     bool constantCost_ = false;

@@ -91,11 +91,6 @@ MetadataStore::cloneResource(const Resource& src, DomainId new_domain)
             meta.state = PageState::Encrypted;
         }
         meta.residentGpa = badAddr;
-        // Chunked-integrity state is per-resource: deep-copy it so the
-        // clone's future partial writes never mutate the parent's
-        // chunk versions or snapshots.
-        if (meta.chunks)
-            meta.chunks = std::make_shared<ChunkState>(*meta.chunks);
     }
     accountPages(static_cast<std::int64_t>(res.pages.size()));
     stats_.inc(metadataStat("resources_cloned"));

@@ -40,11 +40,9 @@
 #include "crypto/sha256.hh"
 #include "sim/cost_model.hh"
 
-#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
 #include <vector>
 
 namespace osh::cloak
@@ -61,28 +59,6 @@ enum class PageState : std::uint8_t
                      ///< fresh IV, hash and version.
 };
 
-/** Chunk geometry of the incremental-integrity (hash tree) mode. */
-constexpr std::size_t chunkSize = 256;
-constexpr std::size_t chunksPerPage = pageSize / chunkSize;
-
-/**
- * Per-chunk integrity state for the incremental-MAC mode: each 256-byte
- * chunk carries its own (IV, version, hash) so a partial write re-MACs
- * only the touched chunks plus the root (PageMeta::hash becomes the
- * root — SHA-256 over the concatenated chunk hashes). The plaintext
- * snapshot diffs the next seal's dirty chunks; the ciphertext snapshot
- * lets clean chunks be copied without re-running AES. Both snapshots
- * live in VMM-private memory, like all metadata.
- */
-struct ChunkState
-{
-    std::array<crypto::Iv, chunksPerPage> ivs{};
-    std::array<std::uint64_t, chunksPerPage> versions{};
-    std::array<crypto::Digest, chunksPerPage> hashes{};
-    std::array<std::uint8_t, pageSize> plaintext{};
-    std::array<std::uint8_t, pageSize> ciphertext{};
-};
-
 /** Per-page protection metadata. */
 struct PageMeta
 {
@@ -92,9 +68,6 @@ struct PageMeta
     std::uint64_t version = 0;
     bool initialized = false;     ///< Has this page ever held data?
     Gpa residentGpa = badAddr;    ///< Frame holding plaintext (if any).
-    /** Chunked-integrity state; allocated on first seal in chunked
-     *  mode, absent (and the flat MAC authoritative) otherwise. */
-    std::shared_ptr<ChunkState> chunks;
 };
 
 /** A cloaked resource: a keyed collection of page metadata. */

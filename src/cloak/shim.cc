@@ -190,7 +190,7 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
 {
     auto& vcpu = env_.vcpu();
     GuestVA staged = stageString(path, 0);
-    std::int64_t fd = trap(Sys::Open, {staged, flags});
+    std::int64_t fd = newFd(Sys::Open, trap(Sys::Open, {staged, flags}));
     if (fd < 0)
         return fd;
 
@@ -430,6 +430,16 @@ Shim::kernelViolation(StatSlot stat, const std::string& what)
     throw vmm::ProcessKilled{pid, "cloak violation: " + what};
 }
 
+std::int64_t
+Shim::newFd(Sys num, std::int64_t fd)
+{
+    if (fd >= 0 && cloakedFiles_.contains(static_cast<std::uint64_t>(fd)))
+        kernelViolation(cloakStat("result_violations"),
+                        std::string(os::sysName(num)) +
+                            " result aliases a protected fd");
+    return fd;
+}
+
 void
 Shim::registerMapping(std::int64_t va, std::uint64_t pages,
                       ResourceId resource)
@@ -545,6 +555,8 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
                 }
                 if (s.desc.num == Sys::Fstat && res == 0)
                     copyGuest(s.appBuf, s.stageVa, sizeof(os::StatBuf));
+                if (s.desc.num == Sys::Dup || s.desc.num == Sys::Dup2)
+                    newFd(s.desc.num, res);
                 results[s.appIndex] = res;
             }
         }
@@ -636,7 +648,7 @@ Shim::shimOpen(const SyscallArgs& args)
     if (isProtectedPath(path))
         return openProtected(path, flags);
     GuestVA staged = stageString(path, 0);
-    return trap(Sys::Open, {staged, flags});
+    return newFd(Sys::Open, trap(Sys::Open, {staged, flags}));
 }
 
 std::int64_t
@@ -750,11 +762,14 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         }
         return trap(num, args);
 
+      case Sys::Dup:
+        return newFd(num, trap(num, args));
+
       case Sys::Dup2:
         // dup/dup2 of a protected fd pass through (the duplicate is a
         // plain kernel descriptor), but dup2 must not CLOSE a protected
         // fd underneath the shim's table: refuse that.
-        return cf != nullptr ? -os::errInval : trap(num, args);
+        return cf != nullptr ? -os::errInval : newFd(num, trap(num, args));
 
       case Sys::SubmitBatch:
         return shimSubmitBatch(args);
@@ -844,8 +859,14 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         {
             GuestVA out = bounceVa_ + bounceDataBytes + 3 * 1024 + 256;
             std::int64_t r = trap(num, {out});
-            if (r == 0)
-                copyGuest(args[0], out, 8);
+            if (r == 0) {
+                std::array<std::uint8_t, 8> fds;
+                env_.readBytes(out, fds);
+                newFd(num, static_cast<std::int32_t>(loadLe32(fds.data())));
+                newFd(num,
+                      static_cast<std::int32_t>(loadLe32(fds.data() + 4)));
+                env_.writeBytes(args[0], fds);
+            }
             return r;
         }
 

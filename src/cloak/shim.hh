@@ -178,6 +178,12 @@ class Shim : public os::SyscallInterposer
     void registerMapping(std::int64_t va, std::uint64_t pages,
                          ResourceId resource);
 
+    /** @p fd, a descriptor the kernel's @p num just handed out. One
+     *  the shim already serves as a protected file is a kernel
+     *  violation: the app's plain I/O on it would reach that file's
+     *  plaintext. */
+    std::int64_t newFd(os::Sys num, std::int64_t fd);
+
     static std::uint64_t pathKey(const std::string& path);
 
     CloakEngine& engine_;

@@ -260,12 +260,6 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
                    t->state == os::Thread::State::Ready,
                "checkpoint of a running (unquiesced) process");
 
-    // Chunked-integrity pages carry per-chunk (IV, version, hash)
-    // state this image format does not serialize: a typed refusal, not
-    // a checkpoint that would restore with a broken hash tree.
-    if (engine->chunkedIntegrity())
-        return Error(MigrateError::UnsupportedState);
-
     // Retire any in-flight async evictions before touching swap or
     // sealing: the image must carry fully committed ciphertext.
     sys.vmm().drainAsyncEvictions();

@@ -253,14 +253,8 @@ migrateLive(system::System& src, Pid pid, system::System& dst,
     result.downtimeCycles += dst.cycles() - dst_start;
     result.targetPid = (*restored).pid;
 
-    // Abandon the source copy. killProcess() would wake the frozen
-    // thread without the scheduler's freeze accounting, so flag the
-    // kill and thaw properly: the post-thaw kill check in the trap
-    // path tears it down.
-    proc->killRequested = true;
-    proc->killReason = "migrated away";
-    src.kernel().thaw(pid);
-    src.run();
+    // Abandon the source copy.
+    src.killFrozen(pid, "migrated away");
     return result;
 }
 

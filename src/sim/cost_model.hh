@@ -64,8 +64,7 @@ struct CostParams
  * keys perfbench reports as sim.events.*.
  */
 inline constexpr StatNames costEventNames{
-    "asid_flush", "async_evict_stall", "batch_dispatch", "chunk_decrypt",
-    "chunk_encrypt", "chunk_reencrypt_clean", "cloak_fork_launch",
+    "asid_flush", "async_evict_stall", "batch_dispatch", "cloak_fork_launch",
     "cloak_intr_enter", "cloak_intr_return", "cloak_launch",
     "cloak_restore_launch", "cloak_scrub_zero", "cloak_trap_enter",
     "cloak_trap_return", "cloak_zero_fill", "context_switch", "cow_copy",

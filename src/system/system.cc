@@ -110,6 +110,10 @@ System::System(const SystemConfig& config)
 
 System::~System()
 {
+    // A frozen thread is still live: end it before the scheduler goes.
+    for (Pid pid : kernel_.pids())
+        if (kernel_.isFrozen(pid))
+            killFrozen(pid, "system destroyed");
     kernel_.setProcessHost(nullptr);
 }
 
@@ -139,6 +143,16 @@ System::run()
     // stay in results_.
     sched_.reapFinished();
     kernel_.reapOrphanZombies();
+}
+
+void
+System::killFrozen(Pid pid, const std::string& reason)
+{
+    os::Process& proc = kernel_.process(pid);
+    proc.killRequested = true;
+    proc.killReason = reason;
+    kernel_.thaw(pid);
+    run();
 }
 
 ExitResult

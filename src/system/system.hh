@@ -287,6 +287,13 @@ class System : public os::ProcessHost, public os::EnvRuntime
      */
     void run();
 
+    /**
+     * Tear down a frozen process: flag the kill, thaw it and run, so
+     * the post-thaw kill check in its trap path ends it. (killProcess()
+     * would wake the thread without the scheduler's freeze accounting.)
+     */
+    void killFrozen(Pid pid, const std::string& reason);
+
     /** Convenience: launch + run, returning the init process result. */
     ExitResult runProgram(const std::string& program,
                           std::vector<std::string> argv = {});

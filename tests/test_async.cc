@@ -1,11 +1,9 @@
 /**
  * @file
- * Async re-encryption pipeline + incremental (chunked) page integrity
- * tests: enqueue semantics (double buffering, scrubbed hand-back,
- * FIFO retirement, stall accounting), guest-visible invariance across
- * queue depths, the ≥5× eviction critical-path win, chunked tamper
- * detection and flat/chunked equivalence, checkpoint interaction
- * (drain-first; typed refusal under chunked integrity), the
+ * Async re-encryption pipeline tests: enqueue semantics (double
+ * buffering, scrubbed hand-back, FIFO retirement, stall accounting),
+ * guest-visible invariance across queue depths, the ≥5× eviction
+ * critical-path win, checkpoint interaction (drain-first), the
  * leak-oracle staging scan, builder validation, and the scheduler's
  * release of finished threads and their fiber stacks.
  */
@@ -38,7 +36,6 @@ namespace
 
 using attack::AttackPoint;
 using attack::CampaignCell;
-using migrate::MigrateError;
 using system::System;
 using system::SystemConfig;
 
@@ -77,17 +74,17 @@ class FakeOs : public vmm::GuestOsHooks
 /**
  * Machine + VMM + engine + fake OS + one domain with a small region.
  * A plain struct (not a fixture) so one test can instantiate several
- * rigs — e.g. a flat and a chunked engine fed identical accesses.
+ * rigs — e.g. a synchronous and an asynchronous engine fed identical
+ * accesses.
  */
 struct Rig
 {
-    explicit Rig(std::size_t async_depth = 0, bool chunked = false)
+    explicit Rig(std::size_t async_depth = 0)
         : machine(sim::MachineConfig{256, 7, {}}), vmm(machine, 256),
           engine(vmm, 99, 64)
     {
         vmm.setGuestOs(&os);
         engine.setAsyncEvictDepth(async_depth);
-        engine.setChunkedIntegrity(chunked);
         domain = engine.createDomain(appAsid, 5,
                                      cloak::programIdentity("victim"));
         for (std::uint64_t i = 0; i < regionPages; ++i) {
@@ -266,63 +263,6 @@ TEST(AsyncEvict, EnqueueCriticalPathAtLeastFiveTimesCheaper)
         << "sync=" << sync_cost << " async=" << async_cost;
 }
 
-// --- chunked (incremental) integrity ---------------------------------
-
-TEST(ChunkedIntegrity, RoundTripMatchesFlatPath)
-{
-    Rig flat(0, false);
-    Rig chunked(0, true);
-    for (Rig* rig : {&flat, &chunked}) {
-        auto app = rig->appCpu();
-        auto kernel = rig->kernelCpu();
-        app.store64(Rig::appVa, 0xabcdef01);
-        std::uint64_t kview = kernel.load64(Rig::kernelVaOf(Rig::gpa));
-        EXPECT_NE(kview, 0xabcdef01u); // ciphertext in the kernel view
-        EXPECT_EQ(app.load64(Rig::appVa), 0xabcdef01u);
-    }
-    EXPECT_EQ(chunked.engine.stats().value("chunk_encrypts"), 1u);
-    EXPECT_EQ(chunked.engine.stats().value("chunk_decrypts"), 1u);
-    EXPECT_EQ(flat.engine.stats().value("chunk_encrypts"), 0u);
-}
-
-TEST(ChunkedIntegrity, TamperedChunkIsDetected)
-{
-    Rig rig(0, true);
-    auto app = rig.appCpu();
-    auto kernel = rig.kernelCpu();
-    app.store64(Rig::appVa, 42);
-    kernel.load64(Rig::kernelVaOf(Rig::gpa)); // chunked seal
-    // Tamper one byte in chunk 5 of the ciphertext image.
-    kernel.store64(Rig::kernelVaOf(Rig::gpa) + 5 * cloak::chunkSize + 8,
-                   0x666);
-    EXPECT_THROW(app.load64(Rig::appVa), vmm::ProcessKilled);
-    EXPECT_EQ(rig.engine.stats().value("violations"), 1u);
-    ASSERT_FALSE(rig.engine.auditLog().empty());
-}
-
-TEST(ChunkedIntegrity, SmallWriteRemacsOnlyTouchedChunks)
-{
-    Rig flat(0, false);
-    Rig chunked(0, true);
-    auto reseal_cost = [](Rig& rig) {
-        auto app = rig.appCpu();
-        auto kernel = rig.kernelCpu();
-        app.store64(Rig::appVa, 1);
-        kernel.load64(Rig::kernelVaOf(Rig::gpa)); // first (full) seal
-        app.store64(Rig::appVa, 2);               // dirty 8 bytes
-        Cycles before = rig.cycles();
-        kernel.load64(Rig::kernelVaOf(Rig::gpa)); // re-seal
-        return rig.cycles() - before;
-    };
-    Cycles flat_cost = reseal_cost(flat);
-    Cycles chunked_cost = reseal_cost(chunked);
-    EXPECT_GE(flat_cost, 5 * chunked_cost)
-        << "flat=" << flat_cost << " chunked=" << chunked_cost;
-    // The 8-byte store dirtied exactly one 256-byte chunk.
-    EXPECT_EQ(chunked.engine.stats().value("chunk_dirty_chunks"),
-              cloak::chunksPerPage + 1);
-}
-
 // --- system-level invariance -----------------------------------------
 
 struct PagingObs
@@ -337,7 +277,7 @@ struct PagingObs
 };
 
 PagingObs
-runPaging(std::size_t depth, bool chunked = false)
+runPaging(std::size_t depth)
 {
     auto cfg = SystemConfig::Builder{}
                    .seed(7)
@@ -346,7 +286,6 @@ runPaging(std::size_t depth, bool chunked = false)
                    .asyncEvictDepth(depth)
                    .build();
     System sys(cfg);
-    sys.cloak()->setChunkedIntegrity(chunked);
     workloads::registerAll(sys);
     auto r = sys.runProgram("wl.memstress", {"256", "3", "1"});
     PagingObs obs;
@@ -381,15 +320,6 @@ TEST(AsyncSystem, PagingWorkloadIsDepthInvariant)
     }
 }
 
-TEST(AsyncSystem, ChunkedIntegrityPreservesWorkloadResults)
-{
-    PagingObs flat = runPaging(0, false);
-    PagingObs chunked = runPaging(0, true);
-    EXPECT_EQ(chunked.status, flat.status);
-    EXPECT_EQ(chunked.checksum, flat.checksum);
-    EXPECT_EQ(chunked.swapIns, flat.swapIns);
-}
-
 TEST(AsyncSystem, RunIsDeterministicAtFixedDepth)
 {
     PagingObs a = runPaging(4);
@@ -411,18 +341,6 @@ launchFrozen(System& sys, const std::string& workload,
     sys.run();
     EXPECT_TRUE(sys.kernel().isFrozen(pid));
     return pid;
-}
-
-/** Kill + thaw + run a frozen victim so teardown sees no live threads. */
-void
-abandonVictim(System& sys, Pid pid)
-{
-    os::Process* proc = sys.kernel().findProcess(pid);
-    ASSERT_NE(proc, nullptr);
-    proc->killRequested = true;
-    proc->killReason = "test done";
-    sys.kernel().thaw(pid);
-    sys.run();
 }
 
 TEST(AsyncCheckpoint, CheckpointDrainsPendingEvictionsFirst)
@@ -455,21 +373,7 @@ TEST(AsyncCheckpoint, CheckpointDrainsPendingEvictionsFirst)
     ASSERT_TRUE(cp.ok());
     EXPECT_TRUE(committed);
     EXPECT_EQ(sys.cloak()->asyncPendingEvictions(), 0u);
-    abandonVictim(sys, pid);
-}
-
-TEST(AsyncCheckpoint, ChunkedIntegrityCheckpointRefusedTyped)
-{
-    auto cfg = SystemConfig::Builder{}.seed(5).cloaking(true).build();
-    System sys(cfg);
-    sys.cloak()->setChunkedIntegrity(true);
-    workloads::registerAll(sys);
-    Pid pid = launchFrozen(sys, "wl.victim.compute", 4);
-
-    auto cp = migrate::checkpoint(sys, pid);
-    ASSERT_FALSE(cp.ok());
-    EXPECT_EQ(cp.error(), MigrateError::UnsupportedState);
-    abandonVictim(sys, pid);
+    sys.killFrozen(pid, "test done");
 }
 
 // --- leak oracle -----------------------------------------------------
@@ -512,7 +416,7 @@ TEST(AsyncOracle, FindsSentinelPlantedInStagingBuffer)
     std::string leak = attack::findSentinelLeak(sys, director, sentinel);
     ASSERT_FALSE(leak.empty());
     EXPECT_NE(leak.find("staging"), std::string::npos) << leak;
-    abandonVictim(sys, pid);
+    sys.killFrozen(pid, "test done");
 }
 
 // --- campaign verdict parity -----------------------------------------

@@ -83,17 +83,6 @@ launchFrozen(system::System& sys, const std::string& workload,
     return pid;
 }
 
-void
-abandonSource(system::System& sys, Pid pid)
-{
-    os::Process* proc = sys.kernel().findProcess(pid);
-    ASSERT_NE(proc, nullptr);
-    proc->killRequested = true;
-    proc->killReason = "migrated away";
-    sys.kernel().thaw(pid);
-    sys.run();
-}
-
 // --- image format ---------------------------------------------------
 
 TEST(MigrateImage, PayloadRoundTrip)
@@ -283,7 +272,7 @@ TEST(MigrateCheckpoint, RestoreThenRecheckpointIsByteIdentical)
     EXPECT_EQ((*ckpt).image, (*again).image);
 
     // Both copies still finish correctly (only the target is kept).
-    abandonSource(src, pid);
+    src.killFrozen(pid, "migrated away");
     dst.run();
     const system::ExitResult* r = dst.resultOf((*restored).pid);
     ASSERT_NE(r, nullptr);
@@ -338,6 +327,30 @@ TEST(MigrateCheckpoint, TamperedImageIsRefusedUntouched)
     EXPECT_EQ(r->status, 0);
 }
 
+TEST(MigrateCheckpoint, KillFrozenEndsTheProcess)
+{
+    system::System sys(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(sys);
+    Pid pid = launchFrozen(sys, "wl.victim.compute", 16);
+
+    sys.killFrozen(pid, "test done");
+    EXPECT_FALSE(sys.kernel().isFrozen(pid));
+    const system::ExitResult* r = sys.resultOf(pid);
+    ASSERT_NE(r, nullptr);
+    EXPECT_TRUE(r->killed);
+    EXPECT_EQ(r->killReason, "test done");
+}
+
+TEST(MigrateCheckpoint, SystemHoldingAFrozenProcessTearsDown)
+{
+    // A checkpoint refusal leaves the victim frozen; the caller may
+    // drop the machine without thawing it.
+    system::System sys(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(sys);
+    Pid pid = launchFrozen(sys, "wl.victim.compute", 16);
+    ASSERT_TRUE(sys.kernel().isFrozen(pid));
+}
+
 TEST(MigrateCheckpoint, FileMappingRecordIsRefused)
 {
     system::System src(victimConfig("wl.victim.compute", 7));
@@ -382,7 +395,7 @@ TEST(MigrateCheckpoint, FileMappingRecordIsRefused)
     // The untouched image still restores.
     EXPECT_TRUE(migrate::restore(dst, (*ckpt).image, (*ckpt).ticket).ok());
     dst.run();
-    abandonSource(src, pid);
+    src.killFrozen(pid, "migrated away");
 }
 
 /** Cold round trip: the migrated victim must finish with the same
@@ -410,7 +423,7 @@ TEST(MigrateCheckpoint, ColdMigrationMatchesReference)
                 migrate::restore(dst, (*ckpt).image, (*ckpt).ticket);
             ASSERT_TRUE(restored.ok())
                 << migrate::migrateErrorName(restored.error());
-            abandonSource(src, pid);
+            src.killFrozen(pid, "migrated away");
 
             dst.run();
             const system::ExitResult* r = dst.resultOf((*restored).pid);

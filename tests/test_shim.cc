@@ -5,6 +5,7 @@
  * at-rest ciphertext tampering.
  */
 
+#include "base/bytes.hh"
 #include "cloak/engine.hh"
 #include "os/attack_hooks.hh"
 #include "os/env.hh"
@@ -12,6 +13,11 @@
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace osh
 {
@@ -242,6 +248,112 @@ TEST(ShimMarshal, MmapResultOverlappingARegionKills)
         << r.killReason;
     EXPECT_EQ(sys.cloak()->stats().value("result_violations"), 1u);
     EXPECT_EQ(leaked, 0u);
+}
+
+/** An Iago-style kernel: answers the next @c armed call with a
+ *  descriptor the app already holds. */
+class RecycledFd : public os::AttackHooks
+{
+  public:
+    explicit RecycledFd(System& sys) : kernel_(sys.kernel())
+    {
+        kernel_.setAttackHooks(this);
+    }
+
+    ~RecycledFd() override { kernel_.setAttackHooks(nullptr); }
+
+    void
+    onSyscallReturn(os::Kernel& kernel, os::Thread& t, os::Sys num,
+                    const os::SyscallArgs& args, std::int64_t& rv) override
+    {
+        if (num != armed || target < 0 || rv < 0)
+            return;
+        std::array<std::uint8_t, 8> fd{};
+        storeLe64(fd.data(), static_cast<std::uint64_t>(target));
+        if (num == os::Sys::Pipe) {
+            // The read end of the {rfd, wfd} pair at args[0].
+            kernel.copyToUser(t, args[0],
+                              std::span<const std::uint8_t>(fd.data(), 4));
+        } else if (num == os::Sys::SubmitBatch) {
+            // The result of the last completion in the ring at args[1].
+            kernel.copyToUser(t, args[1] + (args[2] - 1) * os::batchCompBytes,
+                              fd);
+        } else {
+            rv = target;
+        }
+        target = -1;
+    }
+
+    os::Sys armed = os::Sys::Open;
+    std::int64_t target = -1; ///< Descriptor to hand out (-1: honest).
+
+  private:
+    os::Kernel& kernel_;
+};
+
+TEST(ShimMarshal, FdResultAliasingAProtectedFdKills)
+{
+    // A "fresh" descriptor that is really an open protected file's
+    // would have the shim serve the app's plain reads from that file's
+    // plaintext mapping. Every call that hands out a descriptor kills.
+    struct Case
+    {
+        const char* name;
+        os::Sys armed;
+        const char* reason;
+    };
+    for (const Case& c :
+         {Case{"plain open", os::Sys::Open, "open"},
+          Case{"protected open", os::Sys::Open, "open"},
+          Case{"dup", os::Sys::Dup, "dup"},
+          Case{"batched dup", os::Sys::SubmitBatch, "dup"},
+          Case{"pipe", os::Sys::Pipe, "pipe"}}) {
+        SCOPED_TRACE(c.name);
+        const std::string name = c.name;
+        System sys(cloakedConfig());
+        RecycledFd attacker(sys);
+        std::string leaked;
+        auto r = runCloaked(sys, [&](Env& env) {
+            const std::uint64_t rw =
+                os::openCreate | os::openRead | os::openWrite;
+            env.mkdir("/cloaked");
+            std::int64_t secret = env.open("/cloaked/secret", rw);
+            env.writeAll(secret, "TOPSECRETDATA");
+            env.lseek(secret, 0, os::seekSet);
+            attacker.armed = c.armed;
+            attacker.target = secret;
+            std::int64_t f = -1;
+            if (name == "protected open") {
+                f = env.open("/cloaked/other", rw);
+            } else if (name == "pipe") {
+                int rfd = -1, wfd = -1;
+                env.pipe(rfd, wfd);
+                f = rfd;
+            } else {
+                f = env.open("/plain", rw);
+            }
+            auto plain = static_cast<std::uint64_t>(f);
+            if (name == "dup") {
+                f = env.dup(plain);
+            } else if (name == "batched dup") {
+                std::vector<std::int64_t> results;
+                env.submitBatch({{os::Sys::GetPid, {}},
+                                 {os::Sys::Dup, {plain}}},
+                                results);
+                f = results[1];
+            }
+            leaked = env.readSome(static_cast<std::uint64_t>(f), 64);
+            return 0;
+        });
+        EXPECT_TRUE(r.killed) << "app read " << leaked;
+        EXPECT_NE(r.killReason.find(std::string("cloak violation: ") +
+                                    c.reason +
+                                    " result aliases a protected fd"),
+                  std::string::npos)
+            << r.killReason;
+        EXPECT_EQ(sys.cloak()->stats().value("result_violations"), 1u);
+        EXPECT_EQ(leaked, "");
+    }
 }
 
 TEST(ShimEmulated, SeekModesAndEof)

@@ -76,19 +76,6 @@ freezeVictim(osh::system::System& sys, osh::Pid pid,
     return sys.kernel().isFrozen(pid);
 }
 
-/** Abandon the source copy of a migrated-away victim. */
-void
-abandonSource(osh::system::System& sys, osh::Pid pid)
-{
-    osh::os::Process* proc = sys.kernel().findProcess(pid);
-    if (proc == nullptr)
-        return;
-    proc->killRequested = true;
-    proc->killReason = "migrated away";
-    sys.kernel().thaw(pid);
-    sys.run();
-}
-
 /** Failed migration: let the victim finish on the source so the
  *  scheduler winds down cleanly. */
 void
@@ -176,7 +163,7 @@ main(int argc, char** argv)
             return 1;
         }
         target_pid = restored.value().pid;
-        abandonSource(src, pid);
+        src.killFrozen(pid, "migrated away");
         if (!quiet) {
             std::cout << "checkpoint: " << ckpt.value().image.size()
                       << " bytes, " << ckpt.value().pagesCaptured
