@@ -134,6 +134,16 @@ struct Primitive
  *  warmup+measure loop (72 evictions) never revisits a sealed page. */
 constexpr std::uint64_t asyncBenchPages = 128;
 
+/** Drops retired async evictions: the bench times the enqueue only. */
+struct DiscardSink : vmm::EvictionSink
+{
+    void
+    commitEviction(std::uint64_t, std::uint64_t,
+                   std::span<const std::uint8_t>) override
+    {
+    }
+} discardSink;
+
 const std::vector<Primitive>&
 primitives()
 {
@@ -237,8 +247,7 @@ primitives()
          [](Ctx& c) {
              std::uint64_t i = 1 + c.scratch % asyncBenchPages;
              bool queued = c.h.engine.evictPageAsync(
-                 Harness::gpa + i * pageSize,
-                 [](std::span<const std::uint8_t>) {});
+                 Harness::gpa + i * pageSize, discardSink, 0, 0);
              osh_assert(queued, "async enqueue refused in bench");
              ++c.scratch;
          }},

@@ -68,6 +68,38 @@ CloakEngine::~CloakEngine()
     vmm_.setCloakBackend(nullptr);
 }
 
+CloakEngine::PlaintextRef*
+CloakEngine::plaintextAt(Gpa gpa)
+{
+    std::uint64_t frame = pageNumber(gpa);
+    if (frame >= plaintextIndex_.size() ||
+        plaintextIndex_[frame].resource == 0)
+        return nullptr;
+    return &plaintextIndex_[frame];
+}
+
+void
+CloakEngine::setPlaintext(Gpa gpa, ResourceId resource,
+                          std::uint64_t page_index)
+{
+    osh_assert(resource != 0, "plaintext of no resource");
+    std::uint64_t frame = pageNumber(gpa);
+    if (frame >= plaintextIndex_.size())
+        plaintextIndex_.resize(frame + 1);
+    if (plaintextIndex_[frame].resource == 0)
+        ++plaintextFrames_;
+    plaintextIndex_[frame] = {resource, page_index};
+}
+
+void
+CloakEngine::clearPlaintext(Gpa gpa)
+{
+    if (PlaintextRef* ref = plaintextAt(gpa)) {
+        *ref = {};
+        --plaintextFrames_;
+    }
+}
+
 std::span<std::uint8_t>
 CloakEngine::frameBytes(Gpa gpa)
 {
@@ -326,7 +358,7 @@ CloakEngine::encryptPage(Resource& res, std::uint64_t page_index,
         }
     }
 
-    plaintextIndex_.erase(gpa);
+    clearPlaintext(gpa);
     meta.state = PageState::Encrypted;
     meta.residentGpa = badAddr;
     // Translations of the frame are unchanged — only its view flipped.
@@ -461,31 +493,37 @@ std::size_t
 CloakEngine::sealPlaintextFrames(std::span<const Gpa> gpas)
 {
     // Group the resident plaintext frames by owning resource so each
-    // resource's pages go through one encryptPages() batch. Frames not
-    // holding cloaked plaintext are skipped — the hint is always safe.
-    std::map<ResourceId, std::vector<PageCryptoItem>> work;
+    // resource's pages go through one encryptPages() batch: resources
+    // in id order, pages in hint order. Frames not holding cloaked
+    // plaintext are skipped — the hint is always safe. Both work lists
+    // are members, so a steady caller reuses their storage.
+    presealWork_.clear();
     for (Gpa gpa : gpas) {
-        auto pit = plaintextIndex_.find(pageBase(gpa));
-        if (pit == plaintextIndex_.end())
+        const PlaintextRef* ref = plaintextAt(gpa);
+        if (ref == nullptr)
             continue;
-        Resource* res = metadata_.lookup(pit->second.resource).valueOr(nullptr);
+        Resource* res = metadata_.lookup(ref->resource).valueOr(nullptr);
         if (res == nullptr) {
-            plaintextIndex_.erase(pit);
+            clearPlaintext(gpa);
             continue;
         }
-        PageMeta& meta = metadata_.page(*res, pit->second.pageIndex);
+        PageMeta& meta = metadata_.page(*res, ref->pageIndex);
         if (meta.state == PageState::Encrypted)
             continue;
-        work[res->id].push_back({pit->second.pageIndex, &meta});
+        // Insertion keeps the list stably sorted by resource id.
+        presealWork_.push_back({res, {ref->pageIndex, &meta}});
+        for (std::size_t i = presealWork_.size() - 1;
+             i > 0 && presealWork_[i - 1].first->id > res->id; --i)
+            std::swap(presealWork_[i - 1], presealWork_[i]);
     }
-    std::size_t sealed = 0;
-    for (auto& [resource, items] : work) {
-        Resource* res = metadata_.lookup(resource).valueOr(nullptr);
-        if (res == nullptr)
-            continue;
-        encryptPages(*res, items);
-        sealed += items.size();
+    for (std::size_t i = 0; i < presealWork_.size();) {
+        Resource* res = presealWork_[i].first;
+        presealBatch_.clear();
+        for (; i < presealWork_.size() && presealWork_[i].first == res; ++i)
+            presealBatch_.push_back(presealWork_[i].second);
+        encryptPages(*res, presealBatch_);
     }
+    std::size_t sealed = presealWork_.size();
     if (sealed > 0)
         stats_.inc(cloakStat("preseal_frames"), sealed);
     return sealed;
@@ -496,19 +534,19 @@ CloakEngine::sealPlaintextFrames(std::span<const Gpa> gpas)
 // ---------------------------------------------------------------------------
 
 bool
-CloakEngine::evictPageAsync(
-    Gpa gpa, std::function<void(std::span<const std::uint8_t>)> commit)
+CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
+                            std::uint64_t slot, std::uint64_t replay_key)
 {
     if (asyncDepth_ == 0 || asyncDraining_)
         return false;
     gpa = pageBase(gpa);
-    auto pit = plaintextIndex_.find(gpa);
-    if (pit == plaintextIndex_.end())
+    const PlaintextRef* ref = plaintextAt(gpa);
+    if (ref == nullptr)
         return false; // No cloaked plaintext: nothing to defer.
-    Resource* res = metadata_.lookup(pit->second.resource).valueOr(nullptr);
+    Resource* res = metadata_.lookup(ref->resource).valueOr(nullptr);
     if (res == nullptr)
         return false;
-    std::uint64_t page_index = pit->second.pageIndex;
+    std::uint64_t page_index = ref->pageIndex;
     PageMeta& meta = metadata_.page(*res, page_index);
     if (meta.state == PageState::Encrypted || meta.residentGpa != gpa)
         return false;
@@ -539,7 +577,9 @@ CloakEngine::evictPageAsync(
     // Double buffer: the ciphertext lives in staging from here on; the
     // frame goes back to the kernel scrubbed.
     std::memset(frame.data(), 0, frame.size());
-    entry.commit = std::move(commit);
+    entry.sink = &sink;
+    entry.slot = slot;
+    entry.replayKey = replay_key;
 
     // Lane model: the seal and its swap-slot write proceed as
     // background work on one lane, serialized behind whatever the lane
@@ -579,9 +619,7 @@ CloakEngine::drainOneAsyncEviction()
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "async_evict_commit", systemDomain, 0,
                     entry.resource, entry.pageIndex);
-    if (entry.commit)
-        entry.commit(std::span<const std::uint8_t>(entry.sealed.data(),
-                                                   pageSize));
+    entry.sink->commitEviction(entry.slot, entry.replayKey, entry.sealed);
     std::memset(entry.sealed.data(), 0, entry.sealed.size());
     stats_.inc(cloakStat("async_evict_commits"));
 }
@@ -623,10 +661,9 @@ CloakEngine::sealDomainPlaintext(DomainId id)
             if (meta.state == PageState::Encrypted ||
                 meta.residentGpa == badAddr)
                 continue;
-            auto pit = plaintextIndex_.find(meta.residentGpa);
-            if (pit == plaintextIndex_.end() ||
-                pit->second.resource != res->id ||
-                pit->second.pageIndex != idx)
+            const PlaintextRef* ref = plaintextAt(meta.residentGpa);
+            if (ref == nullptr || ref->resource != res->id ||
+                ref->pageIndex != idx)
                 continue;
             items.push_back({idx, &meta});
         }
@@ -677,20 +714,21 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
 
     // Never let a frame holding some other page's plaintext escape its
     // owner's exclusive view.
-    auto pit = plaintextIndex_.find(gpa);
-    bool was_plaintext = pit != plaintextIndex_.end();
-    if (pit != plaintextIndex_.end()) {
-        bool self = res != nullptr && pit->second.resource == res->id &&
-                    pit->second.pageIndex == page_index;
+    const PlaintextRef* ref = plaintextAt(gpa);
+    bool was_plaintext = ref != nullptr;
+    if (ref != nullptr) {
+        bool self = res != nullptr && ref->resource == res->id &&
+                    ref->pageIndex == page_index;
         if (!self) {
-            Resource* owner = metadata_.lookup(pit->second.resource).valueOr(nullptr);
+            PlaintextRef foreign = *ref;
+            Resource* owner =
+                metadata_.lookup(foreign.resource).valueOr(nullptr);
             if (owner != nullptr) {
-                PageMeta& ometa =
-                    metadata_.page(*owner, pit->second.pageIndex);
-                encryptPage(*owner, pit->second.pageIndex, ometa,
+                PageMeta& ometa = metadata_.page(*owner, foreign.pageIndex);
+                encryptPage(*owner, foreign.pageIndex, ometa,
                             cipherFor(*owner));
             } else {
-                plaintextIndex_.erase(pit);
+                clearPlaintext(gpa);
             }
             stats_.inc(cloakStat("foreign_plaintext_seals"));
         }
@@ -729,7 +767,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
         meta.initialized = true;
         meta.state = PageState::PlaintextDirty;
         meta.residentGpa = gpa;
-        plaintextIndex_[gpa] = {res->id, page_index};
+        setPlaintext(gpa, res->id, page_index);
         vmm_.suspendMpa(mpa);
         return {mpa, true, pte.writable};
     }
@@ -741,10 +779,9 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
         // seal the old location and validate the new frame as a
         // ciphertext image — which will fail unless the kernel somehow
         // reproduced the exact sealed bytes.
-        if (auto old = plaintextIndex_.find(meta.residentGpa);
-            old != plaintextIndex_.end() &&
-            old->second.resource == res->id &&
-            old->second.pageIndex == page_index) {
+        if (const PlaintextRef* old = plaintextAt(meta.residentGpa);
+            old != nullptr && old->resource == res->id &&
+            old->pageIndex == page_index) {
             encryptPage(*res, page_index, meta, cipherFor(*res));
         } else {
             meta.state = PageState::Encrypted;
@@ -757,7 +794,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
       case PageState::Encrypted:
         decryptAndVerify(*res, page_index, meta, gpa, cipherFor(*res));
         meta.residentGpa = gpa;
-        plaintextIndex_[gpa] = {res->id, page_index};
+        setPlaintext(gpa, res->id, page_index);
         vmm_.suspendMpa(mpa);
         if (access == vmm::AccessType::Write || !cleanOptimization_) {
             meta.state = PageState::PlaintextDirty;
@@ -817,15 +854,14 @@ CloakEngine::teardownDomain(DomainId id)
         for (auto& [idx, meta] : res->pages) {
             if (meta.state != PageState::Encrypted &&
                 meta.residentGpa != badAddr) {
-                auto pit = plaintextIndex_.find(meta.residentGpa);
-                if (pit != plaintextIndex_.end() &&
-                    pit->second.resource == res->id &&
-                    pit->second.pageIndex == idx) {
+                const PlaintextRef* ref = plaintextAt(meta.residentGpa);
+                if (ref != nullptr && ref->resource == res->id &&
+                    ref->pageIndex == idx) {
                     auto frame = frameBytes(meta.residentGpa);
                     std::memset(frame.data(), 0, frame.size());
                     vmm_.invalidateMpa(
                         vmm_.pmap().translate(meta.residentGpa));
-                    plaintextIndex_.erase(pit);
+                    clearPlaintext(meta.residentGpa);
                 }
                 meta.state = PageState::Encrypted;
                 meta.residentGpa = badAddr;
@@ -909,15 +945,15 @@ CloakEngine::unregisterRegion(DomainId domain, GuestVA start)
                         meta.residentGpa == badAddr) {
                         continue;
                     }
-                    auto pit = plaintextIndex_.find(meta.residentGpa);
-                    if (pit != plaintextIndex_.end() &&
-                        pit->second.resource == res->id &&
-                        pit->second.pageIndex == idx) {
+                    const PlaintextRef* ref =
+                        plaintextAt(meta.residentGpa);
+                    if (ref != nullptr && ref->resource == res->id &&
+                        ref->pageIndex == idx) {
                         auto frame = frameBytes(meta.residentGpa);
                         std::memset(frame.data(), 0, frame.size());
                         vmm_.invalidateMpa(
                             vmm_.pmap().translate(meta.residentGpa));
-                        plaintextIndex_.erase(pit);
+                        clearPlaintext(meta.residentGpa);
                         auto& cost = vmm_.machine().cost();
                         cost.charge(cost.params().pageZero,
                                     "cloak_scrub_zero");
@@ -1250,7 +1286,7 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
         switch (arg(0)) {
           case 0: return static_cast<std::int64_t>(auditLog_.size());
           case 1:
-            return static_cast<std::int64_t>(plaintextIndex_.size());
+            return static_cast<std::int64_t>(plaintextFrames_);
           case 2: return static_cast<std::int64_t>(domains_.size());
           case 3: return static_cast<std::int64_t>(auditLog_.dropped());
           default: return -1;

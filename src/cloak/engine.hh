@@ -38,7 +38,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -279,7 +278,7 @@ struct PageCryptoItem
  * RNG draws, metadata transitions and victim-cache traffic as the
  * synchronous path — with its cycle charges routed into the background
  * lane; the sealed ciphertext waits in @p sealed until the drain
- * barrier invokes @p commit (which performs the swap-slot write and
+ * barrier hands it to @p sink (which performs the swap-slot write and
  * the kernel's tamper/replay/attack observation points).
  */
 struct AsyncSealEntry
@@ -289,7 +288,9 @@ struct AsyncSealEntry
     std::uint64_t pageIndex = 0;
     Cycles readyAt = 0;             ///< Lane completion time (stalls).
     std::array<std::uint8_t, pageSize> sealed{};
-    std::function<void(std::span<const std::uint8_t>)> commit;
+    vmm::EvictionSink* sink = nullptr;
+    std::uint64_t slot = 0;      ///< Swap slot the sink writes.
+    std::uint64_t replayKey = 0; ///< The sink's (asid, va page) key.
 };
 
 /** Counters of the "cloak" group (engine.cc, shim.cc, transfer.cc). */
@@ -332,9 +333,9 @@ class CloakEngine : public vmm::CloakBackend
     std::int64_t hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
                            std::span<const std::uint64_t> args) override;
     std::size_t sealPlaintextFrames(std::span<const Gpa> gpas) override;
-    bool evictPageAsync(
-        Gpa gpa,
-        std::function<void(std::span<const std::uint8_t>)> commit) override;
+    bool evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
+                        std::uint64_t slot,
+                        std::uint64_t replay_key) override;
     void drainAsyncEvictions() override;
     std::size_t asyncPendingEvictions() const override
     {
@@ -516,11 +517,20 @@ class CloakEngine : public vmm::CloakBackend
     void setConstantCostMode(bool on);
 
   private:
+    /** The owner page of a frame's plaintext; resource 0 = none. */
     struct PlaintextRef
     {
-        ResourceId resource;
-        std::uint64_t pageIndex;
+        ResourceId resource = 0;
+        std::uint64_t pageIndex = 0;
     };
+
+    /** Owner of the plaintext in @p gpa's frame, or nullptr. */
+    PlaintextRef* plaintextAt(Gpa gpa);
+    /** Record that @p gpa's frame holds (resource, page_index). */
+    void setPlaintext(Gpa gpa, ResourceId resource,
+                      std::uint64_t page_index);
+    /** Forget the plaintext of @p gpa's frame (no-op when none). */
+    void clearPlaintext(Gpa gpa);
 
     Region* findRegion(DomainId domain, Asid asid, GuestVA va_page);
     Domain& domainOf(DomainId id);
@@ -584,8 +594,15 @@ class CloakEngine : public vmm::CloakBackend
     std::map<DomainId, Domain> domains_;
     DomainId nextDomain_ = 1;
 
-    /** Frames currently holding plaintext: gpa -> owner page. */
-    std::map<Gpa, PlaintextRef> plaintextIndex_;
+    /** Frames currently holding plaintext, indexed by guest frame
+     *  number; grows to the highest frame that ever held plaintext. */
+    std::vector<PlaintextRef> plaintextIndex_;
+    std::size_t plaintextFrames_ = 0;
+
+    /** sealPlaintextFrames' work list (owner, page) and the one
+     *  resource batch it hands to encryptPages. */
+    std::vector<std::pair<Resource*, PageCryptoItem>> presealWork_;
+    std::vector<PageCryptoItem> presealBatch_;
 
     /** One pre-cloned region awaiting a fork child. */
     struct PendingRegion

@@ -502,21 +502,47 @@ Kernel::writeFrameAsKernel(Thread& t, Gpa gpa,
 void
 Kernel::addAnonMapping(Gpa gpa, Asid asid, GuestVA va_page)
 {
-    anonMappers_[pageBase(gpa)].emplace_back(asid, va_page);
+    std::uint64_t frame = pageNumber(gpa);
+    if (frame >= anonHeads_.size())
+        anonHeads_.resize(frame + 1, noMapper);
+    std::uint32_t node = anonFree_;
+    if (node != noMapper) {
+        anonFree_ = anonMappers_[node].next;
+    } else {
+        node = static_cast<std::uint32_t>(anonMappers_.size());
+        anonMappers_.emplace_back();
+    }
+    anonMappers_[node] = {asid, va_page, anonHeads_[frame]};
+    anonHeads_[frame] = node;
 }
 
 void
 Kernel::dropAnonMapping(Gpa gpa, Asid asid, GuestVA va_page)
 {
-    auto it = anonMappers_.find(pageBase(gpa));
-    if (it == anonMappers_.end())
+    std::uint64_t frame = pageNumber(gpa);
+    if (frame >= anonHeads_.size())
         return;
-    auto& vec = it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(),
-                          std::make_pair(asid, va_page)),
-              vec.end());
-    if (vec.empty())
-        anonMappers_.erase(it);
+    for (std::uint32_t* link = &anonHeads_[frame]; *link != noMapper;) {
+        AnonMapper& m = anonMappers_[*link];
+        if (m.asid != asid || m.vaPage != va_page) {
+            link = &m.next;
+            continue;
+        }
+        std::uint32_t node = *link;
+        *link = m.next;
+        m.next = anonFree_;
+        anonFree_ = node;
+    }
+}
+
+const Kernel::AnonMapper*
+Kernel::soleAnonMapper(Gpa gpa) const
+{
+    std::uint64_t frame = pageNumber(gpa);
+    if (frame >= anonHeads_.size() || anonHeads_[frame] == noMapper)
+        return nullptr;
+    const AnonMapper& m = anonMappers_[anonHeads_[frame]];
+    return m.next == noMapper ? &m : nullptr;
 }
 
 Gpa
@@ -549,8 +575,7 @@ Kernel::evictOneFrame()
         if (fi.pinned || fi.refCount > 1)
             continue;
         if (fi.use == FrameUse::Anon) {
-            auto mit = anonMappers_.find(gpa);
-            if (mit == anonMappers_.end() || mit->second.size() != 1)
+            if (soleAnonMapper(gpa) == nullptr)
                 continue;
             swapOutAnon(gpa);
             stats_.inc(kernelStat("evicted_anon"));
@@ -586,8 +611,7 @@ Kernel::forceSwapOut(Pid pid, GuestVA va_page)
     FrameInfo& fi = frames_.info(gpa);
     if (fi.use != FrameUse::Anon || fi.pinned || fi.refCount > 1)
         return false;
-    auto mit = anonMappers_.find(gpa);
-    if (mit == anonMappers_.end() || mit->second.size() != 1)
+    if (soleAnonMapper(gpa) == nullptr)
         return false;
     swapOutAnon(gpa);
     stats_.inc(kernelStat("forced_swap_outs"));
@@ -599,10 +623,10 @@ Kernel::swapOutAnon(Gpa gpa)
 {
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Swap,
                     "swap_out", systemDomain, 0, gpa);
-    auto mit = anonMappers_.find(gpa);
-    osh_assert(mit != anonMappers_.end() && mit->second.size() == 1,
-               "swapOutAnon of shared/unmapped frame");
-    auto [asid, va_page] = mit->second.front();
+    const AnonMapper* mapper = soleAnonMapper(gpa);
+    osh_assert(mapper != nullptr, "swapOutAnon of shared/unmapped frame");
+    const Asid asid = mapper->asid;
+    const GuestVA va_page = mapper->vaPage;
     Process& proc = process(static_cast<Pid>(asid));
     Pte* pte = proc.as.findPte(va_page);
     osh_assert(pte != nullptr && pte->present && pageBase(pte->gpa) == gpa,
@@ -619,12 +643,7 @@ Kernel::swapOutAnon(Gpa gpa)
     // swap-slot write (and the hostile-kernel swap hooks, which must
     // only ever see sealed ciphertext) run when the entry retires.
     bool async_queued = vmm_.cloakBackend().evictPageAsync(
-        gpa,
-        [this, slot = *slot, replay_key](
-            std::span<const std::uint8_t> sealed) {
-            swap_.writeSlotPrepaid(slot, sealed);
-            attackHooks_->onSwapOut(*this, slot, replay_key);
-        });
+        gpa, *this, *slot, replay_key);
     if (async_queued) {
         stats_.inc(kernelStat("async_swap_outs"));
     } else {
@@ -647,6 +666,14 @@ Kernel::swapOutAnon(Gpa gpa)
     dropAnonMapping(gpa, asid, va_page);
     frames_.unref(gpa);
     vmm_.invalidateVa(asid, va_page);
+}
+
+void
+Kernel::commitEviction(std::uint64_t slot, std::uint64_t replay_key,
+                       std::span<const std::uint8_t> sealed)
+{
+    swap_.writeSlotPrepaid(slot, sealed);
+    attackHooks_->onSwapOut(*this, slot, replay_key);
 }
 
 void

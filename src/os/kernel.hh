@@ -74,7 +74,7 @@ inline constexpr StatNames kernelStat{
 };
 
 /** The guest kernel. */
-class Kernel : public vmm::GuestOsHooks
+class Kernel : public vmm::GuestOsHooks, private vmm::EvictionSink
 {
   public:
     /**
@@ -241,6 +241,10 @@ class Kernel : public vmm::GuestOsHooks
     Gpa allocFrameOrEvict(FrameUse use);
     bool evictOneFrame();
     void swapOutAnon(Gpa gpa);
+    /** Retire an asynchronous eviction swapOutAnon queued: write the
+     *  sealed page to its slot, then run the swap-out attack hook. */
+    void commitEviction(std::uint64_t slot, std::uint64_t replay_key,
+                        std::span<const std::uint8_t> sealed) override;
     void swapIn(Process& proc, GuestVA va_page, Pte& pte, const Vma& vma);
     void dropPageCachePage(Inode& ino, std::uint64_t page_index);
 
@@ -378,8 +382,26 @@ class Kernel : public vmm::GuestOsHooks
     std::map<Pid, Thread*> threads_;
     Pid nextPid_ = 1;
 
-    /** Reverse map: anon frame -> (asid, va) mappers (COW sharing). */
-    std::map<Gpa, std::vector<std::pair<Asid, GuestVA>>> anonMappers_;
+    static constexpr std::uint32_t noMapper = ~std::uint32_t{0};
+    /** One (asid, va page) mapping of an anonymous frame. */
+    struct AnonMapper
+    {
+        Asid asid = 0;
+        GuestVA vaPage = 0;
+        std::uint32_t next = noMapper; ///< Same frame's next mapper.
+    };
+
+    /** The frame's only mapper, or nullptr when it has none or several
+     *  (COW sharing). */
+    const AnonMapper* soleAnonMapper(Gpa gpa) const;
+
+    /** Reverse map: anon frame -> its (asid, va) mappers. Indexed by
+     *  frame number, each entry heads a chain through anonMappers_;
+     *  freed nodes chain from anonFree_. Both grow on first use and are
+     *  then reused. */
+    std::vector<std::uint32_t> anonHeads_;
+    std::vector<AnonMapper> anonMappers_;
+    std::uint32_t anonFree_ = noMapper;
 
     /** Pending freeze requests: pid -> kernel entries remaining. */
     std::map<Pid, std::uint64_t> freezeRequests_;

@@ -26,7 +26,7 @@ SwapDevice::allocate()
     }
     if (slots_.size() >= maxSlots_)
         return std::nullopt;
-    slots_.emplace_back();
+    slots_.push_back(std::make_unique<Page>());
     used_.push_back(true);
     ++inUse_;
     return slots_.size() - 1;
@@ -38,7 +38,7 @@ SwapDevice::release(SwapSlot slot)
     osh_assert(slot < slots_.size() && used_[slot],
                "release of unused swap slot %llu",
                static_cast<unsigned long long>(slot));
-    slots_[slot].fill(0);
+    slots_[slot]->fill(0);
     used_[slot] = false;
     freeList_.push_back(slot);
     --inUse_;
@@ -52,7 +52,7 @@ SwapDevice::writeSlot(SwapSlot slot, std::span<const std::uint8_t> page)
     osh_assert(page.size() == pageSize, "swap I/O is page granular");
     OSH_TRACE_SCOPE(tracer_, trace::Category::Swap, "slot_write",
                     systemDomain, 0, slot);
-    std::memcpy(slots_[slot].data(), page.data(), pageSize);
+    std::memcpy(slots_[slot]->data(), page.data(), pageSize);
     cost_.charge(cost_.params().diskAccess +
                  cost_.params().diskPerByte * pageSize,
                  "swap_out");
@@ -66,7 +66,7 @@ SwapDevice::writeSlotPrepaid(SwapSlot slot,
     osh_assert(page.size() == pageSize, "swap I/O is page granular");
     OSH_TRACE_SCOPE(tracer_, trace::Category::Swap, "slot_write",
                     systemDomain, 0, slot);
-    std::memcpy(slots_[slot].data(), page.data(), pageSize);
+    std::memcpy(slots_[slot]->data(), page.data(), pageSize);
     cost_.charge(0, "swap_out");
 }
 
@@ -77,7 +77,7 @@ SwapDevice::readSlot(SwapSlot slot, std::span<std::uint8_t> page)
     osh_assert(page.size() == pageSize, "swap I/O is page granular");
     OSH_TRACE_SCOPE(tracer_, trace::Category::Swap, "slot_read",
                     systemDomain, 0, slot);
-    std::memcpy(page.data(), slots_[slot].data(), pageSize);
+    std::memcpy(page.data(), slots_[slot]->data(), pageSize);
     cost_.charge(cost_.params().diskAccess +
                  cost_.params().diskPerByte * pageSize,
                  "swap_in");
@@ -87,14 +87,14 @@ std::array<std::uint8_t, pageSize>&
 SwapDevice::rawSlot(SwapSlot slot)
 {
     osh_assert(slot < slots_.size() && used_[slot], "rawSlot of bad slot");
-    return slots_[slot];
+    return *slots_[slot];
 }
 
 std::span<const std::uint8_t>
 SwapDevice::slotBytes(SwapSlot slot) const
 {
     osh_assert(slot < slots_.size(), "slotBytes of unbacked slot");
-    return slots_[slot];
+    return *slots_[slot];
 }
 
 } // namespace osh::os

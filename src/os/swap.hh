@@ -20,6 +20,7 @@
 #include <array>
 #include <span>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -83,10 +84,15 @@ class SwapDevice
     StatGroup& stats() { return stats_; }
 
   private:
+    using Page = std::array<std::uint8_t, pageSize>;
+
     sim::CostModel& cost_;
     trace::Tracer* tracer_ = nullptr;
     std::uint64_t maxSlots_;
-    std::vector<std::array<std::uint8_t, pageSize>> slots_;
+    /** One page per slot ever backed, allocated when the slot is first
+     *  handed out and never moved: growing the device copies only the
+     *  pointers, and rawSlot references stay valid. */
+    std::vector<std::unique_ptr<Page>> slots_;
     std::vector<bool> used_;
     std::vector<SwapSlot> freeList_;
     std::uint64_t inUse_ = 0;

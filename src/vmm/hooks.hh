@@ -16,13 +16,29 @@
 #include "vmm/context.hh"
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 namespace osh::vmm
 {
 
 class Vcpu;
+
+/**
+ * Where an asynchronous eviction lands when it retires: the guest
+ * kernel writes the sealed page into its swap slot and runs its
+ * swap-out observation points.
+ */
+class EvictionSink
+{
+  public:
+    virtual ~EvictionSink() = default;
+
+    /** @p slot and @p replay_key are the values the eviction was
+     *  queued with; @p sealed is the page's ciphertext. */
+    virtual void commitEviction(std::uint64_t slot,
+                                std::uint64_t replay_key,
+                                std::span<const std::uint8_t> sealed) = 0;
+};
 
 /**
  * Hypercall numbers. Cloaked applications (their shim, really) talk to
@@ -94,18 +110,20 @@ class CloakBackend
     /**
      * Asynchronous eviction: seal the cloaked plaintext in @p gpa into
      * a backend staging buffer and hand the frame back immediately,
-     * deferring @p commit — which receives the sealed ciphertext —
+     * deferring @p sink's commitEviction(slot, replay_key, ciphertext)
      * until the queue drains. Returns false when the backend cannot
      * defer this frame (async disabled, queue unsupported, or the
      * frame holds no cloaked plaintext); the caller must then run its
      * synchronous path. The default backend never defers.
      */
     virtual bool
-    evictPageAsync(Gpa gpa,
-                   std::function<void(std::span<const std::uint8_t>)> commit)
+    evictPageAsync(Gpa gpa, EvictionSink& sink, std::uint64_t slot,
+                   std::uint64_t replay_key)
     {
         (void)gpa;
-        (void)commit;
+        (void)sink;
+        (void)slot;
+        (void)replay_key;
         return false;
     }
 

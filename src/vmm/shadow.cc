@@ -10,20 +10,144 @@ constexpr StatNames shadowStat{
     "mpa_invalidations", "mpa_suspends", "reactivations", "va_invalidations",
 };
 
+namespace
+{
+
+/** Head-table size of an empty manager. */
+constexpr std::size_t minCells = 8;
+
+} // namespace
+
 ShadowManager::ShadowManager() : stats_("shadow", shadowStat.names)
 {
+    for (HeadTable& t : heads_)
+        t.reset(minCells);
+}
+
+std::uint64_t
+ShadowManager::keyOf(Chain c, std::uint32_t slot) const
+{
+    const Slot& s = slots_[slot];
+    switch (c) {
+      case Va:
+        return s.vaPage;
+      case Frame:
+        return s.entry.mpa;
+      default:
+        return s.ctx.asid;
+    }
+}
+
+std::uint64_t
+ShadowManager::hashOf(Chain c, Asid asid, std::uint64_t key)
+{
+    std::uint64_t h = c == AddrSpace ? key : key >> pageShift;
+    if (c == Va)
+        h ^= std::uint64_t{asid} << 40;
+    return h * 0x9e3779b97f4a7c15ull;
+}
+
+std::uint32_t
+ShadowManager::probe(Chain c, Asid asid, std::uint64_t key) const
+{
+    return heads_[c].probe(hashOf(c, asid, key), [&](std::uint32_t s) {
+        return keyOf(c, s) == key && (c != Va || slots_[s].ctx.asid == asid);
+    });
+}
+
+std::uint32_t
+ShadowManager::head(Chain c, Asid asid, std::uint64_t key) const
+{
+    return heads_[c][probe(c, asid, key)];
+}
+
+void
+ShadowManager::pushChain(Chain c, std::uint32_t slot)
+{
+    HeadTable& t = heads_[c];
+    std::uint32_t cell = probe(c, slots_[slot].ctx.asid, keyOf(c, slot));
+    std::uint32_t old = t[cell];
+    slots_[slot].links[c] = Link{none, old};
+    if (old != none)
+        slots_[old].links[c].prev = slot;
+    t[cell] = slot;
+}
+
+void
+ShadowManager::unlinkChain(Chain c, std::uint32_t slot)
+{
+    Link l = slots_[slot].links[c];
+    if (l.next != none)
+        slots_[l.next].links[c].prev = l.prev;
+    if (l.prev != none) {
+        slots_[l.prev].links[c].next = l.next;
+        return;
+    }
+    // The chain's head: its cell moves to the next entry, or empties.
+    HeadTable& t = heads_[c];
+    std::uint32_t cell = probe(c, slots_[slot].ctx.asid, keyOf(c, slot));
+    if (l.next != none) {
+        t[cell] = l.next;
+        return;
+    }
+    t.erase(cell, [&](std::uint32_t s) {
+        return hashOf(c, slots_[s].ctx.asid, keyOf(c, s));
+    });
+}
+
+std::uint32_t
+ShadowManager::find(const Context& ctx, GuestVA va_page) const
+{
+    std::uint32_t s = head(Va, ctx.asid, va_page);
+    while (s != none && !(slots_[s].ctx == ctx))
+        s = slots_[s].links[Va].next;
+    return s;
+}
+
+std::uint32_t
+ShadowManager::allocSlot()
+{
+    if (freeHead_ != none) {
+        std::uint32_t s = freeHead_;
+        freeHead_ = slots_[s].links[Va].next;
+        return s;
+    }
+    osh_assert(slots_.size() < none / 8, "shadow slot array full");
+    auto s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    // A load factor of at most 1/4 keeps probe sequences short.
+    std::size_t cells = heads_[0].cellCount();
+    if (4 * slots_.size() > cells) {
+        for (int c = 0; c < chainCount; ++c) {
+            auto chain = static_cast<Chain>(c);
+            heads_[c].rehash(2 * cells, [&](std::uint32_t h) {
+                return hashOf(chain, slots_[h].ctx.asid, keyOf(chain, h));
+            });
+        }
+    }
+    return s;
+}
+
+void
+ShadowManager::remove(std::uint32_t slot)
+{
+    for (int c = 0; c < chainCount; ++c)
+        unlinkChain(static_cast<Chain>(c), slot);
+    Slot& s = slots_[slot];
+    if (s.suspended)
+        --suspendedSlots_;
+    s.links[Va].next = freeHead_;
+    freeHead_ = slot;
+    --liveSlots_;
 }
 
 std::optional<ShadowEntry>
 ShadowManager::lookup(const Context& ctx, GuestVA va_page) const
 {
-    auto sit = shadows_.find(ctx);
-    if (sit == shadows_.end())
+    std::uint32_t s = find(ctx, va_page);
+    if (s == none || slots_[s].suspended)
         return std::nullopt;
-    auto eit = sit->second.find(va_page);
-    if (eit == sit->second.end() || eit->second.suspended)
-        return std::nullopt;
-    return eit->second.entry;
+    return slots_[s].entry;
 }
 
 void
@@ -31,16 +155,31 @@ ShadowManager::install(const Context& ctx, GuestVA va_page,
                        const ShadowEntry& entry)
 {
     osh_assert(pageOffset(va_page) == 0, "shadow entries are page keyed");
-    PageMap& pm = shadows_[ctx];
-    auto old = pm.find(va_page);
-    if (old != pm.end()) {
-        dropFromReverse(old->second.entry.mpa, ctx, va_page);
+    std::uint32_t s = find(ctx, va_page);
+    if (s != none) {
+        Slot& slot = slots_[s];
+        bool same_frame = slot.entry.mpa == entry.mpa;
+        if (!same_frame)
+            unlinkChain(Frame, s);
+        slot.entry = entry;
+        if (!same_frame)
+            pushChain(Frame, s);
+        if (slot.suspended) {
+            slot.suspended = false;
+            --suspendedSlots_;
+        }
     } else {
+        s = allocSlot();
+        Slot& slot = slots_[s];
+        slot.ctx = ctx;
+        slot.vaPage = va_page;
+        slot.entry = entry;
+        slot.suspended = false;
+        for (int c = 0; c < chainCount; ++c)
+            pushChain(static_cast<Chain>(c), s);
         ++liveSlots_;
         peakSlots_ = std::max(peakSlots_, liveSlots_);
     }
-    pm[va_page] = Slot{entry, false};
-    reverse_[entry.mpa].push_back({ctx, va_page});
     stats_.inc(shadowStat("installs"));
 }
 
@@ -48,71 +187,38 @@ bool
 ShadowManager::reactivate(const Context& ctx, GuestVA va_page,
                           const ShadowEntry& entry)
 {
-    auto sit = shadows_.find(ctx);
-    if (sit == shadows_.end())
-        return false;
-    auto eit = sit->second.find(va_page);
-    if (eit == sit->second.end() || !eit->second.suspended ||
-        eit->second.entry.mpa != entry.mpa) {
+    std::uint32_t s = find(ctx, va_page);
+    if (s == none || !slots_[s].suspended ||
+        slots_[s].entry.mpa != entry.mpa) {
         return false;
     }
-    eit->second.entry = entry;
-    eit->second.suspended = false;
+    slots_[s].entry = entry;
+    slots_[s].suspended = false;
+    --suspendedSlots_;
     stats_.inc(shadowStat("reactivations"));
     return true;
-}
-
-void
-ShadowManager::dropFromReverse(Mpa frame_base, const Context& ctx,
-                               GuestVA va_page)
-{
-    auto rit = reverse_.find(frame_base);
-    if (rit == reverse_.end())
-        return;
-    auto& vec = rit->second;
-    vec.erase(std::remove_if(vec.begin(), vec.end(),
-                             [&](const Mapping& m) {
-                                 return m.ctx == ctx &&
-                                        m.vaPage == va_page;
-                             }),
-              vec.end());
-    if (vec.empty())
-        reverse_.erase(rit);
 }
 
 void
 ShadowManager::invalidateVa(Asid asid, GuestVA va_page)
 {
     va_page = pageBase(va_page);
-    for (auto& [ctx, pm] : shadows_) {
-        if (ctx.asid != asid)
-            continue;
-        auto eit = pm.find(va_page);
-        if (eit != pm.end()) {
-            dropFromReverse(eit->second.entry.mpa, ctx, va_page);
-            pm.erase(eit);
-            --liveSlots_;
-            stats_.inc(shadowStat("va_invalidations"));
-        }
+    // The chain holds this page in every view of the address space.
+    for (std::uint32_t s = head(Va, asid, va_page); s != none;) {
+        std::uint32_t next = slots_[s].links[Va].next;
+        remove(s);
+        stats_.inc(shadowStat("va_invalidations"));
+        s = next;
     }
 }
 
 void
 ShadowManager::invalidateAsid(Asid asid)
 {
-    // Erase the per-context tables outright (not just their entries):
-    // a torn-down address space must not leave an empty table behind,
-    // or a long-lived VMM hosting tens of thousands of processes scans
-    // ever more dead contexts on every targeted invalidation.
-    for (auto it = shadows_.begin(); it != shadows_.end();) {
-        if (it->first.asid != asid) {
-            ++it;
-            continue;
-        }
-        for (auto& [va, slot] : it->second)
-            dropFromReverse(slot.entry.mpa, it->first, va);
-        liveSlots_ -= it->second.size();
-        it = shadows_.erase(it);
+    for (std::uint32_t s = head(AddrSpace, asid, asid); s != none;) {
+        std::uint32_t next = slots_[s].links[AddrSpace].next;
+        remove(s);
+        s = next;
     }
     stats_.inc(shadowStat("asid_invalidations"));
 }
@@ -120,17 +226,13 @@ ShadowManager::invalidateAsid(Asid asid)
 void
 ShadowManager::invalidateMpa(Mpa frame_base)
 {
-    auto rit = reverse_.find(frame_base);
-    if (rit == reverse_.end())
+    std::uint32_t s = head(Frame, 0, frame_base);
+    if (s == none)
         return;
-    // Move out the mapping list; we edit reverse_ via erase below.
-    std::vector<Mapping> mappings = std::move(rit->second);
-    reverse_.erase(rit);
-    for (const Mapping& m : mappings) {
-        auto sit = shadows_.find(m.ctx);
-        if (sit == shadows_.end())
-            continue;
-        liveSlots_ -= sit->second.erase(m.vaPage);
+    while (s != none) {
+        std::uint32_t next = slots_[s].links[Frame].next;
+        remove(s);
+        s = next;
     }
     stats_.inc(shadowStat("mpa_invalidations"));
 }
@@ -138,16 +240,14 @@ ShadowManager::invalidateMpa(Mpa frame_base)
 void
 ShadowManager::suspendMpa(Mpa frame_base)
 {
-    auto rit = reverse_.find(frame_base);
-    if (rit == reverse_.end())
+    std::uint32_t s = head(Frame, 0, frame_base);
+    if (s == none)
         return;
-    for (const Mapping& m : rit->second) {
-        auto sit = shadows_.find(m.ctx);
-        if (sit == shadows_.end())
-            continue;
-        auto eit = sit->second.find(m.vaPage);
-        if (eit != sit->second.end())
-            eit->second.suspended = true;
+    for (; s != none; s = slots_[s].links[Frame].next) {
+        if (!slots_[s].suspended) {
+            slots_[s].suspended = true;
+            ++suspendedSlots_;
+        }
     }
     stats_.inc(shadowStat("mpa_suspends"));
 }
@@ -155,49 +255,39 @@ ShadowManager::suspendMpa(Mpa frame_base)
 void
 ShadowManager::invalidateAll()
 {
-    shadows_.clear();
-    reverse_.clear();
+    for (HeadTable& t : heads_)
+        t.reset(t.cellCount());
+    freeHead_ = none;
+    for (std::uint32_t i = static_cast<std::uint32_t>(slots_.size());
+         i-- > 0;) {
+        slots_[i].links[Va].next = freeHead_;
+        freeHead_ = i;
+    }
     liveSlots_ = 0;
+    suspendedSlots_ = 0;
     stats_.inc(shadowStat("full_invalidations"));
 }
 
 std::size_t
 ShadowManager::entryCount() const
 {
-    std::size_t n = 0;
-    for (const auto& [ctx, pm] : shadows_) {
-        for (const auto& [va, slot] : pm) {
-            if (!slot.suspended)
-                ++n;
-        }
-    }
-    return n;
+    return liveSlots_ - suspendedSlots_;
 }
 
 std::size_t
 ShadowManager::suspendedCount() const
 {
-    std::size_t n = 0;
-    for (const auto& [ctx, pm] : shadows_) {
-        for (const auto& [va, slot] : pm) {
-            if (slot.suspended)
-                ++n;
-        }
-    }
-    return n;
+    return suspendedSlots_;
 }
 
 std::size_t
 ShadowManager::entryCount(Asid asid) const
 {
     std::size_t n = 0;
-    for (const auto& [ctx, pm] : shadows_) {
-        if (ctx.asid != asid)
-            continue;
-        for (const auto& [va, slot] : pm) {
-            if (!slot.suspended)
-                ++n;
-        }
+    for (std::uint32_t s = head(AddrSpace, asid, asid); s != none;
+         s = slots_[s].links[AddrSpace].next) {
+        if (!slots_[s].suspended)
+            ++n;
     }
     return n;
 }

@@ -21,6 +21,14 @@
  * address-space teardown (invalidateAsid), or frame reuse
  * (invalidateMpa) — so a process resuming its own view after a switch
  * never inherits stale mappings.
+ *
+ * Layout (the Tlb's, without its capacity bound or FIFO): entries live
+ * in one slot array that grows to the peak resident count and is then
+ * reused through a free list. Each slot is on three intrusive chains —
+ * entries of its (asid, va page), entries mapping its frame, entries
+ * of its address space — and a HeadTable per chain kind finds a
+ * chain's head, so every operation touches only the entries it
+ * matches and none allocates once the array has grown.
  */
 
 #ifndef OSH_VMM_SHADOW_HH
@@ -29,9 +37,10 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "vmm/context.hh"
+#include "vmm/head_table.hh"
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace osh::vmm
@@ -112,30 +121,49 @@ class ShadowManager
     StatGroup& stats() { return stats_; }
 
   private:
+    static constexpr std::uint32_t none = HeadTable::none;
+    using Link = HeadTable::Link;
+
+    /** Which chain a link or head table belongs to. */
+    enum Chain { Va, Frame, AddrSpace, chainCount };
+
     /** A shadow slot: the translation plus its retention state. */
     struct Slot
     {
+        Context ctx;
+        GuestVA vaPage = 0;
         ShadowEntry entry;
         bool suspended = false;
+        /** Va: same (asid, va page), and the free list when unused.
+         *  Frame: same machine frame. AddrSpace: same asid. */
+        Link links[chainCount];
     };
 
-    using PageMap = std::unordered_map<GuestVA, Slot>;
+    /** Chain key of a slot: its va page, frame or asid. */
+    std::uint64_t keyOf(Chain c, std::uint32_t slot) const;
+    /** Head-table hash of a key (the asid matters for Chain::Va only). */
+    static std::uint64_t hashOf(Chain c, Asid asid, std::uint64_t key);
+    /** Head of (asid, key)'s chain, or none. */
+    std::uint32_t head(Chain c, Asid asid, std::uint64_t key) const;
+    /** Cell holding that head, or the empty cell where it would go. */
+    std::uint32_t probe(Chain c, Asid asid, std::uint64_t key) const;
+    void pushChain(Chain c, std::uint32_t slot);
+    void unlinkChain(Chain c, std::uint32_t slot);
 
-    struct Mapping
-    {
-        Context ctx;
-        GuestVA vaPage;
-    };
+    /** Slot of (ctx, va_page), or none. */
+    std::uint32_t find(const Context& ctx, GuestVA va_page) const;
+    /** A free slot, growing the array and the head tables if needed. */
+    std::uint32_t allocSlot();
+    /** Unlink a resident slot from every chain and free it. */
+    void remove(std::uint32_t slot);
 
-    void dropFromReverse(Mpa frame_base, const Context& ctx,
-                         GuestVA va_page);
-
-    std::unordered_map<Context, PageMap> shadows_;
-    /** Reverse index: machine frame -> all slots (active or suspended)
-     *  mapping it. */
-    std::unordered_map<Mpa, std::vector<Mapping>> reverse_;
-    /** Resident slot count and its lifetime high-water mark. */
+    std::vector<Slot> slots_;
+    std::uint32_t freeHead_ = none;
+    HeadTable heads_[chainCount];
+    /** Resident slot count, how many are suspended, and the lifetime
+     *  high-water mark of the resident count. */
     std::size_t liveSlots_ = 0;
+    std::size_t suspendedSlots_ = 0;
     std::size_t peakSlots_ = 0;
     StatGroup stats_;
 };

@@ -18,8 +18,8 @@ Tlb::Tlb(std::size_t capacity, const char* name)
     std::size_t cells = 4;
     while (cells < 4 * capacity)
         cells *= 2;
-    for (HeadTable* t : {&vaHeads_, &frameHeads_})
-        t->mask = static_cast<std::uint32_t>(cells - 1);
+    vaHeads_.reset(cells);
+    frameHeads_.reset(cells);
     reset();
 }
 
@@ -44,24 +44,21 @@ Tlb::link(Chain c, std::uint32_t slot)
     return c == Chain::Va ? slots_[slot].va : slots_[slot].frame;
 }
 
-std::uint32_t
-Tlb::home(Chain c, Asid asid, std::uint64_t key) const
+std::uint64_t
+Tlb::hashOf(Chain c, Asid asid, std::uint64_t key)
 {
     std::uint64_t h = key >> pageShift;
     if (c == Chain::Va)
         h ^= std::uint64_t{asid} << 40;
-    h *= 0x9e3779b97f4a7c15ull;
-    return static_cast<std::uint32_t>(h >> 32) & table(c).mask;
+    return h * 0x9e3779b97f4a7c15ull;
 }
 
 std::uint32_t
 Tlb::probe(Chain c, Asid asid, std::uint64_t key) const
 {
-    const HeadTable& t = table(c);
-    std::uint32_t i = home(c, asid, key);
-    while (t.cells[i] != none && !matches(c, t.cells[i], asid, key))
-        i = (i + 1) & t.mask;
-    return i;
+    return table(c).probe(hashOf(c, asid, key), [&](std::uint32_t s) {
+        return matches(c, s, asid, key);
+    });
 }
 
 void
@@ -69,11 +66,11 @@ Tlb::pushChain(Chain c, std::uint32_t slot)
 {
     HeadTable& t = table(c);
     std::uint32_t cell = probe(c, slots_[slot].ctx.asid, keyOf(c, slot));
-    std::uint32_t old = t.cells[cell];
+    std::uint32_t old = t[cell];
     link(c, slot) = Link{none, old};
     if (old != none)
         link(c, old).prev = slot;
-    t.cells[cell] = slot;
+    t[cell] = slot;
 }
 
 void
@@ -90,28 +87,18 @@ Tlb::unlinkChain(Chain c, std::uint32_t slot)
     HeadTable& t = table(c);
     std::uint32_t cell = probe(c, slots_[slot].ctx.asid, keyOf(c, slot));
     if (l.next != none) {
-        t.cells[cell] = l.next;
+        t[cell] = l.next;
         return;
     }
-    // Backward-shift deletion: pull later cells of the probe run into
-    // the hole unless that would move one before its home cell.
-    std::uint32_t hole = cell;
-    for (std::uint32_t j = (hole + 1) & t.mask; t.cells[j] != none;
-         j = (j + 1) & t.mask) {
-        std::uint32_t s = t.cells[j];
-        std::uint32_t h = home(c, slots_[s].ctx.asid, keyOf(c, s));
-        if (((j - h) & t.mask) >= ((j - hole) & t.mask)) {
-            t.cells[hole] = s;
-            hole = j;
-        }
-    }
-    t.cells[hole] = none;
+    t.erase(cell, [&](std::uint32_t s) {
+        return hashOf(c, slots_[s].ctx.asid, keyOf(c, s));
+    });
 }
 
 std::uint32_t
 Tlb::find(const Context& ctx, GuestVA va_page) const
 {
-    std::uint32_t s = vaHeads_.cells[probe(Chain::Va, ctx.asid, va_page)];
+    std::uint32_t s = vaHeads_[probe(Chain::Va, ctx.asid, va_page)];
     while (s != none && !(slots_[s].ctx == ctx))
         s = slots_[s].va.next;
     return s;
@@ -179,7 +166,7 @@ void
 Tlb::invalidateVa(Asid asid, GuestVA va_page)
 {
     va_page = pageBase(va_page);
-    std::uint32_t s = vaHeads_.cells[probe(Chain::Va, asid, va_page)];
+    std::uint32_t s = vaHeads_[probe(Chain::Va, asid, va_page)];
     while (s != none) {
         std::uint32_t next = slots_[s].va.next;
         remove(s);
@@ -202,7 +189,7 @@ void
 Tlb::invalidateMpa(Mpa frame_base)
 {
     frame_base = pageBase(frame_base);
-    std::uint32_t s = frameHeads_.cells[probe(Chain::Frame, 0, frame_base)];
+    std::uint32_t s = frameHeads_[probe(Chain::Frame, 0, frame_base)];
     while (s != none) {
         std::uint32_t next = slots_[s].frame.next;
         remove(s);
@@ -213,8 +200,8 @@ Tlb::invalidateMpa(Mpa frame_base)
 void
 Tlb::reset()
 {
-    for (HeadTable* t : {&vaHeads_, &frameHeads_})
-        t->cells.assign(std::size_t{t->mask} + 1, none);
+    vaHeads_.reset(vaHeads_.cellCount());
+    frameHeads_.reset(frameHeads_.cellCount());
     for (std::uint32_t i = 0; i < slots_.size(); ++i)
         slots_[i].fifo = Link{none, i + 1 < slots_.size() ? i + 1 : none};
     freeHead_ = 0;

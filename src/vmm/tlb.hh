@@ -11,7 +11,7 @@
  * Entries live in a fixed array of capacity slots. Each slot is on
  * three intrusive lists: the FIFO (insertion order), the chain of
  * entries sharing its (asid, va page), and the chain of entries mapping
- * its frame. Two open-addressed tables find a chain's head, so lookup,
+ * its frame. Two HeadTables find a chain's head, so lookup,
  * invalidateVa and invalidateMpa touch only the entries they match.
  */
 
@@ -21,6 +21,7 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "vmm/context.hh"
+#include "vmm/head_table.hh"
 #include "vmm/shadow.hh"
 
 #include <cstdint>
@@ -59,14 +60,8 @@ class Tlb
     StatGroup& stats() { return stats_; }
 
   private:
-    static constexpr std::uint32_t none = ~std::uint32_t{0};
-
-    /** Neighbours on one intrusive list. */
-    struct Link
-    {
-        std::uint32_t prev = none;
-        std::uint32_t next = none;
-    };
+    static constexpr std::uint32_t none = HeadTable::none;
+    using Link = HeadTable::Link;
 
     struct Slot
     {
@@ -80,18 +75,6 @@ class Tlb
 
     /** Which chain a head table indexes. */
     enum class Chain { Va, Frame };
-
-    /**
-     * Open-addressed (linear probing) table of chain heads. A cell
-     * holds a slot index; the key is read from that slot, so a cell is
-     * four bytes and deletion shifts back rather than leaving
-     * tombstones.
-     */
-    struct HeadTable
-    {
-        std::vector<std::uint32_t> cells;
-        std::uint32_t mask = 0;
-    };
 
     /** Chain key of a slot: its va page, or its frame base. */
     std::uint64_t keyOf(Chain c, std::uint32_t slot) const;
@@ -109,8 +92,8 @@ class Tlb
         return c == Chain::Va ? vaHeads_ : frameHeads_;
     }
 
-    /** Home cell of a key (the asid is ignored for Chain::Frame). */
-    std::uint32_t home(Chain c, Asid asid, std::uint64_t key) const;
+    /** Head-table hash of a key (the asid is ignored for Chain::Frame). */
+    static std::uint64_t hashOf(Chain c, Asid asid, std::uint64_t key);
     /** Cell holding the head of (asid, key)'s chain, or the empty cell
      *  where it would go. */
     std::uint32_t probe(Chain c, Asid asid, std::uint64_t key) const;

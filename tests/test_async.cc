@@ -132,6 +132,21 @@ struct Rig
     ResourceId resource = 0;
 };
 
+/** Records each retired eviction: its slot, and the last sealed page. */
+struct RecordingSink : vmm::EvictionSink
+{
+    void
+    commitEviction(std::uint64_t slot, std::uint64_t,
+                   std::span<const std::uint8_t> sealed) override
+    {
+        slots.push_back(slot);
+        last.assign(sealed.begin(), sealed.end());
+    }
+
+    std::vector<std::uint64_t> slots;
+    std::vector<std::uint8_t> last;
+};
+
 bool
 allZero(std::span<const std::uint8_t> bytes)
 {
@@ -146,8 +161,8 @@ TEST(AsyncEvict, DepthZeroRefusesEnqueue)
     Rig rig(0);
     auto app = rig.appCpu();
     app.store64(Rig::appVa, 0x5ec7e7);
-    EXPECT_FALSE(rig.engine.evictPageAsync(
-        Rig::gpa, [](std::span<const std::uint8_t>) {}));
+    RecordingSink sink;
+    EXPECT_FALSE(rig.engine.evictPageAsync(Rig::gpa, sink, 0, 0));
     EXPECT_EQ(rig.engine.stats().value("async_evictions"), 0u);
 }
 
@@ -157,11 +172,9 @@ TEST(AsyncEvict, EnqueueScrubsFrameAndStagesSealedImage)
     auto app = rig.appCpu();
     app.store64(Rig::appVa, 0xfeedbeef);
 
-    std::vector<std::uint8_t> committed;
-    ASSERT_TRUE(rig.engine.evictPageAsync(
-        Rig::gpa, [&committed](std::span<const std::uint8_t> sealed) {
-            committed.assign(sealed.begin(), sealed.end());
-        }));
+    RecordingSink sink;
+    const std::vector<std::uint8_t>& committed = sink.last;
+    ASSERT_TRUE(rig.engine.evictPageAsync(Rig::gpa, sink, 3, 0x77));
 
     // Double buffering: the frame goes back scrubbed, the ciphertext
     // waits in staging, the commit has not run yet.
@@ -171,6 +184,8 @@ TEST(AsyncEvict, EnqueueScrubsFrameAndStagesSealedImage)
     const cloak::AsyncSealEntry& entry =
         rig.engine.asyncPendingEntries().front();
     EXPECT_FALSE(allZero(entry.sealed));
+    EXPECT_EQ(entry.slot, 3u);
+    EXPECT_EQ(entry.replayKey, 0x77u);
 
     // Drain: the guest stalls until the background lane (crypto + the
     // swap-slot disk write) finishes, then the commit sees the sealed
@@ -200,31 +215,26 @@ TEST(AsyncEvict, SealedBytesIdenticalToSynchronousPath)
     }
 
     Rig async(4);
-    std::vector<std::uint8_t> committed;
+    RecordingSink sink;
     {
         auto app = async.appCpu();
         app.store64(Rig::appVa, 0x0badf00d);
-        ASSERT_TRUE(async.engine.evictPageAsync(
-            Rig::gpa, [&committed](std::span<const std::uint8_t> s) {
-                committed.assign(s.begin(), s.end());
-            }));
+        ASSERT_TRUE(async.engine.evictPageAsync(Rig::gpa, sink, 0, 0));
         async.vmm.drainAsyncEvictions();
     }
-    EXPECT_EQ(committed, sync.rawFrame(Rig::gpa));
+    EXPECT_EQ(sink.last, sync.rawFrame(Rig::gpa));
 }
 
 TEST(AsyncEvict, QueueFullRetiresOldestInFifoOrder)
 {
     Rig rig(2);
     auto app = rig.appCpu();
-    std::vector<std::uint64_t> order;
+    RecordingSink sink;
+    const std::vector<std::uint64_t>& order = sink.slots;
     for (std::uint64_t i = 0; i < 3; ++i) {
         app.store64(Rig::appVa + i * pageSize, i + 1);
-        ASSERT_TRUE(rig.engine.evictPageAsync(
-            Rig::gpa + i * pageSize,
-            [&order, i](std::span<const std::uint8_t>) {
-                order.push_back(i);
-            }));
+        ASSERT_TRUE(
+            rig.engine.evictPageAsync(Rig::gpa + i * pageSize, sink, i, 0));
     }
     // Depth 2: the third enqueue had to retire the first entry.
     EXPECT_EQ(rig.engine.asyncPendingEvictions(), 2u);
@@ -249,14 +259,14 @@ TEST(AsyncEvict, EnqueueCriticalPathAtLeastFiveTimesCheaper)
     }
 
     // Async eviction critical path: snapshot + scrub + fixed cost.
+    RecordingSink sink;
     Rig async(4);
     Cycles async_cost = 0;
     {
         auto app = async.appCpu();
         app.store64(Rig::appVa, 1);
         Cycles before = async.cycles();
-        ASSERT_TRUE(async.engine.evictPageAsync(
-            Rig::gpa, [](std::span<const std::uint8_t>) {}));
+        ASSERT_TRUE(async.engine.evictPageAsync(Rig::gpa, sink, 0, 0));
         async_cost = async.cycles() - before;
     }
     EXPECT_GE(sync_cost, 5 * async_cost)
@@ -351,27 +361,26 @@ TEST(AsyncCheckpoint, CheckpointDrainsPendingEvictionsFirst)
                    .cloaking(true)
                    .asyncEvictDepth(8)
                    .build();
+    // Declared before the System, whose kernel drains the queue on
+    // destruction.
+    RecordingSink sink;
     System sys(cfg);
     workloads::registerAll(sys);
     Pid pid = launchFrozen(sys, "wl.victim.paging", 6);
 
     // Plant a pending eviction by hand (the freeze path drains, so a
     // frozen victim has an empty queue): evict the first cloaked
-    // plaintext frame. The no-op commit bypasses the kernel's swap
+    // plaintext frame. The test sink bypasses the kernel's swap
     // write, so this only pins drain *ordering*, not image replay.
-    bool committed = false;
     bool planted = false;
     for (Gpa g = 0; g < 96 * pageSize && !planted; g += pageSize)
-        planted = sys.cloak()->evictPageAsync(
-            g, [&committed](std::span<const std::uint8_t>) {
-                committed = true;
-            });
+        planted = sys.cloak()->evictPageAsync(g, sink, 0, 0);
     ASSERT_TRUE(planted);
     ASSERT_EQ(sys.cloak()->asyncPendingEvictions(), 1u);
 
     auto cp = migrate::checkpoint(sys, pid);
     ASSERT_TRUE(cp.ok());
-    EXPECT_TRUE(committed);
+    EXPECT_EQ(sink.slots.size(), 1u);
     EXPECT_EQ(sys.cloak()->asyncPendingEvictions(), 0u);
     sys.killFrozen(pid, "test done");
 }
@@ -386,6 +395,7 @@ TEST(AsyncOracle, FindsSentinelPlantedInStagingBuffer)
                    .cloaking(true)
                    .asyncEvictDepth(8)
                    .build();
+    RecordingSink sink; // Outlives the System, which drains on exit.
     System sys(cfg);
     workloads::registerAll(sys);
     attack::DirectorConfig dcfg;
@@ -397,8 +407,7 @@ TEST(AsyncOracle, FindsSentinelPlantedInStagingBuffer)
 
     bool planted = false;
     for (Gpa g = 0; g < 96 * pageSize && !planted; g += pageSize)
-        planted = sys.cloak()->evictPageAsync(
-            g, [](std::span<const std::uint8_t>) {});
+        planted = sys.cloak()->evictPageAsync(g, sink, 0, 0);
     ASSERT_TRUE(planted);
 
     // A sentinel no workload uses: the correctly sealed staging buffer

@@ -242,6 +242,43 @@ TEST(Swap, SlotsAreReused)
     EXPECT_EQ(*c, *a);
 }
 
+TEST(SwapDevice, SlotsNeverMoveAsTheDeviceGrows)
+{
+    // The attack director keeps rawSlot references across swap traffic,
+    // so backing new slots must never move an existing one.
+    sim::CostModel cost;
+    SwapDevice swap(cost, 2048);
+    auto first = swap.allocate();
+    ASSERT_TRUE(first.has_value());
+    const std::uint8_t* bytes = swap.rawSlot(*first).data();
+    std::array<std::uint8_t, pageSize> page;
+    page.fill(0x3c);
+    swap.writeSlot(*first, page);
+
+    std::vector<SwapSlot> more;
+    for (int i = 0; i < 1000; ++i) {
+        auto s = swap.allocate();
+        ASSERT_TRUE(s.has_value());
+        more.push_back(*s);
+    }
+    EXPECT_EQ(swap.rawSlot(*first).data(), bytes);
+    EXPECT_EQ(swap.slotBytes(*first).data(), bytes);
+    EXPECT_EQ(swap.rawSlot(*first), page);
+
+    // A released slot reads back scrubbed, and stays backed.
+    swap.release(*first);
+    for (std::uint8_t byte : swap.slotBytes(*first))
+        ASSERT_EQ(byte, 0u);
+    for (SwapSlot s : more)
+        swap.release(s);
+    EXPECT_EQ(swap.slotsInUse(), 0u);
+    EXPECT_EQ(swap.slotsBacked(), 1001u);
+    // Reusing freed slots backs nothing new.
+    for (int i = 0; i < 10; ++i)
+        ASSERT_TRUE(swap.allocate().has_value());
+    EXPECT_EQ(swap.slotsBacked(), 1001u);
+}
+
 TEST(Swap, ChargesDiskCosts)
 {
     sim::CostModel cost;

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 namespace osh::vmm
@@ -136,6 +138,218 @@ TEST(Shadow, InvalidateAsidKeepsOthers)
     sm.invalidateAsid(1);
     EXPECT_EQ(sm.entryCount(), 1u);
     EXPECT_TRUE(sm.lookup(b, 0x1000).has_value());
+}
+
+/**
+ * Reference shadow manager for the differential test: one hash map of
+ * (context, va page) -> slot, every invalidation a full scan.
+ */
+class NaiveShadow
+{
+  public:
+    std::optional<ShadowEntry>
+    lookup(const Context& ctx, GuestVA va_page) const
+    {
+        auto it = slots_.find({ctx, va_page});
+        if (it == slots_.end() || it->second.suspended)
+            return std::nullopt;
+        return it->second.entry;
+    }
+
+    void
+    install(const Context& ctx, GuestVA va_page, const ShadowEntry& entry)
+    {
+        slots_[{ctx, va_page}] = {entry, false};
+        peak = std::max(peak, slots_.size());
+        ++installs;
+    }
+
+    bool
+    reactivate(const Context& ctx, GuestVA va_page, const ShadowEntry& entry)
+    {
+        auto it = slots_.find({ctx, va_page});
+        if (it == slots_.end() || !it->second.suspended ||
+            it->second.entry.mpa != entry.mpa)
+            return false;
+        it->second = {entry, false};
+        ++reactivations;
+        return true;
+    }
+
+    void
+    invalidateVa(Asid asid, GuestVA va)
+    {
+        vaInvalidations += std::erase_if(slots_, [&](const auto& kv) {
+            return kv.first.first.asid == asid &&
+                   kv.first.second == pageBase(va);
+        });
+    }
+
+    void
+    invalidateAsid(Asid asid)
+    {
+        std::erase_if(slots_, [&](const auto& kv) {
+            return kv.first.first.asid == asid;
+        });
+        ++asidInvalidations;
+    }
+
+    void
+    invalidateMpa(Mpa frame)
+    {
+        if (std::erase_if(slots_, [&](const auto& kv) {
+                return kv.second.entry.mpa == frame;
+            }) > 0)
+            ++mpaInvalidations;
+    }
+
+    void
+    suspendMpa(Mpa frame)
+    {
+        bool any = false;
+        for (auto& [key, slot] : slots_) {
+            if (slot.entry.mpa == frame) {
+                slot.suspended = true;
+                any = true;
+            }
+        }
+        if (any)
+            ++mpaSuspends;
+    }
+
+    void
+    invalidateAll()
+    {
+        slots_.clear();
+        ++fullInvalidations;
+    }
+
+    std::size_t
+    count(bool suspended, std::optional<Asid> asid = std::nullopt) const
+    {
+        std::size_t n = 0;
+        for (const auto& [key, slot] : slots_)
+            n += slot.suspended == suspended &&
+                 (!asid || key.first.asid == *asid);
+        return n;
+    }
+
+    std::size_t peak = 0;
+    std::uint64_t installs = 0;
+    std::uint64_t reactivations = 0;
+    std::uint64_t vaInvalidations = 0;
+    std::uint64_t asidInvalidations = 0;
+    std::uint64_t mpaInvalidations = 0;
+    std::uint64_t mpaSuspends = 0;
+    std::uint64_t fullInvalidations = 0;
+
+  private:
+    struct Slot
+    {
+        ShadowEntry entry;
+        bool suspended = false;
+    };
+    using Key = std::pair<Context, GuestVA>;
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key& k) const
+        {
+            return std::hash<Context>{}(k.first) * 31 + k.second;
+        }
+    };
+    std::unordered_map<Key, Slot, KeyHash> slots_;
+};
+
+TEST(ShadowManager, MatchesNaiveModel)
+{
+    // Several views share each asid, so one (asid, va) chain holds
+    // several contexts; few frames are shared by many entries. The slot
+    // array and head tables grow from their empty size as entries
+    // accumulate, and invalidateAll empties them mid-run.
+    const std::vector<Context> contexts = {
+        {1, 0, false}, {1, 0, true}, {1, 7, false},
+        {2, 0, false}, {2, 9, false}, {3, 0, true},
+    };
+    const std::vector<Asid> asids = {1, 2, 3};
+    constexpr std::uint64_t vaPages = 10;
+    constexpr std::uint64_t frames = 6;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        std::mt19937_64 rng(seed);
+        auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+        auto frame = [&] { return 0x100000 + pick(frames) * pageSize; };
+        ShadowManager sm;
+        NaiveShadow model;
+
+        for (int step = 0; step < 3000; ++step) {
+            const Context& ctx = contexts[pick(contexts.size())];
+            GuestVA va = pick(vaPages) * pageSize;
+            ShadowEntry e{frame(), pick(2) == 0, pick(2) == 0};
+            std::uint64_t op = pick(1000);
+            if (op < 350) {
+                sm.install(ctx, va, e);
+                model.install(ctx, va, e);
+            } else if (op < 500) {
+                ASSERT_EQ(sm.reactivate(ctx, va, e),
+                          model.reactivate(ctx, va, e))
+                    << "step " << step;
+            } else if (op < 620) {
+                // Unaligned addresses are rounded down by both.
+                GuestVA any = va + pick(pageSize);
+                sm.invalidateVa(ctx.asid, any);
+                model.invalidateVa(ctx.asid, any);
+            } else if (op < 720) {
+                Mpa f = frame();
+                sm.invalidateMpa(f);
+                model.invalidateMpa(f);
+            } else if (op < 900) {
+                Mpa f = frame();
+                sm.suspendMpa(f);
+                model.suspendMpa(f);
+            } else if (op < 995) {
+                sm.invalidateAsid(ctx.asid);
+                model.invalidateAsid(ctx.asid);
+            } else {
+                sm.invalidateAll();
+                model.invalidateAll();
+            }
+
+            ASSERT_EQ(sm.entryCount(), model.count(false)) << "step " << step;
+            ASSERT_EQ(sm.suspendedCount(), model.count(true))
+                << "step " << step;
+            for (Asid a : asids)
+                ASSERT_EQ(sm.entryCount(a), model.count(false, a))
+                    << "step " << step << " asid " << a;
+            ASSERT_EQ(sm.peakSlotCount(), model.peak) << "step " << step;
+            for (const Context& c : contexts) {
+                for (std::uint64_t p = 0; p < vaPages; ++p) {
+                    auto got = sm.lookup(c, p * pageSize);
+                    auto want = model.lookup(c, p * pageSize);
+                    ASSERT_EQ(got.has_value(), want.has_value())
+                        << "step " << step << " page " << p;
+                    if (got) {
+                        EXPECT_EQ(got->mpa, want->mpa);
+                        EXPECT_EQ(got->canRead, want->canRead);
+                        EXPECT_EQ(got->canWrite, want->canWrite);
+                    }
+                }
+            }
+            const StatGroup& st = sm.stats();
+            ASSERT_EQ(st.value("installs"), model.installs);
+            ASSERT_EQ(st.value("reactivations"), model.reactivations);
+            ASSERT_EQ(st.value("va_invalidations"), model.vaInvalidations);
+            ASSERT_EQ(st.value("asid_invalidations"),
+                      model.asidInvalidations);
+            ASSERT_EQ(st.value("mpa_invalidations"), model.mpaInvalidations);
+            ASSERT_EQ(st.value("mpa_suspends"), model.mpaSuspends);
+            ASSERT_EQ(st.value("full_invalidations"),
+                      model.fullInvalidations);
+        }
+        // Past 8 resident entries the head tables have doubled from
+        // their empty size at least three times.
+        EXPECT_GT(sm.peakSlotCount(), 8u);
+    }
 }
 
 TEST(Tlb, HitAndMissCounting)
