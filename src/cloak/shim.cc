@@ -85,7 +85,7 @@ Shim::initialize(const std::optional<InheritedLayout>& inherit)
 
         // Uncloaked bounce buffers for marshalling.
         std::int64_t bounce = env_.trapToKernel(
-            Sys::Mmap, {bouncePages_ * pageSize,
+            Sys::Mmap, {Bounce::pages * pageSize,
                         os::protRead | os::protWrite, os::mapAnon,
                         ~0ull, 0});
         osh_assert(bounce > 0, "bounce allocation failed");
@@ -131,11 +131,22 @@ Shim::copyGuest(GuestVA dst, GuestVA src, std::uint64_t len)
 }
 
 GuestVA
-Shim::stageString(const std::string& s, std::uint64_t slot)
+Shim::stageString(const std::string& s, std::uint64_t at)
 {
-    GuestVA va = bounceVa_ + bounceDataBytes + slot * 1024;
+    GuestVA va = bounceVa_ + Bounce::strings + at;
     env_.writeString(va, s);
     return va;
+}
+
+SyscallArgs
+Shim::stageProgram(const SyscallArgs& args)
+{
+    SyscallArgs staged{stageString(env_.readString(args[0])), 0, args[2]};
+    if (args[1] != 0 && args[2] != 0) {
+        staged[1] = bounceVa_;
+        copyGuest(bounceVa_, args[1], std::min(args[2], Bounce::dataBytes));
+    }
+    return staged;
 }
 
 // ---------------------------------------------------------------------------
@@ -147,15 +158,15 @@ Shim::marshalledIo(Sys num, std::uint64_t fd, GuestVA user_buf,
                    std::uint64_t len, std::optional<std::uint64_t> at)
 {
     // One chunk loop for all four transfers. Outbound data is staged
-    // into the bounce buffer before each trap, inbound data copied out
-    // after it. The trap carries {fd, bounce, chunk}, plus the chunk's
-    // offset for pread/pwrite: the registers an uncloaked caller would
-    // pass, with the fourth left 0 for read/write.
+    // into the bounce area's data pages before each trap, inbound data
+    // copied out after it. The trap carries {fd, bounce, chunk}, plus
+    // the chunk's offset for pread/pwrite: the registers an uncloaked
+    // caller would pass, with the fourth left 0 for read/write.
     const bool in = os::transfersIn(num);
     std::uint64_t done = 0;
     while (done < len) {
         std::uint64_t chunk =
-            std::min<std::uint64_t>(len - done, bounceDataBytes);
+            std::min<std::uint64_t>(len - done, Bounce::dataBytes);
         if (!in)
             copyGuest(bounceVa_, user_buf + done, chunk);
         std::int64_t rv =
@@ -189,7 +200,7 @@ std::int64_t
 Shim::openProtected(const std::string& path, std::uint64_t flags)
 {
     auto& vcpu = env_.vcpu();
-    GuestVA staged = stageString(path, 0);
+    GuestVA staged = stageString(path);
     std::int64_t fd = newFd(Sys::Open, trap(Sys::Open, {staged, flags}));
     if (fd < 0)
         return fd;
@@ -214,7 +225,7 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
     }
 
     // Size via a marshalled fstat.
-    GuestVA out = bounceVa_ + bounceDataBytes + 3 * 1024;
+    GuestVA out = bounceVa_ + Bounce::statOut;
     std::int64_t sr = trap(Sys::Fstat,
                            {static_cast<std::uint64_t>(fd), out});
     std::uint64_t size = 0;
@@ -391,27 +402,6 @@ Shim::closeProtected(std::uint64_t fd)
 // Batched submission
 // ---------------------------------------------------------------------------
 
-GuestVA
-Shim::marshalArena()
-{
-    if (arenaVa_ == 0) {
-        static_assert(os::maxBatchDepth * os::batchDescBytes <= pageSize,
-                      "kernel submission ring no longer fits one page");
-        static_assert(os::maxBatchDepth * os::batchCompBytes <= pageSize,
-                      "kernel completion ring no longer fits one page");
-        // Plain uncloaked anonymous memory, registered once and reused
-        // for every batch: this replaces the per-call bounce setup cost
-        // with a persistent arena.
-        std::int64_t va = trap(Sys::Mmap,
-                               {arenaPages_ * pageSize,
-                                os::protRead | os::protWrite, os::mapAnon,
-                                ~0ull, 0});
-        osh_assert(va > 0, "marshal arena allocation failed");
-        arenaVa_ = static_cast<GuestVA>(va);
-    }
-    return arenaVa_;
-}
-
 std::uint64_t
 Shim::nextBatchNonce()
 {
@@ -466,29 +456,8 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     env_.readBytes(app_sub, araw);
     std::vector<os::BatchDesc> descs = os::decodeDescs(araw);
 
-    auto rejected = [](const os::BatchDesc& d) {
-        return d.reserved != 0 || d.num == Sys::SubmitBatch ||
-               !os::Kernel::batchable(d.num);
-    };
-
-    if (count == 1) {
-        // Depth 1 reproduces the legacy per-trap path bit for bit: no
-        // arena, no kernel ring — route straight through the ordinary
-        // dispatch so every committed baseline replays unchanged.
-        const os::BatchDesc& d = descs[0];
-        std::int64_t rv =
-            rejected(d) ? -os::errInval : syscall(env_, d.num, d.args);
-        os::BatchComp comp{static_cast<std::uint64_t>(rv), d.echo};
-        env_.writeBytes(app_comp, os::encodeComps(std::span(&comp, 1)));
-        engine_.stats().inc(cloakStat("shim_batches"));
-        return 1;
-    }
-
-    GuestVA arena = marshalArena();
-    GuestVA ksub = arena;
-    GuestVA kcomp = arena + pageSize;
-    GuestVA stage = arena + 2 * pageSize;
-    const std::uint64_t stageBytes = arenaDataPages_ * pageSize;
+    GuestVA ksub = bounceVa_ + Bounce::submitRing;
+    GuestVA kcomp = bounceVa_ + Bounce::completionRing;
     std::uint64_t stageUsed = 0;
 
     /** One descriptor staged onto the kernel-facing ring. */
@@ -498,7 +467,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         std::uint64_t nonce = 0;    ///< Private echo token we expect back.
         os::BatchDesc desc;         ///< Rewritten descriptor.
         GuestVA appBuf = 0;         ///< App destination for read-backs.
-        GuestVA stageVa = 0;        ///< Arena staging address (0: none).
+        GuestVA stageVa = 0;        ///< Staging address (0: none).
         std::uint64_t len = 0;      ///< Requested transfer length.
     };
     std::vector<KernelSlot> slots;
@@ -508,8 +477,7 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     // transfer, validate every completion (echo token + result bound)
     // and copy read data back into cloaked buffers. Called when the
     // batch is fully staged, and early when staging space runs out or
-    // ordering demands the kernel catch up (a locally-served call
-    // follows staged kernel work).
+    // a per-call entry follows staged kernel work.
     auto flushKernelSlots = [&]() {
         if (slots.empty())
             return;
@@ -566,31 +534,23 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         stageUsed = 0;
     };
 
-    auto legacyServe = [&](std::uint64_t i) {
+    // The per-call route, once the kernel has caught up on staged work
+    // so calls retire in submission order: calls the shim serves itself
+    // (syscall() refuses a dup2 onto a protected fd), and transfers too
+    // large for the whole data area, which marshalledIo chunks through
+    // it.
+    auto servePerCall = [&](std::uint64_t i) {
+        flushKernelSlots();
         results[i] = syscall(env_, descs[i].num, descs[i].args);
     };
 
     for (std::uint64_t i = 0; i < count; ++i) {
         const os::BatchDesc& d = descs[i];
-        if (rejected(d)) {
+        if (d.reserved != 0 || d.num == Sys::SubmitBatch ||
+            !os::Kernel::batchable(d.num)) {
             results[i] = -os::errInval;
             continue;
         }
-        if (localFile(d.num, d.args) != nullptr) {
-            if (d.num == Sys::Dup2) {
-                results[i] = -os::errInval;
-            } else {
-                // Let the kernel catch up first so emulated and
-                // kernel-bound calls retire in submission order.
-                flushKernelSlots();
-                legacyServe(i);
-            }
-            continue;
-        }
-
-        KernelSlot s;
-        s.appIndex = i;
-        s.desc = d;
         // Staging space: the transfer, or fstat's result; everything
         // else (getpid/yield/clock/lseek/dup/close/...) is
         // register-only.
@@ -599,17 +559,19 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             need = d.args[2];
         else if (d.num == Sys::Fstat)
             need = sizeof(os::StatBuf);
-        if (need > stageBytes) {
-            // Larger than the whole staging area: serve through the
-            // legacy chunked marshalling path, in order.
-            flushKernelSlots();
-            legacyServe(i);
+        if (localFile(d.num, d.args) != nullptr ||
+            need > Bounce::dataBytes) {
+            servePerCall(i);
             continue;
         }
-        if (need > stageBytes - stageUsed)
+        if (need > Bounce::dataBytes - stageUsed)
             flushKernelSlots(); // make room, preserving order
+
+        KernelSlot s;
+        s.appIndex = i;
+        s.desc = d;
         if (need > 0) {
-            s.stageVa = stage + stageUsed;
+            s.stageVa = bounceVa_ + stageUsed;
             stageUsed += need;
             s.len = need;
             if (os::isTransfer(d.num) && !os::transfersIn(d.num)) {
@@ -622,7 +584,6 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         }
         s.nonce = nextBatchNonce();
         s.desc.echo = s.nonce;
-        s.desc.reserved = 0;
         slots.push_back(s);
     }
     flushKernelSlots();
@@ -647,7 +608,7 @@ Shim::shimOpen(const SyscallArgs& args)
     std::uint64_t flags = args[1];
     if (isProtectedPath(path))
         return openProtected(path, flags);
-    GuestVA staged = stageString(path, 0);
+    GuestVA staged = stageString(path);
     return newFd(Sys::Open, trap(Sys::Open, {staged, flags}));
 }
 
@@ -702,15 +663,7 @@ Shim::shimExec(const SyscallArgs& args)
 {
     // Marshal the program name and argv blob out of cloaked memory
     // while we still can.
-    std::string name = env_.readString(args[0]);
-    GuestVA staged_name = stageString(name, 0);
-    GuestVA staged_blob = 0;
-    std::uint64_t blob_len = args[2];
-    if (args[1] != 0 && blob_len != 0) {
-        staged_blob = bounceVa_;
-        copyGuest(staged_blob, args[1],
-                  std::min<std::uint64_t>(blob_len, bounceDataBytes));
-    }
+    SyscallArgs staged = stageProgram(args);
 
     // Dismantle this image's protection: exec replaces everything.
     for (auto it = cloakedFiles_.begin(); it != cloakedFiles_.end();) {
@@ -723,8 +676,7 @@ Shim::shimExec(const SyscallArgs& args)
     detach();
     vcpu.context().view = systemDomain;
 
-    return env_.trapToKernel(Sys::Exec,
-                             {staged_name, staged_blob, blob_len});
+    return env_.trapToKernel(Sys::Exec, staged);
 }
 
 std::int64_t
@@ -802,15 +754,13 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
 
       case Sys::Fstat:
         {
-            GuestVA out = bounceVa_ + bounceDataBytes + 3 * 1024;
+            GuestVA out = bounceVa_ + Bounce::statOut;
             std::int64_t r = trap(num, {args[0], out});
             if (r == 0) {
                 // The kernel's size lags emulated writes that have not
-                // been truncated in yet; report the shim's. Looked up
-                // after the trap: a signal handler run at its boundary
-                // may have closed the file.
-                if (CloakedFile* f = localFile(num, args))
-                    env_.store64(out, f->size);
+                // been truncated in yet; report the shim's.
+                if (cf != nullptr)
+                    env_.store64(out, cf->size);
                 copyGuest(args[1], out, sizeof(os::StatBuf));
             }
             return r;
@@ -819,7 +769,7 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
       case Sys::Unlink:
         {
             std::string path = env_.readString(args[0]);
-            GuestVA staged = stageString(path, 0);
+            GuestVA staged = stageString(path);
             std::int64_t r = trap(num, {staged});
             if (r == 0 && isProtectedPath(path)) {
                 std::array<std::uint64_t, 1> key{pathKey(path)};
@@ -830,24 +780,22 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         }
 
       case Sys::Mkdir:
-        {
-            std::string path = env_.readString(args[0]);
-            return trap(num, {stageString(path, 0)});
-        }
+        return trap(num, {stageString(env_.readString(args[0]))});
 
       case Sys::Rename:
         {
             std::string from = env_.readString(args[0]);
             std::string to = env_.readString(args[1]);
-            GuestVA f = stageString(from, 0);
-            GuestVA t = stageString(to, 1);
+            // Back to back: a long source must not run into the target.
+            GuestVA f = stageString(from);
+            GuestVA t = stageString(to, from.size() + 1);
             return trap(num, {f, t});
         }
 
       case Sys::ReadDir:
         {
-            GuestVA out = bounceVa_ + bounceDataBytes + 2 * 1024;
-            std::uint64_t n = std::min<std::uint64_t>(args[3], 512);
+            GuestVA out = bounceVa_ + Bounce::readDirOut;
+            std::uint64_t n = std::min(args[3], Bounce::readDirMax);
             std::int64_t r = trap(num, {args[0], args[1], out, n});
             if (r >= 0)
                 copyGuest(args[2], out,
@@ -857,7 +805,7 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
 
       case Sys::Pipe:
         {
-            GuestVA out = bounceVa_ + bounceDataBytes + 3 * 1024 + 256;
+            GuestVA out = bounceVa_ + Bounce::pipeOut;
             std::int64_t r = trap(num, {out});
             if (r == 0) {
                 std::array<std::uint8_t, 8> fds;
@@ -872,7 +820,7 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
 
       case Sys::WaitPid:
         {
-            GuestVA out = bounceVa_ + bounceDataBytes + 3 * 1024 + 512;
+            GuestVA out = bounceVa_ + Bounce::waitOut;
             std::int64_t r = trap(num, {args[0], args[1] ? out : 0});
             if (r > 0 && args[1] != 0)
                 copyGuest(args[1], out, 4);
@@ -880,18 +828,7 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         }
 
       case Sys::Spawn:
-        {
-            std::string name = env_.readString(args[0]);
-            GuestVA staged_name = stageString(name, 0);
-            GuestVA staged_blob = 0;
-            if (args[1] != 0 && args[2] != 0) {
-                staged_blob = bounceVa_;
-                copyGuest(staged_blob, args[1],
-                          std::min<std::uint64_t>(args[2],
-                                                  bounceDataBytes));
-            }
-            return trap(num, {staged_name, staged_blob, args[2]});
-        }
+        return trap(num, stageProgram(args));
 
       case Sys::Mmap:
         return shimMmap(args);

@@ -104,14 +104,19 @@ class Shim : public os::SyscallInterposer
     /** Guest-to-guest memory copy through a host staging buffer. */
     void copyGuest(GuestVA dst, GuestVA src, std::uint64_t len);
 
-    /** Copy a string into the bounce area; returns its VA. */
-    GuestVA stageString(const std::string& s, std::uint64_t slot);
+    /** Copy a string into the bounce area's strings, @p at bytes in;
+     *  returns its VA. */
+    GuestVA stageString(const std::string& s, std::uint64_t at = 0);
+
+    /** Stage spawn/exec's {name, argv blob, blob length}; returns the
+     *  arguments the kernel call takes. */
+    os::SyscallArgs stageProgram(const os::SyscallArgs& args);
 
     /**
      * The one marshalled transfer: read, write, pread or pwrite (@p num
-     * gives the direction) of a non-protected fd, in bounce-buffer
-     * chunks. @p at is pread/pwrite's file offset; without it the
-     * kernel's cursor moves.
+     * gives the direction) of a non-protected fd, in chunks through
+     * the bounce area's data pages. @p at is pread/pwrite's file
+     * offset; without it the kernel's cursor moves.
      */
     std::int64_t marshalledIo(os::Sys num, std::uint64_t fd,
                               GuestVA user_buf, std::uint64_t len,
@@ -150,18 +155,16 @@ class Shim : public os::SyscallInterposer
     CloakedFile* localFile(os::Sys num, const os::SyscallArgs& args);
 
     /**
-     * Batched submission (Sys::SubmitBatch from a cloaked process):
-     * reads the app's descriptor ring out of cloaked memory once,
-     * serves emulated calls locally, stages the rest into the marshal
-     * arena's kernel-facing ring and dispatches them in ONE secure
-     * control transfer, then validates every completion (echo token +
-     * result bounds) before copying data back. args = {app submission
-     * VA, app completion VA, count}.
+     * Batched submission (Sys::SubmitBatch from a cloaked process), at
+     * every depth: reads the app's descriptor ring out of cloaked
+     * memory once, stages kernel-bound calls into the bounce area's
+     * data pages and kernel-facing ring and dispatches them in ONE
+     * secure control transfer, then validates every completion (echo
+     * token + result bounds) before copying data back. Emulated calls
+     * and transfers larger than the data pages go through syscall()
+     * in order. args = {app submission VA, app completion VA, count}.
      */
     std::int64_t shimSubmitBatch(const os::SyscallArgs& args);
-
-    /** Lazily allocate the persistent uncloaked marshal arena. */
-    GuestVA marshalArena();
 
     /** Next echo token from the shim's private stream. */
     std::uint64_t nextBatchNonce();
@@ -192,22 +195,50 @@ class Shim : public os::SyscallInterposer
 
     GuestVA ctcVa_ = 0;
     GuestVA bounceVa_ = 0;
-    static constexpr std::uint64_t bouncePages_ = 20;
-    /** Bytes of bounce space usable for data staging. */
-    static constexpr std::uint64_t bounceDataBytes = 16 * pageSize;
 
     /**
-     * Persistent marshal arena for batched submission: page 0 holds the
-     * kernel-facing submission ring, page 1 the completion ring, and
-     * the rest is scatter/gather data staging. Allocated on the first
-     * batch deeper than 1 and reused for the life of the shim, so a
-     * busy server pays the setup once instead of per call. Uncloaked by
-     * construction — everything staged here is data the kernel would
-     * see on the legacy marshalled path anyway.
+     * The bounce area, the shim's one uncloaked region: mapped at
+     * attach, inherited by fork children and restored processes, and
+     * the only memory the kernel reads or writes for a cloaked call.
+     * Everything staged here is data the kernel must see anyway.
+     *
+     *   pages 0-15  data: one marshalled transfer chunk, or a batch's
+     *               scatter/gather buffers
+     *   page 16     path strings from its start (a rename's two, back
+     *               to back, may run on through page 18); the out
+     *               slots in its upper half. No call stages a path and
+     *               reads an out slot at once.
+     *   page 19     the kernel-facing submission ring, then the
+     *               completion ring
      */
-    GuestVA arenaVa_ = 0;
-    static constexpr std::uint64_t arenaDataPages_ = 16;
-    static constexpr std::uint64_t arenaPages_ = 2 + arenaDataPages_;
+    struct Bounce
+    {
+        static constexpr std::uint64_t pages = 20;
+        static constexpr std::uint64_t dataBytes = 16 * pageSize;
+        static constexpr std::uint64_t strings = dataBytes;
+        static constexpr std::uint64_t readDirMax = 512;
+        static constexpr std::uint64_t readDirOut = strings + 2048;
+        static constexpr std::uint64_t statOut = strings + 3 * 1024;
+        static constexpr std::uint64_t pipeOut = statOut + 256;
+        static constexpr std::uint64_t waitOut = statOut + 512;
+        static constexpr std::uint64_t submitRing = 19 * pageSize;
+        static constexpr std::uint64_t completionRing =
+            submitRing + os::maxBatchDepth * os::batchDescBytes;
+    };
+    static_assert(Bounce::readDirOut + Bounce::readDirMax + 1 <=
+                      Bounce::statOut &&
+                  Bounce::statOut + sizeof(os::StatBuf) <= Bounce::pipeOut &&
+                  Bounce::pipeOut + 8 <= Bounce::waitOut &&
+                  Bounce::waitOut + 4 <= Bounce::strings + pageSize,
+                  "bounce out slots overlap");
+    static_assert(Bounce::strings + 2 * (os::maxPathLen + 1) <=
+                      Bounce::submitRing,
+                  "two maximal paths no longer fit before the rings");
+    static_assert(Bounce::completionRing +
+                          os::maxBatchDepth * os::batchCompBytes <=
+                      Bounce::pages * pageSize,
+                  "kernel-facing rings no longer fit the bounce area");
+
     std::uint64_t batchNonceState_ = 0x0b5e55ed0a7e4a11ull;
 
     std::map<std::uint64_t, CloakedFile> cloakedFiles_;

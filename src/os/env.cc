@@ -62,36 +62,35 @@ Env::trapToKernel(Sys num, const SyscallArgs& args)
         scratch_ = 0;
         batchArea_ = 0;
         handlers_.clear();
+        inInterposer_ = false;
         thread_.deliverSignal = -1;
         throw req;
     }
-    pollSignals();
+    if (!inInterposer_)
+        pollSignals();
     return result;
 }
 
 std::int64_t
 Env::syscall(Sys num, SyscallArgs args)
 {
-    if (interposer_ != nullptr)
-        return interposer_->syscall(*this, num, args);
-    return trapToKernel(num, args);
+    if (interposer_ == nullptr)
+        return trapToKernel(num, args);
+    inInterposer_ = true;
+    std::int64_t result = interposer_->syscall(*this, num, args);
+    inInterposer_ = false;
+    pollSignals();
+    return result;
 }
 
 GuestVA
 Env::scratch()
 {
-    if (scratch_ == 0) {
-        // Uncloaked for native processes; cloaked for cloaked processes
-        // (their shim then marshals its contents — this is the paper's
-        // argument-marshalling path, not an information leak).
-        bool cloaked = kernel_.process(thread_.pid).cloaked;
-        std::uint64_t flags = mapAnon | (cloaked ? mapCloaked : 0);
-        std::int64_t va = syscall(Sys::Mmap,
-                                  {pageSize, protRead | protWrite, flags,
-                                   ~0ull, 0});
-        osh_assert(va > 0, "scratch allocation failed");
-        scratch_ = static_cast<GuestVA>(va);
-    }
+    // Uncloaked for native processes; cloaked for cloaked processes
+    // (their shim then marshals its contents — this is the paper's
+    // argument-marshalling path, not an information leak).
+    if (scratch_ == 0)
+        scratch_ = allocPages(1);
     return scratch_;
 }
 
@@ -102,7 +101,7 @@ Env::batchArea()
         // One page fits a full-depth descriptor ring plus completions.
         // Cloaked processes get a cloaked ring: the entries are
         // application state, and the shim is what re-stages them into
-        // kernel-visible (uncloaked) arena memory.
+        // its kernel-visible (uncloaked) bounce area.
         static_assert(maxBatchDepth *
                               (batchDescBytes + batchCompBytes) <=
                           pageSize,
@@ -227,10 +226,12 @@ Env::readdir(std::uint64_t fd, std::uint64_t index, std::string& name_out)
 std::int64_t
 Env::rename(const std::string& from, const std::string& to)
 {
+    // Back to back: a long source must not run into the target.
     GuestVA s = scratch();
+    GuestVA t = s + from.size() + 1;
     writeString(s, from);
-    writeString(s + 1024, to);
-    return syscall(Sys::Rename, {s, s + 1024});
+    writeString(t, to);
+    return syscall(Sys::Rename, {s, t});
 }
 
 std::int64_t
@@ -285,8 +286,9 @@ Env::fork(std::function<int(Env&)> child_body)
     return static_cast<Pid>(syscall(Sys::Fork, {token}));
 }
 
-Pid
-Env::spawn(const std::string& program, const std::vector<std::string>& argv)
+SyscallArgs
+Env::stageProgram(const std::string& program,
+                  const std::vector<std::string>& argv)
 {
     GuestVA s = scratch();
     writeString(s, program);
@@ -302,28 +304,20 @@ Env::spawn(const std::string& program, const std::vector<std::string>& argv)
             reinterpret_cast<const std::uint8_t*>(blob.data()),
             blob.size()));
     }
+    return {s, blob_va, blob.size()};
+}
+
+Pid
+Env::spawn(const std::string& program, const std::vector<std::string>& argv)
+{
     return static_cast<Pid>(
-        syscall(Sys::Spawn, {s, blob_va, blob.size()}));
+        syscall(Sys::Spawn, stageProgram(program, argv)));
 }
 
 [[noreturn]] void
 Env::exec(const std::string& program, const std::vector<std::string>& argv)
 {
-    GuestVA s = scratch();
-    writeString(s, program);
-    std::string blob;
-    for (const std::string& a : argv) {
-        blob += a;
-        blob.push_back('\0');
-    }
-    GuestVA blob_va = 0;
-    if (!blob.empty()) {
-        blob_va = s + 1024;
-        writeBytes(blob_va, std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(blob.data()),
-            blob.size()));
-    }
-    std::int64_t r = syscall(Sys::Exec, {s, blob_va, blob.size()});
+    std::int64_t r = syscall(Sys::Exec, stageProgram(program, argv));
     // On success the syscall path throws ExecRequested before we get
     // here; reaching this point means the exec failed.
     osh_panic("exec('%s') failed: %lld", program.c_str(),

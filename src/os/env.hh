@@ -100,13 +100,16 @@ class Env
         thread_.vcpu.writeBytes(va, data);
     }
     void writeString(GuestVA va, const std::string& s);
-    std::string readString(GuestVA va, std::size_t max = 4096);
+    std::string readString(GuestVA va, std::size_t max = maxPathLen);
 
     // Syscall plumbing ----------------------------------------------------
 
     /**
      * Issue a system call. Routed through the interposer when one is
-     * installed (cloaked processes); otherwise traps directly.
+     * installed (cloaked processes); otherwise traps directly. Signal
+     * handlers run once the whole call is done, not at an interposer's
+     * inner traps: the shim's bounce area still holds the interrupted
+     * call's data there, which a handler's own I/O would overwrite.
      */
     std::int64_t syscall(Sys num, SyscallArgs args = {});
 
@@ -208,7 +211,7 @@ class Env
      * order). Returns the number of completions, or a negative error
      * if the batch itself was rejected. Cloaked processes route this
      * through the shim, which re-stages the ring in its uncloaked
-     * marshal arena and validates every completion.
+     * bounce area and validates every completion.
      */
     std::int64_t submitBatch(const std::vector<BatchEntry>& entries,
                              std::vector<std::int64_t>& results);
@@ -253,6 +256,11 @@ class Env
     /** Scratch page used to pass strings/argv blobs to the kernel. */
     GuestVA scratch();
 
+    /** Stage spawn/exec's name and argv blob in the scratch page;
+     *  returns the call's {name, blob, blob length}. */
+    SyscallArgs stageProgram(const std::string& program,
+                             const std::vector<std::string>& argv);
+
     /** Ring page for submitBatch (descriptors + completions). */
     GuestVA batchArea();
 
@@ -267,6 +275,7 @@ class Env
     std::uint64_t nextHandlerToken_ = 1;
     std::map<std::uint64_t, std::function<void(Env&, int)>> handlers_;
     bool inSignalHandler_ = false;
+    bool inInterposer_ = false; ///< Handlers wait for the call's end.
 };
 
 } // namespace osh::os

@@ -221,7 +221,7 @@ class Kernel : public vmm::GuestOsHooks, private vmm::EvictionSink
                     std::span<const std::uint8_t> data);
     void copyFromUser(Thread& t, GuestVA va, std::span<std::uint8_t> out);
     std::string readUserString(Thread& t, GuestVA va,
-                               std::size_t max = 4096);
+                               std::size_t max = maxPathLen);
 
     /**
      * Hostile-kernel seam: forcibly swap out one anonymous page of
@@ -316,14 +316,11 @@ class Kernel : public vmm::GuestOsHooks, private vmm::EvictionSink
     std::int64_t sysMunmap(Thread& t, GuestVA va);
     std::int64_t sysOpen(Thread& t, GuestVA path_va, std::uint64_t flags);
     std::int64_t sysClose(Thread& t, std::uint64_t fd);
-    std::int64_t sysRead(Thread& t, std::uint64_t fd, GuestVA buf,
-                         std::uint64_t len);
-    std::int64_t sysWrite(Thread& t, std::uint64_t fd, GuestVA buf,
-                          std::uint64_t len);
-    std::int64_t sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
-                          std::uint64_t len, std::uint64_t off);
-    std::int64_t sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
-                           std::uint64_t len, std::uint64_t off);
+    /** read, write, pread and pwrite (@p num): one body, with @p off
+     *  used by the positional two only. */
+    std::int64_t sysTransfer(Thread& t, Sys num, std::uint64_t fd,
+                             GuestVA buf, std::uint64_t len,
+                             std::uint64_t off);
     std::int64_t sysLseek(Thread& t, std::uint64_t fd, std::int64_t off,
                           std::uint64_t whence);
     std::int64_t sysFstat(Thread& t, std::uint64_t fd, GuestVA out_va);

@@ -102,10 +102,8 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         result = sysClose(t, a1);
         break;
       case Sys::Read:
-        result = sysRead(t, a1, a2, a3);
-        break;
       case Sys::Write:
-        result = sysWrite(t, a1, a2, a3);
+        result = sysTransfer(t, num, a1, a2, a3, 0);
         break;
       case Sys::Lseek:
         result = sysLseek(t, a1, static_cast<std::int64_t>(a2), a3);
@@ -155,10 +153,8 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         result = sysDup(t, a1);
         break;
       case Sys::Pread:
-        result = sysPread(t, a1, a2, a3, a4);
-        break;
       case Sys::Pwrite:
-        result = sysPwrite(t, a1, a2, a3, a4);
+        result = sysTransfer(t, num, a1, a2, a3, a4);
         break;
       case Sys::Dup2:
         result = sysDup2(t, a1, a2);
@@ -514,93 +510,43 @@ Kernel::writeAt(Thread& t, Inode& ino, std::uint64_t off, GuestVA buf,
 }
 
 std::int64_t
-Kernel::sysRead(Thread& t, std::uint64_t fd, GuestVA buf, std::uint64_t len)
+Kernel::sysTransfer(Thread& t, Sys num, std::uint64_t fd, GuestVA buf,
+                    std::uint64_t len, std::uint64_t off)
 {
+    // The checks run in one order for all four calls: EBADF, ESPIPE
+    // (positional calls only: a pipe has no offset), EFAULT, pipe
+    // routing, then EPERM for writes. Only pread/pwrite take @p off;
+    // read/write use and advance the descriptor's cursor.
+    const bool in = transfersIn(num);
+    const bool positional = isPositional(num);
     Process& p = currentProcess();
     OpenFile* f = p.fd(fd);
     if (f == nullptr)
         return -errBadF;
-    if (len > 0 && !validUserRange(p, buf, len, true))
+    if (positional && f->kind != OpenFile::Kind::File)
+        return -errSPipe;
+    if (len > 0 && !validUserRange(p, buf, len, in))
         return -errFault;
     if (f->kind == OpenFile::Kind::PipeRead)
-        return pipeRead(t, *f, buf, len);
+        return in ? pipeRead(t, *f, buf, len) : -errBadF;
     if (f->kind == OpenFile::Kind::PipeWrite)
-        return -errBadF;
-
-    std::int64_t n = readAt(t, vfs_.inode(f->inode), f->offset, buf, len);
-    if (n > 0) {
-        f->offset += static_cast<std::uint64_t>(n);
-        stats_.inc(kernelStat("file_reads"));
-    }
-    return n;
-}
-
-std::int64_t
-Kernel::sysWrite(Thread& t, std::uint64_t fd, GuestVA buf,
-                 std::uint64_t len)
-{
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (len > 0 && !validUserRange(p, buf, len, false))
-        return -errFault;
-    if (f->kind == OpenFile::Kind::PipeWrite)
-        return pipeWrite(t, *f, buf, len);
-    if (f->kind == OpenFile::Kind::PipeRead)
-        return -errBadF;
-    if (!(f->flags & openWrite))
+        return in ? -errBadF : pipeWrite(t, *f, buf, len);
+    if (!in && !(f->flags & openWrite))
         return -errPerm;
 
-    std::int64_t n = writeAt(t, vfs_.inode(f->inode), f->offset, buf, len);
-    if (n >= 0) {
-        f->offset += static_cast<std::uint64_t>(n);
-        stats_.inc(kernelStat("file_writes"));
+    Inode& ino = vfs_.inode(f->inode);
+    std::uint64_t at = positional ? off : f->offset;
+    std::int64_t n = in ? readAt(t, ino, at, buf, len)
+                        : writeAt(t, ino, at, buf, len);
+    // A read counts when it moved data, a write when it succeeded.
+    if (in ? n > 0 : n >= 0) {
+        if (!positional)
+            f->offset += static_cast<std::uint64_t>(n);
+        stats_.inc(positional ? (in ? kernelStat("file_preads")
+                                    : kernelStat("file_pwrites"))
+                              : (in ? kernelStat("file_reads")
+                                    : kernelStat("file_writes")));
     }
-    return n;
-}
-
-std::int64_t
-Kernel::sysPread(Thread& t, std::uint64_t fd, GuestVA buf,
-                 std::uint64_t len, std::uint64_t off)
-{
-    // Positional read: same body as sysRead, but the offset comes from
-    // the caller and the descriptor's own offset never moves — which
-    // is what lets a batched server serve ranges without interleaving
-    // lseek descriptors. Unlike read, a pipe is ESPIPE before EFAULT.
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (f->kind != OpenFile::Kind::File)
-        return -errSPipe;
-    if (len > 0 && !validUserRange(p, buf, len, true))
-        return -errFault;
-
-    std::int64_t n = readAt(t, vfs_.inode(f->inode), off, buf, len);
-    if (n > 0)
-        stats_.inc(kernelStat("file_preads"));
-    return n;
-}
-
-std::int64_t
-Kernel::sysPwrite(Thread& t, std::uint64_t fd, GuestVA buf,
-                  std::uint64_t len, std::uint64_t off)
-{
-    Process& p = currentProcess();
-    OpenFile* f = p.fd(fd);
-    if (f == nullptr)
-        return -errBadF;
-    if (f->kind != OpenFile::Kind::File)
-        return -errSPipe;
-    if (len > 0 && !validUserRange(p, buf, len, false))
-        return -errFault;
-    if (!(f->flags & openWrite))
-        return -errPerm;
-
-    std::int64_t n = writeAt(t, vfs_.inode(f->inode), off, buf, len);
-    if (n >= 0)
-        stats_.inc(kernelStat("file_pwrites"));
     return n;
 }
 
@@ -804,7 +750,8 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
         return -errFault;
 
     // The hostile-kernel window on the submission side: the ring still
-    // lives in user (for cloaked callers: uncloaked arena) memory.
+    // lives in user memory (for cloaked callers, the shim's uncloaked
+    // bounce area).
     attackHooks_->onBatchSubmit(*this, t, sub_va, count);
 
     // Single copy: every descriptor leaves the ring exactly once,

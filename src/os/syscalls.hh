@@ -149,6 +149,9 @@ constexpr std::uint64_t maxSleepCycles = 1ull << 32;
  */
 constexpr std::uint64_t maxFileBytes = 64ull << 20;
 
+/** The longest path a call reads, in bytes before the terminator. */
+constexpr std::size_t maxPathLen = 4096;
+
 /** True if the byte range [off, off + len) ends within maxFileBytes. */
 constexpr bool
 fileEndFits(std::uint64_t off, std::uint64_t len)

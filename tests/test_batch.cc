@@ -2,18 +2,21 @@
  * @file
  * Batched syscall submission tests: batched-vs-serial equivalence
  * (identical guest results and VFS state, strictly fewer world
- * switches), depth-1 identity with the legacy per-trap path, ring
- * overflow/underflow rejection, malformed-descriptor handling, and the
- * ring codec's byte layout.
+ * switches), depth 1 through the ring like any depth, staging that
+ * maps nothing, ring overflow/underflow rejection, malformed-descriptor
+ * handling, and the ring codec's byte layout.
  */
 
 #include "base/bytes.hh"
 #include "cloak/engine.hh"
+#include "os/attack_hooks.hh"
 #include "os/env.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 namespace osh
 {
@@ -176,29 +179,27 @@ TEST(BatchClock, BatchedClockIsSerialEquivalent)
 }
 
 // ---------------------------------------------------------------------------
-// Depth-1 identity with the legacy path
+// Depth 1 takes the ring like any other depth
 // ---------------------------------------------------------------------------
 
 TEST(BatchDepthOne, SingleEntryBatchMatchesDirectCall)
 {
     auto measure = [](bool batched) {
         System sys(config(true));
-        auto r = run(sys, [batched](Env& env) {
+        std::uint64_t switches = 0;
+        auto r = run(sys, [&sys, &switches, batched](Env& env) {
             std::int64_t fd = env.open("/d.dat", os::openCreate |
                                                      os::openRead |
                                                          os::openWrite);
             GuestVA buf = env.allocPages(1);
             env.write(static_cast<std::uint64_t>(fd), buf, pageSize);
-            // Warm up the lazy batch area in BOTH variants so the
-            // one-time mmap doesn't skew the switch counts.
-            {
-                std::vector<os::BatchEntry> warm = {
-                    {os::Sys::GetPid, {}}};
-                std::vector<std::int64_t> res;
-                if (env.submitBatch(warm, res) != 1)
-                    return 3;
-            }
-            for (int i = 0; i < 16; ++i) {
+            std::uint64_t before = 0;
+            for (int i = 0; i < 17; ++i) {
+                // Count from the second call: the first batch also
+                // maps the app's own ring page and first touches the
+                // bounce area's.
+                if (i == 1)
+                    before = sys.vmm().stats().value("world_switches");
                 std::int64_t got;
                 if (batched) {
                     std::vector<os::BatchEntry> e = {
@@ -216,22 +217,74 @@ TEST(BatchDepthOne, SingleEntryBatchMatchesDirectCall)
                 if (got != static_cast<std::int64_t>(pageSize))
                     return 2;
             }
+            switches = sys.vmm().stats().value("world_switches") - before;
             env.close(static_cast<std::uint64_t>(fd));
             return 0;
         });
         EXPECT_EQ(r.status, 0) << r.killReason;
-        return std::pair{sys.vmm().stats().value("world_switches"),
+        return std::pair{switches,
                          sys.cloak()->stats().value("shim_batch_traps")};
     };
     auto [direct_sw, direct_traps] = measure(false);
     auto [batch_sw, batch_traps] = measure(true);
 
-    // A depth-1 batch is routed through the legacy per-call dispatch:
-    // same number of world switches, and the kernel-facing ring (and
-    // the marshal arena behind it) is never touched.
+    // A depth-1 batch takes the kernel-facing ring, one ring trap per
+    // batch, and costs the world switches of the direct call.
     EXPECT_EQ(batch_sw, direct_sw);
     EXPECT_EQ(direct_traps, 0u);
-    EXPECT_EQ(batch_traps, 0u);
+    EXPECT_EQ(batch_traps, 17u);
+}
+
+/** A hostile kernel: rewrites the echo token of every submitted
+ *  descriptor before its single copy of the ring. */
+class EchoTamper : public os::AttackHooks
+{
+  public:
+    explicit EchoTamper(System& sys) : kernel_(sys.kernel())
+    {
+        kernel_.setAttackHooks(this);
+    }
+
+    ~EchoTamper() override { kernel_.setAttackHooks(nullptr); }
+
+    void
+    onBatchSubmit(os::Kernel& kernel, os::Thread& t, GuestVA sub_va,
+                  std::uint64_t count) override
+    {
+        if (!kernel.currentProcess().cloaked)
+            return;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            GuestVA echo = sub_va + i * os::batchDescBytes + 6 * 8;
+            std::array<std::uint8_t, 8> word{};
+            storeLe64(word.data(), 0x5ca1ab1e);
+            kernel.copyToUser(t, echo, word);
+        }
+        ++tampered;
+    }
+
+    std::uint64_t tampered = 0;
+
+  private:
+    os::Kernel& kernel_;
+};
+
+TEST(BatchDepthOne, RingTamperOnSingleEntryBatchKills)
+{
+    // One entry is no reason to skip the ring's checks: the forged
+    // echo token comes back in the completion and the shim kills.
+    System sys(config(true));
+    EchoTamper attacker(sys);
+    auto r = run(sys, [](Env& env) {
+        std::vector<os::BatchEntry> e = {{os::Sys::GetPid, {}}};
+        std::vector<std::int64_t> res;
+        env.submitBatch(e, res);
+        return 0;
+    });
+    EXPECT_EQ(attacker.tampered, 1u);
+    EXPECT_TRUE(r.killed);
+    EXPECT_NE(r.killReason.find("echo token mismatch"), std::string::npos)
+        << r.killReason;
+    EXPECT_EQ(sys.cloak()->stats().value("ring_violations"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,6 +428,49 @@ TEST(BatchRing, EnvWrapperRejectsBadDepths)
         return 0;
     });
     EXPECT_EQ(r.status, 0) << r.killReason;
+}
+
+// ---------------------------------------------------------------------------
+// The first batch maps nothing
+// ---------------------------------------------------------------------------
+
+TEST(BatchStaging, FirstBatchMapsNothing)
+{
+    // The shim stages batches in the bounce area it mapped at attach,
+    // which a fork child inherits: neither the first batch of a
+    // process nor that of its child adds a mapping. The app's own ring
+    // is allocated up front so only the shim's work is measured.
+    System sys(config(true));
+    std::vector<std::int64_t> deltas;
+    auto firstBatch = [&sys, &deltas](Env& env) {
+        GuestVA ring = env.allocPages(1);
+        std::vector<std::array<std::uint64_t, 8>> two = {
+            {static_cast<std::uint64_t>(os::Sys::GetPid), 0, 0, 0, 0, 0,
+             1, 0},
+            {static_cast<std::uint64_t>(os::Sys::GetPpid), 0, 0, 0, 0, 0,
+             2, 0}};
+        GuestVA comp = writeRing(env, ring, two);
+        std::uint64_t before = sys.kernel().stats().value("mmaps");
+        if (env.syscall(os::Sys::SubmitBatch, {ring, comp, 2}) != 2)
+            return false;
+        deltas.push_back(static_cast<std::int64_t>(
+            sys.kernel().stats().value("mmaps") - before));
+        return completionAt(env, comp, 0) ==
+               static_cast<std::int64_t>(env.getpid());
+    };
+    auto r = run(sys, [&firstBatch](Env& env) {
+        if (!firstBatch(env))
+            return 1;
+        Pid child = env.fork(
+            [&firstBatch](Env& c) { return firstBatch(c) ? 0 : 1; });
+        int status = -1;
+        if (env.waitpid(child, &status) != child || status != 0)
+            return 2;
+        return 0;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+    EXPECT_EQ(deltas, (std::vector<std::int64_t>{0, 0}));
+    EXPECT_EQ(sys.cloak()->stats().value("shim_batch_traps"), 2u);
 }
 
 // ---------------------------------------------------------------------------

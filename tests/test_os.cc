@@ -264,6 +264,110 @@ TEST(OsFiles, BadDescriptorErrors)
     EXPECT_EQ(r.status, 0);
 }
 
+TEST(OsFiles, TransferErrnoOrderTable)
+{
+    // read, write, pread and pwrite share one kernel body. Each row is
+    // one descriptor and buffer; a cell pins the first check that
+    // fires (EBADF, then ESPIPE for the positional calls, EFAULT, pipe
+    // routing, EPERM) and the file_* counter that moves, so a
+    // reordered check or a miscounted call fails here.
+    enum class Fd { Bad, PipeRead, PipeWrite, ReadOnly, ReadWrite };
+    struct Row
+    {
+        const char* name;
+        Fd fd;
+        bool badBuf;
+        std::uint64_t len;
+        std::array<std::int64_t, 4> want; ///< read, write, pread, pwrite
+        std::array<std::uint64_t, 4> counted; ///< The call's own stat.
+    };
+    constexpr std::int64_t badF = -os::errBadF, fault = -os::errFault,
+                           sPipe = -os::errSPipe, perm = -os::errPerm;
+    const std::vector<Row> rows = {
+        {"bad fd", Fd::Bad, true, 8, {badF, badF, badF, badF}, {}},
+        {"pipe read end", Fd::PipeRead, false, 8,
+         {8, badF, sPipe, sPipe}, {}},
+        {"pipe write end", Fd::PipeWrite, false, 8,
+         {badF, 8, sPipe, sPipe}, {}},
+        {"pipe read end, bad buffer", Fd::PipeRead, true, 8,
+         {fault, fault, sPipe, sPipe}, {}},
+        {"read-only file", Fd::ReadOnly, false, 8, {8, perm, 8, perm},
+         {1, 0, 1, 0}},
+        {"bad buffer", Fd::ReadOnly, true, 8, {fault, fault, fault, fault},
+         {}},
+        {"zero length", Fd::ReadWrite, true, 0, {0, 0, 0, 0},
+         {0, 1, 0, 1}},
+        {"zero length, read-only", Fd::ReadOnly, true, 0,
+         {0, perm, 0, perm}, {}},
+    };
+    const std::array<os::Sys, 4> calls = {os::Sys::Read, os::Sys::Write,
+                                          os::Sys::Pread, os::Sys::Pwrite};
+    const std::array<const char*, 4> statNames = {
+        "file_reads", "file_writes", "file_preads", "file_pwrites"};
+
+    System sys(nativeConfig());
+    std::vector<std::int64_t> got;
+    std::vector<std::array<std::uint64_t, 4>> moved;
+    sys.addProgram("test", os::Program{[&](Env& env) {
+        GuestVA buf = env.allocPages(1);
+        auto src = static_cast<std::uint64_t>(
+            env.open("/src", os::openCreate | os::openWrite));
+        env.write(src, buf, 16);
+        env.close(src);
+        auto counters = [&] {
+            std::array<std::uint64_t, 4> v{};
+            for (std::size_t k = 0; k < v.size(); ++k)
+                v[k] = sys.kernel().stats().value(statNames[k]);
+            return v;
+        };
+        for (const Row& row : rows) {
+            for (os::Sys call : calls) {
+                int rfd = -1, wfd = -1;
+                env.pipe(rfd, wfd);
+                env.write(static_cast<std::uint64_t>(wfd), buf, 8);
+                std::int64_t ro = env.open("/src", os::openRead);
+                std::int64_t rw =
+                    env.open("/src", os::openRead | os::openWrite);
+                std::int64_t fd = 99;
+                switch (row.fd) {
+                  case Fd::Bad: break;
+                  case Fd::PipeRead: fd = rfd; break;
+                  case Fd::PipeWrite: fd = wfd; break;
+                  case Fd::ReadOnly: fd = ro; break;
+                  case Fd::ReadWrite: fd = rw; break;
+                }
+                auto before = counters();
+                got.push_back(env.syscall(
+                    call, {static_cast<std::uint64_t>(fd),
+                           row.badBuf ? GuestVA{0x10} : buf, row.len, 0}));
+                auto after = counters();
+                for (std::size_t k = 0; k < after.size(); ++k)
+                    after[k] -= before[k];
+                moved.push_back(after);
+                for (std::int64_t f : {std::int64_t{rfd}, std::int64_t{wfd},
+                                       ro, rw})
+                    env.close(static_cast<std::uint64_t>(f));
+            }
+        }
+        return 0;
+    }, false, 64});
+    auto r = sys.runProgram("test");
+    ASSERT_EQ(r.status, 0) << r.killReason;
+    ASSERT_EQ(got.size(), rows.size() * calls.size());
+
+    std::size_t cell = 0;
+    for (const Row& row : rows) {
+        for (std::size_t c = 0; c < calls.size(); ++c, ++cell) {
+            SCOPED_TRACE(std::string(row.name) + " / " +
+                         os::sysName(calls[c]));
+            EXPECT_EQ(got[cell], row.want[c]);
+            std::array<std::uint64_t, 4> want_moved{};
+            want_moved[c] = row.counted[c];
+            EXPECT_EQ(moved[cell], want_moved);
+        }
+    }
+}
+
 TEST(OsFiles, WritesPastFileBoundAreRefused)
 {
     // Accepted, each of these writes would make the fsync size the

@@ -70,6 +70,103 @@ TEST(ShimMarshal, DirectoryOperations)
     EXPECT_EQ(r.status, 0) << r.killReason;
 }
 
+TEST(ShimMarshal, RenameWithLongSourcePath)
+{
+    // A source path of 1 KiB or more must not be overwritten by the
+    // target staged after it: in the shim's bounce area, and in the
+    // Env helper's scratch page. Cloaked and native agree.
+    for (bool cloaked : {false, true}) {
+        SCOPED_TRACE(cloaked ? "cloaked" : "native");
+        SystemConfig cfg = cloakedConfig();
+        cfg.cloakingEnabled = cloaked;
+        System sys(cfg);
+        auto body = [](Env& env) {
+            const std::string raw_from = "/" + std::string(1499, 'r');
+            const std::string helper_from = "/" + std::string(1499, 'h');
+            for (const std::string& p : {raw_from, helper_from}) {
+                std::int64_t f = env.open(p, os::openCreate | os::openWrite);
+                if (f < 0)
+                    return 1;
+                env.close(static_cast<std::uint64_t>(f));
+            }
+            // The raw call, each path in its own buffer.
+            GuestVA from = env.allocPages(1);
+            GuestVA to = env.allocPages(1);
+            env.writeString(from, raw_from);
+            env.writeString(to, "/raw");
+            if (env.syscall(os::Sys::Rename, {from, to}) != 0)
+                return 2;
+            if (env.rename(helper_from, "/helper") != 0)
+                return 3;
+            for (const std::string& p : {raw_from, helper_from})
+                if (env.open(p, os::openRead) != -os::errNoEnt)
+                    return 4;
+            for (const char* p : {"/raw", "/helper"}) {
+                std::int64_t f = env.open(p, os::openRead);
+                if (f < 0)
+                    return 5;
+                env.close(static_cast<std::uint64_t>(f));
+            }
+            return 0;
+        };
+        sys.addProgram("shimtest", os::Program{body, cloaked, 64});
+        auto r = sys.runProgram("shimtest");
+        EXPECT_EQ(r.status, 0) << r.killReason;
+    }
+}
+
+TEST(ShimMarshal, SignalHandlerIoLeavesInterruptedReadIntact)
+{
+    // A signal lands while a cloaked read waits on a pipe, and its
+    // handler does I/O of its own through the shim. The handler runs
+    // after the read has copied its data out of the bounce area, so
+    // the app sees the pipe's bytes, per call and batched alike.
+    for (bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "batched" : "per call");
+        System sys(cloakedConfig());
+        std::uint64_t seen = 0;
+        auto r = runCloaked(sys, [batched, &seen](Env& env) {
+            constexpr int sig = 5;
+            GuestVA page = env.allocPages(1);
+            for (GuestVA o = 0; o < pageSize; o += 8)
+                env.store64(page + o, 0xbbbbbbbbbbbbbbbbull);
+            auto other = static_cast<std::uint64_t>(env.open(
+                "/other", os::openCreate | os::openRead | os::openWrite));
+            env.write(other, page, pageSize);
+            env.onSignal(sig, [other, page](Env& e, int) {
+                e.pread(other, page, pageSize, 0);
+            });
+            int rfd = -1, wfd = -1;
+            env.pipe(rfd, wfd);
+            Pid self = env.getpid();
+            Pid child = env.fork([wfd, self](Env& c) {
+                GuestVA p = c.allocPages(1);
+                c.store64(p, 0xaaaaaaaaaaaaaaaaull);
+                c.write(static_cast<std::uint64_t>(wfd), p, 8);
+                c.kill(self, sig);
+                return 0;
+            });
+            GuestVA buf = env.allocPages(1);
+            auto fd = static_cast<std::uint64_t>(rfd);
+            std::int64_t n;
+            if (batched) {
+                std::vector<os::BatchEntry> e = {
+                    {os::Sys::Read, {fd, buf, 8}}, {os::Sys::GetPid, {}}};
+                std::vector<std::int64_t> res;
+                env.submitBatch(e, res);
+                n = res[0];
+            } else {
+                n = env.read(fd, buf, 8);
+            }
+            seen = env.load64(buf);
+            env.waitpid(child, nullptr);
+            return n == 8 ? 0 : 1;
+        });
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_EQ(seen, 0xaaaaaaaaaaaaaaaaull);
+    }
+}
+
 TEST(ShimMarshal, FstatThroughBounce)
 {
     System sys(cloakedConfig());
