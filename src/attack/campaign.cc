@@ -51,6 +51,44 @@ mix64(std::uint64_t x)
     return splitmix64(x);
 }
 
+/** How a cell's processes ended, over one or more machines. */
+struct KillScan
+{
+    bool killed = false;    ///< Any process was killed.
+    bool violation = false; ///< One was killed for a cloak violation.
+    bool other = false;     ///< One was killed for anything else.
+    /** The last other kill's reason, else the first violation's. */
+    std::string reason;
+    int status = -1; ///< Exit status of the last process not killed.
+};
+
+/**
+ * Fold @p sys's exit results into @p scan. A source copy abandoned
+ * after a successful migration ("migrated away") is protocol, not
+ * damage: it counts as killed but is not classified.
+ */
+void
+scanKills(const system::System& sys, KillScan& scan)
+{
+    for (const auto& [pid, res] : sys.results()) {
+        if (!res.killed) {
+            scan.status = res.status;
+            continue;
+        }
+        scan.killed = true;
+        if (res.killReason == "migrated away")
+            continue;
+        if (res.killReason.rfind("cloak violation", 0) == 0) {
+            scan.violation = true;
+            if (scan.reason.empty())
+                scan.reason = res.killReason;
+        } else {
+            scan.other = true;
+            scan.reason = res.killReason;
+        }
+    }
+}
+
 } // namespace
 
 /**
@@ -411,35 +449,12 @@ runMigrationCell(std::uint64_t seed, AttackPoint point,
         (dst_engine != nullptr ? dst_engine->auditLog().size() : 0);
 
     // Exit status of the victim wherever it actually finished.
-    int status = -1;
-    bool violation_kill = false;
-    bool other_kill = false;
-    std::string kill_reason;
-    auto scanResults = [&](system::System& sys) {
-        for (const auto& [pid, res] : sys.results()) {
-            if (res.killed) {
-                cell.killed = true;
-                // A source copy abandoned after a successful transfer
-                // is protocol, not damage.
-                if (res.killReason == "migrated away")
-                    continue;
-                if (res.killReason.rfind("cloak violation", 0) == 0) {
-                    violation_kill = true;
-                    if (kill_reason.empty())
-                        kill_reason = res.killReason;
-                } else {
-                    other_kill = true;
-                    kill_reason = res.killReason;
-                }
-                continue;
-            }
-            status = res.status;
-        }
-    };
-    scanResults(src);
-    scanResults(dst);
+    KillScan kills;
+    scanKills(src, kills);
+    scanKills(dst, kills);
+    cell.killed = kills.killed;
     cell.status = init_status >= 0 ? init_status
-                                   : (status < 0 ? 0 : status);
+                                   : (kills.status < 0 ? 0 : kills.status);
 
     std::uint64_t sentinel = workloads::attackSentinel(seed);
     const auto pattern = sentinelBytes(sentinel);
@@ -458,18 +473,18 @@ runMigrationCell(std::uint64_t seed, AttackPoint point,
     if (!leak.empty()) {
         cell.verdict = Verdict::Leak;
         cell.detail = "sentinel found in " + leak;
-    } else if (other_kill) {
+    } else if (kills.other) {
         cell.verdict = Verdict::Crash;
-        cell.detail = "killed: " + kill_reason;
+        cell.detail = "killed: " + kills.reason;
     } else if (accepted) {
         cell.verdict = Verdict::Crash;
         cell.detail = "tampered migration state accepted";
     } else if (!refusal.empty() && cell.firings > 0) {
         cell.verdict = Verdict::Detected;
         cell.detail = "migration refused: " + refusal;
-    } else if (violation_kill) {
+    } else if (kills.violation) {
         cell.verdict = Verdict::Detected;
-        cell.detail = kill_reason;
+        cell.detail = kills.reason;
     } else if (cell.status == 0) {
         cell.verdict = Verdict::Harmless;
         cell.detail = migratable
@@ -517,22 +532,9 @@ runCell(std::uint64_t seed, AttackPoint point,
 
     // Any process of the cell counts: a fork child killed for a cloak
     // violation is a detection even though the parent exits oddly.
-    bool violation_kill = false;
-    bool other_kill = false;
-    std::string kill_reason;
-    for (const auto& [pid, res] : sys.results()) {
-        if (!res.killed)
-            continue;
-        cell.killed = true;
-        if (res.killReason.rfind("cloak violation", 0) == 0) {
-            violation_kill = true;
-            if (kill_reason.empty())
-                kill_reason = res.killReason;
-        } else {
-            other_kill = true;
-            kill_reason = res.killReason;
-        }
-    }
+    KillScan kills;
+    scanKills(sys, kills);
+    cell.killed = kills.killed;
 
     std::uint64_t sentinel = workloads::attackSentinel(seed);
     std::string leak = findSentinelLeak(sys, director, sentinel);
@@ -569,12 +571,12 @@ runCell(std::uint64_t seed, AttackPoint point,
     } else if (!timing_leak.empty()) {
         cell.verdict = Verdict::Leak;
         cell.detail = timing_leak;
-    } else if (other_kill) {
+    } else if (kills.other) {
         cell.verdict = Verdict::Crash;
-        cell.detail = "killed: " + kill_reason;
-    } else if (violation_kill) {
+        cell.detail = "killed: " + kills.reason;
+    } else if (kills.violation) {
         cell.verdict = Verdict::Detected;
-        cell.detail = kill_reason;
+        cell.detail = kills.reason;
     } else if (init.status == workloads::victimStatusRefused) {
         cell.verdict = Verdict::Detected;
         cell.detail = "protected-file open refused";

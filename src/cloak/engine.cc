@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <utility>
 
 namespace osh::cloak
 {
@@ -62,9 +63,8 @@ CloakEngine::~CloakEngine()
     // with it the swap device the commits write into) before the
     // engine. The kernel's destructor drains the queue while everything
     // is still alive; anything left is scrubbed and dropped.
-    for (AsyncSealEntry& e : asyncQueue_)
+    for (AsyncSealEntry& e : asyncRing_)
         std::memset(e.sealed.data(), 0, e.sealed.size());
-    asyncQueue_.clear();
     vmm_.setCloakBackend(nullptr);
 }
 
@@ -533,11 +533,19 @@ CloakEngine::sealPlaintextFrames(std::span<const Gpa> gpas)
 // Asynchronous eviction pipeline
 // ---------------------------------------------------------------------------
 
+void
+CloakEngine::setAsyncEvictDepth(std::size_t depth)
+{
+    osh_assert(asyncCount_ == 0, "async depth changed with seals queued");
+    asyncRing_.assign(depth, AsyncSealEntry{});
+    asyncHead_ = 0;
+}
+
 bool
 CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
                             std::uint64_t slot, std::uint64_t replay_key)
 {
-    if (asyncDepth_ == 0 || asyncDraining_)
+    if (asyncRing_.empty() || asyncDraining_)
         return false;
     gpa = pageBase(gpa);
     const PlaintextRef* ref = plaintextAt(gpa);
@@ -553,7 +561,7 @@ CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
 
     // Queue full: retire the oldest entry first, so depth bounds the
     // staging memory and entries always commit in FIFO order.
-    if (asyncQueue_.size() >= asyncDepth_)
+    if (asyncCount_ == asyncRing_.size())
         drainOneAsyncEviction();
 
     auto& cost = vmm_.machine().cost();
@@ -568,7 +576,8 @@ CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
     std::uint64_t lane_cycles = 0;
     encryptPage(*res, page_index, meta, cipherFor(*res), &lane_cycles);
 
-    AsyncSealEntry entry;
+    AsyncSealEntry& entry =
+        asyncRing_[(asyncHead_ + asyncCount_) % asyncRing_.size()];
     entry.gpa = gpa;
     entry.resource = res->id;
     entry.pageIndex = page_index;
@@ -590,7 +599,7 @@ CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
     Cycles now = cost.cycles();
     laneBusyUntil_ = std::max(laneBusyUntil_, now) + lane_cycles;
     entry.readyAt = laneBusyUntil_;
-    asyncQueue_.push_back(std::move(entry));
+    ++asyncCount_;
 
     // Critical-path cost of handing the frame back: snapshot the page
     // into staging, scrub the frame, fixed fault handling.
@@ -604,9 +613,10 @@ CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
 void
 CloakEngine::drainOneAsyncEviction()
 {
-    osh_assert(!asyncQueue_.empty(), "drain of an empty async queue");
-    AsyncSealEntry entry = std::move(asyncQueue_.front());
-    asyncQueue_.pop_front();
+    osh_assert(asyncCount_ > 0, "drain of an empty async queue");
+    AsyncSealEntry& entry = asyncRing_[asyncHead_];
+    asyncHead_ = (asyncHead_ + 1) % asyncRing_.size();
+    --asyncCount_;
 
     auto& cost = vmm_.machine().cost();
     Cycles now = cost.cycles();
@@ -619,7 +629,11 @@ CloakEngine::drainOneAsyncEviction()
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "async_evict_commit", systemDomain, 0,
                     entry.resource, entry.pageIndex);
+    // The commit reads the entry's ring slot in place: nothing may
+    // enqueue into that slot until it returns.
+    bool draining = std::exchange(asyncDraining_, true);
     entry.sink->commitEviction(entry.slot, entry.replayKey, entry.sealed);
+    asyncDraining_ = draining;
     std::memset(entry.sealed.data(), 0, entry.sealed.size());
     stats_.inc(cloakStat("async_evict_commits"));
 }
@@ -627,10 +641,10 @@ CloakEngine::drainOneAsyncEviction()
 void
 CloakEngine::drainAsyncEvictions()
 {
-    if (asyncDraining_ || asyncQueue_.empty())
+    if (asyncDraining_ || asyncCount_ == 0)
         return;
     asyncDraining_ = true;
-    while (!asyncQueue_.empty())
+    while (asyncCount_ > 0)
         drainOneAsyncEviction();
     asyncDraining_ = false;
 }
@@ -1307,7 +1321,7 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
           case vmm::introspectVictimCacheCapacity:
             return static_cast<std::int64_t>(victims_.capacity());
           case vmm::introspectAsyncEvictDepth:
-            return static_cast<std::int64_t>(asyncDepth_);
+            return static_cast<std::int64_t>(asyncRing_.size());
           default: return -1;
         }
 

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -339,7 +340,7 @@ class CloakEngine : public vmm::CloakBackend
     void drainAsyncEvictions() override;
     std::size_t asyncPendingEvictions() const override
     {
-        return asyncQueue_.size();
+        return asyncCount_;
     }
 
     // Batched page crypto -------------------------------------------------
@@ -491,16 +492,23 @@ class CloakEngine : public vmm::CloakBackend
      * the exact synchronous legacy path: evictPageAsync always refuses
      * and the kernel seals + writes on its critical path. At depth N
      * up to N eviction seals ride the background lane; enqueueing when
-     * full retires the oldest entry first.
+     * full retires the oldest entry first. The staging ring is
+     * allocated here, so only with no eviction in flight.
      */
-    void setAsyncEvictDepth(std::size_t depth) { asyncDepth_ = depth; }
-    std::size_t asyncEvictDepth() const { return asyncDepth_; }
+    void setAsyncEvictDepth(std::size_t depth);
+    std::size_t asyncEvictDepth() const { return asyncRing_.size(); }
 
-    /** Entries still awaiting their drain commit (leak-oracle scans
-     *  read the staging ciphertext through this). */
-    const std::deque<AsyncSealEntry>& asyncPendingEntries() const
+    /** Entries still awaiting their drain commit, oldest first
+     *  (leak-oracle scans read the staging ciphertext through this). */
+    auto
+    asyncPendingEntries() const
     {
-        return asyncQueue_;
+        return std::views::iota(std::size_t{0}, asyncCount_) |
+               std::views::transform(
+                   [this](std::size_t i) -> const AsyncSealEntry& {
+                       return asyncRing_[(asyncHead_ + i) %
+                                         asyncRing_.size()];
+                   });
     }
 
     /**
@@ -630,12 +638,16 @@ class CloakEngine : public vmm::CloakBackend
     AuditLog auditLog_;
     StatGroup stats_;
 
-    /** Asynchronous eviction pipeline (0 = exact legacy sync path). */
-    std::size_t asyncDepth_ = 0;
-    std::deque<AsyncSealEntry> asyncQueue_;
+    /** Asynchronous eviction pipeline: a FIFO ring of depth slots
+     *  (none = exact legacy sync path), asyncCount_ of them pending
+     *  from asyncHead_ on. */
+    std::vector<AsyncSealEntry> asyncRing_;
+    std::size_t asyncHead_ = 0;
+    std::size_t asyncCount_ = 0;
     /** When the background lane finishes its last accepted job. */
     Cycles laneBusyUntil_ = 0;
-    /** Reentrancy guard: commits must not re-enter the drain. */
+    /** Reentrancy guard: commits must not re-enter the drain, nor
+     *  enqueue into the ring slot they are read from. */
     bool asyncDraining_ = false;
 
     /** Constant-cost responses (see setConstantCostMode). */

@@ -90,8 +90,18 @@ Env::scratch()
     // (their shim then marshals its contents — this is the paper's
     // argument-marshalling path, not an information leak).
     if (scratch_ == 0)
-        scratch_ = allocPages(1);
+        scratch_ = allocPages(Scratch::pages);
     return scratch_;
+}
+
+GuestVA
+Env::stagePath(const std::string& path, std::uint64_t at)
+{
+    if (path.size() > maxPathLen)
+        return 0;
+    GuestVA va = scratch() + at;
+    writeString(va, path);
+    return va;
 }
 
 GuestVA
@@ -179,15 +189,14 @@ Env::allocUncloakedPages(std::uint64_t pages)
 std::int64_t
 Env::open(const std::string& path, std::uint64_t flags)
 {
-    GuestVA s = scratch();
-    writeString(s, path);
-    return syscall(Sys::Open, {s, flags});
+    GuestVA s = stagePath(path);
+    return s == 0 ? -errInval : syscall(Sys::Open, {s, flags});
 }
 
 std::int64_t
 Env::fstat(std::uint64_t fd, StatBuf& out)
 {
-    GuestVA s = scratch() + 512;
+    GuestVA s = scratch() + Scratch::statOut;
     std::int64_t r = syscall(Sys::Fstat, {fd, s});
     if (r == 0) {
         std::array<std::uint8_t, sizeof(StatBuf)> raw;
@@ -200,26 +209,25 @@ Env::fstat(std::uint64_t fd, StatBuf& out)
 std::int64_t
 Env::unlink(const std::string& path)
 {
-    GuestVA s = scratch();
-    writeString(s, path);
-    return syscall(Sys::Unlink, {s});
+    GuestVA s = stagePath(path);
+    return s == 0 ? -errInval : syscall(Sys::Unlink, {s});
 }
 
 std::int64_t
 Env::mkdir(const std::string& path)
 {
-    GuestVA s = scratch();
-    writeString(s, path);
-    return syscall(Sys::Mkdir, {s});
+    GuestVA s = stagePath(path);
+    return s == 0 ? -errInval : syscall(Sys::Mkdir, {s});
 }
 
 std::int64_t
 Env::readdir(std::uint64_t fd, std::uint64_t index, std::string& name_out)
 {
-    GuestVA s = scratch() + 1024;
-    std::int64_t r = syscall(Sys::ReadDir, {fd, index, s, 256});
+    GuestVA s = scratch() + Scratch::readDirOut;
+    std::int64_t r =
+        syscall(Sys::ReadDir, {fd, index, s, Scratch::readDirMax});
     if (r >= 0)
-        name_out = readString(s, 256);
+        name_out = readString(s, Scratch::readDirMax);
     return r;
 }
 
@@ -227,17 +235,15 @@ std::int64_t
 Env::rename(const std::string& from, const std::string& to)
 {
     // Back to back: a long source must not run into the target.
-    GuestVA s = scratch();
-    GuestVA t = s + from.size() + 1;
-    writeString(s, from);
-    writeString(t, to);
-    return syscall(Sys::Rename, {s, t});
+    GuestVA s = stagePath(from);
+    GuestVA t = s == 0 ? 0 : stagePath(to, from.size() + 1);
+    return t == 0 ? -errInval : syscall(Sys::Rename, {s, t});
 }
 
 std::int64_t
 Env::pipe(int& read_fd, int& write_fd)
 {
-    GuestVA s = scratch() + 2048;
+    GuestVA s = scratch() + Scratch::pipeOut;
     std::int64_t r = syscall(Sys::Pipe, {s});
     if (r == 0) {
         read_fd = static_cast<int>(load32(s));
@@ -286,38 +292,44 @@ Env::fork(std::function<int(Env&)> child_body)
     return static_cast<Pid>(syscall(Sys::Fork, {token}));
 }
 
-SyscallArgs
+std::optional<SyscallArgs>
 Env::stageProgram(const std::string& program,
                   const std::vector<std::string>& argv)
 {
-    GuestVA s = scratch();
-    writeString(s, program);
     std::string blob;
     for (const std::string& a : argv) {
         blob += a;
         blob.push_back('\0');
     }
+    // The blob goes right after the name.
+    std::uint64_t at = program.size() + 1;
+    if (program.size() > maxPathLen || blob.size() > Scratch::bytes - at)
+        return std::nullopt;
+    GuestVA s = stagePath(program);
     GuestVA blob_va = 0;
     if (!blob.empty()) {
-        blob_va = s + 1024;
+        blob_va = s + at;
         writeBytes(blob_va, std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(blob.data()),
             blob.size()));
     }
-    return {s, blob_va, blob.size()};
+    return SyscallArgs{s, blob_va, blob.size()};
 }
 
 Pid
 Env::spawn(const std::string& program, const std::vector<std::string>& argv)
 {
-    return static_cast<Pid>(
-        syscall(Sys::Spawn, stageProgram(program, argv)));
+    std::optional<SyscallArgs> args = stageProgram(program, argv);
+    if (!args)
+        return static_cast<Pid>(-errInval);
+    return static_cast<Pid>(syscall(Sys::Spawn, *args));
 }
 
 [[noreturn]] void
 Env::exec(const std::string& program, const std::vector<std::string>& argv)
 {
-    std::int64_t r = syscall(Sys::Exec, stageProgram(program, argv));
+    std::optional<SyscallArgs> args = stageProgram(program, argv);
+    std::int64_t r = args ? syscall(Sys::Exec, *args) : -errInval;
     // On success the syscall path throws ExecRequested before we get
     // here; reaching this point means the exec failed.
     osh_panic("exec('%s') failed: %lld", program.c_str(),
@@ -327,7 +339,7 @@ Env::exec(const std::string& program, const std::vector<std::string>& argv)
 std::int64_t
 Env::waitpid(Pid pid, int* status)
 {
-    GuestVA s = scratch() + 3072;
+    GuestVA s = scratch() + Scratch::waitOut;
     std::int64_t r = syscall(
         Sys::WaitPid, {static_cast<std::uint64_t>(pid), status ? s : 0});
     if (r > 0 && status != nullptr)

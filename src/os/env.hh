@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -253,13 +254,45 @@ class Env
     void pollSignals();
 
   private:
-    /** Scratch page used to pass strings/argv blobs to the kernel. */
+    /**
+     * Layout of the scratch area, which holds one call's kernel-facing
+     * operands. Strings go back to back from its base: rename's two
+     * paths, or spawn/exec's program name and argv blob. The out slots
+     * of fstat, readdir, pipe and waitpid lie in its first page; no
+     * call stages both strings and an out slot.
+     */
+    struct Scratch
+    {
+        static constexpr std::uint64_t pages = 3;
+        static constexpr std::uint64_t bytes = pages * pageSize;
+        static constexpr std::uint64_t statOut = 512;
+        static constexpr std::uint64_t readDirOut = 1024;
+        static constexpr std::uint64_t readDirMax = 256;
+        static constexpr std::uint64_t pipeOut = 2048;
+        static constexpr std::uint64_t waitOut = 3072;
+    };
+    static_assert(2 * (maxPathLen + 1) <= Scratch::bytes,
+                  "two maximal paths no longer fit the scratch area");
+    static_assert(Scratch::statOut + sizeof(StatBuf) <= Scratch::readDirOut &&
+                      Scratch::readDirOut + Scratch::readDirMax + 1 <=
+                          Scratch::pipeOut &&
+                      Scratch::pipeOut + 8 <= Scratch::waitOut &&
+                      Scratch::waitOut + 4 <= pageSize,
+                  "scratch out slots overlap");
+
+    /** The scratch area (allocated on first use). */
     GuestVA scratch();
 
-    /** Stage spawn/exec's name and argv blob in the scratch page;
-     *  returns the call's {name, blob, blob length}. */
-    SyscallArgs stageProgram(const std::string& program,
-                             const std::vector<std::string>& argv);
+    /** Write @p path at @p at in the scratch area and return its
+     *  address, or 0 if it is longer than maxPathLen. */
+    GuestVA stagePath(const std::string& path, std::uint64_t at = 0);
+
+    /** Stage spawn/exec's name and argv blob in the scratch area;
+     *  returns the call's {name, blob, blob length}, or nullopt if
+     *  the name is too long or the blob does not fit after it. */
+    std::optional<SyscallArgs>
+    stageProgram(const std::string& program,
+                 const std::vector<std::string>& argv);
 
     /** Ring page for submitBatch (descriptors + completions). */
     GuestVA batchArea();

@@ -22,13 +22,9 @@
  * (invalidateMpa) — so a process resuming its own view after a switch
  * never inherits stale mappings.
  *
- * Layout (the Tlb's, without its capacity bound or FIFO): entries live
- * in one slot array that grows to the peak resident count and is then
- * reused through a free list. Each slot is on three intrusive chains —
- * entries of its (asid, va page), entries mapping its frame, entries
- * of its address space — and a HeadTable per chain kind finds a
- * chain's head, so every operation touches only the entries it
- * matches and none allocates once the array has grown.
+ * Entries live in a TranslationIndex, whose chains by (asid, va page),
+ * by frame and by address space let every operation touch only the
+ * entries it matches; the manager adds each slot's suspended flag.
  */
 
 #ifndef OSH_VMM_SHADOW_HH
@@ -37,7 +33,7 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "vmm/context.hh"
-#include "vmm/head_table.hh"
+#include "vmm/translation_index.hh"
 
 #include <cstdint>
 #include <optional>
@@ -45,14 +41,6 @@
 
 namespace osh::vmm
 {
-
-/** One cached translation in a shadow page table. */
-struct ShadowEntry
-{
-    Mpa mpa = badAddr;       ///< Machine frame base.
-    bool canRead = false;
-    bool canWrite = false;
-};
 
 /** All shadow page tables, keyed by execution context. */
 class ShadowManager
@@ -103,10 +91,13 @@ class ShadowManager
     void invalidateAll();
 
     /** Number of live (active) shadow entries (for tests / stats). */
-    std::size_t entryCount() const;
+    std::size_t entryCount() const
+    {
+        return index_.size() - suspendedSlots_;
+    }
 
     /** Number of suspended (retained) entries. */
-    std::size_t suspendedCount() const;
+    std::size_t suspendedCount() const { return suspendedSlots_; }
 
     /** Active entries belonging to one address space (tests). */
     std::size_t entryCount(Asid asid) const;
@@ -121,49 +112,19 @@ class ShadowManager
     StatGroup& stats() { return stats_; }
 
   private:
-    static constexpr std::uint32_t none = HeadTable::none;
-    using Link = HeadTable::Link;
+    static constexpr std::uint32_t none = TranslationIndex::none;
+    using Chain = TranslationIndex::Chain;
 
-    /** Which chain a link or head table belongs to. */
-    enum Chain { Va, Frame, AddrSpace, chainCount };
-
-    /** A shadow slot: the translation plus its retention state. */
-    struct Slot
-    {
-        Context ctx;
-        GuestVA vaPage = 0;
-        ShadowEntry entry;
-        bool suspended = false;
-        /** Va: same (asid, va page), and the free list when unused.
-         *  Frame: same machine frame. AddrSpace: same asid. */
-        Link links[chainCount];
-    };
-
-    /** Chain key of a slot: its va page, frame or asid. */
-    std::uint64_t keyOf(Chain c, std::uint32_t slot) const;
-    /** Head-table hash of a key (the asid matters for Chain::Va only). */
-    static std::uint64_t hashOf(Chain c, Asid asid, std::uint64_t key);
-    /** Head of (asid, key)'s chain, or none. */
-    std::uint32_t head(Chain c, Asid asid, std::uint64_t key) const;
-    /** Cell holding that head, or the empty cell where it would go. */
-    std::uint32_t probe(Chain c, Asid asid, std::uint64_t key) const;
-    void pushChain(Chain c, std::uint32_t slot);
-    void unlinkChain(Chain c, std::uint32_t slot);
-
-    /** Slot of (ctx, va_page), or none. */
-    std::uint32_t find(const Context& ctx, GuestVA va_page) const;
-    /** A free slot, growing the array and the head tables if needed. */
-    std::uint32_t allocSlot();
-    /** Unlink a resident slot from every chain and free it. */
+    /** Unsuspend a resident slot (a no-op if it is active). */
+    void unsuspend(std::uint32_t slot);
+    /** Unsuspend a resident slot and free it. */
     void remove(std::uint32_t slot);
 
-    std::vector<Slot> slots_;
-    std::uint32_t freeHead_ = none;
-    HeadTable heads_[chainCount];
-    /** Resident slot count, how many are suspended, and the lifetime
-     *  high-water mark of the resident count. */
-    std::size_t liveSlots_ = 0;
+    TranslationIndex index_;
+    /** Per slot: parked by suspendMpa(), invisible to lookup(). */
+    std::vector<bool> suspended_;
     std::size_t suspendedSlots_ = 0;
+    /** Lifetime high-water mark of the resident count. */
     std::size_t peakSlots_ = 0;
     StatGroup stats_;
 };

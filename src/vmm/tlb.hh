@@ -8,11 +8,9 @@
  * for guest events, and by machine frame when a frame changes cloaking
  * state (modelling a TLB shootdown of just that frame's mappings).
  *
- * Entries live in a fixed array of capacity slots. Each slot is on
- * three intrusive lists: the FIFO (insertion order), the chain of
- * entries sharing its (asid, va page), and the chain of entries mapping
- * its frame. Two HeadTables find a chain's head, so lookup,
- * invalidateVa and invalidateMpa touch only the entries they match.
+ * Entries live in a TranslationIndex of capacity slots, whose chains
+ * let lookup and every invalidation touch only the entries they match;
+ * the TLB adds the FIFO list of its slots in insertion order.
  */
 
 #ifndef OSH_VMM_TLB_HH
@@ -21,8 +19,7 @@
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "vmm/context.hh"
-#include "vmm/head_table.hh"
-#include "vmm/shadow.hh"
+#include "vmm/translation_index.hh"
 
 #include <cstdint>
 #include <optional>
@@ -55,66 +52,23 @@ class Tlb
 
     void flushAll();
 
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return index_.size(); }
 
     StatGroup& stats() { return stats_; }
 
   private:
-    static constexpr std::uint32_t none = HeadTable::none;
-    using Link = HeadTable::Link;
+    static constexpr std::uint32_t none = TranslationIndex::none;
+    using Chain = TranslationIndex::Chain;
 
-    struct Slot
-    {
-        Context ctx;
-        GuestVA vaPage = 0;
-        ShadowEntry entry;
-        Link fifo;  ///< Insertion order; the free list when unused.
-        Link va;    ///< Entries of the same (asid, va page).
-        Link frame; ///< Entries mapping the same machine frame.
-    };
-
-    /** Which chain a head table indexes. */
-    enum class Chain { Va, Frame };
-
-    /** Chain key of a slot: its va page, or its frame base. */
-    std::uint64_t keyOf(Chain c, std::uint32_t slot) const;
-    bool matches(Chain c, std::uint32_t slot, Asid asid,
-                 std::uint64_t key) const;
-    Link& link(Chain c, std::uint32_t slot);
-    HeadTable&
-    table(Chain c)
-    {
-        return c == Chain::Va ? vaHeads_ : frameHeads_;
-    }
-    const HeadTable&
-    table(Chain c) const
-    {
-        return c == Chain::Va ? vaHeads_ : frameHeads_;
-    }
-
-    /** Head-table hash of a key (the asid is ignored for Chain::Frame). */
-    static std::uint64_t hashOf(Chain c, Asid asid, std::uint64_t key);
-    /** Cell holding the head of (asid, key)'s chain, or the empty cell
-     *  where it would go. */
-    std::uint32_t probe(Chain c, Asid asid, std::uint64_t key) const;
-    void pushChain(Chain c, std::uint32_t slot);
-    void unlinkChain(Chain c, std::uint32_t slot);
-
-    /** Slot of (ctx, va_page), or none. */
-    std::uint32_t find(const Context& ctx, GuestVA va_page) const;
-    /** Unlink a resident slot from every list and free it. */
+    /** Unlink a resident slot from the FIFO and the index. */
     void remove(std::uint32_t slot);
-    /** Empty every table and put every slot on the free list. */
-    void reset();
 
     std::size_t capacity_;
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
+    TranslationIndex index_;
+    /** Per slot: its neighbours in insertion order. */
+    std::vector<TranslationIndex::Link> fifo_;
     std::uint32_t fifoHead_ = none; ///< Oldest resident entry.
     std::uint32_t fifoTail_ = none; ///< Newest resident entry.
-    std::uint32_t freeHead_ = none;
-    HeadTable vaHeads_;
-    HeadTable frameHeads_;
     StatGroup stats_;
 };
 

@@ -58,55 +58,61 @@ TEST(AllocationBudget, SteadySwapFaultsAllocateNothing)
     constexpr int warmupPasses = 6;
     constexpr int measuredPasses = 10;
 
-    System sys(SystemConfig::Builder{}
-                   .seed(42)
-                   .guestFrames(guestFrames)
-                   .cloaking(true)
-                   .build());
-    std::uint64_t faults = 0;
-    std::uint64_t allocations = 0;
-    sys.addProgram(
-        "pager",
-        os::Program{[&](os::Env& env) {
-                        GuestVA buf = env.allocPages(workingSetPages);
-                        for (std::uint64_t p = 0; p < workingSetPages; ++p)
-                            env.store64(buf + p * pageSize, p + 1);
-                        // Passes alternate read-only and read-modify-
-                        // write, so faults take the dirty seal, the
-                        // clean path and the victim cache.
-                        std::uint64_t x = 0x9e3779b97f4a7c15ull;
-                        auto pass = [&](int n) {
-                            for (std::uint64_t i = 0; i < touchesPerPass;
-                                 ++i) {
-                                x = x * 6364136223846793005ull +
-                                    1442695040888963407ull;
-                                GuestVA va = buf + ((x >> 33) %
-                                                    workingSetPages) *
-                                                       pageSize;
-                                std::uint64_t v = env.load64(va);
-                                if (n % 2 == 1)
-                                    env.store64(va, v * 3 + 1);
-                            }
-                        };
-                        for (int n = 0; n < warmupPasses; ++n)
-                            pass(n);
-                        const std::uint64_t swap_ins =
-                            sys.kernel().stats().value("swap_ins");
-                        const std::uint64_t before = heapAllocations;
-                        for (int n = 0; n < measuredPasses; ++n)
-                            pass(n);
-                        allocations = heapAllocations - before;
-                        faults = sys.kernel().stats().value("swap_ins") -
-                                 swap_ins;
-                        return 0;
-                    },
-                    true, 64});
-    auto r = sys.runProgram("pager");
-    ASSERT_EQ(r.status, 0);
-    ASSERT_FALSE(r.killed);
-    ASSERT_GE(faults, 1000u);
-    EXPECT_EQ(allocations, 0u) << allocations << " heap allocations over "
-                               << faults << " swap faults";
+    // At depth 0 every seal is synchronous; at depth 4 evictions ride
+    // the staging ring, which is allocated when the System is built.
+    for (std::size_t async_depth : {0u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "async depth " << async_depth);
+        System sys(SystemConfig::Builder{}
+                       .seed(42)
+                       .guestFrames(guestFrames)
+                       .cloaking(true)
+                       .asyncEvictDepth(async_depth)
+                       .build());
+        std::uint64_t faults = 0;
+        std::uint64_t allocations = 0;
+        sys.addProgram(
+            "pager",
+            os::Program{[&](os::Env& env) {
+                            GuestVA buf = env.allocPages(workingSetPages);
+                            for (std::uint64_t p = 0; p < workingSetPages; ++p)
+                                env.store64(buf + p * pageSize, p + 1);
+                            // Passes alternate read-only and read-modify-
+                            // write, so faults take the dirty seal, the
+                            // clean path and the victim cache.
+                            std::uint64_t x = 0x9e3779b97f4a7c15ull;
+                            auto pass = [&](int n) {
+                                for (std::uint64_t i = 0; i < touchesPerPass;
+                                     ++i) {
+                                    x = x * 6364136223846793005ull +
+                                        1442695040888963407ull;
+                                    GuestVA va = buf + ((x >> 33) %
+                                                        workingSetPages) *
+                                                           pageSize;
+                                    std::uint64_t v = env.load64(va);
+                                    if (n % 2 == 1)
+                                        env.store64(va, v * 3 + 1);
+                                }
+                            };
+                            for (int n = 0; n < warmupPasses; ++n)
+                                pass(n);
+                            const std::uint64_t swap_ins =
+                                sys.kernel().stats().value("swap_ins");
+                            const std::uint64_t before = heapAllocations;
+                            for (int n = 0; n < measuredPasses; ++n)
+                                pass(n);
+                            allocations = heapAllocations - before;
+                            faults = sys.kernel().stats().value("swap_ins") -
+                                     swap_ins;
+                            return 0;
+                        },
+                        true, 64});
+        auto r = sys.runProgram("pager");
+        ASSERT_EQ(r.status, 0);
+        ASSERT_FALSE(r.killed);
+        ASSERT_GE(faults, 1000u);
+        EXPECT_EQ(allocations, 0u) << allocations << " heap allocations over "
+                                   << faults << " swap faults";
+    }
 }
 
 } // namespace

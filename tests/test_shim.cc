@@ -70,11 +70,12 @@ TEST(ShimMarshal, DirectoryOperations)
     EXPECT_EQ(r.status, 0) << r.killReason;
 }
 
-TEST(ShimMarshal, RenameWithLongSourcePath)
+TEST(ShimMarshal, RenameWithLongPaths)
 {
-    // A source path of 1 KiB or more must not be overwritten by the
-    // target staged after it: in the shim's bounce area, and in the
-    // Env helper's scratch page. Cloaked and native agree.
+    // A long source path must not be overwritten by the target staged
+    // after it, and two maximal paths must fit: in the shim's bounce
+    // area, and in the Env helper's scratch area. Cloaked and native
+    // agree.
     for (bool cloaked : {false, true}) {
         SCOPED_TRACE(cloaked ? "cloaked" : "native");
         SystemConfig cfg = cloakedConfig();
@@ -82,8 +83,16 @@ TEST(ShimMarshal, RenameWithLongSourcePath)
         System sys(cfg);
         auto body = [](Env& env) {
             const std::string raw_from = "/" + std::string(1499, 'r');
-            const std::string helper_from = "/" + std::string(1499, 'h');
-            for (const std::string& p : {raw_from, helper_from}) {
+            // Env::rename's {source, target} pairs.
+            const std::vector<std::pair<std::string, std::string>> helper =
+                {{"/" + std::string(1499, 'h'), "/helper"},
+                 {"/" + std::string(2000, 'h'), "/" + std::string(2500, 't')},
+                 {"/" + std::string(os::maxPathLen - 1, 'm'),
+                  "/" + std::string(os::maxPathLen - 1, 'n')}};
+            std::vector<std::string> sources{raw_from};
+            for (const auto& [from, to] : helper)
+                sources.push_back(from);
+            for (const std::string& p : sources) {
                 std::int64_t f = env.open(p, os::openCreate | os::openWrite);
                 if (f < 0)
                     return 1;
@@ -96,21 +105,61 @@ TEST(ShimMarshal, RenameWithLongSourcePath)
             env.writeString(to, "/raw");
             if (env.syscall(os::Sys::Rename, {from, to}) != 0)
                 return 2;
-            if (env.rename(helper_from, "/helper") != 0)
-                return 3;
-            for (const std::string& p : {raw_from, helper_from})
+            std::vector<std::string> targets{"/raw"};
+            for (const auto& [from, to] : helper) {
+                if (env.rename(from, to) != 0)
+                    return 3;
+                targets.push_back(to);
+            }
+            for (const std::string& p : sources)
                 if (env.open(p, os::openRead) != -os::errNoEnt)
                     return 4;
-            for (const char* p : {"/raw", "/helper"}) {
+            for (const std::string& p : targets) {
                 std::int64_t f = env.open(p, os::openRead);
                 if (f < 0)
                     return 5;
                 env.close(static_cast<std::uint64_t>(f));
             }
+            // A path the kernel would truncate is refused, not staged.
+            const std::string too_long(os::maxPathLen + 1, 'x');
+            if (env.rename(too_long, "/x") != -os::errInval)
+                return 6;
             return 0;
         };
         sys.addProgram("shimtest", os::Program{body, cloaked, 64});
         auto r = sys.runProgram("shimtest");
+        EXPECT_EQ(r.status, 0) << r.killReason;
+    }
+}
+
+TEST(ShimMarshal, SpawnWithLongNameAndArgv)
+{
+    // spawn stages the program name and the argv blob back to back: a
+    // long name must not be overwritten by the blob, and a blob of
+    // several KiB must stay inside the scratch area.
+    const std::string child = std::string(1500, 'c');
+    const std::vector<std::string> argv{std::string(5000, 'a'), "beta"};
+    for (bool cloaked : {false, true}) {
+        SCOPED_TRACE(cloaked ? "cloaked" : "native");
+        SystemConfig cfg = cloakedConfig();
+        cfg.cloakingEnabled = cloaked;
+        System sys(cfg);
+        sys.addProgram(child, os::Program{[&argv](Env& env) {
+            return env.args() == argv ? 33 : 1;
+        }, cloaked, 64});
+        sys.addProgram("parent", os::Program{[&](Env& env) {
+            Pid c = env.spawn(child, argv);
+            if (c <= 0)
+                return 1;
+            int status = -1;
+            env.waitpid(c, &status);
+            if (status != 33)
+                return 2;
+            // A blob that cannot fit after the name is refused.
+            const std::vector<std::string> huge{std::string(12000, 'z')};
+            return env.spawn(child, huge) == -os::errInval ? 0 : 3;
+        }, cloaked, 64});
+        auto r = sys.runProgram("parent");
         EXPECT_EQ(r.status, 0) << r.killReason;
     }
 }
