@@ -995,10 +995,11 @@ CloakEngine::unregisterRegion(DomainId domain, GuestVA start)
 }
 
 void
-CloakEngine::bindCtc(DomainId domain, GuestVA ctc_va)
+CloakEngine::bindThread(DomainId domain, GuestVA ctc_va, GuestVA bounce_va)
 {
     Domain& d = domainOf(domain);
     d.ctcVa = ctc_va;
+    d.bounceVa = bounce_va;
     d.ctcExport = exportCtcDigest(domain);
     d.ctcExport.valid = false;
     d.ctcRecordValid = false;
@@ -1099,6 +1100,7 @@ CloakEngine::snapshotFork(DomainId parent, std::uint64_t token)
         pf.regions.push_back({r, new_res});
     }
     pf.ctcVa = pd->ctcVa;
+    pf.bounceVa = pd->bounceVa;
     pf.snapshotted = true;
     stats_.inc(cloakStat("fork_snapshots"));
     return {};
@@ -1131,6 +1133,7 @@ CloakEngine::forkAttach(Asid child_asid, Pid child_pid,
         createDomain(child_asid, child_pid, parent->identity);
     Domain& child = domainOf(child_id);
     child.ctcVa = pf.ctcVa;
+    child.bounceVa = pf.bounceVa;
 
     // Mirror the parent's regions at the same virtual addresses (fork
     // preserves the address-space layout), re-homing the clones.
@@ -1246,7 +1249,7 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
       case vmm::Hypercall::CloakRegisterThread:
         if (ctx.view == systemDomain)
             return -1;
-        bindCtc(ctx.view, arg(0));
+        bindThread(ctx.view, arg(0), arg(1));
         return 0;
 
       case vmm::Hypercall::CloakSealMetadata:

@@ -80,13 +80,18 @@ struct Domain
     crypto::Digest identity{};   ///< Application identity (program hash).
     std::vector<Region> regions;
 
-    /** Cloaked thread context page, plus the VMM-private copy of the
-     *  register record last saved into it. */
+    /** The shim's layout, the one place it is kept: the cloaked
+     *  thread context page and the uncloaked bounce area (0 until the
+     *  shim registers its thread). Fork children and restored
+     *  processes inherit it. */
     GuestVA ctcVa = 0;
+    GuestVA bounceVa = 0;
+    /** The VMM-private copy of the register record last saved into
+     *  the CTC. */
     std::array<std::uint8_t, ctcBytes> ctcRecord{};
     bool ctcRecordValid = false;
     /** What a checkpoint writes while no record is live: the digest a
-     *  restored image carried, or that of the record bindCtc last
+     *  restored image carried, or that of the record bindThread last
      *  dropped. Migration metadata only; no check reads it. */
     CtcDigest ctcExport;
 };
@@ -386,10 +391,11 @@ class CloakEngine : public vmm::CloakBackend
     /** CTC handling used by the secure-control-transfer path: the VMM
      *  keeps a private copy of each saved record and the restore side
      *  compares the CTC page against it in constant time. Binding a
-     *  CTC clears the copy, so a verify before the next save fails. A
+     *  thread records the shim's layout (CTC and bounce area) and
+     *  clears the copy, so a verify before the next save fails. A
      *  failed verification names its cause and is recorded in the
      *  audit log. */
-    void bindCtc(DomainId domain, GuestVA ctc_va);
+    void bindThread(DomainId domain, GuestVA ctc_va, GuestVA bounce_va);
     void recordCtc(DomainId domain,
                    std::span<const std::uint8_t, ctcBytes> record);
     Expected<void, CloakError>
@@ -626,6 +632,7 @@ class CloakEngine : public vmm::CloakBackend
         bool snapshotted = false;
         std::vector<PendingRegion> regions;
         GuestVA ctcVa = 0;
+        GuestVA bounceVa = 0;
     };
     std::map<std::uint64_t, PendingFork> pendingForks_;
     std::uint64_t nextForkToken_ = 0x4f56'0001;

@@ -17,9 +17,52 @@ namespace osh::cloak
 using os::Sys;
 using os::SyscallArgs;
 
+std::unique_ptr<Shim>
+Shim::attach(CloakEngine& engine, os::Env& env, std::uint64_t fork_token)
+{
+    os::Process& proc = env.process();
+    osh_assert(proc.cloaked, "shim attach to an uncloaked program");
+    sim::CostEvent event = "cloak_restore_launch";
+    if (proc.domain != systemDomain) {
+        // Restored: the migrate layer imported the domain and its
+        // layout; the regions are registered already.
+    } else if (fork_token != 0) {
+        std::array<std::uint64_t, 1> args{fork_token};
+        std::int64_t domain = env.vcpu().hypercall(
+            vmm::Hypercall::CloakForkAttach, args);
+        if (domain <= 0) {
+            // The engine refused to confer the parent's domain — a
+            // hostile kernel corrupted cloaked state between fork and
+            // attach (the rejection is audited). The child must not
+            // run half-attached; kill it rather than panic.
+            throw vmm::ProcessKilled{
+                proc.pid, "cloak violation: fork attach rejected"};
+        }
+        proc.domain = static_cast<DomainId>(domain);
+        event = "cloak_fork_launch";
+    } else {
+        proc.domain = engine.createDomain(
+            proc.as.asid(), proc.pid, programIdentity(proc.programName));
+        event = "cloak_launch";
+    }
+
+    // The VMM confers the domain's view on the vCPU (attested launch).
+    env.vcpu().context().view = proc.domain;
+    env.vcpu().vmm().chargeWorldSwitch(event);
+
+    std::unique_ptr<Shim> shim(new Shim(engine, proc.domain, env));
+    shim->initialize();
+    return shim;
+}
+
 Shim::Shim(CloakEngine& engine, DomainId domain, os::Env& env)
     : engine_(engine), domain_(domain), env_(env)
 {
+}
+
+Shim::~Shim()
+{
+    detach();
 }
 
 std::uint64_t
@@ -36,18 +79,8 @@ Shim::isProtectedPath(const std::string& path) const
     return path.rfind("/cloaked", 0) == 0;
 }
 
-std::uint64_t
-Shim::takePendingForkToken()
-{
-    osh_assert(!pendingForkTokens_.empty(),
-               "fork attach without a prepared token");
-    std::uint64_t token = pendingForkTokens_.back();
-    pendingForkTokens_.pop_back();
-    return token;
-}
-
 void
-Shim::initialize(const std::optional<InheritedLayout>& inherit)
+Shim::initialize()
 {
     auto& vcpu = env_.vcpu();
     auto hyper = [&vcpu](vmm::Hypercall num,
@@ -60,14 +93,13 @@ Shim::initialize(const std::optional<InheritedLayout>& inherit)
                                        args.data(), i));
     };
 
-    if (inherit) {
-        // Fork child: regions were attached by the VMM during fork
-        // attach; address-space layout (CTC, bounce) is inherited.
-        ctcVa_ = inherit->ctcVa;
-        bounceVa_ = inherit->bounceVa;
-    } else {
-        // Register the cloaked regions the loader created (stack,
-        // code) before the program touches them.
+    const Domain* domain = engine_.findDomain(domain_);
+    osh_assert(domain != nullptr, "shim for an unknown domain");
+    GuestVA ctc_va = domain->ctcVa;
+    bounceVa_ = domain->bounceVa;
+    if (ctc_va == 0) {
+        // A fresh domain: register the cloaked regions the loader
+        // created (stack, code) before the program touches them.
         for (const auto& [start, vma] : env_.process().as.vmas()) {
             if (!vma.cloaked)
                 continue;
@@ -80,7 +112,7 @@ Shim::initialize(const std::optional<InheritedLayout>& inherit)
             Sys::Mmap, {pageSize, os::protRead | os::protWrite,
                         os::mapAnon | os::mapCloaked, ~0ull, 0});
         osh_assert(ctc > 0, "CTC allocation failed");
-        ctcVa_ = static_cast<GuestVA>(ctc);
+        ctc_va = static_cast<GuestVA>(ctc);
         registerMapping(ctc, 1, 0);
 
         // Uncloaked bounce buffers for marshalling.
@@ -92,21 +124,20 @@ Shim::initialize(const std::optional<InheritedLayout>& inherit)
         bounceVa_ = static_cast<GuestVA>(bounce);
     }
 
-    hyper(vmm::Hypercall::CloakRegisterThread, {ctcVa_});
-
+    hyper(vmm::Hypercall::CloakRegisterThread, {ctc_va, bounceVa_});
     env_.setInterposer(this);
-    env_.setTrapHook([this](os::Env& env, Sys num,
-                            const SyscallArgs& args) {
-        return SecureTransfer::aroundSyscall(engine_, domain_, env, num,
-                                             args);
-    });
 }
 
 void
 Shim::detach()
 {
     env_.setInterposer(nullptr);
-    env_.setTrapHook(nullptr);
+}
+
+std::int64_t
+Shim::kernelEntry(os::Env& env, Sys num, const SyscallArgs& args)
+{
+    return SecureTransfer::aroundSyscall(engine_, domain_, env, num, args);
 }
 
 std::int64_t
@@ -138,10 +169,13 @@ Shim::stageString(const std::string& s, std::uint64_t at)
     return va;
 }
 
-SyscallArgs
+std::optional<SyscallArgs>
 Shim::stageProgram(const SyscallArgs& args)
 {
-    SyscallArgs staged{stageString(env_.readString(args[0])), 0, args[2]};
+    std::optional<std::string> name = os::readPath(env_.vcpu(), args[0]);
+    if (!name)
+        return std::nullopt;
+    SyscallArgs staged{stageString(*name), 0, args[2]};
     if (args[1] != 0 && args[2] != 0) {
         staged[1] = bounceVa_;
         copyGuest(bounceVa_, args[1], std::min(args[2], Bounce::dataBytes));
@@ -604,11 +638,13 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
 std::int64_t
 Shim::shimOpen(const SyscallArgs& args)
 {
-    std::string path = env_.readString(args[0]);
+    std::optional<std::string> path = os::readPath(env_.vcpu(), args[0]);
+    if (!path)
+        return -os::errNameTooLong;
     std::uint64_t flags = args[1];
-    if (isProtectedPath(path))
-        return openProtected(path, flags);
-    GuestVA staged = stageString(path);
+    if (isProtectedPath(*path))
+        return openProtected(*path, flags);
+    GuestVA staged = stageString(*path);
     return newFd(Sys::Open, trap(Sys::Open, {staged, flags}));
 }
 
@@ -648,8 +684,14 @@ Shim::shimFork(const SyscallArgs& args)
     std::int64_t token = env_.vcpu().hypercall(
         vmm::Hypercall::CloakPrepareFork, {});
     osh_assert(token > 0, "prepareFork failed");
-    pendingForkTokens_.push_back(static_cast<std::uint64_t>(token));
+    // Parked beside the child's body: sys_fork hands both to the
+    // child's start, which attaches through the token.
+    os::Thread& thread = env_.thread();
+    thread.pendingForkToken = static_cast<std::uint64_t>(token);
     std::int64_t rv = trap(Sys::Fork, args);
+    thread.pendingForkToken = 0;
+    if (rv < 0)
+        return rv;
     // Snapshot immediately: the kernel just finished eagerly copying
     // our encrypted page images for the child, and nothing has
     // re-encrypted them yet. The child attaches to this snapshot.
@@ -663,7 +705,9 @@ Shim::shimExec(const SyscallArgs& args)
 {
     // Marshal the program name and argv blob out of cloaked memory
     // while we still can.
-    SyscallArgs staged = stageProgram(args);
+    std::optional<SyscallArgs> staged = stageProgram(args);
+    if (!staged)
+        return -os::errNameTooLong;
 
     // Dismantle this image's protection: exec replaces everything.
     for (auto it = cloakedFiles_.begin(); it != cloakedFiles_.end();) {
@@ -675,8 +719,11 @@ Shim::shimExec(const SyscallArgs& args)
     vcpu.hypercall(vmm::Hypercall::CloakTeardownDomain, {});
     detach();
     vcpu.context().view = systemDomain;
+    // The process must not name the dead domain: the next image's
+    // attach would take it for a restored one.
+    env_.process().domain = systemDomain;
 
-    return env_.trapToKernel(Sys::Exec, staged);
+    return env_.trapToKernel(Sys::Exec, *staged);
 }
 
 std::int64_t
@@ -768,11 +815,13 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
 
       case Sys::Unlink:
         {
-            std::string path = env_.readString(args[0]);
-            GuestVA staged = stageString(path);
-            std::int64_t r = trap(num, {staged});
-            if (r == 0 && isProtectedPath(path)) {
-                std::array<std::uint64_t, 1> key{pathKey(path)};
+            std::optional<std::string> path =
+                os::readPath(env_.vcpu(), args[0]);
+            if (!path)
+                return -os::errNameTooLong;
+            std::int64_t r = trap(num, {stageString(*path)});
+            if (r == 0 && isProtectedPath(*path)) {
+                std::array<std::uint64_t, 1> key{pathKey(*path)};
                 env_.vcpu().hypercall(vmm::Hypercall::CloakDiscardFile,
                                       key);
             }
@@ -780,15 +829,25 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         }
 
       case Sys::Mkdir:
-        return trap(num, {stageString(env_.readString(args[0]))});
+        {
+            std::optional<std::string> path =
+                os::readPath(env_.vcpu(), args[0]);
+            if (!path)
+                return -os::errNameTooLong;
+            return trap(num, {stageString(*path)});
+        }
 
       case Sys::Rename:
         {
-            std::string from = env_.readString(args[0]);
-            std::string to = env_.readString(args[1]);
+            std::optional<std::string> from =
+                os::readPath(env_.vcpu(), args[0]);
+            std::optional<std::string> to =
+                os::readPath(env_.vcpu(), args[1]);
+            if (!from || !to)
+                return -os::errNameTooLong;
             // Back to back: a long source must not run into the target.
-            GuestVA f = stageString(from);
-            GuestVA t = stageString(to, from.size() + 1);
+            GuestVA f = stageString(*from);
+            GuestVA t = stageString(*to, from->size() + 1);
             return trap(num, {f, t});
         }
 
@@ -828,7 +887,10 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
         }
 
       case Sys::Spawn:
-        return trap(num, stageProgram(args));
+        {
+            std::optional<SyscallArgs> staged = stageProgram(args);
+            return staged ? trap(num, *staged) : -os::errNameTooLong;
+        }
 
       case Sys::Mmap:
         return shimMmap(args);

@@ -32,9 +32,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace osh::cloak
 {
@@ -44,37 +44,21 @@ class Shim : public os::SyscallInterposer
 {
   public:
     /**
-     * @param engine The cloak engine.
-     * @param domain The domain this shim's process runs in.
-     * @param env The process's environment.
+     * Attested start of a cloaked process: pick its domain, confer the
+     * domain's view on the vCPU and build the shim. The domain is, in
+     * this order, the one the process already names (a restored
+     * process, whose domain the migrate layer imported), the parent's
+     * domain conferred through @p fork_token (a fork child), or a
+     * fresh one for the program's identity (a launch). A fork attach
+     * the VMM refuses kills the child.
      */
-    Shim(CloakEngine& engine, DomainId domain, os::Env& env);
+    static std::unique_ptr<Shim> attach(CloakEngine& engine, os::Env& env,
+                                        std::uint64_t fork_token);
 
-    /**
-     * Allocate the CTC page and bounce buffers, register the existing
-     * cloaked regions (stack, code) with the VMM and install the
-     * interposer + secure-trap hook on the Env.
-     *
-     * @param inherit_from Present for fork children: the parent shim's
-     *        layout (regions already attached via fork; only hooks and
-     *        tables need rebuilding).
-     */
-    struct InheritedLayout
-    {
-        GuestVA ctcVa;
-        GuestVA bounceVa;
-    };
-    void initialize(const std::optional<InheritedLayout>& inherit = {});
+    ~Shim() override;
 
-    /** Tear down hooks (before exec / exit). */
-    void detach();
-
-    GuestVA ctcVa() const { return ctcVa_; }
-    GuestVA bounceVa() const { return bounceVa_; }
-
-    /** Cloak fork token minted at the last Fork syscall (consumed by
-     *  the system layer when starting the child). */
-    std::uint64_t takePendingForkToken();
+    Shim(const Shim&) = delete;
+    Shim& operator=(const Shim&) = delete;
 
     /** Is @p path a protected file (under "/cloaked")? */
     bool isProtectedPath(const std::string& path) const;
@@ -82,8 +66,14 @@ class Shim : public os::SyscallInterposer
     // os::SyscallInterposer ------------------------------------------------
     std::int64_t syscall(os::Env& env, os::Sys num,
                          const os::SyscallArgs& args) override;
+    /** The secure control transfer around every kernel entry. */
+    std::int64_t kernelEntry(os::Env& env, os::Sys num,
+                             const os::SyscallArgs& args) override;
 
   private:
+    /** @param domain The domain this shim's process runs in. */
+    Shim(CloakEngine& engine, DomainId domain, os::Env& env);
+
     /** An open protected file, served via its cloaked mapping. */
     struct CloakedFile
     {
@@ -98,6 +88,17 @@ class Shim : public os::SyscallInterposer
         bool writable = false; ///< Opened with os::openWrite.
     };
 
+    /**
+     * Adopt the domain's layout (a fork child or restored process
+     * inherits it), or else register the loader's cloaked regions and
+     * allocate the CTC page and bounce area; then register the thread
+     * and interpose on the Env.
+     */
+    void initialize();
+
+    /** Stop interposing (before exec / exit). */
+    void detach();
+
     /** Trap with secure control transfer. */
     std::int64_t trap(os::Sys num, const os::SyscallArgs& args);
 
@@ -109,8 +110,10 @@ class Shim : public os::SyscallInterposer
     GuestVA stageString(const std::string& s, std::uint64_t at = 0);
 
     /** Stage spawn/exec's {name, argv blob, blob length}; returns the
-     *  arguments the kernel call takes. */
-    os::SyscallArgs stageProgram(const os::SyscallArgs& args);
+     *  arguments the kernel call takes, or nullopt for an over-long
+     *  name (-errNameTooLong). */
+    std::optional<os::SyscallArgs>
+    stageProgram(const os::SyscallArgs& args);
 
     /**
      * The one marshalled transfer: read, write, pread or pwrite (@p num
@@ -193,7 +196,7 @@ class Shim : public os::SyscallInterposer
     DomainId domain_;
     os::Env& env_;
 
-    GuestVA ctcVa_ = 0;
+    /** The bounce area's base: the domain's bounceVa, cached. */
     GuestVA bounceVa_ = 0;
 
     /**
@@ -242,7 +245,6 @@ class Shim : public os::SyscallInterposer
     std::uint64_t batchNonceState_ = 0x0b5e55ed0a7e4a11ull;
 
     std::map<std::uint64_t, CloakedFile> cloakedFiles_;
-    std::vector<std::uint64_t> pendingForkTokens_;
 };
 
 } // namespace osh::cloak

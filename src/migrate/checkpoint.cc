@@ -305,13 +305,11 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         writer.append(RecordType::Manifest, p.view());
     }
     {
-        cloak::Shim* shim = sys.shimOf(pid);
         PayloadWriter p;
         p.u64(proc->as.mmapCursor());
         p.u64(proc->as.fileMapCursor());
         p.u64(domain->ctcVa);
-        p.u64(shim != nullptr ? shim->bounceVa()
-                              : sys.pendingRestoredBounce(pid));
+        p.u64(domain->bounceVa);
         cloak::CtcDigest ctc = engine->exportCtcDigest(domain->id);
         p.u8(ctc.valid ? 1 : 0);
         p.bytes(ctc.hash);
@@ -515,13 +513,13 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
                       .ok();
         osh_assert(ok, "restored region overlap");
     }
-    engine->bindCtc(domain, img.ctcVa);
+    engine->bindThread(domain, img.ctcVa, img.bounceVa);
     engine->importCtcDigest(domain, img.ctc);
     engine->metadata().importSealVersions(img.floors);
     for (auto& [file_key, bundle] : img.bundles)
         engine->sealedStore()[file_key] = std::move(bundle);
 
-    sys.startRestoredProcess(proc, img.ctcVa, img.bounceVa);
+    sys.startRestoredProcess(proc);
     result.pid = proc.pid;
     return result;
 }

@@ -7,8 +7,7 @@
 namespace osh::os
 {
 
-Env::Env(Kernel& kernel, Thread& thread, EnvRuntime* runtime)
-    : kernel_(kernel), thread_(thread), runtime_(runtime)
+Env::Env(Kernel& kernel, Thread& thread) : kernel_(kernel), thread_(thread)
 {
 }
 
@@ -45,11 +44,9 @@ Env::rawKernelEntry(Sys num, const SyscallArgs& args)
 std::int64_t
 Env::trapToKernel(Sys num, const SyscallArgs& args)
 {
-    std::int64_t result;
-    if (trapHook_)
-        result = trapHook_(*this, num, args);
-    else
-        result = rawKernelEntry(num, args);
+    std::int64_t result = interposer_ != nullptr
+                              ? interposer_->kernelEntry(*this, num, args)
+                              : rawKernelEntry(num, args);
 
     // exec prepared a new image for this thread?
     if (thread_.hasPendingExec) {
@@ -285,11 +282,11 @@ Env::readSome(std::uint64_t fd, std::size_t n)
 }
 
 Pid
-Env::fork(std::function<int(Env&)> child_body)
+Env::fork(ForkBody child_body)
 {
-    osh_assert(runtime_ != nullptr, "fork without a runtime");
-    std::uint64_t token = runtime_->registerForkBody(std::move(child_body));
-    return static_cast<Pid>(syscall(Sys::Fork, {token}));
+    // Parked for sys_fork, as sys_exec parks the image it prepares.
+    thread_.pendingForkBody = std::move(child_body);
+    return static_cast<Pid>(syscall(Sys::Fork));
 }
 
 std::optional<SyscallArgs>

@@ -5,11 +5,11 @@
  * Every guest program receives an Env. It provides:
  *   - guest memory access through the thread's Vcpu (all loads/stores
  *     take the full MMU path: shadow faults, guest faults, cloaking);
- *   - the system-call interface, with two interposition points used by
- *     the Overshadow runtime: a SyscallInterposer (the cloaked shim,
- *     which marshals/emulates calls) and a trap hook (the secure
- *     control transfer that saves/scrubs/restores registers around
- *     every kernel entry);
+ *   - the system-call interface, with one interposition point used by
+ *     the Overshadow runtime: a SyscallInterposer (the cloaked shim),
+ *     which marshals/emulates every call and wraps every kernel entry
+ *     in the secure control transfer that saves/scrubs/restores
+ *     registers;
  *   - user-side conveniences (typed syscall wrappers, signal handler
  *     dispatch, fork bodies).
  */
@@ -47,26 +47,22 @@ class SyscallInterposer
 {
   public:
     virtual ~SyscallInterposer() = default;
+
+    /** Serve a call the program issued (Env::syscall). */
     virtual std::int64_t syscall(Env& env, Sys num,
                                  const SyscallArgs& args) = 0;
-};
 
-/** Services the system layer provides to Envs (fork-body registry). */
-class EnvRuntime
-{
-  public:
-    virtual ~EnvRuntime() = default;
-
-    /** Register a fork child body; returns the token passed to Fork. */
-    virtual std::uint64_t
-    registerForkBody(std::function<int(Env&)> body) = 0;
+    /** Enter the kernel for one trap (Env::trapToKernel); calls
+     *  Env::rawKernelEntry inside whatever it wraps around it. */
+    virtual std::int64_t kernelEntry(Env& env, Sys num,
+                                     const SyscallArgs& args) = 0;
 };
 
 /** The user-space execution environment of one guest thread. */
 class Env
 {
   public:
-    Env(Kernel& kernel, Thread& thread, EnvRuntime* runtime);
+    Env(Kernel& kernel, Thread& thread);
 
     Thread& thread() { return thread_; }
     Kernel& kernel() { return kernel_; }
@@ -115,20 +111,15 @@ class Env
     std::int64_t syscall(Sys num, SyscallArgs args = {});
 
     /**
-     * Trap into the kernel, bypassing the interposer (the shim uses
-     * this after marshalling). Applies the trap hook (secure control
-     * transfer) if installed.
+     * Trap into the kernel without the interposer's marshalling (the
+     * shim uses this after marshalling), through its kernelEntry
+     * (the secure control transfer) when one is installed.
      */
     std::int64_t trapToKernel(Sys num, const SyscallArgs& args);
 
     void setInterposer(SyscallInterposer* in) { interposer_ = in; }
 
-    /** Hook wrapping the raw kernel entry (set by the cloak runtime). */
-    using TrapHook =
-        std::function<std::int64_t(Env&, Sys, const SyscallArgs&)>;
-    void setTrapHook(TrapHook hook) { trapHook_ = std::move(hook); }
-
-    /** The bare kernel entry (used by the trap hook's inner call). */
+    /** The bare kernel entry (the interposer's kernelEntry calls it). */
     std::int64_t rawKernelEntry(Sys num, const SyscallArgs& args);
 
     // Typed wrappers -------------------------------------------------------
@@ -223,7 +214,7 @@ class Env
     std::string readSome(std::uint64_t fd, std::size_t n);
 
     /** fork: the child runs @p child_body and exits with its result. */
-    Pid fork(std::function<int(Env&)> child_body);
+    Pid fork(ForkBody child_body);
 
     /** spawn: start @p program as a child process (fork+exec combo). */
     Pid spawn(const std::string& program,
@@ -299,9 +290,7 @@ class Env
 
     Kernel& kernel_;
     Thread& thread_;
-    EnvRuntime* runtime_;
     SyscallInterposer* interposer_ = nullptr;
-    TrapHook trapHook_;
 
     GuestVA scratch_ = 0;
     GuestVA batchArea_ = 0;

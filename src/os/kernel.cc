@@ -358,9 +358,6 @@ Kernel::finalizeExit(Process& proc, int status)
     threads_.erase(proc.pid);
     stats_.inc(kernelStat("processes_exited"));
 
-    if (host_ != nullptr)
-        host_->onProcessExit(proc);
-
     // Wake a parent blocked in waitpid.
     if (Process* parent = findProcess(proc.ppid))
         sched_.wakeAll(&parent->exitChannel);
@@ -471,11 +468,20 @@ Kernel::copyFromUser(Thread& t, GuestVA va, std::span<std::uint8_t> out)
     t.vcpu.readBytes(va, out);
 }
 
-std::string
-Kernel::readUserString(Thread& t, GuestVA va, std::size_t max)
+std::optional<std::string>
+readPath(vmm::Vcpu& vcpu, GuestVA va)
+{
+    std::string path = vcpu.readCString(va, maxPathLen + 1);
+    if (path.size() > maxPathLen)
+        return std::nullopt;
+    return path;
+}
+
+std::optional<std::string>
+Kernel::readUserPath(Thread& t, GuestVA va)
 {
     KernelModeGuard guard(t.vcpu);
-    return t.vcpu.readCString(va, max);
+    return readPath(t.vcpu, va);
 }
 
 void

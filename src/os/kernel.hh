@@ -32,6 +32,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,15 +53,22 @@ class ProcessHost
     virtual void startProgram(Process& proc) = 0;
 
     /**
-     * Start the thread of a fork child. @p token identifies the
-     * parent-registered child body.
+     * Start the thread of a fork child: it runs @p body, attached to
+     * its parent's cloak domain through @p cloak_token (0 for an
+     * uncloaked parent).
      */
-    virtual void startForkChild(Process& parent, Process& child,
-                                std::uint64_t token) = 0;
-
-    /** Called after a process fully exited (cloak teardown etc.). */
-    virtual void onProcessExit(Process& proc) = 0;
+    virtual void startForkChild(Process& child, ForkBody body,
+                                std::uint64_t cloak_token) = 0;
 };
+
+/**
+ * The path at @p va, or nullopt when none of its first maxPathLen + 1
+ * bytes is the terminator: a longer path is refused, never truncated,
+ * so two paths that differ past maxPathLen cannot name one file. The
+ * kernel and the cloaked shim both read paths with this, and accept
+ * exactly what Env::stagePath stages.
+ */
+std::optional<std::string> readPath(vmm::Vcpu& vcpu, GuestVA va);
 
 /** Counters of the "kernel" group (kernel.cc, kernel_syscalls.cc). */
 inline constexpr StatNames kernelStat{
@@ -220,8 +228,8 @@ class Kernel : public vmm::GuestOsHooks, private vmm::EvictionSink
     void copyToUser(Thread& t, GuestVA va,
                     std::span<const std::uint8_t> data);
     void copyFromUser(Thread& t, GuestVA va, std::span<std::uint8_t> out);
-    std::string readUserString(Thread& t, GuestVA va,
-                               std::size_t max = maxPathLen);
+    /** readPath through the kernel's view of @p t's memory. */
+    std::optional<std::string> readUserPath(Thread& t, GuestVA va);
 
     /**
      * Hostile-kernel seam: forcibly swap out one anonymous page of
@@ -338,7 +346,11 @@ class Kernel : public vmm::GuestOsHooks, private vmm::EvictionSink
                                 GuestVA comp_va, std::uint64_t count);
     std::int64_t sysSpawn(Thread& t, GuestVA name_va, GuestVA argv_va,
                           std::uint64_t argv_len);
-    std::int64_t sysFork(Thread& t, std::uint64_t token);
+    std::int64_t sysFork(Thread& t);
+    /** Give fork child @p child its own swap slot at @p va, holding a
+     *  copy of @p parent's swapped page (allocate, drain, read, write). */
+    void copySwappedPage(const Pte& parent, AddressSpace& child,
+                         GuestVA va);
     std::int64_t sysExec(Thread& t, GuestVA name_va, GuestVA argv_va,
                          std::uint64_t argv_len);
     std::int64_t sysWaitPid(Thread& t, std::int64_t pid, GuestVA status_va);

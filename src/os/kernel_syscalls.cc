@@ -116,17 +116,25 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
             // Files and empty directories alike: the inode goes now if
             // this was its last reference, else at the last close or
             // munmap.
-            std::string path = readUserString(t, a1);
-            std::int64_t id = vfs_.lookup(path);
-            result = vfs_.unlink(path);
+            std::optional<std::string> path = readUserPath(t, a1);
+            if (!path) {
+                result = -errNameTooLong;
+                break;
+            }
+            std::int64_t id = vfs_.lookup(*path);
+            result = vfs_.unlink(*path);
             if (result == 0)
                 reapInode(static_cast<InodeId>(id));
         }
         break;
       case Sys::Mkdir:
         {
-            std::string path = readUserString(t, a1);
-            std::int64_t r = vfs_.create(path, InodeType::Directory);
+            std::optional<std::string> path = readUserPath(t, a1);
+            if (!path) {
+                result = -errNameTooLong;
+                break;
+            }
+            std::int64_t r = vfs_.create(*path, InodeType::Directory);
             result = r < 0 ? r : 0;
         }
         break;
@@ -141,9 +149,10 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         break;
       case Sys::Rename:
         {
-            std::string from = readUserString(t, a1);
-            std::string to = readUserString(t, a2);
-            result = vfs_.rename(from, to);
+            std::optional<std::string> from = readUserPath(t, a1);
+            std::optional<std::string> to = readUserPath(t, a2);
+            result = from && to ? vfs_.rename(*from, *to)
+                                : -errNameTooLong;
         }
         break;
       case Sys::Pipe:
@@ -166,7 +175,7 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         result = sysSpawn(t, a1, a2, a3);
         break;
       case Sys::Fork:
-        result = sysFork(t, a1);
+        result = sysFork(t);
         break;
       case Sys::Exec:
         result = sysExec(t, a1, a2, a3);
@@ -326,7 +335,10 @@ std::int64_t
 Kernel::sysOpen(Thread& t, GuestVA path_va, std::uint64_t flags)
 {
     Process& p = currentProcess();
-    std::string path = readUserString(t, path_va);
+    std::optional<std::string> read = readUserPath(t, path_va);
+    if (!read)
+        return -errNameTooLong;
+    const std::string& path = *read;
 
     std::int64_t id = vfs_.lookup(path);
     if (id < 0) {
@@ -836,7 +848,10 @@ Kernel::sysSpawn(Thread& t, GuestVA name_va, GuestVA argv_va,
                  std::uint64_t argv_len)
 {
     Process& p = currentProcess();
-    std::string name = readUserString(t, name_va);
+    std::optional<std::string> read = readUserPath(t, name_va);
+    if (!read)
+        return -errNameTooLong;
+    const std::string& name = *read;
     if (programs_.find(name) == nullptr)
         return -errNoEnt;
     std::vector<std::string> argv = readArgvBlob(t, argv_va, argv_len);
@@ -847,9 +862,34 @@ Kernel::sysSpawn(Thread& t, GuestVA name_va, GuestVA argv_va,
     return child.pid;
 }
 
-std::int64_t
-Kernel::sysFork(Thread& t, std::uint64_t token)
+void
+Kernel::copySwappedPage(const Pte& parent, AddressSpace& child,
+                        GuestVA va)
 {
+    auto slot = swap_.allocate();
+    osh_assert(slot.has_value(), "swap full during fork");
+    // The fork's eager copies can evict (and async-enqueue) parent
+    // pages it later reads back from swap: drain before reading.
+    vmm_.drainAsyncEvictions();
+    std::array<std::uint8_t, pageSize> buf;
+    swap_.readSlot(parent.slot, buf);
+    swap_.writeSlot(*slot, buf);
+    Pte& cpte = child.pte(va);
+    cpte.swapped = true;
+    cpte.slot = *slot;
+}
+
+std::int64_t
+Kernel::sysFork(Thread& t)
+{
+    // Env::fork parks the child's body on the thread, as sys_exec
+    // parks the image it prepares; without one the child has nothing
+    // to run.
+    if (!t.pendingForkBody)
+        return -errInval;
+    ForkBody body = std::exchange(t.pendingForkBody, nullptr);
+    std::uint64_t cloak_token = std::exchange(t.pendingForkToken, 0);
+
     Process& parent = currentProcess();
     Process& child =
         createProcess(parent.programName, parent.argv, parent.pid);
@@ -938,17 +978,7 @@ Kernel::sysFork(Thread& t, std::uint64_t token)
                 cpte.writable = (vma->prot & protWrite) != 0;
             } else if (ppte->swapped) {
                 frames_.unref(new_gpa);
-                auto slot = swap_.allocate();
-                osh_assert(slot.has_value(), "swap full during fork");
-                // The eager copies above can evict (and async-enqueue)
-                // parent pages this loop later reads back from swap.
-                vmm_.drainAsyncEvictions();
-                std::array<std::uint8_t, pageSize> buf;
-                swap_.readSlot(ppte->slot, buf);
-                swap_.writeSlot(*slot, buf);
-                Pte& cpte = child.as.pte(va);
-                cpte.swapped = true;
-                cpte.slot = *slot;
+                copySwappedPage(*ppte, child.as, va);
             } else {
                 frames_.unref(new_gpa);
             }
@@ -967,16 +997,7 @@ Kernel::sysFork(Thread& t, std::uint64_t token)
             // Downgrade any existing writable shadow of the parent.
             vmm_.invalidateVa(parent.as.asid(), va);
         } else if (ppte->swapped) {
-            auto slot = swap_.allocate();
-            osh_assert(slot.has_value(), "swap full during fork");
-            // Same hazard as the cloaked branch: drain before reading.
-            vmm_.drainAsyncEvictions();
-            std::array<std::uint8_t, pageSize> buf;
-            swap_.readSlot(ppte->slot, buf);
-            swap_.writeSlot(*slot, buf);
-            Pte& cpte = child.as.pte(va);
-            cpte.swapped = true;
-            cpte.slot = *slot;
+            copySwappedPage(*ppte, child.as, va);
         }
     }
 
@@ -984,7 +1005,7 @@ Kernel::sysFork(Thread& t, std::uint64_t token)
     // (closeFile releases on last reference).
 
     osh_assert(host_ != nullptr, "no process host attached");
-    host_->startForkChild(parent, child, token);
+    host_->startForkChild(child, std::move(body), cloak_token);
     stats_.inc(kernelStat("forks"));
     return child.pid;
 }
@@ -994,7 +1015,10 @@ Kernel::sysExec(Thread& t, GuestVA name_va, GuestVA argv_va,
                 std::uint64_t argv_len)
 {
     Process& p = currentProcess();
-    std::string name = readUserString(t, name_va);
+    std::optional<std::string> read = readUserPath(t, name_va);
+    if (!read)
+        return -errNameTooLong;
+    const std::string& name = *read;
     const Program* prog = programs_.find(name);
     if (prog == nullptr)
         return -errNoEnt;

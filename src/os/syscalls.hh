@@ -128,6 +128,7 @@ enum Err : std::int64_t
     errNoSpc = 28,
     errSPipe = 29,
     errPipe = 32,
+    errNameTooLong = 36,
     errNoSys = 38,
 };
 
@@ -149,7 +150,8 @@ constexpr std::uint64_t maxSleepCycles = 1ull << 32;
  */
 constexpr std::uint64_t maxFileBytes = 64ull << 20;
 
-/** The longest path a call reads, in bytes before the terminator. */
+/** The longest path a call reads, in bytes before the terminator; a
+ *  longer one is refused with -errNameTooLong (os::readPath). */
 constexpr std::size_t maxPathLen = 4096;
 
 /** True if the byte range [off, off + len) ends within maxFileBytes. */

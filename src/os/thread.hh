@@ -36,7 +36,11 @@
 namespace osh::os
 {
 
+class Env;
 class Scheduler;
+
+/** What a fork child runs in place of its program's main(). */
+using ForkBody = std::function<int(Env&)>;
 
 /** A saved execution context: a guest thread's, or the driver's. */
 struct Fiber
@@ -76,7 +80,7 @@ class Thread
     /** Channel this thread is blocked on (nullptr if none). */
     const void* waitChannel = nullptr;
 
-    // Runtime mailbox written by the kernel, read by the Env/runtime.
+    // Runtime mailbox between the kernel and the Env/shim.
 
     /** Pending user-signal delivery (negative = none). */
     int deliverSignal = -1;
@@ -86,6 +90,11 @@ class Thread
     bool hasPendingExec = false;
     std::string pendingExecProgram;
     std::vector<std::string> pendingExecArgv;
+
+    /** Pending fork (parked by Env::fork and, for a cloaked parent, the
+     *  token its shim minted; consumed by sys_fork). */
+    ForkBody pendingForkBody;
+    std::uint64_t pendingForkToken = 0;
 
     /** Body to run once first scheduled. */
     std::function<void(Thread&)> body;

@@ -1,7 +1,7 @@
 #include "system/system.hh"
 
 #include "base/logging.hh"
-#include "cloak/runtime.hh"
+#include "cloak/shim.hh"
 #include "cloak/transfer.hh"
 #include "os/exceptions.hh"
 
@@ -173,79 +173,30 @@ System::resultOf(Pid pid) const
     return it == results_.end() ? nullptr : &it->second;
 }
 
-std::uint64_t
-System::registerForkBody(std::function<int(os::Env&)> body)
-{
-    std::uint64_t token = nextForkToken_++;
-    forkBodies_[token] = std::move(body);
-    return token;
-}
-
 void
 System::startProgram(os::Process& proc)
 {
-    StartInfo info;
-    info.needsImageSetup = true;
-    startThread(proc, std::move(info));
+    startThread(proc, StartInfo{});
 }
 
 void
-System::startForkChild(os::Process& parent, os::Process& child,
-                       std::uint64_t token)
+System::startForkChild(os::Process& child, os::ForkBody body,
+                       std::uint64_t cloak_token)
 {
-    StartInfo info;
-    info.isForkChild = true;
-    info.needsImageSetup = false; // The address space was cloned.
-    auto it = forkBodies_.find(token);
-    osh_assert(it != forkBodies_.end(), "fork with unknown body token");
-    info.forkBody = it->second;
-    forkBodies_.erase(it);
-
-    if (engine_ && child.cloaked) {
-        auto sit = shims_.find(parent.pid);
-        osh_assert(sit != shims_.end(), "cloaked fork without a shim");
-        info.cloakForkToken = sit->second->takePendingForkToken();
-        info.parentCtc = sit->second->ctcVa();
-        info.parentBounce = sit->second->bounceVa();
-    }
-    startThread(child, std::move(info));
+    osh_assert(!engine_ || !child.cloaked || cloak_token != 0,
+               "cloaked fork without a shim token");
+    // The address space was cloned.
+    startThread(child, StartInfo{std::move(body), cloak_token, false});
 }
 
 void
-System::startRestoredProcess(os::Process& proc, GuestVA ctc_va,
-                             GuestVA bounce_va)
+System::startRestoredProcess(os::Process& proc)
 {
     osh_assert(engine_ != nullptr && proc.cloaked &&
                    proc.domain != systemDomain,
                "restored start without an imported domain");
-    StartInfo info;
-    info.needsImageSetup = false; // The migrate layer rebuilt the AS.
-    info.isRestored = true;
-    info.restoredCtc = ctc_va;
-    info.restoredBounce = bounce_va;
-    pendingRestoredBounce_[proc.pid] = bounce_va;
-    startThread(proc, std::move(info));
-}
-
-GuestVA
-System::pendingRestoredBounce(Pid pid) const
-{
-    auto it = pendingRestoredBounce_.find(pid);
-    return it == pendingRestoredBounce_.end() ? 0 : it->second;
-}
-
-cloak::Shim*
-System::shimOf(Pid pid)
-{
-    auto it = shims_.find(pid);
-    return it == shims_.end() ? nullptr : it->second;
-}
-
-void
-System::onProcessExit(os::Process&)
-{
-    // Cloak teardown happens in the thread body before finalizeExit;
-    // nothing further to do here (kept as an extension point).
+    // The migrate layer rebuilt the address space.
+    startThread(proc, StartInfo{nullptr, 0, false});
 }
 
 void
@@ -267,7 +218,7 @@ void
 System::threadBody(os::Thread& thread, Pid pid, StartInfo info)
 {
     kernel_.bindThread(pid, thread);
-    os::Env env(kernel_, thread, this);
+    os::Env env(kernel_, thread);
 
     if (config_.preemptOpsPerTick > 0) {
         thread.vcpu.setPreemptHook(
@@ -299,35 +250,17 @@ System::threadBody(os::Thread& thread, Pid pid, StartInfo info)
             if (info.needsImageSetup)
                 kernel_.setupProcessImage(proc, *prog);
 
-            if (engine_ && proc.cloaked) {
-                if (info.isRestored) {
-                    shim = cloak::OvershadowRuntime::launchRestored(
-                        *engine_, env, info.restoredCtc,
-                        info.restoredBounce);
-                    pendingRestoredBounce_.erase(pid);
-                } else if (info.isForkChild && info.cloakForkToken != 0) {
-                    shim = cloak::OvershadowRuntime::launchForked(
-                        *engine_, env, info.cloakForkToken,
-                        info.parentCtc, info.parentBounce);
-                } else {
-                    shim = cloak::OvershadowRuntime::launch(*engine_,
-                                                            env);
-                }
-                shims_[pid] = shim.get();
-            }
+            if (engine_ && proc.cloaked)
+                shim = cloak::Shim::attach(*engine_, env,
+                                           info.cloakForkToken);
 
-            int rv = (info.isForkChild && info.forkBody)
-                         ? info.forkBody(env)
-                         : prog->main(env);
-            status = rv;
+            status = info.forkBody ? info.forkBody(env) : prog->main(env);
             done = true;
         } catch (os::ExecRequested&) {
             // The shim tore the old domain down before trapping exec;
-            // loop around and start the new image.
-            shims_.erase(pid);
+            // loop around and start the new image, which sysExec built.
             shim.reset();
-            info = StartInfo{};
-            info.needsImageSetup = false; // sysExec built the image.
+            info = StartInfo{nullptr, 0, false};
             continue;
         } catch (os::ThreadExit& e) {
             status = e.status;
@@ -342,14 +275,15 @@ System::threadBody(os::Thread& thread, Pid pid, StartInfo info)
 
     // Cloak teardown must precede frame release: it scrubs any
     // plaintext still resident in this process's frames.
-    if (engine_) {
-        cloak::OvershadowRuntime::teardown(*engine_, env, shim.get());
-    }
-    shims_.erase(pid);
     shim.reset();
+    os::Process& proc = kernel_.process(pid);
+    if (engine_) {
+        engine_->teardownDomain(proc.domain);
+        proc.domain = systemDomain;
+        thread.vcpu.context().view = systemDomain;
+    }
     thread.vcpu.setPreemptHook(nullptr, 0);
 
-    os::Process& proc = kernel_.process(pid);
     std::string program_name = proc.programName;
     kernel_.finalizeExit(proc, status);
 

@@ -6,15 +6,15 @@
  * engine (optional: disable it for the native baseline), guest kernel,
  * scheduler and program registry — and hosts guest threads: it creates
  * the thread body for every process (initial launch, spawn, fork
- * child), sets up the Overshadow runtime for cloaked programs, drives
- * preemption, and collects exit results.
+ * child, restored process), attaches the cloaked shim to cloaked
+ * programs (cloak::Shim::attach), drives preemption, and collects
+ * exit results.
  */
 
 #ifndef OSH_SYSTEM_SYSTEM_HH
 #define OSH_SYSTEM_SYSTEM_HH
 
 #include "cloak/engine.hh"
-#include "cloak/shim.hh"
 #include "os/env.hh"
 #include "os/kernel.hh"
 #include "os/program.hh"
@@ -23,7 +23,6 @@
 #include "vmm/vmm.hh"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -233,7 +232,7 @@ struct ExitResult
 };
 
 /** The assembled simulation. */
-class System : public os::ProcessHost, public os::EnvRuntime
+class System : public os::ProcessHost
 {
   public:
     explicit System(const SystemConfig& config = {});
@@ -263,22 +262,10 @@ class System : public os::ProcessHost, public os::EnvRuntime
     /**
      * Start the thread of a restored (migrated-in) cloaked process.
      * The migrate layer has already built the address space and
-     * imported the protection domain; the thread body attaches the
-     * shim to the inherited CTC/bounce layout and re-enters main().
+     * imported the protection domain with its layout; the thread body
+     * attaches the shim to that domain and re-enters main().
      */
-    void startRestoredProcess(os::Process& proc, GuestVA ctc_va,
-                              GuestVA bounce_va);
-
-    /** The live shim of a cloaked process (nullptr when none). */
-    cloak::Shim* shimOf(Pid pid);
-
-    /**
-     * The bounce-buffer VA a restored process will inherit when its
-     * thread first runs (0 once it has, or for non-restored pids).
-     * Lets a re-checkpoint of a not-yet-resumed process serialize the
-     * same layout the image carried — there is no shim to ask yet.
-     */
-    GuestVA pendingRestoredBounce(Pid pid) const;
+    void startRestoredProcess(os::Process& proc);
 
     /**
      * Run until every guest thread has exited (or the scheduler pauses
@@ -303,28 +290,19 @@ class System : public os::ProcessHost, public os::EnvRuntime
     const std::map<Pid, ExitResult>& results() const { return results_; }
     const ExitResult* resultOf(Pid pid) const;
 
-    // os::EnvRuntime --------------------------------------------------------
-    std::uint64_t registerForkBody(
-        std::function<int(os::Env&)> body) override;
-
     // os::ProcessHost -------------------------------------------------------
     void startProgram(os::Process& proc) override;
-    void startForkChild(os::Process& parent, os::Process& child,
-                        std::uint64_t token) override;
-    void onProcessExit(os::Process& proc) override;
+    void startForkChild(os::Process& child, os::ForkBody body,
+                        std::uint64_t cloak_token) override;
 
   private:
+    /** How a new thread starts; a cloaked process's layout is not
+     *  here but in its Domain. */
     struct StartInfo
     {
-        bool isForkChild = false;
-        std::function<int(os::Env&)> forkBody;
-        std::uint64_t cloakForkToken = 0;
-        GuestVA parentCtc = 0;
-        GuestVA parentBounce = 0;
-        bool needsImageSetup = true;
-        bool isRestored = false;
-        GuestVA restoredCtc = 0;
-        GuestVA restoredBounce = 0;
+        os::ForkBody forkBody; ///< Runs instead of main() (fork child).
+        std::uint64_t cloakForkToken = 0; ///< Fork child's attach token.
+        bool needsImageSetup = true; ///< False: the AS is built already.
     };
 
     void startThread(os::Process& proc, StartInfo info);
@@ -337,13 +315,6 @@ class System : public os::ProcessHost, public os::EnvRuntime
     os::ProgramRegistry programs_;
     os::Scheduler sched_;
     os::Kernel kernel_;
-
-    std::map<std::uint64_t, std::function<int(os::Env&)>> forkBodies_;
-    std::uint64_t nextForkToken_ = 1;
-
-    /** Live shims by pid (owned by their thread bodies). */
-    std::map<Pid, cloak::Shim*> shims_;
-    std::map<Pid, GuestVA> pendingRestoredBounce_;
 
     std::map<Pid, ExitResult> results_;
 };

@@ -49,7 +49,7 @@ enum class Hypercall : std::uint64_t
     CloakCreateDomain = 1,   ///< Create a protection domain.
     CloakRegisterRegion = 2, ///< Attach a VA range to a cloaked resource.
     CloakUnregisterRegion = 3,
-    CloakRegisterThread = 4, ///< Register a thread's CTC page.
+    CloakRegisterThread = 4, ///< Register a thread's CTC + bounce area.
     CloakSealMetadata = 5,   ///< Persist a resource's metadata (files).
     CloakInfo = 6,           ///< Query cloak statistics.
     CloakPrepareFork = 7,    ///< Parent authorizes a fork attach.

@@ -346,7 +346,7 @@ sampleCtcRecord()
 TEST_F(EngineTest, CtcRecordRoundTrip)
 {
     auto rec = sampleCtcRecord();
-    engine_.bindCtc(domain_, 0x7000);
+    engine_.bindThread(domain_, 0x7000, 0);
     auto before = engine_.verifyCtc(domain_, rec);
     ASSERT_FALSE(before.ok());
     EXPECT_EQ(before.error(), cloak::CloakError::NoCtcHash);
@@ -372,7 +372,7 @@ TEST_F(EngineTest, CtcRecordRoundTrip)
 TEST_F(EngineTest, CtcEverySingleByteFlipIsRefused)
 {
     const auto rec = sampleCtcRecord();
-    engine_.bindCtc(domain_, 0x7000);
+    engine_.bindThread(domain_, 0x7000, 0);
     engine_.recordCtc(domain_, rec);
     std::uint64_t audited = engine_.stats().value("audit_errors");
     for (std::size_t pos = 0; pos < rec.size(); ++pos) {
@@ -396,7 +396,7 @@ TEST_F(EngineTest, CtcVerifyBeforeAnySaveIsRefused)
     // A record of all zeros is what an untouched copy holds; it must
     // not verify before a save.
     std::array<std::uint8_t, cloak::ctcBytes> zeros{};
-    engine_.bindCtc(domain_, 0x7000);
+    engine_.bindThread(domain_, 0x7000, 0);
     auto r = engine_.verifyCtc(domain_, zeros);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), cloak::CloakError::NoCtcHash);
@@ -409,7 +409,7 @@ TEST_F(EngineTest, CtcVerifyBeforeAnySaveIsRefused)
     auto rec = sampleCtcRecord();
     engine_.recordCtc(domain_, rec);
     ASSERT_TRUE(engine_.verifyCtc(domain_, rec).ok());
-    engine_.bindCtc(domain_, 0x8000);
+    engine_.bindThread(domain_, 0x8000, 0);
     auto rebound = engine_.verifyCtc(domain_, rec);
     ASSERT_FALSE(rebound.ok());
     EXPECT_EQ(rebound.error(), cloak::CloakError::NoCtcHash);

@@ -34,13 +34,21 @@ config(bool cloaked, std::uint64_t frames = 2048)
 
 TEST(Integration, ExecChainAcrossProtectionModes)
 {
-    // cloaked -> native -> cloaked: domains must be torn down and
-    // re-created correctly at each hop.
+    // cloaked -> native -> cloaked -> cloaked: domains must be torn
+    // down and re-created correctly at each hop; an exec never leaves
+    // the process naming its dead domain, so each cloaked hop is a
+    // fresh launch.
     System sys(config(true));
-    sys.addProgram("hop3", os::Program{[](Env& env) {
+    sys.addProgram("hop4", os::Program{[](Env& env) {
         GuestVA p = env.allocPages(1);
         env.store64(p, 3);
         return static_cast<int>(env.load64(p) * 10);
+    }, true, 32});
+    sys.addProgram("hop3", os::Program{[](Env& env) {
+        GuestVA p = env.allocPages(1);
+        env.store64(p, 4);
+        env.exec("hop4");
+        return 0;
     }, true, 32});
     sys.addProgram("hop2", os::Program{[](Env& env) {
         env.exec("hop3");
@@ -53,9 +61,52 @@ TEST(Integration, ExecChainAcrossProtectionModes)
 
     auto r = sys.runProgram("hop1");
     EXPECT_EQ(r.status, 30) << r.killReason;
-    // hop1 and hop3 each had a domain; both are gone.
-    EXPECT_EQ(sys.cloak()->stats().value("domains_created"), 2u);
-    EXPECT_EQ(sys.cloak()->stats().value("domains_destroyed"), 2u);
+    // hop1, hop3 and hop4 each had a domain; all are gone.
+    EXPECT_EQ(sys.cloak()->stats().value("domains_created"), 3u);
+    EXPECT_EQ(sys.cloak()->stats().value("domains_destroyed"), 3u);
+    const StatGroup& events = sys.machine().cost().stats();
+    EXPECT_EQ(events.value("cloak_launch"), 3u);
+    EXPECT_EQ(events.value("cloak_restore_launch"), 0u);
+}
+
+TEST(Integration, ForkWithoutABodyIsRefused)
+{
+    // A raw fork trap parks no child body: the kernel refuses it
+    // before creating a process, and the caller runs on (a later
+    // Env::fork still works).
+    for (bool cloaked : {false, true}) {
+        SCOPED_TRACE(cloaked ? "cloaked" : "native");
+        System sys(config(cloaked));
+        sys.addProgram("forker", os::Program{[](Env& env) {
+            GuestVA p = env.allocPages(1);
+            env.store64(p, 5);
+            if (env.syscall(os::Sys::Fork) != -os::errInval)
+                return 1;
+            if (env.syscall(os::Sys::Fork, {1234}) != -os::errInval)
+                return 2;
+            Pid child = env.fork([p](Env& c) {
+                c.getpid();
+                return static_cast<int>(c.load64(p));
+            });
+            int status = -1;
+            if (env.waitpid(child, &status) != child || status != 5)
+                return 3;
+            return env.load64(p) == 5 ? 0 : 4;
+        }, true, 32});
+
+        auto r = sys.runProgram("forker");
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_FALSE(r.killed);
+        // The parent and the one real child.
+        EXPECT_EQ(sys.kernel().stats().value("forks"), 1u);
+        EXPECT_EQ(sys.results().size(), 2u);
+        if (cloaked) {
+            EXPECT_EQ(sys.cloak()->stats().value("fork_snapshots"), 1u);
+            EXPECT_EQ(sys.machine().cost().stats().value(
+                          "cloak_fork_launch"),
+                      1u);
+        }
+    }
 }
 
 TEST(Integration, SystemReusedForManyRuns)

@@ -436,6 +436,88 @@ TEST(MigrateCheckpoint, ColdMigrationMatchesReference)
     }
 }
 
+/**
+ * A cloaked program that can be checkpointed, then forks. Its state
+ * lives in a two-page cloaked arena (magic word, secret word) that a
+ * restored life finds again by scanning its mappings. The getpid()
+ * loop gives a freeze somewhere to land; the fork comes after it, so
+ * a program frozen in the loop forks only once restored.
+ */
+int
+forkAfterRestore(os::Env& env)
+{
+    constexpr std::uint64_t magic = 0xf0a7c0de5eed0001ull;
+    constexpr std::uint64_t secret = 0x5ec2e70000000042ull;
+    GuestVA arena = 0;
+    for (std::uint64_t i = 0; arena == 0; ++i) {
+        std::int64_t start = env.vmaQuery(i, os::vmaQueryStart);
+        if (start < 0)
+            break;
+        std::int64_t end = env.vmaQuery(i, os::vmaQueryEnd);
+        std::int64_t flags = env.vmaQuery(i, os::vmaQueryFlags);
+        if (end - start == 2 * static_cast<std::int64_t>(pageSize) &&
+            (flags & os::vmaFlagCloaked) != 0 &&
+            (flags & os::vmaFlagAnon) != 0 &&
+            env.load64(static_cast<GuestVA>(start)) == magic)
+            arena = static_cast<GuestVA>(start);
+    }
+    if (arena == 0) {
+        arena = env.allocPages(2);
+        env.store64(arena + pageSize, secret);
+        env.store64(arena, magic);
+    }
+    for (int i = 0; i < 16; ++i)
+        env.getpid();
+
+    Pid child = env.fork([arena](os::Env& c) {
+        c.getpid(); // a secure syscall through the inherited layout
+        if (c.load64(arena + pageSize) != secret)
+            return 1;
+        c.store64(arena + pageSize, 0); // the child's private copy
+        return c.getppid() > 0 ? 0 : 2;
+    });
+    int status = -1;
+    if (env.waitpid(child, &status) != child || status != 0)
+        return 3;
+    return env.load64(arena + pageSize) == secret ? 0 : 4;
+}
+
+TEST(MigrateCheckpoint, RestoredProcessForksACloakedChild)
+{
+    // The child of a restored process inherits the layout (CTC and
+    // bounce area) the restore put in the parent's Domain.
+    auto cfg = victimConfig("wl.victim.compute", 42);
+    system::System src(cfg);
+    src.addProgram("forker", os::Program{forkAfterRestore, true, 32});
+    Pid pid = launchFrozen(src, "forker", 24);
+
+    auto ckpt = migrate::checkpoint(src, pid, {});
+    ASSERT_TRUE(ckpt.ok()) << migrate::migrateErrorName(ckpt.error());
+    src.killFrozen(pid, "migrated away");
+    EXPECT_EQ(src.kernel().stats().value("forks"), 0u);
+    EXPECT_EQ(src.machine().cost().stats().value("cloak_launch"), 1u);
+
+    system::System dst(cfg);
+    dst.addProgram("forker", os::Program{forkAfterRestore, true, 32});
+    auto restored = migrate::restore(dst, (*ckpt).image, (*ckpt).ticket);
+    ASSERT_TRUE(restored.ok())
+        << migrate::migrateErrorName(restored.error());
+    dst.run();
+
+    ASSERT_EQ(dst.results().size(), 2u);
+    for (const auto& [p, r] : dst.results()) {
+        EXPECT_EQ(r.status, 0) << "pid " << p << ": " << r.killReason;
+        EXPECT_FALSE(r.killed) << r.killReason;
+    }
+    const StatGroup& events = dst.machine().cost().stats();
+    EXPECT_EQ(events.value("cloak_launch"), 0u);
+    EXPECT_EQ(events.value("cloak_restore_launch"), 1u);
+    EXPECT_EQ(events.value("cloak_fork_launch"), 1u);
+    EXPECT_EQ(dst.vmm().stats().value("hypercalls"), 6u);
+    EXPECT_EQ(dst.cloak()->stats().value("domains_destroyed"),
+              dst.cloak()->stats().value("domains_created"));
+}
+
 // --- live migration -------------------------------------------------
 
 TEST(MigrateLive, LiveMigrationMatchesReference)

@@ -132,6 +132,73 @@ TEST(ShimMarshal, RenameWithLongPaths)
     }
 }
 
+/** Write @p s into fresh pages and return its address. */
+GuestVA
+placeString(Env& env, const std::string& s)
+{
+    GuestVA va = env.allocPages(s.size() / pageSize + 1);
+    env.writeString(va, s);
+    return va;
+}
+
+TEST(PathRead, OverlongPathIsRefusedNotTruncated)
+{
+    // Two paths that differ only past maxPathLen bytes must not name
+    // one file; truncated, two protected ones would also hash to one
+    // pathKey and share one file resource. The kernel and the shim
+    // refuse both, as Env::stagePath does, and still accept a path of
+    // exactly maxPathLen bytes. Native and cloaked agree.
+    for (bool cloaked : {false, true}) {
+        SCOPED_TRACE(cloaked ? "cloaked" : "native");
+        SystemConfig cfg = cloakedConfig();
+        cfg.cloakingEnabled = cloaked;
+        System sys(cfg);
+        auto body = [](Env& env) {
+            using os::Sys;
+            const std::int64_t refused = -os::errNameTooLong;
+            GuestVA a = 0;
+            for (const std::string dir : {"/", "/cloaked/"}) {
+                const std::string stem = dir + std::string(4200, 'p');
+                a = placeString(env, stem + "A");
+                GuestVA b = placeString(env, stem + "B");
+                if (env.syscall(Sys::Open,
+                                {a, os::openCreate | os::openWrite}) !=
+                    refused)
+                    return 1;
+                if (env.syscall(Sys::Open, {b, os::openRead}) != refused)
+                    return 2;
+            }
+            // Every call that reads a path refuses it the same way.
+            GuestVA ok = placeString(env, "/ok");
+            if (env.syscall(Sys::Mkdir, {a}) != refused ||
+                env.syscall(Sys::Unlink, {a}) != refused ||
+                env.syscall(Sys::Rename, {a, ok}) != refused ||
+                env.syscall(Sys::Rename, {ok, a}) != refused ||
+                env.syscall(Sys::Spawn, {a, 0, 0}) != refused)
+                return 3;
+            // A refused exec leaves the caller running as it was.
+            GuestVA keep = env.allocPages(1);
+            env.store64(keep, 0x5eed);
+            if (env.syscall(Sys::Exec, {a, 0, 0}) != refused ||
+                env.load64(keep) != 0x5eed)
+                return 4;
+            // The longest accepted path still names its file.
+            const std::string longest =
+                "/" + std::string(os::maxPathLen - 1, 'q');
+            std::int64_t f = env.syscall(
+                Sys::Open,
+                {placeString(env, longest), os::openCreate | os::openWrite});
+            if (f < 0)
+                return 5;
+            env.close(static_cast<std::uint64_t>(f));
+            return env.open(longest, os::openRead) >= 0 ? 0 : 6;
+        };
+        sys.addProgram("shimtest", os::Program{body, cloaked, 64});
+        auto r = sys.runProgram("shimtest");
+        EXPECT_EQ(r.status, 0) << r.killReason;
+    }
+}
+
 TEST(ShimMarshal, SpawnWithLongNameAndArgv)
 {
     // spawn stages the program name and the argv blob back to back: a
