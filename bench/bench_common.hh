@@ -101,18 +101,13 @@ struct BenchOptions
     bool timingHardened = false;
 };
 
-/** Clock-spoofing knobs the hardened bench series use — the same
- *  values the attack campaign applies to its timing cells. */
-constexpr Cycles hardenedClockFuzzCycles = 1'000'000;
-constexpr Cycles hardenedClockOffsetCycles = 1'000'000;
-
 /** Build a system with workloads registered. */
 inline std::unique_ptr<system::System>
 makeSystem(const BenchOptions& opt)
 {
     trace::TraceConfig tc;
     tc.enabled = tracingRequested();
-    auto builder =
+    auto cfg =
         system::SystemConfig::Builder{}
             .cloaking(opt.cloaked)
             .guestFrames(opt.frames)
@@ -123,12 +118,9 @@ makeSystem(const BenchOptions& opt)
                 opt.fastPath ? system::SystemConfig{}.victimCacheEntries
                              : 0)
             .asyncEvictDepth(opt.cloaked ? opt.asyncEvictDepth : 0)
-            .trace(tc);
-    if (opt.timingHardened)
-        builder.clockFuzzCycles(hardenedClockFuzzCycles)
-            .clockOffsetCycles(hardenedClockOffsetCycles)
-            .constantCostCloak(true);
-    auto cfg = builder.build();
+            .timingHardening(opt.timingHardened)
+            .trace(tc)
+            .build();
     auto sys = std::make_unique<system::System>(cfg);
     workloads::registerAll(*sys);
     return sys;

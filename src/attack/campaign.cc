@@ -44,13 +44,6 @@ containsSentinel(std::span<const std::uint8_t> bytes,
                        pattern.end()) != bytes.end();
 }
 
-/** Deterministic seed expansion for migration-tamper placement. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    return splitmix64(x);
-}
-
 /** How a cell's processes ended, over one or more machines. */
 struct KillScan
 {
@@ -258,10 +251,6 @@ namespace
  */
 constexpr std::size_t timingLeakMatchBits = 24;
 
-/** Virtual-clock knobs the hardened timing cells run with. */
-constexpr Cycles hardenedClockFuzz = 1'000'000;
-constexpr Cycles hardenedClockOffset = 1'000'000;
-
 system::SystemConfig
 victimSystemConfig(std::uint64_t seed, AttackPoint point,
                    const std::string& workload, std::size_t vcpus,
@@ -286,11 +275,7 @@ victimSystemConfig(std::uint64_t seed, AttackPoint point,
         b.asyncEvictDepth(4); // the drain-stall oracle needs lanes
     // Hardening applies only to timing cells: every legacy cell keeps
     // the exact cost sequence its committed expectation row replays.
-    if (timing_hardening && isTimingPoint(point)) {
-        b.clockFuzzCycles(hardenedClockFuzz)
-            .clockOffsetCycles(hardenedClockOffset)
-            .constantCostCloak(true);
-    }
+    b.timingHardening(timing_hardening && isTimingPoint(point));
     return b.build();
 }
 
@@ -335,8 +320,9 @@ runMigrationCell(std::uint64_t seed, AttackPoint point,
     AttackDirector src_dir(src, dcfg);
     AttackDirector dst_dir(dst, dcfg);
 
+    std::uint64_t point_state = static_cast<std::uint64_t>(point);
     const std::uint64_t aseed =
-        cfg.effectiveAttackSeed() ^ mix64(static_cast<std::uint64_t>(point));
+        cfg.effectiveAttackSeed() ^ splitmix64(point_state);
     const std::uint64_t entries = 12;
     const std::uint64_t nonce = seed ^ 0x517e;
 
@@ -394,13 +380,14 @@ runMigrationCell(std::uint64_t seed, AttackPoint point,
             if (ckpt.ok()) {
                 std::vector<std::uint8_t> bytes = (*ckpt).image;
                 migrate::Ticket ticket = (*ckpt).ticket;
+                std::uint64_t at = aseed, flip = aseed ^ 1;
                 if (point == AttackPoint::MigImageTamper) {
-                    std::uint64_t off = mix64(aseed) % bytes.size();
+                    std::uint64_t off = splitmix64(at) % bytes.size();
                     bytes[off] ^= static_cast<std::uint8_t>(
-                        1 + mix64(aseed ^ 1) % 255);
+                        1 + splitmix64(flip) % 255);
                     ++cell.firings;
                 } else if (point == AttackPoint::MigManifestTrunc) {
-                    bytes.resize(1 + mix64(aseed) % (bytes.size() - 1));
+                    bytes.resize(1 + splitmix64(at) % (bytes.size() - 1));
                     ++cell.firings;
                 } else { // MigImageRollback
                     // Let the victim progress, cut a fresh image, then

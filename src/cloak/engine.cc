@@ -1312,15 +1312,11 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
       case vmm::Hypercall::CloakIntrospect:
         // Timing-hardening introspection: lets the guest (and the
         // tests) assert what a prober can actually observe. None of
-        // these values are secret — the knobs are system policy, not
+        // these values are secret — the posture is system policy, not
         // per-domain state — so no domain check.
         switch (arg(0)) {
-          case vmm::introspectClockFuzz:
-            return static_cast<std::int64_t>(vmm_.clockFuzzCycles());
-          case vmm::introspectClockOffset:
-            return static_cast<std::int64_t>(vmm_.clockOffsetCycles());
-          case vmm::introspectConstantCost:
-            return constantCost_ ? 1 : 0;
+          case vmm::introspectTimingHardening:
+            return vmm_.clockHardened() && constantCost_ ? 1 : 0;
           case vmm::introspectVictimCacheCapacity:
             return static_cast<std::int64_t>(victims_.capacity());
           case vmm::introspectAsyncEvictDepth:

@@ -120,6 +120,19 @@ MetadataStore::destroyResource(ResourceId id)
 }
 
 void
+MetadataStore::replacePages(Resource& res,
+                            std::map<std::uint64_t, PageMeta> pages)
+{
+    // Stale cache keys would otherwise occupy capacity forever (and
+    // alias recreated pages).
+    purgeCache(res.id);
+    auto delta = static_cast<std::int64_t>(pages.size()) -
+                 static_cast<std::int64_t>(res.pages.size());
+    res.pages = std::move(pages);
+    accountPages(delta);
+}
+
+void
 MetadataStore::purgeCache(ResourceId res)
 {
     // CacheKey ordering is (resource, page), so one range scan covers
@@ -276,12 +289,8 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
     if (body.size() - pos != count * per_page)
         return Error(CloakError::SealMalformed);
 
-    std::int64_t old_pages = static_cast<std::int64_t>(dst.pages.size());
     dst.fileKey = file_key;
-    dst.pages.clear();
-    // The reload drops every existing page; stale cache keys would
-    // otherwise occupy capacity forever (and alias recreated pages).
-    purgeCache(dst.id);
+    std::map<std::uint64_t, PageMeta> pages;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t idx, pv;
         get64(idx);
@@ -296,9 +305,9 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
         pos += meta.hash.size();
         meta.state = PageState::Encrypted;
         meta.residentGpa = badAddr;
-        dst.pages[idx] = meta;
+        pages[idx] = meta;
     }
-    accountPages(static_cast<std::int64_t>(count) - old_pages);
+    replacePages(dst, std::move(pages));
     // Advance the rollback floor: once a bundle of this version has
     // been accepted, anything older is a replay — even in a store that
     // never sealed this file key itself (fresh boot).

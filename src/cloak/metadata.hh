@@ -124,6 +124,14 @@ class MetadataStore
     void destroyResource(ResourceId id);
 
     /**
+     * Replace every page of @p res (a sealed-bundle reload or a
+     * restored image): drops the resource's cache keys and accounts
+     * the page-count change in the footprint.
+     */
+    void replacePages(Resource& res,
+                      std::map<std::uint64_t, PageMeta> pages);
+
+    /**
      * Look up (creating if absent) page metadata, charging the cache
      * model.
      */
@@ -222,7 +230,7 @@ class MetadataStore
 
     void touchCache(ResourceId res, std::uint64_t page_index);
 
-    /** Drop every cached key of one resource (destroy/unseal reload). */
+    /** Drop every cached key of one resource (destroy/page reload). */
     void purgeCache(ResourceId res);
 
     /** Shrink the LRU to the configured capacity. */

@@ -503,7 +503,7 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
     for (const ParsedImage::ResourceRec& r : img.resources) {
         cloak::Resource& res =
             engine->importResource(domain, r.keyId, r.isFile, r.fileKey);
-        res.pages = r.pages;
+        engine->metadata().replacePages(res, r.pages);
         local.push_back(res.id);
     }
     for (const ParsedImage::RegionRec& r : img.regions) {

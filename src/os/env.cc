@@ -50,18 +50,14 @@ Env::trapToKernel(Sys num, const SyscallArgs& args)
 
     // exec prepared a new image for this thread?
     if (thread_.hasPendingExec) {
-        ExecRequested req{thread_.pendingExecProgram,
-                          thread_.pendingExecArgv};
         thread_.hasPendingExec = false;
-        thread_.pendingExecProgram.clear();
-        thread_.pendingExecArgv.clear();
         // User-side state died with the old image.
         scratch_ = 0;
         batchArea_ = 0;
         handlers_.clear();
         inInterposer_ = false;
         thread_.deliverSignal = -1;
-        throw req;
+        throw ExecRequested{};
     }
     if (!inInterposer_)
         pollSignals();

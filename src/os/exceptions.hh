@@ -13,9 +13,6 @@
 
 #include "base/types.hh"
 
-#include <string>
-#include <vector>
-
 namespace osh::os
 {
 
@@ -28,12 +25,11 @@ struct ThreadExit
 /**
  * Thrown by the Env exec wrapper after the kernel prepared a new
  * program image; the thread body catches it and enters the new
- * program's main.
+ * program's main (the kernel already recorded its name and argv on
+ * the Process).
  */
 struct ExecRequested
 {
-    std::string program;
-    std::vector<std::string> argv;
 };
 
 } // namespace osh::os

@@ -71,8 +71,8 @@ Kernel::dispatchSyscall(Thread& t, Sys num, std::uint64_t a1,
         result = 0;
         break;
       case Sys::Clock:
-        // Through the virtualized clock: with the hardening knobs off
-        // this IS the raw counter, bit for bit; with them on each
+        // Through the virtualized clock: with timing hardening off
+        // this IS the raw counter, bit for bit; with it on each
         // address space sees its own offset + fuzzed view.
         result = static_cast<std::int64_t>(
             vmm_.readTsc(currentProcess().as.asid()));
@@ -1026,13 +1026,11 @@ Kernel::sysExec(Thread& t, GuestVA name_va, GuestVA argv_va,
 
     teardownAddressSpace(p);
     p.programName = name;
-    p.argv = argv;
+    p.argv = std::move(argv);
     p.cloaked = prog->cloaked;
     setupProcessImage(p, *prog);
 
     t.hasPendingExec = true;
-    t.pendingExecProgram = name;
-    t.pendingExecArgv = std::move(argv);
     attackHooks_->onExec(*this, t, name);
     stats_.inc(kernelStat("execs"));
     return 0;

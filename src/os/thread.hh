@@ -86,10 +86,9 @@ class Thread
     int deliverSignal = -1;
     std::uint64_t deliverSignalToken = 0;
 
-    /** Pending exec image (set by sys_exec, consumed by the Env). */
+    /** sys_exec built a new image (set by the kernel, consumed by the
+     *  Env, which unwinds into it). */
     bool hasPendingExec = false;
-    std::string pendingExecProgram;
-    std::vector<std::string> pendingExecArgv;
 
     /** Pending fork (parked by Env::fork and, for a cloaked parent, the
      *  token its shim minted; consumed by sys_fork). */

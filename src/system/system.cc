@@ -69,9 +69,9 @@ SystemConfig::Builder::build() const
             "SystemConfig: asyncEvictDepth configured with cloaking "
             "disabled — only cloaked evictions have a seal to defer");
     }
-    if (!cfg_.cloakingEnabled && cfg_.constantCostCloak) {
+    if (!cfg_.cloakingEnabled && cfg_.timingHardening) {
         throw std::invalid_argument(
-            "SystemConfig: constantCostCloak configured with cloaking "
+            "SystemConfig: timingHardening configured with cloaking "
             "disabled — there are no cloak responses to equalize");
     }
     return cfg_;
@@ -87,8 +87,7 @@ System::System(const SystemConfig& config)
     vmm_.setVcpuCount(config.vcpus);
     // A distinct sub-seed keeps the spoofed-clock stream from aliasing
     // workload or attack randomness.
-    vmm_.configureVirtualClock(config.clockFuzzCycles,
-                               config.clockOffsetCycles,
+    vmm_.configureVirtualClock(config.timingHardening,
                                config.seed ^ 0x7c10c5eedull);
     sched_.configureCpus(config.vcpus);
     sched_.setSwitchHook([this](os::Thread& t) {
@@ -102,7 +101,7 @@ System::System(const SystemConfig& config)
         engine_->setCryptoWorkers(
             static_cast<unsigned>(config.cryptoWorkers));
         engine_->setAsyncEvictDepth(config.asyncEvictDepth);
-        engine_->setConstantCostMode(config.constantCostCloak);
+        engine_->setConstantCostMode(config.timingHardening);
     }
     kernel_.setCloakingAvailable(engine_ != nullptr);
     kernel_.setProcessHost(this);

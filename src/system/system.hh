@@ -99,31 +99,18 @@ struct SystemConfig
     std::size_t asyncEvictDepth = 0;
 
     /**
-     * Virtualized-clock fuzz amplitude in cycles (timing-channel
-     * hardening). Every guest-visible cycle read (Sys::Clock, the
-     * hostile prober's TSC) gets a fresh seeded term from [0, N] added.
-     * 0 = the exact legacy raw counter; committed baselines replay
-     * bit-identically.
+     * Timing-channel hardening posture (ablation-flagged). Turns on
+     * all three defenses together: a per-ASID clock offset and per-read
+     * clock fuzz on every guest-visible cycle read (Sys::Clock, the
+     * hostile prober's TSC; amplitudes in vmm/vmm.hh), and constant-cost
+     * cloak responses — the victim-cache hit, clean-page re-encrypt and
+     * metadata-cache hit charge their worst-case sibling's cycles, and
+     * kernel passthrough of an already-sealed cloaked page charges a
+     * full seal. Bytes and verdict-relevant behavior are unchanged;
+     * only cycle accounting and clock reads differ. Off is the exact
+     * raw counter every committed baseline replays. Requires cloaking.
      */
-    Cycles clockFuzzCycles = 0;
-
-    /**
-     * Virtualized-clock per-ASID offset bound in cycles: each address
-     * space sees the counter displaced by a constant drawn once from
-     * [0, N]. 0 = no displacement (legacy).
-     */
-    Cycles clockOffsetCycles = 0;
-
-    /**
-     * Constant-cost cloak responses (timing-channel hardening,
-     * ablation-flagged). The victim-cache hit, clean-page re-encrypt
-     * and metadata-cache hit all charge their worst-case sibling's
-     * cycles, and kernel passthrough of an already-sealed cloaked page
-     * charges a full seal — so the distinguishable branches collapse
-     * to one cost. Bytes and verdict-relevant behavior are unchanged;
-     * only cycle accounting differs. Requires cloaking.
-     */
-    bool constantCostCloak = false;
+    bool timingHardening = false;
 
     /**
      * Seed for hostile-kernel attack injection (src/attack campaigns):
@@ -198,19 +185,9 @@ class SystemConfig::Builder
         cfg_.asyncEvictDepth = n;
         return *this;
     }
-    Builder& clockFuzzCycles(Cycles n)
+    Builder& timingHardening(bool on)
     {
-        cfg_.clockFuzzCycles = n;
-        return *this;
-    }
-    Builder& clockOffsetCycles(Cycles n)
-    {
-        cfg_.clockOffsetCycles = n;
-        return *this;
-    }
-    Builder& constantCostCloak(bool on)
-    {
-        cfg_.constantCostCloak = on;
+        cfg_.timingHardening = on;
         return *this;
     }
 

@@ -62,11 +62,9 @@ enum class Hypercall : std::uint64_t
 };
 
 /** CloakIntrospect selectors (hypercall arg 0). */
-constexpr std::uint64_t introspectClockFuzz = 0;
-constexpr std::uint64_t introspectClockOffset = 1;
-constexpr std::uint64_t introspectConstantCost = 2;
-constexpr std::uint64_t introspectVictimCacheCapacity = 3;
-constexpr std::uint64_t introspectAsyncEvictDepth = 4;
+constexpr std::uint64_t introspectTimingHardening = 0;
+constexpr std::uint64_t introspectVictimCacheCapacity = 1;
+constexpr std::uint64_t introspectAsyncEvictDepth = 2;
 
 /**
  * Interface to whatever decides how a guest page is presented to a

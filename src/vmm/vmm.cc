@@ -277,11 +277,9 @@ Vmm::prepareFramesForKernel(std::span<const Gpa> gpas)
 }
 
 void
-Vmm::configureVirtualClock(Cycles fuzz, Cycles offset,
-                           std::uint64_t seed)
+Vmm::configureVirtualClock(bool hardened, std::uint64_t seed)
 {
-    clockFuzz_ = fuzz;
-    clockOffset_ = offset;
+    clockHardened_ = hardened;
     clockSeed_ = seed;
     vclocks_.clear();
 }
@@ -290,7 +288,7 @@ Cycles
 Vmm::readTsc(Asid asid)
 {
     Cycles raw = machine_.cost().cycles();
-    if (clockFuzz_ == 0 && clockOffset_ == 0)
+    if (!clockHardened_)
         return raw; // Legacy exact path: baselines replay bit-identical.
 
     auto [it, fresh] = vclocks_.try_emplace(asid);
@@ -298,11 +296,10 @@ Vmm::readTsc(Asid asid)
     if (fresh) {
         vc.rng = clockSeed_ ^
                  (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(asid) + 1));
-        if (clockOffset_ > 0)
-            vc.offset = splitmix64(vc.rng) % (clockOffset_ + 1);
+        vc.offset =
+            splitmix64(vc.rng) % (hardenedClockOffsetCycles + 1);
     }
-    Cycles fuzz =
-        clockFuzz_ > 0 ? splitmix64(vc.rng) % (clockFuzz_ + 1) : 0;
+    Cycles fuzz = splitmix64(vc.rng) % (hardenedClockFuzzCycles + 1);
     Cycles vt = raw + vc.offset + fuzz;
     if (vt <= vc.last)
         vt = vc.last + 1;

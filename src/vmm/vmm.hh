@@ -33,6 +33,12 @@
 namespace osh::vmm
 {
 
+/** Timing-hardened clock amplitudes: each ASID's view is displaced by
+ *  a constant from [0, offset], and every read adds fresh fuzz from
+ *  [0, fuzz] (see Vmm::configureVirtualClock). */
+constexpr Cycles hardenedClockOffsetCycles = 1'000'000;
+constexpr Cycles hardenedClockFuzzCycles = 1'000'000;
+
 /** The VMM proper. */
 class Vmm
 {
@@ -156,24 +162,23 @@ class Vmm
 
     /**
      * Configure the virtualized guest clock (timing-channel hardening).
-     * Every guest-visible cycle read goes through readTsc(): with both
-     * knobs zero (the default) it returns the raw global cycle counter
+     * Every guest-visible cycle read goes through readTsc(): unhardened
+     * (the default) it returns the raw global cycle counter
      * bit-identically — the legacy behavior every committed baseline
-     * replays. Non-zero knobs give each address space its own view:
-     * a per-ASID constant offset drawn once from [0, offset], plus a
-     * fresh fuzz term from [0, fuzz] on every read, monotonized so time
+     * replays. Hardened, each address space gets its own view: a
+     * per-ASID constant offset drawn once from
+     * [0, hardenedClockOffsetCycles], plus a fresh fuzz term from
+     * [0, hardenedClockFuzzCycles] on every read, monotonized so time
      * never goes backwards within an ASID. All draws are splitmix64
      * streams seeded from @p seed and the ASID, so the spoofed sequence
      * is exactly reproducible run to run.
      */
-    void configureVirtualClock(Cycles fuzz, Cycles offset,
-                               std::uint64_t seed);
+    void configureVirtualClock(bool hardened, std::uint64_t seed);
 
     /** Guest-visible cycle counter of @p asid (see configureVirtualClock). */
     Cycles readTsc(Asid asid);
 
-    Cycles clockFuzzCycles() const { return clockFuzz_; }
-    Cycles clockOffsetCycles() const { return clockOffset_; }
+    bool clockHardened() const { return clockHardened_; }
 
     StatGroup& stats() { return stats_; }
 
@@ -196,8 +201,7 @@ class Vmm
         Cycles last = 0;   ///< Monotonicity floor.
         std::uint64_t rng = 0;
     };
-    Cycles clockFuzz_ = 0;
-    Cycles clockOffset_ = 0;
+    bool clockHardened_ = false;
     std::uint64_t clockSeed_ = 0;
     std::map<Asid, VClock> vclocks_;
 

@@ -386,14 +386,13 @@ TEST(CloakTransparency, CryptoWorkerCountInvisible)
     // workload whose file writeback drives multi-page encryptPages
     // batches through the fan-out must produce the same result and
     // charge the same total simulated cycles at any worker count,
-    // with constant-cost mode off and on.
-    for (bool constant_cost : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "constant_cost=" << constant_cost);
+    // with timing hardening off and on.
+    for (bool hardened : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "hardened=" << hardened);
         auto run = [&](std::size_t workers) {
             SystemConfig cfg = cloakedConfig();
             cfg.cryptoWorkers = workers;
-            cfg.constantCostCloak = constant_cost;
+            cfg.timingHardening = hardened;
             System sys(cfg);
             workloads::registerAll(sys);
             auto r = sys.runProgram("wl.fileserver",

@@ -279,6 +279,34 @@ TEST(MigrateCheckpoint, RestoreThenRecheckpointIsByteIdentical)
     EXPECT_EQ(r->status, 0);
 }
 
+TEST(MigrateCheckpoint, RestoredPagesCountInTheMetadataFootprint)
+{
+    // A restored resource's pages enter the metadata footprint and
+    // leave it when the process exits; the count never wraps.
+    system::System src(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(src);
+    Pid pid = launchFrozen(src, "wl.victim.compute", 16);
+    auto ckpt = migrate::checkpoint(src, pid, {});
+    ASSERT_TRUE(ckpt.ok());
+    const std::uint64_t source_bytes =
+        src.cloak()->metadata().footprintBytes();
+    src.killFrozen(pid, "migrated away");
+
+    system::System dst(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(dst);
+    auto restored = migrate::restore(dst, (*ckpt).image, (*ckpt).ticket);
+    ASSERT_TRUE(restored.ok());
+    const cloak::MetadataStore& meta = dst.cloak()->metadata();
+    EXPECT_EQ(meta.footprintBytes(), source_bytes);
+
+    dst.run();
+    const system::ExitResult* r = dst.resultOf((*restored).pid);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->status, 0);
+    EXPECT_EQ(meta.footprintBytes(), 0u);
+    EXPECT_LT(meta.peakFootprintBytes(), 1u << 20);
+}
+
 TEST(MigrateCheckpoint, TamperedImageIsRefusedUntouched)
 {
     system::System src(victimConfig("wl.victim.compute", 7));

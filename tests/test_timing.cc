@@ -11,11 +11,13 @@
  *   - the defense: with the virtualized per-context clock and the
  *     constant-cost cloak responses on (the campaign default), the same
  *     cells are Harmless;
- *   - the clock itself: knobs at zero replay raw machine cycles
+ *   - the clock itself: unhardened it replays raw machine cycles
  *     bit-identically (every committed baseline depends on this), and
- *     non-zero knobs give a seeded, monotonic, per-ASID spoofed
- *     sequence that is reproducible across runs, vCPU counts and async
- *     eviction depths;
+ *     hardened it gives a seeded, monotonic, per-ASID spoofed sequence
+ *     that is reproducible across runs, vCPU counts and async eviction
+ *     depths;
+ *   - the posture is one switch: it needs cloaking, and it turns the
+ *     virtual clock and the constant-cost responses on together;
  *   - the Sys::Sleep clamp: a hostile/buggy guest cannot charge an
  *     unvalidated 2^64-cycle sleep to the simulated clock;
  *   - the CloakIntrospect hypercall: a cloaked guest can query which
@@ -33,7 +35,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 
 namespace osh
 {
@@ -47,9 +51,6 @@ using os::Env;
 using system::System;
 using system::SystemConfig;
 
-constexpr Cycles kFuzz = 1'000'000;
-constexpr Cycles kOffset = 1'000'000;
-
 SystemConfig
 hardenedConfig(std::uint64_t seed, std::size_t vcpus = 1,
                std::size_t async_depth = 0)
@@ -60,9 +61,7 @@ hardenedConfig(std::uint64_t seed, std::size_t vcpus = 1,
         .cloaking(true)
         .vcpus(vcpus)
         .asyncEvictDepth(async_depth)
-        .clockFuzzCycles(kFuzz)
-        .clockOffsetCycles(kOffset)
-        .constantCostCloak(true)
+        .timingHardening(true)
         .build();
 }
 
@@ -70,9 +69,9 @@ hardenedConfig(std::uint64_t seed, std::size_t vcpus = 1,
 // The virtualized clock
 // ---------------------------------------------------------------------------
 
-TEST(VirtualClock, LegacyKnobsReplayRawCyclesBitIdentically)
+TEST(VirtualClock, UnhardenedClockReplaysRawCyclesBitIdentically)
 {
-    // Both knobs zero is the default: readTsc must be the raw global
+    // Hardening off is the default: readTsc must be the raw global
     // cycle counter, exactly — this is what lets every committed bench
     // baseline and expectation table replay unchanged.
     System sys(SystemConfig::Builder{}.cloaking(true).seed(7).build());
@@ -95,7 +94,7 @@ TEST(VirtualClock, FuzzedSequenceIsSeededAndMonotonic)
     for (std::size_t i = 1; i < seq.size(); ++i)
         EXPECT_LT(seq[i - 1], seq[i]) << "virtual time went backwards";
     // Spoofing actually happened: the first read is displaced from the
-    // raw counter (offset + fuzz are both drawn from [0, 1e6] and the
+    // raw counter (offset and fuzz are both drawn from [0, 1e6] and the
     // draw being exactly 0 twice for this seed would be a miracle).
     EXPECT_NE(seq[0], 0u);
     EXPECT_GT(sys.vmm().stats().value("tsc_virtual_reads"), 0u);
@@ -129,6 +128,43 @@ TEST(VirtualClock, DistinctAsidsGetDistinctViews)
     // A different system seed re-keys every stream.
     System sys2(hardenedConfig(32));
     EXPECT_NE(sys.vmm().readTsc(9), sys2.vmm().readTsc(9));
+}
+
+// ---------------------------------------------------------------------------
+// The posture is one switch
+// ---------------------------------------------------------------------------
+
+TEST(TimingPosture, RequiresCloaking)
+{
+    EXPECT_THROW(SystemConfig::Builder{}
+                     .cloaking(false)
+                     .timingHardening(true)
+                     .build(),
+                 std::invalid_argument);
+}
+
+TEST(TimingPosture, TurnsOnTheClockAndTheConstantCostsTogether)
+{
+    // The paging victim thrashes 96 frames, so it hits the metadata
+    // cache often: hardened, every hit is charged at the miss price.
+    auto run = [](bool hardened) {
+        auto sys = std::make_unique<System>(SystemConfig::Builder{}
+                                                .seed(7)
+                                                .guestFrames(96)
+                                                .cloaking(true)
+                                                .timingHardening(hardened)
+                                                .build());
+        workloads::registerAll(*sys);
+        auto r = sys->runProgram("wl.victim.paging");
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_GT(sys->machine().cost().stats().value("metadata_hit"), 0u);
+        return sys;
+    };
+    auto plain = run(false);
+    auto hardened = run(true);
+    EXPECT_EQ(plain->vmm().readTsc(1), plain->cycles());
+    EXPECT_NE(hardened->vmm().readTsc(1), hardened->cycles());
+    EXPECT_GT(hardened->cycles(), plain->cycles());
 }
 
 // ---------------------------------------------------------------------------
@@ -174,14 +210,8 @@ TEST(Introspect, ReportsHardeningPosture)
             return env.vcpu().hypercall(
                 vmm::Hypercall::CloakIntrospect, args);
         };
-        if (query(vmm::introspectClockFuzz) !=
-            static_cast<std::int64_t>(kFuzz))
+        if (query(vmm::introspectTimingHardening) != 1)
             return 1;
-        if (query(vmm::introspectClockOffset) !=
-            static_cast<std::int64_t>(kOffset))
-            return 2;
-        if (query(vmm::introspectConstantCost) != 1)
-            return 3;
         if (query(vmm::introspectAsyncEvictDepth) != 4)
             return 4;
         if (query(vmm::introspectVictimCacheCapacity) < 0)
@@ -203,13 +233,7 @@ TEST(Introspect, LegacySystemReportsNoHardening)
             return env.vcpu().hypercall(
                 vmm::Hypercall::CloakIntrospect, args);
         };
-        if (query(vmm::introspectClockFuzz) != 0)
-            return 1;
-        if (query(vmm::introspectClockOffset) != 0)
-            return 2;
-        if (query(vmm::introspectConstantCost) != 0)
-            return 3;
-        return 0;
+        return query(vmm::introspectTimingHardening) == 0 ? 0 : 1;
     }, true, 16});
     auto r = sys.runProgram("introspect");
     EXPECT_EQ(r.status, 0) << r.killReason;

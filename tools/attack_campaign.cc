@@ -131,7 +131,7 @@ main(int argc, char** argv)
         } else if (arg.rfind("--timing-hardening=", 0) == 0) {
             // 1 (default): virtualized clock + constant-cost cloak on
             // every timing cell — the hardened table CI replays.
-            // 0: demonstrate the timing LEAK cells the knobs close.
+            // 0: demonstrate the timing LEAK cells the posture closes.
             std::string v = value("--timing-hardening=");
             if (v == "0") {
                 config.timingHardening = false;
