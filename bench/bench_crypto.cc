@@ -7,7 +7,8 @@
  *  1. Host wall-time: the real cost of page crypto on this machine,
  *     for each AES-CTR and SHA-256 kernel in crypto/kernels.hh
  *     (reference, portable and, where the CPU has AES-NI/SHA-NI,
- *     hardware) called directly, and for the public pipeline, which
+ *     hardware) called directly, then the AES-NI and VAES CTR kernels
+ *     each by name, and for the public pipeline, which
  *     runs the kernels the host selected (printed) with HMAC key
  *     midstates. The reference pipeline also keys HMAC per call.
  *     These numbers vary by host and are recorded under `host_` keys,
@@ -50,6 +51,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace
@@ -332,6 +334,26 @@ runHostSection(bench::BenchReport& report, bool quick)
     row("page_decrypt_verify", [&](const KernelSet& set) {
         return measurePageDecryptVerify(aes, &set, page_iters);
     });
+
+    // Each hardware AES-CTR kernel by name, so a log shows both where
+    // the host has VAES, and says so where it has not.
+    bench::header("Host wall-time per 4 KiB page, AES-CTR hardware "
+                  "kernels");
+    const std::pair<const char*, kernels::AesCtrFn> hw_ctr[] = {
+        {"aesni", kernels::aesCtrAesni()},
+        {"vaes", kernels::aesCtrVaes()},
+    };
+    for (const auto& [name, fn] : hw_ctr) {
+        std::printf("  %-20s", name);
+        if (fn == nullptr) {
+            std::printf(" (not on this host)\n");
+            continue;
+        }
+        HostResult r = measureCtrPage(aes, fn, page_iters);
+        printHost(r);
+        std::printf("%s\n", fn == selected.aesCtr ? " (selected)" : "");
+        recordHost(report, std::string(name) + ".aes_ctr_4k", r);
+    }
 
     // A metadata bundle the size sealFileResource produces for a
     // 16-page file resource (16 + 32 + 16 * 65 bytes).

@@ -370,8 +370,9 @@ AttackDirector::onBatchComplete(os::Kernel& kernel, os::Thread& t,
     std::uint64_t slot = nextRand() % count;
     // A braced initialiser draws in order: result, then echo token.
     os::BatchComp forged{nextRand() % 4096, nextRand()};
-    kernel.copyToUser(t, comp_va + slot * os::batchCompBytes,
-                      os::encodeComps(std::span(&forged, 1)));
+    std::array<std::uint8_t, os::batchCompBytes> raw;
+    os::encodeComps(std::span(&forged, 1), raw);
+    kernel.copyToUser(t, comp_va + slot * os::batchCompBytes, raw);
     fired();
 }
 

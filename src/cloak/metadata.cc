@@ -23,12 +23,208 @@ namespace
 constexpr std::uint64_t mapNodeOverhead = 48;
 } // namespace
 
+// ---------------------------------------------------------------------------
+// MetadataCache
+// ---------------------------------------------------------------------------
+
+MetadataCache::MetadataCache(std::size_t capacity)
+{
+    setCapacity(capacity);
+}
+
+std::size_t
+MetadataCache::keyHome(ResourceId res, std::uint64_t page) const
+{
+    std::uint64_t h = (res * 0x9e3779b97f4a7c15ull) ^ page;
+    h = (h ^ (h >> 31)) * 0xd6e8feb86659fd93ull;
+    return static_cast<std::size_t>(h ^ (h >> 32)) & mask_;
+}
+
+std::size_t
+MetadataCache::resHome(ResourceId res) const
+{
+    std::uint64_t h = res * 0xd6e8feb86659fd93ull;
+    return static_cast<std::size_t>(h ^ (h >> 32)) & mask_;
+}
+
+std::size_t
+MetadataCache::keyPos(ResourceId res, std::uint64_t page) const
+{
+    std::size_t pos = keyHome(res, page);
+    for (std::uint32_t s; (s = keyTable_[pos]) != none;
+         pos = (pos + 1) & mask_) {
+        if (slots_[s].res == res && slots_[s].page == page)
+            break;
+    }
+    return pos;
+}
+
+std::size_t
+MetadataCache::resPos(ResourceId res) const
+{
+    std::size_t pos = resHome(res);
+    while (resTable_[pos] != none && slots_[resTable_[pos]].res != res)
+        pos = (pos + 1) & mask_;
+    return pos;
+}
+
+template <typename Home>
+void
+MetadataCache::erase(std::vector<std::uint32_t>& table, std::size_t pos,
+                     Home home)
+{
+    // An entry further along the run moves into the hole unless its
+    // home lies cyclically after the hole.
+    std::size_t hole = pos;
+    for (std::size_t i = (pos + 1) & mask_; table[i] != none;
+         i = (i + 1) & mask_) {
+        if (((i - home(table[i])) & mask_) >= ((i - hole) & mask_)) {
+            table[hole] = table[i];
+            hole = i;
+        }
+    }
+    table[hole] = none;
+}
+
+void
+MetadataCache::unlinkLru(std::uint32_t s)
+{
+    Slot& e = slots_[s];
+    (e.newer == none ? mru_ : slots_[e.newer].older) = e.older;
+    (e.older == none ? lru_ : slots_[e.older].newer) = e.newer;
+}
+
+void
+MetadataCache::pushFront(std::uint32_t s)
+{
+    Slot& e = slots_[s];
+    e.newer = none;
+    e.older = mru_;
+    (mru_ == none ? lru_ : slots_[mru_].newer) = s;
+    mru_ = s;
+}
+
+void
+MetadataCache::drop(std::uint32_t s)
+{
+    Slot& e = slots_[s];
+    unlinkLru(s);
+    erase(keyTable_, keyPos(e.res, e.page), [this](std::uint32_t t) {
+        return keyHome(slots_[t].res, slots_[t].page);
+    });
+    if (e.nextOfRes != none)
+        slots_[e.nextOfRes].prevOfRes = e.prevOfRes;
+    if (e.prevOfRes != none) {
+        slots_[e.prevOfRes].nextOfRes = e.nextOfRes;
+    } else {
+        // The chain's head: its entry names the next slot, or goes.
+        std::size_t pos = resPos(e.res);
+        if (e.nextOfRes != none)
+            resTable_[pos] = e.nextOfRes;
+        else
+            erase(resTable_, pos, [this](std::uint32_t t) {
+                return resHome(slots_[t].res);
+            });
+    }
+    e.older = free_;
+    free_ = s;
+    --size_;
+}
+
+bool
+MetadataCache::touch(ResourceId res, std::uint64_t page)
+{
+    std::size_t pos = keyPos(res, page);
+    if (std::uint32_t s = keyTable_[pos]; s != none) {
+        if (s != mru_) {
+            unlinkLru(s);
+            pushFront(s);
+        }
+        return true;
+    }
+    if (free_ == none) {
+        drop(lru_);
+        pos = keyPos(res, page); // the drop may have shifted entries
+    }
+    std::uint32_t s = free_;
+    Slot& e = slots_[s];
+    free_ = e.older;
+    e.res = res;
+    e.page = page;
+    pushFront(s);
+    keyTable_[pos] = s;
+    std::size_t head = resPos(res);
+    e.prevOfRes = none;
+    e.nextOfRes = resTable_[head];
+    if (e.nextOfRes != none)
+        slots_[e.nextOfRes].prevOfRes = s;
+    resTable_[head] = s;
+    ++size_;
+    return false;
+}
+
+void
+MetadataCache::purge(ResourceId res)
+{
+    std::uint32_t s = resTable_[resPos(res)];
+    while (s != none) {
+        std::uint32_t next = slots_[s].nextOfRes;
+        drop(s);
+        s = next;
+    }
+}
+
+void
+MetadataCache::setCapacity(std::size_t capacity)
+{
+    osh_assert(capacity > 0 && capacity < none / 2,
+               "metadata cache needs capacity");
+    // The keys that stay, least recently used first.
+    std::vector<std::pair<ResourceId, std::uint64_t>> keep;
+    for (std::uint32_t s = mru_; s != none && keep.size() < capacity;
+         s = slots_[s].older)
+        keep.emplace_back(slots_[s].res, slots_[s].page);
+
+    std::size_t table = 2;
+    while (table < 2 * capacity)
+        table *= 2;
+    mask_ = table - 1;
+    keyTable_.assign(table, none);
+    resTable_.assign(table, none);
+    slots_.assign(capacity, Slot{});
+    for (std::uint32_t s = 0; s < capacity; ++s)
+        slots_[s].older = s + 1 < capacity ? s + 1 : none;
+    free_ = 0;
+    mru_ = lru_ = none;
+    size_ = 0;
+    for (auto it = keep.rbegin(); it != keep.rend(); ++it)
+        touch(it->first, it->second);
+}
+
+std::size_t
+MetadataCache::lruLength() const
+{
+    std::size_t n = 0;
+    for (std::uint32_t s = mru_; s != none; s = slots_[s].older)
+        ++n;
+    return n;
+}
+
+bool
+MetadataCache::contains(ResourceId res, std::uint64_t page) const
+{
+    return keyTable_[keyPos(res, page)] != none;
+}
+
+// ---------------------------------------------------------------------------
+// MetadataStore
+// ---------------------------------------------------------------------------
+
 MetadataStore::MetadataStore(sim::CostModel& cost,
                              std::size_t cache_capacity)
-    : cost_(cost), cacheCapacity_(cache_capacity),
+    : cost_(cost), cache_(cache_capacity),
       stats_("metadata", metadataStat.names)
 {
-    osh_assert(cache_capacity > 0, "metadata cache needs capacity");
 }
 
 void
@@ -109,7 +305,7 @@ MetadataStore::lookup(ResourceId id)
 void
 MetadataStore::destroyResource(ResourceId id)
 {
-    purgeCache(id);
+    cache_.purge(id);
     auto it = resources_.find(id);
     if (it != resources_.end()) {
         auto pages = static_cast<std::int64_t>(it->second.pages.size());
@@ -125,89 +321,45 @@ MetadataStore::replacePages(Resource& res,
 {
     // Stale cache keys would otherwise occupy capacity forever (and
     // alias recreated pages).
-    purgeCache(res.id);
+    cache_.purge(res.id);
     auto delta = static_cast<std::int64_t>(pages.size()) -
                  static_cast<std::int64_t>(res.pages.size());
     res.pages = std::move(pages);
     accountPages(delta);
 }
 
-void
-MetadataStore::purgeCache(ResourceId res)
-{
-    // CacheKey ordering is (resource, page), so one range scan covers
-    // every page of the resource.
-    auto it = cacheIndex_.lower_bound(CacheKey{res, 0});
-    while (it != cacheIndex_.end() && it->first.first == res) {
-        lru_.erase(it->second);
-        it = cacheIndex_.erase(it);
-    }
-}
-
-void
-MetadataStore::evictToCapacity()
-{
-    while (cacheIndex_.size() > cacheCapacity_) {
-        cacheIndex_.erase(lru_.back());
-        lru_.pop_back();
-    }
-}
-
-void
-MetadataStore::touchCache(ResourceId res, std::uint64_t page_index)
-{
-    CacheKey key{res, page_index};
-    auto it = cacheIndex_.find(key);
-    if (it != cacheIndex_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        // Constant-cost mode: a hit priced below a miss tells the
-        // kernel which (resource, page) pairs were touched recently.
-        cost_.charge(constantCostLookups_ ? cost_.params().metadataMiss
-                                          : cost_.params().metadataHit,
-                     "metadata_hit");
-        return;
-    }
-    cost_.charge(cost_.params().metadataMiss, "metadata_miss");
-    lru_.push_front(key);
-    cacheIndex_[key] = lru_.begin();
-    evictToCapacity();
-}
-
 PageMeta&
 MetadataStore::page(Resource& res, std::uint64_t page_index)
 {
+    // Constant-cost mode: a hit priced below a miss tells the kernel
+    // which (resource, page) pairs were touched recently.
+    auto charge_hit = [this] {
+        cost_.charge(constantCostLookups_ ? cost_.params().metadataMiss
+                                          : cost_.params().metadataHit,
+                     "metadata_hit");
+    };
     auto it = res.pages.find(page_index);
     if (it == res.pages.end()) {
         // Freshly created metadata is born hot in the cache: there is
         // nothing to fetch or verify. The key can already be cached
-        // when the page was destroyed and recreated (unseal reload);
-        // splice instead of inserting a duplicate node, which would
-        // orphan the old one and later erase the live index entry.
-        CacheKey key{res.id, page_index};
-        cost_.charge(constantCostLookups_ ? cost_.params().metadataMiss
-                                          : cost_.params().metadataHit,
-                     "metadata_hit");
-        auto cit = cacheIndex_.find(key);
-        if (cit != cacheIndex_.end()) {
-            lru_.splice(lru_.begin(), lru_, cit->second);
-        } else {
-            lru_.push_front(key);
-            cacheIndex_[key] = lru_.begin();
-            evictToCapacity();
-        }
+        // when the page was destroyed and recreated (a metadata
+        // reload); touch() then moves it instead of adding a second.
+        charge_hit();
+        cache_.touch(res.id, page_index);
         accountPages(+1);
         return res.pages[page_index];
     }
-    touchCache(res.id, page_index);
+    if (cache_.touch(res.id, page_index))
+        charge_hit();
+    else
+        cost_.charge(cost_.params().metadataMiss, "metadata_miss");
     return it->second;
 }
 
 void
 MetadataStore::setCacheCapacity(std::size_t capacity)
 {
-    osh_assert(capacity > 0, "metadata cache needs capacity");
-    cacheCapacity_ = capacity;
-    evictToCapacity();
+    cache_.setCapacity(capacity);
 }
 
 std::vector<std::uint8_t>

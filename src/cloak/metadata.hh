@@ -19,7 +19,9 @@
  * given workload always mints the same ids.
  *
  * A capacity-bounded LRU models the paper's metadata cache: lookups
- * charge metadataHit or metadataMiss cycles accordingly.
+ * charge metadataHit or metadataMiss cycles accordingly. The model
+ * (MetadataCache) lives in storage sized once to its capacity, so a
+ * hit, a miss and an eviction touch no tree and allocate nothing.
  *
  * Fallible entry points (lookup, unseal) return
  * Expected<T, CloakError> with typed codes, so a stale id and an
@@ -41,7 +43,6 @@
 #include "sim/cost_model.hh"
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <vector>
 
@@ -92,6 +93,77 @@ struct Resource
     bool isFile = false;
     std::uint64_t fileKey = 0;    ///< Stable file identity (path hash).
     std::map<std::uint64_t, PageMeta> pages;
+};
+
+/**
+ * The LRU model of the paper's metadata cache, over (resource, page)
+ * keys. Its storage is sized once per capacity: a slot array, an LRU
+ * list and a per-resource chain linked through slot indices, and two
+ * open-addressed tables of slot indices (linear probing at most half
+ * full, backward-shift delete): one finds a key's slot, the other a
+ * resource's chain. touch() and purge() never allocate, and purge()
+ * walks only the resource's own cached keys.
+ */
+class MetadataCache
+{
+  public:
+    explicit MetadataCache(std::size_t capacity);
+
+    /**
+     * Move (@p res, @p page) to the front. Returns true when it was
+     * cached; otherwise inserts it, evicting the least recently used
+     * key when the cache is full, and returns false.
+     */
+    bool touch(ResourceId res, std::uint64_t page);
+
+    /** Drop every cached key of @p res. */
+    void purge(ResourceId res);
+
+    /** Resize, keeping the @p capacity most recently used keys. */
+    void setCapacity(std::size_t capacity);
+
+    /** Keys currently cached. */
+    std::size_t size() const { return size_; }
+    /** Keys on the LRU list, counted by walking it. */
+    std::size_t lruLength() const;
+    /** Whether (@p res, @p page) is cached; moves nothing. */
+    bool contains(ResourceId res, std::uint64_t page) const;
+
+  private:
+    static constexpr std::uint32_t none = ~0u;
+
+    struct Slot
+    {
+        ResourceId res;
+        std::uint64_t page;
+        std::uint32_t newer, older;         ///< LRU list, MRU first.
+        std::uint32_t prevOfRes, nextOfRes; ///< The resource's chain.
+    };
+
+    std::size_t keyHome(ResourceId res, std::uint64_t page) const;
+    std::size_t resHome(ResourceId res) const;
+    /** Position of the key's entry in keyTable_, or of the empty
+     *  entry that ends its probe. */
+    std::size_t keyPos(ResourceId res, std::uint64_t page) const;
+    /** The same in resTable_, keyed by a chain's resource. */
+    std::size_t resPos(ResourceId res) const;
+    /** Empty @p table's entry @p pos, shifting later entries back. */
+    template <typename Home>
+    void erase(std::vector<std::uint32_t>& table, std::size_t pos,
+               Home home);
+
+    void unlinkLru(std::uint32_t s);
+    void pushFront(std::uint32_t s);
+    /** Remove slot @p s from every structure and free it. */
+    void drop(std::uint32_t s);
+
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> keyTable_;
+    std::vector<std::uint32_t> resTable_;
+    std::size_t mask_ = 0;
+    std::uint32_t mru_ = none, lru_ = none;
+    std::uint32_t free_ = none; ///< Free slots, linked through `older`.
+    std::size_t size_ = 0;
 };
 
 /**
@@ -211,15 +283,14 @@ class MetadataStore
     // Cache introspection (consistency tests) ------------------------------
 
     /** Keys currently occupying cache capacity. */
-    std::size_t cacheSize() const { return cacheIndex_.size(); }
+    std::size_t cacheSize() const { return cache_.size(); }
     /** LRU list length; always equals cacheSize() when consistent. */
-    std::size_t lruLength() const { return lru_.size(); }
+    std::size_t lruLength() const { return cache_.lruLength(); }
     /** Whether (resource, page) is resident in the cache model. */
     bool
     cached(ResourceId res, std::uint64_t page_index) const
     {
-        return cacheIndex_.find(CacheKey{res, page_index}) !=
-               cacheIndex_.end();
+        return cache_.contains(res, page_index);
     }
 
     StatGroup& stats() { return stats_; }
@@ -227,14 +298,6 @@ class MetadataStore
   private:
     /** Mint a resource owned by @p domain. */
     Resource& emplaceResource(DomainId domain);
-
-    void touchCache(ResourceId res, std::uint64_t page_index);
-
-    /** Drop every cached key of one resource (destroy/page reload). */
-    void purgeCache(ResourceId res);
-
-    /** Shrink the LRU to the configured capacity. */
-    void evictToCapacity();
 
     /** Fold a page-count delta into the footprint accounting. */
     void accountPages(std::int64_t pages_delta);
@@ -244,7 +307,6 @@ class MetadataStore
     void raiseSealFloor(std::uint64_t file_key, std::uint64_t version);
 
     sim::CostModel& cost_;
-    std::size_t cacheCapacity_;
 
     /** Hits charge the miss cost (see setConstantCostLookups). */
     bool constantCostLookups_ = false;
@@ -257,9 +319,7 @@ class MetadataStore
     ResourceId nextId_ = 1;
 
     /** LRU cache model: key = (resource, page). */
-    using CacheKey = std::pair<ResourceId, std::uint64_t>;
-    std::list<CacheKey> lru_;
-    std::map<CacheKey, std::list<CacheKey>::iterator> cacheIndex_;
+    MetadataCache cache_;
 
     /** Monotonic bundle versions per file key (rollback detection). */
     std::map<std::uint64_t, std::uint64_t> sealVersions_;

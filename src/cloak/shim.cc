@@ -170,12 +170,13 @@ Shim::stageString(const std::string& s, std::uint64_t at)
 }
 
 std::optional<SyscallArgs>
-Shim::stageProgram(const SyscallArgs& args)
+Shim::stageProgram(const SyscallArgs& args, std::string& name)
 {
-    std::optional<std::string> name = os::readPath(env_.vcpu(), args[0]);
-    if (!name)
+    std::optional<std::string> read = os::readPath(env_.vcpu(), args[0]);
+    if (!read)
         return std::nullopt;
-    SyscallArgs staged{stageString(*name), 0, args[2]};
+    name = std::move(*read);
+    SyscallArgs staged{stageString(name), 0, args[2]};
     if (args[1] != 0 && args[2] != 0) {
         staged[1] = bounceVa_;
         copyGuest(bounceVa_, args[1], std::min(args[2], Bounce::dataBytes));
@@ -486,26 +487,31 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
 
     // Copy the app's descriptors out of cloaked memory exactly once;
     // everything below works on this private snapshot.
-    std::vector<std::uint8_t> araw(count * os::batchDescBytes);
-    env_.readBytes(app_sub, araw);
-    std::vector<os::BatchDesc> descs = os::decodeDescs(araw);
+    os::DescRing araw;
+    auto abytes = std::span(araw).first(count * os::batchDescBytes);
+    std::array<os::BatchDesc, os::maxBatchDepth> descs;
+    env_.readBytes(app_sub, abytes);
+    os::decodeDescs(abytes, descs);
 
     GuestVA ksub = bounceVa_ + Bounce::submitRing;
     GuestVA kcomp = bounceVa_ + Bounce::completionRing;
     std::uint64_t stageUsed = 0;
 
-    /** One descriptor staged onto the kernel-facing ring. */
+    /** One descriptor staged onto the kernel-facing ring. Left
+     *  uninitialised in the array below: each is written whole. */
     struct KernelSlot
     {
-        std::uint64_t appIndex = 0; ///< Slot in the app's ring.
-        std::uint64_t nonce = 0;    ///< Private echo token we expect back.
-        os::BatchDesc desc;         ///< Rewritten descriptor.
-        GuestVA appBuf = 0;         ///< App destination for read-backs.
-        GuestVA stageVa = 0;        ///< Staging address (0: none).
-        std::uint64_t len = 0;      ///< Requested transfer length.
+        std::uint64_t appIndex; ///< Slot in the app's ring.
+        std::uint64_t nonce;    ///< Private echo token we expect back.
+        Sys num;
+        SyscallArgs args;       ///< Rewritten arguments.
+        GuestVA appBuf;         ///< App destination for read-backs.
+        GuestVA stageVa;        ///< Staging address (0: none).
+        std::uint64_t len;      ///< Requested transfer length.
     };
-    std::vector<KernelSlot> slots;
-    std::vector<std::int64_t> results(count, 0);
+    std::array<KernelSlot, os::maxBatchDepth> slots;
+    std::size_t nslots = 0;
+    std::array<std::int64_t, os::maxBatchDepth> results{};
 
     // Dispatch the pending kernel-facing ring in ONE secure control
     // transfer, validate every completion (echo token + result bound)
@@ -513,58 +519,62 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
     // batch is fully staged, and early when staging space runs out or
     // a per-call entry follows staged kernel work.
     auto flushKernelSlots = [&]() {
-        if (slots.empty())
+        if (nslots == 0)
             return;
-        std::vector<os::BatchDesc> kdescs;
-        kdescs.reserve(slots.size());
-        for (const KernelSlot& s : slots)
-            kdescs.push_back(s.desc);
-        env_.writeBytes(ksub, os::encodeDescs(kdescs));
+        os::DescRing kraw;
+        auto kbytes = std::span(kraw).first(nslots * os::batchDescBytes);
+        for (std::size_t k = 0; k < nslots; ++k) {
+            const KernelSlot& s = slots[k];
+            os::BatchDesc kd{s.num, s.args, s.nonce, 0};
+            os::encodeDescs(std::span(&kd, 1),
+                            kbytes.subspan(k * os::batchDescBytes));
+        }
+        env_.writeBytes(ksub, kbytes);
 
-        std::int64_t rv = trap(Sys::SubmitBatch,
-                               {ksub, kcomp, slots.size()});
+        std::int64_t rv = trap(Sys::SubmitBatch, {ksub, kcomp, nslots});
         if (rv < 0) {
             // The batch itself was refused (a denial of service, not a
             // protection violation): surface the error per call.
-            for (const KernelSlot& s : slots)
+            for (const KernelSlot& s : std::span(slots).first(nslots))
                 results[s.appIndex] = rv;
-        } else if (static_cast<std::uint64_t>(rv) != slots.size()) {
+        } else if (static_cast<std::uint64_t>(rv) != nslots) {
             kernelViolation(cloakStat("ring_violations"),
                             "syscall ring tampered (completion count "
                             "mismatch)");
         } else {
             // Copy completions out of the uncloaked ring exactly once,
             // then validate each before touching cloaked memory.
-            std::vector<std::uint8_t> craw(slots.size() *
-                                           os::batchCompBytes);
-            env_.readBytes(kcomp, craw);
-            std::vector<os::BatchComp> comps = os::decodeComps(craw);
-            for (std::size_t k = 0; k < slots.size(); ++k) {
+            os::CompRing craw;
+            std::array<os::BatchComp, os::maxBatchDepth> comps;
+            auto cbytes = std::span(craw).first(nslots * os::batchCompBytes);
+            env_.readBytes(kcomp, cbytes);
+            os::decodeComps(cbytes, comps);
+            for (std::size_t k = 0; k < nslots; ++k) {
                 const KernelSlot& s = slots[k];
                 auto res = static_cast<std::int64_t>(comps[k].result);
                 if (comps[k].echo != s.nonce)
                     kernelViolation(cloakStat("ring_violations"),
                                     "syscall ring tampered (echo token "
                                     "mismatch)");
-                if (os::isTransfer(s.desc.num) &&
+                if (os::isTransfer(s.num) &&
                     res > static_cast<std::int64_t>(s.len))
                     kernelViolation(cloakStat("ring_violations"),
                                     "syscall ring tampered (result "
                                     "exceeds request)");
-                if (os::transfersIn(s.desc.num) && res > 0) {
+                if (os::transfersIn(s.num) && res > 0) {
                     copyGuest(s.appBuf, s.stageVa,
                               static_cast<std::uint64_t>(res));
                 }
-                if (s.desc.num == Sys::Fstat && res == 0)
+                if (s.num == Sys::Fstat && res == 0)
                     copyGuest(s.appBuf, s.stageVa, sizeof(os::StatBuf));
-                if (s.desc.num == Sys::Dup || s.desc.num == Sys::Dup2)
-                    newFd(s.desc.num, res);
+                if (s.num == Sys::Dup || s.num == Sys::Dup2)
+                    newFd(s.num, res);
                 results[s.appIndex] = res;
             }
         }
         engine_.stats().inc(cloakStat("shim_batch_traps"));
-        engine_.stats().inc(cloakStat("shim_batched_calls"), slots.size());
-        slots.clear();
+        engine_.stats().inc(cloakStat("shim_batched_calls"), nslots);
+        nslots = 0;
         stageUsed = 0;
     };
 
@@ -601,9 +611,8 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
         if (need > Bounce::dataBytes - stageUsed)
             flushKernelSlots(); // make room, preserving order
 
-        KernelSlot s;
-        s.appIndex = i;
-        s.desc = d;
+        KernelSlot& s = slots[nslots++];
+        s = {i, 0, d.num, d.args, 0, 0, 0};
         if (need > 0) {
             s.stageVa = bounceVa_ + stageUsed;
             stageUsed += need;
@@ -614,19 +623,20 @@ Shim::shimSubmitBatch(const SyscallArgs& args)
             } else {
                 s.appBuf = d.args[1];
             }
-            s.desc.args[1] = s.stageVa;
+            s.args[1] = s.stageVa;
         }
         s.nonce = nextBatchNonce();
-        s.desc.echo = s.nonce;
-        slots.push_back(s);
     }
     flushKernelSlots();
 
     // Publish all app completions in one bulk write to cloaked memory.
-    std::vector<os::BatchComp> acomps(count);
+    std::array<os::BatchComp, os::maxBatchDepth> acomps;
     for (std::uint64_t i = 0; i < count; ++i)
         acomps[i] = {static_cast<std::uint64_t>(results[i]), descs[i].echo};
-    env_.writeBytes(app_comp, os::encodeComps(acomps));
+    os::CompRing acraw;
+    os::encodeComps(std::span(acomps).first(count), acraw);
+    env_.writeBytes(app_comp,
+                    std::span(acraw).first(count * os::batchCompBytes));
     engine_.stats().inc(cloakStat("shim_batches"));
     return static_cast<std::int64_t>(count);
 }
@@ -705,9 +715,15 @@ Shim::shimExec(const SyscallArgs& args)
 {
     // Marshal the program name and argv blob out of cloaked memory
     // while we still can.
-    std::optional<SyscallArgs> staged = stageProgram(args);
+    std::string name;
+    std::optional<SyscallArgs> staged = stageProgram(args, name);
     if (!staged)
         return -os::errNameTooLong;
+    // Ask before dismantling anything, so an exec the kernel refuses
+    // returns to this image still cloaked. A kernel that answers
+    // falsely only denies service, which the threat model concedes.
+    if (env_.kernel().programs().find(name) == nullptr)
+        return -os::errNoEnt;
 
     // Dismantle this image's protection: exec replaces everything.
     for (auto it = cloakedFiles_.begin(); it != cloakedFiles_.end();) {
@@ -888,7 +904,8 @@ Shim::syscall(os::Env& env, Sys num, const SyscallArgs& args)
 
       case Sys::Spawn:
         {
-            std::optional<SyscallArgs> staged = stageProgram(args);
+            std::string name;
+            std::optional<SyscallArgs> staged = stageProgram(args, name);
             return staged ? trap(num, *staged) : -os::errNameTooLong;
         }
 

@@ -110,10 +110,10 @@ class Shim : public os::SyscallInterposer
     GuestVA stageString(const std::string& s, std::uint64_t at = 0);
 
     /** Stage spawn/exec's {name, argv blob, blob length}; returns the
-     *  arguments the kernel call takes, or nullopt for an over-long
-     *  name (-errNameTooLong). */
+     *  arguments the kernel call takes and sets @p name, or nullopt
+     *  for an over-long name (-errNameTooLong). */
     std::optional<os::SyscallArgs>
-    stageProgram(const os::SyscallArgs& args);
+    stageProgram(const os::SyscallArgs& args, std::string& name);
 
     /**
      * The one marshalled transfer: read, write, pread or pwrite (@p num

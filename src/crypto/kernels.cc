@@ -13,7 +13,8 @@ select()
                 sha256CompressPortable, "portable (rolling schedule)"};
     if (AesCtrFn hw = aesCtrHardware()) {
         s.aesCtr = hw;
-        s.aesCtrName = "hardware (AES-NI)";
+        s.aesCtrName = hw == aesCtrVaes() ? "hardware (VAES, AVX-512)"
+                                          : "hardware (AES-NI)";
     }
     if (Sha256CompressFn hw = sha256CompressHardware()) {
         s.sha256Compress = hw;

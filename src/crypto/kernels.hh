@@ -15,10 +15,11 @@
  *    eight counter blocks per batch; SHA-256 with a rolling 16-word
  *    schedule and register-rotated rounds. The kernel every host can
  *    run.
- *  - hardware: AES-NI CTR with counters built in registers and eight
- *    blocks in flight; SHA-NI compression. Compiled only for x86-64
- *    (per-function target attributes, no -march), and only returned
- *    when CPUID reports the instructions.
+ *  - hardware: AES-CTR with counters built in registers, either AES-NI
+ *    with eight blocks in flight or VAES (AVX-512) with sixteen; SHA-NI
+ *    compression. Compiled only for x86-64 (per-function target
+ *    attributes, no -march), and only returned when CPUID reports the
+ *    instructions. VAES is chosen over AES-NI where both run.
  *
  * Only host time depends on the choice; simulated cycles are charged
  * by the cost model either way.
@@ -72,6 +73,15 @@ void aesCtrPortable(const AesRoundKeys& keys, const Iv& iv,
                     std::size_t len);
 
 /** The AES-NI kernel, or nullptr where it is not built or supported. */
+AesCtrFn aesCtrAesni();
+
+/**
+ * The VAES kernel (16 blocks in flight, tails under 256 bytes on
+ * AES-NI), or nullptr unless CPUID reports AES-NI, VAES and AVX-512F.
+ */
+AesCtrFn aesCtrVaes();
+
+/** The fastest of the two above this host runs, or nullptr. */
 AesCtrFn aesCtrHardware();
 
 void sha256CompressReference(std::uint32_t* state,

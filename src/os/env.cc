@@ -124,24 +124,27 @@ Env::submitBatch(const std::vector<BatchEntry>& entries,
     GuestVA sub = batchArea();
     GuestVA comp = sub + maxBatchDepth * batchDescBytes;
 
-    std::vector<BatchDesc> descs(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        descs[i].num = entries[i].num;
-        descs[i].args = entries[i].args;
+    const std::size_t n = entries.size();
+    DescRing raw;
+    auto sbytes = std::span(raw).first(n * batchDescBytes);
+    for (std::size_t i = 0; i < n; ++i) {
         // App-level echo is just the slot index; the shim substitutes
         // its own private tokens on the kernel-facing ring.
-        descs[i].echo = i;
+        BatchDesc d{entries[i].num, entries[i].args, i, 0};
+        encodeDescs(std::span(&d, 1), sbytes.subspan(i * batchDescBytes));
     }
-    writeBytes(sub, encodeDescs(descs));
+    writeBytes(sub, sbytes);
 
-    std::int64_t r =
-        syscall(Sys::SubmitBatch, {sub, comp, entries.size()});
+    std::int64_t r = syscall(Sys::SubmitBatch, {sub, comp, n});
     if (r < 0)
         return r;
 
-    std::vector<std::uint8_t> craw(entries.size() * batchCompBytes);
-    readBytes(comp, craw);
-    for (const BatchComp& c : decodeComps(craw))
+    CompRing craw;
+    auto cbytes = std::span(craw).first(n * batchCompBytes);
+    std::array<BatchComp, maxBatchDepth> comps;
+    readBytes(comp, cbytes);
+    decodeComps(cbytes, comps);
+    for (const BatchComp& c : std::span(comps).first(n))
         results.push_back(static_cast<std::int64_t>(c.result));
     return r;
 }

@@ -770,15 +770,21 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     // before anything is validated or dispatched. Nothing below ever
     // re-reads sub_va, so a concurrent (hostile) rewrite of the ring
     // cannot create a checked-vs-used mismatch.
-    std::vector<std::uint8_t> raw(sub_bytes);
-    copyFromUser(t, sub_va, raw);
-    std::vector<BatchDesc> descs = decodeDescs(raw);
+    DescRing raw;
+    auto sbytes = std::span(raw).first(sub_bytes);
+    std::array<BatchDesc, maxBatchDepth> ring;
+    copyFromUser(t, sub_va, sbytes);
+    std::span<const BatchDesc> descs =
+        std::span(ring).first(decodeDescs(sbytes, ring));
 
     // Pre-seal hint, once per batch: every present page an I/O
     // descriptor's buffer spans is about to be touched through the
     // kernel view, so hand the whole set to the bulk crypto pipeline
-    // up front instead of sealing one fault at a time.
-    std::vector<Gpa> preseal;
+    // up front instead of sealing one fault at a time. The list is
+    // consumed before anything below can switch threads, so one
+    // vector serves every batch.
+    std::vector<Gpa>& preseal = batchPreseal_;
+    preseal.clear();
     for (const BatchDesc& d : descs) {
         if (!isTransfer(d.num))
             continue;
@@ -795,7 +801,7 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     vmm_.prepareFramesForKernel(preseal);
 
     auto& cost = vmm_.machine().cost();
-    std::vector<BatchComp> comps(count);
+    std::array<BatchComp, maxBatchDepth> comps;
     for (std::uint64_t i = 0; i < count; ++i) {
         const BatchDesc& d = descs[i];
         std::int64_t r;
@@ -811,7 +817,9 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
         }
         comps[i] = {static_cast<std::uint64_t>(r), d.echo};
     }
-    copyToUser(t, comp_va, encodeComps(comps));
+    CompRing craw;
+    encodeComps(std::span(comps).first(count), craw);
+    copyToUser(t, comp_va, std::span(craw).first(comp_bytes));
 
     // The hostile-kernel window on the completion side: results are in
     // user memory now, the caller has not read them yet.

@@ -13,11 +13,11 @@
 #define OSH_OS_SYSCALLS_HH
 
 #include "base/bytes.hh"
+#include "base/logging.hh"
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace osh::os
 {
@@ -291,14 +291,19 @@ struct BatchComp
 /*
  * Ring codec: the only code that packs or unpacks the layouts above.
  * Kernel, shim, Env and the attack director all go through it, so a
- * check on ring bytes has one place to live. Decoders take whole
- * entries only and ignore a trailing partial one.
+ * check on ring bytes has one place to live. Every side works in
+ * storage it owns (at most maxBatchDepth entries), so a batch costs no
+ * heap allocation. Encoders fill the front of @p raw, which must hold
+ * every entry. Decoders take whole entries only, ignore a trailing
+ * partial one, and return how many they wrote to @p out, which must
+ * hold them all.
  */
 
-inline std::vector<std::uint8_t>
-encodeDescs(std::span<const BatchDesc> descs)
+inline void
+encodeDescs(std::span<const BatchDesc> descs, std::span<std::uint8_t> raw)
 {
-    std::vector<std::uint8_t> raw(descs.size() * batchDescBytes);
+    osh_assert(raw.size() >= descs.size() * batchDescBytes,
+               "descriptor ring too small");
     std::uint8_t* p = raw.data();
     for (const BatchDesc& d : descs) {
         storeLe64(p, static_cast<std::uint64_t>(d.num));
@@ -308,15 +313,15 @@ encodeDescs(std::span<const BatchDesc> descs)
         storeLe64(p + 56, d.reserved);
         p += batchDescBytes;
     }
-    return raw;
 }
 
-inline std::vector<BatchDesc>
-decodeDescs(std::span<const std::uint8_t> raw)
+inline std::size_t
+decodeDescs(std::span<const std::uint8_t> raw, std::span<BatchDesc> out)
 {
-    std::vector<BatchDesc> descs(raw.size() / batchDescBytes);
+    const std::size_t n = raw.size() / batchDescBytes;
+    osh_assert(out.size() >= n, "descriptor buffer too small");
     const std::uint8_t* p = raw.data();
-    for (BatchDesc& d : descs) {
+    for (BatchDesc& d : out.first(n)) {
         d.num = static_cast<Sys>(loadLe64(p));
         for (std::size_t a = 0; a < d.args.size(); ++a)
             d.args[a] = loadLe64(p + 8 * (a + 1));
@@ -324,34 +329,39 @@ decodeDescs(std::span<const std::uint8_t> raw)
         d.reserved = loadLe64(p + 56);
         p += batchDescBytes;
     }
-    return descs;
+    return n;
 }
 
-inline std::vector<std::uint8_t>
-encodeComps(std::span<const BatchComp> comps)
+inline void
+encodeComps(std::span<const BatchComp> comps, std::span<std::uint8_t> raw)
 {
-    std::vector<std::uint8_t> raw(comps.size() * batchCompBytes);
+    osh_assert(raw.size() >= comps.size() * batchCompBytes,
+               "completion ring too small");
     std::uint8_t* p = raw.data();
     for (const BatchComp& c : comps) {
         storeLe64(p, c.result);
         storeLe64(p + 8, c.echo);
         p += batchCompBytes;
     }
-    return raw;
 }
 
-inline std::vector<BatchComp>
-decodeComps(std::span<const std::uint8_t> raw)
+inline std::size_t
+decodeComps(std::span<const std::uint8_t> raw, std::span<BatchComp> out)
 {
-    std::vector<BatchComp> comps(raw.size() / batchCompBytes);
+    const std::size_t n = raw.size() / batchCompBytes;
+    osh_assert(out.size() >= n, "completion buffer too small");
     const std::uint8_t* p = raw.data();
-    for (BatchComp& c : comps) {
+    for (BatchComp& c : out.first(n)) {
         c.result = loadLe64(p);
         c.echo = loadLe64(p + 8);
         p += batchCompBytes;
     }
-    return comps;
+    return n;
 }
+
+/** Storage for one full ring of descriptors or completions. */
+using DescRing = std::array<std::uint8_t, maxBatchDepth * batchDescBytes>;
+using CompRing = std::array<std::uint8_t, maxBatchDepth * batchCompBytes>;
 
 } // namespace osh::os
 

@@ -386,31 +386,33 @@ TEST(BatchRing, CodecMatchesTheHandPackedLayout)
     d.args = {3, 0x1000, 8, 1ull << 40, 5};
     d.echo = 0xfeedface;
     d.reserved = 9;
-    std::vector<std::uint8_t> raw = os::encodeDescs(std::span(&d, 1));
-    ASSERT_EQ(raw.size(), os::batchDescBytes);
+    std::vector<std::uint8_t> raw(os::batchDescBytes + 10, 0xff);
+    os::encodeDescs(std::span(&d, 1), raw);
     const std::array<std::uint64_t, 8> words = {
         static_cast<std::uint64_t>(os::Sys::Pwrite), 3, 0x1000, 8,
         1ull << 40, 5, 0xfeedface, 9};
     for (std::size_t w = 0; w < words.size(); ++w)
         EXPECT_EQ(loadLe64(raw.data() + 8 * w), words[w]) << "word " << w;
+    // The encoder writes only its entries.
+    EXPECT_EQ(raw.back(), 0xff);
 
     // Decoders take whole entries only.
-    raw.resize(raw.size() + 10, 0xff);
-    std::vector<os::BatchDesc> back = os::decodeDescs(raw);
-    ASSERT_EQ(back.size(), 1u);
+    std::array<os::BatchDesc, 2> back;
+    ASSERT_EQ(os::decodeDescs(raw, back), 1u);
     EXPECT_EQ(back[0].num, d.num);
     EXPECT_EQ(back[0].args, d.args);
     EXPECT_EQ(back[0].echo, d.echo);
     EXPECT_EQ(back[0].reserved, d.reserved);
 
     os::BatchComp c{static_cast<std::uint64_t>(-os::errFBig), 77};
-    std::vector<std::uint8_t> craw = os::encodeComps(std::span(&c, 1));
-    ASSERT_EQ(craw.size(), os::batchCompBytes);
+    std::vector<std::uint8_t> craw(os::batchCompBytes);
+    os::encodeComps(std::span(&c, 1), craw);
     EXPECT_EQ(static_cast<std::int64_t>(loadLe64(craw.data())),
               -os::errFBig);
     EXPECT_EQ(loadLe64(craw.data() + 8), 77u);
     craw.pop_back();
-    EXPECT_TRUE(os::decodeComps(craw).empty());
+    std::array<os::BatchComp, 1> cback;
+    EXPECT_EQ(os::decodeComps(craw, cback), 0u);
 }
 
 TEST(BatchRing, EnvWrapperRejectsBadDepths)

@@ -6,8 +6,9 @@
  *   - SHA-256: FIPS 180-4 / NIST CAVP short messages.
  *   - HMAC-SHA256: RFC 4231.
  * Every AES-CTR and SHA-256 kernel (reference, portable and, where the
- * host has the instructions, hardware) is run on the vectors, on the
- * exact counter semantics, and differentially against the reference.
+ * host has the instructions, each hardware one: AES-NI and VAES for
+ * CTR, SHA-NI for SHA-256) is run on the vectors, on the exact counter
+ * semantics, and differentially against the reference.
  * Plus property tests (round trips, incrementality) and KeyManager
  * behaviour.
  */
@@ -46,7 +47,7 @@ ivFromHex(const std::string& hex)
     return iv;
 }
 
-/** The kernels a parameterized test runs. */
+/** The SHA-256 kernels a parameterized test runs. */
 enum class Kernel
 {
     Reference,
@@ -80,22 +81,32 @@ kernelName(const ::testing::TestParamInfo<Kernel>& info)
     return nameOf(info.param);
 }
 
-/** The CTR kernel for @p k; nullptr when this host cannot run it. */
-kernels::AesCtrFn
-ctrKernel(Kernel k)
+/**
+ * An AES-CTR kernel a parameterized test runs, by name. Each hardware
+ * kernel is its own case, so a host that selects VAES still runs the
+ * AES-NI one. get() returns nullptr where this host cannot run it.
+ */
+struct CtrCase
 {
-    switch (k) {
-      case Kernel::Reference:
-        return kernels::aesCtrReference;
-      case Kernel::Portable:
-        return kernels::aesCtrPortable;
-      case Kernel::Hardware:
-        return kernels::aesCtrHardware();
-    }
-    return nullptr;
+    const char* name;
+    kernels::AesCtrFn (*get)();
+};
+
+void
+PrintTo(const CtrCase& c, std::ostream* os)
+{
+    *os << c.name;
 }
 
-/** The SHA-256 compression kernel for @p k; nullptr as above. */
+const CtrCase ctrCases[] = {
+    {"Reference", [] { return kernels::AesCtrFn{kernels::aesCtrReference}; }},
+    {"Portable", [] { return kernels::AesCtrFn{kernels::aesCtrPortable}; }},
+    {"Aesni", kernels::aesCtrAesni},
+    {"Vaes", kernels::aesCtrVaes},
+};
+
+/** The SHA-256 compression kernel for @p k; nullptr when this host
+ *  cannot run it. */
 kernels::Sha256CompressFn
 shaKernel(Kernel k)
 {
@@ -265,7 +276,10 @@ TEST(Kernels, SelectionPrefersHardware)
 {
     const kernels::Selection& s = kernels::selected();
     EXPECT_EQ(&s, &kernels::selected());
+    // VAES where the host runs it, then AES-NI, then the portable one.
     kernels::AesCtrFn aes_hw = kernels::aesCtrHardware();
+    kernels::AesCtrFn vaes = kernels::aesCtrVaes();
+    EXPECT_EQ(aes_hw, vaes ? vaes : kernels::aesCtrAesni());
     EXPECT_EQ(s.aesCtr, aes_hw ? aes_hw : kernels::aesCtrPortable);
     kernels::Sha256CompressFn sha_hw = kernels::sha256CompressHardware();
     EXPECT_EQ(s.sha256Compress,
@@ -274,20 +288,33 @@ TEST(Kernels, SelectionPrefersHardware)
     EXPECT_NE(s.sha256CompressName, nullptr);
 }
 
-class CtrKernel : public ::testing::TestWithParam<Kernel>
+class CtrKernel : public ::testing::TestWithParam<CtrCase>
 {
   protected:
     void
     SetUp() override
     {
-        fn = ctrKernel(GetParam());
+        fn = GetParam().get();
         if (fn == nullptr)
-            GTEST_SKIP() << "this host has no AES hardware kernel "
-                            "(not x86-64, or CPUID lacks AES-NI)";
+            GTEST_SKIP() << "this host cannot run the " << GetParam().name
+                         << " AES-CTR kernel (not x86-64, or CPUID "
+                            "lacks its instructions)";
     }
 
     kernels::AesCtrFn fn = nullptr;
 };
+
+TEST_P(CtrKernel, Fips197Keystream)
+{
+    // FIPS-197 appendix C.1 as a keystream: the first CTR block is
+    // E_k(IV). 256 bytes, so a batching kernel runs its batch path.
+    Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"));
+    Iv iv = ivFromHex("00112233445566778899aabbccddeeff");
+    std::vector<std::uint8_t> zeros(256, 0), ks(256);
+    fn(aes.roundKeys(), iv, zeros.data(), ks.data(), ks.size());
+    EXPECT_EQ(toHex(std::span<const std::uint8_t>(ks.data(), 16)),
+              "69c4e0d86a7b0430d8cdb78070b4c55a");
+}
 
 TEST_P(CtrKernel, Sp80038aF511)
 {
@@ -317,15 +344,23 @@ TEST_P(CtrKernel, CounterSemanticsPinned)
     // low 64 bits plus i, big-endian, wrapping modulo 2^64 with no
     // carry into byte 7. The expected keystream is built one block at
     // a time from the reference block cipher with each counter written
-    // out explicitly. Lengths cover a partial tail and wraps inside an
-    // 8-block batch (low ...fffc: blocks 4+ have wrapped).
+    // out explicitly. Lengths cover a partial tail, wraps inside an
+    // 8-block AES-NI batch (low ...fffc: blocks 4+ have wrapped) and
+    // inside a 16-block VAES batch (low ...fff6: blocks 10+), and one
+    // VAES batch followed by every tail of 1-255 bytes, which the VAES
+    // kernel hands to AES-NI (low ...fff0: the tail starts at the
+    // wrap).
     Rng rng(0xc0de);
     AesKey key;
     rng.fill(key);
     Aes128 aes(key);
     const std::uint64_t lows[] = {
         0xfeull, 0xffull, 0xffffffffffffffffull, 0xfffffffffffffffcull,
+        0xfffffffffffffff6ull, 0xfffffffffffffff0ull,
         0x00000000ffffffffull, 0x00ffffffffffffffull};
+    std::vector<std::size_t> lens = {16, 48, 129, 200, 4096};
+    for (std::size_t tail = 1; tail < 256; ++tail)
+        lens.push_back(256 + tail);
     const std::uint64_t highs[] = {0, 0x0123456789abcdefull,
                                    0xffffffffffffffffull};
     for (std::uint64_t high : highs) {
@@ -333,7 +368,7 @@ TEST_P(CtrKernel, CounterSemanticsPinned)
             Iv iv;
             storeBe64(iv.data(), high);
             storeBe64(iv.data() + 8, low);
-            for (std::size_t len : {16u, 48u, 129u, 200u, 4096u}) {
+            for (std::size_t len : lens) {
                 std::vector<std::uint8_t> expect(len);
                 for (std::size_t b = 0; b * aesBlockSize < len; ++b) {
                     AesBlock ctr, ks;
@@ -385,11 +420,11 @@ TEST_P(CtrKernel, DifferentialVsReference)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, CtrKernel,
-                         ::testing::Values(Kernel::Reference,
-                                           Kernel::Portable,
-                                           Kernel::Hardware),
-                         kernelName);
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, CtrKernel, ::testing::ValuesIn(ctrCases),
+    [](const ::testing::TestParamInfo<CtrCase>& info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Ctr, Sp80038aF511)
 {

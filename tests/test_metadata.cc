@@ -12,7 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
+#include <random>
+#include <utility>
+#include <vector>
 
 namespace osh::cloak
 {
@@ -372,6 +377,141 @@ TEST_F(SealTest, UnsealPurgesStaleCachedKeys)
     EXPECT_FALSE(store_.cached(dst.id, 0));
     EXPECT_FALSE(store_.cached(dst.id, 9));
     EXPECT_EQ(store_.lruLength(), store_.cacheSize());
+}
+
+// ---------------------------------------------------------------------------
+// The cache model against a naive LRU
+// ---------------------------------------------------------------------------
+
+/** A plain list LRU over (resource, page): what the cache must match. */
+class NaiveLru
+{
+  public:
+    explicit NaiveLru(std::size_t capacity) : capacity_(capacity) {}
+
+    /** Move the key to the front (inserting it); true if it was there. */
+    bool
+    touch(ResourceId res, std::uint64_t page)
+    {
+        auto it = std::find(keys_.begin(), keys_.end(), Key{res, page});
+        bool hit = it != keys_.end();
+        if (hit)
+            keys_.erase(it);
+        keys_.push_front({res, page});
+        trim();
+        return hit;
+    }
+
+    void
+    purge(ResourceId res)
+    {
+        keys_.remove_if([res](const Key& k) { return k.first == res; });
+    }
+
+    void
+    setCapacity(std::size_t capacity)
+    {
+        capacity_ = capacity;
+        trim();
+    }
+
+    std::size_t size() const { return keys_.size(); }
+
+    using Key = std::pair<ResourceId, std::uint64_t>;
+    const std::list<Key>& keys() const { return keys_; }
+
+  private:
+    void
+    trim()
+    {
+        while (keys_.size() > capacity_)
+            keys_.pop_back();
+    }
+
+    std::size_t capacity_;
+    std::list<Key> keys_;
+};
+
+TEST(MetadataStore, MatchesNaiveLruModel)
+{
+    // Random page lookups, re-touches of recent keys, resource
+    // destruction, page reloads and capacity changes. Every lookup must
+    // hit or miss as the model does, and the cache must hold exactly
+    // the model's keys. Page ranges put several times the capacity in
+    // play, so the cache evicts throughout.
+    for (std::size_t capacity : {1u, 4u, 1024u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "capacity " << capacity << " seed " << seed);
+            std::mt19937_64 rng(seed * 7919 + capacity);
+            auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+            const std::uint64_t pages = 3 * capacity + 4;
+            const int steps = capacity > 100 ? 12000 : 3000;
+
+            sim::CostModel cost;
+            MetadataStore store(cost, capacity);
+            NaiveLru model(capacity);
+            std::vector<Resource*> live;
+            for (int i = 0; i < 3; ++i)
+                live.push_back(&store.createResource(1));
+            std::vector<NaiveLru::Key> recent;
+
+            auto lookup = [&](Resource& r, std::uint64_t page, int step) {
+                // A page created by this lookup is born hot: a hit.
+                bool fresh = !r.pages.contains(page);
+                bool hit = model.touch(r.id, page) || fresh;
+                std::uint64_t misses = cost.stats().value("metadata_miss");
+                store.page(r, page);
+                ASSERT_EQ(cost.stats().value("metadata_miss") - misses,
+                          hit ? 0u : 1u)
+                    << "step " << step << " page " << page;
+                recent.push_back({r.id, page});
+                if (recent.size() > 8)
+                    recent.erase(recent.begin());
+            };
+
+            for (int step = 0; step < steps; ++step) {
+                std::uint64_t op = pick(100);
+                if (op < 60) {
+                    lookup(*live[pick(live.size())], pick(pages), step);
+                } else if (op < 85 && !recent.empty()) {
+                    auto [id, page] = recent[pick(recent.size())];
+                    for (Resource* r : live)
+                        if (r->id == id)
+                            lookup(*r, page, step);
+                } else if (op < 92) {
+                    std::size_t i = pick(live.size());
+                    ResourceId id = live[i]->id;
+                    store.destroyResource(id);
+                    model.purge(id);
+                    live[i] = &store.createResource(1);
+                } else if (op < 98) {
+                    Resource& r = *live[pick(live.size())];
+                    std::map<std::uint64_t, PageMeta> reload;
+                    for (int n = 0; n < 3; ++n)
+                        reload[pick(pages)] = PageMeta{};
+                    store.replacePages(r, std::move(reload));
+                    model.purge(r.id);
+                } else {
+                    const std::size_t sizes[] = {1, capacity,
+                                                 capacity / 2 + 1,
+                                                 2 * capacity};
+                    std::size_t c = sizes[pick(4)];
+                    store.setCacheCapacity(c);
+                    model.setCapacity(c);
+                }
+                if (HasFatalFailure())
+                    return;
+                ASSERT_EQ(store.cacheSize(), model.size()) << "step " << step;
+                ASSERT_EQ(store.lruLength(), model.size()) << "step " << step;
+                if (step % 64 == 0) {
+                    for (const auto& [id, page] : model.keys())
+                        ASSERT_TRUE(store.cached(id, page))
+                            << "step " << step << " page " << page;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

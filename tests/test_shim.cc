@@ -141,6 +141,31 @@ placeString(Env& env, const std::string& s)
     return va;
 }
 
+TEST(ShimExec, RefusedExecKeepsTheCallerCloaked)
+{
+    // An exec of a program the kernel does not know fails with ENOENT
+    // and returns to the same image, still cloaked: the app reads its
+    // plaintext back, and the kernel sees ciphertext in its place.
+    System sys(cloakedConfig());
+    auto r = runCloaked(sys, [&sys](Env& env) {
+        GuestVA keep = env.allocPages(1);
+        env.store64(keep, 0x5eed);
+        GuestVA name = placeString(env, "nonexistent");
+        if (env.syscall(os::Sys::Exec, {name, 0, 0}) != -os::errNoEnt)
+            return 1;
+        if (env.load64(keep) != 0x5eed)
+            return 2;
+        std::array<std::uint8_t, 8> seen{};
+        sys.kernel().copyFromUser(env.thread(), keep, seen);
+        std::uint64_t word = loadLe64(seen.data());
+        if (word == 0x5eed || word == 0)
+            return 3;
+        return env.load64(keep) == 0x5eed ? 0 : 4;
+    });
+    EXPECT_EQ(r.status, 0) << r.killReason;
+    EXPECT_FALSE(r.killed);
+}
+
 TEST(PathRead, OverlongPathIsRefusedNotTruncated)
 {
     // Two paths that differ only past maxPathLen bytes must not name
