@@ -212,8 +212,9 @@ primitives()
          nullptr,
          nullptr,
          [](Ctx& c) {
-             std::array<std::uint64_t, 1> a{0};
-             c.app.hypercall(vmm::Hypercall::CloakInfo, a);
+             std::array<std::uint64_t, 1> a{
+                 vmm::introspectTimingHardening};
+             c.app.hypercall(vmm::Hypercall::CloakIntrospect, a);
          }},
 
         {"metadata_cache_hit", true,

@@ -86,18 +86,14 @@ CloakEngine::setPlaintext(Gpa gpa, ResourceId resource,
     std::uint64_t frame = pageNumber(gpa);
     if (frame >= plaintextIndex_.size())
         plaintextIndex_.resize(frame + 1);
-    if (plaintextIndex_[frame].resource == 0)
-        ++plaintextFrames_;
     plaintextIndex_[frame] = {resource, page_index};
 }
 
 void
 CloakEngine::clearPlaintext(Gpa gpa)
 {
-    if (PlaintextRef* ref = plaintextAt(gpa)) {
+    if (PlaintextRef* ref = plaintextAt(gpa))
         *ref = {};
-        --plaintextFrames_;
-    }
 }
 
 std::span<std::uint8_t>
@@ -1059,7 +1055,8 @@ CloakEngine::prepareFork(DomainId parent)
 }
 
 Expected<void, CloakError>
-CloakEngine::snapshotFork(DomainId parent, std::uint64_t token)
+CloakEngine::snapshotFork(DomainId parent, std::uint64_t token,
+                          Pid child_pid)
 {
     auto it = pendingForks_.find(token);
     if (it == pendingForks_.end() || it->second.parent != parent) {
@@ -1101,6 +1098,7 @@ CloakEngine::snapshotFork(DomainId parent, std::uint64_t token)
     }
     pf.ctcVa = pd->ctcVa;
     pf.bounceVa = pd->bounceVa;
+    pf.child = child_pid;
     pf.snapshotted = true;
     stats_.inc(cloakStat("fork_snapshots"));
     return {};
@@ -1119,6 +1117,11 @@ CloakEngine::forkAttach(Asid child_asid, Pid child_pid,
         stats_.inc(cloakStat("fork_attach_rejected"));
         return auditError(CloakError::ForkNotSnapshotted,
                           it->second.parent);
+    }
+    if (it->second.child != child_pid) {
+        // Someone else's token: refuse it and keep it for the child.
+        stats_.inc(cloakStat("fork_attach_rejected"));
+        return auditError(CloakError::BadForkToken, it->second.parent);
     }
     PendingFork pf = std::move(it->second);
     pendingForks_.erase(it);
@@ -1271,7 +1274,10 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
       case vmm::Hypercall::CloakSnapshotFork:
         if (ctx.view == systemDomain)
             return -1;
-        return snapshotFork(ctx.view, arg(0)).ok() ? 0 : -1;
+        return snapshotFork(ctx.view, arg(0), static_cast<Pid>(arg(1)))
+                       .ok()
+                   ? 0
+                   : -1;
 
       case vmm::Hypercall::CloakForkAttach:
         // The caller has no domain yet; its asid doubles as its pid in
@@ -1298,16 +1304,6 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
             return -1;
         teardownDomain(ctx.view);
         return 0;
-
-      case vmm::Hypercall::CloakInfo:
-        switch (arg(0)) {
-          case 0: return static_cast<std::int64_t>(auditLog_.size());
-          case 1:
-            return static_cast<std::int64_t>(plaintextFrames_);
-          case 2: return static_cast<std::int64_t>(domains_.size());
-          case 3: return static_cast<std::int64_t>(auditLog_.dropped());
-          default: return -1;
-        }
 
       case vmm::Hypercall::CloakIntrospect:
         // Timing-hardening introspection: lets the guest (and the

@@ -411,11 +411,14 @@ class CloakEngine : public vmm::CloakBackend
     /** Fork support. The parent mints a token before the fork trap;
      *  immediately after the trap returns (when the kernel has eagerly
      *  copied the encrypted page images and the parent has not yet run)
-     *  it snapshots its metadata; the child consumes the snapshot.
-     *  Every rejection carries a typed reason and is audited. */
+     *  it snapshots its metadata, naming the child pid the trap
+     *  returned; only that child consumes the snapshot, and any other
+     *  caller's attach is refused with the token left pending. Every
+     *  rejection carries a typed reason and is audited. */
     Expected<std::uint64_t, CloakError> prepareFork(DomainId parent);
     Expected<void, CloakError> snapshotFork(DomainId parent,
-                                            std::uint64_t token);
+                                            std::uint64_t token,
+                                            Pid child_pid);
     Expected<DomainId, CloakError> forkAttach(Asid child_asid,
                                               Pid child_pid,
                                               std::uint64_t token);
@@ -611,7 +614,6 @@ class CloakEngine : public vmm::CloakBackend
     /** Frames currently holding plaintext, indexed by guest frame
      *  number; grows to the highest frame that ever held plaintext. */
     std::vector<PlaintextRef> plaintextIndex_;
-    std::size_t plaintextFrames_ = 0;
 
     /** sealPlaintextFrames' work list (owner, page) and the one
      *  resource batch it hands to encryptPages. */
@@ -629,6 +631,8 @@ class CloakEngine : public vmm::CloakBackend
     struct PendingFork
     {
         DomainId parent = systemDomain;
+        /** The one pid that may attach (set by the snapshot). */
+        Pid child = 0;
         bool snapshotted = false;
         std::vector<PendingRegion> regions;
         GuestVA ctcVa = 0;

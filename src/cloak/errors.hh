@@ -24,7 +24,8 @@ enum class CloakError : std::uint8_t
     UnknownDomain,          ///< Operation on a domain id that does not exist.
     NoCtcHash,              ///< CTC verified before any record was saved.
     CtcHashMismatch,        ///< CTC contents differ from the VMM-held copy.
-    BadForkToken,           ///< Fork token unknown or for another domain.
+    BadForkToken,           ///< Fork token unknown, for another domain, or
+                            ///< presented by a pid other than the child.
     ForkAlreadySnapshotted, ///< snapshotFork called twice for one token.
     ForkNotSnapshotted,     ///< forkAttach before snapshotFork.
     UnknownResource,        ///< Resource id absent from the metadata store.

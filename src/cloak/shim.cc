@@ -704,8 +704,10 @@ Shim::shimFork(const SyscallArgs& args)
         return rv;
     // Snapshot immediately: the kernel just finished eagerly copying
     // our encrypted page images for the child, and nothing has
-    // re-encrypted them yet. The child attaches to this snapshot.
-    std::array<std::uint64_t, 1> t{static_cast<std::uint64_t>(token)};
+    // re-encrypted them yet. Only the child the trap named attaches to
+    // this snapshot.
+    std::array<std::uint64_t, 2> t{static_cast<std::uint64_t>(token),
+                                   static_cast<std::uint64_t>(rv)};
     env_.vcpu().hypercall(vmm::Hypercall::CloakSnapshotFork, t);
     return rv;
 }

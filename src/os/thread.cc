@@ -82,6 +82,35 @@ unpoisonStack([[maybe_unused]] void* base)
 #endif
 }
 
+/** Most stacks a host thread keeps for its next Scheduler. */
+constexpr std::size_t cachedStacksMax = 64;
+
+/** The top of a cached stack that stays resident: guest bodies touch
+ *  1 to 9 pages of it. */
+constexpr std::size_t cachedResidentBytes = 64ull << 10;
+
+/**
+ * Stacks destroyed Schedulers left to the next one on their host
+ * thread, so a System built after another launches its first wave
+ * without mapping; the thread's exit unmaps them.
+ */
+struct StackCache
+{
+    std::vector<void*> stacks;
+
+    StackCache() = default;
+    StackCache(const StackCache&) = delete;
+    StackCache& operator=(const StackCache&) = delete;
+
+    ~StackCache()
+    {
+        for (void* base : stacks)
+            munmap(base, stackBytes);
+    }
+};
+
+thread_local StackCache stackCache;
+
 } // namespace
 
 Scheduler::Scheduler(sim::CostModel& cost)
@@ -117,8 +146,15 @@ Scheduler::~Scheduler()
                "scheduler destroyed with %llu live threads",
                static_cast<unsigned long long>(liveCount_));
     reapFinished();
-    for (void* base : freeStacks_)
-        munmap(base, stackBytes);
+    for (void* base : freeStacks_) {
+        if (stackCache.stacks.size() == cachedStacksMax) {
+            munmap(base, stackBytes);
+            continue;
+        }
+        madvise(stackBottom(base), stackUsable() - cachedResidentBytes,
+                MADV_DONTNEED);
+        stackCache.stacks.push_back(base);
+    }
 }
 
 void*
@@ -127,6 +163,12 @@ Scheduler::takeStack()
     if (!freeStacks_.empty()) {
         void* base = freeStacks_.back();
         freeStacks_.pop_back();
+        return base;
+    }
+    ++heldStacks_;
+    if (!stackCache.stacks.empty()) {
+        void* base = stackCache.stacks.back();
+        stackCache.stacks.pop_back();
         return base;
     }
     void* base = mmap(nullptr, stackBytes, PROT_READ | PROT_WRITE,

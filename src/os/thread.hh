@@ -15,7 +15,9 @@
  * exactly as in a real monolithic kernel. A finished thread's record
  * and stack are released by reapFinished(); stacks go to a free list
  * that the next createThread() reuses, so host memory scales with the
- * live threads, not with every thread ever created.
+ * live threads, not with every thread ever created. A destroyed
+ * scheduler leaves up to 64 stacks, mostly released, to a cache on its
+ * host thread that the next scheduler there draws on before mapping.
  */
 
 #ifndef OSH_OS_THREAD_HH
@@ -208,8 +210,14 @@ class Scheduler
     /** Thread records currently held (live plus unreaped finished). */
     std::size_t threadRecords() const { return threads_.size(); }
 
-    /** Fiber stacks mapped so far (in use plus on the free list). */
+    /** Fiber stacks this scheduler mapped itself, not counting those
+     *  taken from the host thread's cache of finished schedulers'
+     *  stacks. */
     std::size_t mappedStacks() const { return mappedStacks_; }
+
+    /** Fiber stacks this scheduler holds, mapped or taken from the
+     *  cache (in use plus on the free list). */
+    std::size_t heldStacks() const { return heldStacks_; }
 
     StatGroup& stats() { return stats_; }
 
@@ -241,7 +249,8 @@ class Scheduler
     /** Finish a switch into @p self (sanitizer bookkeeping). */
     void landed(Fiber& self);
 
-    /** A stack from the free list, or a freshly mapped one. */
+    /** A stack from the free list, else from the host thread's
+     *  cache, else a freshly mapped one. */
     void* takeStack();
 
     /** Bind a freshly dispatched thread to a core slot (seeded
@@ -281,6 +290,7 @@ class Scheduler
     /** Stacks of released threads, reused before mapping new ones. */
     std::vector<void*> freeStacks_;
     std::size_t mappedStacks_ = 0;
+    std::size_t heldStacks_ = 0;
 
     StatGroup stats_;
 };

@@ -51,7 +51,6 @@ enum class Hypercall : std::uint64_t
     CloakUnregisterRegion = 3,
     CloakRegisterThread = 4, ///< Register a thread's CTC + bounce area.
     CloakSealMetadata = 5,   ///< Persist a resource's metadata (files).
-    CloakInfo = 6,           ///< Query cloak statistics.
     CloakPrepareFork = 7,    ///< Parent authorizes a fork attach.
     CloakForkAttach = 8,     ///< Child clones the parent's protection.
     CloakAttachFile = 9,     ///< Attach/create a protected file resource.

@@ -23,11 +23,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 namespace osh
 {
@@ -493,41 +500,134 @@ TEST(SchedulerReap, SystemRunReleasesFinishedThreads)
     EXPECT_EQ(sys.sched().threadRecords(), 0u);
 }
 
-TEST(SchedulerReap, TenantWavesReuseStacks)
+/** The tenants benchmark shape: waves of 24 short cloaked processes
+ *  on 4 vCPUs with a 500-op tick. */
+constexpr std::uint64_t tenantSeed = 42;
+constexpr std::uint64_t tenantWave = 24;
+
+SystemConfig
+tenantConfig()
 {
-    // The tenants benchmark shape: waves of 24 short cloaked processes
-    // on 4 vCPUs with a 500-op tick. Released stacks are reused, so
-    // three waves never map more stacks than one wave has threads, and
-    // no driver-launched process outlives its wave as a zombie.
-    constexpr std::uint64_t seed = 42;
-    constexpr std::uint64_t wave = 24;
-    auto cfg = SystemConfig::Builder{}
-                   .seed(seed)
-                   .cloaking(true)
-                   .vcpus(4)
-                   .preemptOpsPerTick(500)
-                   .build();
-    System sys(cfg);
-    workloads::registerAll(sys);
-    for (std::uint64_t w = 0; w < 3; ++w) {
+    return SystemConfig::Builder{}
+        .seed(tenantSeed)
+        .cloaking(true)
+        .vcpus(4)
+        .preemptOpsPerTick(500)
+        .build();
+}
+
+/** Run @p waves tenant waves on @p sys, checking every exit status and
+ *  that no driver-launched process outlives its wave as a zombie. */
+void
+runTenantWaves(System& sys, std::uint64_t waves)
+{
+    for (std::uint64_t w = 0; w < waves; ++w) {
         std::vector<Pid> pids;
-        for (std::uint64_t i = 0; i < wave; ++i)
+        for (std::uint64_t i = 0; i < tenantWave; ++i)
             pids.push_back(sys.launch("wl.tenant", {std::to_string(i)}));
         sys.run();
-        for (std::uint64_t i = 0; i < wave; ++i) {
+        for (std::uint64_t i = 0; i < tenantWave; ++i) {
             const system::ExitResult* r = sys.resultOf(pids[i]);
             ASSERT_NE(r, nullptr);
-            EXPECT_EQ(r->status, workloads::tenantStatus(seed, i))
+            EXPECT_EQ(r->status, workloads::tenantStatus(tenantSeed, i))
                 << "wave " << w << " tenant " << i << ": "
                 << r->killReason;
         }
         EXPECT_EQ(sys.sched().threadRecords(), 0u) << "wave " << w;
         EXPECT_TRUE(sys.kernel().pids().empty()) << "wave " << w;
     }
-    EXPECT_EQ(sys.sched().stats().value("threads_created"), 3 * wave);
-    EXPECT_EQ(sys.kernel().stats().value("zombies_reaped"), 3 * wave);
-    EXPECT_GT(sys.sched().mappedStacks(), 0u);
-    EXPECT_LE(sys.sched().mappedStacks(), wave);
+}
+
+std::size_t
+hostPageBytes()
+{
+    return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/** Resident pages of the @p bytes (a page multiple) that end with the
+ *  page holding @p addr, or -1 with errno set when they are not all
+ *  mapped. */
+long
+residentPagesBelow(std::uintptr_t addr, std::size_t bytes)
+{
+    const std::uintptr_t page = hostPageBytes();
+    const std::uintptr_t end = (addr & ~(page - 1)) + page;
+    std::vector<unsigned char> vec(bytes / page);
+    if (mincore(reinterpret_cast<void*>(end - bytes), bytes,
+                vec.data()) != 0)
+        return -1;
+    return std::count_if(vec.begin(), vec.end(),
+                         [](unsigned char v) { return (v & 1) != 0; });
+}
+
+TEST(SchedulerReap, TenantWavesReuseStacks)
+{
+    // Released stacks are reused, so three waves never hold more
+    // stacks than one wave has threads.
+    System sys(tenantConfig());
+    workloads::registerAll(sys);
+    runTenantWaves(sys, 3);
+    EXPECT_EQ(sys.sched().stats().value("threads_created"),
+              3 * tenantWave);
+    EXPECT_EQ(sys.kernel().stats().value("zombies_reaped"),
+              3 * tenantWave);
+    EXPECT_GT(sys.sched().heldStacks(), 0u);
+    EXPECT_LE(sys.sched().heldStacks(), tenantWave);
+    EXPECT_LE(sys.sched().mappedStacks(), sys.sched().heldStacks());
+}
+
+TEST(SchedulerStacks, NextSystemOnThreadMapsNoStacks)
+{
+    // A destroyed System leaves its stacks to the host thread: the next
+    // System there launches its first wave without mapping one.
+    {
+        System first(tenantConfig());
+        workloads::registerAll(first);
+        runTenantWaves(first, 1);
+    }
+    System second(tenantConfig());
+    workloads::registerAll(second);
+    runTenantWaves(second, 1);
+    EXPECT_EQ(second.sched().mappedStacks(), 0u);
+    EXPECT_GT(second.sched().heldStacks(), 0u);
+    EXPECT_LE(second.sched().heldStacks(), tenantWave);
+}
+
+TEST(SchedulerStacks, HostThreadExitUnmapsCachedStacks)
+{
+    // The same on a fresh host thread, whose exit unmaps every stack it
+    // cached: a frame address a guest body saw is unmapped after join.
+    std::uintptr_t frame = 0;
+    std::size_t second_mapped = 0;
+    std::size_t second_held = 0;
+    std::thread host([&] {
+        {
+            System first(tenantConfig());
+            workloads::registerAll(first);
+            runTenantWaves(first, 1);
+        }
+        System second(tenantConfig());
+        workloads::registerAll(second);
+        second.addProgram("frame", os::Program{[&frame](os::Env&) {
+            frame = reinterpret_cast<std::uintptr_t>(
+                __builtin_frame_address(0));
+            return 0;
+        }, true, 16});
+        runTenantWaves(second, 1);
+        Pid pid = second.launch("frame");
+        second.run();
+        const system::ExitResult* r = second.resultOf(pid);
+        EXPECT_TRUE(r != nullptr && r->status == 0);
+        second_mapped = second.sched().mappedStacks();
+        second_held = second.sched().heldStacks();
+    });
+    host.join();
+    EXPECT_EQ(second_mapped, 0u);
+    EXPECT_GT(second_held, 0u);
+    ASSERT_NE(frame, 0u);
+    errno = 0;
+    EXPECT_EQ(residentPagesBelow(frame, hostPageBytes()), -1);
+    EXPECT_EQ(errno, ENOMEM);
 }
 
 /** Burn at least @p bytes of host stack, one 64 KiB frame at a time. */
@@ -569,6 +669,37 @@ TEST(SchedulerFibers, DeepGuestStackExitsCleanly)
         EXPECT_EQ(r->status, 7);
     }
     EXPECT_EQ(sys.sched().threadRecords(), 0u);
+}
+
+TEST(SchedulerStacks, CachedDeepStackKeepsOnlyItsTop)
+{
+    // A stack that a guest recursed through 3 MiB of goes to the host
+    // thread's cache with all but its top 64 KiB released.
+    constexpr std::size_t depth = 3u << 20;
+    constexpr std::size_t span = 4u << 20;
+    std::uintptr_t frame = 0;
+    long resident_before = 0;
+    {
+        auto cfg = SystemConfig::Builder{}.seed(5).cloaking(true).build();
+        System sys(cfg);
+        sys.addProgram("deep", os::Program{[&frame](os::Env&) {
+            frame = reinterpret_cast<std::uintptr_t>(
+                __builtin_frame_address(0));
+            return deepRecurse(depth) > 0 ? 7 : 1;
+        }, true, 16});
+        Pid pid = sys.launch("deep");
+        sys.run();
+        const system::ExitResult* r = sys.resultOf(pid);
+        ASSERT_NE(r, nullptr);
+        EXPECT_EQ(r->status, 7) << r->killReason;
+        ASSERT_NE(frame, 0u);
+        resident_before = residentPagesBelow(frame, span);
+    }
+    const auto page = static_cast<long>(hostPageBytes());
+    EXPECT_GT(resident_before * page, static_cast<long>(depth) / 2);
+    long resident = residentPagesBelow(frame, span);
+    ASSERT_GE(resident, 0) << "cached stack unmapped: " << strerror(errno);
+    EXPECT_LE(resident * page, 64 * 1024);
 }
 
 } // namespace

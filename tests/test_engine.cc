@@ -425,9 +425,9 @@ TEST_F(EngineTest, ForkAttachRequiresToken)
     auto early = engine_.forkAttach(9, 9, token);
     ASSERT_FALSE(early.ok());
     EXPECT_EQ(early.error(), cloak::CloakError::ForkNotSnapshotted);
-    ASSERT_TRUE(engine_.snapshotFork(domain_, token).ok());
+    ASSERT_TRUE(engine_.snapshotFork(domain_, token, 9).ok());
     // Snapshots are single use too.
-    auto again = engine_.snapshotFork(domain_, token);
+    auto again = engine_.snapshotFork(domain_, token, 9);
     ASSERT_FALSE(again.ok());
     EXPECT_EQ(again.error(),
               cloak::CloakError::ForkAlreadySnapshotted);
@@ -440,15 +440,63 @@ TEST_F(EngineTest, ForkAttachRequiresToken)
               programIdentity("victim"));
 }
 
+TEST_F(EngineTest, ForkTokenAttachesOnlyItsChild)
+{
+    // Through the hypercalls a shim issues: the parent names the child
+    // pid its fork trap returned, so a third process presenting the
+    // token is refused (audited) and the real child still attaches.
+    constexpr Pid childPid = 9;
+    constexpr Pid thiefPid = 10;
+    auto parent = appCpu();
+    std::int64_t token =
+        parent.hypercall(vmm::Hypercall::CloakPrepareFork, {});
+    ASSERT_GT(token, 0);
+    std::array<std::uint64_t, 2> snap{static_cast<std::uint64_t>(token),
+                                      childPid};
+    ASSERT_EQ(parent.hypercall(vmm::Hypercall::CloakSnapshotFork, snap),
+              0);
+
+    std::array<std::uint64_t, 1> attach{static_cast<std::uint64_t>(token)};
+    vmm::Vcpu thief(vmm_, vmm::Context{thiefPid, systemDomain, false});
+    std::size_t audited = engine_.auditLog().size();
+    EXPECT_EQ(thief.hypercall(vmm::Hypercall::CloakForkAttach, attach),
+              static_cast<std::int64_t>(systemDomain));
+    ASSERT_EQ(engine_.auditLog().size(), audited + 1);
+    EXPECT_EQ(engine_.auditLog().back().code,
+              cloak::CloakError::BadForkToken);
+    EXPECT_EQ(engine_.auditLog().back().domain, domain_);
+
+    vmm::Vcpu child(vmm_, vmm::Context{childPid, systemDomain, false});
+    std::int64_t domain =
+        child.hypercall(vmm::Hypercall::CloakForkAttach, attach);
+    ASSERT_GT(domain, 0);
+    EXPECT_EQ(engine_.findDomain(static_cast<DomainId>(domain))->identity,
+              programIdentity("victim"));
+}
+
+TEST_F(EngineTest, RetiredInfoHypercallAnswersNobody)
+{
+    // Hypercall 6 once reported audit, plaintext-frame and domain counts
+    // to any caller; it is gone for cloaked and uncloaked callers alike.
+    constexpr auto retired = static_cast<vmm::Hypercall>(6);
+    auto cloaked = appCpu();
+    auto uncloaked = kernelCpu();
+    for (std::uint64_t selector = 0; selector < 4; ++selector) {
+        std::array<std::uint64_t, 1> a{selector};
+        EXPECT_EQ(cloaked.hypercall(retired, a), -1) << selector;
+        EXPECT_EQ(uncloaked.hypercall(retired, a), -1) << selector;
+    }
+}
+
 TEST_F(EngineTest, ForkSnapshotRequiresOwningDomain)
 {
     std::uint64_t token = engine_.prepareFork(domain_).value();
     DomainId other = engine_.createDomain(12, 12,
                                           programIdentity("other"));
-    auto foreign = engine_.snapshotFork(other, token);
+    auto foreign = engine_.snapshotFork(other, token, 9);
     ASSERT_FALSE(foreign.ok());
     EXPECT_EQ(foreign.error(), cloak::CloakError::BadForkToken);
-    EXPECT_TRUE(engine_.snapshotFork(domain_, token).ok());
+    EXPECT_TRUE(engine_.snapshotFork(domain_, token, 9).ok());
 }
 
 TEST_F(EngineTest, ForkedChildDecryptsInheritedPages)
@@ -464,7 +512,7 @@ TEST_F(EngineTest, ForkedChildDecryptsInheritedPages)
     machine_.memory().write(vmm_.pmap().translate(childGpa), cipher);
 
     std::uint64_t token = engine_.prepareFork(domain_).value();
-    ASSERT_TRUE(engine_.snapshotFork(domain_, token).ok());
+    ASSERT_TRUE(engine_.snapshotFork(domain_, token, 9).ok());
 
     // The parent may keep running and re-encrypt its own pages after
     // the snapshot without invalidating the child's copies.
