@@ -5,7 +5,6 @@
 #include "crypto/hmac.hh"
 
 #include <algorithm>
-#include <cstring>
 
 namespace osh::cloak
 {
@@ -21,7 +20,50 @@ namespace
 /// folded into footprint estimates so the scale bench reflects real
 /// VMM-private memory, not just payload bytes.
 constexpr std::uint64_t mapNodeOverhead = 48;
+
+/** Encoded bytes of one page: index, version, flag, IV, hash. */
+constexpr std::size_t pageRecordBytes = 8 + 8 + 1 + 16 + 32;
 } // namespace
+
+// ---------------------------------------------------------------------------
+// The page-metadata codec
+// ---------------------------------------------------------------------------
+
+void
+encodePageMetas(PayloadWriter& out,
+                const std::map<std::uint64_t, PageMeta>& pages)
+{
+    out.u64(pages.size());
+    for (const auto& [idx, meta] : pages) {
+        out.u64(idx);
+        out.u64(meta.version);
+        out.flag(meta.initialized);
+        out.bytes(meta.iv);
+        out.bytes(meta.hash);
+    }
+}
+
+void
+decodePageMetas(PayloadReader& in, std::map<std::uint64_t, PageMeta>& pages)
+{
+    pages.clear();
+    std::uint64_t count = in.u64();
+    // A count the remaining bytes cannot hold fails before the loop.
+    if (count > in.remaining() / pageRecordBytes)
+        in.fail();
+    for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
+        std::uint64_t idx = in.u64();
+        PageMeta meta;
+        meta.version = in.u64();
+        meta.initialized = in.flag();
+        in.bytes(meta.iv);
+        in.bytes(meta.hash);
+        if (!pages.empty() && idx <= pages.rbegin()->first)
+            in.fail();
+        if (in.ok())
+            pages.emplace_hint(pages.end(), idx, meta);
+    }
+}
 
 // ---------------------------------------------------------------------------
 // MetadataCache
@@ -366,31 +408,14 @@ std::vector<std::uint8_t>
 MetadataStore::seal(const Resource& res, const crypto::HmacKey& seal_key,
                     const crypto::Digest& owner_identity)
 {
-    std::uint64_t version = ++sealVersions_[res.fileKey];
-
-    std::vector<std::uint8_t> out;
-    auto put64 = [&out](std::uint64_t v) {
-        std::uint8_t b[8];
-        storeLe64(b, v);
-        out.insert(out.end(), b, b + 8);
-    };
-
-    put64(res.fileKey);
-    put64(version);
-    out.insert(out.end(), owner_identity.begin(), owner_identity.end());
-    put64(res.pages.size());
-    for (const auto& [idx, meta] : res.pages) {
-        put64(idx);
-        put64(meta.version);
-        out.push_back(meta.initialized ? 1 : 0);
-        out.insert(out.end(), meta.iv.begin(), meta.iv.end());
-        out.insert(out.end(), meta.hash.begin(), meta.hash.end());
-    }
-
-    crypto::Digest mac = crypto::hmacSha256(seal_key, out);
-    out.insert(out.end(), mac.begin(), mac.end());
+    PayloadWriter out;
+    out.u64(res.fileKey);
+    out.u64(++sealVersions_[res.fileKey]);
+    out.bytes(owner_identity);
+    encodePageMetas(out, res.pages);
+    out.bytes(crypto::hmacSha256(seal_key, out.view()));
     stats_.inc(metadataStat("seals"));
-    return out;
+    return out.take();
 }
 
 Expected<void, CloakError>
@@ -398,31 +423,25 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
                       const crypto::HmacKey& seal_key,
                       const crypto::Digest& owner_identity, Resource& dst)
 {
+    // The floor is the header (file key, version, identity), an empty
+    // page list and the MAC: below it there is no MAC to check.
     constexpr std::size_t mac_size = crypto::sha256DigestSize;
-    if (bundle.size() < 8 + 8 + mac_size + 32 + 8)
+    if (bundle.size() < 8 + 8 + 32 + 8 + mac_size)
         return Error(CloakError::SealMalformed);
 
     std::span<const std::uint8_t> body =
         bundle.first(bundle.size() - mac_size);
-    std::span<const std::uint8_t> mac = bundle.last(mac_size);
     crypto::Digest expect = crypto::hmacSha256(seal_key, body);
-    if (!constantTimeEqual(expect, mac)) {
+    if (!constantTimeEqual(expect, bundle.last(mac_size))) {
         stats_.inc(metadataStat("unseal_bad_mac"));
         return Error(CloakError::SealBadMac);
     }
 
-    std::size_t pos = 0;
-    auto get64 = [&](std::uint64_t& v) {
-        v = loadLe64(body.data() + pos);
-        pos += 8;
-    };
-    std::uint64_t file_key, version;
-    get64(file_key);
-    get64(version);
-
+    PayloadReader in(body);
+    std::uint64_t file_key = in.u64();
+    std::uint64_t version = in.u64();
     crypto::Digest identity;
-    std::memcpy(identity.data(), body.data() + pos, identity.size());
-    pos += identity.size();
+    in.bytes(identity);
     if (!constantTimeEqual(identity, owner_identity)) {
         stats_.inc(metadataStat("unseal_bad_identity"));
         return Error(CloakError::SealBadIdentity);
@@ -435,30 +454,12 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
         return Error(CloakError::SealRollback);
     }
 
-    std::uint64_t count;
-    get64(count);
-    constexpr std::size_t per_page = 8 + 8 + 1 + 16 + 32;
-    if (body.size() - pos != count * per_page)
+    std::map<std::uint64_t, PageMeta> pages;
+    decodePageMetas(in, pages);
+    if (!in.done())
         return Error(CloakError::SealMalformed);
 
     dst.fileKey = file_key;
-    std::map<std::uint64_t, PageMeta> pages;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t idx, pv;
-        get64(idx);
-        get64(pv);
-        PageMeta meta;
-        meta.version = pv;
-        meta.initialized = body[pos++] != 0;
-        std::memcpy(meta.iv.data(), body.data() + pos, meta.iv.size());
-        pos += meta.iv.size();
-        std::memcpy(meta.hash.data(), body.data() + pos,
-                    meta.hash.size());
-        pos += meta.hash.size();
-        meta.state = PageState::Encrypted;
-        meta.residentGpa = badAddr;
-        pages[idx] = meta;
-    }
     replacePages(dst, std::move(pages));
     // Advance the rollback floor: once a bundle of this version has
     // been accepted, anything older is a replay — even in a store that

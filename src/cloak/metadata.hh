@@ -32,6 +32,7 @@
 #ifndef OSH_CLOAK_METADATA_HH
 #define OSH_CLOAK_METADATA_HH
 
+#include "base/bytes.hh"
 #include "base/expected.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -70,6 +71,24 @@ struct PageMeta
     bool initialized = false;     ///< Has this page ever held data?
     Gpa residentGpa = badAddr;    ///< Frame holding plaintext (if any).
 };
+
+/**
+ * The page-metadata records a sealed bundle and a checkpoint's Resource
+ * record both carry: a u64 count, then per page, in ascending index
+ * order, its index (u64), version (u64), initialized flag (u8), IV
+ * (16 bytes) and integrity hash (32 bytes). State and residency are
+ * not encoded: every decoded page is Encrypted and not resident.
+ */
+void encodePageMetas(PayloadWriter& out,
+                     const std::map<std::uint64_t, PageMeta>& pages);
+
+/**
+ * Replace @p pages with what encodePageMetas wrote. It fails @p in
+ * unless the count fits the bytes that remain, indices strictly ascend
+ * and every flag is 0 or 1: a decode that succeeds re-encodes exactly.
+ */
+void decodePageMetas(PayloadReader& in,
+                     std::map<std::uint64_t, PageMeta>& pages);
 
 /** A cloaked resource: a keyed collection of page metadata. */
 struct Resource

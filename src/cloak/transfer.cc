@@ -12,6 +12,7 @@ namespace osh::cloak
 namespace
 {
 
+// Fixed layout over a sized array, no length field: no PayloadReader.
 std::array<std::uint8_t, ctcBytes>
 serializeRegs(const vmm::RegisterFile& regs)
 {

@@ -280,7 +280,7 @@ Sha256::update(std::span<const std::uint8_t> data)
 {
     totalLen_ += data.size();
     std::size_t pos = 0;
-    if (bufferLen_ > 0) {
+    if (bufferLen_ > 0 && !data.empty()) { // An empty span may be null.
         std::size_t take =
             std::min(data.size(), sha256BlockSize - bufferLen_);
         std::memcpy(buffer_.data() + bufferLen_, data.data(), take);

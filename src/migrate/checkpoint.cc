@@ -101,9 +101,12 @@ parseRecord(ParsedImage& img, const Record& rec)
         img.fileMapCursor = pr.u64();
         img.ctcVa = pr.u64();
         img.bounceVa = pr.u64();
-        img.ctc.valid = pr.u8() != 0;
+        img.ctc.valid = pr.flag();
         pr.bytes(img.ctc.hash);
-        if (!pr.done())
+        // An invalid digest is imported as all zeros, so only that
+        // encodes it.
+        if (!pr.done() ||
+            (!img.ctc.valid && img.ctc.hash != crypto::Digest{}))
             return Error(MigrateError::BadRecord);
         img.haveProcess = true;
         return {};
@@ -114,17 +117,19 @@ parseRecord(ParsedImage& img, const Record& rec)
         vma.end = pr.u64();
         vma.type = static_cast<os::VmaType>(pr.u8());
         vma.prot = pr.u64();
-        vma.shared = pr.u8() != 0;
-        vma.cloaked = pr.u8() != 0;
+        vma.shared = pr.flag();
+        vma.cloaked = pr.flag();
         vma.inode = pr.u64();
         vma.fileOffset = pr.u64();
         // checkpoint() refuses file mappings, so an image never holds
         // one; a file VMA here would map an inode it holds no
-        // reference on.
+        // reference on. VMAs come in address order and never overlap,
+        // as the address space holds them.
         if (!pr.done() || vma.start >= vma.end ||
             vma.start != pageBase(vma.start) ||
             vma.end != pageBase(vma.end) ||
-            vma.type != os::VmaType::Anon)
+            vma.type != os::VmaType::Anon ||
+            (!img.vmas.empty() && vma.start < img.vmas.back().end))
             return Error(MigrateError::BadRecord);
         img.vmas.push_back(vma);
         return {};
@@ -135,8 +140,16 @@ parseRecord(ParsedImage& img, const Record& rec)
         r.pages = pr.u64();
         r.resourceIndex = pr.u64();
         r.resourcePageOffset = pr.u64();
-        if (!pr.done())
+        // registerRegion would page-align the start and refuse an
+        // overlap (by the same test as here); an image holds neither.
+        if (!pr.done() || r.start != pageBase(r.start) ||
+            r.pages > (~GuestVA{0} - r.start) / pageSize)
             return Error(MigrateError::BadRecord);
+        for (const ParsedImage::RegionRec& o : img.regions) {
+            if (r.start < o.start + o.pages * pageSize &&
+                o.start < r.start + r.pages * pageSize)
+                return Error(MigrateError::BadRecord);
+        }
         img.regions.push_back(r);
         return {};
       }
@@ -146,45 +159,27 @@ parseRecord(ParsedImage& img, const Record& rec)
             return Error(MigrateError::BadRecord);
         ParsedImage::ResourceRec res;
         res.keyId = pr.u64();
-        res.isFile = pr.u8() != 0;
+        res.isFile = pr.flag();
         res.fileKey = pr.u64();
-        std::uint64_t count = pr.u64();
-        if (!pr.ok() || count > (std::uint64_t{1} << 32))
-            return Error(MigrateError::BadRecord);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            std::uint64_t idx = pr.u64();
-            cloak::PageMeta meta;
-            meta.version = pr.u64();
-            meta.initialized = pr.u8() != 0;
-            pr.bytes(meta.iv);
-            pr.bytes(meta.hash);
-            meta.state = cloak::PageState::Encrypted;
-            meta.residentGpa = badAddr;
-            res.pages[idx] = meta;
-        }
+        cloak::decodePageMetas(pr, res.pages);
         if (!pr.done())
             return Error(MigrateError::BadRecord);
         img.resources.push_back(std::move(res));
         return {};
       }
       case RecordType::PageData: {
-        if (rec.payload.size() != 8 + pageSize)
-            return Error(MigrateError::BadRecord);
         GuestVA va = pr.u64();
-        if (va != pageBase(va))
+        pr.bytes(img.pages[va]);
+        if (!pr.done() || va != pageBase(va))
             return Error(MigrateError::BadRecord);
-        auto& bytes = img.pages[va];
-        pr.bytes(bytes);
         return {};
       }
       case RecordType::SealedBundle: {
         std::uint64_t file_key = pr.u64();
-        std::uint64_t len = pr.u64();
-        if (!pr.ok() || len != rec.payload.size() - 16)
+        std::span<const std::uint8_t> bundle = pr.span(pr.u64());
+        if (!pr.done())
             return Error(MigrateError::BadRecord);
-        std::vector<std::uint8_t> bytes(len);
-        pr.bytes(bytes);
-        img.bundles[file_key] = std::move(bytes);
+        img.bundles[file_key].assign(bundle.begin(), bundle.end());
         return {};
       }
       case RecordType::SealVersion: {
@@ -198,6 +193,17 @@ parseRecord(ParsedImage& img, const Record& rec)
       default:
         return Error(MigrateError::BadRecord);
     }
+}
+
+/** Whether the sorted, disjoint @p vmas cover [start, end). */
+bool
+mapped(const std::vector<os::Vma>& vmas, GuestVA start, GuestVA end)
+{
+    for (const os::Vma& vma : vmas) {
+        if (vma.start <= start && start < vma.end)
+            start = vma.end;
+    }
+    return start >= end;
 }
 
 /** The current bytes of a page: its frame if present, its swap slot if
@@ -311,7 +317,7 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         p.u64(domain->ctcVa);
         p.u64(domain->bounceVa);
         cloak::CtcDigest ctc = engine->exportCtcDigest(domain->id);
-        p.u8(ctc.valid ? 1 : 0);
+        p.flag(ctc.valid);
         p.bytes(ctc.hash);
         writer.append(RecordType::Process, p.view());
     }
@@ -321,8 +327,8 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         p.u64(vma.end);
         p.u8(static_cast<std::uint8_t>(vma.type));
         p.u64(vma.prot);
-        p.u8(vma.shared ? 1 : 0);
-        p.u8(vma.cloaked ? 1 : 0);
+        p.flag(vma.shared);
+        p.flag(vma.cloaked);
         p.u64(vma.inode);
         p.u64(vma.fileOffset);
         writer.append(RecordType::Vma, p.view());
@@ -351,16 +357,9 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         PayloadWriter p;
         p.u64(i);
         p.u64(res->keyId);
-        p.u8(res->isFile ? 1 : 0);
+        p.flag(res->isFile);
         p.u64(res->fileKey);
-        p.u64(res->pages.size());
-        for (const auto& [idx, meta] : res->pages) {
-            p.u64(idx);
-            p.u64(meta.version);
-            p.u8(meta.initialized ? 1 : 0);
-            p.bytes(meta.iv);
-            p.bytes(meta.hash);
-        }
+        cloak::encodePageMetas(p, res->pages);
         writer.append(RecordType::Resource, p.view());
     }
 
@@ -446,10 +445,20 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
     }
     if (!img.haveProcess || img.vmas.empty())
         return Error(MigrateError::BadRecord);
+    // Resources are numbered by first appearance over the regions, and
+    // every one is named by a region: the order checkpoint() writes.
+    // Every region lies in mapped memory.
+    std::uint64_t named = 0;
     for (const ParsedImage::RegionRec& r : img.regions) {
-        if (r.resourceIndex >= img.resources.size())
+        if (!mapped(img.vmas, r.start, r.start + r.pages * pageSize) ||
+            r.resourceIndex > named ||
+            r.resourceIndex >= img.resources.size())
             return Error(MigrateError::BadRecord);
+        if (r.resourceIndex == named)
+            ++named;
     }
+    if (named != img.resources.size())
+        return Error(MigrateError::BadRecord);
 
     // Everything verified — mutate the target machine. Nothing below
     // can fail with a user-visible error (asserts only), so a refused

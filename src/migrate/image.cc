@@ -3,8 +3,6 @@
 #include "base/bytes.hh"
 #include "base/logging.hh"
 
-#include <cstring>
-
 namespace osh::migrate
 {
 
@@ -38,12 +36,11 @@ chainMac(const crypto::HmacKey& key, const crypto::Digest& prev,
          std::span<const std::uint8_t> header,
          std::span<const std::uint8_t> payload)
 {
-    std::vector<std::uint8_t> buf;
-    buf.reserve(prev.size() + header.size() + payload.size());
-    buf.insert(buf.end(), prev.begin(), prev.end());
-    buf.insert(buf.end(), header.begin(), header.end());
-    buf.insert(buf.end(), payload.begin(), payload.end());
-    return crypto::hmacSha256(key, buf);
+    crypto::HmacSha256 mac(key);
+    mac.update(prev);
+    mac.update(header);
+    mac.update(payload);
+    return mac.final();
 }
 
 } // namespace
@@ -58,12 +55,12 @@ void
 ImageWriter::append(RecordType type, std::span<const std::uint8_t> payload)
 {
     osh_assert(!finished_, "append to a finished image");
-    std::array<std::uint8_t, headerSize> header;
-    storeLe32(header.data(), static_cast<std::uint32_t>(type));
-    storeLe64(header.data() + 4, payload.size());
+    PayloadWriter header;
+    header.u32(static_cast<std::uint32_t>(type));
+    header.u64(payload.size());
 
-    crypto::Digest mac = chainMac(key_, prevMac_, header, payload);
-    out_.insert(out_.end(), header.begin(), header.end());
+    crypto::Digest mac = chainMac(key_, prevMac_, header.view(), payload);
+    out_.insert(out_.end(), header.view().begin(), header.view().end());
     out_.insert(out_.end(), payload.begin(), payload.end());
     out_.insert(out_.end(), mac.begin(), mac.end());
     prevMac_ = mac;
@@ -91,28 +88,23 @@ ImageReader::ImageReader(const crypto::Digest& key,
 Expected<Record, MigrateError>
 ImageReader::next()
 {
-    if (poisoned_)
-        return Error(poison_);
+    if (poison_)
+        return Error(*poison_);
     auto poison = [this](MigrateError e) {
-        poisoned_ = true;
         poison_ = e;
         return Error(e);
     };
     if (atEnd_)
         return poison(MigrateError::BadRecord);
-    if (image_.size() - pos_ < headerSize + macSize)
-        return poison(MigrateError::Truncated);
 
-    std::span<const std::uint8_t> header =
-        image_.subspan(pos_, headerSize);
-    std::uint32_t type = loadLe32(header.data());
-    std::uint64_t len = loadLe64(header.data() + 4);
-    if (len > image_.size() - pos_ - headerSize - macSize)
+    PayloadReader in(image_.subspan(pos_));
+    std::span<const std::uint8_t> header = in.span(headerSize);
+    PayloadReader fields(header);
+    std::uint32_t type = fields.u32();
+    std::span<const std::uint8_t> payload = in.span(fields.u64());
+    std::span<const std::uint8_t> mac = in.span(macSize);
+    if (!in.ok())
         return poison(MigrateError::Truncated);
-    std::span<const std::uint8_t> payload =
-        image_.subspan(pos_ + headerSize, len);
-    std::span<const std::uint8_t> mac =
-        image_.subspan(pos_ + headerSize + len, macSize);
 
     crypto::Digest expect = chainMac(key_, prevMac_, header, payload);
     if (!constantTimeEqual(expect, mac))
@@ -121,106 +113,18 @@ ImageReader::next()
     if (type < static_cast<std::uint32_t>(RecordType::Manifest) ||
         type > static_cast<std::uint32_t>(RecordType::End))
         return poison(MigrateError::BadRecord);
-
-    std::memcpy(prevMac_.data(), mac.data(), macSize);
-    pos_ += headerSize + len + macSize;
+    prevMac_ = expect;
+    pos_ = image_.size() - in.remaining();
 
     Record rec;
     rec.type = static_cast<RecordType>(type);
     rec.payload.assign(payload.begin(), payload.end());
     if (rec.type == RecordType::End) {
-        if (pos_ != image_.size())
+        if (!in.done())
             return poison(MigrateError::BadRecord); // Trailing bytes.
         atEnd_ = true;
     }
     return rec;
-}
-
-// ---------------------------------------------------------------------------
-// Payload helpers
-// ---------------------------------------------------------------------------
-
-void
-PayloadWriter::u32(std::uint32_t v)
-{
-    std::uint8_t b[4];
-    storeLe32(b, v);
-    bytes_.insert(bytes_.end(), b, b + 4);
-}
-
-void
-PayloadWriter::u64(std::uint64_t v)
-{
-    std::uint8_t b[8];
-    storeLe64(b, v);
-    bytes_.insert(bytes_.end(), b, b + 8);
-}
-
-void
-PayloadWriter::str(const std::string& s)
-{
-    u64(s.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-std::uint8_t
-PayloadReader::u8()
-{
-    if (!ok_ || bytes_.size() - pos_ < 1) {
-        ok_ = false;
-        return 0;
-    }
-    return bytes_[pos_++];
-}
-
-std::uint32_t
-PayloadReader::u32()
-{
-    if (!ok_ || bytes_.size() - pos_ < 4) {
-        ok_ = false;
-        return 0;
-    }
-    std::uint32_t v = loadLe32(bytes_.data() + pos_);
-    pos_ += 4;
-    return v;
-}
-
-std::uint64_t
-PayloadReader::u64()
-{
-    if (!ok_ || bytes_.size() - pos_ < 8) {
-        ok_ = false;
-        return 0;
-    }
-    std::uint64_t v = loadLe64(bytes_.data() + pos_);
-    pos_ += 8;
-    return v;
-}
-
-void
-PayloadReader::bytes(std::span<std::uint8_t> out)
-{
-    if (!ok_ || bytes_.size() - pos_ < out.size()) {
-        ok_ = false;
-        std::memset(out.data(), 0, out.size());
-        return;
-    }
-    std::memcpy(out.data(), bytes_.data() + pos_, out.size());
-    pos_ += out.size();
-}
-
-std::string
-PayloadReader::str()
-{
-    std::uint64_t len = u64();
-    if (!ok_ || len > bytes_.size() - pos_) {
-        ok_ = false;
-        return {};
-    }
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_),
-                  len);
-    pos_ += len;
-    return s;
 }
 
 } // namespace osh::migrate

@@ -28,9 +28,10 @@
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace osh::migrate
@@ -144,55 +145,7 @@ class ImageReader
     std::span<const std::uint8_t> image_;
     std::size_t pos_ = 0;
     bool atEnd_ = false;
-    bool poisoned_ = false;
-    MigrateError poison_ = MigrateError::BadRecord;
-};
-
-/**
- * Little-endian payload builder/parser helpers shared by the
- * checkpoint serializer and the restore parser.
- */
-class PayloadWriter
-{
-  public:
-    void u8(std::uint8_t v) { bytes_.push_back(v); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
-    void bytes(std::span<const std::uint8_t> b)
-    {
-        bytes_.insert(bytes_.end(), b.begin(), b.end());
-    }
-    void str(const std::string& s);
-
-    std::span<const std::uint8_t> view() const { return bytes_; }
-
-  private:
-    std::vector<std::uint8_t> bytes_;
-};
-
-/** Bounds-checked payload parser; ok() goes false on any overrun. */
-class PayloadReader
-{
-  public:
-    explicit PayloadReader(std::span<const std::uint8_t> bytes)
-        : bytes_(bytes)
-    {
-    }
-
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    void bytes(std::span<std::uint8_t> out);
-    std::string str();
-
-    /** No overrun so far and (for done()) fully consumed. */
-    bool ok() const { return ok_; }
-    bool done() const { return ok_ && pos_ == bytes_.size(); }
-
-  private:
-    std::span<const std::uint8_t> bytes_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
+    std::optional<MigrateError> poison_; ///< Set by the first failure.
 };
 
 } // namespace osh::migrate

@@ -104,14 +104,12 @@ applyStreamSegment(std::span<const std::uint8_t> segment,
         const Record& r = *rec;
         if (r.type == RecordType::End)
             break;
-        if (r.type != RecordType::PageData ||
-            r.payload.size() != 8 + pageSize)
-            return Error(MigrateError::BadRecord);
         PayloadReader pr(r.payload);
         GuestVA va = pr.u64();
-        if (va != pageBase(va))
-            return Error(MigrateError::BadRecord);
         pr.bytes(fresh[va]);
+        if (r.type != RecordType::PageData || !pr.done() ||
+            va != pageBase(va))
+            return Error(MigrateError::BadRecord);
     }
     // Stage only after the whole segment verified: a segment that
     // fails mid-way must not leave half its pages behind.

@@ -298,6 +298,7 @@ struct BatchComp
  * partial one, and return how many they wrote to @p out, which must
  * hold them all.
  */
+// Fixed layout, no length from ring bytes, no allocation: no PayloadReader.
 
 inline void
 encodeDescs(std::span<const BatchDesc> descs, std::span<std::uint8_t> raw)

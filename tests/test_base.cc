@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 #include <vector>
@@ -77,6 +78,60 @@ TEST(Bytes, ConstantTimeEqual)
     EXPECT_TRUE(constantTimeEqual(a, b));
     EXPECT_FALSE(constantTimeEqual(a, c));
     EXPECT_FALSE(constantTimeEqual(a, d));
+}
+
+TEST(Bytes, PayloadRoundTrip)
+{
+    PayloadWriter w;
+    w.u8(0xab);
+    w.u32(0xdeadbeef);
+    w.u64(0x0123456789abcdefull);
+    w.str("cloak");
+    w.flag(true);
+    std::array<std::uint8_t, 4> blob = {1, 2, 3, 4};
+    w.bytes(blob);
+
+    PayloadReader r(w.view());
+    EXPECT_EQ(r.u8(), 0xab);
+    EXPECT_EQ(r.u32(), 0xdeadbeefu);
+    EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(r.str(), "cloak");
+    EXPECT_TRUE(r.flag());
+    std::array<std::uint8_t, 4> out{};
+    r.bytes(out);
+    EXPECT_EQ(out, blob);
+    EXPECT_TRUE(r.done());
+
+    // Reading past the end flips ok() instead of overrunning.
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_FALSE(r.ok());
+}
+
+TEST(Bytes, PayloadReaderErrorsAreSticky)
+{
+    // A flag byte other than 0 or 1 fails the reader, and every read
+    // after a failure returns zeros, even where bytes remain.
+    const std::vector<std::uint8_t> bytes = {2, 7, 7, 7, 7, 7, 7, 7, 7};
+    PayloadReader r(bytes);
+    r.flag();
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_FALSE(r.done());
+
+    // A length beyond the bytes fails without reading them; so does a
+    // block, which then reads as zeros.
+    PayloadWriter w;
+    w.u64(~0ull);
+    PayloadReader s(w.view());
+    EXPECT_EQ(s.str(), "");
+    EXPECT_FALSE(s.ok());
+    PayloadReader t(std::span<const std::uint8_t>(bytes).first(3));
+    std::array<std::uint8_t, 4> out;
+    out.fill(0xff);
+    t.bytes(out);
+    EXPECT_FALSE(t.ok());
+    EXPECT_EQ(out, (std::array<std::uint8_t, 4>{}));
 }
 
 TEST(Rng, Deterministic)

@@ -596,6 +596,8 @@ TEST(Sha256, IncrementalMatchesOneShot)
     for (std::size_t split : {1u, 7u, 63u, 64u, 65u, 500u, 999u}) {
         Sha256 ctx;
         ctx.update(std::span<const std::uint8_t>(data.data(), split));
+        // An empty span (null data) between two parts changes nothing.
+        ctx.update(std::span<const std::uint8_t>());
         ctx.update(std::span<const std::uint8_t>(data.data() + split,
                                                  data.size() - split));
         EXPECT_EQ(ctx.final(), oneshot);

@@ -488,6 +488,26 @@ TEST_F(EngineTest, RetiredInfoHypercallAnswersNobody)
     }
 }
 
+TEST_F(EngineTest, DomainHypercallsAnswerOnlyCloakedCallers)
+{
+    // Every hypercall that acts on the caller's own domain answers -1
+    // to a caller with none, and CloakCreateDomain answers -1 to all:
+    // a domain comes only from the attested launch path.
+    using vmm::Hypercall;
+    std::array<std::uint64_t, 4> args{appVa + 8 * pageSize, 1, 0, 0};
+    auto uncloaked = kernelCpu();
+    for (Hypercall h :
+         {Hypercall::CloakCreateDomain, Hypercall::CloakRegisterRegion,
+          Hypercall::CloakUnregisterRegion, Hypercall::CloakRegisterThread,
+          Hypercall::CloakSealMetadata, Hypercall::CloakPrepareFork,
+          Hypercall::CloakAttachFile, Hypercall::CloakDiscardFile,
+          Hypercall::CloakTeardownDomain, Hypercall::CloakSnapshotFork})
+        EXPECT_EQ(uncloaked.hypercall(h, args), -1) << static_cast<int>(h);
+    EXPECT_EQ(appCpu().hypercall(Hypercall::CloakCreateDomain, args), -1);
+    ASSERT_NE(engine_.findDomain(domain_), nullptr);
+    EXPECT_EQ(engine_.findDomain(domain_)->regions.size(), 1u);
+}
+
 TEST_F(EngineTest, ForkSnapshotRequiresOwningDomain)
 {
     std::uint64_t token = engine_.prepareFork(domain_).value();

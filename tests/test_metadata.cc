@@ -8,6 +8,7 @@
 #include "cloak/metadata.hh"
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
+#include "mutate.hh"
 #include "sim/cost_model.hh"
 
 #include <gtest/gtest.h>
@@ -175,9 +176,26 @@ class SealTest : public MetadataTest
         return r;
     }
 
+    /** @p body under a fresh MAC: a bundle only the key holder could
+     *  forge, so every check past the MAC sees it. */
+    std::vector<std::uint8_t>
+    reMac(std::vector<std::uint8_t> body) const
+    {
+        crypto::Digest mac = crypto::hmacSha256(key_, body);
+        body.insert(body.end(), mac.begin(), mac.end());
+        return body;
+    }
+
     const crypto::HmacKey key_;
     const crypto::Digest owner_;
 };
+
+// The fixture's bundle: a 56-byte header (file key, version, owner
+// identity, page count), then 65 bytes per page (index, version,
+// initialized flag, IV, hash), then the 32-byte MAC.
+constexpr std::size_t firstPageAt = 56;
+constexpr std::size_t pageRecordSize = 65;
+constexpr std::size_t macSize = 32;
 
 TEST_F(SealTest, SealUnsealRoundTrip)
 {
@@ -323,6 +341,130 @@ TEST_F(SealTest, SplicedPageCountRejected)
     bad.erase(bad.begin() + 60, bad.begin() + 60 + 65);
     Resource& dst = store_.createResource(2, true, 77);
     EXPECT_FALSE(store_.unseal(bad, key_, owner_, dst).ok());
+}
+
+TEST_F(SealTest, ReMacedFlagOtherThanZeroOrOneRejected)
+{
+    Resource& src = makeFileResource();
+    auto bundle = store_.seal(src, key_, owner_);
+    std::vector<std::uint8_t> body(bundle.begin(), bundle.end() - macSize);
+    ASSERT_EQ(body[firstPageAt + 16], 1); // Page 0's initialized flag.
+    body[firstPageAt + 16] = 2;
+
+    Resource& dst = store_.createResource(2, true, 77);
+    auto r = store_.unseal(reMac(body), key_, owner_, dst);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), CloakError::SealMalformed);
+    EXPECT_TRUE(dst.pages.empty());
+}
+
+TEST_F(SealTest, ReMacedRepeatedOrDescendingPageIndexRejected)
+{
+    Resource& src = makeFileResource(); // Pages 0 and 3.
+    auto bundle = store_.seal(src, key_, owner_);
+    std::vector<std::uint8_t> body(bundle.begin(), bundle.end() - macSize);
+    // The second page's index, 3, becomes 0 (repeated), then the first
+    // page's index becomes 5 (descending).
+    for (auto [at, index] : {std::pair{firstPageAt + pageRecordSize, 0},
+                             std::pair{firstPageAt, 5}}) {
+        std::vector<std::uint8_t> bad = body;
+        bad[at] = static_cast<std::uint8_t>(index);
+        Resource& dst = store_.createResource(2, true, 77);
+        auto r = store_.unseal(reMac(bad), key_, owner_, dst);
+        ASSERT_FALSE(r.ok()) << "index " << index;
+        EXPECT_EQ(r.error(), CloakError::SealMalformed);
+        EXPECT_TRUE(dst.pages.empty());
+    }
+}
+
+TEST_F(SealTest, EveryReMacedMutationIsRefusedOrReEncodesExactly)
+{
+    Resource& src = makeFileResource();
+    auto bundle = store_.seal(src, key_, owner_);
+    const std::vector<std::uint8_t> body(bundle.begin(),
+                                         bundle.end() - macSize);
+    std::size_t accepted = 0, refused = 0;
+    test::forEachMutant(body, [&](const std::vector<std::uint8_t>& m) {
+        // A fresh store per mutant: no rollback floor carries over.
+        sim::CostModel cost;
+        MetadataStore store(cost, 4);
+        Resource& dst = store.createResource(2, true, 0);
+        auto r = store.unseal(reMac(m), key_, owner_, dst);
+        if (!r.ok()) {
+            ASSERT_NE(r.error(), CloakError::SealBadMac);
+            ASSERT_TRUE(dst.pages.empty());
+            ASSERT_EQ(dst.fileKey, 0u);
+            ++refused;
+            return;
+        }
+        // What the store accepted, encoded again: the same bytes.
+        PayloadWriter again;
+        again.u64(dst.fileKey);
+        again.u64(store.lastSealedVersion(dst.fileKey));
+        again.bytes(owner_);
+        encodePageMetas(again, dst.pages);
+        ASSERT_TRUE(std::ranges::equal(again.view(), m));
+        ++accepted;
+    });
+    // Accepted: any flip of the file key or bundle version, and per
+    // page of its version, IV and hash, and the flag's 1 -> 0; page 0's
+    // index may become 1 or 2 (still below 3), and every flip of page
+    // 3's index stays above 0. Refused: every identity and count flip,
+    // the other flag flips and every cut.
+    EXPECT_EQ(accepted, 2 * 64 + 2 * (64 + 1 + 128 + 256) + 2 + 64);
+    EXPECT_EQ(accepted + refused, body.size() * 9);
+}
+
+TEST(PageMetaCodec, EveryMutationIsRefusedOrReEncodesExactly)
+{
+    std::map<std::uint64_t, PageMeta> pages;
+    for (std::uint64_t idx : {0ull, 3ull, 1ull << 40}) {
+        PageMeta& meta = pages[idx];
+        meta.version = idx + 1;
+        meta.initialized = idx != 3;
+        meta.iv.fill(static_cast<std::uint8_t>(idx + 7));
+        meta.hash.fill(0x5a);
+    }
+    PayloadWriter w;
+    encodePageMetas(w, pages);
+    const std::vector<std::uint8_t> bytes(w.view().begin(),
+                                          w.view().end());
+    {
+        PayloadReader in(bytes);
+        std::map<std::uint64_t, PageMeta> back;
+        decodePageMetas(in, back);
+        ASSERT_TRUE(in.done());
+        ASSERT_EQ(back.size(), 3u);
+        EXPECT_EQ(back.at(1ull << 40).version, (1ull << 40) + 1);
+        EXPECT_FALSE(back.at(3).initialized);
+    }
+    std::size_t accepted = 0;
+    test::forEachMutant(bytes, [&](const std::vector<std::uint8_t>& m) {
+        PayloadReader in(m);
+        std::map<std::uint64_t, PageMeta> got;
+        decodePageMetas(in, got);
+        if (!in.done())
+            return;
+        PayloadWriter again;
+        encodePageMetas(again, got);
+        ASSERT_TRUE(std::ranges::equal(again.view(), m));
+        ++accepted;
+    });
+    EXPECT_GT(accepted, 0u);
+}
+
+TEST(PageMetaCodec, CountBeyondTheBytesFailsBeforeDecoding)
+{
+    // A count of 2^64 - 1 over one record's worth of bytes: refused on
+    // the count, with nothing decoded.
+    PayloadWriter w;
+    w.u64(~0ull);
+    w.bytes(std::vector<std::uint8_t>(65, 0));
+    PayloadReader in(w.view());
+    std::map<std::uint64_t, PageMeta> pages;
+    decodePageMetas(in, pages);
+    EXPECT_FALSE(in.ok());
+    EXPECT_TRUE(pages.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,13 +5,20 @@
  * deterministic resume across machines, and the stream-replay defense.
  */
 
+#include "base/bytes.hh"
+#include "base/logging.hh"
+#include "cloak/engine.hh"
+#include "cloak/metadata.hh"
+#include "crypto/sha256.hh"
 #include "migrate/checkpoint.hh"
 #include "migrate/live.hh"
+#include "mutate.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,11 +41,11 @@ std::vector<std::uint8_t>
 sampleImage(const crypto::Digest& key)
 {
     migrate::ImageWriter writer(key);
-    migrate::PayloadWriter a;
+    PayloadWriter a;
     a.u64(0x1122334455667788ull);
     a.str("hello");
     writer.append(RecordType::Manifest, a.view());
-    migrate::PayloadWriter b;
+    PayloadWriter b;
     b.u32(7);
     writer.append(RecordType::Vma, b.view());
     return writer.finish();
@@ -85,31 +92,6 @@ launchFrozen(system::System& sys, const std::string& workload,
 
 // --- image format ---------------------------------------------------
 
-TEST(MigrateImage, PayloadRoundTrip)
-{
-    migrate::PayloadWriter w;
-    w.u8(0xab);
-    w.u32(0xdeadbeef);
-    w.u64(0x0123456789abcdefull);
-    w.str("cloak");
-    std::array<std::uint8_t, 4> blob = {1, 2, 3, 4};
-    w.bytes(blob);
-
-    migrate::PayloadReader r(w.view());
-    EXPECT_EQ(r.u8(), 0xab);
-    EXPECT_EQ(r.u32(), 0xdeadbeefu);
-    EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
-    EXPECT_EQ(r.str(), "cloak");
-    std::array<std::uint8_t, 4> out{};
-    r.bytes(out);
-    EXPECT_EQ(out, blob);
-    EXPECT_TRUE(r.done());
-
-    // Reading past the end flips ok() instead of overrunning.
-    EXPECT_EQ(r.u64(), 0u);
-    EXPECT_FALSE(r.ok());
-}
-
 TEST(MigrateImage, ChainRoundTrip)
 {
     const crypto::Digest key = testKey(0x5a);
@@ -119,7 +101,7 @@ TEST(MigrateImage, ChainRoundTrip)
     auto first = reader.next();
     ASSERT_TRUE(first.ok());
     EXPECT_EQ((*first).type, RecordType::Manifest);
-    migrate::PayloadReader pr((*first).payload);
+    PayloadReader pr((*first).payload);
     EXPECT_EQ(pr.u64(), 0x1122334455667788ull);
     EXPECT_EQ(pr.str(), "hello");
 
@@ -203,7 +185,7 @@ TEST(MigrateStream, ReplayedRoundIsRefusedAndStagesNothing)
 {
     const crypto::Digest base = testKey(0x11);
     migrate::ImageWriter writer(migrate::streamRoundKey(base, 0));
-    migrate::PayloadWriter p;
+    PayloadWriter p;
     p.u64(0x10000000);
     std::array<std::uint8_t, pageSize> page{};
     page.fill(0xcd);
@@ -424,6 +406,229 @@ TEST(MigrateCheckpoint, FileMappingRecordIsRefused)
     EXPECT_TRUE(migrate::restore(dst, (*ckpt).image, (*ckpt).ticket).ok());
     dst.run();
     src.killFrozen(pid, "migrated away");
+}
+
+/** A checkpoint of wl.victim.compute (seed 7, 16 entries, nonce 5)
+ *  split into its records, End excluded. */
+struct SplitImage
+{
+    migrate::Ticket ticket;
+    crypto::Digest key{};
+    std::vector<migrate::Record> records;
+
+    SplitImage()
+    {
+        system::System src(victimConfig("wl.victim.compute", 7));
+        workloads::registerAll(src);
+        Pid pid = launchFrozen(src, "wl.victim.compute", 16);
+        migrate::CheckpointOptions copts;
+        copts.nonce = 5;
+        auto ckpt = migrate::checkpoint(src, pid, copts);
+        EXPECT_TRUE(ckpt.ok());
+        src.killFrozen(pid, "checkpointed");
+        ticket = (*ckpt).ticket;
+        key = src.cloak()->migrationKey(copts.nonce);
+        migrate::ImageReader reader(key, (*ckpt).image);
+        for (auto rec = reader.next(); (*rec).type != RecordType::End;
+             rec = reader.next())
+            records.push_back(*rec);
+    }
+
+    /** @p recs chained under the image's key: only the decoder can
+     *  refuse what they say. */
+    std::vector<std::uint8_t>
+    chain(const std::vector<migrate::Record>& recs) const
+    {
+        migrate::ImageWriter writer(key);
+        for (const migrate::Record& r : recs)
+            writer.append(r.type, r.payload);
+        return writer.finish();
+    }
+};
+
+/** A fresh restore target for wl.victim.compute. */
+std::unique_ptr<system::System>
+computeTarget()
+{
+    auto sys =
+        std::make_unique<system::System>(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(*sys);
+    return sys;
+}
+
+TEST(MigrateCheckpoint, EveryMutatedStateRecordIsRefusedOrRoundTrips)
+{
+    const SplitImage split;
+    // Each mutant of one state record (PageData carries no state to
+    // decode). A refusal leaves the target without a process; an
+    // accepted image must checkpoint back to exactly its own bytes.
+    // An accepted mutant's exit can leave machine-wide state (a sealed
+    // bundle, when it made a resource a file), so the next mutant gets
+    // a fresh target.
+    std::unique_ptr<system::System> dst = computeTarget();
+    std::size_t accepted = 0, refused = 0;
+    // A killed mutant whose page metadata was flipped fails its
+    // integrity check on the way out, and says so once per mutant.
+    LogSink logged = setLogSink([](LogLevel, const std::string&) {});
+    for (std::size_t at = 0; at < split.records.size(); ++at) {
+        RecordType type = split.records[at].type;
+        if (type != RecordType::Process && type != RecordType::Vma &&
+            type != RecordType::Region && type != RecordType::Resource)
+            continue;
+        test::forEachMutant(split.records[at].payload, [&](const auto& m) {
+            if (HasFailure())
+                return;
+            std::vector<migrate::Record> recs = split.records;
+            recs[at].payload = m;
+            std::vector<std::uint8_t> image = split.chain(recs);
+            auto restored = migrate::restore(*dst, image, split.ticket);
+            if (!restored.ok()) {
+                EXPECT_TRUE(dst->kernel().pids().empty());
+                ++refused;
+                return;
+            }
+            migrate::CheckpointOptions copts;
+            copts.nonce = 5;
+            auto again = migrate::checkpoint(*dst, (*restored).pid, copts);
+            EXPECT_TRUE(again.ok() && (*again).image == image)
+                << "record " << at << ", a mutant of " << m.size()
+                << " bytes";
+            dst->kernel().killProcess(
+                dst->kernel().process((*restored).pid), "mutant");
+            dst->run();
+            dst = computeTarget();
+            ++accepted;
+        });
+    }
+    setLogSink(logged);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
+}
+
+TEST(MigrateCheckpoint, NonCanonicalRegionsAreRefused)
+{
+    // Region layouts no single bit flip reaches. Each would be
+    // restored differently from how it reads (an overlap would stop
+    // the simulator in registerRegion), so each is refused whole.
+    const SplitImage split;
+    struct RegionRec
+    {
+        GuestVA start;
+        std::uint64_t pages, resource, offset;
+    };
+    std::vector<std::size_t> at; // Where the Region records sit.
+    std::vector<RegionRec> regions;
+    for (std::size_t i = 0; i < split.records.size(); ++i) {
+        if (split.records[i].type != RecordType::Region)
+            continue;
+        PayloadReader in(split.records[i].payload);
+        at.push_back(i);
+        regions.push_back({in.u64(), in.u64(), in.u64(), in.u64()});
+    }
+    // Three regions over three resources, the first two of them at
+    // least two pages long.
+    ASSERT_EQ(regions.size(), 3u);
+    ASSERT_GE(regions[0].pages, 2u);
+    ASSERT_GE(regions[1].pages, 2u);
+    // The image with its Region records replaced by @p layout; a
+    // fourth region goes after the third.
+    auto with = [&](const std::vector<RegionRec>& layout) {
+        std::vector<migrate::Record> recs = split.records;
+        for (std::size_t k = 0; k < layout.size(); ++k) {
+            PayloadWriter w;
+            w.u64(layout[k].start);
+            w.u64(layout[k].pages);
+            w.u64(layout[k].resource);
+            w.u64(layout[k].offset);
+            migrate::Record rec{RecordType::Region, w.take()};
+            if (k < at.size())
+                recs[at[k]] = rec;
+            else
+                recs.insert(recs.begin() + at.back() + 1, rec);
+        }
+        return split.chain(recs);
+    };
+    const RegionRec& a = regions[0];
+    const RegionRec& b = regions[1];
+    const std::uint64_t half = b.pages / 2;
+    const std::vector<std::vector<RegionRec>> layouts = {
+        // The third region moved onto the first page of the first.
+        {a, b, {a.start, 1, 2, 0}},
+        // The first region starting mid-page, one page shorter.
+        {{a.start + 16, a.pages - 1, 0, 0}, b, regions[2]},
+        // The second region split around the third, so resources are
+        // named 0, 2, 1, 2: not in order of first appearance.
+        {a, {b.start, half, 2, 0}, {regions[2].start, 1, 1, 0},
+         {b.start + half * pageSize, b.pages - half, 2, half}},
+    };
+    auto dst = computeTarget();
+    for (std::size_t k = 0; k < layouts.size(); ++k) {
+        auto r = migrate::restore(*dst, with(layouts[k]), split.ticket);
+        ASSERT_FALSE(r.ok()) << "layout " << k;
+        EXPECT_EQ(r.error(), MigrateError::BadRecord) << "layout " << k;
+        EXPECT_TRUE(dst->kernel().pids().empty());
+    }
+}
+
+/** SHA-256 of @p bytes, in lowercase hex. */
+std::string
+digestHex(std::span<const std::uint8_t> bytes)
+{
+    return toHex(crypto::Sha256::hash(bytes));
+}
+
+TEST(MigrateCheckpoint, ImageBytesArePinned)
+{
+    // A checkpoint image and a sealed bundle are read by another
+    // machine (or a later boot), so their bytes are a format. A digest
+    // that moves here is a format change: make it on purpose, with a
+    // new imageFormatVersion, or not at all.
+    struct Cut
+    {
+        const char* workload;
+        std::uint64_t entries;
+        const char* sha256;
+    };
+    const Cut cuts[] = {
+        {"wl.victim.compute", 12,
+         "85ba2e88c650e544a4391682500872557f62595dd8836d2e7d45ef2fda77588c"},
+        {"wl.victim.compute", 24,
+         "5c730f0685a5600bc98af7fd53a65a25b15777c0941c8a1e7b34309c42b1aa2d"},
+        {"wl.victim.paging", 12,
+         "2e82f7fbbc7acae41337c0d2727a2e82d14921e6d40e810de1e511fa4a5984a0"},
+        {"wl.victim.paging", 24,
+         "f0e073ee4ff29217eb7559bbf363f22c920613bca71cf8e9142390d032e4af58"},
+    };
+    for (const Cut& c : cuts) {
+        system::System sys(victimConfig(c.workload, 42));
+        workloads::registerAll(sys);
+        Pid pid = launchFrozen(sys, c.workload, c.entries);
+        auto ckpt = migrate::checkpoint(sys, pid, {});
+        ASSERT_TRUE(ckpt.ok()) << c.workload;
+        EXPECT_EQ(digestHex((*ckpt).image), c.sha256)
+            << c.workload << " after " << c.entries << " entries";
+        sys.killFrozen(pid, "pinned");
+    }
+
+    // One fixed sealed bundle: two pages of a file resource, sealed
+    // under a fixed key for a fixed owner.
+    sim::CostModel cost;
+    cloak::MetadataStore store(cost, 4);
+    cloak::Resource& file = store.createResource(1, true, 0x77);
+    for (std::uint8_t idx : {0, 5}) {
+        cloak::PageMeta& meta = store.page(file, idx);
+        meta.version = idx + 3u;
+        meta.initialized = idx == 0;
+        meta.iv.fill(idx + 1);
+        meta.hash.fill(0xa0 + idx);
+    }
+    crypto::Digest key;
+    key.fill(0x42);
+    std::vector<std::uint8_t> bundle =
+        store.seal(file, crypto::HmacKey(key),
+                   cloak::programIdentity("wl.victim.fileio"));
+    EXPECT_EQ(digestHex(bundle),
+              "82a202ebf8ae1e1926e4a71ca58c5a0886b696db3134860052726e7d77693f14");
 }
 
 /** Cold round trip: the migrated victim must finish with the same
