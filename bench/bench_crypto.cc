@@ -21,12 +21,10 @@
  *     metadata and simulated cycles are bit-identical at every worker
  *     count (the pool's determinism contract).
  *
- *  3. Simulated cycles: the kernel pre-seal hint (sealPlaintextFrames,
- *     one encryptPages batch) measured against the equivalent
- *     per-page fault-driven seals. The batch API is documented to
- *     charge byte-identical simulated cost; this bench asserts that
- *     and writes both totals to BENCH_crypto.json so the perf harness
- *     (bench/compare.py) pins them.
+ *  3. Simulated cycles: sealing 32 dirty cloaked pages for the kernel
+ *     through its view, the one way such a page is sealed (a
+ *     fault-driven seal per page). The total goes to BENCH_crypto.json
+ *     so the perf harness (bench/compare.py) pins it.
  *
  * `--quick` shrinks the host-time iteration counts for sanitizer CI;
  * the simulated-cycle metrics are iteration-count-fixed and identical
@@ -375,7 +373,7 @@ runHostSection(bench::BenchReport& report, bool quick)
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: simulated cycles, batched vs per-page engine API
+// Section 2: simulated cycles of fault-driven page seals
 // ---------------------------------------------------------------------------
 
 /** Minimal guest OS for driving the engine directly. */
@@ -471,15 +469,6 @@ struct Ctx
             app.store64(Harness::appVa + i * pageSize, ++scratch);
     }
 
-    std::array<Gpa, benchPages>
-    gpas() const
-    {
-        std::array<Gpa, benchPages> v{};
-        for (std::uint64_t i = 0; i < benchPages; ++i)
-            v[i] = Harness::gpa0 + i * pageSize;
-        return v;
-    }
-
     Harness h;
     vmm::Vcpu app;
     vmm::Vcpu kernel;
@@ -514,38 +503,21 @@ fixedCycles(const std::function<void(Ctx&)>& prep,
 void
 runSimSection(bench::BenchReport& report)
 {
-    bench::header("Simulated cycles: batched vs per-page engine API");
+    bench::header("Simulated cycles: fault-driven page seals");
 
-    // Seal 32 dirty pages for the kernel: per-page faults vs one
-    // prepareFramesForKernel hint. Contract: identical cycles.
+    // Seal 32 dirty pages for the kernel: one fault per page.
     std::uint64_t seal_single = fixedCycles(
         [](Ctx& c) { c.dirtyAll(); },
         [](Ctx& c) {
             for (std::uint64_t i = 0; i < benchPages; ++i)
                 c.kernel.load64(Harness::kernelVa + i * pageSize);
         });
-    std::uint64_t seal_batch = fixedCycles(
-        [](Ctx& c) { c.dirtyAll(); },
-        [](Ctx& c) {
-            auto gpas = c.gpas();
-            c.h.vmm.prepareFramesForKernel(gpas);
-            for (std::uint64_t i = 0; i < benchPages; ++i)
-                c.kernel.load64(Harness::kernelVa + i * pageSize);
-        });
 
-    std::printf("  seal %llu dirty pages: per-page faults %llu "
-                "cycles, batched hint %llu cycles\n",
+    std::printf("  seal %llu dirty pages: per-page faults %llu cycles\n",
                 static_cast<unsigned long long>(benchPages),
-                static_cast<unsigned long long>(seal_single),
-                static_cast<unsigned long long>(seal_batch));
-
-    // The batch API's documented contract. A divergence here is a bug,
-    // not a tuning choice — fail loudly before the JSON is compared.
-    osh_assert(seal_single == seal_batch,
-               "batched seal must charge identical simulated cycles");
+                static_cast<unsigned long long>(seal_single));
 
     report.set("seal_single_32.sim_cycles", seal_single);
-    report.set("seal_batch_32.sim_cycles", seal_batch);
 }
 
 // ---------------------------------------------------------------------------

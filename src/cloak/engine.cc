@@ -485,46 +485,6 @@ CloakEngine::encryptPages(Resource& res,
     stats_.inc(cloakStat("batch_encrypt_pages"), items.size());
 }
 
-std::size_t
-CloakEngine::sealPlaintextFrames(std::span<const Gpa> gpas)
-{
-    // Group the resident plaintext frames by owning resource so each
-    // resource's pages go through one encryptPages() batch: resources
-    // in id order, pages in hint order. Frames not holding cloaked
-    // plaintext are skipped — the hint is always safe. Both work lists
-    // are members, so a steady caller reuses their storage.
-    presealWork_.clear();
-    for (Gpa gpa : gpas) {
-        const PlaintextRef* ref = plaintextAt(gpa);
-        if (ref == nullptr)
-            continue;
-        Resource* res = metadata_.lookup(ref->resource).valueOr(nullptr);
-        if (res == nullptr) {
-            clearPlaintext(gpa);
-            continue;
-        }
-        PageMeta& meta = metadata_.page(*res, ref->pageIndex);
-        if (meta.state == PageState::Encrypted)
-            continue;
-        // Insertion keeps the list stably sorted by resource id.
-        presealWork_.push_back({res, {ref->pageIndex, &meta}});
-        for (std::size_t i = presealWork_.size() - 1;
-             i > 0 && presealWork_[i - 1].first->id > res->id; --i)
-            std::swap(presealWork_[i - 1], presealWork_[i]);
-    }
-    for (std::size_t i = 0; i < presealWork_.size();) {
-        Resource* res = presealWork_[i].first;
-        presealBatch_.clear();
-        for (; i < presealWork_.size() && presealWork_[i].first == res; ++i)
-            presealBatch_.push_back(presealWork_[i].second);
-        encryptPages(*res, presealBatch_);
-    }
-    std::size_t sealed = presealWork_.size();
-    if (sealed > 0)
-        stats_.inc(cloakStat("preseal_frames"), sealed);
-    return sealed;
-}
-
 // ---------------------------------------------------------------------------
 // Asynchronous eviction pipeline
 // ---------------------------------------------------------------------------
@@ -905,9 +865,12 @@ CloakEngine::registerRegion(DomainId domain, GuestVA start,
         res->key = keys_.acquire(res->keyId);
     } else {
         res = metadata_.lookup(resource).valueOr(nullptr);
-        osh_assert(res != nullptr, "register to unknown resource");
-        osh_assert(res->domain == domain,
-                   "register to another domain's resource");
+        if (res == nullptr)
+            return auditError(CloakError::UnknownResource, domain,
+                              resource);
+        if (res->domain != domain)
+            return auditError(CloakError::ForeignResource, domain,
+                              resource);
     }
     Region r;
     r.asid = d.asid;

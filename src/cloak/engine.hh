@@ -309,11 +309,11 @@ inline constexpr StatNames cloakStat{
     "file_attaches", "file_discards", "file_seals", "foreign_plaintext_seals",
     "fork_attach_rejected", "fork_attaches", "fork_snapshot_rejected",
     "fork_snapshots", "page_decrypts", "page_encrypts",
-    "plaintext_relocations", "preseal_frames", "regions_registered",
-    "regions_unregistered", "resources_imported", "result_violations",
-    "ring_violations", "shim_batch_traps", "shim_batched_calls",
-    "shim_batches", "shim_emulated_reads", "shim_emulated_writes",
-    "shim_map_grows", "shim_marshalled_reads", "shim_marshalled_writes",
+    "plaintext_relocations", "regions_registered", "regions_unregistered",
+    "resources_imported", "result_violations", "ring_violations",
+    "shim_batch_traps", "shim_batched_calls", "shim_batches",
+    "shim_emulated_reads", "shim_emulated_writes", "shim_map_grows",
+    "shim_marshalled_reads", "shim_marshalled_writes",
     "shim_protected_closes", "shim_protected_opens", "victim_decrypt_hits",
     "victim_decrypt_mismatches", "victim_reencrypt_hits",
     "victim_reencrypt_mismatches", "violations",
@@ -338,7 +338,6 @@ class CloakEngine : public vmm::CloakBackend
                                   vmm::AccessType access) override;
     std::int64_t hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
                            std::span<const std::uint64_t> args) override;
-    std::size_t sealPlaintextFrames(std::span<const Gpa> gpas) override;
     bool evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
                         std::uint64_t slot,
                         std::uint64_t replay_key) override;
@@ -381,7 +380,8 @@ class CloakEngine : public vmm::CloakBackend
     Domain* findDomain(DomainId id);
 
     /** Register/unregister a cloaked VA range for a domain. A range
-     *  overlapping one of the domain's regions is refused. */
+     *  overlapping one of the domain's regions, or naming a resource
+     *  that is unknown or another domain's, is refused. */
     Expected<ResourceId, CloakError>
     registerRegion(DomainId domain, GuestVA start, std::uint64_t pages,
                    ResourceId resource = 0,
@@ -426,11 +426,11 @@ class CloakEngine : public vmm::CloakBackend
     // Checkpoint/restore & live migration services ------------------------
 
     /**
-     * Encrypt every resident plaintext page of a domain in place,
-     * batched per resource (the same bulk path prepareFramesForKernel
-     * uses). After this the domain's entire protected state is
-     * ciphertext + metadata — the canonical form a checkpoint image or
-     * a pre-copy round serializes. Returns the number of pages sealed.
+     * Encrypt every resident plaintext page of a domain in place, one
+     * encryptPages batch per resource. After this the domain's entire
+     * protected state is ciphertext + metadata — the canonical form a
+     * checkpoint image or a pre-copy round serializes. Returns the
+     * number of pages sealed.
      */
     std::size_t sealDomainPlaintext(DomainId id);
 
@@ -485,7 +485,7 @@ class CloakEngine : public vmm::CloakBackend
 
     /**
      * Host worker threads for encryptPages and everything routed
-     * through it (the prepareFramesForKernel pre-seal, domain seals).
+     * through it (domain, region-teardown and protected-file seals).
      * 1 = every seal computes inline, 0 = one lane per hardware
      * thread. Purely a host-speed knob: the lanes only precompute AES
      * and SHA, and every stateful effect runs through the one
@@ -614,11 +614,6 @@ class CloakEngine : public vmm::CloakBackend
     /** Frames currently holding plaintext, indexed by guest frame
      *  number; grows to the highest frame that ever held plaintext. */
     std::vector<PlaintextRef> plaintextIndex_;
-
-    /** sealPlaintextFrames' work list (owner, page) and the one
-     *  resource batch it hands to encryptPages. */
-    std::vector<std::pair<Resource*, PageCryptoItem>> presealWork_;
-    std::vector<PageCryptoItem> presealBatch_;
 
     /** One pre-cloned region awaiting a fork child. */
     struct PendingRegion

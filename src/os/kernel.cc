@@ -656,9 +656,7 @@ Kernel::swapOutAnon(Gpa gpa)
         // Synchronous path (async disabled, or an uncloaked frame).
         // Read the victim frame through the kernel view. If it holds a
         // cloaked plaintext page the cloak engine encrypts it first —
-        // so what reaches the swap device is ciphertext. The hint
-        // routes the seal through the VMM's batched crypto path.
-        vmm_.prepareFramesForKernel(std::span<const Gpa>(&gpa, 1));
+        // so what reaches the swap device is ciphertext.
         std::array<std::uint8_t, pageSize> buf;
         readFrameAsKernel(currentThread(), gpa, buf);
         swap_.writeSlot(*slot, buf);
@@ -746,10 +744,8 @@ Kernel::writebackPage(Inode& ino, std::uint64_t page_index,
     osh_assert(cit != ino.cache.end(), "writeback of uncached page");
     std::array<std::uint8_t, pageSize> buf;
     // Through the kernel view: cloaked file pages hit the disk as
-    // ciphertext (sealed via the batched crypto path when plaintext).
-    Gpa wb_gpa = cit->second.gpa;
-    vmm_.prepareFramesForKernel(std::span<const Gpa>(&wb_gpa, 1));
-    readFrameAsKernel(currentThread(), wb_gpa, buf);
+    // ciphertext (the cloak engine seals a plaintext frame on access).
+    readFrameAsKernel(currentThread(), cit->second.gpa, buf);
 
     std::uint64_t off = page_index * pageSize;
     std::uint64_t needed = off + pageSize;

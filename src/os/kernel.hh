@@ -391,9 +391,6 @@ class Kernel : public vmm::GuestOsHooks, private vmm::EvictionSink
     std::map<Pid, Thread*> threads_;
     Pid nextPid_ = 1;
 
-    /** sysSubmitBatch's pre-seal list, reused by every batch. */
-    std::vector<Gpa> batchPreseal_;
-
     static constexpr std::uint32_t noMapper = ~std::uint32_t{0};
     /** One (asid, va page) mapping of an anonymous frame. */
     struct AnonMapper

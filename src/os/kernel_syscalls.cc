@@ -671,16 +671,10 @@ Kernel::sysFsync(Thread& t, std::uint64_t fd)
         return -errBadF;
     Inode& ino = vfs_.inode(f->inode);
     std::vector<std::uint64_t> dirty;
-    std::vector<Gpa> dirty_gpas;
-    for (auto& [idx, e] : ino.cache) {
-        if (e.dirty) {
+    for (auto& [idx, e] : ino.cache)
+        if (e.dirty)
             dirty.push_back(idx);
-            dirty_gpas.push_back(e.gpa);
-        }
-    }
-    // Seal any cloaked plaintext among the dirty pages in one batch,
-    // then write back: one seek, then streaming.
-    vmm_.prepareFramesForKernel(dirty_gpas);
+    // Write back: one seek, then streaming.
     bool first = true;
     for (std::uint64_t idx : dirty) {
         writebackPage(ino, idx, first);
@@ -776,29 +770,6 @@ Kernel::sysSubmitBatch(Thread& t, GuestVA sub_va, GuestVA comp_va,
     copyFromUser(t, sub_va, sbytes);
     std::span<const BatchDesc> descs =
         std::span(ring).first(decodeDescs(sbytes, ring));
-
-    // Pre-seal hint, once per batch: every present page an I/O
-    // descriptor's buffer spans is about to be touched through the
-    // kernel view, so hand the whole set to the bulk crypto pipeline
-    // up front instead of sealing one fault at a time. The list is
-    // consumed before anything below can switch threads, so one
-    // vector serves every batch.
-    std::vector<Gpa>& preseal = batchPreseal_;
-    preseal.clear();
-    for (const BatchDesc& d : descs) {
-        if (!isTransfer(d.num))
-            continue;
-        GuestVA buf = d.args[1];
-        std::uint64_t len = d.args[2];
-        if (len == 0 || !validUserRange(p, buf, len, false))
-            continue;
-        for (GuestVA va = pageBase(buf); va < buf + len; va += pageSize) {
-            Pte* pte = p.as.findPte(va);
-            if (pte != nullptr && pte->present)
-                preseal.push_back(pageBase(pte->gpa));
-        }
-    }
-    vmm_.prepareFramesForKernel(preseal);
 
     auto& cost = vmm_.machine().cost();
     std::array<BatchComp, maxBatchDepth> comps;
@@ -921,22 +892,6 @@ Kernel::sysFork(Thread& t)
     vas.reserve(parent.as.ptes().size());
     for (const auto& [va, pte] : parent.as.ptes())
         vas.push_back(va);
-
-    // Fork snapshotting: every present cloaked page is about to be
-    // read through the kernel view, which forces its encryption — the
-    // dominant cost of cloaked fork. Hand the whole set to the VMM in
-    // one batch so the crypto runs through the bulk pipeline instead
-    // of one fault at a time.
-    std::vector<Gpa> preseal;
-    for (GuestVA va : vas) {
-        Vma* vma = parent.as.findVma(va);
-        if (vma == nullptr || !vma->cloaked || vma->type == VmaType::File)
-            continue;
-        Pte* ppte = parent.as.findPte(va);
-        if (ppte != nullptr && ppte->present)
-            preseal.push_back(pageBase(ppte->gpa));
-    }
-    vmm_.prepareFramesForKernel(preseal);
 
     for (GuestVA va : vas) {
         Vma* vma = parent.as.findVma(va);

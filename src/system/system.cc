@@ -109,10 +109,20 @@ System::System(const SystemConfig& config)
 
 System::~System()
 {
-    // A frozen thread is still live: end it before the scheduler goes.
-    for (Pid pid : kernel_.pids())
-        if (kernel_.isFrozen(pid))
-            killFrozen(pid, "system destroyed");
+    // End every process still live (frozen, blocked, or launched or
+    // restored but never run) before the scheduler goes: flag each
+    // kill, then one run in which each thread's next kernel entry
+    // ends it.
+    bool live = false;
+    for (Pid pid : kernel_.pids()) {
+        os::Process& proc = kernel_.process(pid);
+        if (proc.state == os::ProcState::Zombie)
+            continue;
+        flagKill(proc, "system destroyed");
+        live = true;
+    }
+    if (live)
+        run();
     kernel_.setProcessHost(nullptr);
 }
 
@@ -147,11 +157,22 @@ System::run()
 void
 System::killFrozen(Pid pid, const std::string& reason)
 {
-    os::Process& proc = kernel_.process(pid);
-    proc.killRequested = true;
-    proc.killReason = reason;
-    kernel_.thaw(pid);
+    flagKill(kernel_.process(pid), reason);
     run();
+}
+
+void
+System::flagKill(os::Process& proc, const std::string& reason)
+{
+    if (kernel_.isFrozen(proc.pid)) {
+        // Thawed, not woken: killProcess() would wake the thread
+        // without the scheduler's freeze accounting.
+        proc.killRequested = true;
+        proc.killReason = reason;
+        kernel_.thaw(proc.pid);
+    } else {
+        kernel_.killProcess(proc, reason);
+    }
 }
 
 ExitResult

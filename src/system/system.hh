@@ -66,14 +66,14 @@ struct SystemConfig
     std::size_t victimCacheEntries = 8;
 
     /**
-     * Host worker threads for batched page seals (encryptPages and
-     * the prepareFramesForKernel pre-seal). 1 (the default) = every
-     * seal computes inline and no host thread starts; 0 = one lane per
-     * hardware thread. Purely a host-speed knob: simulated cycles
-     * (constant-cost mode included), frames, metadata and trace event
-     * order are identical for every setting. A page seal is a few
-     * microseconds, less than waking the pool costs, so lanes only pay
-     * for large batches.
+     * Host worker threads for batched page seals (encryptPages:
+     * domain, region-teardown and protected-file seals). 1 (the
+     * default) = every seal computes inline and no host thread starts;
+     * 0 = one lane per hardware thread. Purely a host-speed knob:
+     * simulated cycles (constant-cost mode included), frames, metadata
+     * and trace event order are identical for every setting. A page
+     * seal is a few microseconds, less than waking the pool costs, so
+     * lanes only pay for large batches.
      */
     std::size_t cryptoWorkers = 1;
 
@@ -253,8 +253,8 @@ class System : public os::ProcessHost
 
     /**
      * Tear down a frozen process: flag the kill, thaw it and run, so
-     * the post-thaw kill check in its trap path ends it. (killProcess()
-     * would wake the thread without the scheduler's freeze accounting.)
+     * the post-thaw kill check in its trap path ends it. ~System ends
+     * every live process the same way.
      */
     void killFrozen(Pid pid, const std::string& reason);
 
@@ -284,6 +284,10 @@ class System : public os::ProcessHost
 
     void startThread(os::Process& proc, StartInfo info);
     void threadBody(os::Thread& thread, Pid pid, StartInfo info);
+
+    /** Request @p proc's kill; its next kernel entry after the next
+     *  run() ends it. A frozen process is thawed for it. */
+    void flagKill(os::Process& proc, const std::string& reason);
 
     SystemConfig config_;
     sim::Machine machine_;

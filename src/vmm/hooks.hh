@@ -90,21 +90,6 @@ class CloakBackend
                                    std::span<const std::uint64_t> args) = 0;
 
     /**
-     * Batching hint from the guest kernel's bulk paths (fork eager
-     * copy, fsync writeback, swap-out): seal — encrypt in place — any
-     * of the given frames that currently hold cloaked plaintext,
-     * before the kernel reads them one by one. Purely an optimization
-     * hook: the backend encrypts on the first foreign access anyway,
-     * so ignoring the hint is always safe and the default does
-     * nothing. Returns the number of frames sealed.
-     */
-    virtual std::size_t sealPlaintextFrames(std::span<const Gpa> gpas)
-    {
-        (void)gpas;
-        return 0;
-    }
-
-    /**
      * Asynchronous eviction: seal the cloaked plaintext in @p gpa into
      * a backend staging buffer and hand the frame back immediately,
      * deferring @p sink's commitEviction(slot, replay_key, ciphertext)

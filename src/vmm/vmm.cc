@@ -10,9 +10,8 @@ namespace osh::vmm
 {
 
 constexpr StatNames vmmStat{
-    "guest_faults", "hypercalls", "kernel_preseals", "retention_hits",
-    "switch_flushes", "switches_retained", "tsc_virtual_reads",
-    "world_switches",
+    "guest_faults", "hypercalls", "retention_hits", "switch_flushes",
+    "switches_retained", "tsc_virtual_reads", "world_switches",
 };
 
 const char*
@@ -265,15 +264,6 @@ Vmm::hypercall(Vcpu& vcpu, Hypercall num,
     chargeWorldSwitch("hypercall");
     stats_.inc(vmmStat("hypercalls"));
     return cloak_->hypercall(vcpu, num, args);
-}
-
-std::size_t
-Vmm::prepareFramesForKernel(std::span<const Gpa> gpas)
-{
-    std::size_t sealed = cloak_->sealPlaintextFrames(gpas);
-    if (sealed > 0)
-        stats_.inc(vmmStat("kernel_preseals"), sealed);
-    return sealed;
 }
 
 void

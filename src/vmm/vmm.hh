@@ -144,19 +144,6 @@ class Vmm
     std::int64_t hypercall(Vcpu& vcpu, Hypercall num,
                            std::span<const std::uint64_t> args);
 
-    /**
-     * Guest-kernel batching hint before a bulk frame read (fork eager
-     * copy, fsync writeback, swap-out): ask the cloak backend to seal
-     * any listed frames still holding cloaked plaintext in one batch
-     * instead of one fault at a time. Safe to call with frames in any
-     * state; returns the number actually sealed. When the backend's
-     * crypto worker pool has more than one lane, the batch's AES and
-     * SHA are precomputed across host threads; every frame is still
-     * sealed by the one per-page seal, so results and cycles do not
-     * depend on the worker count (see CloakEngine::setCryptoWorkers).
-     */
-    std::size_t prepareFramesForKernel(std::span<const Gpa> gpas);
-
     /** Charge one guest->VMM->guest round trip. */
     void chargeWorldSwitch(sim::CostEvent reason);
 

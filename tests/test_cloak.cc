@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <map>
@@ -498,6 +499,114 @@ TEST(CloakPaging, CloakedMemorySurvivesSwap)
     EXPECT_GT(sys.kernel().stats().value("evicted_anon"), 0u);
     EXPECT_GT(sys.cloak()->stats().value("page_encrypts"), 0u);
     EXPECT_GT(sys.cloak()->stats().value("page_decrypts"), 0u);
+}
+
+/** Does @p bytes hold secretValue's little-endian bytes anywhere? */
+bool
+holdsSecret(std::span<const std::uint8_t> bytes)
+{
+    std::array<std::uint8_t, 8> needle;
+    std::memcpy(needle.data(), &secretValue, needle.size());
+    return std::search(bytes.begin(), bytes.end(), needle.begin(),
+                       needle.end()) != bytes.end();
+}
+
+/** Scans every page the kernel writes to swap for the secret. */
+class SwapScanner : public os::AttackHooks
+{
+  public:
+    void
+    onSwapOut(os::Kernel& kernel, os::SwapSlot slot,
+              std::uint64_t) override
+    {
+        ++swapOuts;
+        if (holdsSecret(kernel.swap().rawSlot(slot)))
+            ++leaks;
+    }
+
+    std::uint64_t swapOuts = 0;
+    std::uint64_t leaks = 0;
+};
+
+TEST(CloakPrivacy, KernelBulkCopiesHoldOnlyCiphertext)
+{
+    // The kernel's bulk reads of cloaked frames (fork's eager copy,
+    // fsync's writeback, synchronous swap-out) go through its own
+    // view, and the cloak engine seals each plaintext frame at that
+    // access: no copy the kernel makes holds the plaintext.
+    {
+        SCOPED_TRACE("fork eager copy");
+        System sys(cloakedConfig());
+        bool copied = false, leaked = false;
+        auto r = runCloaked(sys, [&](Env& env) {
+            GuestVA p = env.allocPages(1);
+            env.store64(p, secretValue);
+            Pid child = env.fork([](Env&) { return 0; });
+            if (child <= 0)
+                return 1;
+            // The child has not run: its frame is the kernel's copy.
+            const os::Pte* pte =
+                sys.kernel().process(child).as.findPte(p);
+            if (pte != nullptr && pte->present) {
+                copied = true;
+                leaked = holdsSecret(sys.machine().memory().framePlain(
+                    sys.vmm().pmap().translate(pte->gpa)));
+            }
+            int status = -1;
+            if (env.waitpid(child, &status) != child || status != 0)
+                return 2;
+            return env.load64(p) == secretValue ? 0 : 3;
+        });
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_TRUE(copied);
+        EXPECT_FALSE(leaked);
+    }
+    {
+        SCOPED_TRACE("fsync writeback");
+        System sys(cloakedConfig());
+        std::vector<std::uint8_t> disk;
+        auto r = runCloaked(sys, [&](Env& env) {
+            env.mkdir("/cloaked");
+            std::int64_t fd = env.open("/cloaked/f", os::openCreate |
+                                                         os::openWrite);
+            if (fd < 0)
+                return 1;
+            std::string data(sizeof secretValue, '\0');
+            std::memcpy(data.data(), &secretValue, data.size());
+            env.writeAll(fd, data);
+            if (env.fsync(fd) != 0)
+                return 2;
+            auto& vfs = sys.kernel().vfs();
+            disk = vfs.inode(static_cast<os::InodeId>(
+                                 vfs.lookup("/cloaked/f")))
+                       .diskData;
+            return static_cast<int>(env.close(fd));
+        });
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_GE(disk.size(), pageSize);
+        EXPECT_FALSE(holdsSecret(disk));
+    }
+    {
+        SCOPED_TRACE("synchronous swap-out");
+        System sys(cloakedConfig(96));
+        SwapScanner scanner;
+        sys.kernel().setAttackHooks(&scanner);
+        constexpr std::uint64_t pages = 200;
+        auto r = runCloaked(sys, [](Env& env) {
+            GuestVA p = env.allocPages(pages);
+            for (std::uint64_t i = 0; i < pages; ++i)
+                env.store64(p + i * pageSize, secretValue);
+            for (std::uint64_t i = 0; i < pages; ++i)
+                if (env.load64(p + i * pageSize) != secretValue)
+                    return 1;
+            return 0;
+        });
+        sys.kernel().setAttackHooks(nullptr);
+        EXPECT_EQ(r.status, 0) << r.killReason;
+        EXPECT_EQ(sys.kernel().stats().value("async_swap_outs"), 0u);
+        EXPECT_GT(scanner.swapOuts, 0u);
+        EXPECT_EQ(scanner.leaks, 0u);
+    }
 }
 
 TEST(CloakFiles, ProtectedFilePersistsAcrossProcesses)

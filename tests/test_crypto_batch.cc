@@ -2,11 +2,11 @@
  * @file
  * Batched page-crypto API equivalence tests.
  *
- * The contract of CloakEngine::encryptPages / sealPlaintextFrames is
- * that batching is purely an amortization: the bytes written, the
- * metadata transitions (versions, IVs, hashes, states), the
- * victim-cache contents and the simulated cycles charged are all
- * identical to the equivalent per-page sequence. These tests pin that
+ * The contract of CloakEngine::encryptPages is that batching is
+ * purely an amortization: the bytes written, the metadata transitions
+ * (versions, IVs, hashes, states), the victim-cache contents and the
+ * simulated cycles charged are all identical to the equivalent
+ * per-page sequence. These tests pin that
  * down by running two identically-constructed harnesses side by side
  * — one batched, one sequential — and comparing everything observable.
  * Sealed pages come back through the app's view (a fault-driven
@@ -277,36 +277,35 @@ TEST(CryptoBatch, VictimCacheServesBatchedRoundTrips)
     }
 }
 
-TEST(CryptoBatch, SealPlaintextFramesMatchesFaultDrivenSeals)
+TEST(CryptoBatch, KernelViewLoadsSealEachPageOnce)
 {
-    // The pre-seal hint and the fault-driven foreign-access seal must
-    // produce identical ciphertext, metadata and total cycles.
-    Harness hinted, faulted;
-    hinted.dirtyAll();
+    // A kernel-view load is the one way a dirty cloaked frame is
+    // sealed for the kernel: each page once, however often the kernel
+    // reads it, with the ciphertext, metadata and total cycles of one
+    // encryptPages batch of the same pages.
+    Harness batched, faulted;
+    batched.dirtyAll();
     faulted.dirtyAll();
+    auto items = batched.allItems();
+    batched.engine.encryptPages(batched.res(), items);
 
-    std::vector<Gpa> gpas;
-    for (std::uint64_t i = 0; i < numPages; ++i)
-        gpas.push_back(Harness::gpa0 + i * pageSize);
-    EXPECT_EQ(hinted.vmm.prepareFramesForKernel(gpas), numPages);
-    auto hk = hinted.kernelCpu();
-    for (std::uint64_t i = 0; i < numPages; ++i)
-        hk.load64(Harness::kernelVaOf(Harness::gpa0 + i * pageSize));
-
-    auto fk = faulted.kernelCpu();
-    for (std::uint64_t i = 0; i < numPages; ++i)
-        fk.load64(Harness::kernelVaOf(Harness::gpa0 + i * pageSize));
+    for (Harness* h : {&batched, &faulted}) {
+        auto k = h->kernelCpu();
+        for (int pass = 0; pass < 2; ++pass)
+            for (std::uint64_t i = 0; i < numPages; ++i)
+                k.load64(Harness::kernelVaOf(Harness::gpa0 + i * pageSize));
+    }
 
     for (std::uint64_t i = 0; i < numPages; ++i)
-        EXPECT_EQ(observe(hinted, i), observe(faulted, i))
+        EXPECT_EQ(observe(faulted, i), observe(batched, i))
             << "page " << i;
-    EXPECT_EQ(hinted.machine.cost().cycles(),
-              faulted.machine.cost().cycles());
-    EXPECT_EQ(hinted.engine.stats().value("preseal_frames"),
+    EXPECT_EQ(faulted.machine.cost().cycles(),
+              batched.machine.cost().cycles());
+    EXPECT_EQ(faulted.engine.stats().value("foreign_plaintext_seals"),
               numPages);
-    EXPECT_EQ(
-        faulted.engine.stats().value("foreign_plaintext_seals"),
-        numPages);
+    EXPECT_EQ(faulted.engine.stats().value("page_encrypts"), numPages);
+    EXPECT_EQ(batched.engine.stats().value("foreign_plaintext_seals"),
+              0u);
 }
 
 /**
@@ -396,23 +395,6 @@ TEST(CryptoBatch, ParallelVictimCacheHitsMatchSerial)
                   serial.machine.cost().cycles());
         expectTracesEqual(parallel, serial);
     }
-}
-
-TEST(CryptoBatch, SealPlaintextFramesIgnoresIrrelevantFrames)
-{
-    Harness h;
-    h.dirtyAll();
-    std::vector<Gpa> gpas;
-    for (std::uint64_t i = 0; i < numPages; ++i)
-        gpas.push_back(Harness::gpa0 + i * pageSize);
-    // Uncloaked and out-of-range frames are silently skipped.
-    gpas.push_back(0x8000);
-    gpas.push_back(0x9000);
-    EXPECT_EQ(h.vmm.prepareFramesForKernel(gpas), numPages);
-    // A second hint finds everything already sealed: a no-op.
-    Cycles before = h.machine.cost().cycles();
-    EXPECT_EQ(h.vmm.prepareFramesForKernel(gpas), 0u);
-    EXPECT_EQ(h.machine.cost().cycles(), before);
 }
 
 } // namespace

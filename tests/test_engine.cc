@@ -508,6 +508,35 @@ TEST_F(EngineTest, DomainHypercallsAnswerOnlyCloakedCallers)
     EXPECT_EQ(engine_.findDomain(domain_)->regions.size(), 1u);
 }
 
+TEST_F(EngineTest, RegisterRegionRefusesUnknownAndForeignResources)
+{
+    // The resource id is guest-supplied: an unknown one, or another
+    // domain's, is an audited refusal answered with -1, and no region
+    // is added.
+    DomainId other = engine_.createDomain(12, 12,
+                                          programIdentity("other"));
+    ResourceId foreign =
+        engine_.registerRegion(other, appVa, 1).value();
+    struct Case
+    {
+        ResourceId resource;
+        CloakError code;
+    };
+    for (Case c : {Case{9999, CloakError::UnknownResource},
+                   Case{foreign, CloakError::ForeignResource}}) {
+        std::array<std::uint64_t, 4> args{appVa + 8 * pageSize, 1,
+                                          c.resource, 0};
+        std::size_t audited = engine_.auditLog().size();
+        EXPECT_EQ(appCpu().hypercall(vmm::Hypercall::CloakRegisterRegion,
+                                     args),
+                  -1);
+        ASSERT_EQ(engine_.auditLog().size(), audited + 1);
+        EXPECT_EQ(engine_.auditLog().back().code, c.code);
+        EXPECT_EQ(engine_.auditLog().back().domain, domain_);
+        EXPECT_EQ(engine_.findDomain(domain_)->regions.size(), 1u);
+    }
+}
+
 TEST_F(EngineTest, ForkSnapshotRequiresOwningDomain)
 {
     std::uint64_t token = engine_.prepareFork(domain_).value();
