@@ -502,13 +502,14 @@ AttackDirector::sealBoundary(os::Kernel&, bool exec_boundary)
         return;
 
       case AttackPoint::SealRollback:
-        // First sight of a bundle: save it (observation). Later, when
-        // the stored bundle has moved on, put the stale one back.
+        // First sight of a bundle: save it (observation). At exec, when
+        // the stored bundle has moved on, put the stale one back (any
+        // earlier, the owner's next seal would overwrite it unread).
         for (auto& [key, bundle] : store) {
             auto it = savedBundles_.find(key);
             if (it == savedBundles_.end()) {
                 savedBundles_[key] = bundle;
-            } else if (bundle != it->second &&
+            } else if (exec_boundary && bundle != it->second &&
                        !rolledBack_.contains(key)) {
                 bundle = it->second;
                 rolledBack_.insert(key);

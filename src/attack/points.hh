@@ -42,7 +42,7 @@ enum class AttackPoint : std::uint8_t
     SwapResurrect,   ///< Serve stale freed-slot contents on swap-in.
     SealCorrupt,     ///< Flip a byte of a sealed bundle at exec.
     SealTruncate,    ///< Truncate a sealed bundle at exec.
-    SealRollback,    ///< Save bundles at fsync, restore old ones later.
+    SealRollback,    ///< Save bundles at fsync, restore old ones at exec.
     SyscallSnoop,    ///< Read cloaked user pages at syscall entry.
     SyscallScribble, ///< Overwrite cloaked user pages at syscall entry.
     ReadCorrupt,     ///< Scribble over read() return buffers.

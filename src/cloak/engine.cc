@@ -16,9 +16,6 @@ namespace osh::cloak
 namespace
 {
 
-/** Key-space tag keeping file keys disjoint from private resource ids. */
-constexpr ResourceId fileKeyTag = ResourceId{1} << 63;
-
 /**
  * Charge cycles to the guest timeline, or — when the asynchronous
  * eviction lane owns the work — accumulate them into @p defer while
@@ -211,8 +208,8 @@ CloakEngine::violation(Resource& res, std::uint64_t page_index,
         pid, formatString("cloak violation: %s", reason.c_str())};
 }
 
-const crypto::Aes128&
-CloakEngine::cipherFor(Resource& res)
+const crypto::KeyHandle&
+CloakEngine::keyFor(Resource& res)
 {
     // Resources normally carry a handle from cloak-attach; re-acquire
     // lazily only if the key identity changed after the handle was
@@ -220,15 +217,7 @@ CloakEngine::cipherFor(Resource& res)
     // the attach. Never a per-fault map lookup.
     if (!res.key.valid() || res.key.keyId() != res.keyId)
         res.key = keys_.acquire(res.keyId);
-    return res.key.cipher();
-}
-
-const crypto::HmacKey&
-CloakEngine::sealingHmacFor(Resource& res)
-{
-    if (!res.key.valid() || res.key.keyId() != res.keyId)
-        res.key = keys_.acquire(res.keyId);
-    return res.key.sealingHmac();
+    return res.key;
 }
 
 /**
@@ -443,7 +432,7 @@ CloakEngine::encryptPages(Resource& res,
         return;
     // Amortized across the batch: one cipher (key schedule) lookup and
     // one enclosing trace scope. Items must name distinct pages.
-    const crypto::Aes128& cipher = cipherFor(res);
+    const crypto::Aes128& cipher = keyFor(res).cipher();
     OSH_TRACE_SCOPE(&vmm_.machine().tracer(), trace::Category::Cloak,
                     "encrypt_batch", res.domain, 0, res.id,
                     items.size());
@@ -530,7 +519,7 @@ CloakEngine::evictPageAsync(Gpa gpa, vmm::EvictionSink& sink,
     // transitions and event counts — with its cycle charges routed
     // into the background lane instead of the guest timeline.
     std::uint64_t lane_cycles = 0;
-    encryptPage(*res, page_index, meta, cipherFor(*res), &lane_cycles);
+    encryptPage(*res, page_index, meta, keyFor(*res).cipher(), &lane_cycles);
 
     AsyncSealEntry& entry =
         asyncRing_[(asyncHead_ + asyncCount_) % asyncRing_.size()];
@@ -648,12 +637,10 @@ CloakEngine::sealDomainPlaintext(DomainId id)
 }
 
 Resource&
-CloakEngine::importResource(DomainId domain, ResourceId key_id,
-                            bool is_file, std::uint64_t file_key)
+CloakEngine::importResource(DomainId domain, ResourceId key_id)
 {
-    Domain& d = domainOf(domain);
-    (void)d;
-    Resource& res = metadata_.createResource(domain, is_file, file_key);
+    (void)domainOf(domain); // The domain must exist.
+    Resource& res = metadata_.createResource(domain);
     res.keyId = key_id;
     res.key = keys_.acquire(key_id);
     metadata_.reserveIds(key_id + 1);
@@ -696,7 +683,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
             if (owner != nullptr) {
                 PageMeta& ometa = metadata_.page(*owner, foreign.pageIndex);
                 encryptPage(*owner, foreign.pageIndex, ometa,
-                            cipherFor(*owner));
+                            keyFor(*owner).cipher());
             } else {
                 clearPlaintext(gpa);
             }
@@ -752,7 +739,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
         if (const PlaintextRef* old = plaintextAt(meta.residentGpa);
             old != nullptr && old->resource == res->id &&
             old->pageIndex == page_index) {
-            encryptPage(*res, page_index, meta, cipherFor(*res));
+            encryptPage(*res, page_index, meta, keyFor(*res).cipher());
         } else {
             meta.state = PageState::Encrypted;
             meta.residentGpa = badAddr;
@@ -762,7 +749,7 @@ CloakEngine::resolvePage(const vmm::Context& ctx, GuestVA va_page,
 
     switch (meta.state) {
       case PageState::Encrypted:
-        decryptAndVerify(*res, page_index, meta, gpa, cipherFor(*res));
+        decryptAndVerify(*res, page_index, meta, gpa, keyFor(*res).cipher());
         meta.residentGpa = gpa;
         setPlaintext(gpa, res->id, page_index);
         vmm_.suspendMpa(mpa);
@@ -838,8 +825,8 @@ CloakEngine::teardownDomain(DomainId id)
             }
         }
         if (res->isFile) {
-            // Persist protection for the file before letting go; the
-            // resource is known-owned and a file, so this cannot fail.
+            // Persist protection for the file before letting go. Only
+            // a seal by a non-owner fails, and it is audited.
             (void)sealFileResource(id, res->id);
         }
         metadata_.destroyResource(r.resource);
@@ -1132,18 +1119,18 @@ CloakEngine::attachFileResource(DomainId domain, std::uint64_t file_key)
     res.key = keys_.acquire(res.keyId);
 
     auto sit = sealedStore_.find(file_key);
-    if (sit != sealedStore_.end()) {
-        auto unsealed = metadata_.unseal(sit->second,
-                                         res.key.sealingHmac(),
-                                         d.identity, res);
-        if (!unsealed.ok()) {
-            stats_.inc(cloakStat("file_attach_rejected"));
-            ResourceId dead = res.id;
-            metadata_.destroyResource(dead);
-            // Propagate the store's typed cause (bad MAC vs identity vs
-            // rollback vs malformed) instead of a blanket rejection.
-            return auditError(unsealed.error(), domain, dead);
-        }
+    auto unsealed = sit != sealedStore_.end()
+                        ? metadata_.unseal(sit->second,
+                                           res.key.sealingHmac(),
+                                           d.identity, res)
+                        : metadata_.missingBundle(file_key);
+    if (!unsealed.ok()) {
+        stats_.inc(cloakStat("file_attach_rejected"));
+        ResourceId dead = res.id;
+        metadata_.destroyResource(dead);
+        // Propagate the store's typed cause (bad MAC vs identity vs
+        // rollback vs malformed vs missing), not a blanket rejection.
+        return auditError(unsealed.error(), domain, dead);
     }
     stats_.inc(cloakStat("file_attaches"));
     return res.id;
@@ -1161,6 +1148,8 @@ CloakEngine::sealFileResource(DomainId domain, ResourceId resource)
     if (!res->isFile)
         return auditError(CloakError::NotAFileResource, domain,
                           resource);
+    if (!metadata_.mayWrite(res->fileKey, d.identity))
+        return auditError(CloakError::SealBadIdentity, domain, resource);
     // Hashes must cover final contents: force-encrypt anything still
     // plaintext, as one batch.
     std::vector<PageCryptoItem> to_seal;
@@ -1172,16 +1161,29 @@ CloakEngine::sealFileResource(DomainId domain, ResourceId resource)
     }
     encryptPages(*res, to_seal);
     sealedStore_[res->fileKey] = metadata_.seal(
-        *res, sealingHmacFor(*res), d.identity);
+        *res, keyFor(*res).sealingHmac(), d.identity);
     stats_.inc(cloakStat("file_seals"));
     return {};
 }
 
-void
-CloakEngine::discardFileMetadata(std::uint64_t file_key)
+Expected<void, CloakError>
+CloakEngine::discardFileMetadata(DomainId domain, std::uint64_t file_key)
 {
-    sealedStore_.erase(file_key);
+    Domain& d = domainOf(domain);
+    if (!metadata_.mayWrite(file_key, d.identity))
+        return auditError(CloakError::SealBadIdentity, domain, 0);
     stats_.inc(cloakStat("file_discards"));
+    // A sealed file's reset is a seal of the empty file: the bundle it
+    // replaces becomes a rollback.
+    Resource empty;
+    empty.keyId = fileKeyTag | file_key;
+    empty.fileKey = file_key;
+    if (metadata_.lastSealedVersion(file_key) == 0)
+        sealedStore_.erase(file_key);
+    else
+        sealedStore_[file_key] =
+            metadata_.seal(empty, keyFor(empty).sealingHmac(), d.identity);
+    return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -1197,48 +1199,38 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
         return i < args.size() ? args[i] : 0;
     };
 
+    // Every hypercall but ForkAttach (the caller has no domain yet) and
+    // Introspect (system policy) acts on the caller's own domain.
+    if (ctx.view == systemDomain &&
+        num != vmm::Hypercall::CloakForkAttach &&
+        num != vmm::Hypercall::CloakIntrospect)
+        return -1;
+
     switch (num) {
       case vmm::Hypercall::CloakRegisterRegion: {
-        if (ctx.view == systemDomain)
-            return -1;
         auto res = registerRegion(ctx.view, arg(0), arg(1),
                                   static_cast<ResourceId>(arg(2)), arg(3));
         return res.ok() ? static_cast<std::int64_t>(*res) : -1;
       }
 
       case vmm::Hypercall::CloakUnregisterRegion:
-        if (ctx.view == systemDomain)
-            return -1;
         unregisterRegion(ctx.view, arg(0));
         return 0;
 
       case vmm::Hypercall::CloakRegisterThread:
-        if (ctx.view == systemDomain)
-            return -1;
         bindThread(ctx.view, arg(0), arg(1));
         return 0;
 
       case vmm::Hypercall::CloakSealMetadata:
-        if (ctx.view == systemDomain)
-            return -1;
-        return sealFileResource(ctx.view,
-                                static_cast<ResourceId>(arg(0)))
-                   .ok()
-                   ? 0
-                   : -1;
+        return sealFileResource(ctx.view, arg(0)).ok() ? 0 : -1;
 
       case vmm::Hypercall::CloakPrepareFork:
-        if (ctx.view == systemDomain)
-            return -1;
         // Tokens are always positive; 0 signals rejection.
         return static_cast<std::int64_t>(
             prepareFork(ctx.view).valueOr(0));
 
       case vmm::Hypercall::CloakSnapshotFork:
-        if (ctx.view == systemDomain)
-            return -1;
-        return snapshotFork(ctx.view, arg(0), static_cast<Pid>(arg(1)))
-                       .ok()
+        return snapshotFork(ctx.view, arg(0), static_cast<Pid>(arg(1))).ok()
                    ? 0
                    : -1;
 
@@ -1250,29 +1242,21 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
                 .valueOr(systemDomain));
 
       case vmm::Hypercall::CloakAttachFile:
-        if (ctx.view == systemDomain)
-            return -1;
         // Resource ids are always positive; 0 signals rejection.
         return static_cast<std::int64_t>(
             attachFileResource(ctx.view, arg(0)).valueOr(0));
 
       case vmm::Hypercall::CloakDiscardFile:
-        if (ctx.view == systemDomain)
-            return -1;
-        discardFileMetadata(arg(0));
-        return 0;
+        return discardFileMetadata(ctx.view, arg(0)).ok() ? 0 : -1;
 
       case vmm::Hypercall::CloakTeardownDomain:
-        if (ctx.view == systemDomain)
-            return -1;
         teardownDomain(ctx.view);
         return 0;
 
       case vmm::Hypercall::CloakIntrospect:
         // Timing-hardening introspection: lets the guest (and the
         // tests) assert what a prober can actually observe. None of
-        // these values are secret — the posture is system policy, not
-        // per-domain state — so no domain check.
+        // these values are secret: the posture is system policy.
         switch (arg(0)) {
           case vmm::introspectTimingHardening:
             return vmm_.clockHardened() && constantCost_ ? 1 : 0;

@@ -47,6 +47,10 @@
 namespace osh::cloak
 {
 
+/** Key-space tag keeping file keys disjoint from private resource ids:
+ *  a protected file's key id is fileKeyTag | file key. */
+constexpr ResourceId fileKeyTag = ResourceId{1} << 63;
+
 /** A cloaked VA range of one address space, backed by a resource. */
 struct Region
 {
@@ -451,16 +455,16 @@ class CloakEngine : public vmm::CloakBackend
      * machine, and reserve the local id space past it so no future
      * resource aliases the imported key.
      */
-    Resource& importResource(DomainId domain, ResourceId key_id,
-                             bool is_file = false,
-                             std::uint64_t file_key = 0);
+    Resource& importResource(DomainId domain, ResourceId key_id);
 
-    /** Protected-file support. */
+    /** Protected-file support. Only a key's owner may seal or discard
+     *  it; the owner's discard seals it empty at the next version. */
     Expected<ResourceId, CloakError>
     attachFileResource(DomainId domain, std::uint64_t file_key);
     Expected<void, CloakError> sealFileResource(DomainId domain,
                                                 ResourceId resource);
-    void discardFileMetadata(std::uint64_t file_key);
+    Expected<void, CloakError> discardFileMetadata(DomainId domain,
+                                                   std::uint64_t file_key);
 
     /** Sealed-bundle store (tests tamper with this directly). */
     std::map<std::uint64_t, std::vector<std::uint8_t>>& sealedStore()
@@ -552,10 +556,9 @@ class CloakEngine : public vmm::CloakBackend
     Region* findRegion(DomainId domain, Asid asid, GuestVA va_page);
     Domain& domainOf(DomainId id);
 
-    /** Key material via the resource's handle, re-acquiring only when
-     *  the key identity changed since the handle was taken. */
-    const crypto::Aes128& cipherFor(Resource& res);
-    const crypto::HmacKey& sealingHmacFor(Resource& res);
+    /** The resource's key handle, re-acquired only when the key
+     *  identity changed since the handle was taken. */
+    const crypto::KeyHandle& keyFor(Resource& res);
 
     /** AES/SHA output of one seal, precomputed by encryptPages. */
     struct StagedSeal;

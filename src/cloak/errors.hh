@@ -31,7 +31,6 @@ enum class CloakError : std::uint8_t
     UnknownResource,        ///< Resource id absent from the metadata store.
     ForeignResource,        ///< Resource belongs to another domain.
     NotAFileResource,       ///< File operation on a private memory resource.
-    SealRejected,           ///< Sealed bundle failed MAC/identity/version.
     IntegrityViolation,     ///< Page hash mismatch (kernel tampering/replay).
     RegionOverlap,          ///< Region overlaps one the domain has.
 
@@ -40,6 +39,7 @@ enum class CloakError : std::uint8_t
     SealBadIdentity,        ///< Bundle sealed under another identity.
     SealRollback,           ///< Bundle older than the witnessed floor.
     SealMalformed,          ///< Bundle truncated or structurally invalid.
+    SealMissing,            ///< No bundle for a file key with a floor.
 };
 
 /** Stable short name for an error (used as the audit-event reason). */
@@ -57,13 +57,13 @@ cloakErrorName(CloakError e)
       case CloakError::UnknownResource: return "unknown_resource";
       case CloakError::ForeignResource: return "foreign_resource";
       case CloakError::NotAFileResource: return "not_a_file_resource";
-      case CloakError::SealRejected: return "seal_rejected";
       case CloakError::IntegrityViolation: return "integrity_violation";
       case CloakError::RegionOverlap: return "region_overlap";
       case CloakError::SealBadMac: return "seal_bad_mac";
       case CloakError::SealBadIdentity: return "seal_bad_identity";
       case CloakError::SealRollback: return "seal_rollback";
       case CloakError::SealMalformed: return "seal_malformed";
+      case CloakError::SealMissing: return "seal_missing";
     }
     return "?";
 }

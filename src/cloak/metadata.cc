@@ -409,8 +409,10 @@ MetadataStore::seal(const Resource& res, const crypto::HmacKey& seal_key,
                     const crypto::Digest& owner_identity)
 {
     PayloadWriter out;
+    FileSeal& rec = fileSeals_[res.fileKey];
+    rec.owner = owner_identity;
     out.u64(res.fileKey);
-    out.u64(++sealVersions_[res.fileKey]);
+    out.u64(++rec.version);
     out.bytes(owner_identity);
     encodePageMetas(out, res.pages);
     out.bytes(crypto::hmacSha256(seal_key, out.view()));
@@ -442,7 +444,8 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
     std::uint64_t version = in.u64();
     crypto::Digest identity;
     in.bytes(identity);
-    if (!constantTimeEqual(identity, owner_identity)) {
+    if (!constantTimeEqual(identity, owner_identity) ||
+        !mayWrite(file_key, owner_identity)) {
         stats_.inc(metadataStat("unseal_bad_identity"));
         return Error(CloakError::SealBadIdentity);
     }
@@ -464,31 +467,57 @@ MetadataStore::unseal(std::span<const std::uint8_t> bundle,
     // Advance the rollback floor: once a bundle of this version has
     // been accepted, anything older is a replay — even in a store that
     // never sealed this file key itself (fresh boot).
-    raiseSealFloor(file_key, version);
+    importFloors({{file_key, version}}, owner_identity);
     stats_.inc(metadataStat("unseals"));
     return {};
+}
+
+Expected<void, CloakError>
+MetadataStore::missingBundle(std::uint64_t file_key) const
+{
+    if (lastSealedVersion(file_key) != 0)
+        return Error(CloakError::SealMissing);
+    return {};
+}
+
+bool
+MetadataStore::mayWrite(std::uint64_t file_key,
+                        const crypto::Digest& identity) const
+{
+    auto it = fileSeals_.find(file_key);
+    return it == fileSeals_.end() ||
+           constantTimeEqual(it->second.owner, identity);
 }
 
 std::uint64_t
 MetadataStore::lastSealedVersion(std::uint64_t file_key) const
 {
-    auto it = sealVersions_.find(file_key);
-    return it == sealVersions_.end() ? 0 : it->second;
+    auto it = fileSeals_.find(file_key);
+    return it == fileSeals_.end() ? 0 : it->second.version;
+}
+
+std::map<std::uint64_t, std::uint64_t>
+MetadataStore::floorsOwnedBy(const crypto::Digest& owner) const
+{
+    std::map<std::uint64_t, std::uint64_t> floors;
+    for (const auto& [file_key, rec] : fileSeals_) {
+        if (constantTimeEqual(rec.owner, owner))
+            floors.emplace(file_key, rec.version);
+    }
+    return floors;
 }
 
 void
-MetadataStore::importSealVersions(
-    const std::map<std::uint64_t, std::uint64_t>& floors)
+MetadataStore::importFloors(
+    const std::map<std::uint64_t, std::uint64_t>& floors,
+    const crypto::Digest& owner)
 {
-    for (const auto& [file_key, version] : floors)
-        raiseSealFloor(file_key, version);
-}
-
-void
-MetadataStore::raiseSealFloor(std::uint64_t file_key, std::uint64_t version)
-{
-    std::uint64_t& floor_version = sealVersions_[file_key];
-    floor_version = std::max(floor_version, version);
+    for (const auto& [file_key, version] : floors) {
+        auto [it, fresh] =
+            fileSeals_.try_emplace(file_key, FileSeal{version, owner});
+        if (!fresh && constantTimeEqual(it->second.owner, owner))
+            it->second.version = std::max(it->second.version, version);
+    }
 }
 
 void

@@ -10,6 +10,10 @@
  * memory — the guest can never touch it — and can be *sealed*
  * (serialized + HMAC) for persistence alongside protected files.
  *
+ * Each protected file key has one record here: its rollback floor and
+ * the identity that owns it. Every decision about a file's sealed state
+ * reads it; the bundles are the kernel's to keep (the untrusted disk).
+ *
  * All resources live in one map keyed by resource id, like the
  * paper's single VMM metadata table. The store is touched from one host
  * thread only: every guest body is a fiber on the thread that drives
@@ -187,7 +191,7 @@ class MetadataCache
 
 /**
  * The metadata store: all resources plus the cache cost model and the
- * sealed-bundle persistence for protected files.
+ * per-file-key seal records.
  */
 class MetadataStore
 {
@@ -257,28 +261,28 @@ class MetadataStore
                                       const crypto::Digest& owner_identity,
                                       Resource& dst);
 
+    /** An attach found no bundle: SealMissing under a nonzero floor. */
+    Expected<void, CloakError> missingBundle(std::uint64_t file_key) const;
+
+    /** Whether @p identity may seal or discard @p file_key: no seal
+     *  made another identity its owner. */
+    bool mayWrite(std::uint64_t file_key,
+                  const crypto::Digest& identity) const;
+
     /** Latest sealed version seen for a file key (rollback floor). */
     std::uint64_t lastSealedVersion(std::uint64_t file_key) const;
 
     // Checkpoint/restore --------------------------------------------------
 
-    /**
-     * The full rollback-floor table (file key -> newest sealed bundle
-     * version witnessed). A checkpoint must carry it: a restored store
-     * that forgot the floors would accept replayed older bundles.
-     */
-    const std::map<std::uint64_t, std::uint64_t>&
-    sealVersions() const
-    {
-        return sealVersions_;
-    }
+    /** The floors @p owner owns (file key -> version), which its
+     *  checkpoint carries so no restore accepts its replayed bundles. */
+    std::map<std::uint64_t, std::uint64_t>
+    floorsOwnedBy(const crypto::Digest& owner) const;
 
-    /**
-     * Merge an imported rollback-floor table, keeping the maximum per
-     * file key (floors only ever advance).
-     */
-    void importSealVersions(
-        const std::map<std::uint64_t, std::uint64_t>& floors);
+    /** Import floors for @p owner: one never lowers a version, and
+     *  never changes an existing owner (another's key is skipped). */
+    void importFloors(const std::map<std::uint64_t, std::uint64_t>& floors,
+                      const crypto::Digest& owner);
 
     /**
      * Ensure future resource ids start at @p min_next or later. An
@@ -321,9 +325,12 @@ class MetadataStore
     /** Fold a page-count delta into the footprint accounting. */
     void accountPages(std::int64_t pages_delta);
 
-    /** Raise @p file_key's rollback floor to @p version (floors only
-     *  ever advance). */
-    void raiseSealFloor(std::uint64_t file_key, std::uint64_t version);
+    /** A protected file key's record: floor and owning identity. */
+    struct FileSeal
+    {
+        std::uint64_t version = 0;
+        crypto::Digest owner{};
+    };
 
     sim::CostModel& cost_;
 
@@ -340,8 +347,8 @@ class MetadataStore
     /** LRU cache model: key = (resource, page). */
     MetadataCache cache_;
 
-    /** Monotonic bundle versions per file key (rollback detection). */
-    std::map<std::uint64_t, std::uint64_t> sealVersions_;
+    /** Every file key sealed here or imported; never dropped. */
+    std::map<std::uint64_t, FileSeal> fileSeals_;
 
     /** Footprint accounting (tracks store-managed allocations). */
     std::uint64_t livePageMetas_ = 0;

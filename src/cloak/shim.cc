@@ -240,20 +240,12 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
     if (fd < 0)
         return fd;
 
-    std::uint64_t key = pathKey(path);
-    std::array<std::uint64_t, 1> key_arg{key};
+    std::array<std::uint64_t, 1> key_arg{pathKey(path)};
     if (flags & os::openTrunc)
         vcpu.hypercall(vmm::Hypercall::CloakDiscardFile, key_arg);
 
     std::int64_t res =
         vcpu.hypercall(vmm::Hypercall::CloakAttachFile, key_arg);
-    if (res <= 0 && (flags & os::openCreate)) {
-        // A freshly created file found stale sealed metadata (e.g. the
-        // path was unlinked outside the shim): the creator explicitly
-        // authorizes a reset.
-        vcpu.hypercall(vmm::Hypercall::CloakDiscardFile, key_arg);
-        res = vcpu.hypercall(vmm::Hypercall::CloakAttachFile, key_arg);
-    }
     if (res <= 0) {
         trap(Sys::Close, {static_cast<std::uint64_t>(fd)});
         return -os::errPerm;
@@ -280,17 +272,13 @@ Shim::openProtected(const std::string& path, std::uint64_t flags)
     }
     registerMapping(mva, map_pages, static_cast<ResourceId>(res));
 
-    CloakedFile cf;
-    cf.fd = static_cast<std::uint64_t>(fd);
-    cf.path = path;
-    cf.fileKey = key;
-    cf.resource = static_cast<ResourceId>(res);
-    cf.mapVa = static_cast<GuestVA>(mva);
-    cf.mapPages = map_pages;
-    cf.size = size;
-    cf.offset = 0;
-    cf.writable = (flags & os::openWrite) != 0;
-    cloakedFiles_[cf.fd] = cf;
+    cloakedFiles_[static_cast<std::uint64_t>(fd)] = {
+        .fd = static_cast<std::uint64_t>(fd),
+        .resource = static_cast<ResourceId>(res),
+        .mapVa = static_cast<GuestVA>(mva),
+        .mapPages = map_pages,
+        .size = size,
+        .writable = (flags & os::openWrite) != 0};
     engine_.stats().inc(cloakStat("shim_protected_opens"));
     return fd;
 }

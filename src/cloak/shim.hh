@@ -78,8 +78,6 @@ class Shim : public os::SyscallInterposer
     struct CloakedFile
     {
         std::uint64_t fd = 0;
-        std::string path;
-        std::uint64_t fileKey = 0;
         ResourceId resource = 0;
         GuestVA mapVa = 0;
         std::uint64_t mapPages = 0;

@@ -42,15 +42,12 @@ struct ParsedImage
     struct ResourceRec
     {
         ResourceId keyId = 0;
-        bool isFile = false;
-        std::uint64_t fileKey = 0;
         std::map<std::uint64_t, cloak::PageMeta> pages;
     };
     std::vector<ResourceRec> resources;
 
     StagedPages pages;
 
-    std::map<std::uint64_t, std::vector<std::uint8_t>> bundles;
     std::map<std::uint64_t, std::uint64_t> floors;
 };
 
@@ -159,10 +156,9 @@ parseRecord(ParsedImage& img, const Record& rec)
             return Error(MigrateError::BadRecord);
         ParsedImage::ResourceRec res;
         res.keyId = pr.u64();
-        res.isFile = pr.flag();
-        res.fileKey = pr.u64();
         cloak::decodePageMetas(pr, res.pages);
-        if (!pr.done())
+        // checkpoint() refuses file resources, so no key id is a file's.
+        if (!pr.done() || (res.keyId & cloak::fileKeyTag) != 0)
             return Error(MigrateError::BadRecord);
         img.resources.push_back(std::move(res));
         return {};
@@ -174,18 +170,12 @@ parseRecord(ParsedImage& img, const Record& rec)
             return Error(MigrateError::BadRecord);
         return {};
       }
-      case RecordType::SealedBundle: {
-        std::uint64_t file_key = pr.u64();
-        std::span<const std::uint8_t> bundle = pr.span(pr.u64());
-        if (!pr.done())
-            return Error(MigrateError::BadRecord);
-        img.bundles[file_key].assign(bundle.begin(), bundle.end());
-        return {};
-      }
       case RecordType::SealVersion: {
         std::uint64_t file_key = pr.u64();
         std::uint64_t version = pr.u64();
-        if (!pr.done())
+        // Floors come in key order, and a floor is a sealed version.
+        if (!pr.done() || version == 0 ||
+            (!img.floors.empty() && file_key <= img.floors.rbegin()->first))
             return Error(MigrateError::BadRecord);
         img.floors[file_key] = version;
         return {};
@@ -272,7 +262,8 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
 
     // State this format cannot carry travels as a typed refusal, not a
     // truncated image: open descriptors (kernel-side file/pipe state),
-    // file mappings (page-cache residency) and live children.
+    // file mappings (page-cache residency), regions over a protected
+    // file (its bundle stays on this machine's disk) and live children.
     for (const auto& f : proc->fds) {
         if (f)
             return Error(MigrateError::UnsupportedState);
@@ -280,6 +271,21 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
     for (const auto& [start, vma] : proc->as.vmas()) {
         if (vma.type != os::VmaType::Anon)
             return Error(MigrateError::UnsupportedState);
+    }
+    // Resources are numbered by first appearance over the domain's
+    // regions — a canonical order that survives the trip: the restored
+    // domain registers regions in image order, so re-checkpointing
+    // reproduces the numbering (and the bytes) exactly.
+    std::map<ResourceId, std::uint64_t> canonical;
+    std::vector<const cloak::Resource*> ordered;
+    for (const cloak::Region& r : domain->regions) {
+        cloak::Resource* res =
+            engine->metadata().lookup(r.resource).valueOr(nullptr);
+        osh_assert(res != nullptr, "domain region names a dead resource");
+        if (res->isFile)
+            return Error(MigrateError::UnsupportedState);
+        if (canonical.emplace(r.resource, ordered.size()).second)
+            ordered.push_back(res);
     }
     for (Pid other : sys.kernel().pids()) {
         os::Process* p = sys.kernel().findProcess(other);
@@ -334,15 +340,7 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         writer.append(RecordType::Vma, p.view());
     }
 
-    // Resources are numbered by first appearance over the domain's
-    // regions — a canonical order that survives the trip: the restored
-    // domain registers regions in image order, so re-checkpointing
-    // reproduces the numbering (and the bytes) exactly.
-    std::map<ResourceId, std::uint64_t> canonical;
-    std::vector<ResourceId> ordered;
     for (const cloak::Region& r : domain->regions) {
-        if (canonical.emplace(r.resource, ordered.size()).second)
-            ordered.push_back(r.resource);
         PayloadWriter p;
         p.u64(r.start);
         p.u64((r.end - r.start) / pageSize);
@@ -351,15 +349,10 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         writer.append(RecordType::Region, p.view());
     }
     for (std::uint64_t i = 0; i < ordered.size(); ++i) {
-        cloak::Resource* res =
-            engine->metadata().lookup(ordered[i]).valueOr(nullptr);
-        osh_assert(res != nullptr, "domain region names a dead resource");
         PayloadWriter p;
         p.u64(i);
-        p.u64(res->keyId);
-        p.flag(res->isFile);
-        p.u64(res->fileKey);
-        cloak::encodePageMetas(p, res->pages);
+        p.u64(ordered[i]->keyId);
+        cloak::encodePageMetas(p, ordered[i]->pages);
         writer.append(RecordType::Resource, p.view());
     }
 
@@ -384,15 +377,8 @@ checkpoint(system::System& sys, Pid pid, const CheckpointOptions& options)
         ++result.pagesCaptured;
     }
 
-    for (const auto& [file_key, bundle] : engine->sealedStore()) {
-        PayloadWriter p;
-        p.u64(file_key);
-        p.u64(bundle.size());
-        p.bytes(bundle);
-        writer.append(RecordType::SealedBundle, p.view());
-    }
     for (const auto& [file_key, version] :
-         engine->metadata().sealVersions()) {
+         engine->metadata().floorsOwnedBy(domain->identity)) {
         PayloadWriter p;
         p.u64(file_key);
         p.u64(version);
@@ -510,8 +496,7 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
     std::vector<ResourceId> local;
     local.reserve(img.resources.size());
     for (const ParsedImage::ResourceRec& r : img.resources) {
-        cloak::Resource& res =
-            engine->importResource(domain, r.keyId, r.isFile, r.fileKey);
+        cloak::Resource& res = engine->importResource(domain, r.keyId);
         engine->metadata().replacePages(res, r.pages);
         local.push_back(res.id);
     }
@@ -524,9 +509,7 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
     }
     engine->bindThread(domain, img.ctcVa, img.bounceVa);
     engine->importCtcDigest(domain, img.ctc);
-    engine->metadata().importSealVersions(img.floors);
-    for (auto& [file_key, bundle] : img.bundles)
-        engine->sealedStore()[file_key] = std::move(bundle);
+    engine->metadata().importFloors(img.floors, img.identity);
 
     sys.startRestoredProcess(proc);
     result.pid = proc.pid;

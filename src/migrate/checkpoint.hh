@@ -5,10 +5,11 @@
  * checkpoint() serializes the full protected state of one quiesced
  * cloaked process — address-space layout, per-page protection metadata
  * (IVs, hashes, versions), every resident or swapped page image
- * (ciphertext: the domain is sealed first), the CTC binding, sealed
- * file bundles and the rollback floors — into a chain-MAC'd image
- * (see image.hh). The image never contains plaintext of cloaked pages
- * or any key material: it is safe to hand to the untrusted transport.
+ * (ciphertext: the domain is sealed first), the CTC binding and the
+ * rollback floors its identity owns (sealed bundles stay on the disk)
+ * — into a chain-MAC'd image (see image.hh). The image never contains
+ * plaintext of cloaked pages or any key material: it is safe to hand
+ * to the untrusted transport.
  *
  * restore() rehydrates the image on a *fresh* machine. Pages are
  * materialized as swap-resident, so the target's ordinary demand-paging
@@ -82,7 +83,8 @@ struct RestoreResult
  * quiesced: frozen at a trap boundary (Kernel::requestFreeze) or not
  * yet run since its own restore. Fails with UnsupportedState for
  * processes that cannot be checkpointed (open descriptors, file
- * mappings, live children) and NoCloaking on a native-baseline system.
+ * mappings or resources, live children) and NoCloaking on a
+ * native-baseline system.
  */
 Expected<CheckpointResult, MigrateError>
 checkpoint(system::System& sys, Pid pid,

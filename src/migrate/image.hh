@@ -64,13 +64,14 @@ enum class RecordType : std::uint32_t
     Region = 4,        ///< One cloaked region (resource by canonical index).
     Resource = 5,      ///< One resource's per-page protection metadata.
     PageData = 6,      ///< One page image (ciphertext for cloaked pages).
-    SealedBundle = 7,  ///< One sealed file-metadata bundle, verbatim.
-    SealVersion = 8,   ///< One rollback-floor entry (file key -> version).
+    // 7 carried a sealed file bundle in format 1; restore refuses it.
+    SealVersion = 8,   ///< One rollback floor the victim's identity owns.
     End = 9,           ///< Terminator; absence means truncation.
 };
 
-/** Image format version this build reads and writes. */
-constexpr std::uint64_t imageFormatVersion = 1;
+/** Image format version this build reads and writes (2: no sealed
+ *  bundles, owner-filtered floors, no file fields in Resource). */
+constexpr std::uint64_t imageFormatVersion = 2;
 
 /** Manifest magic ("OSHMIG1\0"). */
 constexpr std::array<std::uint8_t, 8> imageMagic = {'O', 'S', 'H', 'M',

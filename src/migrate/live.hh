@@ -11,8 +11,9 @@
  * reordered by the untrusted transport). When the dirty set is small
  * enough (or rounds run out) the victim stops for good: a final
  * checkpoint image carries only the last dirty pages plus everything
- * pre-copy does not track (uncloaked pages, metadata, CTC, sealed
- * bundles), the source copy is abandoned, and the target restores.
+ * pre-copy does not track (uncloaked pages, metadata, CTC, the
+ * victim's own rollback floors), the source copy is abandoned, and the
+ * target restores.
  * Downtime is the stop-and-copy capture plus the restore — not the
  * whole transfer.
  */

@@ -54,7 +54,7 @@ enum class Hypercall : std::uint64_t
     CloakPrepareFork = 7,    ///< Parent authorizes a fork attach.
     CloakForkAttach = 8,     ///< Child clones the parent's protection.
     CloakAttachFile = 9,     ///< Attach/create a protected file resource.
-    CloakDiscardFile = 10,   ///< Drop sealed metadata (create/truncate).
+    CloakDiscardFile = 10,   ///< Owner resets a file (truncate/unlink).
     CloakTeardownDomain = 11,///< Destroy a domain and its resources.
     CloakSnapshotFork = 12,  ///< Capture post-fork metadata for a child.
     CloakIntrospect = 13,    ///< Query timing-hardening state (selector ABI).

@@ -7,7 +7,9 @@
  * paging of cloaked memory.
  */
 
+#include "base/bytes.hh"
 #include "cloak/engine.hh"
+#include "crypto/sha256.hh"
 #include "os/attack_hooks.hh"
 #include "os/env.hh"
 #include "system/system.hh"
@@ -805,6 +807,164 @@ TEST(CloakFiles, TamperedSealedMetadataRejected)
         bundle[bundle.size() / 2] ^= 0x80;
     }
     EXPECT_EQ(sys.runProgram("vault", {"read"}).status, 0);
+}
+
+/** The shim's file key for a protected path: the first 8 bytes of
+ *  its SHA-256, little-endian. */
+std::uint64_t
+fileKeyOf(const std::string& path)
+{
+    return loadLe64(crypto::Sha256::hash(std::span<const std::uint8_t>(
+                        reinterpret_cast<const std::uint8_t*>(path.data()),
+                        path.size()))
+                        .data());
+}
+
+/** What a fileOwner() run found: its exit status. */
+enum OwnerStatus : int
+{
+    ownerIntact = 0,  ///< Read back the 23 bytes it wrote.
+    ownerRefused = 10, ///< The open answered -EPERM.
+    ownerEmpty = 12,   ///< The file opened empty.
+    ownerOther = 13,   ///< Read something else (zeros).
+};
+
+/**
+ * A cloaked program over /cloaked/f. "write" creates it holding
+ * "twenty-three bytes here" (23 bytes). "read", "create" and "trunc"
+ * open it read-only, with openCreate|openRead|openWrite, or with those
+ * and openTrunc, and exit with the OwnerStatus of what they found.
+ */
+os::Program
+fileOwner()
+{
+    return os::Program{[](Env& env) {
+        env.mkdir("/cloaked");
+        const std::string content = "twenty-three bytes here";
+        const std::string& mode = env.args().at(0);
+        if (mode == "write") {
+            std::int64_t fd = env.open("/cloaked/f",
+                                       os::openCreate | os::openWrite);
+            if (fd < 0)
+                return 1;
+            env.writeAll(fd, content);
+            env.close(fd);
+            return 0;
+        }
+        std::uint64_t flags = os::openRead;
+        if (mode != "read")
+            flags |= os::openCreate | os::openWrite;
+        if (mode == "trunc")
+            flags |= os::openTrunc;
+        std::int64_t fd = env.open("/cloaked/f", flags);
+        if (fd == -os::errPerm)
+            return int{ownerRefused};
+        if (fd < 0)
+            return 1;
+        std::string back = env.readSome(fd, 64);
+        env.close(fd);
+        if (back == content)
+            return int{ownerIntact};
+        return back.empty() ? int{ownerEmpty} : int{ownerOther};
+    }, true, 64};
+}
+
+TEST(CloakFiles, DeletedBundleIsRefusedNotReadAsZeros)
+{
+    System sys(cloakedConfig());
+    sys.addProgram("owner", fileOwner());
+    ASSERT_EQ(sys.runProgram("owner", {"write"}).status, 0);
+
+    // The kernel loses the bundle it was asked to persist.
+    ASSERT_EQ(sys.cloak()->sealedStore().erase(fileKeyOf("/cloaked/f")),
+              1u);
+    const std::uint64_t rejected =
+        sys.cloak()->stats().value("file_attach_rejected");
+    auto r = sys.runProgram("owner", {"read"});
+    EXPECT_EQ(r.status, ownerRefused) << r.killReason;
+    EXPECT_EQ(sys.cloak()->stats().value("file_attach_rejected"),
+              rejected + 1);
+    ASSERT_FALSE(sys.cloak()->auditLog().empty());
+    EXPECT_EQ(sys.cloak()->auditLog().back().code,
+              cloak::CloakError::SealMissing);
+}
+
+TEST(CloakFiles, ForeignDiscardIsRefused)
+{
+    System sys(cloakedConfig());
+    sys.addProgram("owner", fileOwner());
+    sys.addProgram("rogue", os::Program{[](Env& env) {
+        // Another identity names the owner's key directly.
+        std::array<std::uint64_t, 1> key{fileKeyOf("/cloaked/f")};
+        return env.vcpu().hypercall(vmm::Hypercall::CloakDiscardFile,
+                                    key) == -1
+                   ? 0
+                   : 1;
+    }, true, 64});
+    ASSERT_EQ(sys.runProgram("owner", {"write"}).status, 0);
+
+    EXPECT_EQ(sys.runProgram("rogue").status, 0);
+    ASSERT_FALSE(sys.cloak()->auditLog().empty());
+    EXPECT_EQ(sys.cloak()->auditLog().back().code,
+              cloak::CloakError::SealBadIdentity);
+    EXPECT_EQ(sys.cloak()->stats().value("file_discards"), 0u);
+    EXPECT_EQ(sys.runProgram("owner", {"read"}).status, ownerIntact);
+}
+
+TEST(CloakFiles, PreTruncateBundleIsARollback)
+{
+    System sys(cloakedConfig());
+    const std::uint64_t key = fileKeyOf("/cloaked/f");
+    auto& store = sys.cloak()->sealedStore();
+    std::vector<std::uint8_t> old;
+    sys.addProgram("owner", os::Program{[&](Env& env) {
+        env.mkdir("/cloaked");
+        if (env.args().at(0) == "write") {
+            std::int64_t fd = env.open("/cloaked/f",
+                                       os::openCreate | os::openWrite);
+            if (fd < 0)
+                return 1;
+            env.writeAll(fd, "twenty-three bytes here");
+            env.close(fd);
+            return 0;
+        }
+        std::int64_t fd = env.open("/cloaked/f", os::openCreate |
+                                                     os::openWrite |
+                                                     os::openTrunc);
+        if (fd < 0)
+            return 1;
+        // While the truncated file is open, the kernel puts the
+        // pre-truncate bundle back and the owner opens the file again.
+        store[key] = old;
+        std::int64_t again = env.open("/cloaked/f", os::openRead);
+        env.close(fd);
+        return again == -os::errPerm ? 0 : 2;
+    }, true, 64});
+    ASSERT_EQ(sys.runProgram("owner", {"write"}).status, 0);
+    old = store.at(key);
+
+    auto r = sys.runProgram("owner", {"trunc"});
+    EXPECT_EQ(r.status, 0) << r.killReason;
+    bool rolled_back = false;
+    for (const cloak::AuditEvent& ev : sys.cloak()->auditLog())
+        rolled_back |= ev.code == cloak::CloakError::SealRollback;
+    EXPECT_TRUE(rolled_back);
+}
+
+TEST(CloakFiles, TamperedBundleIsNotSilentlyReset)
+{
+    // A creating open without openTrunc discards nothing: a bundle that
+    // fails to verify refuses it instead of handing back an empty file.
+    // A truncating open is the owner's explicit reset.
+    System sys(cloakedConfig());
+    sys.addProgram("owner", fileOwner());
+    ASSERT_EQ(sys.runProgram("owner", {"write"}).status, 0);
+    auto& bundle = sys.cloak()->sealedStore().at(fileKeyOf("/cloaked/f"));
+    bundle[bundle.size() / 2] ^= 0x01;
+
+    EXPECT_EQ(sys.runProgram("owner", {"create"}).status, ownerRefused);
+    EXPECT_EQ(sys.runProgram("owner", {"trunc"}).status, ownerEmpty);
+    EXPECT_EQ(sys.runProgram("owner", {"read"}).status, ownerEmpty);
 }
 
 TEST(CloakFiles, LargeProtectedFileGrowsMapping)

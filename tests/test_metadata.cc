@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <list>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
@@ -330,6 +331,51 @@ TEST_F(SealTest, DistinctFileKeysVersionIndependently)
     // though key 100 is at version 2.
     Resource& dst = store_.createResource(2, true, 200);
     EXPECT_TRUE(store_.unseal(bundle_b, key_, owner_, dst).ok());
+}
+
+TEST_F(SealTest, FirstSealNamesTheOwner)
+{
+    // A key no seal has named is free to anyone; the first seal makes
+    // its identity the owner, and every later decision reads that.
+    Resource& src = makeFileResource();
+    const crypto::Digest other = ident("prog-b");
+    EXPECT_TRUE(store_.mayWrite(77, other));
+    EXPECT_TRUE(store_.missingBundle(77).ok()); // A new, empty file.
+
+    auto bundle = store_.seal(src, key_, owner_);
+    EXPECT_TRUE(store_.mayWrite(77, owner_));
+    EXPECT_FALSE(store_.mayWrite(77, other));
+    // No bundle under a floor: the kernel lost it.
+    auto missing = store_.missingBundle(77);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error(), CloakError::SealMissing);
+    // Another identity's bundle for an owned key is refused even under
+    // a valid MAC.
+    PayloadWriter body;
+    body.u64(77);
+    body.u64(9);
+    body.bytes(other);
+    body.u64(0);
+    Resource& dst = store_.createResource(2, true, 77);
+    auto r = store_.unseal(reMac(body.take()), key_, other, dst);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), CloakError::SealBadIdentity);
+    EXPECT_TRUE(store_.unseal(bundle, key_, owner_, dst).ok());
+}
+
+TEST_F(SealTest, FloorsTravelOnlyWithTheirOwner)
+{
+    store_.seal(makeFileResource(100), key_, owner_);
+    store_.seal(makeFileResource(200), key_, ident("prog-b"));
+    using Floors = std::map<std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(store_.floorsOwnedBy(owner_), (Floors{{100, 1}}));
+
+    // An import raises its owner's floors and claims free keys, but
+    // never lowers a floor or takes another owner's key.
+    store_.importFloors({{100, 4}, {200, 9}, {300, 2}}, owner_);
+    store_.importFloors({{100, 3}}, owner_);
+    EXPECT_EQ(store_.floorsOwnedBy(owner_), (Floors{{100, 4}, {300, 2}}));
+    EXPECT_EQ(store_.floorsOwnedBy(ident("prog-b")), (Floors{{200, 1}}));
 }
 
 TEST_F(SealTest, SplicedPageCountRejected)

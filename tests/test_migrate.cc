@@ -14,10 +14,13 @@
 #include "migrate/live.hh"
 #include "mutate.hh"
 #include "system/system.hh"
+#include "vmm/vcpu.hh"
 #include "workloads/workloads.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -486,9 +489,9 @@ TEST(MigrateCheckpoint, EveryMutatedStateRecordIsRefusedOrRoundTrips)
     // Each mutant of one state record (PageData carries no state to
     // decode). A refusal leaves the target without a process; an
     // accepted image must checkpoint back to exactly its own bytes.
-    // An accepted mutant's exit can leave machine-wide state (a sealed
-    // bundle, when it made a resource a file), so the next mutant gets
-    // a fresh target.
+    // An accepted mutant leaves its restored process (and the swap
+    // slots its pages fill) on the target, so the next mutant gets a
+    // fresh target.
     std::unique_ptr<system::System> dst = computeTarget();
     std::size_t accepted = 0, refused = 0;
     // A killed mutant whose page metadata was flipped fails its
@@ -591,6 +594,213 @@ TEST(MigrateCheckpoint, NonCanonicalRegionsAreRefused)
     }
 }
 
+/** A cloaked program that writes /cloaked/<args[0]> (its seal names
+ *  the program's identity as the key's owner), then traps getpid 200
+ *  times so it can be frozen. */
+os::Program
+fileKeeper()
+{
+    return os::Program{[](os::Env& env) {
+        env.mkdir("/cloaked");
+        std::int64_t fd = env.open("/cloaked/" + env.args().at(0),
+                                   os::openCreate | os::openWrite);
+        if (fd < 0)
+            return 1;
+        env.writeAll(fd, "kept");
+        env.close(fd);
+        for (int i = 0; i < 200; ++i)
+            env.getpid();
+        return 0;
+    }, true, 64};
+}
+
+/** The shim's file key for a protected path. */
+std::uint64_t
+fileKeyOf(const std::string& path)
+{
+    return loadLe64(crypto::Sha256::hash(std::span<const std::uint8_t>(
+                        reinterpret_cast<const std::uint8_t*>(path.data()),
+                        path.size()))
+                        .data());
+}
+
+/** The (file key, version) of every SealVersion record of @p image. */
+std::map<std::uint64_t, std::uint64_t>
+floorsIn(const crypto::Digest& key, std::span<const std::uint8_t> image)
+{
+    std::map<std::uint64_t, std::uint64_t> floors;
+    migrate::ImageReader reader(key, image);
+    for (auto rec = reader.next(); (*rec).type != RecordType::End;
+         rec = reader.next()) {
+        if ((*rec).type != RecordType::SealVersion)
+            continue;
+        PayloadReader in((*rec).payload);
+        std::uint64_t file_key = in.u64();
+        floors[file_key] = in.u64();
+    }
+    return floors;
+}
+
+TEST(MigrateCheckpoint, ImageCarriesNoOtherIdentitysFileState)
+{
+    // Another program sealed /cloaked/x on this machine: its bundle
+    // and its floor are not the compute victim's to carry.
+    system::System src(victimConfig("wl.victim.compute", 7));
+    workloads::registerAll(src);
+    src.addProgram("keeper", fileKeeper());
+    ASSERT_EQ(src.runProgram("keeper", {"x"}).status, 0);
+    ASSERT_EQ(src.cloak()->metadata().lastSealedVersion(
+                  fileKeyOf("/cloaked/x")),
+              1u);
+    Pid pid = launchFrozen(src, "wl.victim.compute", 16);
+    auto ckpt = migrate::checkpoint(src, pid, {});
+    ASSERT_TRUE(ckpt.ok());
+    src.killFrozen(pid, "checkpointed");
+
+    migrate::ImageReader reader(src.cloak()->migrationKey(1),
+                                (*ckpt).image);
+    for (auto rec = reader.next(); (*rec).type != RecordType::End;
+         rec = reader.next()) {
+        // Type 7 carried a sealed bundle in format 1.
+        EXPECT_NE(static_cast<std::uint32_t>((*rec).type), 7u);
+    }
+    EXPECT_TRUE(
+        floorsIn(src.cloak()->migrationKey(1), (*ckpt).image).empty());
+}
+
+TEST(MigrateCheckpoint, OwnedFloorsTravelWithTheirIdentity)
+{
+    system::System src(victimConfig("wl.victim.compute", 7));
+    src.addProgram("keeper", fileKeeper());
+    src.addProgram("other", fileKeeper());
+    ASSERT_EQ(src.runProgram("other", {"y"}).status, 0);
+    Pid pid = src.launch("keeper", {"k"});
+    src.kernel().requestFreeze(pid, 100);
+    src.run();
+    ASSERT_TRUE(src.kernel().isFrozen(pid));
+    auto ckpt = migrate::checkpoint(src, pid, {});
+    ASSERT_TRUE(ckpt.ok());
+    src.killFrozen(pid, "checkpointed");
+
+    // Only the floor keeper owns travels; other's floor for y stays.
+    const std::uint64_t k = fileKeyOf("/cloaked/k");
+    using Floors = std::map<std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(floorsIn(src.cloak()->migrationKey(1), (*ckpt).image),
+              (Floors{{k, 1}}));
+
+    // Restore onto a target whose store already holds k at
+    // @p prior_version for @p prior_owner (none at 0); return the
+    // floors keeper and other own there afterwards.
+    const crypto::Digest keeper = cloak::programIdentity("keeper");
+    const crypto::Digest other = cloak::programIdentity("other");
+    using Owned = std::pair<Floors, Floors>;
+    auto restoredOn = [&](std::uint64_t prior_version,
+                          const crypto::Digest& prior_owner) {
+        system::System dst(victimConfig("wl.victim.compute", 7));
+        dst.addProgram("keeper", fileKeeper());
+        cloak::MetadataStore& store = dst.cloak()->metadata();
+        if (prior_version != 0)
+            store.importFloors({{k, prior_version}}, prior_owner);
+        EXPECT_TRUE(
+            migrate::restore(dst, (*ckpt).image, (*ckpt).ticket).ok());
+        return Owned{store.floorsOwnedBy(keeper), store.floorsOwnedBy(other)};
+    };
+    // A fresh target takes the floor, owned by the same identity.
+    EXPECT_EQ(restoredOn(0, keeper), (Owned{{{k, 1}}, {}}));
+    // An import never lowers a version...
+    EXPECT_EQ(restoredOn(9, keeper), (Owned{{{k, 9}}, {}}));
+    // ...and never changes an existing owner.
+    EXPECT_EQ(restoredOn(5, other), (Owned{{}, {{k, 5}}}));
+}
+
+TEST(MigrateCheckpoint, RegionOverAFileResourceIsRefused)
+{
+    // A domain that registered a region over its own protected file,
+    // with no descriptor or file mapping open: its pages' ciphertext
+    // is bound to a bundle that stays on this machine's disk.
+    system::System src(victimConfig("wl.victim.compute", 7));
+    src.addProgram("squatter", os::Program{[](os::Env& env) {
+        std::array<std::uint64_t, 1> key{0x5157};
+        std::int64_t res =
+            env.vcpu().hypercall(vmm::Hypercall::CloakAttachFile, key);
+        GuestVA va = env.allocUncloakedPages(1);
+        std::array<std::uint64_t, 4> region{
+            va, 1, static_cast<std::uint64_t>(res), 0};
+        if (res <= 0 ||
+            env.vcpu().hypercall(vmm::Hypercall::CloakRegisterRegion,
+                                 region) < 0)
+            return 1;
+        for (int i = 0; i < 200; ++i)
+            env.getpid();
+        return 0;
+    }, true, 64});
+    Pid pid = src.launch("squatter");
+    src.kernel().requestFreeze(pid, 100);
+    src.run();
+    ASSERT_TRUE(src.kernel().isFrozen(pid));
+    auto ckpt = migrate::checkpoint(src, pid, {});
+    ASSERT_FALSE(ckpt.ok());
+    EXPECT_EQ(ckpt.error(), MigrateError::UnsupportedState);
+    src.killFrozen(pid, "refused");
+}
+
+TEST(MigrateCheckpoint, FileKeyIdIsRefused)
+{
+    // A Resource record whose key id carries the file tag would import
+    // a protected file's key into a private region.
+    const SplitImage split;
+    std::vector<migrate::Record> recs = split.records;
+    auto res = std::find_if(recs.begin(), recs.end(), [](const auto& r) {
+        return r.type == RecordType::Resource;
+    });
+    ASSERT_NE(res, recs.end());
+    // Layout: index u64, key id u64, ...; the tag is the key id's top
+    // bit, the last byte of its little-endian u64.
+    res->payload[15] |= 0x80;
+    auto dst = computeTarget();
+    auto r = migrate::restore(*dst, split.chain(recs), split.ticket);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), MigrateError::BadRecord);
+    EXPECT_TRUE(dst->kernel().pids().empty());
+}
+
+TEST(MigrateCheckpoint, NonCanonicalFloorsAreRefused)
+{
+    // SealVersion records come in ascending key order, each a sealed
+    // version; anything else would re-encode differently, so it is
+    // refused whole. Canonical floors restore and re-encode exactly.
+    const SplitImage split;
+    auto with = [&](std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                        floors) {
+        std::vector<migrate::Record> recs = split.records;
+        for (const auto& [file_key, version] : floors) {
+            PayloadWriter w;
+            w.u64(file_key);
+            w.u64(version);
+            recs.push_back({RecordType::SealVersion, w.take()});
+        }
+        return split.chain(recs);
+    };
+    auto dst = computeTarget();
+    for (const auto& floors :
+         {std::vector<std::pair<std::uint64_t, std::uint64_t>>{{5, 0}},
+          {{5, 1}, {5, 2}},
+          {{6, 1}, {5, 1}}}) {
+        auto r = migrate::restore(*dst, with(floors), split.ticket);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error(), MigrateError::BadRecord);
+        EXPECT_TRUE(dst->kernel().pids().empty());
+    }
+    const std::vector<std::uint8_t> canonical = with({{5, 1}, {6, 2}});
+    auto r = migrate::restore(*dst, canonical, split.ticket);
+    ASSERT_TRUE(r.ok());
+    migrate::CheckpointOptions copts;
+    copts.nonce = 5;
+    auto again = migrate::checkpoint(*dst, (*r).pid, copts);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ((*again).image, canonical);
+}
+
 /** SHA-256 of @p bytes, in lowercase hex. */
 std::string
 digestHex(std::span<const std::uint8_t> bytes)
@@ -612,13 +822,13 @@ TEST(MigrateCheckpoint, ImageBytesArePinned)
     };
     const Cut cuts[] = {
         {"wl.victim.compute", 12,
-         "85ba2e88c650e544a4391682500872557f62595dd8836d2e7d45ef2fda77588c"},
+         "910abda08dae58793547c2100c30fe713b0e3bf151120ea1e5b961578d7d5ac3"},
         {"wl.victim.compute", 24,
-         "5c730f0685a5600bc98af7fd53a65a25b15777c0941c8a1e7b34309c42b1aa2d"},
+         "b01b321fb7567a4edf7090c21b098d63a00696bdcfa76560adfbfd87dc688242"},
         {"wl.victim.paging", 12,
-         "2e82f7fbbc7acae41337c0d2727a2e82d14921e6d40e810de1e511fa4a5984a0"},
+         "3c3b6278dbfc630a01b0c5fab77d23357590104fbd42137d9c6705551eae934e"},
         {"wl.victim.paging", 24,
-         "f0e073ee4ff29217eb7559bbf363f22c920613bca71cf8e9142390d032e4af58"},
+         "14e026b9ed962475e8662c6a1fad8331554fda6869d39e6f823949243d17f71e"},
     };
     for (const Cut& c : cuts) {
         system::System sys(victimConfig(c.workload, 42));

@@ -540,7 +540,8 @@ TEST(OsFiles, UnlinkReapsEmptyDirectory)
 TEST(OsFiles, ProtectedFileCyclesReleaseFramesAndBundle)
 {
     // Through the shim: the protected file is a cloaked file mapping
-    // whose metadata is sealed on close and discarded on unlink.
+    // whose metadata is sealed on close and reset on unlink, where the
+    // owner's discard seals it empty.
     SystemConfig cfg = nativeConfig();
     cfg.cloakingEnabled = true;
     System sys(cfg);
@@ -569,7 +570,11 @@ TEST(OsFiles, ProtectedFileCyclesReleaseFramesAndBundle)
     auto r = sys.runProgram("vault");
     EXPECT_EQ(r.status, 0) << r.killReason;
     ASSERT_NE(sys.cloak(), nullptr);
-    EXPECT_TRUE(sys.cloak()->sealedStore().empty());
+    // One bundle is left, and it holds no page: its header (file key,
+    // version, owner), an empty page list and the MAC.
+    ASSERT_EQ(sys.cloak()->sealedStore().size(), 1u);
+    EXPECT_EQ(sys.cloak()->sealedStore().begin()->second.size(),
+              8 + 8 + 32 + 8 + crypto::sha256DigestSize);
     EXPECT_EQ(sys.cloak()->stats().value("file_discards"), 8u);
 }
 
