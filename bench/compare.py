@@ -26,6 +26,15 @@ refreshed deliberately, in the same change that renames the metric.
 --allow-missing downgrades that error back to a warning, for runs
 that are partial on purpose (e.g. a --quick sweep compared against
 the full committed baseline).
+
+On a drift the moved keys are also printed grouped by run, with their
+deltas, one line per run prefix:
+
+    cloaked.tasks_4.: cycles -16000, vmm.world_switches -20
+
+A key's metric is its last component, or its last two when the one
+before is a layer namespace (vmm.world_switches, op.fork_wait); the
+run prefix is everything before it.
 """
 
 import argparse
@@ -36,6 +45,33 @@ import sys
 def is_host(key: str) -> bool:
     """Host wall-time metrics: informational on any machine."""
     return key.startswith("host_")
+
+
+# Key components that name a layer's counter group, not a run.
+LAYERS = {"cloak", "op", "sched", "shadow", "tlb", "vmm"}
+
+
+def split_key(key: str) -> tuple:
+    """(run prefix, metric): 'a.b.vmm.hypercalls' -> ('a.b.', 'vmm.hypercalls')."""
+    parts = key.split(".")
+    n = 2 if len(parts) > 2 and parts[-2] in LAYERS else 1
+    prefix = ".".join(parts[:-n])
+    return (prefix + "." if prefix else ""), ".".join(parts[-n:])
+
+
+def fmt_delta(b, c) -> str:
+    d = c - b
+    return f"{d:+d}" if isinstance(d, int) else f"{d:+g}"
+
+
+def moved_by_run(keys: list, base: dict, cur: dict) -> list:
+    """One 'prefix: metric delta, ...' line per run, in key order."""
+    runs = {}
+    for key in keys:
+        prefix, metric = split_key(key)
+        runs.setdefault(prefix, []).append(
+            f"{metric} {fmt_delta(base[key], cur[key])}")
+    return [f"{prefix}: {', '.join(moved)}" for prefix, moved in runs.items()]
 
 
 def load_metrics(path: str) -> dict:
@@ -105,6 +141,11 @@ def main() -> int:
         print("DRIFT (simulated metrics must equal the baseline):")
         for key, b, c, delta in drifts:
             print(f"  {key}: {b} -> {c} ({delta:+.1%})")
+        print("moved, by run:")
+        moved = [k for k in base if k in cur and not is_host(k)
+                 and base[k] != cur[k]]
+        for line in moved_by_run(moved, base, cur):
+            print(f"  {line}")
     show_host(host_rows)
     missing_label = "warning" if args.allow_missing else "error"
     for key in missing:

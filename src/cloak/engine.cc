@@ -842,10 +842,12 @@ CloakEngine::registerRegion(DomainId domain, GuestVA start,
 {
     Domain& d = domainOf(domain);
     GuestVA first = pageBase(start);
-    for (const Region& r : d.regions) {
-        if (first < r.end && r.start < first + pages * pageSize)
-            return auditError(CloakError::RegionOverlap, domain, resource);
-    }
+    GuestVA end = first + pages * pageSize;
+    bool overlap = meetsBounce(d.bounceVa, first, end);
+    for (const Region& r : d.regions)
+        overlap = overlap || (first < r.end && r.start < end);
+    if (overlap)
+        return auditError(CloakError::RegionOverlap, domain, resource);
     Resource* res = nullptr;
     if (resource == 0) {
         res = &metadata_.createResource(domain);
@@ -862,7 +864,7 @@ CloakEngine::registerRegion(DomainId domain, GuestVA start,
     Region r;
     r.asid = d.asid;
     r.start = first;
-    r.end = r.start + pages * pageSize;
+    r.end = end;
     r.resource = res->id;
     r.resourcePageOffset = resource_page_offset;
     d.regions.push_back(r);
@@ -940,15 +942,20 @@ CloakEngine::unregisterRegion(DomainId domain, GuestVA start)
     }
 }
 
-void
+Expected<void, CloakError>
 CloakEngine::bindThread(DomainId domain, GuestVA ctc_va, GuestVA bounce_va)
 {
     Domain& d = domainOf(domain);
+    for (const Region& r : d.regions) {
+        if (meetsBounce(bounce_va, r.start, r.end))
+            return auditError(CloakError::RegionOverlap, domain);
+    }
     d.ctcVa = ctc_va;
     d.bounceVa = bounce_va;
     d.ctcExport = exportCtcDigest(domain);
     d.ctcExport.valid = false;
     d.ctcRecordValid = false;
+    return {};
 }
 
 void
@@ -1046,8 +1053,6 @@ CloakEngine::snapshotFork(DomainId parent, std::uint64_t token,
         }
         pf.regions.push_back({r, new_res});
     }
-    pf.ctcVa = pd->ctcVa;
-    pf.bounceVa = pd->bounceVa;
     pf.child = child_pid;
     pf.snapshotted = true;
     stats_.inc(cloakStat("fork_snapshots"));
@@ -1085,8 +1090,8 @@ CloakEngine::forkAttach(Asid child_asid, Pid child_pid,
     DomainId child_id =
         createDomain(child_asid, child_pid, parent->identity);
     Domain& child = domainOf(child_id);
-    child.ctcVa = pf.ctcVa;
-    child.bounceVa = pf.bounceVa;
+    child.ctcVa = parent->ctcVa;
+    child.bounceVa = parent->bounceVa;
 
     // Mirror the parent's regions at the same virtual addresses (fork
     // preserves the address-space layout), re-homing the clones.
@@ -1199,11 +1204,9 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
         return i < args.size() ? args[i] : 0;
     };
 
-    // Every hypercall but ForkAttach (the caller has no domain yet) and
-    // Introspect (system policy) acts on the caller's own domain.
-    if (ctx.view == systemDomain &&
-        num != vmm::Hypercall::CloakForkAttach &&
-        num != vmm::Hypercall::CloakIntrospect)
+    // Every hypercall but Introspect (system policy) acts on the
+    // caller's own domain.
+    if (ctx.view == systemDomain && num != vmm::Hypercall::CloakIntrospect)
         return -1;
 
     switch (num) {
@@ -1215,10 +1218,6 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
 
       case vmm::Hypercall::CloakUnregisterRegion:
         unregisterRegion(ctx.view, arg(0));
-        return 0;
-
-      case vmm::Hypercall::CloakRegisterThread:
-        bindThread(ctx.view, arg(0), arg(1));
         return 0;
 
       case vmm::Hypercall::CloakSealMetadata:
@@ -1233,13 +1232,6 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
         return snapshotFork(ctx.view, arg(0), static_cast<Pid>(arg(1))).ok()
                    ? 0
                    : -1;
-
-      case vmm::Hypercall::CloakForkAttach:
-        // The caller has no domain yet; its asid doubles as its pid in
-        // this system (see os::Process).
-        return static_cast<std::int64_t>(
-            forkAttach(ctx.asid, static_cast<Pid>(ctx.asid), arg(0))
-                .valueOr(systemDomain));
 
       case vmm::Hypercall::CloakAttachFile:
         // Resource ids are always positive; 0 signals rejection.
@@ -1266,12 +1258,9 @@ CloakEngine::hypercall(vmm::Vcpu& vcpu, vmm::Hypercall num,
             return static_cast<std::int64_t>(asyncRing_.size());
           default: return -1;
         }
-
-      case vmm::Hypercall::CloakCreateDomain:
-        // Domain creation is part of the attested launch path and goes
-        // through the trusted runtime API, not a guest hypercall.
-        return -1;
     }
+    // A retired or unknown number: domains are created, threads bound
+    // and fork children attached by the attested launch.
     return -1;
 }
 

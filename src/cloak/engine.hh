@@ -67,6 +67,16 @@ struct Region
 /** Serialized register-file size in the CTC (cloaked thread context). */
 constexpr std::size_t ctcBytes = (vmm::numGprs + 3) * 8;
 
+/** The shim's uncloaked bounce area: its size in pages, and whether
+ *  [start, end) meets one at @p bounce_va (0: none). */
+constexpr std::uint64_t bouncePages = 20;
+constexpr bool
+meetsBounce(GuestVA bounce_va, GuestVA start, GuestVA end)
+{
+    return bounce_va != 0 && start < bounce_va + bouncePages * pageSize &&
+           bounce_va < end;
+}
+
 /** What a migration image records for a CTC: a valid flag and the
  *  SHA-256 of the register record. */
 struct CtcDigest
@@ -86,8 +96,8 @@ struct Domain
 
     /** The shim's layout, the one place it is kept: the cloaked
      *  thread context page and the uncloaked bounce area (0 until the
-     *  shim registers its thread). Fork children and restored
-     *  processes inherit it. */
+     *  launch binds the thread). Fork children and restored processes
+     *  inherit it. */
     GuestVA ctcVa = 0;
     GuestVA bounceVa = 0;
     /** The VMM-private copy of the register record last saved into
@@ -384,8 +394,8 @@ class CloakEngine : public vmm::CloakBackend
     Domain* findDomain(DomainId id);
 
     /** Register/unregister a cloaked VA range for a domain. A range
-     *  overlapping one of the domain's regions, or naming a resource
-     *  that is unknown or another domain's, is refused. */
+     *  over a region or the bounce area, or naming a resource that is
+     *  unknown or another domain's, is refused. */
     Expected<ResourceId, CloakError>
     registerRegion(DomainId domain, GuestVA start, std::uint64_t pages,
                    ResourceId resource = 0,
@@ -395,11 +405,12 @@ class CloakEngine : public vmm::CloakBackend
     /** CTC handling used by the secure-control-transfer path: the VMM
      *  keeps a private copy of each saved record and the restore side
      *  compares the CTC page against it in constant time. Binding a
-     *  thread records the shim's layout (CTC and bounce area) and
-     *  clears the copy, so a verify before the next save fails. A
-     *  failed verification names its cause and is recorded in the
-     *  audit log. */
-    void bindThread(DomainId domain, GuestVA ctc_va, GuestVA bounce_va);
+     *  thread (at launch) records the shim's layout (CTC and bounce
+     *  area), refusing a bounce area over a region, and clears the
+     *  copy, so a verify before the next save fails. A refusal names
+     *  its cause and is recorded in the audit log. */
+    Expected<void, CloakError> bindThread(DomainId domain, GuestVA ctc_va,
+                                          GuestVA bounce_va);
     void recordCtc(DomainId domain,
                    std::span<const std::uint8_t, ctcBytes> record);
     Expected<void, CloakError>
@@ -633,8 +644,6 @@ class CloakEngine : public vmm::CloakBackend
         Pid child = 0;
         bool snapshotted = false;
         std::vector<PendingRegion> regions;
-        GuestVA ctcVa = 0;
-        GuestVA bounceVa = 0;
     };
     std::map<std::uint64_t, PendingFork> pendingForks_;
     std::uint64_t nextForkToken_ = 0x4f56'0001;

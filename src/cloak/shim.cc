@@ -27,10 +27,8 @@ Shim::attach(CloakEngine& engine, os::Env& env, std::uint64_t fork_token)
         // Restored: the migrate layer imported the domain and its
         // layout; the regions are registered already.
     } else if (fork_token != 0) {
-        std::array<std::uint64_t, 1> args{fork_token};
-        std::int64_t domain = env.vcpu().hypercall(
-            vmm::Hypercall::CloakForkAttach, args);
-        if (domain <= 0) {
+        auto domain = engine.forkAttach(proc.as.asid(), proc.pid, fork_token);
+        if (!domain.ok()) {
             // The engine refused to confer the parent's domain — a
             // hostile kernel corrupted cloaked state between fork and
             // attach (the rejection is audited). The child must not
@@ -38,7 +36,7 @@ Shim::attach(CloakEngine& engine, os::Env& env, std::uint64_t fork_token)
             throw vmm::ProcessKilled{
                 proc.pid, "cloak violation: fork attach rejected"};
         }
-        proc.domain = static_cast<DomainId>(domain);
+        proc.domain = *domain;
         event = "cloak_fork_launch";
     } else {
         proc.domain = engine.createDomain(
@@ -82,29 +80,18 @@ Shim::isProtectedPath(const std::string& path) const
 void
 Shim::initialize()
 {
-    auto& vcpu = env_.vcpu();
-    auto hyper = [&vcpu](vmm::Hypercall num,
-                         std::initializer_list<std::uint64_t> a) {
-        std::array<std::uint64_t, 4> args{};
-        std::size_t i = 0;
-        for (std::uint64_t v : a)
-            args[i++] = v;
-        return vcpu.hypercall(num, std::span<const std::uint64_t>(
-                                       args.data(), i));
-    };
-
     const Domain* domain = engine_.findDomain(domain_);
     osh_assert(domain != nullptr, "shim for an unknown domain");
     GuestVA ctc_va = domain->ctcVa;
     bounceVa_ = domain->bounceVa;
     if (ctc_va == 0) {
         // A fresh domain: register the cloaked regions the loader
-        // created (stack, code) before the program touches them.
+        // created (code, stack) before the program touches them.
         for (const auto& [start, vma] : env_.process().as.vmas()) {
-            if (!vma.cloaked)
-                continue;
-            hyper(vmm::Hypercall::CloakRegisterRegion,
-                  {vma.start, vma.pages(), 0, 0});
+            if (vma.cloaked)
+                requireRegistered(
+                    engine_.registerRegion(domain_, start, vma.pages()).ok(),
+                    "loader region");
         }
 
         // Cloaked thread context page.
@@ -113,7 +100,8 @@ Shim::initialize()
                         os::mapAnon | os::mapCloaked, ~0ull, 0});
         osh_assert(ctc > 0, "CTC allocation failed");
         ctc_va = static_cast<GuestVA>(ctc);
-        registerMapping(ctc, 1, 0);
+        requireRegistered(engine_.registerRegion(domain_, ctc_va, 1).ok(),
+                          "mmap result");
 
         // Uncloaked bounce buffers for marshalling.
         std::int64_t bounce = env_.trapToKernel(
@@ -124,7 +112,8 @@ Shim::initialize()
         bounceVa_ = static_cast<GuestVA>(bounce);
     }
 
-    hyper(vmm::Hypercall::CloakRegisterThread, {ctc_va, bounceVa_});
+    requireRegistered(engine_.bindThread(domain_, ctc_va, bounceVa_).ok(),
+                      "bounce area");
     env_.setInterposer(this);
 }
 
@@ -459,9 +448,17 @@ Shim::registerMapping(std::int64_t va, std::uint64_t pages,
 {
     std::array<std::uint64_t, 4> reg{static_cast<std::uint64_t>(va),
                                      pages, resource, 0};
-    if (env_.vcpu().hypercall(vmm::Hypercall::CloakRegisterRegion, reg) < 0)
+    requireRegistered(
+        env_.vcpu().hypercall(vmm::Hypercall::CloakRegisterRegion, reg) >= 0,
+        "mmap result");
+}
+
+void
+Shim::requireRegistered(bool registered, const char* what)
+{
+    if (!registered)
         kernelViolation(cloakStat("result_violations"),
-                        "mmap result overlaps a protected region");
+                        std::string(what) + " overlaps a protected region");
 }
 
 std::int64_t

@@ -49,8 +49,8 @@ class Shim : public os::SyscallInterposer
      * this order, the one the process already names (a restored
      * process, whose domain the migrate layer imported), the parent's
      * domain conferred through @p fork_token (a fork child), or a
-     * fresh one for the program's identity (a launch). A fork attach
-     * the VMM refuses kills the child.
+     * fresh one for the program's identity (a launch), all within one
+     * world switch. A fork attach the VMM refuses kills the child.
      */
     static std::unique_ptr<Shim> attach(CloakEngine& engine, os::Env& env,
                                         std::uint64_t fork_token);
@@ -89,8 +89,9 @@ class Shim : public os::SyscallInterposer
     /**
      * Adopt the domain's layout (a fork child or restored process
      * inherits it), or else register the loader's cloaked regions and
-     * allocate the CTC page and bounce area; then register the thread
-     * and interpose on the Env.
+     * allocate the CTC page and bounce area; then bind the thread and
+     * interpose on the Env. A CTC page or bounce area over a region
+     * kills.
      */
     void initialize();
 
@@ -182,6 +183,9 @@ class Shim : public os::SyscallInterposer
     void registerMapping(std::int64_t va, std::uint64_t pages,
                          ResourceId resource);
 
+    /** Kill unless @p registered: the kernel put @p what over a region. */
+    void requireRegistered(bool registered, const char* what);
+
     /** @p fd, a descriptor the kernel's @p num just handed out. One
      *  the shim already serves as a protected file is a kernel
      *  violation: the app's plain I/O on it would reach that file's
@@ -214,7 +218,7 @@ class Shim : public os::SyscallInterposer
      */
     struct Bounce
     {
-        static constexpr std::uint64_t pages = 20;
+        static constexpr std::uint64_t pages = bouncePages;
         static constexpr std::uint64_t dataBytes = 16 * pageSize;
         static constexpr std::uint64_t strings = dataBytes;
         static constexpr std::uint64_t readDirMax = 512;

@@ -433,10 +433,12 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
         return Error(MigrateError::BadRecord);
     // Resources are numbered by first appearance over the regions, and
     // every one is named by a region: the order checkpoint() writes.
-    // Every region lies in mapped memory.
+    // Every region lies in mapped memory, clear of the bounce area.
     std::uint64_t named = 0;
     for (const ParsedImage::RegionRec& r : img.regions) {
-        if (!mapped(img.vmas, r.start, r.start + r.pages * pageSize) ||
+        GuestVA end = r.start + r.pages * pageSize;
+        if (!mapped(img.vmas, r.start, end) ||
+            cloak::meetsBounce(img.bounceVa, r.start, end) ||
             r.resourceIndex > named ||
             r.resourceIndex >= img.resources.size())
             return Error(MigrateError::BadRecord);
@@ -507,7 +509,8 @@ restore(system::System& sys, std::span<const std::uint8_t> image,
                       .ok();
         osh_assert(ok, "restored region overlap");
     }
-    engine->bindThread(domain, img.ctcVa, img.bounceVa);
+    bool bound = engine->bindThread(domain, img.ctcVa, img.bounceVa).ok();
+    osh_assert(bound, "restored bounce area overlaps a region");
     engine->importCtcDigest(domain, img.ctc);
     engine->metadata().importFloors(img.floors, img.identity);
 

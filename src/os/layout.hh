@@ -40,13 +40,12 @@ constexpr GuestVA mmapBase = 0x0000'0000'1000'0000ull;
 /** File-mapping arena (grows up). */
 constexpr GuestVA fileMapBase = 0x0000'0000'4000'0000ull;
 
-/** Cloaked shim region (CTC pages, shim-private state). */
+/** End of the file-mapping arena. */
 constexpr GuestVA shimCloakedBase = 0x0000'0000'6000'0000ull;
-constexpr std::uint64_t shimCloakedPages = 16;
 
-/** Uncloaked shim bounce-buffer region. */
+/** Base of the trampoline values below; nothing is mapped there (the
+ *  shim maps its CTC page and bounce area from the mmap arena). */
 constexpr GuestVA shimBounceBase = 0x0000'0000'6100'0000ull;
-constexpr std::uint64_t shimBouncePages = 32;
 
 /** Stack: grows down from stackTop. */
 constexpr GuestVA stackTop = 0x0000'0000'7ff0'0000ull;

@@ -43,16 +43,14 @@ class EvictionSink
 /**
  * Hypercall numbers. Cloaked applications (their shim, really) talk to
  * the VMM directly through these; the guest kernel never sees them.
+ * Numbers 1, 4, 6 and 8 are retired (-1): see CloakEngine::hypercall.
  */
 enum class Hypercall : std::uint64_t
 {
-    CloakCreateDomain = 1,   ///< Create a protection domain.
     CloakRegisterRegion = 2, ///< Attach a VA range to a cloaked resource.
     CloakUnregisterRegion = 3,
-    CloakRegisterThread = 4, ///< Register a thread's CTC + bounce area.
     CloakSealMetadata = 5,   ///< Persist a resource's metadata (files).
     CloakPrepareFork = 7,    ///< Parent authorizes a fork attach.
-    CloakForkAttach = 8,     ///< Child clones the parent's protection.
     CloakAttachFile = 9,     ///< Attach/create a protected file resource.
     CloakDiscardFile = 10,   ///< Owner resets a file (truncate/unlink).
     CloakTeardownDomain = 11,///< Destroy a domain and its resources.

@@ -442,9 +442,11 @@ TEST_F(EngineTest, ForkAttachRequiresToken)
 
 TEST_F(EngineTest, ForkTokenAttachesOnlyItsChild)
 {
-    // Through the hypercalls a shim issues: the parent names the child
-    // pid its fork trap returned, so a third process presenting the
-    // token is refused (audited) and the real child still attaches.
+    // The parent names, through the hypercalls its shim issues, the
+    // child pid its fork trap returned. The attach itself is the
+    // child's attested launch (Shim::attach calls forkAttach), so a
+    // third process presenting the token there is refused (audited),
+    // and the real child still attaches.
     constexpr Pid childPid = 9;
     constexpr Pid thiefPid = 10;
     auto parent = appCpu();
@@ -456,21 +458,21 @@ TEST_F(EngineTest, ForkTokenAttachesOnlyItsChild)
     ASSERT_EQ(parent.hypercall(vmm::Hypercall::CloakSnapshotFork, snap),
               0);
 
-    std::array<std::uint64_t, 1> attach{static_cast<std::uint64_t>(token)};
-    vmm::Vcpu thief(vmm_, vmm::Context{thiefPid, systemDomain, false});
+    auto tok = static_cast<std::uint64_t>(token);
     std::size_t audited = engine_.auditLog().size();
-    EXPECT_EQ(thief.hypercall(vmm::Hypercall::CloakForkAttach, attach),
-              static_cast<std::int64_t>(systemDomain));
+    auto stolen = engine_.forkAttach(thiefPid, thiefPid, tok);
+    ASSERT_FALSE(stolen.ok());
+    EXPECT_EQ(stolen.error(), cloak::CloakError::BadForkToken);
     ASSERT_EQ(engine_.auditLog().size(), audited + 1);
     EXPECT_EQ(engine_.auditLog().back().code,
               cloak::CloakError::BadForkToken);
     EXPECT_EQ(engine_.auditLog().back().domain, domain_);
 
-    vmm::Vcpu child(vmm_, vmm::Context{childPid, systemDomain, false});
-    std::int64_t domain =
-        child.hypercall(vmm::Hypercall::CloakForkAttach, attach);
-    ASSERT_GT(domain, 0);
-    EXPECT_EQ(engine_.findDomain(static_cast<DomainId>(domain))->identity,
+    // The token stayed pending for its child.
+    auto domain = engine_.forkAttach(childPid, childPid, tok);
+    ASSERT_TRUE(domain.ok());
+    EXPECT_NE(*domain, systemDomain);
+    EXPECT_EQ(engine_.findDomain(*domain)->identity,
               programIdentity("victim"));
 }
 
@@ -488,22 +490,66 @@ TEST_F(EngineTest, RetiredInfoHypercallAnswersNobody)
     }
 }
 
+TEST_F(EngineTest, RetiredAttachHypercallsAnswerNobody)
+{
+    // Domain creation (1), thread binding (4) and the fork attach (8)
+    // are part of the attested launch; no number answers a cloaked or
+    // an uncloaked caller, and none touches a domain.
+    auto cloaked = appCpu();
+    auto uncloaked = kernelCpu();
+    std::uint64_t token = engine_.prepareFork(domain_).value();
+    ASSERT_TRUE(engine_.snapshotFork(domain_, token, kernelAsid).ok());
+    std::array<std::uint64_t, 2> args{token, 0x7000};
+    for (std::uint64_t number : {1u, 4u, 8u}) {
+        auto retired = static_cast<vmm::Hypercall>(number);
+        EXPECT_EQ(cloaked.hypercall(retired, args), -1) << number;
+        EXPECT_EQ(uncloaked.hypercall(retired, args), -1) << number;
+    }
+    EXPECT_EQ(engine_.findDomain(domain_)->ctcVa, 0u);
+    EXPECT_EQ(engine_.stats().value("fork_attaches"), 0u);
+    EXPECT_EQ(engine_.stats().value("domains_created"), 1u);
+}
+
+TEST_F(EngineTest, BounceAreaClearOfRegions)
+{
+    // The bounce area is uncloaked: the VMM binds none over a region,
+    // and registers no region over it. Both refusals are audited.
+    auto overlap = engine_.bindThread(domain_, 0x7000, appVa + pageSize);
+    ASSERT_FALSE(overlap.ok());
+    EXPECT_EQ(overlap.error(), CloakError::RegionOverlap);
+    EXPECT_EQ(engine_.auditLog().back().code, CloakError::RegionOverlap);
+    EXPECT_EQ(engine_.findDomain(domain_)->bounceVa, 0u);
+
+    constexpr GuestVA bounce = appVa + 16 * pageSize;
+    ASSERT_TRUE(engine_.bindThread(domain_, 0x7000, bounce).ok());
+    for (GuestVA va : {bounce - pageSize, bounce,
+                       bounce + (bouncePages - 1) * pageSize}) {
+        std::size_t audited = engine_.auditLog().size();
+        auto r = engine_.registerRegion(domain_, va, 2);
+        ASSERT_FALSE(r.ok()) << va;
+        EXPECT_EQ(r.error(), CloakError::RegionOverlap);
+        ASSERT_EQ(engine_.auditLog().size(), audited + 1);
+        EXPECT_EQ(engine_.auditLog().back().code, CloakError::RegionOverlap);
+    }
+    EXPECT_EQ(engine_.findDomain(domain_)->regions.size(), 1u);
+    EXPECT_TRUE(
+        engine_.registerRegion(domain_, bounce + bouncePages * pageSize, 1)
+            .ok());
+}
+
 TEST_F(EngineTest, DomainHypercallsAnswerOnlyCloakedCallers)
 {
     // Every hypercall that acts on the caller's own domain answers -1
-    // to a caller with none, and CloakCreateDomain answers -1 to all:
-    // a domain comes only from the attested launch path.
+    // to a caller with none.
     using vmm::Hypercall;
     std::array<std::uint64_t, 4> args{appVa + 8 * pageSize, 1, 0, 0};
     auto uncloaked = kernelCpu();
     for (Hypercall h :
-         {Hypercall::CloakCreateDomain, Hypercall::CloakRegisterRegion,
-          Hypercall::CloakUnregisterRegion, Hypercall::CloakRegisterThread,
+         {Hypercall::CloakRegisterRegion, Hypercall::CloakUnregisterRegion,
           Hypercall::CloakSealMetadata, Hypercall::CloakPrepareFork,
           Hypercall::CloakAttachFile, Hypercall::CloakDiscardFile,
           Hypercall::CloakTeardownDomain, Hypercall::CloakSnapshotFork})
         EXPECT_EQ(uncloaked.hypercall(h, args), -1) << static_cast<int>(h);
-    EXPECT_EQ(appCpu().hypercall(Hypercall::CloakCreateDomain, args), -1);
     ASSERT_NE(engine_.findDomain(domain_), nullptr);
     EXPECT_EQ(engine_.findDomain(domain_)->regions.size(), 1u);
 }

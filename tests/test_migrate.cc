@@ -977,9 +977,120 @@ TEST(MigrateCheckpoint, RestoredProcessForksACloakedChild)
     EXPECT_EQ(events.value("cloak_launch"), 0u);
     EXPECT_EQ(events.value("cloak_restore_launch"), 1u);
     EXPECT_EQ(events.value("cloak_fork_launch"), 1u);
-    EXPECT_EQ(dst.vmm().stats().value("hypercalls"), 6u);
+    // The parent's CloakPrepareFork and CloakSnapshotFork, and the
+    // CloakRegisterRegion of its waitpid scratch page. Each launch
+    // binds its thread and the child attaches inside its own launch,
+    // so neither launch adds a hypercall.
+    EXPECT_EQ(dst.vmm().stats().value("hypercalls"), 3u);
     EXPECT_EQ(dst.cloak()->stats().value("domains_destroyed"),
               dst.cloak()->stats().value("domains_created"));
+}
+
+/** A System's VMM entries outside the secure control transfer: every
+ *  world switch but the trap and interrupt round trips around kernel
+ *  entries, and the hypercalls among them. */
+struct VmmEntries
+{
+    std::uint64_t switches = 0;
+    std::uint64_t hypercalls = 0;
+
+    VmmEntries
+    operator-(const VmmEntries& o) const
+    {
+        return {switches - o.switches, hypercalls - o.hypercalls};
+    }
+};
+
+VmmEntries
+vmmEntries(system::System& sys)
+{
+    const StatGroup& ev = sys.machine().cost().stats();
+    std::uint64_t transfers =
+        ev.value("cloak_trap_enter") + ev.value("cloak_trap_return") +
+        ev.value("cloak_intr_enter") + ev.value("cloak_intr_return");
+    return {sys.vmm().stats().value("world_switches") - transfers,
+            ev.value("hypercall")};
+}
+
+/** A cloaked program that notes @p sys's VMM entries as its body
+ *  starts, then gives a freeze somewhere to land. */
+os::Program
+entryProbe(system::System& sys, std::vector<VmmEntries>& starts)
+{
+    return os::Program{[&sys, &starts](os::Env& env) {
+        starts.push_back(vmmEntries(sys));
+        for (int i = 0; i < 32; ++i)
+            env.getpid();
+        return 0;
+    }, true, 32};
+}
+
+TEST(MigrateCheckpoint, EveryAttachIsOneWorldSwitch)
+{
+    // A fresh launch, a fork child and a restored process each enter
+    // the VMM exactly once before their body runs: the launch event,
+    // which registers a fresh domain's regions, attaches a fork child
+    // and binds the thread itself, with no hypercall.
+    auto cfg = victimConfig("wl.victim.compute", 42);
+    system::System src(cfg);
+    std::vector<VmmEntries> src_starts;
+    src.addProgram("probe", entryProbe(src, src_starts));
+    VmmEntries before = vmmEntries(src);
+    Pid pid = launchFrozen(src, "probe", 12);
+    ASSERT_EQ(src_starts.size(), 1u);
+    VmmEntries fresh = src_starts[0] - before;
+    EXPECT_EQ(fresh.switches, 1u);
+    EXPECT_EQ(fresh.hypercalls, 0u);
+    EXPECT_EQ(src.machine().cost().stats().value("cloak_launch"), 1u);
+
+    auto ckpt = migrate::checkpoint(src, pid, {});
+    ASSERT_TRUE(ckpt.ok()) << migrate::migrateErrorName(ckpt.error());
+    src.killFrozen(pid, "migrated away");
+    system::System dst(cfg);
+    std::vector<VmmEntries> dst_starts;
+    dst.addProgram("probe", entryProbe(dst, dst_starts));
+    auto restored = migrate::restore(dst, (*ckpt).image, (*ckpt).ticket);
+    ASSERT_TRUE(restored.ok())
+        << migrate::migrateErrorName(restored.error());
+    before = vmmEntries(dst);
+    dst.run();
+    ASSERT_EQ(dst_starts.size(), 1u);
+    VmmEntries resumed = dst_starts[0] - before;
+    EXPECT_EQ(resumed.switches, 1u);
+    EXPECT_EQ(resumed.hypercalls, 0u);
+    EXPECT_EQ(dst.machine().cost().stats().value("cloak_restore_launch"),
+              1u);
+    EXPECT_EQ(dst.results().at((*restored).pid).status, 0);
+
+    system::System sys(cfg);
+    VmmEntries mark;
+    VmmEntries child_start;
+    bool marked = false;
+    bool child_after_mark = false;
+    sys.addProgram("forker", os::Program{[&](os::Env& env) {
+        Pid child = env.fork([&](os::Env&) {
+            child_after_mark = marked;
+            child_start = vmmEntries(sys);
+            return 0;
+        });
+        mark = vmmEntries(sys);
+        marked = true;
+        // A raw wait with no status slot: Env::waitpid would map one.
+        return env.syscall(os::Sys::WaitPid,
+                           {static_cast<std::uint64_t>(child), 0}) == child
+                   ? 0
+                   : 1;
+    }, true, 32});
+    auto r = sys.runProgram("forker");
+    EXPECT_EQ(r.status, 0) << r.killReason;
+    ASSERT_EQ(sys.results().size(), 2u);
+    for (const auto& [p, res] : sys.results())
+        EXPECT_EQ(res.status, 0) << "pid " << p << ": " << res.killReason;
+    ASSERT_TRUE(child_after_mark);
+    VmmEntries forked = child_start - mark;
+    EXPECT_EQ(forked.switches, 1u);
+    EXPECT_EQ(forked.hypercalls, 0u);
+    EXPECT_EQ(sys.machine().cost().stats().value("cloak_fork_launch"), 1u);
 }
 
 // --- live migration -------------------------------------------------

@@ -9,6 +9,7 @@
 #include "cloak/engine.hh"
 #include "os/attack_hooks.hh"
 #include "os/env.hh"
+#include "os/layout.hh"
 #include "system/system.hh"
 #include "workloads/workloads.hh"
 
@@ -434,8 +435,8 @@ TEST(ShimMarshal, OverlongTransferResultKills)
     }
 }
 
-/** An Iago-style kernel: answers one armed mmap with an address the
- *  app already holds. */
+/** An Iago-style kernel: answers one armed mmap, after @c skip honest
+ *  ones, with an address the app already holds. */
 class RecycledMmap : public os::AttackHooks
 {
   public:
@@ -450,13 +451,18 @@ class RecycledMmap : public os::AttackHooks
     onSyscallReturn(os::Kernel&, os::Thread&, os::Sys num,
                     const os::SyscallArgs&, std::int64_t& rv) override
     {
-        if (num == os::Sys::Mmap && target != 0 && rv > 0) {
-            rv = static_cast<std::int64_t>(target);
-            target = 0;
+        if (num != os::Sys::Mmap || target == 0 || rv <= 0)
+            return;
+        if (skip > 0) {
+            --skip;
+            return;
         }
+        rv = static_cast<std::int64_t>(target);
+        target = 0;
     }
 
-    GuestVA target = 0; ///< Address the next mmap returns (0: honest).
+    GuestVA target = 0; ///< Address the armed mmap returns (0: honest).
+    int skip = 0;       ///< Honest mmaps to answer before the armed one.
 
   private:
     os::Kernel& kernel_;
@@ -486,6 +492,75 @@ TEST(ShimMarshal, MmapResultOverlappingARegionKills)
         << r.killReason;
     EXPECT_EQ(sys.cloak()->stats().value("result_violations"), 1u);
     EXPECT_EQ(leaked, 0u);
+}
+
+TEST(ShimMarshal, LaunchMmapOverACloakedRegionKills)
+{
+    // A fresh launch maps its CTC page (the first mmap, which lands at
+    // the mmap arena's base) and then its bounce area. A CTC page over
+    // the stack would alias two resources over one range. The shim
+    // stages kernel-bound bytes in the bounce area: over the CTC page
+    // or the stack, it would hand the kernel the app's cloaked state.
+    // The launch refuses each (audited), and the process dies before
+    // its body runs.
+    constexpr GuestVA stack = os::stackTop - pageSize;
+    struct Case
+    {
+        int skip;
+        GuestVA target;
+        const char* what;
+    };
+    for (Case c : {Case{0, stack, "mmap result"},
+                   Case{1, os::mmapBase, "bounce area"},
+                   Case{1, stack, "bounce area"}}) {
+        SCOPED_TRACE(std::string(c.what) +
+                     (c.target == stack ? " onto the stack"
+                                        : " onto the CTC page"));
+        System sys(cloakedConfig());
+        RecycledMmap attacker(sys);
+        attacker.skip = c.skip;
+        attacker.target = c.target;
+        bool ran = false;
+        auto r = runCloaked(sys, [&](Env&) {
+            ran = true;
+            return 0;
+        });
+        EXPECT_TRUE(r.killed);
+        EXPECT_FALSE(ran);
+        EXPECT_NE(r.killReason.find(std::string("cloak violation: ") +
+                                    c.what + " overlaps a protected region"),
+                  std::string::npos)
+            << r.killReason;
+        EXPECT_EQ(sys.cloak()->stats().value("result_violations"), 1u);
+        ASSERT_FALSE(sys.cloak()->auditLog().empty());
+        EXPECT_EQ(sys.cloak()->auditLog().back().code,
+                  cloak::CloakError::RegionOverlap);
+    }
+}
+
+TEST(ShimMarshal, MmapResultOverTheBounceAreaKills)
+{
+    // A cloaked mapping over the bounce area would put the app's own
+    // cloaked data where the shim stages kernel-bound bytes. The VMM
+    // refuses the registration (audited) and the shim kills.
+    System sys(cloakedConfig());
+    RecycledMmap attacker(sys);
+    auto r = runCloaked(sys, [&](Env& env) {
+        attacker.target =
+            sys.cloak()->findDomain(env.process().domain)->bounceVa;
+        GuestVA fresh = env.allocPages(1);
+        env.store64(fresh, 0x5ec7e7);
+        return 0;
+    });
+    EXPECT_TRUE(r.killed);
+    EXPECT_NE(r.killReason.find("cloak violation: mmap result overlaps a "
+                                "protected region"),
+              std::string::npos)
+        << r.killReason;
+    EXPECT_EQ(sys.cloak()->stats().value("result_violations"), 1u);
+    ASSERT_FALSE(sys.cloak()->auditLog().empty());
+    EXPECT_EQ(sys.cloak()->auditLog().back().code,
+              cloak::CloakError::RegionOverlap);
 }
 
 /** An Iago-style kernel: answers the next @c armed call with a
